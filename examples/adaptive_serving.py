@@ -134,7 +134,8 @@ def main():
 
             # 5. Shadow on live traffic, then promotion + hot swap.
             service.serve(requests_at(service, SHIFT_SIGMA, 12, 200))
-            shadow = service.engine.shadow_status("adaptmean")
+            engine = service.frontdoor.shard_engines[0]
+            shadow = engine.shadow_status("adaptmean")
             print(f"  shadow sampled {shadow.samples} live requests")
             service.poll()
             store = deployment.store

@@ -115,8 +115,8 @@ def analyze_modules(modules) -> AnalysisReport:
 
     ``modules`` is an iterable of imported modules (e.g.
     ``repro.serving.frontdoor``).  The concurrency pass checks every
-    class against its declared contract (REP501–REP505); the boundary
-    pass checks module-global mutation and pickling sinks
+    class against its declared contract (REP501, REP504, REP505); the
+    boundary pass checks module-global mutation and pickling sinks
     (REP602/REP603).  Gating policy is the caller's, as with
     :func:`analyze_program`.
     """

@@ -1,27 +1,19 @@
-"""Concurrency-contract lint over the serving tier (REP501–REP505).
+"""Concurrency-contract lint over the serving tier (REP501/504/505).
 
-The serving tier spreads one request across five thread roles: caller
-threads submit, an asyncio loop thread admits and batches, shard
-executor threads run ``engine.serve``, daemon threads poll the retune
-controller, and worker processes execute trials.  The discipline that
-keeps this safe — which lock guards which field, which thread owns
-which state, what must never block the loop — lived in comments until
-now.  :mod:`repro.contracts` turns those comments into declarations
+The serving tier spreads one request across four thread roles: caller
+threads submit and admit, one front-door thread per shard runs
+``engine.serve``, daemon threads poll the retune controller, and worker
+processes execute trials.  The discipline that keeps this safe — which
+lock guards which field, which methods need a lock already held —
+:mod:`repro.contracts` states as declarations
 (:func:`~repro.contracts.thread_affine`,
 :func:`~repro.contracts.guarded_by`,
-:func:`~repro.contracts.atomic_swapped`,
 :func:`~repro.contracts.requires_lock`) and this pass checks the
 declarations against the source:
 
 * **REP501** — a ``guarded_by`` field stored, deleted or mutated in
   place (``.append``/``.pop``/…) outside a lexical ``with self.<lock>``
   scope; also calls to a ``requires_lock`` method without the lock.
-* **REP502** — a blocking call (``time.sleep``, ``Future.result``,
-  lock acquisition, file/socket I/O) reachable from an ``async def``
-  method or any method declared ``thread_affine("loop")``.
-* **REP503** — cross-thread publication that bypasses the atomic-swap
-  idiom: in-place mutation of an ``atomic_swapped`` field, or an
-  off-affinity method mutating unguarded instance state.
 * **REP504** — lock-acquisition-order inversion (or re-acquisition)
   across the class's declared lock set, following same-class calls.
 * **REP505** — a class that constructs threading primitives
@@ -31,68 +23,38 @@ declarations against the source:
 Like every pass here the analysis is lexical and best-effort: it
 tracks ``with self._lock:`` scopes and ``self.method()`` edges, and
 deliberately does not descend into nested ``def``/``lambda`` bodies —
-a closure handed to ``Thread(target=...)`` or ``run_in_executor`` runs
-on a different thread than the method that built it.
+a closure handed to ``Thread(target=...)`` runs on a different thread
+than the method that built it.
 """
 
 from __future__ import annotations
 
 import ast
 import asyncio
-import builtins
 import concurrent.futures
-import functools
 import multiprocessing
 import threading
-import time
 import types
 from typing import Iterable
 
-from repro.analysis.callgraph import (
-    CallGraph,
-    FunctionInfo,
-    resolve_attribute_module,
-)
+from repro.analysis.callgraph import CallGraph, FunctionInfo
 from repro.analysis.findings import AnalysisReport
 from repro.contracts import (
     ConcurrencyContract,
     concurrency_contract_of,
-    method_affinity_of,
     required_lock_of,
 )
 
 __all__ = ["lint_concurrency", "module_classes"]
 
 #: Method names that mutate their receiver in place.  Calling one of
-#: these on a guarded field outside its lock is a REP501; on an
-#: ``atomic_swapped`` field anywhere, a REP503.
+#: these on a guarded field outside its lock is a REP501.
 _MUTATORS = frozenset({
     "append", "appendleft", "extend", "extendleft", "insert",
     "remove", "pop", "popleft", "popitem", "clear", "update", "add",
     "discard", "setdefault", "move_to_end", "sort", "reverse",
     "rotate",
 })
-
-#: Dunders that run on whichever thread uses the object (context
-#: managers, repr, comparison), so they default to caller affinity
-#: rather than the class's state-owner affinity.
-_CALLER_DUNDERS = frozenset({
-    "__init__", "__new__", "__del__", "__repr__", "__str__",
-    "__enter__", "__exit__", "__len__", "__iter__", "__contains__",
-    "__eq__", "__hash__",
-})
-
-#: Attribute calls that block even when the receiver cannot be
-#: resolved statically (``future.result()``, ``lock.acquire()``,
-#: ``thread.join()``).
-_BLOCKING_ATTRS = frozenset({"result", "acquire", "join"})
-
-#: Module roots whose calls perform file, socket or process I/O.
-_BLOCKING_MODULES = frozenset({
-    "subprocess", "socket", "urllib", "http", "requests", "ftplib",
-    "smtplib",
-})
-
 
 def _primitive_labels() -> dict[int, str]:
     """id(object) -> human label for every threading primitive whose
@@ -115,23 +77,6 @@ def _primitive_labels() -> dict[int, str]:
 
 
 _PRIMITIVES = _primitive_labels()
-
-
-def _blocking_reason(callee) -> str | None:
-    """Why ``callee`` must not run on the event-loop thread, or None."""
-    if callee is time.sleep:
-        return "time.sleep()"
-    if callee is builtins.open:
-        return "open()"
-    if callee is builtins.input:
-        return "input()"
-    if callee is concurrent.futures.wait:
-        return "concurrent.futures.wait()"
-    module = resolve_attribute_module(callee) or ""
-    if module.split(".", 1)[0] in _BLOCKING_MODULES:
-        name = getattr(callee, "__name__", "?")
-        return f"{module}.{name}()"
-    return None
 
 
 def module_classes(module: types.ModuleType) -> list[type]:
@@ -157,20 +102,6 @@ def _class_methods(cls: type) -> dict[str, types.FunctionType]:
         if isinstance(fn, types.FunctionType):
             methods[name] = fn
     return methods
-
-
-def _effective_affinity(fn, name: str, node: ast.AST,
-                        contract: ConcurrencyContract) -> str | None:
-    """Which thread ``name`` runs on: explicit override, else loop for
-    coroutines, else caller for protocol dunders, else the class's."""
-    override = method_affinity_of(fn)
-    if override is not None:
-        return override
-    if isinstance(node, ast.AsyncFunctionDef):
-        return "loop"
-    if name in _CALLER_DUNDERS:
-        return "caller"
-    return contract.affinity
 
 
 class _MethodScan:
@@ -336,9 +267,6 @@ def _lint_class(graph: CallGraph, cls: type,
         _check_undeclared(cls, infos, scans, report)
         return
     _check_guards(cls, contract, methods, infos, scans, report)
-    _check_publication(cls, contract, methods, infos, scans, report)
-    _check_loop_blocking(graph, cls, contract, methods, infos, scans,
-                         report)
     _check_lock_order(cls, infos, scans, report)
 
 
@@ -358,7 +286,7 @@ def _check_undeclared(cls: type, infos, scans,
                     "REP505",
                     f"{cls.__name__} constructs {label} but declares "
                     f"no concurrency contract (thread_affine / "
-                    f"guarded_by / atomic_swapped)",
+                    f"guarded_by)",
                     transform=cls.__name__, rule=name,
                     location=info.location(node))
                 return  # one finding per class is enough to act on
@@ -394,135 +322,6 @@ def _check_guards(cls: type, contract: ConcurrencyContract, methods,
                     f"{required!r} held, without holding it",
                     transform=cls.__name__, rule=name,
                     location=info.location(node))
-
-
-# -- REP503 ------------------------------------------------------------
-def _check_publication(cls: type, contract: ConcurrencyContract,
-                       methods, infos, scans,
-                       report: AnalysisReport) -> None:
-    owner = contract.affinity
-    for name, scan in scans.items():
-        if name in ("__init__", "__new__"):
-            continue
-        info = infos[name]
-        affinity = _effective_affinity(methods[name], name, info.node,
-                                       contract)
-        for attr, inplace, node, held in scan.mutations:
-            if attr in contract.atomic:
-                if inplace:
-                    report.add(
-                        "REP503",
-                        f"field {attr!r} is atomic_swapped: publish a "
-                        f"new object by rebinding it whole, never by "
-                        f"in-place mutation",
-                        transform=cls.__name__, rule=name,
-                        location=info.location(node))
-                continue
-            if attr in contract.guards:
-                continue  # REP501's domain
-            if owner is not None and affinity is not None \
-                    and affinity != owner:
-                report.add(
-                    "REP503",
-                    f"{name}() runs on the {affinity} thread but "
-                    f"mutates {attr!r}, owned by the {owner} thread; "
-                    f"guard it, declare it atomic_swapped, or hop via "
-                    f"call_soon_threadsafe",
-                    transform=cls.__name__, rule=name,
-                    location=info.location(node))
-
-
-# -- REP502 ------------------------------------------------------------
-def _check_loop_blocking(graph: CallGraph, cls: type,
-                         contract: ConcurrencyContract, methods,
-                         infos, scans,
-                         report: AnalysisReport) -> None:
-    roots = [name for name in scans
-             if _effective_affinity(methods[name], name,
-                                    infos[name].node,
-                                    contract) == "loop"]
-    if not roots:
-        return
-    origin_files = {info.filename for info in infos.values()}
-    flagged: set[tuple[str, int]] = set()
-    seen_methods: set[str] = set()
-    seen_functions: set = set()
-    free_queue: list[FunctionInfo] = []
-
-    def flag(info: FunctionInfo, rule: str, node: ast.AST,
-             message: str) -> None:
-        location = info.location(node)
-        key = (location.filename, location.lineno)
-        if key in flagged:
-            return
-        flagged.add(key)
-        report.add("REP502", message, transform=cls.__name__,
-                   rule=rule, location=location)
-
-    def check_calls(info: FunctionInfo, rule: str,
-                    scan: _MethodScan) -> None:
-        namespace = info.namespace()
-        local_names = info.local_names()
-        for lock, node, _ in scan.acquisitions:
-            flag(info, rule, node,
-                 f"acquires self.{lock} on the event-loop thread "
-                 f"(lock acquisition blocks the loop)")
-        for node, _ in scan.calls:
-            callee = CallGraph.resolve(node.func, namespace,
-                                       local_names)
-            if callee is not None:
-                reason = _blocking_reason(callee)
-                if reason is not None:
-                    flag(info, rule, node,
-                         f"calls {reason}, which blocks the "
-                         f"event-loop thread")
-                    continue
-                target = _descend_target(callee, origin_files)
-                if target is not None \
-                        and target.__code__ not in seen_functions:
-                    seen_functions.add(target.__code__)
-                    target_info = graph.info(target)
-                    if target_info is not None:
-                        free_queue.append(target_info)
-                continue
-            func = node.func
-            if isinstance(func, ast.Attribute) \
-                    and func.attr in _BLOCKING_ATTRS \
-                    and not isinstance(func.value, ast.Constant):
-                flag(info, rule, node,
-                     f".{func.attr}() blocks; never call it on the "
-                     f"event-loop thread")
-
-    method_queue = list(roots)
-    while method_queue:
-        name = method_queue.pop()
-        if name in seen_methods or name not in scans:
-            continue
-        seen_methods.add(name)
-        scan = scans[name]
-        check_calls(infos[name], name, scan)
-        for callee_name, _, _ in scan.self_calls:
-            method_queue.append(callee_name)
-    while free_queue:
-        info = free_queue.pop()
-        scan = _MethodScan(info, set())
-        check_calls(info, info.name, scan)
-
-
-def _descend_target(callee, origin_files: set[str]):
-    """A plain function worth following from loop-affine code: inside
-    the repro package, or declared in the same files as the class."""
-    if isinstance(callee, functools.partial):
-        callee = callee.func
-    if not isinstance(callee, types.FunctionType):
-        return None
-    module = getattr(callee, "__module__", "") or ""
-    if module == "repro" or module.startswith("repro."):
-        return callee
-    code = getattr(callee, "__code__", None)
-    if code is not None and code.co_filename in origin_files:
-        return callee
-    return None
 
 
 # -- REP504 ------------------------------------------------------------

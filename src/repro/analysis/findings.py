@@ -55,10 +55,6 @@ FINDING_CODES: dict[str, tuple[str, str]] = {
                         "root instance dispatches to it"),
     "REP501": (ERROR, "guarded field touched outside its declared "
                       "lock"),
-    "REP502": (ERROR, "blocking call reachable on the event-loop "
-                      "thread"),
-    "REP503": (ERROR, "cross-thread publication bypassing the "
-                      "atomic-swap idiom"),
     "REP504": (ERROR, "lock-acquisition-order inversion across the "
                       "declared lock set"),
     "REP505": (ERROR, "class constructs threading primitives without "

@@ -1,13 +1,15 @@
 """The serve → observe → adapt side of the lifecycle façade.
 
-After PR 3 a production deployment wires six objects together by hand:
-``ArtifactStore`` + ``ServingEngine`` + ``ServingTelemetry`` +
-``DriftDetector`` + ``RetuneController`` + a harness factory.  A
+A production deployment wires seven objects together:
+``ArtifactStore`` + ``ServingEngine`` + ``FrontDoor`` +
+``ServingTelemetry`` + ``DriftDetector`` + ``RetuneController`` + a
+harness factory.  A
 :class:`Service` assembles all of them from one declarative
 :class:`ServicePolicy` and a store, and exposes the lifecycle verbs:
 
-* :meth:`Service.load` — open the store, build the engine (backend
-  from a spec string), attach telemetry, register programs;
+* :meth:`Service.load` — open the store, build the front door and
+  its shard engines (backends from a spec string), attach telemetry,
+  register programs;
 * :meth:`Service.serve` / :meth:`Service.request` — traffic;
 * :meth:`Service.stats` / :meth:`Service.snapshot` — observability;
 * :meth:`Service.poll` and :meth:`Service.start_adaptive` /
@@ -15,7 +17,7 @@ After PR 3 a production deployment wires six objects together by hand:
   shadow → promote loop, driven synchronously (deterministic tests)
   or from a daemon thread.
 
-Every constituent stays reachable (:attr:`engine`, :attr:`telemetry`,
+Every constituent stays reachable (:attr:`frontdoor`, :attr:`telemetry`,
 :attr:`store`, :attr:`controller`) — the façade assembles the
 low-level API, it does not wall it off.
 """
@@ -40,11 +42,8 @@ from repro.runtime.policy import SheddingPolicy
 from repro.serving.controller import RetuneController
 from repro.serving.engine import (
     DEFAULT_BATCH_SIZE,
-    DEFAULT_LATENCY_WINDOW,
     ServeRequest,
     ServeResponse,
-    ServingEngine,
-    ServingStats,
 )
 from repro.serving.frontdoor import (
     DEFAULT_QUEUE_LIMIT,
@@ -71,21 +70,22 @@ class ServicePolicy:
     to name tuner settings (a preset name like ``"smoke"`` or a full
     :class:`TunerSettings`) for background retunes.
 
-    A ``backend`` of ``"async:<shards>x<workers>"`` stands up the
-    sharded :class:`~repro.serving.frontdoor.FrontDoor` instead of a
-    single engine; the front-door half (queue bounds, deadline,
-    shedding watermarks) applies only then.
+    Traffic always flows through a
+    :class:`~repro.serving.frontdoor.FrontDoor`.  A ``backend`` of
+    ``"async:<shards>x<workers>"`` gives it that many shards; any
+    other backend (a spec string or an
+    :class:`~repro.runtime.backends.ExecutionBackend` instance) is its
+    one shard.
     """
 
     # --- serving -----------------------------------------------------
     backend: str | ExecutionBackend = "serial"
     batch_size: int = DEFAULT_BATCH_SIZE
     telemetry_window: int = DEFAULT_WINDOW
-    latency_window: int = DEFAULT_LATENCY_WINDOW
     tag: str = DEFAULT_TAG
     #: Version retention when the service creates the store from a path.
     retain: int | None = None
-    # --- sharded front door ("async:<shards>x<workers>" backend) -----
+    # --- front door -----------------------------------------------
     #: Per-shard admission-queue bound.
     queue_limit: int = DEFAULT_QUEUE_LIMIT
     #: Per-request deadline in seconds (None = no deadline); also the
@@ -93,8 +93,9 @@ class ServicePolicy:
     deadline: float | None = None
     #: Seconds an under-filled micro-batch is held open to coalesce.
     batch_window: float = 0.0
-    #: Override the per-shard backend (e.g. ``"serial"`` on single-core
-    #: hosts); None uses the plan's ``process:<workers>``.
+    #: Override the per-shard backend of an ``async:`` plan (e.g.
+    #: ``"serial"`` on single-core hosts); None uses the plan's
+    #: ``process:<workers>``.
     shard_backend: str | None = None
     #: Shed accuracy (cheaper bins) under overload; False only rejects.
     shedding: bool = True
@@ -184,21 +185,15 @@ class ServicePolicy:
 class Service:
     """A running accuracy-aware service assembled from one policy.
 
-    Unsharded, traffic flows through one :attr:`engine`; with an
-    ``async:<shards>x<workers>`` backend it flows through the
-    :attr:`frontdoor` tier instead (``engine`` is then None and
-    :meth:`stats` returns the tier's
-    :class:`~repro.serving.frontdoor.FrontDoorStats`).
+    Traffic flows through the :attr:`frontdoor` tier: one shard per
+    ``async:`` plan shard, or a single shard on any other backend.
     """
 
-    def __init__(self, store: ArtifactStore,
-                 engine: ServingEngine | None,
+    def __init__(self, store: ArtifactStore, frontdoor: FrontDoor,
                  telemetry: ServingTelemetry, policy: ServicePolicy, *,
-                 frontdoor: FrontDoor | None = None,
                  training_inputs: "InputGenerator | Mapping[str, InputGenerator] | None" = None,
                  log: Callable[[str], None] | None = None):
         self.store = store
-        self.engine = engine
         self.frontdoor = frontdoor
         self.telemetry = telemetry
         self.policy = policy
@@ -206,12 +201,6 @@ class Service:
         self.log = log
         self._controller: RetuneController | None = None
         self._closed = False
-
-    @property
-    def _tier(self) -> "ServingEngine | FrontDoor":
-        """Wherever traffic goes: the front door when sharded."""
-        return self.frontdoor if self.frontdoor is not None \
-            else self.engine
 
     # ------------------------------------------------------------------
     # Assembly
@@ -262,29 +251,20 @@ class Service:
                 "compiled= attaches one program; name exactly one "
                 "(got {})".format(names))
         telemetry = ServingTelemetry(window=policy.telemetry_window)
-        plan = policy.shard_plan()
-        if plan is not None:
-            frontdoor = FrontDoor.build(
-                plan, store=store, shard_backend=policy.shard_backend,
-                batch_size=policy.batch_size, telemetry=telemetry,
-                queue_limit=policy.queue_limit,
-                deadline=policy.deadline,
-                batch_window=policy.batch_window,
-                shedding=policy.shedding_policy())
-            for name in names:
-                frontdoor.register(name, store.load_tuned(
-                    name, policy.tag, compiled=compiled))
-            return cls(store, None, telemetry, policy,
-                       frontdoor=frontdoor,
-                       training_inputs=training_inputs, log=log)
-        engine = ServingEngine(
-            store=store, backend=backend_from_spec(policy.backend),
-            batch_size=policy.batch_size,
-            latency_window=policy.latency_window, telemetry=telemetry)
+        plan, shard_backend = policy.shard_plan(), policy.shard_backend
+        if plan is None:
+            # Any other backend is the one shard's own.
+            plan, shard_backend = ShardPlan(1, 1), policy.backend
+        frontdoor = FrontDoor.build(
+            plan, store=store, shard_backend=shard_backend,
+            batch_size=policy.batch_size, telemetry=telemetry,
+            queue_limit=policy.queue_limit, deadline=policy.deadline,
+            batch_window=policy.batch_window,
+            shedding=policy.shedding_policy())
         for name in names:
-            engine.register(name, store.load_tuned(
+            frontdoor.register(name, store.load_tuned(
                 name, policy.tag, compiled=compiled))
-        return cls(store, engine, telemetry, policy,
+        return cls(store, frontdoor, telemetry, policy,
                    training_inputs=training_inputs, log=log)
 
     # ------------------------------------------------------------------
@@ -292,10 +272,10 @@ class Service:
     # ------------------------------------------------------------------
     @property
     def programs(self) -> tuple[str, ...]:
-        return self._tier.programs
+        return self.frontdoor.programs
 
     def _default_program(self) -> str:
-        names = self._tier.programs
+        names = self.frontdoor.programs
         if len(names) != 1:
             raise ConfigError(
                 f"service hosts {list(names)}; name the program "
@@ -319,16 +299,16 @@ class Service:
     def serve(self, requests: Sequence[ServeRequest]
               ) -> list[ServeResponse]:
         """Serve a batch; responses align positionally with requests."""
-        return self._tier.serve(requests)
+        return self.frontdoor.serve(requests)
 
     def serve_one(self, request: ServeRequest) -> ServeResponse:
-        return self._tier.serve([request])[0]
+        return self.frontdoor.serve([request])[0]
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def stats(self) -> "ServingStats | FrontDoorStats":
-        return self._tier.stats()
+    def stats(self) -> FrontDoorStats:
+        return self.frontdoor.stats()
 
     def snapshot(self, target: float, program: str | None = None
                  ) -> BinSnapshot:
@@ -398,7 +378,7 @@ class Service:
     def controller(self) -> RetuneController:
         """The retune controller (built on first use)."""
         if self._controller is None:
-            if self.frontdoor is not None:
+            if self.frontdoor.shards != 1:
                 # Scope limit, stated rather than half-working: the
                 # retune controller drives exactly one engine (drift →
                 # shadow → hot_swap); fanning that loop across shards
@@ -421,7 +401,7 @@ class Service:
                     f"{policy.retune_backend!r}): concurrent trials "
                     f"would time each other's contention")
             self._controller = RetuneController(
-                self.engine, self.store,
+                self.frontdoor.shard_engines[0], self.store,
                 harness_factory=self._harness_factory,
                 settings=self._settings_factory,
                 telemetry=self.telemetry, tag=policy.tag,
@@ -462,13 +442,13 @@ class Service:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the adaptive loop, close retunes and the engine."""
+        """Stop the adaptive loop, close retunes and the front door."""
         if self._closed:
             return
         self._closed = True
         if self._controller is not None:
             self._controller.close()
-        self._tier.close()
+        self.frontdoor.close()
 
     def __enter__(self) -> "Service":
         return self
@@ -477,8 +457,6 @@ class Service:
         self.close()
 
     def __repr__(self) -> str:
-        tier = (repr(self.frontdoor) if self.frontdoor is not None
-                else repr(self.engine.backend))
-        return (f"Service(programs={list(self._tier.programs)}, "
-                f"tier={tier}, "
+        return (f"Service(programs={list(self.frontdoor.programs)}, "
+                f"tier={self.frontdoor!r}, "
                 f"adaptive={self._controller is not None})")

@@ -18,19 +18,15 @@ honour two contracts the layers above depend on:
   end (float32 stays float32; non-floating inputs promote to float64),
   the PR-8 contract behind the ``precision()`` tunable.
 
-**Concurrency contracts** (this PR).  The serving tier spreads one
-request across caller threads, an asyncio loop thread, shard executor
-threads, daemon controller threads and worker processes.  Classes
-declare the discipline that keeps that safe, and the
-:mod:`repro.analysis.concurrency` pass (REP501–REP505) checks the
-declarations against the source:
+**Concurrency contracts**.  The serving tier spreads one request
+across caller threads, front-door shard threads, daemon controller
+threads and worker processes.  Classes declare the discipline that
+keeps that safe, and the :mod:`repro.analysis.concurrency` pass
+(REP501, REP504, REP505) checks the declarations against the source:
 
 * :func:`thread_affine` — which thread owns a class's instance state
-  (``"loop"``, ``"caller"`` or ``"daemon"``), overridable per method;
+  (``"caller"`` or ``"daemon"``), overridable per method;
 * :func:`guarded_by` — which lock attribute guards which fields;
-* :func:`atomic_swapped` — fields published across threads by whole-
-  reference rebinding (the ``hot_swap`` idiom): rebinding is safe
-  anywhere, in-place mutation never is;
 * :func:`requires_lock` — methods whose callers must already hold a
   lock (the ``# lock held`` comment, made machine-checkable);
 * :func:`process_local` — module globals that are *deliberately*
@@ -47,7 +43,7 @@ from typing import Callable, Mapping, TypeVar
 __all__ = ["KernelContract", "kernel", "contract_of",
            "registered_kernels",
            "THREAD_AFFINITIES", "ConcurrencyContract", "thread_affine",
-           "guarded_by", "atomic_swapped", "requires_lock",
+           "guarded_by", "requires_lock",
            "concurrency_contract_of", "method_affinity_of",
            "required_lock_of", "process_local", "process_locals_of",
            "declared_concurrency_classes"]
@@ -102,8 +98,8 @@ def registered_kernels() -> dict[Callable, KernelContract]:
 # ----------------------------------------------------------------------
 # Concurrency contracts
 # ----------------------------------------------------------------------
-#: The three thread roles the serving tier runs code on.
-THREAD_AFFINITIES = ("loop", "caller", "daemon")
+#: The thread roles the serving tier runs code on.
+THREAD_AFFINITIES = ("caller", "daemon")
 
 
 @dataclass
@@ -113,13 +109,11 @@ class ConcurrencyContract:
     ``affinity`` names the thread that owns the instance state; every
     method defaults to it unless individually overridden with
     :func:`thread_affine`.  ``guards`` maps field name -> the lock
-    attribute that must be held to touch it; ``atomic`` lists fields
-    published across threads by whole-reference rebinding only.
+    attribute that must be held to touch it.
     """
 
     affinity: str | None = None
     guards: dict[str, str] = field(default_factory=dict)
-    atomic: set[str] = field(default_factory=set)
     #: Locks declared without guarded fields (pure serialization locks,
     #: e.g. the controller's ``_poll_lock``) — still tracked for
     #: acquisition-order analysis.
@@ -160,9 +154,8 @@ def thread_affine(affinity: str) -> Callable[[T], T]:
 
     On a class, ``affinity`` is the owner of the instance state and the
     default affinity of every method; on a function/method it overrides
-    that default (``submit`` runs on caller threads even though the
-    front door's state lives on the loop thread).  Returns the object
-    unchanged.
+    that default (the front door's shard workers run on their own
+    daemon threads).  Returns the object unchanged.
     """
     if affinity not in THREAD_AFFINITIES:
         raise ValueError(
@@ -195,24 +188,6 @@ def guarded_by(lock: str, *fields: str) -> Callable[[type], type]:
             contract.guards.update({name: lock for name in fields})
         else:
             contract.extra_locks.add(lock)
-        return cls
-
-    return register
-
-
-def atomic_swapped(*fields: str) -> Callable[[type], type]:
-    """Declare fields published cross-thread by atomic rebinding.
-
-    The ``hot_swap`` idiom: a whole-reference store is atomic under the
-    GIL, so rebinding such a field is safe from any thread — but
-    mutating the referenced object in place is never safe, and the
-    analyzer flags it (REP503).
-    """
-    if not fields:
-        raise ValueError("atomic_swapped needs at least one field name")
-
-    def register(cls: type) -> type:
-        _contract_for(cls).atomic.update(fields)
         return cls
 
     return register

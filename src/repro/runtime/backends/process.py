@@ -21,6 +21,7 @@ import pickle
 import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Sequence
 
 from repro.contracts import guarded_by, process_local, thread_affine
@@ -126,6 +127,15 @@ class ProcessPoolBackend(ExecutionBackend):
             old_pool.shutdown(wait=True)
         return pool
 
+    def _drop(self, program: "CompiledProgram",
+              pool: ProcessPoolExecutor) -> None:
+        """Forget ``pool`` if it is still ``program``'s pool, so the
+        next batch spawns a fresh one."""
+        with self._lock:
+            entry = self._pools.get(id(program))
+            if entry is not None and entry[1] is pool:
+                del self._pools[id(program)]
+
     def _chunks(self, requests: Sequence[TrialRequest]
                 ) -> list[list[TrialRequest]]:
         size = self.chunk_size
@@ -163,14 +173,18 @@ class ProcessPoolBackend(ExecutionBackend):
                 # are deterministic, so re-running chunks is safe.
                 if attempt:
                     raise
-                with self._lock:
-                    entry = self._pools.get(id(program))
-                    if entry is not None and entry[1] is pool:
-                        del self._pools[id(program)]
+                self._drop(program, pool)
                 continue
             outcomes: list[TrialOutcome] = []
-            for future in futures:  # submission order => request order
-                outcomes.extend(future.result())
+            try:
+                for future in futures:  # submission order => request order
+                    outcomes.extend(future.result())
+            except BrokenProcessPool:
+                # A worker died mid-batch.  The batch fails, but the
+                # dead pool must not fail every later batch too.
+                self._drop(program, pool)
+                pool.shutdown(wait=False)
+                raise
             return outcomes
         raise AssertionError("unreachable")  # the loop returns or raises
 

@@ -18,8 +18,7 @@ AccuracyError` is raised when the most accurate bin still fails.
 Persistence goes through the versioned
 :class:`~repro.serving.artifact.TunedArtifact` format, so guarantees
 and provenance travel with the deployable; :meth:`TunedProgram.save`
-and :meth:`TunedProgram.load` are thin wrappers over it (``load`` also
-accepts the legacy flat ``{bin: config}`` JSON).
+and :meth:`TunedProgram.load` are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -152,27 +151,15 @@ class TunedProgram:
 
     @classmethod
     def load(cls, program: CompiledProgram, path) -> "TunedProgram":
+        from repro.serving.artifact import TunedArtifact
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-        if isinstance(data, dict) and "schema_version" in data:
-            from repro.serving.artifact import TunedArtifact
-            return TunedArtifact.from_json(data).to_tuned(program)
-        # Legacy flat format: {"<bin>": <config json>}.
-        if not isinstance(data, dict):
+        if not (isinstance(data, dict) and "schema_version" in data):
             raise TrainingError(
-                f"{path}: expected a tuned-artifact or bin/config "
-                f"mapping, got {type(data).__name__}")
-        configs: dict[float, Configuration] = {}
-        for key, payload in data.items():
-            try:
-                target = float(key)
-            except (TypeError, ValueError):
-                raise TrainingError(
-                    f"{path}: key {key!r} is not an accuracy bin") from None
-            configs[target] = Configuration.from_json(payload)
-        # The constructor rejects bins the program never declared,
-        # naming them — nothing is silently dropped.
-        return cls(program, configs)
+                f"{path}: not a tuned artifact (no schema_version); the "
+                f"flat {{bin: config}} format is no longer read, so "
+                f"re-save the program with TunedProgram.save")
+        return TunedArtifact.from_json(data).to_tuned(program)
 
     def __repr__(self) -> str:
         return (f"TunedProgram({self.program.root!r}, "

@@ -25,7 +25,8 @@ under overload the front door sheds **accuracy instead of requests**:
 * only when every shard queue is full is a request rejected, and
   requests whose deadline passes while queued get an explicit
   deadline-expired error response — both outcomes are counted, so
-  ``submitted == completed + rejected + expired`` always holds.
+  ``submitted == completed + rejected + expired + queued`` holds in
+  every snapshot.
 
 Telemetry records the realized accuracy of degraded traffic in the
 cheaper bin's rolling window (where the
@@ -34,26 +35,29 @@ plus lifetime shed/degrade counters per program
 (:class:`~repro.serving.telemetry.SheddingSnapshot`), so the adaptive
 layer sees the *true* served distribution.
 
-Internally the front door runs one asyncio event loop on a daemon
-thread.  Admission and all counters live on that thread (no locks);
-blocking ``engine.serve`` calls run on a thread pool with one slot
-per shard, so shards execute concurrently while the loop keeps
-admitting.
+Internally the front door is one lock and one plain thread per shard.
+Admission runs on the caller's thread under the lock; each shard's
+worker waits on its own condition of that lock, drains a micro-batch,
+and calls ``engine.serve`` with the lock released, so shards execute
+concurrently while callers keep admitting.
 """
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
 import threading
 import time
 from collections import deque
+from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from repro.contracts import atomic_swapped, thread_affine
+from repro.contracts import guarded_by, requires_lock, thread_affine
 from repro.errors import ConfigError, ReproError
-from repro.runtime.backends import ShardPlan, backend_from_spec
+from repro.runtime.backends import (
+    ExecutionBackend,
+    ShardPlan,
+    backend_from_spec,
+)
 from repro.runtime.policy import (
     SheddingPolicy,
     degrade_request,
@@ -83,9 +87,6 @@ RECENT_WINDOW = 128
 #: Bound on the end-to-end latency reservoir behind stats().
 LATENCY_WINDOW = 4096
 
-#: Queue sentinel that tells a shard worker to finish and exit.
-_CLOSE = object()
-
 
 @dataclass
 class _Item:
@@ -95,16 +96,26 @@ class _Item:
     degraded: int                    # bins shed at admission
     arrival: float                   # monotonic admission time
     deadline: float | None           # absolute monotonic deadline
-    future: "concurrent.futures.Future[ServeResponse]"
+    future: "Future[ServeResponse]"
+
+
+def _shard_sum(name: str) -> property:
+    """A :class:`FrontDoorStats` property summing one engine counter
+    over every shard."""
+    return property(
+        lambda self: sum(getattr(s, name) for s in self.shard_stats),
+        doc=f"``{name}`` summed over every shard engine.")
 
 
 @dataclass(frozen=True)
 class FrontDoorStats:
     """Point-in-time snapshot of the tier.
 
-    ``submitted == completed + rejected + expired`` holds whenever the
-    tier is drained (every admitted request resolves exactly one way).
-    ``shard_stats`` carries each shard engine's own
+    The front door's own counters are read in one critical section, so
+    ``submitted == completed + rejected + expired + queued`` holds in
+    every snapshot; ``queued`` counts admitted requests not yet
+    resolved, including batches in execution.  ``shard_stats`` carries
+    each shard engine's own
     :class:`~repro.serving.engine.ServingStats`; the aggregate
     properties sum them.  Latency percentiles here are *end-to-end*
     (admission to response, queueing included) — each shard's own
@@ -125,33 +136,15 @@ class FrontDoorStats:
     p99_latency: float
     shard_stats: tuple[ServingStats, ...] = field(default_factory=tuple)
 
-    @property
-    def served(self) -> int:
-        return sum(s.served for s in self.shard_stats)
-
-    @property
-    def errors(self) -> int:
-        return sum(s.errors for s in self.shard_stats)
-
-    @property
-    def escalations(self) -> int:
-        return sum(s.escalations for s in self.shard_stats)
-
-    @property
-    def fallbacks(self) -> int:
-        return sum(s.fallbacks for s in self.shard_stats)
-
-    @property
-    def executions(self) -> int:
-        return sum(s.executions for s in self.shard_stats)
-
-    @property
-    def stacked_calls(self) -> int:
-        return sum(s.stacked_calls for s in self.shard_stats)
-
-    @property
-    def stacked_requests(self) -> int:
-        return sum(s.stacked_requests for s in self.shard_stats)
+    requests = _shard_sum("requests")
+    served = _shard_sum("served")
+    errors = _shard_sum("errors")
+    escalations = _shard_sum("escalations")
+    fallbacks = _shard_sum("fallbacks")
+    executions = _shard_sum("executions")
+    swaps = _shard_sum("swaps")
+    stacked_calls = _shard_sum("stacked_calls")
+    stacked_requests = _shard_sum("stacked_requests")
 
     def __str__(self) -> str:
         return (f"{self.submitted} submitted across {self.shards} "
@@ -165,10 +158,13 @@ class FrontDoorStats:
                 f"p99 {self.p99_latency * 1e3:.2f}ms end-to-end")
 
 
-@thread_affine("loop")
-@atomic_swapped("_closed")
+@thread_affine("caller")
+@guarded_by("_lock", "_queues", "_rr", "_shed_level", "_submitted",
+            "_completed", "_rejected", "_expired", "_degraded",
+            "_degrade_steps", "_executing", "_latencies", "_recent",
+            "_closed")
 class FrontDoor:
-    """Async sharded serving tier over per-shard
+    """Sharded serving tier over per-shard
     :class:`~repro.serving.engine.ServingEngine` workers.
 
     ``engines`` supplies one engine per shard (use :meth:`build` to
@@ -184,8 +180,8 @@ class FrontDoor:
 
     Requests enter through :meth:`submit` (a future per request, from
     any thread) or the synchronous :meth:`serve`.  Admission never
-    blocks the caller: a request is queued, degraded, or rejected in
-    one event-loop callback.
+    blocks on execution: a request is queued, degraded, or rejected
+    under one short-held lock on the caller's thread.
     """
 
     def __init__(self, engines: Sequence[ServingEngine], *,
@@ -215,16 +211,11 @@ class FrontDoor:
         self.shedding = shedding
         self.telemetry = telemetry
 
-        # Everything below is mutated only on the event-loop thread,
-        # so admission and accounting need no locks.  stats() reads
-        # from other threads; int/deque reads are atomic under the GIL.
-        count = len(engines)
-        self._queues: list[asyncio.Queue] = [asyncio.Queue()
-                                             for _ in range(count)]
-        # Depths tracked manually (not Queue bounds): the close
-        # sentinel must always fit, and a full shard must *reject* at
-        # admission instead of blocking the loop.
-        self._depths = [0] * count
+        # One lock guards every queue and counter; each shard's worker
+        # sleeps on its own condition of that lock.
+        self._lock = threading.Lock()
+        self._ready = [threading.Condition(self._lock) for _ in engines]
+        self._queues: list[deque[_Item]] = [deque() for _ in engines]
         self._rr = 0
         self._shed_level = 0
         self._submitted = 0
@@ -233,30 +224,24 @@ class FrontDoor:
         self._expired = 0
         self._degraded = 0
         self._degrade_steps = 0
+        self._executing = 0              # drained, not yet resolved
         self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._recent: deque[float] = deque(maxlen=RECENT_WINDOW)
         self._closed = False
-
-        self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=count, thread_name_prefix="repro-shard")
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(target=self._loop.run_forever,
-                                        name="repro-frontdoor",
-                                        daemon=True)
-        self._thread.start()
         self._workers = [
-            asyncio.run_coroutine_threadsafe(self._worker(shard),
-                                             self._loop)
-            for shard in range(count)]
+            threading.Thread(target=self._worker, args=(shard,),
+                             name=f"repro-shard-{shard}", daemon=True)
+            for shard in range(len(engines))]
+        for worker in self._workers:
+            worker.start()
 
     # ------------------------------------------------------------------
     # Construction from a ShardPlan
     # ------------------------------------------------------------------
     @classmethod
-    @thread_affine("caller")
     def build(cls, plan: "ShardPlan | str", *,
               store: ArtifactStore | None = None,
-              shard_backend: str | None = None,
+              shard_backend: "str | ExecutionBackend | None" = None,
               batch_size: int = DEFAULT_BATCH_SIZE,
               telemetry: ServingTelemetry | None = None,
               **kwargs) -> "FrontDoor":
@@ -265,7 +250,8 @@ class FrontDoor:
         One :class:`ServingEngine` is built per shard, each with its
         own backend (``plan.shard_backend_spec``, i.e. a
         ``process:<workers>`` pool — override with ``shard_backend``,
-        e.g. ``"serial"`` for tests and single-core hosts).  All
+        e.g. ``"serial"`` for tests and single-core hosts; a backend
+        instance serves a one-shard plan).  All
         shards share ``store`` and ``telemetry``; remaining keyword
         arguments go to :class:`FrontDoor` itself.
         """
@@ -288,19 +274,16 @@ class FrontDoor:
     # ------------------------------------------------------------------
     # Program registry passthroughs (fan out to every shard)
     # ------------------------------------------------------------------
-    @thread_affine("caller")
     def register(self, name: str, tuned: TunedProgram) -> None:
         """Serve ``tuned`` under ``name`` on every shard."""
         for engine in self._engines:
             engine.register(name, tuned)
 
-    @thread_affine("caller")
     def hot_swap(self, name: str, tuned: TunedProgram) -> None:
         """Atomically replace ``name`` on every shard."""
         for engine in self._engines:
             engine.hot_swap(name, tuned)
 
-    @thread_affine("caller")
     def program_for(self, name: str, tag: str = DEFAULT_TAG
                     ) -> TunedProgram:
         return self._engines[0].program_for(name, tag)
@@ -319,14 +302,13 @@ class FrontDoor:
 
     @property
     def shed_level(self) -> int:
-        return self._shed_level
+        with self._lock:
+            return self._shed_level
 
     # ------------------------------------------------------------------
-    # Admission (event-loop thread)
+    # Admission (caller threads)
     # ------------------------------------------------------------------
-    @thread_affine("caller")
-    def submit(self, request: ServeRequest
-               ) -> "concurrent.futures.Future[ServeResponse]":
+    def submit(self, request: ServeRequest) -> "Future[ServeResponse]":
         """Admit one request; the future resolves to its response.
 
         Callable from any thread.  The future *always* resolves to a
@@ -334,34 +316,53 @@ class FrontDoor:
         requests resolve to explicit error responses, never silent
         drops or exceptions.
         """
-        if self._closed:
-            raise RuntimeError("front door is closed")
-        future: concurrent.futures.Future = concurrent.futures.Future()
-        self._loop.call_soon_threadsafe(self._admit, request, future,
-                                        time.monotonic())
-        return future
+        return self._admit_all([request])[0]
 
-    @thread_affine("caller")
     def serve(self, requests: Sequence[ServeRequest]
               ) -> list[ServeResponse]:
-        """Submit a batch and wait; responses align positionally."""
-        futures = [self.submit(request) for request in requests]
-        return [future.result() for future in futures]
+        """Admit a batch and wait; responses align positionally.
 
-    def _admit(self, request: ServeRequest,
-               future: concurrent.futures.Future,
-               arrival: float) -> None:
-        """One admission decision: shed, enqueue, or reject."""
+        The whole batch is admitted in one critical section with one
+        wake-up per shard, so an idle shard hands it to its engine as
+        one wave (up to ``max_batch`` requests).
+        """
+        return [future.result()
+                for future in self._admit_all(requests)]
+
+    def _admit_all(self, requests: Sequence[ServeRequest]
+                   ) -> list[Future]:
+        arrival = time.monotonic()
+        futures: list[Future] = [Future() for _ in requests]
+        refused: list[tuple[Future, ServeResponse]] = []
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("front door is closed")
+            woken: set[int] = set()
+            for request, future in zip(requests, futures):
+                shard = self._admit(request, future, arrival, refused)
+                if shard is not None:
+                    woken.add(shard)
+            for shard in woken:
+                self._ready[shard].notify()
+        # Futures resolve outside the lock: their done-callbacks run
+        # on this thread and may call back into the front door.
+        for future, response in refused:
+            _resolve(future, response)
+        return futures
+
+    @requires_lock("_lock")
+    def _admit(self, request: ServeRequest, future: Future,
+               arrival: float,
+               refused: list[tuple[Future, ServeResponse]]
+               ) -> int | None:
+        """One admission decision: shed, enqueue (returning the shard)
+        or reject (appending the refusal to ``refused``)."""
         self._submitted += 1
-        if self._closed:
-            self._reject(request, future,
-                         "rejected: front door is closed")
-            return
         degraded = 0
         if self.shedding is not None:
-            fill = (sum(self._depths)
+            fill = (sum(len(queue) for queue in self._queues)
                     / (len(self._engines) * self.queue_limit))
-            p95 = (latency_summary(list(self._recent))[1]
+            p95 = (latency_summary(self._recent)[1]
                    if self._recent else None)
             self._shed_level = update_shed_level(
                 self._shed_level, fill, self.shedding, p95=p95)
@@ -370,16 +371,21 @@ class FrontDoor:
                                                   self._shed_level)
         shard = self._pick_shard()
         if shard is None:
-            self._reject(request, future,
-                         "rejected: all shard queues full")
-            return
+            self._rejected += 1
+            if self.telemetry is not None:
+                self.telemetry.record_shedding(request.program,
+                                               rejected=1)
+            refused.append((future, _refusal(
+                request, "rejected: all shard queues full")))
+            return None
         deadline = (None if self.deadline is None
                     else arrival + self.deadline)
-        self._depths[shard] += 1
-        self._queues[shard].put_nowait(_Item(
+        self._queues[shard].append(_Item(
             request=request, degraded=degraded, arrival=arrival,
             deadline=deadline, future=future))
+        return shard
 
+    @requires_lock("_lock")
     def _degrade(self, request: ServeRequest, level: int
                  ) -> tuple[ServeRequest, int]:
         """Shed ``request`` by up to ``level`` bins (floor-bounded)."""
@@ -402,133 +408,135 @@ class FrontDoor:
         return (replace(request, accuracy=decision.target),
                 decision.steps)
 
+    @requires_lock("_lock")
     def _pick_shard(self) -> int | None:
         """Round-robin over shards, skipping full queues."""
         count = len(self._engines)
         for offset in range(count):
             shard = (self._rr + offset) % count
-            if self._depths[shard] < self.queue_limit:
+            if len(self._queues[shard]) < self.queue_limit:
                 self._rr = (shard + 1) % count
                 return shard
         return None
 
-    def _reject(self, request: ServeRequest,
-                future: concurrent.futures.Future,
-                message: str) -> None:
-        self._rejected += 1
-        if self.telemetry is not None:
-            self.telemetry.record_shedding(request.program, rejected=1)
-        _resolve(future, _refusal(request, message))
-
     # ------------------------------------------------------------------
-    # Shard workers (event-loop thread; engine.serve on the pool)
+    # Shard workers (one thread each; engine.serve outside the lock)
     # ------------------------------------------------------------------
-    async def _worker(self, shard: int) -> None:
-        queue = self._queues[shard]
+    @thread_affine("daemon")
+    def _worker(self, shard: int) -> None:
         engine = self._engines[shard]
         while True:
-            item = await queue.get()
-            if item is _CLOSE:
+            expired: list[tuple[Future, ServeResponse]] = []
+            with self._lock:
+                live = self._next_batch(shard, expired)
+            for future, response in expired:
+                _resolve(future, response)
+            if live is None:
                 return
-            batch = [item]
-            closing = self._drain(queue, batch)
-            if (self.batch_window > 0 and not closing
-                    and len(batch) < self.max_batch):
-                # Hold the under-filled batch open one window so a
-                # trickle of single submissions still coalesces into
-                # one stacked execution.
-                await asyncio.sleep(self.batch_window)
-                closing = self._drain(queue, batch)
-            self._depths[shard] -= len(batch)
-            live = self._expire(batch)
-            if live:
-                requests = [entry.request for entry in live]
-                responses = await self._loop.run_in_executor(
-                    self._pool, engine.serve, requests)
-                done = time.monotonic()
-                for entry, response in zip(live, responses):
-                    response.degraded = entry.degraded
-                    elapsed = done - entry.arrival
+            if not live:
+                continue
+            try:
+                responses = engine.serve(
+                    [item.request for item in live])
+            except Exception as exc:
+                # A failed execution must not strand its callers:
+                # every request of the batch gets an explicit error.
+                responses = [_refusal(
+                    item.request, f"shard {shard} execution failed: "
+                    f"{type(exc).__name__}: {exc}") for item in live]
+            done = time.monotonic()
+            with self._lock:
+                for item, response in zip(live, responses):
+                    response.degraded = item.degraded
+                    elapsed = done - item.arrival
                     self._latencies.append(elapsed)
                     self._recent.append(elapsed)
-                    self._completed += 1
-                    _resolve(entry.future, response)
-            if closing:
-                return
+                self._completed += len(live)
+                self._executing -= len(live)
+            for item, response in zip(live, responses):
+                _resolve(item.future, response)
 
-    def _drain(self, queue: asyncio.Queue, batch: list) -> bool:
-        """Pull ready items into ``batch`` up to ``max_batch``; True
-        when the close sentinel was drained."""
-        while len(batch) < self.max_batch:
-            try:
-                item = queue.get_nowait()
-            except asyncio.QueueEmpty:
-                return False
-            if item is _CLOSE:
-                return True
-            batch.append(item)
-        return False
+    @requires_lock("_lock")
+    def _next_batch(self, shard: int,
+                    expired: list[tuple[Future, ServeResponse]]
+                    ) -> list[_Item] | None:
+        """Wait for traffic, then drain up to ``max_batch`` items.
 
-    def _expire(self, batch: list) -> list:
-        """Resolve deadline-expired items with explicit error
-        responses (counted, never silently dropped); return the rest."""
+        Returns the live (unexpired) items, marked executing; expired
+        items are counted and their refusals appended to ``expired``.
+        None once the front door is closed and this queue is empty.
+        """
+        queue = self._queues[shard]
+        ready = self._ready[shard]
+        while not queue and not self._closed:
+            ready.wait()
+        if not queue:
+            return None
+        if self.batch_window > 0:
+            # Hold the under-filled batch open one window so a trickle
+            # of single submissions still coalesces into one stacked
+            # execution.
+            until = time.monotonic() + self.batch_window
+            while len(queue) < self.max_batch and not self._closed:
+                remaining = until - time.monotonic()
+                if remaining <= 0:
+                    break
+                ready.wait(remaining)
         now = time.monotonic()
         live = []
-        for item in batch:
-            if item.deadline is not None and now > item.deadline:
-                self._expired += 1
-                if self.telemetry is not None:
-                    self.telemetry.record_shedding(
-                        item.request.program, expired=1)
-                _resolve(item.future, _refusal(
-                    item.request,
-                    f"deadline expired after "
-                    f"{now - item.arrival:.3f}s in queue "
-                    f"(deadline {self.deadline:g}s)"))
-            else:
+        while queue and len(live) + len(expired) < self.max_batch:
+            item = queue.popleft()
+            if item.deadline is None or now <= item.deadline:
                 live.append(item)
+                continue
+            self._expired += 1
+            if self.telemetry is not None:
+                self.telemetry.record_shedding(item.request.program,
+                                               expired=1)
+            expired.append((item.future, _refusal(
+                item.request,
+                f"deadline expired after {now - item.arrival:.3f}s in "
+                f"queue (deadline {self.deadline:g}s)")))
+        self._executing += len(live)
         return live
 
     # ------------------------------------------------------------------
     # Stats & lifecycle
     # ------------------------------------------------------------------
-    @thread_affine("caller")
     def stats(self) -> FrontDoorStats:
-        p50, p95, p99 = latency_summary(list(self._latencies))
+        with self._lock:
+            counters = dict(
+                submitted=self._submitted, completed=self._completed,
+                rejected=self._rejected, expired=self._expired,
+                degraded=self._degraded,
+                degrade_steps=self._degrade_steps,
+                shed_level=self._shed_level,
+                queued=(sum(len(queue) for queue in self._queues)
+                        + self._executing))
+            latencies = list(self._latencies)
+        p50, p95, p99 = latency_summary(latencies)
         return FrontDoorStats(
-            shards=len(self._engines),
-            submitted=self._submitted,
-            completed=self._completed,
-            rejected=self._rejected,
-            expired=self._expired,
-            degraded=self._degraded,
-            degrade_steps=self._degrade_steps,
-            shed_level=self._shed_level,
-            queued=sum(self._depths),
+            shards=len(self._engines), **counters,
             p50_latency=p50, p95_latency=p95, p99_latency=p99,
             shard_stats=tuple(engine.stats()
                               for engine in self._engines))
 
-    @thread_affine("caller")
     def close(self) -> None:
-        """Drain queued traffic, stop the loop, close every shard.
+        """Serve queued traffic, stop the workers, close every shard.
 
-        Requests already admitted are served; the close sentinel sits
-        behind them in each FIFO queue, so workers finish real work
-        first.  Idempotent.
+        Requests already admitted are served before the workers exit;
+        later submissions raise.  Idempotent.
         """
-        if self._closed:
-            return
-        self._closed = True
-        for queue in self._queues:
-            self._loop.call_soon_threadsafe(queue.put_nowait, _CLOSE)
-        concurrent.futures.wait(self._workers, timeout=60.0)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10.0)
-        self._pool.shutdown(wait=True)
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            for ready in self._ready:
+                ready.notify()
+        for worker in self._workers:
+            worker.join(timeout=60.0)
         for engine in self._engines:
             engine.close()
-        self._loop.close()
 
     def __enter__(self) -> "FrontDoor":
         return self
@@ -545,15 +553,16 @@ class FrontDoor:
 
 
 def _refusal(request: ServeRequest, message: str) -> ServeResponse:
-    """An explicit never-executed error response (reject/expire)."""
+    """An explicit never-executed error response (reject/expire/fail)."""
     return ServeResponse(
         program=request.program, ok=False, outputs=None,
         bin_target=None, requested_accuracy=request.accuracy,
         achieved_accuracy=None, guarantee=None, error=message)
 
 
-def _resolve(future: concurrent.futures.Future,
-             response: ServeResponse) -> None:
+def _resolve(future: Future, response: ServeResponse) -> None:
     """Resolve ``future`` unless the caller already cancelled it."""
-    if not future.done():
+    try:
         future.set_result(response)
+    except InvalidStateError:
+        pass

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import pickle
 import threading
-import time
 
 from repro.contracts import (
-    atomic_swapped,
     guarded_by,
     process_local,
     requires_lock,
@@ -46,39 +44,6 @@ class BadGuard:
     def put_safely(self, x):  # negative control: no finding
         with self._lock:
             self._items.append(x)
-
-
-# ----------------------------------------------------------------------
-# REP502 — blocking call reachable on the event-loop thread
-# REP503(b) — off-affinity mutation of loop-owned state
-# ----------------------------------------------------------------------
-@thread_affine("loop")
-class BadLoop:
-    def __init__(self):
-        self._x = 0
-
-    async def tick(self):
-        time.sleep(0.1)  # noqa-analysis: loop-blocking
-
-    @thread_affine("caller")
-    def poke(self):
-        self._x += 1  # noqa-analysis: cross-thread-write
-
-
-# ----------------------------------------------------------------------
-# REP503 — in-place mutation of an atomic-swap field
-# ----------------------------------------------------------------------
-@thread_affine("caller")
-@atomic_swapped("_snapshot")
-class BadSwap:
-    def __init__(self):
-        self._snapshot = ()
-
-    def grow(self):
-        self._snapshot += (1,)  # noqa-analysis: inplace-swap
-
-    def replace(self):  # negative control: whole-object rebind is fine
-        self._snapshot = (1,)
 
 
 # ----------------------------------------------------------------------

@@ -398,6 +398,21 @@ class TestService:
             assert response.outputs == direct.outputs
             assert response.bin_target == direct.bin_target
 
+    def test_every_backend_serves_through_a_front_door(self,
+                                                      deployed_store):
+        store, _ = deployed_store
+        backend = SerialBackend()
+        with Service.load(store, program="apimean",
+                          policy=ServicePolicy(backend=backend)) as service:
+            assert service.frontdoor.shards == 1
+            assert service.frontdoor.shard_engines[0].backend is backend
+            response = service.serve_one(service.request(
+                {"xs": np.ones(8)}, 8, accuracy=0.9))
+            assert response.ok
+            stats = service.stats()
+            assert isinstance(stats, FrontDoorStats)
+            assert stats.requests == stats.completed == 1
+
     def test_load_defaults_to_every_stored_program(self, deployed_store):
         store, _ = deployed_store
         with Service.load(store) as service:
@@ -425,7 +440,7 @@ class TestService:
             request = service.request({"xs": np.zeros(4)}, 4)
             assert request.program == "apimean"
             # A second hosted program makes the default ambiguous.
-            service.engine.register("other", handle.tuned_program())
+            service.frontdoor.register("other", handle.tuned_program())
             with pytest.raises(ConfigError, match="name the program"):
                 service.request({"xs": np.zeros(4)}, 4)
             still_fine = service.request({"xs": np.zeros(4)}, 4,
@@ -440,7 +455,7 @@ class TestService:
                                                          tmp_path):
         program, _ = compiled_from_factory(factory_spec(make_apimean))
         time_settings = TunerSettings(objective="time", **QUICK)
-        service = Service(ArtifactStore(tmp_path), engine=None,
+        service = Service(ArtifactStore(tmp_path), frontdoor=None,
                           telemetry=None,
                           policy=ServicePolicy(retune=time_settings),
                           training_inputs=apimean_inputs)
@@ -494,7 +509,7 @@ class TestService:
         from repro.suite import get_benchmark
         spec = get_benchmark("poisson")
         program, _ = spec.compile()
-        service = Service(ArtifactStore(tmp_path), engine=None,
+        service = Service(ArtifactStore(tmp_path), frontdoor=None,
                           telemetry=None,
                           policy=ServicePolicy(retune="smoke"))
         settings = service._settings_factory("poisson", program)
@@ -644,8 +659,7 @@ class TestShardedService:
                                shard_backend="serial")
         with Service.load(store, program="apimean",
                           policy=policy) as service:
-            assert service.engine is None
-            assert service.frontdoor is not None
+            assert not hasattr(service, "engine")
             assert service.frontdoor.shards == 2
             assert service.programs == ("apimean",)
             inputs = {"xs": rng.normal(10.0, 1.0, size=32)}

@@ -14,8 +14,11 @@ in TestProgramPickling.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import pickle
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -80,6 +83,15 @@ def _exact_mean(ctx, xs):
 
 def pickmean_inputs(n, rng):
     return {"xs": rng.normal(10.0, 1.0, size=max(2, int(n)))}
+
+
+class KillWorker:
+    """Unpickling this exits the process doing it: placed in a
+    request's inputs, it kills the process-pool worker that receives
+    the request."""
+
+    def __reduce__(self):
+        return (os._exit, (1,))
 
 
 def quick_settings(**overrides) -> TunerSettings:
@@ -180,6 +192,26 @@ class TestBackendEquivalence:
         finally:
             backend.close()
         assert len(backend._pools) == 0
+
+    def test_broken_pool_is_dropped(self):
+        """A worker that dies mid-batch fails that batch with
+        BrokenProcessPool; the dead pool is dropped, so the next batch
+        runs on a fresh one."""
+        program, _ = compile_program(make_pickmean_transform())
+        harness = ProgramTestHarness(program, pickmean_inputs,
+                                     base_seed=3)
+        candidate = Candidate(program.default_config())
+        healthy = [harness.build_request(candidate, 16.0, i)
+                   for i in range(2)]
+        poisoned = [healthy[0], dataclasses.replace(
+            healthy[1], inputs={**healthy[1].inputs, "die": KillWorker()})]
+        with ProcessPoolBackend(max_workers=1,
+                                start_method="spawn") as backend:
+            with pytest.raises(BrokenProcessPool):
+                backend.run_batch(program, poisoned)
+            assert id(program) not in backend._pools
+            outcomes = backend.run_batch(program, healthy)
+            assert not any(outcome.failed for outcome in outcomes)
 
     def test_process_pool_max_pools_validated(self):
         with pytest.raises(ValueError):

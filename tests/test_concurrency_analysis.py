@@ -65,7 +65,7 @@ def report():
 
 
 # ----------------------------------------------------------------------
-# REP501–REP505: the concurrency-contract pass
+# REP501/REP504/REP505: the concurrency-contract pass
 # ----------------------------------------------------------------------
 class TestConcurrencyFindings:
     def test_unguarded_mutation_fires_rep501(self, report):
@@ -87,32 +87,6 @@ class TestConcurrencyFindings:
 
     def test_guarded_mutation_under_lock_is_clean(self, report):
         assert not [f for f in report if f.rule == "put_safely"]
-
-    def test_loop_blocking_call_fires_rep502(self, report):
-        (finding,) = findings_for(report, "REP502")
-        assert finding.severity == ERROR
-        assert finding.transform == "BadLoop"
-        assert "time.sleep" in finding.message
-        assert_in_fixtures(finding, "noqa-analysis: loop-blocking")
-
-    def test_cross_thread_write_fires_rep503(self, report):
-        cross = [f for f in findings_for(report, "REP503")
-                 if f.transform == "BadLoop"]
-        assert len(cross) == 1
-        assert "'_x'" in cross[0].message
-        assert "caller thread" in cross[0].message
-        assert_in_fixtures(cross[0],
-                           "noqa-analysis: cross-thread-write")
-
-    def test_inplace_atomic_swap_fires_rep503(self, report):
-        swaps = [f for f in findings_for(report, "REP503")
-                 if f.transform == "BadSwap"]
-        assert len(swaps) == 1
-        assert "atomic_swapped" in swaps[0].message
-        assert_in_fixtures(swaps[0], "noqa-analysis: inplace-swap")
-
-    def test_whole_object_rebind_is_clean(self, report):
-        assert not [f for f in report if f.rule == "replace"]
 
     def test_lock_order_inversion_fires_rep504_once(self, report):
         # The a->b / b->a cycle is one deadlock, not two findings.
@@ -231,8 +205,10 @@ class TestServingTierIsClean:
         assert engine is not None and engine.affinity == "caller"
         assert engine.guards["_programs"] == "_lock"
         front = concurrency_contract_of(FrontDoor)
-        assert front is not None and front.affinity == "loop"
-        assert method_affinity_of(FrontDoor.submit) == "caller"
+        assert front is not None and front.affinity == "caller"
+        assert front.guards["_queues"] == "_lock"
+        assert method_affinity_of(FrontDoor._worker) == "daemon"
+        assert required_lock_of(FrontDoor._admit) == "_lock"
         assert required_lock_of(
             ServingEngine._invalidate_digests) == "_lock"
 

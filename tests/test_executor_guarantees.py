@@ -5,7 +5,7 @@ import pytest
 
 from repro.autotuner import Autotuner, ProgramTestHarness, TunerSettings
 from repro.compiler.compile import compile_program
-from repro.errors import AccuracyError, TrainingError
+from repro.errors import AccuracyError, ArtifactError, TrainingError
 from repro.lang.metrics import AccuracyMetric
 from repro.runtime.executor import TunedProgram
 from repro.runtime.guarantees import (
@@ -131,39 +131,40 @@ class TestTunedProgram:
         assert loaded.guarantees == tuned_program.guarantees
         assert loaded.guarantees  # tuning attached real guarantees
 
-    def test_load_legacy_flat_format(self, tuned, tmp_path, rng):
-        """The pre-artifact flat {bin: config} JSON still loads."""
+    def test_load_refuses_legacy_flat_format(self, tuned, tmp_path):
+        """The pre-artifact flat {bin: config} JSON is refused, naming
+        the file."""
         import json as _json
         program, tuned_program = tuned
         path = tmp_path / "legacy.json"
         path.write_text(_json.dumps(
             {f"{target:g}": config.to_json()
              for target, config in tuned_program.bin_configs.items()}))
-        loaded = TunedProgram.load(program, path)
-        assert loaded.bins == tuned_program.bins
-        inputs = approxmean_inputs(32, rng)
-        assert loaded.run(inputs, 32, seed=2).outputs["est"] == \
-            tuned_program.run(inputs, 32, seed=2).outputs["est"]
+        with pytest.raises(TrainingError, match="legacy.json"):
+            TunedProgram.load(program, path)
+
+    @staticmethod
+    def _artifact_with_bin(tuned_program, path, key):
+        """Save ``tuned_program``'s artifact with one extra bin key."""
+        import json as _json
+        payload = tuned_program.to_artifact().to_json()
+        payload["bins"][key] = next(iter(payload["bins"].values()))
+        path.write_text(_json.dumps(payload))
 
     def test_load_rejects_undeclared_bins(self, tuned, tmp_path):
         """Keys that parse as floats but name bins the program never
         declared must raise, naming the stray bins."""
-        import json as _json
         program, tuned_program = tuned
         path = tmp_path / "stray.json"
-        config = next(iter(tuned_program.bin_configs.values()))
-        path.write_text(_json.dumps({"0.75": config.to_json(),
-                                     "0.9": config.to_json()}))
-        with pytest.raises(TrainingError, match="0.75"):
+        self._artifact_with_bin(tuned_program, path, "0.75")
+        with pytest.raises(ArtifactError, match="0.75"):
             TunedProgram.load(program, path)
 
     def test_load_rejects_non_bin_keys(self, tuned, tmp_path):
-        import json as _json
         program, tuned_program = tuned
         path = tmp_path / "bad.json"
-        config = next(iter(tuned_program.bin_configs.values()))
-        path.write_text(_json.dumps({"not-a-bin": config.to_json()}))
-        with pytest.raises(TrainingError, match="not-a-bin"):
+        self._artifact_with_bin(tuned_program, path, "not-a-bin")
+        with pytest.raises(ArtifactError, match="not-a-bin"):
             TunedProgram.load(program, path)
 
     def test_empty_bin_configs_rejected(self, tuned):

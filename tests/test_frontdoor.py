@@ -1,14 +1,18 @@
 """The sharded serving front door (repro.serving.frontdoor).
 
-Four contracts are enforced here:
+Five contracts are enforced here:
 
 * **Equivalence** — a 104-request mixed-accuracy workload through the
   front door at low load is response-identical to the direct
   ``ServingEngine`` path (same bins, outputs, escalation and fallback
-  accounting), shard count notwithstanding.
+  accounting, executions and stacked calls), at one shard or three.
 * **Explicit refusal** — deadline-expired and queue-rejected requests
   resolve to explicit error responses and are counted; nothing is
-  silently dropped (``submitted == completed + rejected + expired``).
+  silently dropped, and every stats snapshot balances
+  (``submitted == completed + rejected + expired + queued``).
+* **Failure containment** — a shard whose execution raises (a crashed
+  backend, a killed worker process) resolves every request of that
+  batch with an explicit error and keeps serving.
 * **Accuracy shedding** — under a forced shed level, traffic is routed
   to cheaper bins in cost order, stamped ``degraded``, and never below
   a request's floor bin.
@@ -18,6 +22,7 @@ Four contracts are enforced here:
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -25,7 +30,11 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.lang.metrics import AccuracyMetric
-from repro.runtime.backends import ShardPlan, backend_from_spec
+from repro.runtime.backends import (
+    ProcessPoolBackend,
+    ShardPlan,
+    backend_from_spec,
+)
 from repro.runtime.policy import SheddingPolicy
 from repro.serving import (
     FrontDoor,
@@ -37,7 +46,7 @@ from repro.serving import (
     latency_summary,
 )
 
-from tests.test_backends import tune_pickmean
+from tests.test_backends import KillWorker, tune_pickmean
 from tests.test_serving import mixed_requests
 
 HIGHER = AccuracyMetric(lambda outputs, inputs: 0.0, "higher")
@@ -59,16 +68,18 @@ class GateEngine:
     accuracies and batch sizes — reached execution.
     """
 
-    def __init__(self, *, open_gate: bool = False):
+    def __init__(self, *, open_gate: bool = False, delay: float = 0.0):
         self.gate = threading.Event()
         self.started = threading.Event()
         self.batches: list[list[ServeRequest]] = []
+        self.delay = delay
         if open_gate:
             self.gate.set()
 
     def serve(self, requests):
         self.started.set()
         assert self.gate.wait(10.0), "test gate never released"
+        time.sleep(self.delay)
         self.batches.append(list(requests))
         return [ServeResponse(
             program=request.program, ok=True, outputs={"est": 1.0},
@@ -93,6 +104,23 @@ class GateEngine:
         pass
 
 
+class RaisingEngine(GateEngine):
+    """Shard-engine double whose first ``serve`` call raises, as a
+    crashed backend does; later calls serve normally."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.failures = 1
+
+    def serve(self, requests):
+        self.started.set()
+        assert self.gate.wait(10.0), "test gate never released"
+        if self.failures:
+            self.failures -= 1
+            raise RuntimeError("backend crashed")
+        return super().serve(requests)
+
+
 def fake_request(accuracy=0.99, floor=None):
     return ServeRequest(program="fake", inputs={}, n=8.0,
                         accuracy=accuracy, floor=floor)
@@ -108,36 +136,41 @@ def tuned():
 
 
 class TestFrontDoorEquivalence:
-    def test_104_requests_match_direct_engine(self, tuned):
+    @pytest.mark.parametrize("shards", [3, 1])
+    def test_104_requests_match_direct_engine(self, tuned, shards):
         requests = mixed_requests(104)
         with ServingEngine() as engine:
             engine.register("pickmean", tuned)
             direct = engine.serve(requests)
-        with FrontDoor.build("async:3x1", shard_backend="serial",
+            reference = engine.stats()
+        with FrontDoor.build(f"async:{shards}x1", shard_backend="serial",
                              shedding=None) as door:
             door.register("pickmean", tuned)
             responses = door.serve(requests)
             stats = door.stats()
 
         assert len(responses) == len(requests)
-        for mine, reference in zip(responses, direct):
-            assert mine.ok == reference.ok
-            assert mine.bin_target == reference.bin_target
-            assert mine.fallback == reference.fallback
-            assert mine.escalations == reference.escalations
-            assert mine.achieved_accuracy == reference.achieved_accuracy
+        for mine, theirs in zip(responses, direct):
+            assert mine.ok == theirs.ok
+            assert mine.error == theirs.error
+            assert mine.bin_target == theirs.bin_target
+            assert mine.fallback == theirs.fallback
+            assert mine.escalations == theirs.escalations
+            assert mine.achieved_accuracy == theirs.achieved_accuracy
             if mine.ok:
-                assert mine.outputs["est"] == reference.outputs["est"]
+                assert mine.outputs["est"] == theirs.outputs["est"]
             assert mine.degraded == 0
+        assert stats.executions == reference.executions
+        assert stats.stacked_calls == reference.stacked_calls
 
         # Full accounting: every request completed, nothing refused.
-        assert stats.shards == 3
+        assert stats.shards == shards
         assert stats.submitted == 104
         assert stats.completed == 104
         assert stats.rejected == stats.expired == 0
         assert stats.shed_level == 0 and stats.degraded == 0
         # The tier's aggregate matches what its shards served.
-        assert stats.served + stats.errors == 104
+        assert stats.requests == stats.served + stats.errors == 104
 
     def test_low_load_spreads_across_shards(self, tuned):
         with FrontDoor.build("async:2x1", shard_backend="serial",
@@ -247,6 +280,70 @@ class TestRefusalAccounting:
         finally:
             door.close()
 
+    def test_sync_batch_beyond_queue_limit_is_refused(self):
+        # serve() admits its whole batch in one critical section, so
+        # no drain can make room mid-batch: exactly queue_limit
+        # requests are admitted and the rest are refused.
+        engine = GateEngine(open_gate=True)
+        door = FrontDoor([engine], queue_limit=2, shedding=None)
+        try:
+            responses = door.serve([fake_request() for _ in range(5)])
+            assert [r.ok for r in responses] == [True, True] + [False] * 3
+            assert all("queues full" in r.error for r in responses[2:])
+            assert [len(b) for b in engine.batches] == [2]
+            stats = door.stats()
+            assert (stats.completed, stats.rejected) == (2, 3)
+        finally:
+            door.close()
+
+    def test_every_snapshot_balances_under_concurrent_submits(self):
+        # Four threads submit while a fifth polls stats(); every
+        # snapshot must balance, batches in execution included.
+        engine = GateEngine(open_gate=True, delay=0.002)
+        door = FrontDoor([engine], queue_limit=8, shedding=None)
+        stop = threading.Event()
+        unbalanced: list = []
+
+        def poll():
+            while not stop.is_set():
+                try:
+                    s = door.stats()
+                except Exception as exc:  # a torn read, e.g. a deque
+                    unbalanced.append(exc)  # mutated mid-iteration
+                    continue
+                if s.submitted != (s.completed + s.rejected + s.expired
+                                   + s.queued):
+                    unbalanced.append(s)
+
+        def submit_many():
+            for future in [door.submit(fake_request())
+                           for _ in range(50)]:
+                assert future.result(10.0) is not None
+
+        poller = threading.Thread(target=poll)
+        submitters = [threading.Thread(target=submit_many)
+                      for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-update often
+        try:
+            poller.start()
+            for thread in submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(30.0)
+            stop.set()
+            poller.join(10.0)
+            final = door.stats()
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            door.close()
+        assert not any(t.is_alive() for t in [poller, *submitters])
+        assert unbalanced == []
+        assert final.submitted == 200 and final.queued == 0
+        assert final.completed + final.rejected == 200
+        assert final.completed == sum(len(b) for b in engine.batches)
+
     def test_queued_requests_coalesce_into_one_batch(self):
         engine = GateEngine()
         door = FrontDoor([engine], shedding=None)
@@ -261,6 +358,60 @@ class TestRefusalAccounting:
             # One blocked head-of-line request, then the five queued
             # behind it drain as a single micro-batch.
             assert [len(b) for b in engine.batches] == [1, 5]
+        finally:
+            door.close()
+
+
+# ----------------------------------------------------------------------
+# A shard whose execution raises fails its batch, not the tier
+# ----------------------------------------------------------------------
+class TestShardFailure:
+    def test_raising_engine_resolves_its_batch_and_keeps_serving(self):
+        engine = RaisingEngine()
+        door = FrontDoor([engine], shedding=None)
+        try:
+            doomed = door.submit(fake_request())
+            assert engine.started.wait(5.0)
+            queued = [door.submit(fake_request()) for _ in range(2)]
+            engine.gate.set()
+
+            failed = doomed.result(5.0)
+            assert not failed.ok and failed.outputs is None
+            assert "RuntimeError: backend crashed" in failed.error
+            assert all(future.result(5.0).ok for future in queued)
+            assert door.serve([fake_request()])[0].ok
+            stats = door.stats()
+            assert stats.submitted == stats.completed == 4
+            assert stats.queued == 0
+        finally:
+            door.close()
+
+    def test_killed_process_worker_fails_its_batch_only(self, tuned):
+        engine = ServingEngine(backend=ProcessPoolBackend(
+            max_workers=1, start_method="spawn"))
+        door = FrontDoor([engine], shedding=None)
+        try:
+            door.register("pickmean", tuned)
+            healthy = mixed_requests(2)
+            poisoned = [healthy[0], ServeRequest(
+                program="pickmean", n=healthy[1].n,
+                inputs={**healthy[1].inputs, "die": KillWorker()})]
+            # serve() admits both in one batch, so they reach the
+            # pool together; a thread bounds the wait should the
+            # batch never resolve.
+            served: list = []
+            caller = threading.Thread(
+                target=lambda: served.extend(door.serve(poisoned)),
+                daemon=True)
+            caller.start()
+            caller.join(30.0)
+            assert len(served) == 2, "the failed batch never resolved"
+            for response in served:
+                assert not response.ok
+                assert "BrokenProcessPool" in response.error
+            # The dead pool was dropped: the next batch gets a fresh one.
+            assert all(r.ok for r in door.serve(healthy))
+            assert door.stats().completed == 4
         finally:
             door.close()
 
