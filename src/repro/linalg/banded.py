@@ -19,12 +19,20 @@ stacked factor against a stacked ``(..., size)`` right-hand side — the
 common serving case is one shared factor applied to a wave of B
 right-hand sides.  Operation counts scale by the number of slices.
 
+The forward sweep reads row ``j`` of ``L``, which band storage holds
+along an anti-diagonal.  The solve gathers every forward coefficient in
+one fancy-index call before the sweep (``forward[..., j, :reach]`` is
+row ``j``'s ``L[j, j-1], ..., L[j, j-reach]``), so each column reads a
+contiguous slice instead of building its own index arrays.
+
 Input floating dtypes are preserved end to end (a float32 band yields
 a float32 factor and solution); non-floating inputs are promoted to
 float64.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -98,12 +106,13 @@ def banded_cholesky_solve(factor: np.ndarray, b: np.ndarray
         x = np.broadcast_to(x, batch_shape + (size,)).copy()
     ops = 0.0
     # Forward substitution: L y = b.  Row j of L holds factor[i, j - i].
+    rows, cols = _forward_index(bandwidth, size)
+    forward = factor[..., rows, cols]
     for j in range(size):
         reach = min(bandwidth, j)
         if reach > 0:
-            rows = np.arange(1, reach + 1)
-            coeff = factor[..., rows, j - rows]
-            x[..., j] -= np.einsum("...k,...k->...", coeff,
+            x[..., j] -= np.einsum("...k,...k->...",
+                                   forward[..., j, :reach],
                                    x[..., j - reach:j][..., ::-1])
         x[..., j] /= factor[..., 0, j]
         ops += 2 * reach + 1
@@ -119,16 +128,41 @@ def banded_cholesky_solve(factor: np.ndarray, b: np.ndarray
     return x, ops * _slice_count(batch_shape)
 
 
+@functools.lru_cache(maxsize=64)
+def _forward_index(bandwidth: int, size: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` gathering every forward-sweep coefficient.
+
+    ``factor[..., rows, cols][..., j, k] == L[j, j-k-1]`` for
+    ``k < min(bandwidth, j)``; the unused tail of each row points at
+    ``factor[k+1, 0]`` and is never read.  Returned read-only because
+    the cache hands the same arrays to every caller; bounded because
+    this public kernel accepts any band shape.
+    """
+    offsets = np.arange(1, bandwidth + 1)
+    rows = np.tile(offsets, (size, 1))
+    cols = np.maximum(np.arange(size)[:, None] - offsets, 0)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def _solve_single(factor: np.ndarray, x: np.ndarray, bandwidth: int,
                   size: int) -> tuple[np.ndarray, float]:
-    """The original scalar substitution sweeps, kept verbatim so the
-    unstacked path stays bit-for-bit identical to the seed kernel."""
+    """The scalar substitution sweeps for one factor and one RHS.
+
+    The forward coefficients come from the one up-front gather, but the
+    per-element arithmetic and operand layouts (a contiguous coefficient
+    row against the reversed ``x`` window) are unchanged, so this path
+    stays bit-identical to the seed kernel.
+    """
+    rows, cols = _forward_index(bandwidth, size)
+    forward = factor[rows, cols]
     ops = 0.0
     for j in range(size):
         reach = min(bandwidth, j)
         if reach > 0:
-            rows = np.arange(1, reach + 1)
-            x[j] -= float(factor[rows, j - rows] @ x[j - reach:j][::-1])
+            x[j] -= float(forward[j, :reach] @ x[j - reach:j][::-1])
         x[j] /= factor[0, j]
         ops += 2 * reach + 1
     for j in range(size - 1, -1, -1):

@@ -15,6 +15,7 @@ levels 10^1..10^9.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -69,6 +70,23 @@ def _metric(outputs, inputs) -> float:
 
 def _grid_spacing(n: int) -> float:
     return 1.0 / (n + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _direct_factor(n: int, dtype: np.dtype) -> tuple[np.ndarray, float]:
+    """Band Cholesky factor of the n x n grid's 5-point Laplacian.
+
+    The matrix depends only on ``(n, dtype)``, never on the request, so
+    it is factored once per process.  ``lru_cache`` is the sanctioned
+    memoization idiom (see ``multigrid.relax._ring_parity_indices``);
+    the cache stays small because the direct rule refuses
+    ``n > DIRECT_MAX_SIZE`` before calling it (at most ~250 KB per
+    entry).  The factor is read-only because every caller shares it.
+    """
+    band = poisson_2d_banded(n, _grid_spacing(n), dtype=dtype)
+    factor, ops = banded_cholesky_factor(band)
+    factor.setflags(write=False)
+    return factor, ops
 
 
 def _batch_count(f: np.ndarray) -> float:
@@ -174,13 +192,13 @@ def build(precision_choices: tuple[str, ...] = ("float64", "float32")
                 raise ExecutionError(
                     f"direct solver limited to n <= {DIRECT_MAX_SIZE}, "
                     f"got {n}")
-            band = poisson_2d_banded(n, _grid_spacing(n), dtype=f.dtype)
-            factor, factor_ops = banded_cholesky_factor(band)
+            # The factor is cached per (n, dtype) and shared across a
+            # stacked batch, but each request is still charged a fresh
+            # factorization plus its solve — what its own scalar run
+            # would cost on DPBSV, and the stacked-execution invariant.
+            factor, factor_ops = _direct_factor(n, f.dtype)
             solution, solve_ops = banded_cholesky_solve(
                 factor, f.reshape(f.shape[:-2] + (n * n,)))
-            # The factorization is shared across a stacked batch, but
-            # each request must be charged what its own scalar run
-            # would cost — the stacked-execution invariant.
             ctx.add_cost(factor_ops * _batch_count(f) + solve_ops)
             ctx.record("mg", action="direct", n=n)
             return solution.reshape(f.shape[:-2] + (n, n))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.clustering.kernels import assign_clusters
 from repro.linalg.banded import banded_cholesky_factor, banded_cholesky_solve
@@ -33,6 +34,7 @@ from repro.multigrid.relax import (
     sor_poisson_2d,
 )
 from repro.multigrid.grids import prolong, restrict_full_weighting
+from test_props_linalg import spd_bands
 
 BATCH_SIZES = (1, 3, 17)
 FLOAT_DTYPES = (np.float32, np.float64)
@@ -310,6 +312,135 @@ class TestBandedCholesky:
         solutions, ops = banded_cholesky_solve(factor, np.empty((0, 9)))
         assert solutions.shape == (0, 9)
         assert ops == 0.0
+
+
+def reference_banded_solve(factor, b):
+    """The seed kernel's solve: a fresh index gather per forward column.
+
+    Kept as the reference the one-gather ``banded_cholesky_solve`` must
+    match bit for bit (same values, ops and dtype).
+    """
+    factor = np.asarray(factor)
+    bandwidth = factor.shape[-2] - 1
+    size = factor.shape[-1]
+    x = np.array(b)
+    ops = 0.0
+    if factor.ndim == 2 and x.ndim == 1:
+        for j in range(size):
+            reach = min(bandwidth, j)
+            if reach > 0:
+                rows = np.arange(1, reach + 1)
+                x[j] -= float(factor[rows, j - rows]
+                              @ x[j - reach:j][::-1])
+            x[j] /= factor[0, j]
+            ops += 2 * reach + 1
+        for j in range(size - 1, -1, -1):
+            reach = min(bandwidth, size - 1 - j)
+            if reach > 0:
+                x[j] -= float(factor[1:reach + 1, j]
+                              @ x[j + 1:j + reach + 1])
+            x[j] /= factor[0, j]
+            ops += 2 * reach + 1
+        return x, ops
+    batch_shape = np.broadcast_shapes(factor.shape[:-2], x.shape[:-1])
+    if x.shape[:-1] != batch_shape:
+        x = np.broadcast_to(x, batch_shape + (size,)).copy()
+    for j in range(size):
+        reach = min(bandwidth, j)
+        if reach > 0:
+            rows = np.arange(1, reach + 1)
+            coeff = factor[..., rows, j - rows]
+            x[..., j] -= np.einsum("...k,...k->...", coeff,
+                                   x[..., j - reach:j][..., ::-1])
+        x[..., j] /= factor[..., 0, j]
+        ops += 2 * reach + 1
+    for j in range(size - 1, -1, -1):
+        reach = min(bandwidth, size - 1 - j)
+        if reach > 0:
+            coeff = factor[..., 1:reach + 1, j]
+            x[..., j] -= np.einsum("...k,...k->...", coeff,
+                                   x[..., j + 1:j + reach + 1])
+        x[..., j] /= factor[..., 0, j]
+        ops += 2 * reach + 1
+    return x, ops * float(np.prod(batch_shape, dtype=np.int64))
+
+
+def assert_solve_matches_reference(factor, b):
+    x, ops = banded_cholesky_solve(factor, b)
+    expected, expected_ops = reference_banded_solve(factor, b)
+    assert x.dtype == expected.dtype
+    assert np.array_equal(x, expected)
+    assert ops == expected_ops
+
+
+def stacked_poisson_factors(n, batch, dtype):
+    """``batch`` distinct Poisson-like factors (diagonal shifted per
+    slice) in ``dtype``."""
+    band = np.stack([poisson_2d_banded(n, 0.125, dtype=dtype)] * batch)
+    for i in range(batch):
+        band[i, 0, :] += dtype(0.1 * i)
+    return banded_cholesky_factor(band)[0]
+
+
+class TestBandedSolveOneGather:
+    """The one-gather forward sweep is bit-identical to the per-column
+    gather it replaced, on every RHS and factor layout."""
+
+    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+    @pytest.mark.parametrize("n", (1, 3, 5))
+    def test_shared_factor(self, dtype, n):
+        rng = rng_for(n)
+        factor, _ = banded_cholesky_factor(
+            poisson_2d_banded(n, 0.125, dtype=dtype))
+        assert_solve_matches_reference(
+            factor, rng.standard_normal(n * n).astype(dtype))
+        assert_solve_matches_reference(
+            factor, rng.standard_normal((5, n * n)).astype(dtype))
+
+    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+    def test_stacked_factors(self, dtype):
+        rng = rng_for(11)
+        factors = stacked_poisson_factors(4, 3, dtype)
+        assert_solve_matches_reference(
+            factors, rng.standard_normal((3, 16)).astype(dtype))
+        assert_solve_matches_reference(
+            factors, rng.standard_normal(16).astype(dtype))
+
+    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+    def test_broadcast_batch_shapes(self, dtype):
+        rng = rng_for(12)
+        factors = stacked_poisson_factors(3, 2, dtype)[:, None]
+        assert_solve_matches_reference(
+            factors, rng.standard_normal((1, 4, 9)).astype(dtype))
+
+    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+    def test_bandwidth_zero(self, dtype):
+        rng = rng_for(13)
+        factor, _ = banded_cholesky_factor(
+            rng.uniform(1.0, 2.0, (1, 6)).astype(dtype))
+        assert_solve_matches_reference(
+            factor, rng.standard_normal(6).astype(dtype))
+        assert_solve_matches_reference(
+            factor, rng.standard_normal((3, 6)).astype(dtype))
+
+    def test_empty_batch(self):
+        factor, _ = banded_cholesky_factor(poisson_2d_banded(3, 0.25))
+        assert_solve_matches_reference(factor, np.empty((0, 9)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(spd_bands(), st.sampled_from(FLOAT_DTYPES))
+    def test_random_spd_bands(self, drawn, dtype):
+        band, rng = drawn
+        size = band.shape[1]
+        factor, _ = banded_cholesky_factor(band.astype(dtype))
+        assert_solve_matches_reference(
+            factor, rng.normal(size=size).astype(dtype))
+        assert_solve_matches_reference(
+            factor, rng.normal(size=(3, size)).astype(dtype))
+        stacked, _ = banded_cholesky_factor(
+            np.stack([band, 2.0 * band]).astype(dtype))
+        assert_solve_matches_reference(
+            stacked, rng.normal(size=(2, size)).astype(dtype))
 
 
 # ----------------------------------------------------------------------

@@ -90,18 +90,30 @@ def test_householder_preserves_spectrum(n, seed):
     assert np.allclose(values, np.linalg.eigvalsh(a), atol=1e-8)
 
 
-@settings(max_examples=25, deadline=None)
-@given(size=st.integers(min_value=2, max_value=20),
-       bandwidth=st.integers(min_value=1, max_value=4),
-       seed=st.integers(0, 999))
-def test_banded_cholesky_solves_random_spd(size, bandwidth, seed):
-    bandwidth = min(bandwidth, size - 1)
-    rng = np.random.default_rng(seed)
+@st.composite
+def spd_bands(draw):
+    """``(band, rng)``: a random SPD band in lower band storage.
+
+    Diagonally dominant, hence SPD; ``rng`` is the generator that drew
+    it, left for drawing right-hand sides.
+    """
+    size = draw(st.integers(min_value=2, max_value=20))
+    bandwidth = min(draw(st.integers(min_value=1, max_value=4)), size - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 999)))
     band = np.zeros((bandwidth + 1, size))
     band[0] = rng.uniform(2.0 * bandwidth + 1.0, 2.0 * bandwidth + 2.0,
                           size)  # diagonally dominant -> SPD
     for offset in range(1, bandwidth + 1):
         band[offset, :size - offset] = rng.uniform(-1, 1, size - offset)
+    return band, rng
+
+
+@settings(max_examples=25, deadline=None)
+@given(spd_bands())
+def test_banded_cholesky_solves_random_spd(drawn):
+    band, rng = drawn
+    bandwidth = band.shape[0] - 1
+    size = band.shape[1]
     dense = np.zeros((size, size))
     for offset in range(bandwidth + 1):
         for j in range(size - offset):
