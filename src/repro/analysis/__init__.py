@@ -15,17 +15,9 @@ and reachable kernels — no execution, no inputs needed:
 4. :mod:`~repro.analysis.configspace` — config-space analyses
    (REP4xx, REP001)
 
-A second target kind covers the serving tier, which is *modules with
-threads*, not compiled programs: :func:`analyze_modules` runs the
-concurrency-contract pass (:mod:`~repro.analysis.concurrency`,
-REP5xx) and the process-boundary pass
-(:mod:`~repro.analysis.boundaries`, REP602/REP603) over module
-objects; :func:`analyze_program` additionally checks pickle
-provenance (REP601) on every compiled program.
-
-Entry points: :func:`analyze_program` / :func:`analyze_modules` here,
-or ``python -m repro.lang --analyze`` on the command line (wired into
-CI over the whole suite, every example, and the serving modules).
+Entry points: :func:`analyze_program` here, or
+``python -m repro.lang --analyze`` on the command line (wired into CI
+over the whole suite and every example).
 Severities gate differently: errors always fail, warnings fail unless
 recorded in a reviewed baseline file
 (:mod:`~repro.analysis.baseline`), info never fails.
@@ -55,12 +47,10 @@ from repro.analysis.findings import (
 )
 from repro.analysis.baseline import (load_baseline, partition_findings,
                                      stale_entries)
-from repro.analysis.boundaries import lint_boundaries, lint_provenance
-from repro.analysis.concurrency import lint_concurrency
 from repro.analysis.pledges import verify_pledges
 from repro.analysis.purity import lint_purity
 
-__all__ = ["analyze_program", "analyze_modules", "AnalysisReport",
+__all__ = ["analyze_program", "AnalysisReport",
            "Finding", "FINDING_CODES", "ERROR", "WARNING", "INFO",
            "SCHEMA_VERSION", "search_space_size", "render_search_space",
            "load_baseline", "partition_findings", "stale_entries"]
@@ -105,24 +95,5 @@ def analyze_program(program) -> AnalysisReport:
     lint_dtype_flow(graph, reachable_all, report)
     # Pass 4: config-space analyses on the compiled artifacts.
     lint_config_space(program, graph, per_transform, report)
-    # Pass 5: can this program cross the process boundary? (REP601)
-    lint_provenance(graph, program, report)
     return report
 
-
-def analyze_modules(modules) -> AnalysisReport:
-    """Run the serving-tier passes over live module objects.
-
-    ``modules`` is an iterable of imported modules (e.g.
-    ``repro.serving.frontdoor``).  The concurrency pass checks every
-    class against its declared contract (REP501, REP504, REP505); the
-    boundary pass checks module-global mutation and pickling sinks
-    (REP602/REP603).  Gating policy is the caller's, as with
-    :func:`analyze_program`.
-    """
-    graph = CallGraph()
-    report = AnalysisReport()
-    for module in modules:
-        lint_concurrency(graph, module, report)
-        lint_boundaries(graph, module, report)
-    return report

@@ -13,8 +13,6 @@ Code blocks by pass:
 * ``REP2xx`` — dtype-flow lint over the substrate packages
 * ``REP3xx`` — pledge verification (``batchable``/``precision``)
 * ``REP4xx`` — config-space analyses on the compiled program
-* ``REP5xx`` — concurrency-contract lint over the serving tier
-* ``REP6xx`` — process-boundary lint (pickling, worker globals)
 * ``REP0xx`` — informational program metrics
 """
 
@@ -53,18 +51,6 @@ FINDING_CODES: dict[str, tuple[str, str]] = {
     "REP401": (WARNING, "dead tunable: no reachable rule reads it"),
     "REP402": (WARNING, "unreachable instance: no call path from the "
                         "root instance dispatches to it"),
-    "REP501": (ERROR, "guarded field touched outside its declared "
-                      "lock"),
-    "REP504": (ERROR, "lock-acquisition-order inversion across the "
-                      "declared lock set"),
-    "REP505": (ERROR, "class constructs threading primitives without "
-                      "a declared concurrency contract"),
-    "REP601": (INFO, "program has no pickle provenance and its rules "
-                     "cannot reach a process pool"),
-    "REP602": (ERROR, "module global mutated without a process_local "
-                      "declaration (workers will not share it)"),
-    "REP603": (ERROR, "lambda or locally-defined function crosses a "
-                      "process boundary"),
     "REP001": (INFO, "configuration search-space size estimate"),
 }
 

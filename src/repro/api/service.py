@@ -136,6 +136,14 @@ class ServicePolicy:
                 f"retune_backend must be a spec string (got "
                 f"{type(self.retune_backend).__name__}): each retune "
                 f"builds and closes its own backend")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.telemetry_window < 1:
+            raise ConfigError("telemetry_window must be >= 1")
+        if self.slice_trials < 1:
+            raise ConfigError("slice_trials must be >= 1")
+        if not 0.0 < self.shadow_fraction <= 1.0:
+            raise ConfigError("shadow_fraction must be in (0, 1]")
         if self.queue_limit < 1:
             raise ConfigError("queue_limit must be >= 1")
         if self.deadline is not None and self.deadline <= 0:

@@ -27,14 +27,12 @@ from __future__ import annotations
 
 import json
 import os
-import types
 from typing import Callable, Sequence
 
 from repro.errors import ReproError
 from repro.lang.diagnostics import Diagnostics
-from repro.lang.targets import (SERVING_MODULES, example_files,
-                                is_module_target, load_example_targets,
-                                resolve_module, resolve_program)
+from repro.lang.targets import (example_files, load_example_targets,
+                                resolve_program)
 from repro.lang.transform import Transform
 
 __all__ = ["describe", "check", "check_example_file", "analyze", "main"]
@@ -247,25 +245,14 @@ def _check_main(names, example_dirs, json_mode: bool,
 
 
 def _analysis_targets(names, example_dirs):
-    """Yield ``(label, program | module | None, diagnostics)`` per
-    target.
+    """Yield ``(label, program | None, diagnostics)`` per target.
 
-    Benchmarks and serving modules first (dotted ``repro.*`` names are
-    imported, not compiled — the concurrency and process-boundary
-    passes walk their classes), then every declaration target of every
-    example file — module-level transforms (compiled as root with
-    their siblings as extras) and ``-> Transform`` factories, exactly
-    the set :func:`check_example_file` validates.
+    Benchmarks first, then every declaration target of every example
+    file — module-level transforms (compiled as root with their
+    siblings as extras) and ``-> Transform`` factories, exactly the
+    set :func:`check_example_file` validates.
     """
     for name in names:
-        if is_module_target(name):
-            try:
-                module = resolve_module(name)
-            except Exception as exc:
-                yield name, None, _diagnostics_of(exc)
-            else:
-                yield name, module, Diagnostics()
-            continue
         program, diagnostics = _checked_resolve(name)
         yield name, program, diagnostics
     for directory in example_dirs:
@@ -287,9 +274,8 @@ def _analysis_targets(names, example_dirs):
 def _analyze_main(names, example_dirs, baseline_path: "str | None",
                   json_mode: bool, log: Callable[[str], None]) -> int:
     from repro.analysis import (ERROR, INFO, SCHEMA_VERSION, WARNING,
-                                analyze_modules, analyze_program,
-                                load_baseline, partition_findings,
-                                stale_entries)
+                                analyze_program, load_baseline,
+                                partition_findings, stale_entries)
 
     try:
         baseline = load_baseline(baseline_path) if baseline_path else []
@@ -314,10 +300,7 @@ def _analyze_main(names, example_dirs, baseline_path: "str | None",
                 for line in diagnostics.render().splitlines():
                     log(f"  {line}")
             continue
-        if isinstance(program, types.ModuleType):
-            report = analyze_modules([program])
-        else:
-            report = analyze_program(program)
+        report = analyze_program(program)
         active, suppressed = partition_findings(report, baseline,
                                                 matched=matched)
         # Deterministic ordering: severity first for the human eye,
@@ -396,11 +379,7 @@ def main(argv: "Sequence[str] | None" = None,
       (module-level transform declarations), repeatable.
     * ``--analyze`` — run the :mod:`repro.analysis` static contract
       analyzer instead; a target fails on any error or non-baselined
-      warning (info findings never gate).  Targets may also be dotted
-      ``repro.*`` module names (the concurrency / process-boundary
-      passes); with no explicit targets the gate covers every
-      benchmark **plus** the serving tier
-      (:data:`~repro.lang.targets.SERVING_MODULES`).
+      warning (info findings never gate).
     * ``--baseline <file>`` — accepted-warnings JSON for ``--analyze``;
       entries matching no current finding are *stale* and fail the
       gate.
@@ -421,12 +400,7 @@ def main(argv: "Sequence[str] | None" = None,
     if baselines and not analyze_mode:
         log("--baseline only applies with --analyze")
         return 1
-    if args:
-        names = args
-    elif analyze_mode:
-        names = sorted(all_benchmarks()) + list(SERVING_MODULES)
-    else:
-        names = sorted(all_benchmarks())
+    names = args or sorted(all_benchmarks())
     if analyze_mode:
         return _analyze_main(names, example_dirs,
                              baselines[-1] if baselines else None,

@@ -6,61 +6,21 @@ registered benchmark name, or an example file full of module-level
 declarations.  This module is the one place that spectrum is turned
 into compiled programs, so the three tools cannot drift apart in what
 they accept.
-
-The analyzer accepts one further target kind the others do not:
-**modules**.  The serving tier is not a compiled program — it is
-classes and threads — so ``--analyze`` targets naming a dotted
-``repro.*`` module (or the default :data:`SERVING_MODULES` set) are
-imported and handed to :func:`repro.analysis.analyze_modules` instead
-of being compiled.
 """
 
 from __future__ import annotations
 
-import importlib
 import importlib.util
 import inspect
 import os
 import types
 from typing import Any, Sequence
 
+from repro.errors import ConfigError
 from repro.lang.transform import Transform
 
 __all__ = ["resolve_program", "load_example_transforms",
-           "load_example_targets", "example_files",
-           "SERVING_MODULES", "is_module_target", "resolve_module"]
-
-#: The serving-tier modules ``--analyze`` covers by default: every
-#: module that owns a thread, a lock, or a process boundary.  Kept
-#: explicit (not discovered) so the CI gate's coverage is reviewable.
-SERVING_MODULES = (
-    "repro.serving.frontdoor",
-    "repro.serving.engine",
-    "repro.serving.controller",
-    "repro.serving.telemetry",
-    "repro.serving.store",
-    "repro.runtime.backends",
-    "repro.runtime.backends.base",
-    "repro.runtime.backends.serial",
-    "repro.runtime.backends.threads",
-    "repro.runtime.backends.process",
-    "repro.runtime.backends.cache",
-)
-
-
-def is_module_target(name: Any) -> bool:
-    """True when ``name`` names a ``repro.*`` module (not a benchmark).
-
-    Benchmark names never contain dots, so a dotted ``repro.`` prefix
-    is unambiguous.
-    """
-    return (isinstance(name, str)
-            and (name == "repro" or name.startswith("repro.")))
-
-
-def resolve_module(name: str) -> types.ModuleType:
-    """Import a module analysis target (raises ImportError as-is)."""
-    return importlib.import_module(name)
+           "load_example_targets", "example_files"]
 
 
 def resolve_program(target, extras: Sequence[Transform] = ()):
@@ -81,7 +41,11 @@ def resolve_program(target, extras: Sequence[Transform] = ()):
         return compile_program(target, extras)[0]
     if isinstance(target, str):
         from repro.suite.registry import get_benchmark
-        return get_benchmark(target).compile()[0]
+        try:
+            spec = get_benchmark(target)
+        except KeyError as exc:
+            raise ConfigError(exc.args[0]) from None
+        return spec.compile()[0]
     if callable(target):
         built = target()
         if isinstance(built, tuple):

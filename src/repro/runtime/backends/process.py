@@ -24,7 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Sequence
 
-from repro.contracts import guarded_by, process_local, thread_affine
 from repro.runtime.backends.base import (
     ExecutionBackend,
     TrialOutcome,
@@ -38,11 +37,10 @@ if TYPE_CHECKING:
 
 __all__ = ["ProcessPoolBackend"]
 
-#: Worker-process global installed by :func:`_init_worker`.  Declared
-#: process-local: each worker deliberately keeps its own copy, and the
-#: parent process never reads it.
+#: Worker-process global installed by :func:`_init_worker`.  Per
+#: process on purpose: each worker keeps its own copy, and the parent
+#: process never reads it.
 _WORKER_PROGRAM: "CompiledProgram" | None = None
-process_local("_WORKER_PROGRAM")
 
 
 def _init_worker(program_bytes: bytes) -> None:
@@ -60,8 +58,6 @@ def _run_chunk(requests: Sequence[TrialRequest], objective: str,
             for request in requests]
 
 
-@thread_affine("caller")
-@guarded_by("_lock", "_pools")
 class ProcessPoolBackend(ExecutionBackend):
     """Runs trial batches across worker processes.
 
@@ -89,7 +85,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self.chunk_size = chunk_size
         self.start_method = start_method
         self.max_pools = max_pools
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # guards: _pools
         # Pools keyed by id(program).  Each entry holds a strong
         # reference to its program, so an id cannot be recycled by
         # garbage collection while its pool is alive.

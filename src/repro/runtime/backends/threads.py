@@ -15,7 +15,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Sequence
 
-from repro.contracts import guarded_by, thread_affine
 from repro.runtime.backends.base import (
     ExecutionBackend,
     TrialOutcome,
@@ -33,8 +32,6 @@ def default_workers() -> int:
     return max(2, min(8, os.cpu_count() or 2))
 
 
-@thread_affine("caller")
-@guarded_by("_lock", "_pool")
 class ThreadPoolBackend(ExecutionBackend):
     """Runs a batch across a persistent thread pool."""
 
@@ -42,7 +39,7 @@ class ThreadPoolBackend(ExecutionBackend):
 
     def __init__(self, max_workers: int | None = None):
         self.max_workers = max_workers or default_workers()
-        self._lock = threading.Lock()  # lazy pool creation is racy
+        self._lock = threading.Lock()  # guards: _pool (lazy creation)
         self._pool: ThreadPoolExecutor | None = None
 
     def _ensure_pool(self) -> ThreadPoolExecutor:

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.autotuner.tuner import Autotuner, TunerSettings
-from repro.contracts import guarded_by, thread_affine
 from repro.errors import TrainingError
 from repro.runtime.policy import judge_shadow
 from repro.serving.store import DEFAULT_TAG, ArtifactStore
@@ -93,9 +92,6 @@ class RetuneStatus:
     candidate_version: int | None
 
 
-@thread_affine("caller")
-@guarded_by("_lock", "_active", "_suspended")
-@guarded_by("_poll_lock")  # declare-only: serialises poll() ticks
 class RetuneController:
     """Drives drift detection, incremental retunes, and promotions.
 
@@ -143,7 +139,7 @@ class RetuneController:
         self.events: list[str] = []
         self._active: dict[str, _Retune] = {}
         self._suspended: set[str] = set()
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # guards: _active, _suspended
         self._poll_lock = threading.Lock()  # serialises poll() ticks
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()

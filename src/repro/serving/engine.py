@@ -39,7 +39,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from repro.contracts import guarded_by, requires_lock, thread_affine
 from repro.errors import ArtifactError, ReproError
 from repro.runtime.backends import (
     ExecutionBackend,
@@ -221,9 +220,6 @@ class _Pending:
         return self.ladder[self.pos]
 
 
-@thread_affine("caller")
-@guarded_by("_lock", "_programs", "_digests", "_shadows", "_counters",
-            "_latencies")
 class ServingEngine:
     """Batches :class:`ServeRequest` traffic onto an execution backend.
 
@@ -263,6 +259,7 @@ class ServingEngine:
         self._programs: dict[str, TunedProgram] = {}
         self._digests: dict[tuple[str, float], str] = {}
         self._shadows: dict[str, _ShadowState] = {}
+        # guards: _programs, _digests, _shadows, _counters, _latencies
         self._lock = threading.Lock()
         self._counters = {"requests": 0, "served": 0, "errors": 0,
                           "escalations": 0, "fallbacks": 0,
@@ -280,9 +277,8 @@ class ServingEngine:
             self._programs[name] = tuned
             self._invalidate_digests(name)
 
-    @requires_lock("_lock")
     def _invalidate_digests(self, name: str) -> None:
-        """Drop every cached config digest of ``name``."""
+        """Drop every cached config digest of ``name`` (lock held)."""
         for key in [key for key in self._digests if key[0] == name]:
             del self._digests[key]
 

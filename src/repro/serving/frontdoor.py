@@ -51,7 +51,6 @@ from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from repro.contracts import guarded_by, requires_lock, thread_affine
 from repro.errors import ConfigError, ReproError
 from repro.runtime.backends import (
     ExecutionBackend,
@@ -158,11 +157,6 @@ class FrontDoorStats:
                 f"p99 {self.p99_latency * 1e3:.2f}ms end-to-end")
 
 
-@thread_affine("caller")
-@guarded_by("_lock", "_queues", "_rr", "_shed_level", "_submitted",
-            "_completed", "_rejected", "_expired", "_degraded",
-            "_degrade_steps", "_executing", "_latencies", "_recent",
-            "_closed")
 class FrontDoor:
     """Sharded serving tier over per-shard
     :class:`~repro.serving.engine.ServingEngine` workers.
@@ -350,13 +344,12 @@ class FrontDoor:
             _resolve(future, response)
         return futures
 
-    @requires_lock("_lock")
     def _admit(self, request: ServeRequest, future: Future,
                arrival: float,
                refused: list[tuple[Future, ServeResponse]]
                ) -> int | None:
         """One admission decision: shed, enqueue (returning the shard)
-        or reject (appending the refusal to ``refused``)."""
+        or reject (appending the refusal to ``refused``).  Lock held."""
         self._submitted += 1
         degraded = 0
         if self.shedding is not None:
@@ -385,10 +378,10 @@ class FrontDoor:
             deadline=deadline, future=future))
         return shard
 
-    @requires_lock("_lock")
     def _degrade(self, request: ServeRequest, level: int
                  ) -> tuple[ServeRequest, int]:
-        """Shed ``request`` by up to ``level`` bins (floor-bounded)."""
+        """Shed ``request`` by up to ``level`` bins (floor-bounded;
+        lock held)."""
         try:
             tuned = self._engines[0].program_for(request.program)
             decision = degrade_request(
@@ -408,9 +401,8 @@ class FrontDoor:
         return (replace(request, accuracy=decision.target),
                 decision.steps)
 
-    @requires_lock("_lock")
     def _pick_shard(self) -> int | None:
-        """Round-robin over shards, skipping full queues."""
+        """Round-robin over shards, skipping full queues (lock held)."""
         count = len(self._engines)
         for offset in range(count):
             shard = (self._rr + offset) % count
@@ -422,7 +414,6 @@ class FrontDoor:
     # ------------------------------------------------------------------
     # Shard workers (one thread each; engine.serve outside the lock)
     # ------------------------------------------------------------------
-    @thread_affine("daemon")
     def _worker(self, shard: int) -> None:
         engine = self._engines[shard]
         while True:
@@ -456,11 +447,11 @@ class FrontDoor:
             for item, response in zip(live, responses):
                 _resolve(item.future, response)
 
-    @requires_lock("_lock")
     def _next_batch(self, shard: int,
                     expired: list[tuple[Future, ServeResponse]]
                     ) -> list[_Item] | None:
-        """Wait for traffic, then drain up to ``max_batch`` items.
+        """Wait for traffic, then drain up to ``max_batch`` items
+        (lock held; the wait releases it).
 
         Returns the live (unexpired) items, marked executing; expired
         items are counted and their refusals appended to ``expired``.

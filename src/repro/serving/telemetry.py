@@ -32,7 +32,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from repro.contracts import guarded_by, thread_affine
 from repro.lang.metrics import AccuracyMetric
 from repro.runtime.guarantees import (
     StatisticalGuarantee,
@@ -147,8 +146,6 @@ class _BinWindow:
         self.fallbacks = 0
 
 
-@thread_affine("caller")
-@guarded_by("_lock", "_bins", "_shedding")
 class ServingTelemetry:
     """Thread-safe rolling windows of observed serving behaviour.
 
@@ -162,7 +159,7 @@ class ServingTelemetry:
         if window < 1:
             raise ValueError("telemetry window must be >= 1")
         self.window = window
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # guards: _bins, _shedding
         self._bins: dict[tuple[str, float], _BinWindow] = {}
         # Lifetime shed/degrade counters per program, keyed as
         # [degraded, degrade_steps, rejected, expired].

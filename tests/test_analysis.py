@@ -21,10 +21,12 @@ from repro.analysis import (
     ERROR,
     FINDING_CODES,
     INFO,
+    SCHEMA_VERSION,
     WARNING,
     load_baseline,
     partition_findings,
     search_space_size,
+    stale_entries,
 )
 from repro.contracts import contract_of, kernel
 from repro.errors import ReproError
@@ -304,22 +306,14 @@ class TestConfigSpaceFindings:
 # ----------------------------------------------------------------------
 class TestCodeCoverage:
     def test_every_documented_code_is_proven_to_fire(self):
-        import fixtures_concurrency
-        from test_concurrency_analysis import _build_nested_program
-
-        from repro.analysis import analyze_modules
-
         fired = set()
         for target, extras in [(impure_program, ()),
                                (widening_program, ()),
                                (dead_tunable_program, ()),
                                (false_batchable_program, ()),
                                (false_precision_program, ()),
-                               (pinned_root, (binned_helper,)),
-                               (_build_nested_program, ())]:
+                               (pinned_root, (binned_helper,))]:
             fired.update(f.code for f in analyze(target, extras))
-        fired.update(f.code
-                     for f in analyze_modules([fixtures_concurrency]))
         assert fired == set(FINDING_CODES)
 
 
@@ -442,6 +436,15 @@ class TestBaseline:
         assert suppressed == []
         assert any(f.code == "REP401" for f in active)
 
+    def test_matched_entries_are_not_stale(self):
+        report = analyze(widening_program)
+        baseline = [{"code": "REP201", "path": "test_analysis.py"}]
+        matched: set = set()
+        _, suppressed = partition_findings(report, baseline,
+                                           matched=matched)
+        assert [f.code for f in suppressed] == ["REP201"]
+        assert stale_entries(baseline, matched) == []
+
     def test_errors_are_never_baselinable(self):
         report = analyze(false_batchable_program)
         active, suppressed = partition_findings(
@@ -557,6 +560,89 @@ class TestAnalyzeCLI:
         assert main(["--baseline", "x.json", "preconditioner"],
                     log=lines.append) == 1
         assert any("--analyze" in line for line in lines)
+
+    def test_json_payload_carries_schema_version(self):
+        lines = []
+        assert main(["--analyze", "--json", "preconditioner"],
+                    log=lines.append) == 0
+        assert json.loads("\n".join(lines))["schema_version"] == \
+            SCHEMA_VERSION
+
+    def test_json_findings_are_ordered_by_file_line_code(self):
+        report = analyze(impure_program)
+        report.extend(analyze(widening_program))
+        payload = report.to_json()
+        assert payload["schema_version"] == SCHEMA_VERSION
+        keys = [(f["file"], f["line"], f["code"])
+                for f in payload["findings"] if "file" in f]
+        assert len(keys) > 4
+        assert keys == sorted(keys)
+        # Location-less program metrics (REP001) sort last.
+        assert "file" not in payload["findings"][-1]
+
+    def test_stale_baseline_entry_fails_the_gate(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"accepted": [
+            {"code": "REP202", "path": "no/such/file.py"}]}))
+        lines = []
+        assert main(["--analyze", "preconditioner",
+                     "--baseline", str(path)], log=lines.append) == 1
+        assert lines[0].startswith("preconditioner: ok")
+        assert any("stale" in line for line in lines)
+
+    def test_stale_entries_surface_in_json(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        entry = {"code": "REP202", "path": "no/such/file.py"}
+        path.write_text(json.dumps({"accepted": [entry]}))
+        lines = []
+        assert main(["--analyze", "--json", "preconditioner",
+                     "--baseline", str(path)], log=lines.append) == 1
+        payload = json.loads("\n".join(lines))
+        assert payload["stale_baseline"] == [entry]
+        assert payload["targets"]["preconditioner"]["ok"]
+
+    def test_baselined_warning_passes_the_gate(self, monkeypatch,
+                                               tmp_path):
+        from repro.suite.registry import BenchmarkSpec
+
+        spec = BenchmarkSpec(name="widening",
+                             build=lambda: (widening_program, ()),
+                             generate=lambda n, rng: {},
+                             training_sizes=(4.0,), cost_limit=None,
+                             description="fixture")
+        monkeypatch.setattr("repro.suite.registry._load_specs",
+                            lambda: {"widening": spec})
+        lines = []
+        assert main(["--analyze"], log=lines.append) == 1
+        assert any("REP201" in line for line in lines)
+        codes = ["REP201", "REP202", "REP203"]
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"accepted": [
+            {"code": code, "path": "test_analysis.py"} for code in codes]}))
+        lines = []
+        assert main(["--analyze", "--json", "--baseline", str(path)],
+                    log=lines.append) == 0
+        payload = json.loads("\n".join(lines))
+        assert payload["stale_baseline"] == []
+        suppressed = payload["targets"]["widening"]["suppressed"]
+        assert [f["code"] for f in suppressed] == codes
+
+    @pytest.mark.parametrize("json_mode", [False, True])
+    def test_former_module_target_fails_loudly(self, json_mode):
+        # Dotted module names are not analysis targets: they fail
+        # with a diagnostic, never pass silently.
+        lines = []
+        argv = ["--analyze", "repro.serving.engine"]
+        assert main(argv + ["--json"] * json_mode,
+                    log=lines.append) == 1
+        assert "unknown benchmark 'repro.serving.engine'" in \
+            "\n".join(lines)
+        if json_mode:
+            payload = json.loads("\n".join(lines))
+            assert not payload["targets"]["repro.serving.engine"]["ok"]
+        else:
+            assert lines[0] == ("repro.serving.engine: FAILED "
+                                "(does not compile)")
 
     def test_missing_baseline_file_fails_loudly(self, tmp_path):
         lines = []

@@ -635,6 +635,11 @@ class TestShardedService:
         (dict(shed_low_watermark=0.9, shed_high_watermark=0.1),
          "watermark"),
         (dict(shed_max_level=-1), "shed_max_level"),
+        (dict(batch_size=0), "batch_size"),
+        (dict(telemetry_window=0), "telemetry_window"),
+        (dict(slice_trials=0), "slice_trials"),
+        (dict(shadow_fraction=0.0), "shadow_fraction"),
+        (dict(shadow_fraction=1.5), "shadow_fraction"),
     ])
     def test_policy_validation(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):

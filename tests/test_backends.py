@@ -535,6 +535,34 @@ class TestProgramPickling:
         clone = pickle.loads(pickle.dumps(program))
         assert clone.root == "pickmean"
 
+    def test_unpicklable_program_is_refused_with_a_pointed_error(self):
+        """A program without provenance whose rule is a nested function
+        cannot be pickled by name: the process backend refuses it
+        before spawning a worker; serial execution is unaffected."""
+        def nested_mean(ctx, xs):
+            ctx.add_cost(len(xs))
+            return float(np.mean(xs))
+
+        transform = Transform("nestedmean", inputs=("xs",),
+                              outputs=("est",),
+                              accuracy_metric=_pickmean_metric,
+                              accuracy_bins=(0.5, 0.9))
+        transform.rule(outputs=("est",), inputs=("xs",),
+                       name="nested_mean")(nested_mean)
+        program, _ = compile_program(transform)
+        assert program.provenance is None
+        harness = ProgramTestHarness(program, pickmean_inputs, base_seed=3)
+        candidate = Candidate(program.default_config())
+        # Two requests: a single one runs inline, without a pool.
+        requests = [harness.build_request(candidate, 8.0, i)
+                    for i in range(2)]
+        with ProcessPoolBackend(max_workers=1) as backend:
+            with pytest.raises(TypeError,
+                               match="requires a picklable program"):
+                backend.run_batch(program, requests)
+        outcomes = SerialBackend().run_batch(program, requests)
+        assert not any(outcome.failed for outcome in outcomes)
+
     def test_process_backend_runs_suite_program(self):
         """End-to-end: provenance-pickled program, worker recompiles,
         outcomes match serial execution exactly."""

@@ -18,6 +18,10 @@ Five contracts are enforced here:
   a request's floor bin.
 * **Empty-window stats** — a shard that has not completed a request
   yet reports zeros, not a crash.
+
+A Hypothesis state machine then drives random interleavings of
+submits, sync serves, held shards, stats and close, checking the
+refusal accounting in every step.
 """
 
 from __future__ import annotations
@@ -27,6 +31,13 @@ import threading
 import time
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.errors import ConfigError
 from repro.lang.metrics import AccuracyMetric
@@ -511,3 +522,112 @@ class TestStatsAndLifecycle:
         door.close()
         with pytest.raises(RuntimeError, match="closed"):
             door.submit(fake_request())
+
+
+# ----------------------------------------------------------------------
+# Stateful accounting: any interleaving of submit/serve/stats/close
+# ----------------------------------------------------------------------
+accuracies = st.lists(st.sampled_from(FakeTuned.bins), min_size=1,
+                      max_size=4)
+
+
+class FrontDoorAccounting(RuleBasedStateMachine):
+    """Random interleavings of async submits, sync serves, held and
+    released shards, stats snapshots and close.
+
+    Two shards (one crashes on its first batch), a short queue, a
+    deadline shorter than a ``pause`` and live shedding, so runs reach
+    rejection, expiry, degradation and shard failure.  Every snapshot
+    must balance, every future must resolve to a response, and a
+    closed front door must refuse new traffic.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.engines = [GateEngine(open_gate=True),
+                        RaisingEngine(open_gate=True)]
+        self.door = FrontDoor(
+            self.engines, queue_limit=2, max_batch=2, deadline=0.002,
+            shedding=SheddingPolicy(low_watermark=0.25,
+                                    high_watermark=0.5, max_level=2))
+        self.futures = []
+        self.served = 0
+        self.closed = False
+
+    def _gates(self, open_gate: bool) -> None:
+        for engine in self.engines:
+            if open_gate:
+                engine.gate.set()
+            else:
+                engine.gate.clear()
+
+    @precondition(lambda self: not self.closed)
+    @rule(wanted=accuracies)
+    def submit(self, wanted):
+        self.futures += [self.door.submit(fake_request(accuracy))
+                         for accuracy in wanted]
+
+    @precondition(lambda self: not self.closed)
+    @rule(wanted=accuracies)
+    def serve(self, wanted):
+        # A sync caller waits for execution: shards must be released.
+        self._gates(True)
+        responses = self.door.serve([fake_request(accuracy)
+                                     for accuracy in wanted])
+        self.served += len(wanted)
+        assert len(responses) == len(wanted)
+        assert all(isinstance(r, ServeResponse) for r in responses)
+
+    @rule()
+    def hold(self):
+        self._gates(False)
+
+    @rule()
+    def release(self):
+        self._gates(True)
+
+    @rule()
+    def pause(self):
+        time.sleep(0.003)  # longer than the deadline
+
+    @rule()
+    def stats(self):
+        stats = self.door.stats()
+        assert 0 <= stats.shed_level <= 2
+        assert stats.degraded <= stats.submitted
+
+    @rule()
+    def close(self):
+        self._gates(True)
+        self.door.close()
+        self.closed = True
+
+    @precondition(lambda self: self.closed)
+    @rule()
+    def submit_after_close(self):
+        with pytest.raises(RuntimeError, match="closed"):
+            self.door.submit(fake_request())
+        with pytest.raises(RuntimeError, match="closed"):
+            self.door.serve([fake_request()])
+
+    @invariant()
+    def snapshot_balances(self):
+        stats = self.door.stats()
+        assert stats.submitted == (stats.completed + stats.rejected
+                                   + stats.expired + stats.queued)
+        assert stats.submitted == len(self.futures) + self.served
+
+    def teardown(self):
+        self._gates(True)
+        self.door.close()
+        for future in self.futures:
+            assert isinstance(future.result(10.0), ServeResponse)
+        stats = self.door.stats()
+        assert stats.queued == 0
+        assert stats.submitted == (stats.completed + stats.rejected
+                                   + stats.expired)
+
+
+FrontDoorAccounting.TestCase.settings = settings(
+    max_examples=30, stateful_step_count=20, deadline=None)
+TestFrontDoorAccounting = FrontDoorAccounting.TestCase
