@@ -21,7 +21,11 @@ import pytest
 from repro.binpacking.algorithms import first_fit_decreasing, next_fit
 from repro.binpacking.datagen import generate_items_with_known_optimal
 from repro.clustering.kernels import assign_clusters
-from repro.linalg.banded import banded_cholesky_factor, banded_cholesky_solve
+from repro.linalg.banded import (
+    banded_cholesky_factor,
+    banded_cholesky_solve,
+    block_cholesky_solve,
+)
 from repro.linalg.cg import conjugate_gradient
 from repro.linalg.householder import tridiagonalize_symmetric
 from repro.linalg.poisson_ops import (
@@ -37,6 +41,7 @@ from repro.multigrid.grids import (
     restrict_full_weighting,
 )
 from repro.multigrid.relax import sor_poisson_2d
+from repro.suite.poisson import _direct_blocks
 
 
 @pytest.fixture(scope="module")
@@ -217,14 +222,15 @@ class TestBatchedThroughput:
             n=n)
 
     def test_batched_banded_solve_throughput(self, rng):
+        # The Poisson direct rule's stacked solve: the block
+        # substitution through the cached factor's blocks.
         n = 15
-        factor, _ = banded_cholesky_factor(poisson_2d_banded(n,
-                                                             1.0 / (n + 1)))
-        rhs = rng.normal(size=(BATCH, n * n))
+        diag_inv, sub, _, _ = _direct_blocks(n, np.dtype(np.float64))
+        rhs = rng.normal(size=(BATCH, n, n))
         _gate(
-            "banded_cholesky_solve",
-            lambda: banded_cholesky_solve(factor, rhs),
-            lambda: [banded_cholesky_solve(factor, rhs[i])
+            "block_cholesky_solve",
+            lambda: block_cholesky_solve(diag_inv, sub, rhs),
+            lambda: [block_cholesky_solve(diag_inv, sub, rhs[i])
                      for i in range(BATCH)],
             n=n)
 

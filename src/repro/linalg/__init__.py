@@ -3,7 +3,8 @@
 Replaces the LAPACK routines the paper's benchmarks call (DPBSV, the
 symmetric eigensolver drivers) with pure numpy implementations:
 
-* :mod:`repro.linalg.banded` — banded Cholesky factor/solve (DPBSV);
+* :mod:`repro.linalg.banded` — banded Cholesky factor/solve (DPBSV),
+  and the block solve through a block-bidiagonal factor;
 * :mod:`repro.linalg.householder` — symmetric tridiagonalization;
 * :mod:`repro.linalg.tridiag_qr` — implicit-shift QL/QR tridiagonal
   eigensolver with eigenvector accumulation;
@@ -22,7 +23,11 @@ Every routine reports the abstract operation count it performed so
 transforms can charge the cost model.
 """
 
-from repro.linalg.banded import banded_cholesky_factor, banded_cholesky_solve
+from repro.linalg.banded import (
+    banded_cholesky_factor,
+    banded_cholesky_solve,
+    block_cholesky_solve,
+)
 from repro.linalg.householder import tridiagonalize_symmetric
 from repro.linalg.tridiag_qr import tridiagonal_eigen_qr
 from repro.linalg.bisection import (
@@ -46,6 +51,7 @@ from repro.linalg.poisson_ops import (
 __all__ = [
     "banded_cholesky_factor",
     "banded_cholesky_solve",
+    "block_cholesky_solve",
     "tridiagonalize_symmetric",
     "tridiagonal_eigen_qr",
     "sturm_count",

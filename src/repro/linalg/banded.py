@@ -1,4 +1,4 @@
-"""Banded Cholesky factorization and solve.
+"""Banded Cholesky factorization and solves.
 
 Stands in for LAPACK's DPBSV, which the paper's Poisson benchmark uses
 as its direct solver choice ("one direct (band Cholesky factorization
@@ -12,18 +12,22 @@ is n, giving the O(N * n^2) = O(n^4) direct-solve scaling that makes
 the direct choice lose to multigrid at large sizes — the crossover the
 autotuner discovers.
 
-Both kernels accept stacked inputs: a ``(..., bandwidth+1, size)``
-band factors every slice through the same column sweep (the per-column
-updates become whole-batch numpy calls), and the solve broadcasts a
-stacked factor against a stacked ``(..., size)`` right-hand side — the
-common serving case is one shared factor applied to a wave of B
-right-hand sides.  Operation counts scale by the number of slices.
+Three kernels:
 
-The forward sweep reads row ``j`` of ``L``, which band storage holds
-along an anti-diagonal.  The solve gathers every forward coefficient in
-one fancy-index call before the sweep (``forward[..., j, :reach]`` is
-row ``j``'s ``L[j, j-1], ..., L[j, j-reach]``), so each column reads a
-contiguous slice instead of building its own index arrays.
+* :func:`banded_cholesky_factor` factors a band, and accepts stacked
+  ``(..., bandwidth+1, size)`` bands (the per-column updates become
+  whole-batch numpy calls; the operation count scales by the number of
+  slices).
+* :func:`banded_cholesky_solve` substitutes one right-hand side
+  through one band factor, column by column.  The forward sweep reads
+  row ``j`` of ``L``, which band storage holds along an anti-diagonal,
+  so every forward coefficient is gathered in one fancy-index call
+  before the sweep.
+* :func:`block_cholesky_solve` substitutes through a factor that is
+  block-bidiagonal — the 2-D Laplacian's, whose ``L`` has one
+  lower-triangular diagonal block per grid line and upper-triangular
+  blocks below them — in 2m block steps instead of 2N column steps,
+  and accepts stacked right-hand sides and factors.
 
 Input floating dtypes are preserved end to end (a float32 band yields
 a float32 factor and solution); non-floating inputs are promoted to
@@ -39,7 +43,8 @@ import numpy as np
 from repro.contracts import kernel
 from repro.linalg.dtypes import as_float
 
-__all__ = ["banded_cholesky_factor", "banded_cholesky_solve"]
+__all__ = ["banded_cholesky_factor", "banded_cholesky_solve",
+           "block_cholesky_solve"]
 
 
 def _slice_count(batch_shape: tuple[int, ...]) -> float:
@@ -82,50 +87,40 @@ def banded_cholesky_factor(band: np.ndarray) -> tuple[np.ndarray, float]:
     return band, ops * _slice_count(band.shape[:-2])
 
 
-@kernel(stacked=True, dtype_preserving=True)
+@kernel(stacked=False, dtype_preserving=True)
 def banded_cholesky_solve(factor: np.ndarray, b: np.ndarray
                           ) -> tuple[np.ndarray, float]:
     """Solve ``A x = b`` given the band Cholesky factor of ``A``.
 
-    ``factor`` is ``(..., bandwidth+1, size)`` and ``b`` is
-    ``(..., size)``; their batch axes broadcast, so one shared 2-D
-    factor solves a stacked wave of right-hand sides in single
-    vectorized substitution sweeps.
+    ``factor`` is one ``(bandwidth+1, size)`` band factor and ``b`` one
+    ``(size,)`` right-hand side.
     """
     factor = as_float(factor)
-    bandwidth = factor.shape[-2] - 1
-    size = factor.shape[-1]
     x = np.array(as_float(b))  # copy: substituted in place
-    if x.shape[-1:] != (size,):
+    if factor.ndim != 2 or x.shape != factor.shape[-1:]:
         raise ValueError(
-            f"b must have shape (..., {size}), got {x.shape}")
-    if factor.ndim == 2 and x.ndim == 1:
-        return _solve_single(factor, x, bandwidth, size)
-    batch_shape = np.broadcast_shapes(factor.shape[:-2], x.shape[:-1])
-    if x.shape[:-1] != batch_shape:
-        x = np.broadcast_to(x, batch_shape + (size,)).copy()
-    ops = 0.0
+            f"need a (bandwidth+1, size) factor and a (size,) right-hand "
+            f"side, got {factor.shape} and {x.shape}")
+    bandwidth = factor.shape[0] - 1
+    size = factor.shape[1]
     # Forward substitution: L y = b.  Row j of L holds factor[i, j - i].
     rows, cols = _forward_index(bandwidth, size)
-    forward = factor[..., rows, cols]
+    forward = factor[rows, cols]
+    ops = 0.0
     for j in range(size):
         reach = min(bandwidth, j)
         if reach > 0:
-            x[..., j] -= np.einsum("...k,...k->...",
-                                   forward[..., j, :reach],
-                                   x[..., j - reach:j][..., ::-1])
-        x[..., j] /= factor[..., 0, j]
+            x[j] -= float(forward[j, :reach] @ x[j - reach:j][::-1])
+        x[j] /= factor[0, j]
         ops += 2 * reach + 1
     # Backward substitution: L^T x = y.  Column j of L is factor[:, j].
     for j in range(size - 1, -1, -1):
         reach = min(bandwidth, size - 1 - j)
         if reach > 0:
-            coeff = factor[..., 1:reach + 1, j]
-            x[..., j] -= np.einsum("...k,...k->...", coeff,
-                                   x[..., j + 1:j + reach + 1])
-        x[..., j] /= factor[..., 0, j]
+            x[j] -= float(factor[1:reach + 1, j] @ x[j + 1:j + reach + 1])
+        x[j] /= factor[0, j]
         ops += 2 * reach + 1
-    return x, ops * _slice_count(batch_shape)
+    return x, ops
 
 
 @functools.lru_cache(maxsize=64)
@@ -133,7 +128,7 @@ def _forward_index(bandwidth: int, size: int
                    ) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, cols)`` gathering every forward-sweep coefficient.
 
-    ``factor[..., rows, cols][..., j, k] == L[j, j-k-1]`` for
+    ``factor[rows, cols][j, k] == L[j, j-k-1]`` for
     ``k < min(bandwidth, j)``; the unused tail of each row points at
     ``factor[k+1, 0]`` and is never read.  Returned read-only because
     the cache hands the same arrays to every caller; bounded because
@@ -147,28 +142,65 @@ def _forward_index(bandwidth: int, size: int
     return rows, cols
 
 
-def _solve_single(factor: np.ndarray, x: np.ndarray, bandwidth: int,
-                  size: int) -> tuple[np.ndarray, float]:
-    """The scalar substitution sweeps for one factor and one RHS.
+@kernel(stacked=True, dtype_preserving=True)
+def block_cholesky_solve(diag_inv: np.ndarray, sub: np.ndarray,
+                         b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve ``A x = b`` given a block-bidiagonal Cholesky factor of ``A``.
 
-    The forward coefficients come from the one up-front gather, but the
-    per-element arithmetic and operand layouts (a contiguous coefficient
-    row against the reversed ``x`` window) are unchanged, so this path
-    stays bit-identical to the seed kernel.
+    ``L`` has ``m`` diagonal blocks ``L_k`` and ``m - 1`` blocks
+    ``S_k = L[k, k-1]`` below them, each ``p x p``.  ``diag_inv`` is
+    ``(..., m, p, p)`` holding ``L_k^{-1}``, ``sub`` is
+    ``(..., m-1, p, p)`` with ``sub[..., k-1] == S_k``, and ``b`` is
+    ``(..., m, p)``; the batch axes of all three broadcast, so one
+    shared factor solves a stacked wave of right-hand sides.  The
+    sweeps are::
+
+        y_k = L_k^{-1} (b_k - S_k y_{k-1})            k = 0 .. m-1
+        x_k = L_k^{-T} (y_k - S_{k+1}^T x_{k+1})      k = m-1 .. 0
+
+    Every block product is a broadcast multiply and a sum, never
+    ``@``: BLAS gemm and gemv round differently, and a matmul would
+    make a stacked call differ from the slice loop in the last bit.
     """
-    rows, cols = _forward_index(bandwidth, size)
-    forward = factor[rows, cols]
-    ops = 0.0
-    for j in range(size):
-        reach = min(bandwidth, j)
-        if reach > 0:
-            x[j] -= float(forward[j, :reach] @ x[j - reach:j][::-1])
-        x[j] /= factor[0, j]
-        ops += 2 * reach + 1
-    for j in range(size - 1, -1, -1):
-        reach = min(bandwidth, size - 1 - j)
-        if reach > 0:
-            x[j] -= float(factor[1:reach + 1, j] @ x[j + 1:j + reach + 1])
-        x[j] /= factor[0, j]
-        ops += 2 * reach + 1
-    return x, ops
+    diag_inv, sub, b = as_float(diag_inv), as_float(sub), as_float(b)
+    blocks, width = b.shape[-2:]
+    couplings = max(blocks - 1, 0)
+    if diag_inv.shape[-3:] != (blocks, width, width) or \
+            sub.shape[-3:] != (couplings, width, width):
+        raise ValueError(
+            f"b of shape (..., {blocks}, {width}) needs diag_inv "
+            f"(..., {blocks}, {width}, {width}) and sub (..., "
+            f"{couplings}, {width}, {width}), got {diag_inv.shape} "
+            f"and {sub.shape}")
+    batch_shape = np.broadcast_shapes(diag_inv.shape[:-3],
+                                      sub.shape[:-3], b.shape[:-2])
+    dtype = np.result_type(diag_inv, sub, b)
+    y = np.empty(batch_shape + (blocks, width), dtype=dtype)
+    for k in range(blocks):
+        residual = b[..., k, :]
+        if k:
+            residual = residual - _matvec(sub[..., k - 1, :, :],
+                                          y[..., k - 1, :])
+        y[..., k, :] = _matvec(diag_inv[..., k, :, :], residual)
+    x = np.empty_like(y)
+    for k in range(blocks - 1, -1, -1):
+        residual = y[..., k, :]
+        if k < blocks - 1:
+            residual = residual - _rmatvec(sub[..., k, :, :],
+                                           x[..., k + 1, :])
+        x[..., k, :] = _rmatvec(diag_inv[..., k, :, :], residual)
+    # Per slice and sweep: m diagonal-block products and m - 1
+    # coupling products with their subtractions, 2 p^2 per product.
+    ops = 2.0 * (blocks * 2 * width * width
+                 + couplings * (2 * width * width + width))
+    return x, ops * _slice_count(batch_shape)
+
+
+def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """``matrix @ vector`` over broadcast batch axes."""
+    return np.add.reduce(matrix * vector[..., None, :], axis=-1)
+
+
+def _rmatvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """``matrix.T @ vector`` over broadcast batch axes."""
+    return np.add.reduce(matrix * vector[..., :, None], axis=-2)

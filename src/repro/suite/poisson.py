@@ -25,7 +25,7 @@ from repro.lang.dsl import accuracy_metric, call, rule, transform
 from repro.lang.transform import Transform
 from repro.lang.tunables import (accuracy_variable, cutoff, for_enough,
                                  precision)
-from repro.linalg.banded import banded_cholesky_factor, banded_cholesky_solve
+from repro.linalg.banded import banded_cholesky_factor, block_cholesky_solve
 from repro.linalg.poisson_ops import apply_laplacian_2d, poisson_2d_banded
 from repro.multigrid.grids import (
     coarse_size,
@@ -87,6 +87,42 @@ def _direct_factor(n: int, dtype: np.dtype) -> tuple[np.ndarray, float]:
     factor, ops = banded_cholesky_factor(band)
     factor.setflags(write=False)
     return factor, ops
+
+
+@functools.lru_cache(maxsize=None)
+def _direct_blocks(n: int, dtype: np.dtype
+                   ) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The cached factor as the blocks :func:`block_cholesky_solve` takes.
+
+    Row-major unknowns make ``L`` block-bidiagonal with one block per
+    grid line: ``L[k n + a, k n + c] = factor[a - c, k n + c]`` for
+    ``a >= c`` (lower-triangular diagonal blocks) and
+    ``L[(k+1) n + a, k n + c] = factor[n + a - c, k n + c]`` for
+    ``a <= c`` (upper-triangular blocks below them).  Both are gathered
+    straight from band storage; the ``% (n + 1)`` wraps the unused
+    triangle onto valid rows that ``tril``/``triu`` then zero.  The
+    diagonal blocks are inverted in float64 and rounded once to the
+    working dtype.
+
+    Returns ``(diag_inv, sub, factor_ops, solve_ops)``: the read-only
+    blocks (at most ~0.5 MB per entry, at n = 31 in float64) plus the
+    per-request DPBSV price the direct rule charges — one band
+    factorization and one band solve.  ``solve_ops`` repeats the band
+    solve's count, ``2 * reach + 1`` per column in each of its two
+    sweeps: running the unstacked band solve here would put it on the
+    batchable transform's value path.
+    """
+    factor, factor_ops = _direct_factor(n, dtype)
+    line = np.arange(n)
+    a, c = line[:, None], line[None, :]
+    starts = (line * n)[:, None, None]
+    diag = np.tril(factor[(a - c) % (n + 1), starts + c])
+    sub = np.triu(factor[(n + a - c) % (n + 1), starts[:-1] + c])
+    diag_inv = np.linalg.inv(diag.astype(np.float64)).astype(dtype)
+    diag_inv.setflags(write=False)
+    sub.setflags(write=False)
+    solve_ops = 2.0 * sum(2 * min(n, j) + 1 for j in range(n * n))
+    return diag_inv, sub, factor_ops, solve_ops
 
 
 def _batch_count(f: np.ndarray) -> float:
@@ -192,16 +228,18 @@ def build(precision_choices: tuple[str, ...] = ("float64", "float32")
                 raise ExecutionError(
                     f"direct solver limited to n <= {DIRECT_MAX_SIZE}, "
                     f"got {n}")
-            # The factor is cached per (n, dtype) and shared across a
-            # stacked batch, but each request is still charged a fresh
-            # factorization plus its solve — what its own scalar run
-            # would cost on DPBSV, and the stacked-execution invariant.
-            factor, factor_ops = _direct_factor(n, f.dtype)
-            solution, solve_ops = banded_cholesky_solve(
-                factor, f.reshape(f.shape[:-2] + (n * n,)))
-            ctx.add_cost(factor_ops * _batch_count(f) + solve_ops)
+            # The factor is cached per (n, dtype) and solved block by
+            # block, one grid line per step, but each request is still
+            # charged a fresh DPBSV — band factorization plus band
+            # solve — what its own scalar run would cost, and the
+            # stacked-execution invariant (DESIGN.md, substitution 1).
+            diag_inv, sub, factor_ops, solve_ops = _direct_blocks(
+                n, f.dtype)
+            solution, _ = block_cholesky_solve(diag_inv, sub, f)
+            batch = _batch_count(f)
+            ctx.add_cost(factor_ops * batch + solve_ops * batch)
             ctx.record("mg", action="direct", n=n)
-            return solution.reshape(f.shape[:-2] + (n, n))
+            return solution
 
         @rule
         def iterative(ctx, f):

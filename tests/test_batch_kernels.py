@@ -7,9 +7,10 @@ sizes B in {1, 3, 17}, and the degenerate B=0 — and the returned
 operation count must be exactly B times the scalar count.
 
 The multigrid/stencil kernels are elementwise numpy expressions, so
-batched and scalar results are required to be *bit-identical*; the
-batched banded solve and stacked CG reassociate reductions (einsum
-over the batch axis), so those compare under a tight allclose.
+batched and scalar results are required to be *bit-identical*, and so
+is the block Cholesky solve, whose block products are broadcast
+multiply-and-sums; stacked CG reassociates reductions (einsum over the
+batch axis), so it compares under a tight allclose.
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.clustering.kernels import assign_clusters
-from repro.linalg.banded import banded_cholesky_factor, banded_cholesky_solve
+from repro.linalg.banded import (
+    banded_cholesky_factor,
+    banded_cholesky_solve,
+    block_cholesky_solve,
+)
 from repro.linalg.cg import conjugate_gradient
 from repro.linalg.poisson_ops import (
     apply_laplacian_1d,
@@ -261,6 +266,60 @@ class TestConjugateGradient:
 # ----------------------------------------------------------------------
 # Banded Cholesky
 # ----------------------------------------------------------------------
+def block_factor(factor):
+    """``(diag_inv, sub)`` for :func:`block_cholesky_solve` from a band
+    factor whose size is a multiple of its bandwidth ``p``.
+
+    Such a band matrix is block tridiagonal in ``p x p`` blocks, so its
+    factor is block-bidiagonal.  Built through the dense ``L`` — an
+    independent route from the direct rule's gather — with the diagonal
+    blocks inverted in float64 and rounded once, as the rule does.
+    """
+    width = factor.shape[-2] - 1
+    size = factor.shape[-1]
+    blocks = size // width
+    lower = np.zeros(factor.shape[:-2] + (size, size), dtype=factor.dtype)
+    for offset in range(width + 1):
+        column = np.arange(size - offset)
+        lower[..., column + offset, column] = factor[..., offset,
+                                                     :size - offset]
+    tiles = lower.reshape(factor.shape[:-2] + (blocks, width, blocks,
+                                               width))
+    diag = np.stack([tiles[..., k, :, k, :] for k in range(blocks)],
+                    axis=-3)
+    sub = np.zeros(factor.shape[:-2] + (blocks - 1, width, width),
+                   dtype=factor.dtype)
+    for k in range(blocks - 1):
+        sub[..., k, :, :] = tiles[..., k + 1, :, k, :]
+    diag_inv = np.linalg.inv(diag.astype(np.float64)).astype(factor.dtype)
+    return diag_inv, sub
+
+
+def poisson_blocks(n, dtype=np.float64):
+    factor, _ = banded_cholesky_factor(
+        poisson_2d_banded(n, 0.125, dtype=dtype))
+    return block_factor(factor)
+
+
+def assert_stacked_solve_equals_loop(diag_inv, sub, b):
+    """The stacked block solve equals looping it over every slice of
+    the broadcast batch, bit for bit, with ops scaled exactly."""
+    x, ops = block_cholesky_solve(diag_inv, sub, b)
+    batch_shape = np.broadcast_shapes(diag_inv.shape[:-3], sub.shape[:-3],
+                                      b.shape[:-2])
+    assert x.shape == batch_shape + b.shape[-2:]
+    assert x.dtype == b.dtype
+    slices = [np.broadcast_to(array, batch_shape + array.shape[-core:])
+              for array, core in ((diag_inv, 3), (sub, 3), (b, 2))]
+    slice_ops = None
+    for index in np.ndindex(*batch_shape):
+        expected, slice_ops = block_cholesky_solve(
+            *(array[index] for array in slices))
+        assert np.array_equal(x[index], expected)
+    if slice_ops is not None:
+        assert ops == slice_ops * float(np.prod(batch_shape))
+
+
 class TestBandedCholesky:
     @pytest.mark.parametrize("batch", BATCH_SIZES)
     def test_stacked_factor_equals_slice_loop(self, batch):
@@ -281,15 +340,9 @@ class TestBandedCholesky:
     def test_shared_factor_stacked_solve(self, batch):
         rng = rng_for(batch)
         n = 5
-        factor, _ = banded_cholesky_factor(poisson_2d_banded(n, 0.125))
-        rhs = rng.standard_normal((batch, n * n))
-        solutions, batched_ops = banded_cholesky_solve(factor, rhs)
-        scalar_ops = None
-        for i in range(batch):
-            expected, scalar_ops = banded_cholesky_solve(factor, rhs[i])
-            np.testing.assert_allclose(solutions[i], expected,
-                                       rtol=1e-12, atol=1e-14)
-        assert batched_ops == batch * scalar_ops
+        diag_inv, sub = poisson_blocks(n)
+        assert_stacked_solve_equals_loop(
+            diag_inv, sub, rng.standard_normal((batch, n, n)))
 
     def test_scalar_path_unchanged(self):
         rng = rng_for(3)
@@ -308,9 +361,10 @@ class TestBandedCholesky:
             banded_cholesky_factor(band)
 
     def test_degenerate_empty_batch(self):
-        factor, _ = banded_cholesky_factor(poisson_2d_banded(3, 0.25))
-        solutions, ops = banded_cholesky_solve(factor, np.empty((0, 9)))
-        assert solutions.shape == (0, 9)
+        diag_inv, sub = poisson_blocks(3)
+        solutions, ops = block_cholesky_solve(diag_inv, sub,
+                                              np.empty((0, 3, 3)))
+        assert solutions.shape == (0, 3, 3)
         assert ops == 0.0
 
 
@@ -325,44 +379,20 @@ def reference_banded_solve(factor, b):
     size = factor.shape[-1]
     x = np.array(b)
     ops = 0.0
-    if factor.ndim == 2 and x.ndim == 1:
-        for j in range(size):
-            reach = min(bandwidth, j)
-            if reach > 0:
-                rows = np.arange(1, reach + 1)
-                x[j] -= float(factor[rows, j - rows]
-                              @ x[j - reach:j][::-1])
-            x[j] /= factor[0, j]
-            ops += 2 * reach + 1
-        for j in range(size - 1, -1, -1):
-            reach = min(bandwidth, size - 1 - j)
-            if reach > 0:
-                x[j] -= float(factor[1:reach + 1, j]
-                              @ x[j + 1:j + reach + 1])
-            x[j] /= factor[0, j]
-            ops += 2 * reach + 1
-        return x, ops
-    batch_shape = np.broadcast_shapes(factor.shape[:-2], x.shape[:-1])
-    if x.shape[:-1] != batch_shape:
-        x = np.broadcast_to(x, batch_shape + (size,)).copy()
     for j in range(size):
         reach = min(bandwidth, j)
         if reach > 0:
             rows = np.arange(1, reach + 1)
-            coeff = factor[..., rows, j - rows]
-            x[..., j] -= np.einsum("...k,...k->...", coeff,
-                                   x[..., j - reach:j][..., ::-1])
-        x[..., j] /= factor[..., 0, j]
+            x[j] -= float(factor[rows, j - rows] @ x[j - reach:j][::-1])
+        x[j] /= factor[0, j]
         ops += 2 * reach + 1
     for j in range(size - 1, -1, -1):
         reach = min(bandwidth, size - 1 - j)
         if reach > 0:
-            coeff = factor[..., 1:reach + 1, j]
-            x[..., j] -= np.einsum("...k,...k->...", coeff,
-                                   x[..., j + 1:j + reach + 1])
-        x[..., j] /= factor[..., 0, j]
+            x[j] -= float(factor[1:reach + 1, j] @ x[j + 1:j + reach + 1])
+        x[j] /= factor[0, j]
         ops += 2 * reach + 1
-    return x, ops * float(np.prod(batch_shape, dtype=np.int64))
+    return x, ops
 
 
 def assert_solve_matches_reference(factor, b):
@@ -384,7 +414,8 @@ def stacked_poisson_factors(n, batch, dtype):
 
 class TestBandedSolveOneGather:
     """The one-gather forward sweep is bit-identical to the per-column
-    gather it replaced, on every RHS and factor layout."""
+    gather it replaced.  The band solve takes one factor and one
+    right-hand side; stacked solves go through the block solve."""
 
     @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
     @pytest.mark.parametrize("n", (1, 3, 5))
@@ -394,24 +425,13 @@ class TestBandedSolveOneGather:
             poisson_2d_banded(n, 0.125, dtype=dtype))
         assert_solve_matches_reference(
             factor, rng.standard_normal(n * n).astype(dtype))
-        assert_solve_matches_reference(
-            factor, rng.standard_normal((5, n * n)).astype(dtype))
-
-    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
-    def test_stacked_factors(self, dtype):
-        rng = rng_for(11)
-        factors = stacked_poisson_factors(4, 3, dtype)
-        assert_solve_matches_reference(
-            factors, rng.standard_normal((3, 16)).astype(dtype))
-        assert_solve_matches_reference(
-            factors, rng.standard_normal(16).astype(dtype))
-
-    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
-    def test_broadcast_batch_shapes(self, dtype):
-        rng = rng_for(12)
-        factors = stacked_poisson_factors(3, 2, dtype)[:, None]
-        assert_solve_matches_reference(
-            factors, rng.standard_normal((1, 4, 9)).astype(dtype))
+        with pytest.raises(ValueError):
+            banded_cholesky_solve(
+                factor, rng.standard_normal((5, n * n)).astype(dtype))
+        with pytest.raises(ValueError):
+            banded_cholesky_solve(
+                stacked_poisson_factors(n, 2, dtype),
+                rng.standard_normal(n * n).astype(dtype))
 
     @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
     def test_bandwidth_zero(self, dtype):
@@ -420,12 +440,6 @@ class TestBandedSolveOneGather:
             rng.uniform(1.0, 2.0, (1, 6)).astype(dtype))
         assert_solve_matches_reference(
             factor, rng.standard_normal(6).astype(dtype))
-        assert_solve_matches_reference(
-            factor, rng.standard_normal((3, 6)).astype(dtype))
-
-    def test_empty_batch(self):
-        factor, _ = banded_cholesky_factor(poisson_2d_banded(3, 0.25))
-        assert_solve_matches_reference(factor, np.empty((0, 9)))
 
     @settings(max_examples=25, deadline=None)
     @given(spd_bands(), st.sampled_from(FLOAT_DTYPES))
@@ -435,12 +449,88 @@ class TestBandedSolveOneGather:
         factor, _ = banded_cholesky_factor(band.astype(dtype))
         assert_solve_matches_reference(
             factor, rng.normal(size=size).astype(dtype))
-        assert_solve_matches_reference(
-            factor, rng.normal(size=(3, size)).astype(dtype))
-        stacked, _ = banded_cholesky_factor(
-            np.stack([band, 2.0 * band]).astype(dtype))
-        assert_solve_matches_reference(
-            stacked, rng.normal(size=(2, size)).astype(dtype))
+
+
+class TestBlockCholeskySolve:
+    """The block solve: stacked ≡ looped bit for bit (every block
+    product is a broadcast multiply and sum, never a matmul), and equal
+    to the band sweep within 16 ulp of the solution's largest entry."""
+
+    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+    @pytest.mark.parametrize("batch", (2, 3, 8, 32))
+    def test_stacked_equals_looped(self, batch, dtype):
+        rng = rng_for(batch)
+        n = 7
+        diag_inv, sub = poisson_blocks(n, dtype)
+        assert_stacked_solve_equals_loop(
+            diag_inv, sub, rng.standard_normal((batch, n, n)).astype(dtype))
+
+    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+    def test_stacked_factors(self, dtype):
+        rng = rng_for(11)
+        diag_inv, sub = block_factor(stacked_poisson_factors(4, 3, dtype))
+        assert_stacked_solve_equals_loop(
+            diag_inv, sub, rng.standard_normal((3, 4, 4)).astype(dtype))
+        assert_stacked_solve_equals_loop(
+            diag_inv, sub, rng.standard_normal((4, 4)).astype(dtype))
+
+    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+    def test_broadcast_batch_shapes(self, dtype):
+        rng = rng_for(12)
+        diag_inv, sub = block_factor(stacked_poisson_factors(3, 2, dtype))
+        assert_stacked_solve_equals_loop(
+            diag_inv[:, None], sub[:, None],
+            rng.standard_normal((1, 4, 3, 3)).astype(dtype))
+        assert_stacked_solve_equals_loop(
+            diag_inv[:, None], sub[0],
+            rng.standard_normal((4, 3, 3)).astype(dtype))
+
+    def test_empty_batch(self):
+        # An empty batch of factors, alone and broadcast against a
+        # stack of right-hand sides (TestBandedCholesky covers an
+        # empty stack of right-hand sides).
+        diag_inv, sub = poisson_blocks(3)
+        x, ops = block_cholesky_solve(diag_inv[None][:0], sub,
+                                      np.ones((3, 3)))
+        assert x.shape == (0, 3, 3) and ops == 0.0
+        x, ops = block_cholesky_solve(diag_inv[None, None][:0], sub,
+                                      np.ones((4, 3, 3)))
+        assert x.shape == (0, 4, 3, 3) and ops == 0.0
+
+    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+    @pytest.mark.parametrize("blocks, width", [(1, 3), (4, 1), (5, 3),
+                                               (6, 4)])
+    def test_matches_band_sweep_on_random_spd_bands(self, blocks, width,
+                                                    dtype):
+        rng = rng_for(blocks * 10 + width)
+        size = blocks * width
+        band = np.zeros((width + 1, size))
+        band[0] = rng.uniform(2.0 * width + 1.0, 2.0 * width + 2.0, size)
+        for offset in range(1, width + 1):
+            band[offset, :size - offset] = rng.uniform(-1, 1, size - offset)
+        factor, _ = banded_cholesky_factor(band.astype(dtype))
+        diag_inv, sub = block_factor(factor)
+        for _ in range(5):
+            b = rng.standard_normal(size).astype(dtype)
+            expected, _ = banded_cholesky_solve(factor, b)
+            x, _ = block_cholesky_solve(diag_inv, sub,
+                                        b.reshape(blocks, width))
+            assert x.dtype == dtype
+            bound = 16 * np.finfo(dtype).eps * np.abs(expected).max()
+            assert np.abs(x.reshape(-1) - expected).max() <= bound
+
+    def test_mismatched_blocks_rejected(self):
+        diag_inv, sub = poisson_blocks(3)
+        with pytest.raises(ValueError):
+            block_cholesky_solve(diag_inv, sub, np.ones((4, 3)))
+        with pytest.raises(ValueError):
+            block_cholesky_solve(diag_inv, sub[:1], np.ones((3, 3)))
+
+    def test_non_float_promotes_to_float64(self):
+        diag_inv, sub = poisson_blocks(3)
+        x, _ = block_cholesky_solve(diag_inv, sub,
+                                    np.ones((3, 3), dtype=np.int64))
+        assert x.dtype == np.float64
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""The Poisson ``direct`` rule's cached band-Cholesky factor.
+"""The Poisson ``direct`` rule's cached factor and its block solve.
 
 The 5-point Laplacian depends only on the grid size and working dtype,
-so ``_direct_factor`` factors it once per ``(n, dtype)``.  The cache
-must be invisible: the cached factor equals a fresh one bit for bit,
-cannot be written through, and the rule's outputs and charged cost
-equal an uncached factor-plus-solve — at B=1 and in a stacked wave.
+so ``_direct_factor`` factors it once per ``(n, dtype)`` and
+``_direct_blocks`` keeps that factor's blocks for the block solve.  The
+caches must be invisible: the cached factor equals a fresh one bit for
+bit, neither can be written through, the block solve agrees with the
+band sweep through a fresh factor within 16 ulp of the solution's
+largest entry, and the rule's charged cost equals an uncached
+factor-plus-solve exactly — at B=1 and in a stacked wave.
 """
 
 from __future__ import annotations
@@ -17,12 +20,28 @@ import pytest
 
 from repro.config.decision_tree import SizeDecisionTree
 from repro.errors import ExecutionError
-from repro.linalg.banded import banded_cholesky_factor, banded_cholesky_solve
+from repro.linalg.banded import (
+    banded_cholesky_factor,
+    banded_cholesky_solve,
+    block_cholesky_solve,
+)
 from repro.linalg.poisson_ops import poisson_2d_banded
 from repro.suite import get_benchmark
-from repro.suite.poisson import DIRECT_MAX_SIZE, _direct_factor
+from repro.suite.poisson import (DIRECT_MAX_SIZE, _direct_blocks,
+                                 _direct_factor)
+from test_batch_kernels import block_factor
 
 FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+SIZES = (1, 3, 7, 15, DIRECT_MAX_SIZE)
+#: The block solve's distance from the band sweep, in units of the
+#: working dtype's epsilon times the solution's largest entry.
+ULP_BOUND = 16
+
+
+def assert_within_ulp_bound(x, reference):
+    bound = ULP_BOUND * np.finfo(reference.dtype).eps * \
+        np.abs(reference).max()
+    assert np.abs(x - reference).max() <= bound
 
 
 def fresh_factor(n: int, dtype: np.dtype) -> tuple[np.ndarray, float]:
@@ -45,7 +64,7 @@ def direct_config(program, precision: str):
 
 
 @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
-@pytest.mark.parametrize("n", (1, 3, 7, 15, DIRECT_MAX_SIZE))
+@pytest.mark.parametrize("n", SIZES)
 def test_cached_factor_equals_fresh_factor(n, dtype):
     factor, ops = _direct_factor(n, dtype)
     expected, expected_ops = fresh_factor(n, dtype)
@@ -65,6 +84,36 @@ def test_second_call_is_a_hit():
     assert _direct_factor(7, np.dtype(np.float64))[0] is first[0]
 
 
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+@pytest.mark.parametrize("n", SIZES)
+def test_cached_blocks_are_the_factor_blocks(n, dtype):
+    diag_inv, sub, factor_ops, solve_ops = _direct_blocks(n, dtype)
+    factor, expected_factor_ops = fresh_factor(n, dtype)
+    assert not diag_inv.flags.writeable and not sub.flags.writeable
+    assert diag_inv.dtype == sub.dtype == dtype
+    expected_inv, expected_sub = block_factor(factor)
+    assert np.array_equal(diag_inv, expected_inv)
+    assert np.array_equal(sub, expected_sub)
+    assert factor_ops == expected_factor_ops
+    _, expected_solve_ops = banded_cholesky_solve(
+        factor, np.zeros(n * n, dtype))
+    assert solve_ops == expected_solve_ops
+
+
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+@pytest.mark.parametrize("n", SIZES)
+def test_block_solve_matches_band_sweep(n, dtype):
+    diag_inv, sub, _, _ = _direct_blocks(n, dtype)
+    factor, _ = fresh_factor(n, dtype)
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        b = rng.standard_normal((n, n)).astype(dtype)
+        expected, _ = banded_cholesky_solve(factor, b.reshape(-1))
+        x, _ = block_cholesky_solve(diag_inv, sub, b)
+        assert x.dtype == dtype
+        assert_within_ulp_bound(x.reshape(-1), expected)
+
+
 @pytest.mark.parametrize("precision", ("float64", "float32"))
 @pytest.mark.parametrize("batch", (1, 5))
 def test_direct_rule_matches_uncached_reference(poisson, precision, batch):
@@ -80,16 +129,35 @@ def test_direct_rule_matches_uncached_reference(poisson, precision, batch):
                              seed=0)
 
     dtype = np.dtype(precision)
-    f = inputs["f"].astype(dtype)
+    f = inputs["f"].astype(dtype).reshape(-1, n * n)
     factor, factor_ops = fresh_factor(n, dtype)
-    solution, solve_ops = banded_cholesky_solve(
-        factor, f.reshape(f.shape[:-2] + (n * n,)))
-    assert result.outputs["u"].dtype == dtype
-    assert np.array_equal(result.outputs["u"], solution.reshape(f.shape))
-    # Charged as a fresh factorization per request plus the solve,
+    u = result.outputs["u"]
+    assert u.dtype == dtype
+    assert u.shape == inputs["f"].shape
+    solve_ops = 0.0
+    for request, rhs in zip(u.reshape(-1, n * n), f):
+        expected, ops = banded_cholesky_solve(factor, rhs)
+        assert_within_ulp_bound(request, expected)
+        solve_ops += ops
+    # Charged as a fresh factorization per request plus the band solve,
     # scaled by the working dtype's itemsize like every charged cost.
     expected_cost = (factor_ops * batch + solve_ops) * dtype.itemsize / 8
     assert result.metrics.cost == expected_cost
+
+
+@pytest.mark.parametrize("precision", ("float64", "float32"))
+def test_stacked_wave_equals_per_request_runs(poisson, precision):
+    spec, program = poisson
+    n = 15
+    config = direct_config(program, precision)
+    problems = [spec.generate(n, np.random.default_rng(seed))
+                for seed in range(5)]
+    wave = program.execute({key: np.stack([p[key] for p in problems])
+                            for key in problems[0]}, n, config, seed=0)
+    singles = [program.execute(p, n, config, seed=0) for p in problems]
+    for u, single in zip(wave.outputs["u"], singles):
+        assert np.array_equal(u, single.outputs["u"])
+    assert wave.metrics.cost == sum(s.metrics.cost for s in singles)
 
 
 def test_oversized_grid_raises_before_caching(poisson):
@@ -97,22 +165,24 @@ def test_oversized_grid_raises_before_caching(poisson):
     n = 63
     assert n > DIRECT_MAX_SIZE
     inputs = spec.generate(n, np.random.default_rng(0))
-    before = _direct_factor.cache_info().currsize
+    before = (_direct_factor.cache_info().currsize,
+              _direct_blocks.cache_info().currsize)
     with pytest.raises(ExecutionError):
         program.execute(inputs, n, direct_config(program, "float64"),
                         seed=0)
-    assert _direct_factor.cache_info().currsize == before
+    assert (_direct_factor.cache_info().currsize,
+            _direct_blocks.cache_info().currsize) == before
 
 
-def test_concurrent_first_calls_agree():
-    _direct_factor.cache_clear()
-    key = (15, np.dtype(np.float64))
+def first_calls_from_four_threads(cached, key):
+    """``cached(*key)`` from four threads released together, with a
+    tiny switch interval so their first calls interleave."""
     barrier = threading.Barrier(4)
     results = [None] * 4
 
     def first_call(slot):
         barrier.wait(timeout=10)
-        results[slot] = _direct_factor(*key)
+        results[slot] = cached(*key)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -126,8 +196,30 @@ def test_concurrent_first_calls_agree():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def test_concurrent_first_calls_agree():
+    _direct_factor.cache_clear()
+    key = (15, np.dtype(np.float64))
+    results = first_calls_from_four_threads(_direct_factor, key)
     expected, expected_ops = fresh_factor(*key)
     for factor, ops in results:
         assert not factor.flags.writeable
         assert np.array_equal(factor, expected)
         assert ops == expected_ops
+
+
+def test_concurrent_first_block_calls_agree():
+    _direct_blocks.cache_clear()
+    _direct_factor.cache_clear()
+    key = (15, np.dtype(np.float32))
+    results = first_calls_from_four_threads(_direct_blocks, key)
+    diag_inv, sub, factor_ops, solve_ops = results[0]
+    for other in results[1:]:
+        assert np.array_equal(other[0], diag_inv)
+        assert np.array_equal(other[1], sub)
+        assert other[2:] == (factor_ops, solve_ops)
+    for blocks in results:
+        assert not blocks[0].flags.writeable
+        assert not blocks[1].flags.writeable

@@ -351,11 +351,11 @@ class TestPrecisionStacking:
             assert not fused_outcome.failed
             assert fused_outcome.outputs["u"].dtype == np.float32
             assert scalar_outcome.outputs["u"].dtype == np.float32
-            # The float32 cost discount and the /B recovery are exact.
+            # The float32 cost discount and the /B recovery are exact,
+            # and so are the outputs.
             assert fused_outcome.objective == scalar_outcome.objective
-            np.testing.assert_allclose(
-                fused_outcome.outputs["u"], scalar_outcome.outputs["u"],
-                rtol=5e-5, atol=5e-6)
+            assert np.array_equal(fused_outcome.outputs["u"],
+                                  scalar_outcome.outputs["u"])
 
     def test_dtype_preserved_through_per_request_fallback(
             self, poisson_program):
