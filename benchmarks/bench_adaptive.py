@@ -18,7 +18,8 @@ retune loop costs at steady state and at transition points::
 * **retune_slice** — latency of one bounded
   ``TuningSession.step(slice)`` on a session seeded from the deployed
   artifact: the unit of background work the controller interleaves
-  with traffic.
+  with traffic.  The slice is a third of the trials an identical
+  untimed session runs, so the session always takes several slices.
 * **hot_swap** — latency of the atomic artifact swap itself (the only
   moment serving and retuning touch), plus a correctness check that a
   swapped engine really serves the new configuration.
@@ -47,7 +48,6 @@ from repro.suite import get_benchmark
 
 REQUEST_COUNT = 200 if FULL else 40
 REPEATS = 7 if FULL else 5
-SLICE_TRIALS = 24
 SERVE_N = 7.0
 OVERHEAD_LIMIT_PCT = 5.0
 TUNE_SETTINGS = TunerSettings(input_sizes=(7.0,), rounds_per_size=1,
@@ -119,8 +119,8 @@ def test_adaptive_loop_costs(benchmark):
         probe.register("poisson", tuned)
         responses = probe.serve(requests)
         entries = [(r.program, r.bin_target, r.ok,
-                    r.achieved_accuracy, r.escalations, r.fallback,
-                    r.latency) for r in responses]
+                    r.achieved_accuracy, r.escalations, r.fallback)
+                   for r in responses]
         record_times = []
         for _ in range(REPEATS):
             telemetry = ServingTelemetry()
@@ -145,21 +145,29 @@ def test_adaptive_loop_costs(benchmark):
         })
 
         # 2. Retune-slice latency on a session seeded from the
-        #    deployed artifact (the controller's unit of work).
+        #    deployed artifact (the controller's unit of work).  An
+        #    identical seeded session run untimed sizes the slice: a
+        #    third of its trials (sliced runs equal one-shot runs).
+        seeds = tuple(tuned.bin_configs.values())
+        before = harness.trials_run
+        Autotuner(program, harness, TUNE_SETTINGS).session(
+            seed_configs=seeds).run()
+        session_trials = harness.trials_run - before
+        slice_trials = max(1, session_trials // 3)
         session = Autotuner(program, harness, TUNE_SETTINGS).session(
-            seed_configs=tuple(tuned.bin_configs.values()))
+            seed_configs=seeds)
         slice_times = []
         while not session.done:
             start = time.perf_counter()
-            session.step(SLICE_TRIALS)
+            session.step(slice_trials)
             slice_times.append(time.perf_counter() - start)
         rows.append({
             "bench": "adaptive", "metric": "retune_slice",
-            "slice_trials": SLICE_TRIALS,
+            "slice_trials": slice_trials,
             "slices": len(slice_times),
             "p50_ms": round(float(np.median(slice_times)) * 1e3, 3),
             "max_ms": round(max(slice_times) * 1e3, 3),
-            "total_trials": session.result().trials_run,
+            "session_trials": session_trials,
         })
 
         # 3. Hot-swap latency (and correctness of the swapped engine).

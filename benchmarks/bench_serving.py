@@ -37,7 +37,6 @@ from repro.serving import (
     FrontDoor,
     ServeRequest,
     ServingEngine,
-    ServingTelemetry,
     TunedArtifact,
     latency_summary,
 )
@@ -99,11 +98,9 @@ def test_serving_throughput(benchmark):
                                    batch_size=batch_size) as engine:
                     engine.register("poisson", tuned)
                     engine.serve(requests[:2])  # warm worker pools
-                    engine.reset_stats()
                     start = time.perf_counter()
                     responses = engine.serve(requests)
                     elapsed = time.perf_counter() - start
-                    stats = engine.stats()
                 key = [(r.ok, r.bin_target, r.escalations,
                         repr(r.outputs) if r.ok else None)
                        for r in responses]
@@ -112,8 +109,9 @@ def test_serving_throughput(benchmark):
                 assert key == reference, \
                     f"{backend_name}/batch={batch_size} diverged " \
                     f"from the serial reference"
-                assert stats.requests == len(requests)
-                assert stats.fallbacks > 0  # the 9.99 requests
+                fallbacks = sum(r.fallback for r in responses)
+                assert len(responses) == REQUEST_COUNT
+                assert fallbacks > 0  # the 9.99 requests
                 rows.append({
                     "bench": "serving",
                     "program": "poisson",
@@ -121,11 +119,9 @@ def test_serving_throughput(benchmark):
                     "batch_size": batch_size,
                     "requests": len(requests),
                     "throughput_rps": round(len(requests) / elapsed, 2),
-                    "escalations": stats.escalations,
-                    "fallbacks": stats.fallbacks,
-                    "errors": stats.errors,
-                    "p50_latency_ms": round(stats.p50_latency * 1e3, 3),
-                    "p95_latency_ms": round(stats.p95_latency * 1e3, 3),
+                    "escalations": sum(r.escalations for r in responses),
+                    "fallbacks": fallbacks,
+                    "errors": sum(not r.ok for r in responses),
                 })
         return rows
 
@@ -135,7 +131,8 @@ def test_serving_throughput(benchmark):
     for row in rows:
         print(f"  {row['backend']:>8}/batch={row['batch_size']:<4} "
               f"{row['throughput_rps']:8.1f} req/s  "
-              f"p95 {row['p95_latency_ms']:.2f}ms")
+              f"{row['escalations']} escalations, "
+              f"{row['fallbacks']} fallbacks")
         print("BENCH_JSON " + json.dumps(row, sort_keys=True))
     assert all(row["throughput_rps"] > 0 for row in rows)
 
@@ -185,7 +182,6 @@ def _step_load(tuned, requests):
     with ServingEngine() as engine:
         engine.register("poisson", tuned)
         engine.serve(requests[:2])  # warm caches outside the clock
-        engine.reset_stats()
         latencies = []
         start = time.perf_counter()
         for request in requests:
@@ -213,8 +209,7 @@ def _step_load(tuned, requests):
         stats = door.stats()
     sharded_rps = count / elapsed
     assert stats.completed == count
-    assert sum(r.ok for r in responses) \
-        == sum(s.served for s in stats.shard_stats)
+    assert sum(r.ok for r in responses) == stats.served
     sharded_p95 = stats.p95_latency
     rows.append({"bench": "frontdoor", "phase": "sharded_dump",
                  "shards": stats.shards, "requests": count,
@@ -282,21 +277,20 @@ def _step_load(tuned, requests):
                  "shed_level": stats.shed_level})
 
     # -- Phase 4: force the shed controller with a tight p95 budget ---
-    telemetry = ServingTelemetry()
     shed_policy = SheddingPolicy(p95_budget=single_p95 / 4)
     with FrontDoor.build("async:2x1", shard_backend="serial",
-                         shedding=shed_policy,
-                         telemetry=telemetry) as door:
+                         shedding=shed_policy) as door:
         door.register("poisson", tuned)
         # Closed loop: the first completion primes the controller's
         # latency window, every later admission sees p95 over budget.
-        for request in requests:
-            door.submit(request).result(60.0)
+        responses = [door.submit(request).result(60.0)
+                     for request in requests]
         stats = door.stats()
-    snapshot = telemetry.shedding("poisson")
     assert stats.completed == count
     assert stats.degraded > 0, "tight p95 budget never shed accuracy"
-    assert snapshot.degraded == stats.degraded
+    # No deadline and a closed loop: every degraded request was served
+    # and says so on its response.
+    assert stats.degraded == sum(r.degraded > 0 for r in responses)
     rows.append({"bench": "frontdoor", "phase": "forced_shed",
                  "shards": stats.shards, "requests": count,
                  "p50_latency_ms": round(stats.p50_latency * 1e3, 3),

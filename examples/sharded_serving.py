@@ -11,12 +11,14 @@ benchmark:
 2. stand up a `Service` whose policy names an `"async:2x1"` backend —
    a `FrontDoor` of two engine shards with bounded queues, a
    per-request deadline, and shedding watermarks — and serve a calm
-   batch: every response arrives at its nominal bin, `degraded == 0`;
-3. overload the tier with a tight p95 budget: the admission
-   controller's shed level climbs, new traffic is routed to cheaper
-   bins (never below a request's `floor`), and every degraded
-   response says so — telemetry's `SheddingSnapshot` totals what the
-   tier did, and `submitted == completed + rejected + expired` holds.
+   stream: every response arrives at its nominal bin, `degraded == 0`,
+   and the tier measures its own p50 latency;
+3. overload the tier with a p95 budget of half that measured p50, so
+   it sheds on any host: the admission controller's shed level
+   climbs, new traffic is routed to cheaper bins (never below a
+   request's `floor`), and every degraded response says so —
+   `service.stats()` totals what the tier did, and
+   `submitted == completed + rejected + expired` holds.
 
 Run:  python examples/sharded_serving.py
 """
@@ -46,24 +48,27 @@ def requests_for(service, count: int, *, verify_every: int = 4):
             for i in range(count)]
 
 
-def calm_traffic(root: str) -> None:
+def calm_traffic(root: str) -> float:
+    """Serve a calm stream; return its measured p50 latency."""
     policy = ServicePolicy(backend="async:2x1", shard_backend="serial",
                            deadline=5.0)
     with Service.load(root, program="poisson", policy=policy) as service:
-        responses = service.serve(requests_for(service, 12))
+        responses = [service.serve_one(request)
+                     for request in requests_for(service, 12)]
         assert all(r.degraded == 0 for r in responses)
         stats = service.stats()
         print(f"\ncalm: {stats}")
         print(f"  all {stats.completed} at nominal bins "
               f"(shed level {stats.shed_level})")
+    return stats.p50_latency
 
 
-def overloaded_traffic(root: str) -> None:
-    # A deliberately tight p95 budget stands in for real queue
-    # pressure: as soon as observed latency crosses it, the admission
-    # controller starts routing traffic to cheaper bins.
+def overloaded_traffic(root: str, calm_p50: float) -> None:
+    # A p95 budget below what this host just measured stands in for
+    # real queue pressure: as soon as observed latency crosses it, the
+    # admission controller starts routing traffic to cheaper bins.
     policy = ServicePolicy(backend="async:2x1", shard_backend="serial",
-                           deadline=0.010, queue_limit=64)
+                           deadline=calm_p50 / 2, queue_limit=64)
     with Service.load(root, program="poisson", policy=policy) as service:
         responses = [service.serve_one(request)
                      for request in requests_for(service, 12)]
@@ -76,11 +81,13 @@ def overloaded_traffic(root: str) -> None:
                 ("refused" if response.outputs is None else "failed")
             print(f"  bin {label:>4} {state:>8}  {note}")
         stats = service.stats()
-        shed = service.telemetry.shedding("poisson")
-        print(f"overloaded: {stats}")
-        print(f"  {shed}")
+        print(f"overloaded (budget {calm_p50 / 2 * 1e3:.2f}ms): {stats}")
+        print(f"  {stats.degraded} degraded ({stats.degrade_steps} bin "
+              f"steps), {stats.rejected} rejected, "
+              f"{stats.expired} expired")
         assert stats.completed + stats.rejected + stats.expired \
             == stats.submitted
+        assert stats.degraded > 0, "the tight budget never shed"
         degraded = sum(1 for r in responses if r.degraded)
         print(f"  {degraded} of {len(responses)} requests served "
               f"cheaper instead of dropped")
@@ -89,8 +96,7 @@ def overloaded_traffic(root: str) -> None:
 def main():
     with tempfile.TemporaryDirectory() as root:
         tune_and_deploy(root)
-        calm_traffic(root)
-        overloaded_traffic(root)
+        overloaded_traffic(root, calm_traffic(root))
 
 
 if __name__ == "__main__":

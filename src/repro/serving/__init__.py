@@ -34,7 +34,6 @@ from repro.serving.engine import (
     ServeRequest,
     ServeResponse,
     ServingEngine,
-    ServingStats,
     ShadowStatus,
 )
 from repro.serving.frontdoor import FrontDoor, FrontDoorStats
@@ -44,9 +43,7 @@ from repro.serving.telemetry import (
     DriftDetector,
     DriftEvent,
     ServingTelemetry,
-    SheddingSnapshot,
     latency_summary,
-    percentile,
 )
 
 __all__ = [
@@ -59,18 +56,15 @@ __all__ = [
     "DEFAULT_TAG",
     "ServeRequest",
     "ServeResponse",
-    "ServingStats",
     "ShadowStatus",
     "ServingEngine",
     "FrontDoor",
     "FrontDoorStats",
     "ServingTelemetry",
     "BinSnapshot",
-    "SheddingSnapshot",
     "DriftDetector",
     "DriftEvent",
     "RetuneController",
     "RetuneStatus",
-    "percentile",
     "latency_summary",
 ]

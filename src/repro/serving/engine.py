@@ -20,16 +20,19 @@ synchronous call; this module does it for *traffic*:
 * each :class:`ServeResponse` carries the outputs, the chosen bin, the
   achieved accuracy, the bin's training-time statistical guarantee,
   an explicit ``fallback`` flag when no bin satisfied the request
-  (never a silent degradation), the escalation count, and latency.
+  (never a silent degradation), and the escalation count; the front
+  door stamps its latency.
 
 Bin decisions are made by :mod:`repro.runtime.policy` — the same pure
 functions the single-call path uses — so a served response chooses the
 exact bin ``TunedProgram.run`` would.
 
-The engine keeps counters (requests, escalations, fallbacks, errors,
-executions) and a bounded latency reservoir; :meth:`ServingEngine.
-stats` snapshots them with p50/p95 latency for dashboards and the
-serving benchmark.
+The engine counts only what it alone sees — backend executions, fused
+stacked calls, shadow executions and swaps — and :meth:`ServingEngine.
+counters` snapshots them.  Per-request outcomes (served, errors,
+escalations, fallbacks) and latency are counted by the front door
+every engine serves behind (:class:`~repro.serving.frontdoor.
+FrontDoorStats`).
 """
 
 from __future__ import annotations
@@ -51,16 +54,13 @@ from repro.runtime.executor import TunedProgram
 from repro.runtime.guarantees import StatisticalGuarantee
 from repro.runtime.policy import plan_request
 from repro.serving.store import DEFAULT_TAG, ArtifactStore
-from repro.serving.telemetry import ServingTelemetry, latency_summary
+from repro.serving.telemetry import ServingTelemetry
 
-__all__ = ["ServeRequest", "ServeResponse", "ServingStats",
-           "ShadowStatus", "ServingEngine"]
+__all__ = ["ServeRequest", "ServeResponse", "ShadowStatus",
+           "ServingEngine"]
 
 #: Default number of requests dispatched per backend batch.
 DEFAULT_BATCH_SIZE = 64
-
-#: Default bound on the latency reservoir behind p50/p95.
-DEFAULT_LATENCY_WINDOW = 4096
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,12 @@ class ServeRequest:
 class ServeResponse:
     """What the engine returns for one request.
 
-    ``degraded`` is stamped by the front door's shedding controller:
-    the number of bins this request was shed below its nominal choice
+    ``latency`` and ``degraded`` are stamped by the front door.
+    ``latency`` is seconds from admission to response, queueing
+    included — the one request latency, and the sample behind
+    :class:`~repro.serving.frontdoor.FrontDoorStats` percentiles (0.0
+    on the direct engine path).  ``degraded`` is the number of bins
+    the shedding controller shed this request below its nominal choice
     before execution (0 on the direct engine path and at shed level
     0), so degraded-but-served traffic is observable per response,
     never silent.
@@ -113,44 +117,6 @@ class ServeResponse:
     latency: float = 0.0
     error: str | None = None
     degraded: int = 0
-
-
-@dataclass(frozen=True)
-class ServingStats:
-    """Point-in-time snapshot of one engine's counters."""
-
-    requests: int
-    served: int
-    errors: int
-    escalations: int
-    fallbacks: int
-    executions: int
-    p50_latency: float
-    p95_latency: float
-    backend: str
-    #: Nearest-rank p99 over the same latency window; 0.0 while the
-    #: window is empty (a shard that has not completed a request yet).
-    p99_latency: float = 0.0
-    shadow_executions: int = 0
-    swaps: int = 0
-    #: Fused stacked executions (and the requests they covered) — see
-    #: :mod:`repro.runtime.batching`.
-    stacked_calls: int = 0
-    stacked_requests: int = 0
-
-    def __str__(self) -> str:
-        return (f"{self.requests} requests ({self.served} ok, "
-                f"{self.errors} errors) via {self.backend}: "
-                f"{self.escalations} escalations, "
-                f"{self.fallbacks} fallbacks, "
-                f"{self.executions} executions "
-                f"(+{self.shadow_executions} shadow), "
-                f"{self.stacked_requests} stacked into "
-                f"{self.stacked_calls} fused calls, "
-                f"{self.swaps} swaps, "
-                f"p50 {self.p50_latency * 1e3:.2f}ms, "
-                f"p95 {self.p95_latency * 1e3:.2f}ms, "
-                f"p99 {self.p99_latency * 1e3:.2f}ms")
 
 
 @dataclass(frozen=True)
@@ -212,7 +178,6 @@ class _Pending:
     required: float
     fallback: bool
     pos: int = 0
-    latency: float = 0.0
     last_accuracy: float | None = None
 
     @property
@@ -231,7 +196,7 @@ class ServingEngine:
 
     With ``telemetry`` attached, every settled response is folded into
     per-bin rolling windows (achieved accuracy, escalations,
-    fallbacks, latency) — the observability layer drift detection and
+    fallbacks) — the observability layer drift detection and
     background retuning build on.  :meth:`hot_swap` atomically
     replaces a served program, and :meth:`start_shadow` runs a
     candidate on a sampled fraction of live traffic without exposing
@@ -242,7 +207,6 @@ class ServingEngine:
                  store: ArtifactStore | None = None,
                  backend: ExecutionBackend | None = None,
                  batch_size: int = DEFAULT_BATCH_SIZE,
-                 latency_window: int = DEFAULT_LATENCY_WINDOW,
                  telemetry: ServingTelemetry | None = None,
                  stacking: bool = True):
         if batch_size < 1:
@@ -259,14 +223,11 @@ class ServingEngine:
         self._programs: dict[str, TunedProgram] = {}
         self._digests: dict[tuple[str, float], str] = {}
         self._shadows: dict[str, _ShadowState] = {}
-        # guards: _programs, _digests, _shadows, _counters, _latencies
+        # guards: _programs, _digests, _shadows, _counters
         self._lock = threading.Lock()
-        self._counters = {"requests": 0, "served": 0, "errors": 0,
-                          "escalations": 0, "fallbacks": 0,
-                          "executions": 0, "shadow_executions": 0,
-                          "swaps": 0, "stacked_calls": 0,
-                          "stacked_requests": 0}
-        self._latencies: deque[float] = deque(maxlen=latency_window)
+        self._counters = {"executions": 0, "stacked_calls": 0,
+                          "stacked_requests": 0,
+                          "shadow_executions": 0, "swaps": 0}
 
     # ------------------------------------------------------------------
     # Program registry
@@ -459,16 +420,13 @@ class ServingEngine:
         """Serve a batch; responses align positionally with requests."""
         responses: list[ServeResponse | None] = [None] * len(requests)
         pending: list[_Pending] = []
-        with self._lock:
-            self._counters["requests"] += len(requests)
         buffer: list | None = [] if self.telemetry is not None else None
         for index, request in enumerate(requests):
             try:
                 tuned = self.program_for(request.program)
             except ReproError as exc:
                 responses[index] = self._finish_error(
-                    request, None, 0, 0.0, None, str(exc),
-                    buffer=buffer)
+                    request, None, 0, None, str(exc), buffer=buffer)
                 continue
             plan = plan_request(tuned.bins, tuned.metric,
                                 accuracy=request.accuracy)
@@ -518,7 +476,6 @@ class ServingEngine:
                     for key, increment in stacked_counters.items():
                         self._counters[key] += increment
                 for entry, outcome in zip(chunk, outcomes):
-                    entry.latency += outcome.wall_time
                     entry.last_accuracy = (None if outcome.failed
                                            else outcome.accuracy)
                     if self._settle(entry, outcome, responses,
@@ -557,8 +514,7 @@ class ServingEngine:
             cause = (f" ({outcome.error})"
                      if outcome.error is not None else "")
             responses[entry.index] = self._finish_error(
-                request, entry.target, entry.pos, entry.latency,
-                entry.tuned,
+                request, entry.target, entry.pos, entry.tuned,
                 f"execution failed at bin {entry.target:g}{cause}",
                 fallback=entry.fallback, buffer=buffer)
             return True
@@ -574,7 +530,7 @@ class ServingEngine:
         if entry.pos + 1 < len(entry.ladder):
             return False  # climb to the next, more accurate bin
         responses[entry.index] = self._finish_error(
-            request, entry.target, entry.pos, entry.latency, entry.tuned,
+            request, entry.target, entry.pos, entry.tuned,
             f"verify_accuracy failed: required {entry.required:g}, best "
             f"achieved {entry.last_accuracy!r} after trying bins "
             f"{list(entry.ladder)}",
@@ -585,42 +541,26 @@ class ServingEngine:
     def _finish_ok(self, entry: _Pending, outcome,
                    buffer: list | None = None) -> ServeResponse:
         request = entry.request
-        with self._lock:
-            self._counters["served"] += 1
-            self._counters["escalations"] += entry.pos
-            if entry.fallback:
-                self._counters["fallbacks"] += 1
-            self._latencies.append(entry.latency)
         if buffer is not None:
             buffer.append((request.program, entry.target, True,
-                           outcome.accuracy, entry.pos, entry.fallback,
-                           entry.latency))
+                           outcome.accuracy, entry.pos, entry.fallback))
         return ServeResponse(
             program=request.program, ok=True, outputs=outcome.outputs,
             bin_target=entry.target,
             requested_accuracy=request.accuracy,
             achieved_accuracy=outcome.accuracy,
             guarantee=entry.tuned.guarantee_for(entry.target),
-            fallback=entry.fallback, escalations=entry.pos,
-            latency=entry.latency)
+            fallback=entry.fallback, escalations=entry.pos)
 
     def _finish_error(self, request: ServeRequest,
                       bin_target: float | None, escalations: int,
-                      latency: float, tuned: TunedProgram | None,
-                      message: str,
+                      tuned: TunedProgram | None, message: str,
                       achieved: float | None = None,
                       fallback: bool = False,
                       buffer: list | None = None) -> ServeResponse:
-        with self._lock:
-            self._counters["errors"] += 1
-            self._counters["escalations"] += escalations
-            if fallback:
-                self._counters["fallbacks"] += 1
-            if latency:
-                self._latencies.append(latency)
         if buffer is not None:
             buffer.append((request.program, bin_target, False,
-                           achieved, escalations, fallback, latency))
+                           achieved, escalations, fallback))
         guarantee = (tuned.guarantee_for(bin_target)
                      if tuned is not None and bin_target is not None
                      else None)
@@ -629,35 +569,17 @@ class ServingEngine:
             bin_target=bin_target,
             requested_accuracy=request.accuracy,
             achieved_accuracy=achieved, guarantee=guarantee,
-            fallback=fallback, escalations=escalations,
-            latency=latency, error=message)
+            fallback=fallback, escalations=escalations, error=message)
 
     # ------------------------------------------------------------------
-    # Stats & lifecycle
+    # Counters & lifecycle
     # ------------------------------------------------------------------
-    def stats(self) -> ServingStats:
+    def counters(self) -> dict[str, int]:
+        """Snapshot of what only the engine sees: ``executions``,
+        ``stacked_calls``, ``stacked_requests``, ``shadow_executions``
+        and ``swaps``."""
         with self._lock:
-            counters = dict(self._counters)
-            latencies = list(self._latencies)
-        p50, p95, p99 = latency_summary(latencies)
-        return ServingStats(
-            requests=counters["requests"], served=counters["served"],
-            errors=counters["errors"],
-            escalations=counters["escalations"],
-            fallbacks=counters["fallbacks"],
-            executions=counters["executions"],
-            p50_latency=p50, p95_latency=p95, p99_latency=p99,
-            backend=self.backend.name,
-            shadow_executions=counters["shadow_executions"],
-            swaps=counters["swaps"],
-            stacked_calls=counters["stacked_calls"],
-            stacked_requests=counters["stacked_requests"])
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            for key in self._counters:
-                self._counters[key] = 0
-            self._latencies.clear()
+            return dict(self._counters)
 
     def close(self) -> None:
         self.backend.close()

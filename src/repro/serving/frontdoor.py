@@ -28,12 +28,14 @@ under overload the front door sheds **accuracy instead of requests**:
   ``submitted == completed + rejected + expired + queued`` holds in
   every snapshot.
 
-Telemetry records the realized accuracy of degraded traffic in the
-cheaper bin's rolling window (where the
-:class:`~repro.serving.telemetry.DriftDetector` already watches it)
-plus lifetime shed/degrade counters per program
-(:class:`~repro.serving.telemetry.SheddingSnapshot`), so the adaptive
-layer sees the *true* served distribution.
+:class:`FrontDoorStats` is the one serving snapshot: the front door
+counts every resolved request's outcome and stamps its latency
+(``ServeResponse.latency``, admission to response), and sums the
+engine-only counters over shards.  Telemetry records the realized
+accuracy of degraded traffic in the cheaper bin's rolling window
+(where the :class:`~repro.serving.telemetry.DriftDetector` already
+watches it), so the adaptive layer sees the *true* served
+distribution.
 
 Internally the front door is one lock and one plain thread per shard.
 Admission runs on the caller's thread under the lock; each shard's
@@ -48,7 +50,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.errors import ConfigError, ReproError
@@ -68,7 +70,6 @@ from repro.serving.engine import (
     ServeRequest,
     ServeResponse,
     ServingEngine,
-    ServingStats,
 )
 from repro.serving.store import DEFAULT_TAG, ArtifactStore
 from repro.serving.telemetry import ServingTelemetry, latency_summary
@@ -83,7 +84,7 @@ DEFAULT_QUEUE_LIMIT = 256
 #: overload, not a long healthy history.
 RECENT_WINDOW = 128
 
-#: Bound on the end-to-end latency reservoir behind stats().
+#: Bound on the latency reservoir behind stats().
 LATENCY_WINDOW = 4096
 
 
@@ -98,27 +99,23 @@ class _Item:
     future: "Future[ServeResponse]"
 
 
-def _shard_sum(name: str) -> property:
-    """A :class:`FrontDoorStats` property summing one engine counter
-    over every shard."""
-    return property(
-        lambda self: sum(getattr(s, name) for s in self.shard_stats),
-        doc=f"``{name}`` summed over every shard engine.")
-
-
 @dataclass(frozen=True)
 class FrontDoorStats:
-    """Point-in-time snapshot of the tier.
+    """Point-in-time snapshot of the tier: the one serving stats type.
 
     The front door's own counters are read in one critical section, so
-    ``submitted == completed + rejected + expired + queued`` holds in
-    every snapshot; ``queued`` counts admitted requests not yet
-    resolved, including batches in execution.  ``shard_stats`` carries
-    each shard engine's own
-    :class:`~repro.serving.engine.ServingStats`; the aggregate
-    properties sum them.  Latency percentiles here are *end-to-end*
-    (admission to response, queueing included) — each shard's own
-    stats keep the execution-only view.
+    ``submitted == completed + rejected + expired + queued`` and
+    ``requests == served + errors == completed`` hold in every
+    snapshot; ``queued`` counts admitted requests not yet resolved,
+    including batches in execution.  ``served``, ``errors``,
+    ``escalations`` and ``fallbacks`` are counted from the responses of
+    executed batches (a raising shard's refusals are errors); rejected
+    and expired requests count only in their own fields.
+    ``executions``, ``stacked_calls``, ``stacked_requests``,
+    ``shadow_executions`` and ``swaps`` are the shard engines'
+    :meth:`~repro.serving.engine.ServingEngine.counters`, summed.
+    Latency percentiles run over the ``ServeResponse.latency`` of
+    completed requests: admission to response, queueing included.
     """
 
     shards: int
@@ -130,31 +127,41 @@ class FrontDoorStats:
     degrade_steps: int
     shed_level: int
     queued: int
+    served: int
+    errors: int
+    escalations: int
+    fallbacks: int
+    executions: int
+    stacked_calls: int
+    stacked_requests: int
+    shadow_executions: int
+    swaps: int
     p50_latency: float
     p95_latency: float
     p99_latency: float
-    shard_stats: tuple[ServingStats, ...] = field(default_factory=tuple)
 
-    requests = _shard_sum("requests")
-    served = _shard_sum("served")
-    errors = _shard_sum("errors")
-    escalations = _shard_sum("escalations")
-    fallbacks = _shard_sum("fallbacks")
-    executions = _shard_sum("executions")
-    swaps = _shard_sum("swaps")
-    stacked_calls = _shard_sum("stacked_calls")
-    stacked_requests = _shard_sum("stacked_requests")
+    @property
+    def requests(self) -> int:
+        """Requests the shard engines answered: ``served + errors``."""
+        return self.served + self.errors
 
     def __str__(self) -> str:
         return (f"{self.submitted} submitted across {self.shards} "
-                f"shards ({self.completed} completed, "
-                f"{self.rejected} rejected, {self.expired} expired), "
+                f"shards ({self.completed} completed: {self.served} ok, "
+                f"{self.errors} errors; {self.rejected} rejected, "
+                f"{self.expired} expired), "
+                f"{self.escalations} escalations, "
+                f"{self.fallbacks} fallbacks, "
+                f"{self.executions} executions "
+                f"(+{self.shadow_executions} shadow), "
+                f"{self.stacked_requests} stacked into "
+                f"{self.stacked_calls} fused calls, {self.swaps} swaps, "
                 f"{self.degraded} degraded by {self.degrade_steps} "
                 f"bin-steps, shed level {self.shed_level}, "
                 f"{self.queued} queued, "
                 f"p50 {self.p50_latency * 1e3:.2f}ms, "
                 f"p95 {self.p95_latency * 1e3:.2f}ms, "
-                f"p99 {self.p99_latency * 1e3:.2f}ms end-to-end")
+                f"p99 {self.p99_latency * 1e3:.2f}ms")
 
 
 class FrontDoor:
@@ -183,8 +190,7 @@ class FrontDoor:
                  max_batch: int = DEFAULT_BATCH_SIZE,
                  batch_window: float = 0.0,
                  deadline: float | None = None,
-                 shedding: SheddingPolicy | None = None,
-                 telemetry: ServingTelemetry | None = None):
+                 shedding: SheddingPolicy | None = None):
         engines = list(engines)
         if not engines:
             raise ConfigError("a front door needs at least one shard "
@@ -203,7 +209,6 @@ class FrontDoor:
         self.batch_window = batch_window
         self.deadline = deadline
         self.shedding = shedding
-        self.telemetry = telemetry
 
         # One lock guards every queue and counter; each shard's worker
         # sleeps on its own condition of that lock.
@@ -218,6 +223,10 @@ class FrontDoor:
         self._expired = 0
         self._degraded = 0
         self._degrade_steps = 0
+        self._served = 0
+        self._errors = 0
+        self._escalations = 0
+        self._fallbacks = 0
         self._executing = 0              # drained, not yet resolved
         self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._recent: deque[float] = deque(maxlen=RECENT_WINDOW)
@@ -263,7 +272,7 @@ class FrontDoor:
                                  telemetry=telemetry)
                    for _ in range(plan.shards)]
         kwargs.setdefault("max_batch", batch_size)
-        return cls(engines, telemetry=telemetry, **kwargs)
+        return cls(engines, **kwargs)
 
     # ------------------------------------------------------------------
     # Program registry passthroughs (fan out to every shard)
@@ -365,9 +374,6 @@ class FrontDoor:
         shard = self._pick_shard()
         if shard is None:
             self._rejected += 1
-            if self.telemetry is not None:
-                self.telemetry.record_shedding(request.program,
-                                               rejected=1)
             refused.append((future, _refusal(
                 request, "rejected: all shard queues full")))
             return None
@@ -395,9 +401,6 @@ class FrontDoor:
             return request, 0
         self._degraded += 1
         self._degrade_steps += decision.steps
-        if self.telemetry is not None:
-            self.telemetry.record_shedding(request.program, degraded=1,
-                                           steps=decision.steps)
         return (replace(request, accuracy=decision.target),
                 decision.steps)
 
@@ -439,9 +442,16 @@ class FrontDoor:
             with self._lock:
                 for item, response in zip(live, responses):
                     response.degraded = item.degraded
-                    elapsed = done - item.arrival
-                    self._latencies.append(elapsed)
-                    self._recent.append(elapsed)
+                    response.latency = done - item.arrival
+                    self._latencies.append(response.latency)
+                    self._recent.append(response.latency)
+                    if response.ok:
+                        self._served += 1
+                    else:
+                        self._errors += 1
+                    self._escalations += response.escalations
+                    if response.fallback:
+                        self._fallbacks += 1
                 self._completed += len(live)
                 self._executing -= len(live)
             for item, response in zip(live, responses):
@@ -481,13 +491,13 @@ class FrontDoor:
                 live.append(item)
                 continue
             self._expired += 1
-            if self.telemetry is not None:
-                self.telemetry.record_shedding(item.request.program,
-                                               expired=1)
-            expired.append((item.future, _refusal(
+            waited = now - item.arrival
+            refusal = _refusal(
                 item.request,
-                f"deadline expired after {now - item.arrival:.3f}s in "
-                f"queue (deadline {self.deadline:g}s)")))
+                f"deadline expired after {waited:.3f}s in queue "
+                f"(deadline {self.deadline:g}s)")
+            refusal.latency = waited
+            expired.append((item.future, refusal))
         self._executing += len(live)
         return live
 
@@ -502,15 +512,19 @@ class FrontDoor:
                 degraded=self._degraded,
                 degrade_steps=self._degrade_steps,
                 shed_level=self._shed_level,
+                served=self._served, errors=self._errors,
+                escalations=self._escalations,
+                fallbacks=self._fallbacks,
                 queued=(sum(len(queue) for queue in self._queues)
                         + self._executing))
             latencies = list(self._latencies)
         p50, p95, p99 = latency_summary(latencies)
+        shard_counters = [engine.counters() for engine in self._engines]
+        for key in shard_counters[0]:
+            counters[key] = sum(c[key] for c in shard_counters)
         return FrontDoorStats(
             shards=len(self._engines), **counters,
-            p50_latency=p50, p95_latency=p95, p99_latency=p99,
-            shard_stats=tuple(engine.stats()
-                              for engine in self._engines))
+            p50_latency=p50, p95_latency=p95, p99_latency=p99)
 
     def close(self) -> None:
         """Serve queued traffic, stop the workers, close every shard.

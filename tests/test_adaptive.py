@@ -193,7 +193,7 @@ class TestAdaptiveLoop:
         assert any("promoted" in action for action in actions)
         assert controller.status() == {}
         assert store.latest_version("adaptmean") == 2
-        assert engine.stats().swaps == 1
+        assert engine.counters()["swaps"] == 1
         assert engine.program_for("adaptmean") is not baseline
         assert engine.shadow_status("adaptmean") is None
 
@@ -236,7 +236,7 @@ class TestAdaptiveLoop:
         assert store.latest_version("adaptmean") == 1
         assert store.versions("adaptmean") == [1, 2]
         assert engine.program_for("adaptmean") is baseline
-        assert engine.stats().swaps == 0
+        assert engine.counters()["swaps"] == 0
         assert engine.shadow_status("adaptmean") is None
         # The program is suspended until an operator clears it.
         assert controller.suspended == ("adaptmean",)

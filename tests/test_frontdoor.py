@@ -16,12 +16,15 @@ Five contracts are enforced here:
 * **Accuracy shedding** — under a forced shed level, traffic is routed
   to cheaper bins in cost order, stamped ``degraded``, and never below
   a request's floor bin.
-* **Empty-window stats** — a shard that has not completed a request
-  yet reports zeros, not a crash.
+* **One snapshot, one latency** — ``FrontDoorStats`` counts every
+  resolved request (``requests == served + errors == completed``), and
+  its percentiles are exactly those of the ``ServeResponse.latency``
+  it stamps; a front door that has not completed a request yet
+  reports zeros, not a crash.
 
 A Hypothesis state machine then drives random interleavings of
 submits, sync serves, held shards, stats and close, checking the
-refusal accounting in every step.
+refusal and outcome accounting in every step.
 """
 
 from __future__ import annotations
@@ -52,8 +55,6 @@ from repro.serving import (
     ServeRequest,
     ServeResponse,
     ServingEngine,
-    ServingStats,
-    ServingTelemetry,
     latency_summary,
 )
 
@@ -83,6 +84,7 @@ class GateEngine:
         self.gate = threading.Event()
         self.started = threading.Event()
         self.batches: list[list[ServeRequest]] = []
+        self.executions = 0
         self.delay = delay
         if open_gate:
             self.gate.set()
@@ -92,6 +94,7 @@ class GateEngine:
         assert self.gate.wait(10.0), "test gate never released"
         time.sleep(self.delay)
         self.batches.append(list(requests))
+        self.executions += len(requests)
         return [ServeResponse(
             program=request.program, ok=True, outputs={"est": 1.0},
             bin_target=request.accuracy, requested_accuracy=request.accuracy,
@@ -105,11 +108,10 @@ class GateEngine:
     def programs(self):
         return ("fake",)
 
-    def stats(self):
-        return ServingStats(requests=0, served=0, errors=0,
-                            escalations=0, fallbacks=0, executions=0,
-                            p50_latency=0.0, p95_latency=0.0,
-                            backend="fake")
+    def counters(self):
+        return {"executions": self.executions, "stacked_calls": 0,
+                "stacked_requests": 0, "shadow_executions": 0,
+                "swaps": 0}
 
     def close(self):
         pass
@@ -153,7 +155,7 @@ class TestFrontDoorEquivalence:
         with ServingEngine() as engine:
             engine.register("pickmean", tuned)
             direct = engine.serve(requests)
-            reference = engine.stats()
+            reference = engine.counters()
         with FrontDoor.build(f"async:{shards}x1", shard_backend="serial",
                              shedding=None) as door:
             door.register("pickmean", tuned)
@@ -171,8 +173,8 @@ class TestFrontDoorEquivalence:
             if mine.ok:
                 assert mine.outputs["est"] == theirs.outputs["est"]
             assert mine.degraded == 0
-        assert stats.executions == reference.executions
-        assert stats.stacked_calls == reference.stacked_calls
+        assert stats.executions == reference["executions"]
+        assert stats.stacked_calls == reference["stacked_calls"]
 
         # Full accounting: every request completed, nothing refused.
         assert stats.shards == shards
@@ -180,15 +182,19 @@ class TestFrontDoorEquivalence:
         assert stats.completed == 104
         assert stats.rejected == stats.expired == 0
         assert stats.shed_level == 0 and stats.degraded == 0
-        # The tier's aggregate matches what its shards served.
+        # The tier counts every response its shards answered.
         assert stats.requests == stats.served + stats.errors == 104
+        assert stats.served == sum(r.ok for r in direct)
+        assert stats.escalations == sum(r.escalations for r in direct)
+        assert stats.fallbacks == sum(r.fallback for r in direct)
 
     def test_low_load_spreads_across_shards(self, tuned):
         with FrontDoor.build("async:2x1", shard_backend="serial",
                              shedding=None) as door:
             door.register("pickmean", tuned)
             door.serve(mixed_requests(16))
-            per_shard = [s.requests for s in door.stats().shard_stats]
+            per_shard = [engine.counters()["executions"]
+                         for engine in door.shard_engines]
         assert all(count > 0 for count in per_shard)
 
 
@@ -235,9 +241,7 @@ class TestBuild:
 class TestRefusalAccounting:
     def test_deadline_expiry_is_explicit(self):
         engine = GateEngine()
-        telemetry = ServingTelemetry()
-        door = FrontDoor([engine], deadline=0.05, shedding=None,
-                         telemetry=telemetry)
+        door = FrontDoor([engine], deadline=0.05, shedding=None)
         try:
             # First request drains immediately and blocks the shard;
             # the second waits in queue past its deadline.
@@ -252,21 +256,20 @@ class TestRefusalAccounting:
             assert not refused.ok
             assert "deadline expired" in refused.error
             assert refused.outputs is None
+            assert refused.latency >= 0.05  # its time in the queue
 
             stats = door.stats()
             assert stats.submitted == 2
             assert stats.completed == 1
             assert stats.expired == 1
             assert stats.rejected == 0
-            assert telemetry.shedding("fake").expired == 1
+            assert stats.requests == stats.served == 1
         finally:
             door.close()
 
     def test_full_queues_reject(self):
         engine = GateEngine()
-        telemetry = ServingTelemetry()
-        door = FrontDoor([engine], queue_limit=2, shedding=None,
-                         telemetry=telemetry)
+        door = FrontDoor([engine], queue_limit=2, shedding=None)
         try:
             in_flight = door.submit(fake_request())
             assert engine.started.wait(5.0)
@@ -287,7 +290,7 @@ class TestRefusalAccounting:
             assert stats.rejected == 1
             assert stats.completed + stats.rejected + stats.expired \
                 == stats.submitted
-            assert telemetry.shedding("fake").rejected == 1
+            assert stats.requests == stats.served == 3
         finally:
             door.close()
 
@@ -394,6 +397,8 @@ class TestShardFailure:
             stats = door.stats()
             assert stats.submitted == stats.completed == 4
             assert stats.queued == 0
+            # The crashed batch's refusal is an error, not a gap.
+            assert (stats.served, stats.errors) == (3, 1)
         finally:
             door.close()
 
@@ -441,9 +446,7 @@ def always_hot(max_level):
 class TestShedding:
     def test_degrades_in_cost_order_and_stamps_responses(self):
         engine = GateEngine(open_gate=True)
-        telemetry = ServingTelemetry()
-        door = FrontDoor([engine], shedding=always_hot(2),
-                         telemetry=telemetry)
+        door = FrontDoor([engine], shedding=always_hot(2))
         try:
             responses = [door.submit(fake_request(0.99)).result(5.0)
                          for _ in range(3)]
@@ -454,9 +457,6 @@ class TestShedding:
             assert [r.degraded for r in responses] == [1, 2, 2]
             assert door.shed_level == 2
 
-            snapshot = telemetry.shedding("fake")
-            assert snapshot.degraded == 3
-            assert snapshot.degrade_steps == 5
             stats = door.stats()
             assert stats.degraded == 3 and stats.degrade_steps == 5
         finally:
@@ -489,25 +489,34 @@ class TestShedding:
 
 
 # ----------------------------------------------------------------------
-# Stats on empty windows; lifecycle
+# One latency; stats on empty windows; lifecycle
 # ----------------------------------------------------------------------
 class TestStatsAndLifecycle:
+    def test_response_latency_is_the_stats_latency(self, tuned):
+        # One definition: the percentiles in stats() are computed from
+        # exactly the admission-to-response latencies on the responses.
+        with FrontDoor.build("async:1x1", shard_backend="serial",
+                             shedding=None) as door:
+            door.register("pickmean", tuned)
+            responses = [door.serve([request])[0]
+                         for request in mixed_requests(24)]
+            stats = door.stats()
+        latencies = [response.latency for response in responses]
+        assert all(latency > 0.0 for latency in latencies)
+        assert latency_summary(latencies) == (
+            stats.p50_latency, stats.p95_latency, stats.p99_latency)
+
     def test_empty_latency_summary_is_zero(self):
         assert latency_summary([]) == (0.0, 0.0, 0.0)
 
-    def test_fresh_engine_stats_do_not_raise(self):
-        # Regression: a shard reporting before its first completed
-        # request must summarise to zeros, not crash on an empty
-        # window.
-        stats = ServingEngine().stats()
-        assert (stats.p50_latency, stats.p95_latency,
-                stats.p99_latency) == (0.0, 0.0, 0.0)
-
     def test_fresh_frontdoor_stats_do_not_raise(self):
+        # Regression: a front door reporting before its first
+        # completed request must summarise to zeros, not crash on an
+        # empty window.
         door = FrontDoor([GateEngine()], shedding=None)
         try:
             stats = door.stats()
-            assert stats.submitted == 0
+            assert stats.submitted == stats.requests == 0
             assert (stats.p50_latency, stats.p95_latency,
                     stats.p99_latency) == (0.0, 0.0, 0.0)
             assert str(stats)  # renders without traffic too
@@ -616,6 +625,10 @@ class FrontDoorAccounting(RuleBasedStateMachine):
         assert stats.submitted == (stats.completed + stats.rejected
                                    + stats.expired + stats.queued)
         assert stats.submitted == len(self.futures) + self.served
+        # Every completed request was answered — a crashed shard's
+        # refusals included — and counted as served or error.
+        assert stats.requests == stats.served + stats.errors \
+            == stats.completed
 
     def teardown(self):
         self._gates(True)
@@ -626,6 +639,8 @@ class FrontDoorAccounting(RuleBasedStateMachine):
         assert stats.queued == 0
         assert stats.submitted == (stats.completed + stats.rejected
                                    + stats.expired)
+        assert stats.requests == stats.served + stats.errors \
+            == stats.completed
 
 
 FrontDoorAccounting.TestCase.settings = settings(

@@ -40,6 +40,7 @@ from repro.runtime.policy import (
 from repro.serving import (
     SCHEMA_VERSION,
     ArtifactStore,
+    FrontDoor,
     ServeRequest,
     ServingEngine,
     TunedArtifact,
@@ -413,7 +414,7 @@ class TestServingEquivalence:
                            batch_size=32) as engine:
             engine.register("pickmean", tuned)
             responses = engine.serve(requests)
-            stats = engine.stats()
+            counters = engine.counters()
 
         assert len(responses) == len(requests)
         checked_ok = checked_failed = 0
@@ -432,7 +433,9 @@ class TestServingEquivalence:
                     assert response.requested_accuracy == \
                         request.accuracy
                 assert response.achieved_accuracy is not None
-                assert response.latency >= 0.0
+                # Latency is admission-to-response, stamped by the
+                # front door; a bare engine does not time requests.
+                assert response.latency == 0.0
                 checked_ok += 1
             else:
                 # The single-call path fails identically.
@@ -449,13 +452,10 @@ class TestServingEquivalence:
         for response in guaranteed:
             assert response.guarantee.target == response.bin_target
 
-        # Stats snapshot is fully populated.
-        assert stats.requests == len(requests)
-        assert stats.served == checked_ok
-        assert stats.errors == checked_failed
-        assert stats.fallbacks > 0  # the 1.5-accuracy requests
-        assert stats.executions >= stats.requests - stats.errors
-        assert stats.p95_latency >= stats.p50_latency >= 0.0
+        # Outcomes are explicit on the responses; every request ran.
+        assert checked_ok + checked_failed == len(requests)
+        assert sum(r.fallback for r in responses) > 0  # the 1.5s
+        assert counters["executions"] >= len(requests)
 
     def test_thread_and_process_identical(self, served_setup):
         tuned, _ = served_setup
@@ -484,7 +484,7 @@ class TestServingEngine:
             program="nonesuch", inputs={}, n=4.0))
         assert not response.ok
         assert "nonesuch" in response.error
-        assert engine.stats().errors == 1
+        assert engine.counters()["executions"] == 0
 
     def test_store_backed_lazy_load(self, tmp_path):
         tuned = suite_tuned_program("poisson")
@@ -505,18 +505,20 @@ class TestServingEngine:
         engine = ServingEngine()
         engine.register("pickmean", result.tuned_program())
         rng = np.random.default_rng(9)
-        response = engine.serve_one(ServeRequest(
-            program="pickmean", inputs=pickmean_inputs(32, rng), n=32.0,
-            accuracy=5.0))  # beyond every bin
+        with FrontDoor([engine], shedding=None) as door:
+            response = door.serve([ServeRequest(
+                program="pickmean", inputs=pickmean_inputs(32, rng),
+                n=32.0, accuracy=5.0)])[0]  # beyond every bin
+            stats = door.stats()
         assert response.ok
         assert response.fallback
         assert response.bin_target == most_accurate_bin(
             result.tuned_program().bins)
-        assert engine.stats().fallbacks == 1
+        assert stats.fallbacks == 1
 
     def test_escalations_are_batched_and_counted(self, tuned_pickmean):
         """Verify traffic that must climb the ladder reports its
-        escalation count and the engine aggregates them."""
+        escalation count and the front door aggregates them."""
         program, result = tuned_pickmean
         tuned = result.tuned_program()
         engine = ServingEngine()
@@ -528,8 +530,9 @@ class TestServingEngine:
         requests = [ServeRequest(
             program="pickmean", inputs=pickmean_inputs(64, rng), n=64.0,
             accuracy=0.5, verify=True, seed=s) for s in range(8)]
-        responses = engine.serve(requests)
-        stats = engine.stats()
+        with FrontDoor([engine], shedding=None) as door:
+            responses = door.serve(requests)
+            stats = door.stats()
         assert stats.requests == 8
         assert stats.escalations == sum(r.escalations for r in responses)
         assert stats.executions == \
@@ -559,7 +562,7 @@ class TestServingEngine:
         assert "ZeroDivisionError" in response.error
         assert response.bin_target == 0.5
         assert response.escalations == 0  # crash did not escalate
-        assert engine.stats().errors == 1
+        assert engine.counters()["executions"] == 1
         with pytest.raises(ZeroDivisionError):
             tuned.run({"x": 1.0}, 4.0, accuracy=0.5, verify=True)
 
@@ -593,20 +596,8 @@ class TestServingEngine:
         assert all(len(responses) == per_thread
                    for responses in collected)
         assert all(r.ok for responses in collected for r in responses)
-        stats = engine.stats()
-        assert stats.requests == 2 * per_thread
-        assert stats.served == 2 * per_thread
-
-    def test_reset_stats(self, tuned_pickmean):
-        _, result = tuned_pickmean
-        engine = ServingEngine()
-        engine.register("pickmean", result.tuned_program())
-        rng = np.random.default_rng(3)
-        engine.serve_one(ServeRequest(
-            program="pickmean", inputs=pickmean_inputs(16, rng), n=16.0))
-        assert engine.stats().requests == 1
-        engine.reset_stats()
-        assert engine.stats().requests == 0
+        # One unverified execution per request, none lost to a race.
+        assert engine.counters()["executions"] == 2 * per_thread
 
 
 # ----------------------------------------------------------------------
@@ -629,7 +620,7 @@ class TestHotSwapAndShadow:
         previous = engine.hot_swap("pickmean", replacement)
         assert previous is tuned
         assert engine.program_for("pickmean") is replacement
-        assert engine.stats().swaps == 1
+        assert engine.counters()["swaps"] == 1
         # Served traffic now follows the new program's configs.
         rng = np.random.default_rng(4)
         inputs = pickmean_inputs(32, rng)
@@ -678,7 +669,7 @@ class TestHotSwapAndShadow:
         assert status.executions == 3
         assert len(status.primary_accuracies) == \
             len(status.candidate_accuracies) == 3
-        assert engine.stats().shadow_executions == 3
+        assert engine.counters()["shadow_executions"] == 3
 
         final = engine.stop_shadow("pickmean")
         assert final.samples == 3

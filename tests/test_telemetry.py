@@ -1,4 +1,5 @@
-"""Serving telemetry: the shared percentile, rolling windows, drift."""
+"""Serving telemetry: nearest-rank latency percentiles, rolling
+windows, drift."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from repro.runtime.guarantees import statistical_guarantee
 from repro.serving.telemetry import (
     DriftDetector,
     ServingTelemetry,
-    percentile,
+    latency_summary,
 )
 
 higher = AccuracyMetric(lambda o, i: 0.0, name="acc",
@@ -19,47 +20,46 @@ lower = AccuracyMetric(lambda o, i: 0.0, name="err",
 
 
 class TestPercentile:
-    """The ceil-based nearest-rank percentile (shared with the engine)."""
+    """The ceil-based nearest-rank ``(p50, p95, p99)`` behind every
+    latency percentile the front door reports."""
 
     def test_empty_is_zero(self):
-        assert percentile([], 0.95) == 0.0
+        assert latency_summary([]) == (0.0, 0.0, 0.0)
 
     def test_single_value(self):
-        assert percentile([7.0], 0.5) == 7.0
-        assert percentile([7.0], 0.95) == 7.0
+        assert latency_summary([7.0]) == (7.0, 7.0, 7.0)
 
     def test_median_of_even_count_is_lower_middle(self):
         # Nearest-rank p50 over 4 values is the 2nd: ceil(0.5*4) = 2.
-        # The old round()-based rank picked the 3rd (round(1.5) -> 2).
-        assert percentile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
+        # A round()-based rank picks the 3rd (round(1.5) -> 2).
+        assert latency_summary([1.0, 2.0, 3.0, 4.0])[0] == 2.0
 
     def test_p95_not_underestimated_on_banker_rounding_tie(self):
-        # 31 samples: ceil(0.95 * 31) = 30 -> the 30th value.  The old
-        # round(0.95 * 30) banker's-rounded 28.5 down to 28 and
-        # returned the 29th — an underestimate.
+        # 31 samples: ceil(0.95 * 31) = 30 -> the 30th value.
+        # round(0.95 * 30) banker's-rounds 28.5 down to 28 and
+        # returns the 29th — an underestimate.
         values = [float(i) for i in range(1, 32)]
-        assert percentile(values, 0.95) == 30.0
+        assert latency_summary(values)[1] == 30.0
 
     def test_extremes(self):
-        values = [3.0, 1.0, 2.0]
-        assert percentile(values, 0.0) == 1.0
-        assert percentile(values, 1.0) == 3.0
+        # Always an observed value: the middle one, then the maximum.
+        assert latency_summary([3.0, 1.0, 2.0]) == (2.0, 3.0, 3.0)
 
     def test_unsorted_input(self):
-        assert percentile([5.0, 1.0, 9.0, 3.0], 0.75) == 5.0
+        assert latency_summary([5.0, 1.0, 9.0, 3.0]) == (3.0, 9.0, 9.0)
 
     def test_fraction_above_one_clamps_to_max(self):
-        assert percentile([1.0, 2.0], 1.5) == 2.0
+        # ceil(0.99 * 2) = 2: the rank never passes the last sample.
+        assert latency_summary([2.0, 1.0])[1:] == (2.0, 2.0)
 
 
 class TestServingTelemetry:
     def test_record_and_snapshot(self):
         telemetry = ServingTelemetry(window=8)
         for accuracy in (0.9, 0.95, 0.85):
-            telemetry.record("p", 0.9, ok=True, accuracy=accuracy,
-                             latency=0.001)
+            telemetry.record("p", 0.9, ok=True, accuracy=accuracy)
         telemetry.record("p", 0.9, ok=False, accuracy=0.2,
-                         escalations=1, fallback=True, latency=0.002)
+                         escalations=1, fallback=True)
         snap = telemetry.snapshot("p", 0.9)
         assert snap.served == 3
         assert snap.errors == 1
@@ -69,7 +69,6 @@ class TestServingTelemetry:
         assert snap.mean_accuracy == pytest.approx(
             (0.9 + 0.95 + 0.85 + 0.2) / 4)
         assert snap.worst_accuracy == 0.2
-        assert snap.p95_latency >= snap.p50_latency > 0.0
         assert "p/bin 0.9" in str(snap)
 
     def test_window_is_bounded(self):
