@@ -11,9 +11,13 @@ which reduces the variance of candidate-vs-candidate comparisons.
 
 Since the trial path dominates tuning time, the harness no longer runs
 trials itself: it builds batches of :class:`TrialRequest` work units
-and hands them to a pluggable
+and hands them to :func:`~repro.runtime.batching.run_batch_stacked` —
+the same dispatch path the serving engine uses — over a pluggable
 :class:`~repro.runtime.backends.ExecutionBackend` (serial by default;
-thread- and process-pool backends run batches in parallel).  Because a
+thread- and process-pool backends run batches in parallel).  A
+candidate's paired trials on same-shape inputs fuse into one stacked
+execution when the program is ``batchable`` and the objective is
+cost.  Because a
 trial's outcome is fully determined by ``(config, n, trial index, base
 seed)``, outcomes are recorded in request order regardless of how the
 backend schedules them — tuning results are bit-identical across
@@ -47,7 +51,6 @@ from repro.runtime.backends import (
     TrialCache,
     TrialOutcome,
     TrialRequest,
-    config_digest,
 )
 from repro.runtime.batching import run_batch_stacked
 
@@ -79,8 +82,7 @@ class ProgramTestHarness:
                  cost_limit: float | None = None,
                  backend: ExecutionBackend | None = None,
                  cache: TrialCache | None = None,
-                 input_cache_size: int | None = DEFAULT_INPUT_CACHE_SIZE,
-                 stacking: bool = True):
+                 input_cache_size: int | None = DEFAULT_INPUT_CACHE_SIZE):
         if objective not in ("cost", "time"):
             raise ValueError(f"unknown objective {objective!r}")
         if input_cache_size is not None and input_cache_size < 1:
@@ -108,24 +110,13 @@ class ProgramTestHarness:
             raise ReproError(
                 f"transform {program.root!r} has no accuracy metric; "
                 f"the variable-accuracy tuner requires one")
-        #: When True (the default), cache-missing trial requests that
-        #: share a config and input signature — a candidate's paired
-        #: trials on same-shape training inputs — fuse into single
-        #: stacked executions when the program is ``batchable``.  Only
-        #: the deterministic cost objective ever stacks (wall-clock is
-        #: a property of the fused call, not any one trial).
-        self.stacking = stacking
         #: Total trials recorded on candidates (used by ablation
         #: benchmarks); includes cache hits, which substitute for runs.
         self.trials_run = 0
         #: Trials actually executed by the backend (excludes cache hits).
         self.trials_executed = 0
-        #: Fused stacked executions and the trials they covered.
-        self.stacked_calls = 0
-        self.stacked_requests = 0
         self._input_cache: OrderedDict[tuple[float, int],
                                        Mapping[str, object]] = OrderedDict()
-        self._digests: dict[int, str] = {}
         # Trial-cache namespace: outcomes depend on the program AND on
         # which generator produced the training inputs, so both name
         # the store.  (Editing a generator's *body* while keeping its
@@ -158,20 +149,13 @@ class ProgramTestHarness:
                 self._input_cache.popitem(last=False)
         return inputs
 
-    def _digest(self, candidate: Candidate) -> str:
-        digest = self._digests.get(candidate.candidate_id)
-        if digest is None:
-            digest = config_digest(candidate.config)
-            self._digests[candidate.candidate_id] = digest
-        return digest
-
     # ------------------------------------------------------------------
     # The batch pipeline
     # ------------------------------------------------------------------
     def build_request(self, candidate: Candidate, n: float,
                       trial_index: int) -> TrialRequest:
         return TrialRequest(
-            digest=self._digest(candidate),
+            digest=candidate.config.digest,
             n=float(n),
             trial_index=trial_index,
             seed=derive_seed(self.base_seed, "exec", float(n), trial_index),
@@ -221,22 +205,10 @@ class ProgramTestHarness:
     def _dispatch(self, requests: list[TrialRequest]
                   ) -> list[TrialOutcome]:
         """Send cache-missing requests to the backend, fusing stackable
-        groups (same config digest, same input shapes) when enabled."""
-        if self.stacking:
-            counters: dict[str, int] = {}
-            fresh = run_batch_stacked(
-                self.program, requests,
-                dispatch=lambda reqs: self.backend.run_batch(
-                    self.program, reqs, objective=self.objective,
-                    cost_limit=self.cost_limit),
-                objective=self.objective, cost_limit=self.cost_limit,
-                counters=counters)
-            self.stacked_calls += counters.get("stacked_calls", 0)
-            self.stacked_requests += counters.get("stacked_requests", 0)
-        else:
-            fresh = self.backend.run_batch(
-                self.program, requests, objective=self.objective,
-                cost_limit=self.cost_limit)
+        groups (same config digest, same input shapes)."""
+        fresh = run_batch_stacked(self.program, requests, self.backend,
+                                  objective=self.objective,
+                                  cost_limit=self.cost_limit)
         self.trials_executed += len(fresh)
         return fresh
 

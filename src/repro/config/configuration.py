@@ -5,11 +5,14 @@ A :class:`Configuration` is the paper's "choice configuration file"
 :class:`~repro.config.decision_tree.SizeDecisionTree` (for choice sites
 and size-indexed values) or a plain scalar/switch value.  Configurations
 are immutable from the outside; the mutators build modified copies via
-:meth:`Configuration.with_entry`.
+:meth:`Configuration.with_entry`.  Immutability lets each value carry
+its own content digest, computed on first use and kept for its
+lifetime.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Any, Iterator, Mapping
 
@@ -24,10 +27,24 @@ ConfigEntry = Any  # SizeDecisionTree | float | int | str | bool
 class Configuration:
     """An immutable assignment of values to every tunable parameter."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_digest")
 
     def __init__(self, entries: Mapping[str, ConfigEntry]):
         self._entries = dict(entries)
+        self._digest: str | None = None
+
+    @property
+    def digest(self) -> str:
+        """Stable content digest, computed once per value.
+
+        Built from the sorted-key JSON serialisation, so structurally
+        equal configurations digest identically across processes and
+        runs — the key property the trial cache relies on.
+        """
+        if self._digest is None:
+            self._digest = hashlib.sha256(
+                self.dumps().encode()).hexdigest()[:32]
+        return self._digest
 
     # ------------------------------------------------------------------
     # Access

@@ -21,7 +21,6 @@ interchangeable bit-for-bit under the deterministic cost objective.
 
 from __future__ import annotations
 
-import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -46,24 +45,19 @@ TRIAL_FAILURES = (ReproError, CostLimitExceeded, FloatingPointError,
 
 
 def config_digest(config: Configuration) -> str:
-    """Stable content digest of a configuration.
-
-    Built from the sorted-key JSON serialisation, so structurally equal
-    configurations digest identically across processes and runs — the
-    key property the :class:`~repro.runtime.backends.cache.TrialCache`
-    relies on.
-    """
-    return hashlib.sha256(config.dumps().encode()).hexdigest()[:32]
+    """Stable content digest of a configuration (see
+    :attr:`Configuration.digest`, which computes it once per value)."""
+    return config.digest
 
 
 @dataclass(frozen=True)
 class TrialRequest:
     """One trial to run: a work unit a backend can execute anywhere.
 
-    ``digest`` is :func:`config_digest` of ``config`` (precomputed by
-    the harness so cache lookups never re-serialise); ``seed`` is the
-    fully derived execution seed, so a worker needs no access to the
-    harness's base seed.  ``inputs`` are the paired training inputs for
+    ``digest`` is :func:`config_digest` of ``config`` (carried on the
+    request so cache lookups and fusion keys never re-serialise);
+    ``seed`` is the fully derived execution seed, so a worker needs no
+    access to the harness's base seed.  ``inputs`` are the paired training inputs for
     ``(n, trial_index)``.  Everything here is picklable provided the
     program's inputs are (numpy arrays and scalars are).
     """

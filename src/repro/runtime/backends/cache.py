@@ -12,14 +12,15 @@ benchmark, by a re-run with a tweaked population, or by a mutation
 that lands on a previously-seen configuration.
 
 The store is JSON on disk: human-inspectable, appendable, and safe to
-delete at any time (it is only ever a performance hint).
+delete at any time (it is only ever a performance hint).  In memory it
+is unbounded: every distinct measurement a run takes stays available
+to the rest of that run.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import OrderedDict
 from typing import Mapping
 
 from repro.runtime.backends.base import TrialOutcome, TrialRequest
@@ -35,24 +36,13 @@ class TrialCache:
     ``path`` (optional) names a JSON file loaded at construction when
     present and written by :meth:`save`.  ``hits`` / ``misses`` count
     :meth:`get` lookups for instrumentation and benchmarks.
-
-    ``max_entries`` (optional) bounds the in-memory store with
-    least-recently-used eviction — long-lived serving or tuning
-    processes must not grow the cache without bound.  ``evictions``
-    counts entries dropped by the bound; evicting is always safe
-    because the cache is only ever a performance hint.
     """
 
-    def __init__(self, path: str | os.PathLike | None = None, *,
-                 max_entries: int | None = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 or None")
+    def __init__(self, path: str | os.PathLike | None = None):
         self.path = os.fspath(path) if path is not None else None
-        self.max_entries = max_entries
-        self._entries: OrderedDict[str, TrialOutcome] = OrderedDict()
+        self._entries: dict[str, TrialOutcome] = {}
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         if self.path is not None and os.path.exists(self.path):
             # The cache is only ever a performance hint: a truncated or
             # corrupt store must never abort tuning.  (An explicit
@@ -109,21 +99,10 @@ class TrialCache:
             self.misses += 1
         else:
             self.hits += 1
-            self._entries.move_to_end(key)  # recently used stays longest
         return outcome
 
     def put(self, key: str, outcome: TrialOutcome) -> None:
-        if key in self._entries:
-            self._entries.move_to_end(key)
         self._entries[key] = outcome
-        self._evict_over_bound()
-
-    def _evict_over_bound(self) -> None:
-        if self.max_entries is None:
-            return
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -135,7 +114,6 @@ class TrialCache:
         self._entries.clear()
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     # ------------------------------------------------------------------
     # Persistence
@@ -158,7 +136,6 @@ class TrialCache:
             except (KeyError, TypeError, ValueError):
                 continue  # skip malformed entries; the store is a hint
             self._entries.setdefault(key, outcome)
-        self._evict_over_bound()
 
     def save(self, path: str | os.PathLike | None = None) -> str:
         target = os.fspath(path) if path is not None else self.path

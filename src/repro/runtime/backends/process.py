@@ -1,6 +1,7 @@
 """Process-pool backend.
 
-Chunks the request batch and maps it over a persistent
+Chunks the request batch — a few chunks per worker, sized from the
+batch — and maps it over a persistent
 ``concurrent.futures.ProcessPoolExecutor``.  The compiled program is
 pickled once per pool (workers receive it through the initializer, not
 with every chunk); suite programs pickle by *provenance* — workers
@@ -62,9 +63,8 @@ class ProcessPoolBackend(ExecutionBackend):
     """Runs trial batches across worker processes.
 
     ``start_method`` defaults to the platform's multiprocessing default
-    (``fork`` on Linux); ``chunk_size`` bounds pickling overhead by
-    shipping several requests per task (``None`` sizes chunks to give
-    each worker a few tasks per batch).
+    (``fork`` on Linux).  Each batch ships in chunks sized to give
+    every worker a few tasks, which bounds pickling overhead.
 
     The backend keeps one persistent pool *per compiled program* (at
     most ``max_pools``; least-recently-used pools are closed beyond
@@ -76,13 +76,11 @@ class ProcessPoolBackend(ExecutionBackend):
     name = "process"
 
     def __init__(self, max_workers: int | None = None, *,
-                 chunk_size: int | None = None,
                  start_method: str | None = None,
                  max_pools: int = 4):
         if max_pools < 1:
             raise ValueError("max_pools must be >= 1")
         self.max_workers = max_workers or default_workers()
-        self.chunk_size = chunk_size
         self.start_method = start_method
         self.max_pools = max_pools
         self._lock = threading.Lock()  # guards: _pools
@@ -134,11 +132,9 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def _chunks(self, requests: Sequence[TrialRequest]
                 ) -> list[list[TrialRequest]]:
-        size = self.chunk_size
-        if size is None:
-            # A few chunks per worker balances load without drowning
-            # the queue in pickling round-trips.
-            size = max(1, len(requests) // (self.max_workers * 4))
+        # A few chunks per worker balances load without drowning the
+        # queue in pickling round-trips.
+        size = max(1, len(requests) // (self.max_workers * 4))
         return [list(requests[i:i + size])
                 for i in range(0, len(requests), size)]
 
@@ -192,5 +188,4 @@ class ProcessPoolBackend(ExecutionBackend):
             pool.shutdown(wait=True)
 
     def __repr__(self) -> str:
-        return (f"ProcessPoolBackend(max_workers={self.max_workers}, "
-                f"chunk_size={self.chunk_size})")
+        return f"ProcessPoolBackend(max_workers={self.max_workers})"

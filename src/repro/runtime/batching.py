@@ -19,22 +19,25 @@ stacked run's total cost divided by the batch size equals each scalar
 run's cost *exactly* — the per-request ``cost`` objective survives
 stacking bit-for-bit.
 
-Stacking is refused (falling back to the caller-supplied per-request
-dispatch) whenever the pledge cannot be honoured mechanically:
-non-``cost`` objectives (wall-clock is a property of the fused call,
-not of any one request), mismatched input signatures, outputs that do
-not carry the batch dimension, or any trial failure inside the fused
-call (per-request failure attribution requires scalar runs).
+:func:`run_batch_stacked` is the one dispatch path for every trial
+batch — tuning, serving and shadowing alike.  Stacking is refused
+(falling back to the backend's per-request ``run_batch``) whenever
+the pledge cannot be honoured mechanically: non-``cost`` objectives
+(wall-clock is a property of the fused call, not of any one request),
+mismatched input signatures, groups of one, outputs that do not carry
+the batch dimension, or any trial failure inside the fused call
+(per-request failure attribution requires scalar runs).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, MutableMapping, Sequence
+from typing import TYPE_CHECKING, Any, MutableMapping, Sequence
 
 import numpy as np
 
 from repro.runtime.backends.base import (
     TRIAL_FAILURES,
+    ExecutionBackend,
     TrialOutcome,
     TrialRequest,
 )
@@ -49,6 +52,10 @@ __all__ = ["is_batchable", "stack_signature", "execute_stacked",
 #: Input values treated as "plain scalars" for signature purposes:
 #: requests may only fuse when their non-array inputs are equal.
 _SCALAR_TYPES = (bool, int, float, str, bytes, type(None))
+
+#: Smallest same-signature group that runs as one fused call; a group
+#: of one gains nothing from stacking.
+MIN_GROUP_SIZE = 2
 
 
 def is_batchable(program: "CompiledProgram") -> bool:
@@ -155,31 +162,31 @@ def execute_stacked(program: "CompiledProgram",
 
 
 def run_batch_stacked(program: "CompiledProgram",
-                      requests: Sequence[TrialRequest], *,
-                      dispatch: Callable[[list[TrialRequest]],
-                                         list[TrialOutcome]],
+                      requests: Sequence[TrialRequest],
+                      backend: ExecutionBackend, *,
                       objective: str = "cost",
                       cost_limit: float | None = None,
                       collect_outputs: bool = False,
-                      min_group_size: int = 2,
                       counters: MutableMapping[str, int] | None = None
                       ) -> list[TrialOutcome]:
     """Execute ``requests``, fusing same-signature groups.
 
-    Groups of at least ``min_group_size`` requests sharing a
+    Groups of at least :data:`MIN_GROUP_SIZE` requests sharing a
     :func:`stack_signature` run as single stacked calls; everything
-    else — unfusable requests, small groups, and any group whose fused
-    call declined — goes through ``dispatch`` (the caller's regular
-    per-request backend) in one positional batch.  Outcomes are always
-    aligned with ``requests``.
+    else — unfusable requests, single requests, and any group whose
+    fused call declined — goes to ``backend.run_batch`` in one
+    positional batch, under the same objective, cost limit and
+    outputs flag.  Outcomes are always aligned with ``requests``.
 
     ``counters`` (when given) receives ``stacked_calls`` and
     ``stacked_requests`` increments for observability.
     """
     requests = list(requests)
     if (objective != "cost" or not is_batchable(program)
-            or len(requests) < min_group_size):
-        return dispatch(requests)
+            or len(requests) < MIN_GROUP_SIZE):
+        return backend.run_batch(program, requests, objective=objective,
+                                 cost_limit=cost_limit,
+                                 collect_outputs=collect_outputs)
     groups: dict[tuple, list[int]] = {}
     residual: list[int] = []
     for index, request in enumerate(requests):
@@ -190,7 +197,7 @@ def run_batch_stacked(program: "CompiledProgram",
             groups.setdefault(signature, []).append(index)
     outcomes: list[TrialOutcome | None] = [None] * len(requests)
     for indices in groups.values():
-        if len(indices) < min_group_size:
+        if len(indices) < MIN_GROUP_SIZE:
             residual.extend(indices)
             continue
         wave = [requests[i] for i in indices]
@@ -208,7 +215,10 @@ def run_batch_stacked(program: "CompiledProgram",
             outcomes[position] = outcome
     if residual:
         residual.sort()
-        settled = dispatch([requests[i] for i in residual])
+        settled = backend.run_batch(
+            program, [requests[i] for i in residual],
+            objective=objective, cost_limit=cost_limit,
+            collect_outputs=collect_outputs)
         for position, outcome in zip(residual, settled):
             outcomes[position] = outcome
     return outcomes  # type: ignore[return-value]

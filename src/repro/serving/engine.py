@@ -13,7 +13,10 @@ synchronous call; this module does it for *traffic*:
   and dispatches them on any
   :class:`~repro.runtime.backends.ExecutionBackend` — serial, thread
   pool, or process pool — so one engine saturates whatever hardware
-  the backend exposes;
+  the backend exposes.  Every batch, live or shadow, goes through
+  :func:`~repro.runtime.batching.run_batch_stacked`, so same-bin
+  same-shape requests to a ``batchable`` program fuse into one
+  stacked execution;
 * verify failures escalate in *waves*: every request still climbing
   its ladder is re-batched with the next bin, so escalations stay
   batched too;
@@ -27,12 +30,12 @@ Bin decisions are made by :mod:`repro.runtime.policy` — the same pure
 functions the single-call path uses — so a served response chooses the
 exact bin ``TunedProgram.run`` would.
 
-The engine counts only what it alone sees — backend executions, fused
-stacked calls, shadow executions and swaps — and :meth:`ServingEngine.
-counters` snapshots them.  Per-request outcomes (served, errors,
-escalations, fallbacks) and latency are counted by the front door
-every engine serves behind (:class:`~repro.serving.frontdoor.
-FrontDoorStats`).
+The engine counts only what it alone sees — live executions, shadow
+executions, fused stacked calls (live and shadow alike) and swaps —
+and :meth:`ServingEngine.counters` snapshots them.  Per-request
+outcomes (served, errors, escalations, fallbacks) and latency are
+counted by the front door every engine serves behind
+(:class:`~repro.serving.frontdoor.FrontDoorStats`).
 """
 
 from __future__ import annotations
@@ -40,14 +43,15 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
+from repro.config.configuration import Configuration
 from repro.errors import ArtifactError, ReproError
 from repro.runtime.backends import (
     ExecutionBackend,
     SerialBackend,
+    TrialOutcome,
     TrialRequest,
-    config_digest,
 )
 from repro.runtime.batching import run_batch_stacked
 from repro.runtime.executor import TunedProgram
@@ -55,6 +59,9 @@ from repro.runtime.guarantees import StatisticalGuarantee
 from repro.runtime.policy import plan_request
 from repro.serving.store import DEFAULT_TAG, ArtifactStore
 from repro.serving.telemetry import ServingTelemetry
+
+if TYPE_CHECKING:
+    from repro.compiler.program import CompiledProgram
 
 __all__ = ["ServeRequest", "ServeResponse", "ShadowStatus",
            "ServingEngine"]
@@ -129,8 +136,9 @@ class ShadowStatus:
     ``per_bin`` holds the same paired windows bucketed by the bin the
     *primary* served each request from — a drifted bin must be judged
     against its own traffic, not a pool diluted by cheaper requests.
-    ``failures`` counts candidate executions that crashed (a crashing
-    candidate must never be promoted).
+    ``failures`` counts candidate executions that crashed, including
+    every sampled request of a shadow dispatch that raised (a crashing
+    candidate must never be promoted, and never fails live traffic).
     """
 
     program: str
@@ -150,7 +158,7 @@ class _ShadowState:
 
     __slots__ = ("candidate", "fraction", "stride", "counter",
                  "executions", "failures", "primary", "shadow",
-                 "per_bin", "window", "digests")
+                 "per_bin", "window")
 
     def __init__(self, candidate: TunedProgram, fraction: float,
                  window: int):
@@ -164,7 +172,6 @@ class _ShadowState:
         self.primary: deque[float] = deque(maxlen=window)
         self.shadow: deque[float] = deque(maxlen=window)
         self.per_bin: dict[float, tuple[deque, deque]] = {}
-        self.digests: dict[float, str] = {}
 
 
 @dataclass
@@ -207,23 +214,16 @@ class ServingEngine:
                  store: ArtifactStore | None = None,
                  backend: ExecutionBackend | None = None,
                  batch_size: int = DEFAULT_BATCH_SIZE,
-                 telemetry: ServingTelemetry | None = None,
-                 stacking: bool = True):
+                 telemetry: ServingTelemetry | None = None):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.store = store
         self.backend = backend if backend is not None else SerialBackend()
         self.batch_size = batch_size
         self.telemetry = telemetry
-        #: When True (the default), same-(program, bin, input-shape)
-        #: waves of requests to ``batchable`` programs fuse into single
-        #: stacked executions (repro.runtime.batching); responses are
-        #: unstacked and indistinguishable from per-request runs.
-        self.stacking = stacking
         self._programs: dict[str, TunedProgram] = {}
-        self._digests: dict[tuple[str, float], str] = {}
         self._shadows: dict[str, _ShadowState] = {}
-        # guards: _programs, _digests, _shadows, _counters
+        # guards: _programs, _shadows, _counters
         self._lock = threading.Lock()
         self._counters = {"executions": 0, "stacked_calls": 0,
                           "stacked_requests": 0,
@@ -236,12 +236,6 @@ class ServingEngine:
         """Serve ``tuned`` under ``name`` (usually its root name)."""
         with self._lock:
             self._programs[name] = tuned
-            self._invalidate_digests(name)
-
-    def _invalidate_digests(self, name: str) -> None:
-        """Drop every cached config digest of ``name`` (lock held)."""
-        for key in [key for key in self._digests if key[0] == name]:
-            del self._digests[key]
 
     def hot_swap(self, name: str, tuned: TunedProgram
                  ) -> TunedProgram | None:
@@ -257,7 +251,6 @@ class ServingEngine:
         with self._lock:
             previous = self._programs.get(name)
             self._programs[name] = tuned
-            self._invalidate_digests(name)
             self._shadows.pop(name, None)
             self._counters["swaps"] += 1
         if self.telemetry is not None:
@@ -299,9 +292,10 @@ class ServingEngine:
         traffic.
 
         Every ``1/fraction``-th successfully served request is re-run
-        on the candidate (batched on the same backend); only its
-        achieved accuracy is recorded — callers always receive the
-        primary's outputs.  Sampling is a deterministic stride, so a
+        on the candidate (batched and fused on the same backend, like
+        live traffic); only its achieved accuracy is recorded —
+        callers always receive the primary's outputs, even when the
+        candidate crashes.  Sampling is a deterministic stride, so a
         fixed request sequence shadows a fixed subset.
         """
         if not 0.0 < fraction <= 1.0:
@@ -365,33 +359,21 @@ class ServingEngine:
         for name, pairs in sampled.items():
             state = shadows[name]
             candidate = state.candidate
-            batch = []
-            for request, _ in pairs:
-                plan = plan_request(candidate.bins, candidate.metric,
-                                    accuracy=request.accuracy)
-                target = plan.start
-                digest = state.digests.get(target)
-                if digest is None:
-                    digest = config_digest(
-                        candidate.bin_configs[target])
-                    state.digests[target] = digest
-                batch.append(TrialRequest(
-                    digest=digest, n=float(request.n), trial_index=0,
-                    seed=request.seed,
-                    config=candidate.bin_configs[target],
-                    inputs=request.inputs))
-            # Same batch-size bound as the primary path: a process
-            # backend sized for batch_size-request dispatch units must
-            # not receive one oversized shadow batch.
-            outcomes = []
-            for offset in range(0, len(batch), self.batch_size):
-                outcomes.extend(self.backend.run_batch(
-                    candidate.program,
-                    batch[offset:offset + self.batch_size],
-                    objective="cost"))
+            batch = [self._trial_request(request, candidate.bin_configs[
+                plan_request(candidate.bins, candidate.metric,
+                             accuracy=request.accuracy).start])
+                for request, _ in pairs]
+            try:
+                outcomes = self._execute(candidate.program, batch,
+                                         shadow=True)
+            except Exception:  # noqa: BLE001 — a crashing candidate is
+                # the shadow's failure, never the live traffic's.
+                outcomes = None
             with self._lock:
-                self._counters["shadow_executions"] += len(outcomes)
-                state.executions += len(outcomes)
+                state.executions += len(pairs)
+                if outcomes is None:
+                    state.failures += len(pairs)
+                    continue
                 for (request, response), outcome in zip(pairs, outcomes):
                     if outcome.failed:
                         state.failures += 1
@@ -445,60 +427,55 @@ class ServingEngine:
     def _run_wave(self, pending: list[_Pending],
                   responses: list[ServeResponse | None],
                   buffer: list | None = None) -> list[_Pending]:
-        """Execute every pending request's current bin, one batched
-        backend dispatch per (program, batch_size) chunk; return the
-        entries that must escalate to their next bin."""
+        """Execute every pending request's current bin, one dispatch
+        per program; return the entries that must escalate to their
+        next bin."""
         groups: dict[int, list[_Pending]] = {}
         for entry in pending:
             groups.setdefault(id(entry.tuned), []).append(entry)
         escalating: list[_Pending] = []
         for group in groups.values():
-            program = group[0].tuned.program
-            for offset in range(0, len(group), self.batch_size):
-                chunk = group[offset:offset + self.batch_size]
-                batch = [self._trial_request(entry) for entry in chunk]
-                if self.stacking:
-                    stacked_counters: dict[str, int] = {}
-                    outcomes = run_batch_stacked(
-                        program, batch,
-                        dispatch=lambda reqs: self.backend.run_batch(
-                            program, reqs, objective="cost",
-                            collect_outputs=True),
-                        objective="cost", collect_outputs=True,
-                        counters=stacked_counters)
-                else:
-                    stacked_counters = {}
-                    outcomes = self.backend.run_batch(
-                        program, batch, objective="cost",
-                        collect_outputs=True)
-                with self._lock:
-                    self._counters["executions"] += len(outcomes)
-                    for key, increment in stacked_counters.items():
-                        self._counters[key] += increment
-                for entry, outcome in zip(chunk, outcomes):
-                    entry.last_accuracy = (None if outcome.failed
-                                           else outcome.accuracy)
-                    if self._settle(entry, outcome, responses,
-                                    buffer):
-                        continue
-                    entry.pos += 1
-                    escalating.append(entry)
+            tuned = group[0].tuned
+            outcomes = self._execute(tuned.program, [
+                self._trial_request(entry.request,
+                                    tuned.bin_configs[entry.target])
+                for entry in group])
+            for entry, outcome in zip(group, outcomes):
+                entry.last_accuracy = (None if outcome.failed
+                                       else outcome.accuracy)
+                if self._settle(entry, outcome, responses, buffer):
+                    continue
+                entry.pos += 1
+                escalating.append(entry)
         return escalating
 
-    def _trial_request(self, entry: _Pending) -> TrialRequest:
-        request = entry.request
-        tuned = entry.tuned
-        target = entry.target
-        key = (request.program, target)
-        with self._lock:
-            digest = self._digests.get(key)
-        if digest is None:
-            digest = config_digest(tuned.bin_configs[target])
+    def _execute(self, program: "CompiledProgram",
+                 batch: list[TrialRequest], *,
+                 shadow: bool = False) -> list[TrialOutcome]:
+        """Run ``batch`` through :func:`run_batch_stacked` in
+        ``batch_size`` chunks; count it as executed (even when a chunk
+        raises) along with the fused calls it made."""
+        counters = {"shadow_executions" if shadow else "executions":
+                    len(batch)}
+        outcomes: list[TrialOutcome] = []
+        try:
+            for offset in range(0, len(batch), self.batch_size):
+                outcomes.extend(run_batch_stacked(
+                    program, batch[offset:offset + self.batch_size],
+                    self.backend, objective="cost",
+                    collect_outputs=not shadow, counters=counters))
+        finally:
             with self._lock:
-                self._digests[key] = digest
-        return TrialRequest(digest=digest, n=float(request.n),
-                            trial_index=0, seed=request.seed,
-                            config=tuned.bin_configs[target],
+                for key, increment in counters.items():
+                    self._counters[key] += increment
+        return outcomes
+
+    @staticmethod
+    def _trial_request(request: ServeRequest,
+                       config: Configuration) -> TrialRequest:
+        return TrialRequest(digest=config.digest,
+                            n=float(request.n), trial_index=0,
+                            seed=request.seed, config=config,
                             inputs=request.inputs)
 
     def _settle(self, entry: _Pending, outcome, responses,
@@ -575,9 +552,14 @@ class ServingEngine:
     # Counters & lifecycle
     # ------------------------------------------------------------------
     def counters(self) -> dict[str, int]:
-        """Snapshot of what only the engine sees: ``executions``,
-        ``stacked_calls``, ``stacked_requests``, ``shadow_executions``
-        and ``swaps``."""
+        """Snapshot of what only the engine sees.
+
+        ``executions`` counts live request executions (escalations
+        included) and ``shadow_executions`` candidate re-runs;
+        ``stacked_calls`` / ``stacked_requests`` count every fused call
+        the engine made and the requests it covered, live and shadow
+        alike; ``swaps`` counts :meth:`hot_swap` calls.
+        """
         with self._lock:
             return dict(self._counters)
 

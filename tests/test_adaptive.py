@@ -22,6 +22,7 @@ import pytest
 from repro.autotuner import Autotuner, ProgramTestHarness, TunerSettings
 from repro.compiler.compile import compile_program
 from repro.runtime.backends import ThreadPoolBackend
+from repro.runtime.executor import TunedProgram
 from repro.serving import (
     ArtifactStore,
     RetuneController,
@@ -244,6 +245,41 @@ class TestAdaptiveLoop:
         controller.clear("adaptmean")
         assert controller.suspended == ()
         assert telemetry.snapshot("adaptmean", TARGET).samples == 0
+
+    def test_crashing_shadow_candidate_rolled_back(self, tmp_path):
+        """A candidate that raises in shadow fails only the shadow: live
+        traffic stays ok, and the next poll rolls the candidate back."""
+        program, store, telemetry, engine, controller = \
+            build_world(tmp_path, retune_sigma=SHIFT_SIGMA)
+        baseline = engine.program_for("adaptmean")
+        engine.serve(make_requests(SHIFT_SIGMA, 24, first_seed=100))
+        controller.poll()
+        drive_retune_to_shadow(controller)
+
+        # The shadowed build is broken: every execution raises.
+        crashing, _ = compile_program(make_adaptmean_transform())
+
+        def execute(*args, **kwargs):
+            raise RuntimeError("candidate bug")
+
+        crashing.execute = execute
+        engine.start_shadow("adaptmean", TunedProgram(crashing, {
+            target: crashing.default_config()
+            for target in crashing.root_transform.accuracy_bins}),
+            fraction=1.0)
+        responses = engine.serve(
+            make_requests(SHIFT_SIGMA, 4, first_seed=200))
+        assert all(r.ok for r in responses)
+        assert engine.shadow_status("adaptmean").failures == 4
+
+        actions = controller.poll()
+        assert any("rolled back" in action and "crashed 4" in action
+                   for action in actions)
+        assert engine.shadow_status("adaptmean") is None
+        assert engine.program_for("adaptmean") is baseline
+        assert engine.counters()["swaps"] == 0
+        assert store.latest_version("adaptmean") == 1
+        assert controller.suspended == ("adaptmean",)
 
     def test_background_thread_promotes(self, tmp_path):
         """The same loop, driven by the controller's own thread with a

@@ -26,6 +26,7 @@ import pytest
 from repro.autotuner import Autotuner, ProgramTestHarness, TunerSettings
 from repro.autotuner.candidate import Candidate
 from repro.compiler.compile import compile_program
+from repro.config.configuration import Configuration
 from repro.errors import ConfigError, TrainingError
 from repro.lang.transform import Transform
 from repro.lang.tunables import accuracy_variable
@@ -83,6 +84,20 @@ def _exact_mean(ctx, xs):
 
 def pickmean_inputs(n, rng):
     return {"xs": rng.normal(10.0, 1.0, size=max(2, int(n)))}
+
+
+class RecordingBackend(SerialBackend):
+    """A serial backend that records what reaches ``run_batch``: every
+    request, and the keyword arguments of every call."""
+
+    def __init__(self):
+        self.requests: list = []
+        self.calls: list[dict] = []
+
+    def run_batch(self, program, requests, **kwargs):
+        self.requests.extend(requests)
+        self.calls.append(kwargs)
+        return super().run_batch(program, requests, **kwargs)
 
 
 class KillWorker:
@@ -159,8 +174,7 @@ class TestBackendEquivalence:
         teardown/respawn per switch), never serves another program's
         worker state, and evicts least-recently-used pools beyond the
         bound."""
-        backend = ProcessPoolBackend(max_workers=2, chunk_size=2,
-                                     max_pools=2)
+        backend = ProcessPoolBackend(max_workers=2, max_pools=2)
         try:
             programs = []
             for _ in range(2):  # two distinct program objects
@@ -255,6 +269,10 @@ class TestTrialCache:
         assert cache.get(key) == TrialOutcome(objective=1.5, accuracy=0.9)
         assert (cache.hits, cache.misses) == (1, 1)
         assert len(cache) == 1
+        # Rewriting a key replaces its outcome in place.
+        cache.put(key, TrialOutcome(objective=2.0, accuracy=0.2))
+        assert len(cache) == 1
+        assert cache.get(key).objective == 2.0
 
     def test_objective_and_cost_limit_namespace_keys(self):
         assert TrialCache.key("d", 8.0, 1, 0, objective="cost") != \
@@ -288,45 +306,6 @@ class TestTrialCache:
         cache = TrialCache(path)  # must not raise
         assert len(cache) == 1
         assert cache.get(good) == TrialOutcome(objective=2.0, accuracy=0.9)
-
-    def test_max_entries_lru_eviction(self):
-        """The bound evicts least-recently-*used* entries, so a
-        long-lived serving/tuning process cannot grow without bound."""
-        cache = TrialCache(max_entries=2)
-        keys = [TrialCache.key(f"d{i}", 1.0, 0, 0) for i in range(3)]
-        cache.put(keys[0], TrialOutcome(objective=1.0, accuracy=0.1))
-        cache.put(keys[1], TrialOutcome(objective=2.0, accuracy=0.2))
-        assert cache.get(keys[0]) is not None  # refresh key 0
-        cache.put(keys[2], TrialOutcome(objective=3.0, accuracy=0.3))
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        assert cache.get(keys[1]) is None      # LRU victim
-        assert cache.get(keys[0]) is not None  # refreshed, survived
-        assert cache.get(keys[2]) is not None
-
-    def test_max_entries_applies_to_loads(self, tmp_path):
-        path = tmp_path / "big.json"
-        entries = {TrialCache.key(f"d{i}", 1.0, 0, 0):
-                   {"objective": float(i), "accuracy": 0.5}
-                   for i in range(10)}
-        path.write_text(json.dumps({"version": 1, "entries": entries}))
-        cache = TrialCache(path, max_entries=4)
-        assert len(cache) == 4
-        assert cache.evictions == 6
-
-    def test_max_entries_validated(self):
-        with pytest.raises(ValueError):
-            TrialCache(max_entries=0)
-        TrialCache(max_entries=None)  # unbounded stays allowed
-
-    def test_rewriting_a_key_does_not_evict(self):
-        cache = TrialCache(max_entries=2)
-        key = TrialCache.key("dd", 1.0, 0, 0)
-        cache.put(key, TrialOutcome(objective=1.0, accuracy=0.1))
-        cache.put(key, TrialOutcome(objective=2.0, accuracy=0.2))
-        assert len(cache) == 1
-        assert cache.evictions == 0
-        assert cache.get(key).objective == 2.0
 
     def test_time_objective_bypasses_cache(self):
         """Wall-clock measurements are not content-determined; the
@@ -575,7 +554,7 @@ class TestProgramPickling:
                     for i in range(4)]
         serial = SerialBackend().run_batch(
             program, requests, cost_limit=spec.cost_limit)
-        with ProcessPoolBackend(max_workers=2, chunk_size=2) as backend:
+        with ProcessPoolBackend(max_workers=2) as backend:
             parallel = backend.run_batch(
                 program, requests, cost_limit=spec.cost_limit)
         assert [(o.objective, o.accuracy, o.failed) for o in serial] == \
@@ -587,3 +566,17 @@ class TestProgramPickling:
         two = program.default_config()
         assert one is not two
         assert config_digest(one) == config_digest(two)
+
+    def test_configuration_keeps_its_digest(self):
+        """The digest is computed once per immutable value, matches a
+        fresh digest of an equal value, and survives pickling."""
+        program, _ = compile_program(make_pickmean_transform())
+        config = program.default_config()
+        digest = config.digest
+        assert config_digest(config) == digest
+        assert config_digest(Configuration.loads(config.dumps())) == digest
+        restored = pickle.loads(pickle.dumps(config))
+        assert restored == config
+        assert restored.digest == digest
+        changed = config.with_entry("pickmean@main.m", 8)
+        assert config_digest(changed) != digest

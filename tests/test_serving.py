@@ -48,6 +48,7 @@ from repro.serving import (
 from repro.suite import all_benchmarks
 
 from tests.test_backends import (
+    RecordingBackend,
     make_pickmean_transform,
     pickmean_inputs,
     quick_settings,
@@ -402,8 +403,7 @@ class TestServingEquivalence:
     @pytest.mark.parametrize("backend_factory", [
         pytest.param(lambda: ThreadPoolBackend(max_workers=4),
                      id="thread"),
-        pytest.param(lambda: ProcessPoolBackend(max_workers=2,
-                                                chunk_size=8),
+        pytest.param(lambda: ProcessPoolBackend(max_workers=2),
                      id="process"),
     ])
     def test_batch_matches_serial_single_calls(self, served_setup,
@@ -610,6 +610,18 @@ def degraded_pickmean(program) -> TunedProgram:
         for target in program.root_transform.accuracy_bins})
 
 
+def crashing_pickmean() -> TunedProgram:
+    """A candidate whose every execution raises an error that is not a
+    trial failure, as a buggy build does."""
+    program, _ = compile_program(make_pickmean_transform())
+
+    def execute(*args, **kwargs):
+        raise RuntimeError("candidate bug")
+
+    program.execute = execute
+    return degraded_pickmean(program)
+
+
 class TestHotSwapAndShadow:
     def test_hot_swap_is_atomic_and_counted(self, tuned_pickmean):
         program, result = tuned_pickmean
@@ -646,6 +658,28 @@ class TestHotSwapAndShadow:
             replacement.run(inputs, 32.0, seed=5).outputs["est"]
         assert first.outputs["est"] != second.outputs["est"]
 
+    def test_swapped_requests_carry_the_new_config_digest(
+            self, tuned_pickmean):
+        """The digest rides on the configuration value itself, so a
+        swapped-in program's requests are keyed by its own configs."""
+        program, result = tuned_pickmean
+        backend = RecordingBackend()
+        engine = ServingEngine(backend=backend)
+        engine.register("pickmean", result.tuned_program())
+        request = ServeRequest(
+            program="pickmean",
+            inputs=pickmean_inputs(32, np.random.default_rng(4)),
+            n=32.0, seed=5)
+        first = engine.serve_one(request)
+        replacement = degraded_pickmean(program)
+        engine.hot_swap("pickmean", replacement)
+        engine.serve_one(request)
+        old_config = result.tuned_program().bin_configs[first.bin_target]
+        new_config = replacement.bin_configs[first.bin_target]
+        digests = [request.digest for request in backend.requests]
+        assert digests == [old_config.digest, new_config.digest]
+        assert digests[0] != digests[1]
+
     def test_shadow_samples_fraction_without_changing_responses(
             self, tuned_pickmean):
         program, result = tuned_pickmean
@@ -674,6 +708,39 @@ class TestHotSwapAndShadow:
         final = engine.stop_shadow("pickmean")
         assert final.samples == 3
         assert engine.shadow_status("pickmean") is None
+
+    def test_raising_shadow_candidate_never_fails_live_traffic(
+            self, tuned_pickmean):
+        """A candidate that raises counts against the shadow — every
+        sampled request is a shadow failure — while callers get the
+        primary's responses, ok and unchanged."""
+        _, result = tuned_pickmean
+        engine = ServingEngine()
+        engine.register("pickmean", result.tuned_program())
+        requests = [ServeRequest(
+            program="pickmean",
+            inputs=pickmean_inputs(32, np.random.default_rng(80 + i)),
+            n=32.0, accuracy=0.9, seed=i) for i in range(4)]
+        plain = engine.serve(requests)
+
+        engine.start_shadow("pickmean", crashing_pickmean(),
+                            fraction=1.0)
+        shadowed = engine.serve(requests)
+        assert all(r.ok for r in shadowed)
+        assert [(r.bin_target, r.outputs["est"]) for r in shadowed] == \
+            [(r.bin_target, r.outputs["est"]) for r in plain]
+        status = engine.shadow_status("pickmean")
+        assert status.failures == status.executions == len(requests)
+        assert status.samples == 0
+
+        with FrontDoor([engine], shedding=None) as door:
+            served = door.serve(requests)
+            stats = door.stats()
+        assert all(r.ok for r in served)
+        assert stats.errors == 0
+        assert stats.served == len(requests)
+        assert engine.shadow_status("pickmean").failures == \
+            2 * len(requests)
 
     def test_shadow_buckets_pairs_by_primary_bin(self, tuned_pickmean):
         """Mixed-accuracy traffic lands in per-bin windows, so a

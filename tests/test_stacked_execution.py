@@ -1,10 +1,10 @@
 """Stacked execution: fused waves are indistinguishable from loops.
 
 Covers the runtime batching layer (:mod:`repro.runtime.batching`), the
-ServingEngine's wave fusion, and the tuning harness's population
-stacking — in every case the observable results must match the
-pre-batching per-request path, with only the counters revealing that
-fewer program executions happened.
+ServingEngine's live and shadow wave fusion, and the tuning harness's
+population stacking — in every case the observable results must match
+the one-request path (a group of one never fuses), with only the
+counters revealing that fewer program executions happened.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from repro.runtime.batching import (
 from repro.runtime.executor import TunedProgram
 from repro.serving import ServeRequest, ServingEngine
 from repro.suite import get_benchmark
+
+from tests.test_backends import RecordingBackend
 
 
 @pytest.fixture(scope="module")
@@ -46,10 +48,10 @@ def pin_precision(config, value: str = "float64"):
     return config.with_entries(updates)
 
 
-def poisson_tuned(program) -> TunedProgram:
+def poisson_tuned(program, seed: int = 100) -> TunedProgram:
     configs = {}
     for index, target in enumerate(program.root_transform.accuracy_bins):
-        rng = np.random.default_rng(100 + index)
+        rng = np.random.default_rng(seed + index)
         configs[target] = pin_precision(program.random_config(rng))
     return TunedProgram(program, configs)
 
@@ -114,56 +116,40 @@ class TestBatchingPrimitives:
         # Interleave two shapes; outcomes must land positionally.
         requests = [make_request(poisson_program, 15 if i % 2 else 7, i)
                     for i in range(8)]
-        dispatched: list[int] = []
-        backend = SerialBackend()
-
-        def dispatch(reqs):
-            dispatched.extend(r.trial_index for r in reqs)
-            return backend.run_batch(poisson_program, reqs,
-                                     objective="cost", cost_limit=5e8)
-
+        backend = RecordingBackend()
         counters: dict[str, int] = {}
-        outcomes = run_batch_stacked(
-            poisson_program, requests, dispatch=dispatch,
-            cost_limit=5e8, counters=counters)
-        assert len(outcomes) == 8 and not dispatched
+        outcomes = run_batch_stacked(poisson_program, requests, backend,
+                                     cost_limit=5e8, counters=counters)
+        assert len(outcomes) == 8 and not backend.requests
         assert counters == {"stacked_calls": 2, "stacked_requests": 8}
-        scalar = backend.run_batch(poisson_program, requests,
-                                   objective="cost", cost_limit=5e8)
+        scalar = SerialBackend().run_batch(poisson_program, requests,
+                                           objective="cost",
+                                           cost_limit=5e8)
         for fused_outcome, scalar_outcome in zip(outcomes, scalar):
             assert fused_outcome.objective == scalar_outcome.objective
 
     def test_small_groups_fall_through_to_dispatch(self, poisson_program):
         requests = [make_request(poisson_program, 7, 0),
                     make_request(poisson_program, 15, 1)]
-        seen: list[int] = []
-        backend = SerialBackend()
-
-        def dispatch(reqs):
-            seen.extend(r.trial_index for r in reqs)
-            return backend.run_batch(poisson_program, reqs,
-                                     objective="cost")
-
+        backend = RecordingBackend()
         counters: dict[str, int] = {}
-        run_batch_stacked(poisson_program, requests, dispatch=dispatch,
-                          counters=counters)
-        assert seen == [0, 1]
+        run_batch_stacked(poisson_program, requests, backend,
+                          cost_limit=5e8, counters=counters)
+        assert [r.trial_index for r in backend.requests] == [0, 1]
+        # The residual runs under the caller's own arguments.
+        assert backend.calls == [{"objective": "cost", "cost_limit": 5e8,
+                                  "collect_outputs": False}]
         assert counters == {}
 
     def test_wall_clock_objective_never_stacks(self, poisson_program):
         requests = [make_request(poisson_program, 7, seed)
                     for seed in range(4)]
-        seen: list[int] = []
-        backend = SerialBackend()
-
-        def dispatch(reqs):
-            seen.extend(r.trial_index for r in reqs)
-            return backend.run_batch(poisson_program, reqs,
-                                     objective="time")
-
-        run_batch_stacked(poisson_program, requests, dispatch=dispatch,
-                          objective="time")
-        assert seen == [0, 1, 2, 3]
+        backend = RecordingBackend()
+        run_batch_stacked(poisson_program, requests, backend,
+                          objective="time", collect_outputs=True)
+        assert [r.trial_index for r in backend.requests] == [0, 1, 2, 3]
+        assert backend.calls == [{"objective": "time", "cost_limit": None,
+                                  "collect_outputs": True}]
 
     def test_non_batchable_program_never_stacks(self):
         program, _ = get_benchmark("clustering").compile()
@@ -174,23 +160,27 @@ class TestBatchingPrimitives:
 # ServingEngine wave fusion
 # ----------------------------------------------------------------------
 class TestEngineStacking:
-    def serve_wave(self, poisson_program, *, stacking: bool,
+    def serve_wave(self, poisson_program, *, one_at_a_time: bool = False,
                    count: int = 104, verify: bool = False):
-        engine = ServingEngine(stacking=stacking)
+        engine = ServingEngine()
         engine.register("poisson", poisson_tuned(poisson_program))
         requests = [
             ServeRequest(program="poisson",
                          inputs=poisson_inputs(15, seed), n=15.0,
                          accuracy=3.0, verify=verify, seed=seed)
             for seed in range(count)]
-        return engine.serve(requests), engine.counters()
+        if one_at_a_time:
+            responses = [engine.serve([request])[0]
+                         for request in requests]
+        else:
+            responses = engine.serve(requests)
+        return responses, engine.counters()
 
     def test_104_request_wave_matches_prebatching_path(
             self, poisson_program):
-        stacked, stacked_stats = self.serve_wave(poisson_program,
-                                                 stacking=True)
+        stacked, stacked_stats = self.serve_wave(poisson_program)
         looped, looped_stats = self.serve_wave(poisson_program,
-                                               stacking=False)
+                                               one_at_a_time=True)
         assert stacked_stats["stacked_calls"] >= 1
         assert stacked_stats["stacked_requests"] == 104
         assert looped_stats["stacked_calls"] == 0
@@ -208,9 +198,9 @@ class TestEngineStacking:
     def test_escalation_accounting_survives_stacking(
             self, poisson_program):
         stacked, stacked_stats = self.serve_wave(
-            poisson_program, stacking=True, count=24, verify=True)
+            poisson_program, count=24, verify=True)
         looped, looped_stats = self.serve_wave(
-            poisson_program, stacking=False, count=24, verify=True)
+            poisson_program, one_at_a_time=True, count=24, verify=True)
         assert stacked_stats["executions"] == looped_stats["executions"]
         for count in (lambda r: r.escalations, lambda r: r.fallback,
                       lambda r: not r.ok):
@@ -220,8 +210,43 @@ class TestEngineStacking:
             assert fused.bin_target == scalar.bin_target
             assert fused.escalations == scalar.escalations
 
+    def test_shadow_wave_fuses_like_live_traffic(self, poisson_program):
+        """A shadowed wave fuses on the candidate too, and its paired
+        accuracies match shadowing one request at a time."""
+        requests = [
+            ServeRequest(program="poisson",
+                         inputs=poisson_inputs(15, seed), n=15.0,
+                         accuracy=3.0, seed=seed)
+            for seed in range(8)]
+        statuses, counters = [], []
+        for one_at_a_time in (False, True):
+            engine = ServingEngine()
+            engine.register("poisson", poisson_tuned(poisson_program))
+            engine.start_shadow("poisson",
+                                poisson_tuned(poisson_program, seed=200),
+                                fraction=1.0)
+            if one_at_a_time:
+                for request in requests:
+                    engine.serve([request])
+            else:
+                engine.serve(requests)
+            statuses.append(engine.shadow_status("poisson"))
+            counters.append(engine.counters())
+        fused, looped = statuses
+        # One fused call for the live wave, one for the shadow wave.
+        assert counters[0]["stacked_calls"] == 2
+        assert counters[0]["stacked_requests"] == 16
+        assert counters[1]["stacked_calls"] == 0
+        assert counters[0]["shadow_executions"] == \
+            counters[1]["shadow_executions"] == 8
+        assert fused.failures == looped.failures == 0
+        assert fused.samples == looped.samples == 8
+        for field in ("primary_accuracies", "candidate_accuracies"):
+            assert getattr(fused, field) == pytest.approx(
+                getattr(looped, field), rel=1e-12)
+
     def test_mixed_sizes_unstack_correctly(self, poisson_program):
-        engine = ServingEngine(stacking=True)
+        engine = ServingEngine()
         engine.register("poisson", poisson_tuned(poisson_program))
         sizes = [7, 15, 7, 15, 7, 15, 7, 7]
         requests = [
@@ -239,29 +264,51 @@ class TestEngineStacking:
 # Harness population stacking
 # ----------------------------------------------------------------------
 class TestHarnessStacking:
-    def run_population(self, poisson_program, *, stacking: bool,
+    @pytest.fixture
+    def fused_calls(self, monkeypatch):
+        """Sizes of the fused calls that stood in for scalar runs."""
+        from repro.runtime import batching
+        calls: list[int] = []
+        original = batching.execute_stacked
+
+        def spy(program, requests, **kwargs):
+            outcomes = original(program, requests, **kwargs)
+            if outcomes is not None:
+                calls.append(len(requests))
+            return outcomes
+
+        monkeypatch.setattr(batching, "execute_stacked", spy)
+        return calls
+
+    def run_population(self, poisson_program, *,
+                       one_at_a_time: bool = False,
                        precision: str = "float64"):
         generate = get_benchmark("poisson").generate
         harness = ProgramTestHarness(
-            poisson_program, generate, base_seed=11, cost_limit=5e8,
-            stacking=stacking)
+            poisson_program, generate, base_seed=11, cost_limit=5e8)
         rng = np.random.default_rng(5)
         candidates = [
             Candidate(pin_precision(poisson_program.random_config(rng),
                                     precision))
             for _ in range(3)]
-        harness.ensure_trials_batch(
-            [(candidate, 15.0, 4) for candidate in candidates])
+        if one_at_a_time:
+            for candidate in candidates:
+                for _ in range(4):
+                    harness.run_trials([(candidate, 15.0)])
+        else:
+            harness.ensure_trials_batch(
+                [(candidate, 15.0, 4) for candidate in candidates])
         return harness, candidates
 
-    def test_population_trials_match_unstacked(self, poisson_program):
-        stacked_harness, stacked_pop = self.run_population(
-            poisson_program, stacking=True)
+    def test_population_trials_match_unstacked(self, poisson_program,
+                                               fused_calls):
         looped_harness, looped_pop = self.run_population(
-            poisson_program, stacking=False)
-        assert stacked_harness.stacked_calls >= 1
-        assert stacked_harness.stacked_requests >= 2
-        assert looped_harness.stacked_calls == 0
+            poisson_program, one_at_a_time=True)
+        assert fused_calls == []
+        stacked_harness, stacked_pop = self.run_population(
+            poisson_program)
+        assert len(fused_calls) >= 1
+        assert sum(fused_calls) >= 2
         assert stacked_harness.trials_executed == \
             looped_harness.trials_executed
         for fused, scalar in zip(stacked_pop, looped_pop):
@@ -280,13 +327,13 @@ class TestHarnessStacking:
                 assert a.accuracy == pytest.approx(b.accuracy, rel=1e-9)
 
     def test_float32_population_objectives_match_exactly(
-            self, poisson_program):
-        stacked_harness, stacked_pop = self.run_population(
-            poisson_program, stacking=True, precision="float32")
-        looped_harness, looped_pop = self.run_population(
-            poisson_program, stacking=False, precision="float32")
-        assert stacked_harness.stacked_calls >= 1
-        assert looped_harness.stacked_calls == 0
+            self, poisson_program, fused_calls):
+        _, looped_pop = self.run_population(
+            poisson_program, one_at_a_time=True, precision="float32")
+        assert fused_calls == []
+        _, stacked_pop = self.run_population(
+            poisson_program, precision="float32")
+        assert len(fused_calls) >= 1
         for fused, scalar in zip(stacked_pop, looped_pop):
             fused_trials = fused.results.trials(15.0)
             scalar_trials = scalar.results.trials(15.0)
@@ -321,13 +368,9 @@ class TestPrecisionStacking:
         signatures = {stack_signature(request, poisson_program)
                       for request in requests}
         assert len(signatures) == 2 and None not in signatures
-        backend = SerialBackend()
         counters: dict[str, int] = {}
         outcomes = run_batch_stacked(
-            poisson_program, requests,
-            dispatch=lambda reqs: backend.run_batch(
-                poisson_program, reqs, objective="cost", cost_limit=5e8,
-                collect_outputs=True),
+            poisson_program, requests, SerialBackend(),
             cost_limit=5e8, collect_outputs=True, counters=counters)
         assert counters == {"stacked_calls": 2, "stacked_requests": 8}
         for outcome, request in zip(outcomes, requests):
@@ -360,27 +403,20 @@ class TestPrecisionStacking:
 
     def test_dtype_preserved_through_per_request_fallback(
             self, poisson_program):
-        # One request per precision: both groups fall below
-        # min_group_size, so everything runs through the per-request
-        # dispatch — which must still honour the configured dtype.
+        # One request per precision: both groups fall below the
+        # minimum group size, so everything runs through the
+        # per-request dispatch — which must still honour the
+        # configured dtype.
         f64 = poisson_program.default_config()
         f32 = pin_precision(f64, "float32")
         requests = [make_request(poisson_program, 15, 0, config=f64),
                     make_request(poisson_program, 15, 1, config=f32)]
-        backend = SerialBackend()
-        dispatched: list[int] = []
-
-        def dispatch(reqs):
-            dispatched.extend(r.trial_index for r in reqs)
-            return backend.run_batch(poisson_program, reqs,
-                                     objective="cost", cost_limit=5e8,
-                                     collect_outputs=True)
-
+        backend = RecordingBackend()
         counters: dict[str, int] = {}
         outcomes = run_batch_stacked(
-            poisson_program, requests, dispatch=dispatch,
+            poisson_program, requests, backend,
             cost_limit=5e8, collect_outputs=True, counters=counters)
-        assert dispatched == [0, 1]
+        assert [r.trial_index for r in backend.requests] == [0, 1]
         assert counters == {}
         assert outcomes[0].outputs["u"].dtype == np.float64
         assert outcomes[1].outputs["u"].dtype == np.float32
