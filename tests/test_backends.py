@@ -269,10 +269,19 @@ class TestTrialCache:
         assert cache.get(key) == TrialOutcome(objective=1.5, accuracy=0.9)
         assert (cache.hits, cache.misses) == (1, 1)
         assert len(cache) == 1
-        # Rewriting a key replaces its outcome in place.
+
+    def test_rewriting_a_key_does_not_evict(self):
+        # Rewriting a key replaces its outcome in place: no second
+        # entry, and no earlier entry is dropped.
+        cache = TrialCache()
+        other = TrialCache.key("cc", 1.0, 0, 0)
+        key = TrialCache.key("dd", 1.0, 0, 0)
+        cache.put(other, TrialOutcome(objective=0.5, accuracy=0.05))
+        cache.put(key, TrialOutcome(objective=1.0, accuracy=0.1))
         cache.put(key, TrialOutcome(objective=2.0, accuracy=0.2))
-        assert len(cache) == 1
+        assert len(cache) == 2
         assert cache.get(key).objective == 2.0
+        assert cache.get(other).objective == 0.5
 
     def test_objective_and_cost_limit_namespace_keys(self):
         assert TrialCache.key("d", 8.0, 1, 0, objective="cost") != \
