@@ -10,6 +10,10 @@ against looping the scalar kernel over slices, prints a ``BENCH_JSON``
 row (collected into CI's ``bench_results.jsonl`` artifact), and
 *fails* if stacking is slower than the loop — with a hard ≥3x floor on
 the headline SOR and cluster-assignment kernels.
+
+The ``TestBinPackingKernels`` section gates the Fit-family packing
+kernels against the per-item numpy scan they replaced, kept here as the
+reference: each must run at least 1.5x faster at n = 128 and n = 2048.
 """
 
 import json
@@ -18,7 +22,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.binpacking.algorithms import first_fit_decreasing, next_fit
+from repro.binpacking.algorithms import (
+    ALGORITHMS,
+    EPSILON,
+    first_fit_decreasing,
+    next_fit,
+)
 from repro.binpacking.datagen import generate_items_with_known_optimal
 from repro.clustering.kernels import assign_clusters
 from repro.linalg.banded import (
@@ -288,3 +297,143 @@ class TestPrecisionThroughput:
         assert speedup >= PRECISION_FLOOR, (
             f"batched float32 SOR ran {speedup:.2f}x float64 at "
             f"B={BATCH}, below the {PRECISION_FLOOR:.1f}x gate")
+
+
+# ----------------------------------------------------------------------
+# Bin-packing kernel gate
+# ----------------------------------------------------------------------
+#: The list-based Fit-family kernels must beat the numpy scan by this
+#: factor at every gated size.
+PACKING_FLOOR = 1.5
+
+
+class _NumpyBinState:
+    """Open bins scanned with numpy: 3-5 array calls per item."""
+
+    def __init__(self, max_bins, capacity):
+        self.remaining = np.full(max_bins, capacity)
+        self.used = 0
+        self.ops = 0.0
+
+    def open_bin(self, item):
+        index = self.used
+        self.remaining[index] -= item
+        self.used += 1
+        return index
+
+    def place(self, index, item):
+        self.remaining[index] -= item
+        return index
+
+    def fits(self, item):
+        return self.remaining[:self.used] >= item - EPSILON
+
+
+def _numpy_first_fit(items, capacity=1.0):
+    state = _NumpyBinState(len(items), capacity)
+    assignment = np.empty(len(items), dtype=np.int64)
+    for i, item in enumerate(items):
+        fits = state.fits(item)
+        if fits.any():
+            index = int(np.argmax(fits))
+            state.ops += index + 1
+            assignment[i] = state.place(index, item)
+        else:
+            state.ops += state.used
+            assignment[i] = state.open_bin(item)
+    return assignment, state.used, state.ops
+
+
+def _numpy_last_fit(items, capacity=1.0):
+    state = _NumpyBinState(len(items), capacity)
+    assignment = np.empty(len(items), dtype=np.int64)
+    for i, item in enumerate(items):
+        fits = state.fits(item)
+        if fits.any():
+            back_offset = int(np.argmax(fits[::-1]))
+            state.ops += back_offset + 1
+            assignment[i] = state.place(state.used - 1 - back_offset, item)
+        else:
+            state.ops += state.used
+            assignment[i] = state.open_bin(item)
+    return assignment, state.used, state.ops
+
+
+def _numpy_best_fit(items, capacity=1.0):
+    state = _NumpyBinState(len(items), capacity)
+    assignment = np.empty(len(items), dtype=np.int64)
+    for i, item in enumerate(items):
+        fits = state.fits(item)
+        state.ops += state.used
+        if fits.any():
+            slack = np.where(fits, state.remaining[:state.used], np.inf)
+            assignment[i] = state.place(int(np.argmin(slack)), item)
+        else:
+            assignment[i] = state.open_bin(item)
+    return assignment, state.used, state.ops
+
+
+def _numpy_worst_fit(items, capacity=1.0, kth=1):
+    state = _NumpyBinState(len(items), capacity)
+    assignment = np.empty(len(items), dtype=np.int64)
+    for i, item in enumerate(items):
+        fits = state.fits(item)
+        state.ops += state.used
+        if fits.any():
+            slack = np.where(fits, state.remaining[:state.used], -np.inf)
+            rank = min(kth, int(fits.sum())) - 1
+            order = np.argsort(slack)
+            index = int(order[len(order) - 1 - rank])
+            assignment[i] = state.place(index, item)
+        else:
+            assignment[i] = state.open_bin(item)
+    return assignment, state.used, state.ops
+
+
+_NUMPY_SCANS = {
+    "FirstFit": _numpy_first_fit,
+    "LastFit": _numpy_last_fit,
+    "BestFit": _numpy_best_fit,
+    "WorstFit": _numpy_worst_fit,
+    "AlmostWorstFit": lambda items: _numpy_worst_fit(items, kth=2),
+}
+
+
+def _numpy_scan(name, items):
+    """The numpy reference of ``ALGORITHMS[name]``: (bins, ops)."""
+    base = name.removesuffix("Decreasing")
+    if base == name:
+        _, num_bins, ops = _NUMPY_SCANS[name](items)
+        return num_bins, ops
+    _, num_bins, ops = _NUMPY_SCANS[base](
+        items[np.argsort(-items, kind="stable")])
+    return num_bins, ops + len(items) * np.log2(max(len(items), 2))
+
+
+class TestBinPackingKernels:
+    @pytest.mark.parametrize("n", [128, 2048])
+    @pytest.mark.parametrize("name", [
+        name + suffix
+        for name in ("FirstFit", "LastFit", "BestFit", "WorstFit",
+                     "AlmostWorstFit")
+        for suffix in ("", "Decreasing")])
+    def test_fit_kernel_beats_numpy_scan(self, name, n):
+        items, _ = generate_items_with_known_optimal(
+            n, np.random.default_rng(n))
+        algorithm = ALGORITHMS[name]
+        packing = algorithm(items)
+        # Continuous items have no exact ties, so the two agree exactly.
+        assert (packing.num_bins, packing.ops) == pytest.approx(
+            _numpy_scan(name, items))
+        algorithm(items)  # warm
+        kernel_s = _best_seconds(lambda: algorithm(items), repeats=5)
+        numpy_s = _best_seconds(lambda: _numpy_scan(name, items),
+                                repeats=5)
+        speedup = numpy_s / kernel_s
+        row = {"bench": "kernels", "kernel": f"binpacking_{name}", "n": n,
+               "kernel_s": round(kernel_s, 6), "numpy_s": round(numpy_s, 6),
+               "speedup": round(speedup, 2)}
+        print("BENCH_JSON " + json.dumps(row, sort_keys=True))
+        assert speedup >= PACKING_FLOOR, (
+            f"{name} at n={n} ran {speedup:.2f}x the numpy scan, "
+            f"below the {PACKING_FLOOR:.1f}x gate")

@@ -7,9 +7,14 @@ cost model.  ``ops`` counts the bin-capacity comparisons a sequential
 implementation performs (the quantity whose asymptotics differ between
 the heuristics: NextFit is O(n), the Fit family O(n * bins)), plus
 ``n log2 n`` for the sort of the Decreasing variants.  The *runtime*
-implementation vectorises the bin scans with numpy so large instances
-stay usable from pure Python; this affects wall-clock only, never the
-reported ``ops``.
+does not perform that scan: First/Last Fit walk a max tree of the bins'
+remaining capacities, and Best/Worst Fit bisect a sorted list of
+``(remaining, bin index)``, both on Python floats.  This affects
+wall-clock only; ``ops`` still counts the sequential scan.
+
+Ties in remaining capacity are broken by bin index: BestFit takes the
+lowest index, and the kth-least-full rule of WorstFit/AlmostWorstFit
+counts the higher index first.
 
 Worst-case guarantees (paper's list): FirstFit/BestFit 17/10 OPT,
 FirstFitDecreasing/BestFitDecreasing 11/9 OPT (the paper cites 10/9),
@@ -18,7 +23,9 @@ ModifiedFirstFitDecreasing 71/60 OPT, NextFit 2 OPT.
 
 from __future__ import annotations
 
+import collections
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,116 +71,120 @@ def _sort_cost(n: int) -> float:
     return float(n) * math.log2(max(n, 2))
 
 
-class _BinState:
-    """Open bins with vectorised scans but sequential-cost accounting."""
+def _fit_tree(sizes: list[float], capacity: float,
+              remaining: list[float], ops: float, from_back: bool
+              ) -> tuple[list[int], int, float]:
+    """FirstFit (LastFit when ``from_back``) of ``sizes`` over open bins.
 
-    __slots__ = ("remaining", "used", "ops")
+    ``remaining`` seeds the bins already open.  A max tree over the
+    bins' remaining capacities, padded to a power of two with ``-inf``
+    for bins not yet opened, finds the leftmost (rightmost) fitting bin
+    in O(log bins); ``ops`` still charges the sequential scan, from the
+    front (back) up to that bin, or every open bin when a new one opens.
+    Returns the bin of each item, the bins used and the updated ``ops``.
+    """
+    used = len(remaining)
+    size = 1 << max(used + len(sizes) - 1, 0).bit_length()
+    tree = [-math.inf] * (2 * size)
+    tree[size:size + used] = remaining
+    for node in range(size - 1, 0, -1):
+        left, right = tree[2 * node], tree[2 * node + 1]
+        tree[node] = left if left >= right else right
+    bins = []
+    for item in sizes:
+        threshold = item - EPSILON
+        if tree[1] >= threshold:
+            node = 1
+            if from_back:
+                while node < size:
+                    node = 2 * node + 1
+                    if tree[node] < threshold:
+                        node -= 1
+                index = node - size
+                ops += used - index
+            else:
+                while node < size:
+                    node *= 2
+                    if tree[node] < threshold:
+                        node += 1
+                index = node - size
+                ops += index + 1
+            value = tree[node] - item
+        else:
+            ops += used
+            index = used
+            used += 1
+            node = size + index
+            value = capacity - item
+        tree[node] = value
+        while node > 1:  # value becomes the max over node's parent
+            sibling = tree[node ^ 1]
+            if sibling > value:
+                value = sibling
+            node >>= 1
+            if tree[node] == value:
+                break
+            tree[node] = value
+        bins.append(index)
+    return bins, used, ops
 
-    def __init__(self, max_bins: int, capacity: float):
-        self.remaining = np.full(max_bins, capacity)
-        self.used = 0
-        self.ops = 0.0
 
-    def open_bin(self, item: float) -> int:
-        index = self.used
-        self.remaining[index] -= item
-        self.used += 1
-        return index
+def _sorted_fit(items: np.ndarray, capacity: float,
+                kth: int | None) -> Packing:
+    """BestFit (``kth=None``) or the kth-least-full rule over sorted bins.
 
-    def place(self, index: int, item: float) -> int:
-        self.remaining[index] -= item
-        return index
-
-    def fits(self, item: float) -> np.ndarray:
-        return self.remaining[:self.used] >= item - EPSILON
+    Open bins live in a list of ``(remaining, bin index)`` kept sorted,
+    so the bins an item fits form its tail.  BestFit takes the first of
+    them: the least remaining capacity, lowest index on ties.  The
+    kth-least-full rule counts from the end: the most remaining
+    capacity first and, among equal capacities, the higher bin index
+    first (a stable ascending sort read from the end).  ``ops`` still
+    charges a scan of every open bin per item.
+    """
+    keys: list[tuple[float, int]] = []
+    bins = []
+    ops = 0.0
+    for item in items.tolist():
+        ops += len(keys)
+        first = bisect_left(keys, (item - EPSILON, -1))
+        fitting = len(keys) - first
+        if fitting:
+            position = first if kth is None else len(keys) - min(kth, fitting)
+            remaining, index = keys.pop(position)
+            insort(keys, (remaining - item, index))
+        else:
+            index = len(keys)
+            insort(keys, (capacity - item, index))
+        bins.append(index)
+    return Packing(np.array(bins, dtype=np.int64), len(keys), ops)
 
 
 def _first_fit_core(items: np.ndarray, capacity: float) -> Packing:
-    n = len(items)
-    state = _BinState(n, capacity)
-    assignment = np.empty(n, dtype=np.int64)
-    for i, item in enumerate(items):
-        fits = state.fits(item)
-        if fits.any():
-            index = int(np.argmax(fits))
-            state.ops += index + 1  # bins scanned until the first fit
-            assignment[i] = state.place(index, item)
-        else:
-            state.ops += state.used
-            assignment[i] = state.open_bin(item)
-    return Packing(assignment, state.used, state.ops)
-
-
-def _best_fit_core(items: np.ndarray, capacity: float) -> Packing:
-    n = len(items)
-    state = _BinState(n, capacity)
-    assignment = np.empty(n, dtype=np.int64)
-    for i, item in enumerate(items):
-        fits = state.fits(item)
-        state.ops += state.used  # scans every open bin
-        if fits.any():
-            slack = np.where(fits, state.remaining[:state.used], np.inf)
-            assignment[i] = state.place(int(np.argmin(slack)), item)
-        else:
-            assignment[i] = state.open_bin(item)
-    return Packing(assignment, state.used, state.ops)
-
-
-def _worst_fit_core(items: np.ndarray, capacity: float,
-                    kth: int = 1) -> Packing:
-    """WorstFit (kth=1) and AlmostWorstFit (kth-least-full bin)."""
-    n = len(items)
-    state = _BinState(n, capacity)
-    assignment = np.empty(n, dtype=np.int64)
-    for i, item in enumerate(items):
-        fits = state.fits(item)
-        state.ops += state.used
-        if fits.any():
-            slack = np.where(fits, state.remaining[:state.used], -np.inf)
-            fitting = int(fits.sum())
-            rank = min(kth, fitting) - 1
-            # kth-least-full == (rank+1)-th largest remaining capacity.
-            order = np.argsort(slack)
-            index = int(order[len(order) - 1 - rank])
-            assignment[i] = state.place(index, item)
-        else:
-            assignment[i] = state.open_bin(item)
-    return Packing(assignment, state.used, state.ops)
+    bins, used, ops = _fit_tree(items.tolist(), capacity, [], 0.0,
+                                from_back=False)
+    return Packing(np.array(bins, dtype=np.int64), used, ops)
 
 
 def _last_fit_core(items: np.ndarray, capacity: float) -> Packing:
-    n = len(items)
-    state = _BinState(n, capacity)
-    assignment = np.empty(n, dtype=np.int64)
-    for i, item in enumerate(items):
-        fits = state.fits(item)
-        if fits.any():
-            reversed_fits = fits[::-1]
-            back_offset = int(np.argmax(reversed_fits))
-            index = state.used - 1 - back_offset
-            state.ops += back_offset + 1  # scanned from the back
-            assignment[i] = state.place(index, item)
-        else:
-            state.ops += state.used
-            assignment[i] = state.open_bin(item)
-    return Packing(assignment, state.used, state.ops)
+    bins, used, ops = _fit_tree(items.tolist(), capacity, [], 0.0,
+                                from_back=True)
+    return Packing(np.array(bins, dtype=np.int64), used, ops)
 
 
 def _next_fit_core(items: np.ndarray, capacity: float) -> Packing:
-    n = len(items)
-    assignment = np.empty(n, dtype=np.int64)
+    bins = []
     num_bins = 0
     remaining = 0.0
     ops = 0.0
-    for i, item in enumerate(items):
+    for item in items.tolist():
         ops += 1
         if num_bins > 0 and remaining >= item - EPSILON:
             remaining -= item
         else:
             num_bins += 1
             remaining = capacity - item
-        assignment[i] = num_bins - 1
-    return Packing(assignment, num_bins, ops)
+        bins.append(num_bins - 1)
+    return Packing(np.array(bins, dtype=np.int64), num_bins, ops)
 
 
 def _decreasing(core, items: np.ndarray, capacity: float, **kwargs
@@ -202,13 +213,16 @@ def first_fit_decreasing(items, capacity: float = 1.0) -> Packing:
 
 
 def best_fit(items, capacity: float = 1.0) -> Packing:
-    """Place each item in the most-full bin with capacity."""
-    return _best_fit_core(np.asarray(items, dtype=float), capacity)
+    """Place each item in the most-full bin with capacity.
+
+    Among equally full bins, the lowest bin index wins.
+    """
+    return _sorted_fit(np.asarray(items, dtype=float), capacity, kth=None)
 
 
 def best_fit_decreasing(items, capacity: float = 1.0) -> Packing:
     """Reverse-sort, then BestFit."""
-    return _decreasing(_best_fit_core, items, capacity)
+    return _decreasing(_sorted_fit, items, capacity, kth=None)
 
 
 def last_fit(items, capacity: float = 1.0) -> Packing:
@@ -232,30 +246,36 @@ def next_fit_decreasing(items, capacity: float = 1.0) -> Packing:
 
 
 def worst_fit(items, capacity: float = 1.0) -> Packing:
-    """Place each item in the least-full nonempty bin with capacity."""
-    return _worst_fit_core(np.asarray(items, dtype=float), capacity, kth=1)
+    """Place each item in the least-full nonempty bin with capacity.
+
+    Among equally full bins, the highest bin index wins.
+    """
+    return _sorted_fit(np.asarray(items, dtype=float), capacity, kth=1)
 
 
 def worst_fit_decreasing(items, capacity: float = 1.0) -> Packing:
     """Reverse-sort, then WorstFit."""
-    return _decreasing(_worst_fit_core, items, capacity, kth=1)
+    return _decreasing(_sorted_fit, items, capacity, kth=1)
 
 
 def almost_worst_fit(items, capacity: float = 1.0, kth: int = 2) -> Packing:
     """Place each item in the kth-least-full bin that has capacity.
 
     AlmostWorstFit by definition sets k=2; as in the paper, our
-    implementation generalises it to a compiler-set ``kth``.
+    implementation generalises it to a compiler-set ``kth``.  Bins are
+    ranked by remaining capacity, most first; among equally full bins
+    the higher bin index ranks first.  With fewer than ``kth`` fitting
+    bins, the most-full of them is taken.
     """
     if kth < 1:
         raise ValueError(f"kth must be >= 1: {kth}")
-    return _worst_fit_core(np.asarray(items, dtype=float), capacity, kth=kth)
+    return _sorted_fit(np.asarray(items, dtype=float), capacity, kth=kth)
 
 
 def almost_worst_fit_decreasing(items, capacity: float = 1.0,
                                 kth: int = 2) -> Packing:
     """Reverse-sort, then AlmostWorstFit."""
-    return _decreasing(_worst_fit_core, items, capacity, kth=kth)
+    return _decreasing(_sorted_fit, items, capacity, kth=kth)
 
 
 def modified_first_fit_decreasing(items, capacity: float = 1.0) -> Packing:
@@ -268,21 +288,21 @@ def modified_first_fit_decreasing(items, capacity: float = 1.0) -> Packing:
     items = np.asarray(items, dtype=float)
     n = len(items)
     ops = _sort_cost(n) + n  # sort + classification pass
-    order = np.argsort(-items, kind="stable")
-    assignment = np.full(n, -1, dtype=np.int64)
+    order = np.argsort(-items, kind="stable").tolist()
+    sizes = items.tolist()
+    assignment = [-1] * n
 
-    large = [i for i in order if items[i] > capacity / 2]
-    rest = [i for i in order if items[i] <= capacity / 2]
+    large = [i for i in order if sizes[i] > capacity / 2]
+    rest = [i for i in order if sizes[i] <= capacity / 2]
 
     remaining: list[float] = []
     for index in large:  # one bin per large item, decreasing order
         assignment[index] = len(remaining)
-        remaining.append(capacity - items[index])
+        remaining.append(capacity - sizes[index])
 
     # Walk large bins from the smallest large item (most free space);
     # insert the smallest remaining item plus the largest that still
     # fits beside it, when such a pair exists.
-    import collections
     pool = collections.deque(rest)  # sorted decreasing
     for bin_index in range(len(remaining) - 1, -1, -1):
         if len(pool) < 2:
@@ -290,42 +310,30 @@ def modified_first_fit_decreasing(items, capacity: float = 1.0) -> Packing:
         smallest = pool[-1]
         second_smallest = pool[-2]
         ops += 2
-        if items[smallest] + items[second_smallest] > \
+        if sizes[smallest] + sizes[second_smallest] > \
                 remaining[bin_index] + EPSILON:
             continue
         pool.pop()
         assignment[smallest] = bin_index
-        remaining[bin_index] -= items[smallest]
+        remaining[bin_index] -= sizes[smallest]
         partner = None
         for position, candidate in enumerate(pool):
             ops += 1
-            if items[candidate] <= remaining[bin_index] + EPSILON:
+            if sizes[candidate] <= remaining[bin_index] + EPSILON:
                 partner = position
                 break
         if partner is not None:
             candidate = pool[partner]
             del pool[partner]
             assignment[candidate] = bin_index
-            remaining[bin_index] -= items[candidate]
+            remaining[bin_index] -= sizes[candidate]
 
     # FirstFit the leftovers over all bins (decreasing order preserved).
-    capacities = np.full(n, capacity)
-    used = len(remaining)
-    if used:
-        capacities[:used] = remaining
-    for index in pool:
-        item = items[index]
-        fits = capacities[:used] >= item - EPSILON
-        if fits.any():
-            target = int(np.argmax(fits))
-            ops += target + 1
-        else:
-            ops += used
-            target = used
-            used += 1
-        capacities[target] -= item
+    bins, used, ops = _fit_tree([sizes[index] for index in pool], capacity,
+                                remaining, ops, from_back=False)
+    for index, target in zip(pool, bins):
         assignment[index] = target
-    return Packing(assignment, used, ops)
+    return Packing(np.array(assignment, dtype=np.int64), used, ops)
 
 
 #: Name -> callable, in the paper's listing order (Section 6.1.1).

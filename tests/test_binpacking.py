@@ -1,5 +1,6 @@
 """Tests for the bin packing substrate."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro.binpacking.algorithms import (
     ALGORITHMS,
+    EPSILON,
     Packing,
     almost_worst_fit,
     best_fit,
@@ -20,6 +22,7 @@ from repro.binpacking.algorithms import (
 )
 from repro.binpacking.datagen import generate_items_with_known_optimal
 from repro.binpacking.metrics import bins_over_optimal
+from repro.suite.binpacking import generate
 
 
 def bin_fills(items, packing: Packing) -> np.ndarray:
@@ -202,3 +205,343 @@ class TestMetric:
     def test_below_optimal_rejected(self):
         with pytest.raises(ValueError):
             bins_over_optimal(5, 10)
+
+
+# ----------------------------------------------------------------------
+# Reference: one linear scan per item over the open bins, as each rule
+# is defined, with the stable tie rule (BestFit takes the lowest bin
+# index; the kth-least-full rule counts the higher index first).
+# ----------------------------------------------------------------------
+def _reference_fit(items, rule, kth=1, remaining=(), ops=0.0,
+                   capacity=1.0):
+    remaining = list(remaining)
+    bins = []
+    for item in items:
+        fitting = [b for b, room in enumerate(remaining)
+                   if room >= item - EPSILON]
+        if not fitting:
+            ops += len(remaining)
+            target = len(remaining)
+            remaining.append(capacity - item)
+            bins.append(target)
+            continue
+        if rule == "first":
+            target = fitting[0]
+            ops += target + 1
+        elif rule == "last":
+            target = fitting[-1]
+            ops += len(remaining) - target
+        elif rule == "best":
+            target = min(fitting, key=lambda b: remaining[b])
+            ops += len(remaining)
+        else:  # kth-least-full
+            ranked = sorted(fitting, key=lambda b: (remaining[b], b),
+                            reverse=True)
+            target = ranked[min(kth, len(ranked)) - 1]
+            ops += len(remaining)
+        remaining[target] -= item
+        bins.append(target)
+    return bins, remaining, ops
+
+
+def _reference_next_fit(items, capacity=1.0):
+    bins, room, current = [], 0.0, -1
+    for item in items:
+        if current < 0 or room < item - EPSILON:
+            current += 1
+            room = capacity
+        room -= item
+        bins.append(current)
+    return bins, current + 1, float(len(items))
+
+
+def _reference_mffd(items, capacity=1.0):
+    n = len(items)
+    ops = float(n) * math.log2(max(n, 2)) + n
+    order = np.argsort(-items, kind="stable").tolist()
+    sizes = items.tolist()
+    bins = [-1] * n
+    large = [i for i in order if sizes[i] > capacity / 2]
+    pool = [i for i in order if sizes[i] <= capacity / 2]
+    remaining = []
+    for index in large:
+        bins[index] = len(remaining)
+        remaining.append(capacity - sizes[index])
+    for bin_index in range(len(remaining) - 1, -1, -1):
+        if len(pool) < 2:
+            break
+        ops += 2
+        if sizes[pool[-1]] + sizes[pool[-2]] > \
+                remaining[bin_index] + EPSILON:
+            continue
+        smallest = pool.pop()
+        bins[smallest] = bin_index
+        remaining[bin_index] -= sizes[smallest]
+        for position, candidate in enumerate(pool):
+            ops += 1
+            if sizes[candidate] <= remaining[bin_index] + EPSILON:
+                del pool[position]
+                bins[candidate] = bin_index
+                remaining[bin_index] -= sizes[candidate]
+                break
+    leftover, remaining, ops = _reference_fit(
+        [sizes[i] for i in pool], "first", remaining=remaining, ops=ops,
+        capacity=capacity)
+    for index, target in zip(pool, leftover):
+        bins[index] = target
+    return bins, len(remaining), ops
+
+
+_REFERENCE_RULES = {"FirstFit": "first", "LastFit": "last",
+                    "BestFit": "best", "WorstFit": "kth",
+                    "AlmostWorstFit": "kth"}
+
+
+def reference_packing(name, items, kth=2):
+    """``(assignment, num_bins, ops)`` of ALGORITHMS[name] by definition."""
+    items = np.asarray(items, dtype=float)
+    if name == "ModifiedFirstFitDecreasing":
+        return _reference_mffd(items)
+    base = name.removesuffix("Decreasing")
+    if base != name:
+        order = np.argsort(-items, kind="stable")
+        bins, num_bins, ops = reference_packing(base, items[order], kth)
+        assignment = [0] * len(items)
+        for position, index in enumerate(order.tolist()):
+            assignment[index] = bins[position]
+        n = len(items)
+        return assignment, num_bins, ops + float(n) * math.log2(max(n, 2))
+    if name == "NextFit":
+        return _reference_next_fit(items.tolist())
+    bins, remaining, ops = _reference_fit(
+        items.tolist(), _REFERENCE_RULES[name],
+        kth=1 if name == "WorstFit" else kth)
+    return bins, len(remaining), ops
+
+
+def assert_matches_reference(name, items, kth=2):
+    """Exact assignment, bin count and ``ops`` against the reference."""
+    if name.startswith("AlmostWorstFit"):
+        packing = ALGORITHMS[name](items, kth=kth)
+    else:
+        packing = ALGORITHMS[name](items)
+    assignment, num_bins, ops = reference_packing(name, items, kth)
+    assert packing.assignment.dtype == np.int64
+    assert packing.assignment.tolist() == assignment, name
+    assert packing.num_bins == num_bins, name
+    assert packing.ops == ops, name
+
+
+def _reference_inputs(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "datagen":
+        return generate_items_with_known_optimal(n, rng)[0]
+    if kind == "uniform":
+        return rng.uniform(0.01, 1.0, size=n)
+    return np.round(rng.uniform(0.01, 1.0, size=n), 2)  # exact ties
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("decreasing", [False, True],
+                             ids=["given", "decreasing"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 128, 512])
+    @pytest.mark.parametrize("kind", ["datagen", "uniform", "rounded"])
+    def test_every_algorithm_matches_the_linear_scan(self, kind, n,
+                                                     decreasing):
+        items = _reference_inputs(kind, n)
+        if decreasing:
+            items = np.sort(items)[::-1]
+        for name in ALGORITHMS:
+            for kth in ((1, 2, 5, 16) if name.startswith("AlmostWorstFit")
+                        else (2,)):
+                assert_matches_reference(name, items, kth)
+
+
+class TestTieRule:
+    """Exact ties in remaining capacity are broken by bin index."""
+
+    def test_worst_fit_takes_the_higher_index(self):
+        assert worst_fit([0.6, 0.6, 0.3]).assignment.tolist() == [0, 1, 1]
+
+    def test_best_fit_takes_the_lower_index(self):
+        assert best_fit([0.6, 0.6, 0.3]).assignment.tolist() == [0, 1, 0]
+
+    def test_almost_worst_fit_counts_the_higher_index_first(self):
+        packing = almost_worst_fit([0.6, 0.6, 0.7, 0.3], kth=2)
+        assert packing.assignment.tolist() == [0, 1, 2, 0]
+
+
+#: ``(algorithm, kth, n, num_bins, ops, sha256 of assignment bytes)``
+#: on ``repro.suite.binpacking.generate(n, default_rng(0))``, recorded
+#: from the numpy-scan implementation the current kernels replaced.
+#: ``ops`` is the charged cost, so it pins the tuned frontier too.
+GOLDEN_PIN = [
+    ("FirstFit", None, 8, 2, 10.0,
+     "cfaa395747f893581b8ddcb31eff08043038fc2e9b9fcfd1149dda1582797671"),
+    ("FirstFitDecreasing", None, 8, 2, 34.0,
+     "cfaa395747f893581b8ddcb31eff08043038fc2e9b9fcfd1149dda1582797671"),
+    ("ModifiedFirstFitDecreasing", None, 8, 3, 42.0,
+     "08b010d6cc69f6e1f3c8b9a9ac6810d870d335a19234915dc4fa17f4259d596c"),
+    ("BestFit", None, 8, 2, 11.0,
+     "cfaa395747f893581b8ddcb31eff08043038fc2e9b9fcfd1149dda1582797671"),
+    ("BestFitDecreasing", None, 8, 2, 37.0,
+     "cfaa395747f893581b8ddcb31eff08043038fc2e9b9fcfd1149dda1582797671"),
+    ("LastFit", None, 8, 2, 8.0,
+     "cfaa395747f893581b8ddcb31eff08043038fc2e9b9fcfd1149dda1582797671"),
+    ("LastFitDecreasing", None, 8, 2, 34.0,
+     "cfaa395747f893581b8ddcb31eff08043038fc2e9b9fcfd1149dda1582797671"),
+    ("NextFit", None, 8, 3, 8.0,
+     "889172f74de887990ee271571c8c4c0327a6566621b5ee4b3c66b0450cc4d34e"),
+    ("NextFitDecreasing", None, 8, 3, 32.0,
+     "ae68f03f6afdd2cd88af24c5bb3467a06259d9c64672cf52f65b06064fc67ea4"),
+    ("WorstFit", None, 8, 2, 11.0,
+     "cfaa395747f893581b8ddcb31eff08043038fc2e9b9fcfd1149dda1582797671"),
+    ("WorstFitDecreasing", None, 8, 2, 37.0,
+     "cfaa395747f893581b8ddcb31eff08043038fc2e9b9fcfd1149dda1582797671"),
+    ("AlmostWorstFit", 1, 8, 2, 11.0,
+     "cfaa395747f893581b8ddcb31eff08043038fc2e9b9fcfd1149dda1582797671"),
+    ("AlmostWorstFit", 2, 8, 2, 11.0,
+     "cfaa395747f893581b8ddcb31eff08043038fc2e9b9fcfd1149dda1582797671"),
+    ("AlmostWorstFit", 5, 8, 2, 11.0,
+     "cfaa395747f893581b8ddcb31eff08043038fc2e9b9fcfd1149dda1582797671"),
+    ("AlmostWorstFit", 16, 8, 2, 11.0,
+     "cfaa395747f893581b8ddcb31eff08043038fc2e9b9fcfd1149dda1582797671"),
+    ("AlmostWorstFitDecreasing", 1, 8, 2, 37.0,
+     "cfaa395747f893581b8ddcb31eff08043038fc2e9b9fcfd1149dda1582797671"),
+    ("AlmostWorstFitDecreasing", 2, 8, 2, 37.0,
+     "cfaa395747f893581b8ddcb31eff08043038fc2e9b9fcfd1149dda1582797671"),
+    ("AlmostWorstFitDecreasing", 5, 8, 2, 37.0,
+     "cfaa395747f893581b8ddcb31eff08043038fc2e9b9fcfd1149dda1582797671"),
+    ("AlmostWorstFitDecreasing", 16, 8, 2, 37.0,
+     "cfaa395747f893581b8ddcb31eff08043038fc2e9b9fcfd1149dda1582797671"),
+    ("FirstFit", None, 32, 11, 148.0,
+     "e275e1587dc2ffb5b54c569974552dec04c827687a763eea4b02b657a60e96c0"),
+    ("FirstFitDecreasing", None, 32, 11, 353.0,
+     "6cef79e87ad47707aa69e32f368781c3d50273d10de338d033c91bba623c77c2"),
+    ("ModifiedFirstFitDecreasing", None, 32, 11, 306.0,
+     "d526cfea87cad93e3115bc3d16b5df9708936fe0df658886767815356112486b"),
+    ("BestFit", None, 32, 11, 174.0,
+     "f5f793a84eb8e0f38b1ab03e543eaf2c7bef68510e0b3052e18f151df23d3233"),
+    ("BestFitDecreasing", None, 32, 11, 421.0,
+     "58118c4e3e83ef51097483a2c133c23736a6174d276910f2f30952e65ac6ec71"),
+    ("LastFit", None, 32, 11, 84.0,
+     "22e0a78010595efc8a86d1b1d55d16bd0d4ddf314d80773bddd4069a8f61828c"),
+    ("LastFitDecreasing", None, 32, 11, 271.0,
+     "4b7fb4f620f4c6f3676853687bb53b63e0e273524606dcd594c43afcfa441fbe"),
+    ("NextFit", None, 32, 13, 32.0,
+     "8e49783b59e2a8479f919ffb645ad44ae49745e07ffaec283c2763e5f1570ae4"),
+    ("NextFitDecreasing", None, 32, 14, 192.0,
+     "800e40d7a0afbfba112e0c6735bcb884e1eb26894f7cb969f8f2e49ccd4f6288"),
+    ("WorstFit", None, 32, 12, 185.0,
+     "1a8bdbadf479a81bc72e2b554354a9ab1bbfe227b09004de91273422981c2d02"),
+    ("WorstFitDecreasing", None, 32, 11, 424.0,
+     "d9d9a83d709085e6b08f4452cbf2c79dc4c6b02dc8f2ed0debe1f2f5487b66ae"),
+    ("AlmostWorstFit", 1, 32, 12, 185.0,
+     "1a8bdbadf479a81bc72e2b554354a9ab1bbfe227b09004de91273422981c2d02"),
+    ("AlmostWorstFit", 2, 32, 11, 174.0,
+     "994525434597420bc0595f3e8dbeeb3eb9aec9c023249449976301ba0d1e617f"),
+    ("AlmostWorstFit", 5, 32, 11, 174.0,
+     "949d0ecf6af9ee93726f42203ebb7b6305bddd14b96c0500316f6e39c1f0c7f1"),
+    ("AlmostWorstFit", 16, 32, 11, 174.0,
+     "f5f793a84eb8e0f38b1ab03e543eaf2c7bef68510e0b3052e18f151df23d3233"),
+    ("AlmostWorstFitDecreasing", 1, 32, 11, 424.0,
+     "d9d9a83d709085e6b08f4452cbf2c79dc4c6b02dc8f2ed0debe1f2f5487b66ae"),
+    ("AlmostWorstFitDecreasing", 2, 32, 11, 422.0,
+     "437dde7249e3eb61ba27da587384a388c4219c6f109df0d5911a55f09a62b743"),
+    ("AlmostWorstFitDecreasing", 5, 32, 11, 421.0,
+     "80410db0625663bca28dd0c52b646f26f4b54d2c0f50830d1c996c49a21bcff4"),
+    ("AlmostWorstFitDecreasing", 16, 32, 11, 421.0,
+     "58118c4e3e83ef51097483a2c133c23736a6174d276910f2f30952e65ac6ec71"),
+    ("FirstFit", None, 128, 50, 2432.0,
+     "6afef0a0c9a91602d15a220516a5fbc67c87269f1b60e46908c6c00591bd8d89"),
+    ("FirstFitDecreasing", None, 128, 47, 4408.0,
+     "0584d1c4a5d4ab22e0d4e87d24cc39fdd0f9bb4837018e716de4d6342a9cf259"),
+    ("ModifiedFirstFitDecreasing", None, 128, 48, 2622.0,
+     "afe0da07faba15d2289fcb2d4a4906f7c04abca0ddfa8e9193bf968b56630613"),
+    ("BestFit", None, 128, 49, 3152.0,
+     "a1e6104b2ab2ee5e3cc16a47c4f0e6b1b34b74cb63fad2719ef1bbfe47f16f4f"),
+    ("BestFitDecreasing", None, 128, 47, 5520.0,
+     "10d518de1d69432a1a2eb93ebb12085f79f4ff53fee50cc8bf2959b14809e22e"),
+    ("LastFit", None, 128, 51, 1409.0,
+     "3a422d7220b8f7e1dd57d27953bb606e70f676a3258a76a721873000df3f08ed"),
+    ("LastFitDecreasing", None, 128, 47, 2751.0,
+     "4b235f28245c8dcdefd16c796b1240e146435b199d0d404786b84d635310dad6"),
+    ("NextFit", None, 128, 58, 128.0,
+     "c62d1b35a0060f806e330b41bc2c93d64d22bff473f5b039f955fd384486fd0b"),
+    ("NextFitDecreasing", None, 128, 61, 1024.0,
+     "1062216ef536053e7500e3ee28cfb8f29728a91f7ab310a786433e3bbf918d12"),
+    ("WorstFit", None, 128, 53, 3433.0,
+     "c7109863935432d04124df1e5b7f545db994c7ef57677379e0563579b51feaf9"),
+    ("WorstFitDecreasing", None, 128, 47, 5523.0,
+     "fe7b054a12f1a6b06b61665d55f432fe53c305302e2e9476fd848fa8a6fc7457"),
+    ("AlmostWorstFit", 1, 128, 53, 3433.0,
+     "c7109863935432d04124df1e5b7f545db994c7ef57677379e0563579b51feaf9"),
+    ("AlmostWorstFit", 2, 128, 52, 3319.0,
+     "5b09ceea585303434267baa1fb06341ba42033aa4fe27d8e953311d4cb922b34"),
+    ("AlmostWorstFit", 5, 128, 49, 3152.0,
+     "4a334b55b4d7b03735023158eca53aa3924bb70592820693ca23e9a557896454"),
+    ("AlmostWorstFit", 16, 128, 49, 3152.0,
+     "8b088d3c501325b69470a9657197c2a09e8f0fc66a2f1228de501488125f9237"),
+    ("AlmostWorstFitDecreasing", 1, 128, 47, 5523.0,
+     "fe7b054a12f1a6b06b61665d55f432fe53c305302e2e9476fd848fa8a6fc7457"),
+    ("AlmostWorstFitDecreasing", 2, 128, 47, 5520.0,
+     "10f07f1c81aaafa5257394039d5465aec1772cfc0e1df50a2a1b9fb43a3cc56f"),
+    ("AlmostWorstFitDecreasing", 5, 128, 47, 5520.0,
+     "dbae04de8ed418cde04ef6e2b4ae8838eaabc1c8f48790ce40275e492b7a7552"),
+    ("AlmostWorstFitDecreasing", 16, 128, 47, 5520.0,
+     "50d3df6cc4086448bd8cc33d867632a234a347b64109113583bfd567a401119d"),
+    ("FirstFit", None, 512, 204, 44983.0,
+     "393d88a09c3aab8274decee0d42f5dcc299c89c0ae816d7b17301b5e58633a38"),
+    ("FirstFitDecreasing", None, 512, 199, 64840.0,
+     "5f1496c1741097f56d526fbbc8a0c7253c09b8a51d42676daf7af700c672ea34"),
+    ("ModifiedFirstFitDecreasing", None, 512, 201, 29482.0,
+     "83514bca53dfc27ac71a9c4938a9fd95fc2cf2d9a8439de367c6675acb116bc1"),
+    ("BestFit", None, 512, 204, 51659.0,
+     "6f2964420fb9ce3a6ecb9ce23ec25a5ce027c2dda6d438f35a4e2535a10258ce"),
+    ("BestFitDecreasing", None, 512, 199, 83205.0,
+     "5e1490d53ea187ec283c46e5d537650a0997e064d58d388fe64b8a57b1da2cd5"),
+    ("LastFit", None, 512, 221, 25320.0,
+     "56a7d07fa30ea5adf47b3873c464b077b248c3296c049cf956c4c999535838ad"),
+    ("LastFitDecreasing", None, 512, 199, 41589.0,
+     "07caecdf7fadb5690d18e5773b20f0ec69bb4b4a8d90f2166ce7823986cc2c7b"),
+    ("NextFit", None, 512, 270, 512.0,
+     "1108b771d9776e58b6d8bb655523c9ff27df5af16633bb83ca7c47a28020e4f1"),
+    ("NextFitDecreasing", None, 512, 259, 5120.0,
+     "987a2bdd89dc8fdb03c91d6338235dd871729d4817a495975ede859e1fa380cd"),
+    ("WorstFit", None, 512, 235, 59371.0,
+     "1f9ce10dd9bd223f1e3f8d76b0a9e2d069b7b7e494e52a8c30b96a545f84f8fb"),
+    ("WorstFitDecreasing", None, 512, 199, 83243.0,
+     "bda183a9bb825bb67ac2f2dbf04a7e75c2def069f37770f2f6c99ce79ccbf0b6"),
+    ("AlmostWorstFit", 1, 512, 235, 59371.0,
+     "1f9ce10dd9bd223f1e3f8d76b0a9e2d069b7b7e494e52a8c30b96a545f84f8fb"),
+    ("AlmostWorstFit", 2, 512, 215, 54575.0,
+     "21e0b614baeb86d606a6a2a4b4704701fbc38864c722c84cc7f78c050fee30d5"),
+    ("AlmostWorstFit", 5, 512, 207, 52271.0,
+     "2e36e6da7786e349bb3287a9c51dd0800c4af641cfe9dfdf0aed671009101c60"),
+    ("AlmostWorstFit", 16, 512, 204, 51659.0,
+     "19139d1bde39413611acca87fd43d771659c2093ec763f645f6afdac1daec189"),
+    ("AlmostWorstFitDecreasing", 1, 512, 199, 83243.0,
+     "bda183a9bb825bb67ac2f2dbf04a7e75c2def069f37770f2f6c99ce79ccbf0b6"),
+    ("AlmostWorstFitDecreasing", 2, 512, 199, 83215.0,
+     "2438bc4536126d96ed1e0cc34c2e65457de4842e9167a32d0ce93fabf9926847"),
+    ("AlmostWorstFitDecreasing", 5, 512, 199, 83205.0,
+     "ac382966d8b017be304f789228c77fe315b5e655838b59ccd2226da7426808cd"),
+    ("AlmostWorstFitDecreasing", 16, 512, 199, 83205.0,
+     "a911643219c592880c6aba8c14d8131f672c8612a9313a59f6e1eebe7da93d03"),
+]
+
+
+class TestGoldenPin:
+    @pytest.mark.parametrize("name, kth, n, num_bins, ops, digest",
+                             GOLDEN_PIN)
+    def test_cost_accounting_is_unchanged(self, name, kth, n, num_bins,
+                                          ops, digest):
+        items = generate(n, np.random.default_rng(0))["items"]
+        algorithm = ALGORITHMS[name]
+        packing = algorithm(items) if kth is None else algorithm(items,
+                                                                 kth=kth)
+        assert packing.assignment.dtype == np.int64
+        assert packing.num_bins == num_bins
+        assert packing.ops == ops
+        assert hashlib.sha256(
+            packing.assignment.tobytes()).hexdigest() == digest

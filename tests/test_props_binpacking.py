@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.binpacking.algorithms import ALGORITHMS, validate_packing
 from repro.binpacking.datagen import generate_items_with_known_optimal
 
+from test_binpacking import assert_matches_reference
+
 items_strategy = st.lists(
     st.floats(min_value=0.001, max_value=1.0,
               allow_nan=False, allow_infinity=False),
@@ -32,6 +34,16 @@ def test_bin_count_bounds(items, name):
     array = np.array(items)
     packing = ALGORITHMS[name](array)
     assert math.ceil(array.sum() - 1e-9) <= packing.num_bins <= len(items)
+
+
+@settings(max_examples=40, deadline=None)
+@given(items=items_strategy,
+       name=st.sampled_from(sorted(ALGORITHMS)),
+       kth=st.integers(min_value=1, max_value=16))
+def test_every_algorithm_matches_the_linear_scan_reference(items, name,
+                                                           kth):
+    """Exact assignment, bin count and ops against the definition."""
+    assert_matches_reference(name, np.array(items), kth)
 
 
 @settings(max_examples=40, deadline=None)
