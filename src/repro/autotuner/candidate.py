@@ -60,13 +60,14 @@ class Candidate:
         """
         from repro.autotuner.stats import confidence_bound
 
-        accuracies = self.results.accuracies(n)
-        if not accuracies:
-            return False
-        if self.results.any_failed(n):
+        stats = self.results.stats(n, "accuracy")
+        accuracies = stats.values
+        if not accuracies or stats.failed:
             return False
         if confidence is None:
-            return metric.meets(self.results.mean_accuracy(n), target)
+            # The unclamped sample mean, as mean_accuracy computes it
+            # (NormalFit.mean is clamped to [min, max]).
+            return metric.meets(sum(accuracies) / len(accuracies), target)
         side = "lower" if metric.higher_is_better else "upper"
         bound = confidence_bound(accuracies, confidence, side=side)
         return metric.meets(bound, target)

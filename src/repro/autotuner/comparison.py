@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 from repro.autotuner.candidate import Candidate
 from repro.autotuner.stats import (
-    fit_normal,
     probability_within_fraction,
-    welch_p_value,
+    welch_p_value_from_fits,
 )
 from repro.autotuner.testing import ProgramTestHarness
 
@@ -76,23 +75,6 @@ class Comparator:
         #: Number of compare() invocations (ablation instrumentation).
         self.comparisons = 0
 
-    # ------------------------------------------------------------------
-    # Sample extraction
-    # ------------------------------------------------------------------
-    def _samples(self, candidate: Candidate, n: float, kind: str
-                 ) -> list[float]:
-        """Samples under which *larger is better* is normalised away.
-
-        For ``kind="objective"`` raw objective values are returned
-        (lower is better); for ``kind="accuracy"`` raw accuracies are
-        returned and direction is handled by the metric.
-        """
-        if kind == "objective":
-            return candidate.results.objectives(n)
-        if kind == "accuracy":
-            return candidate.results.accuracies(n)
-        raise ValueError(f"unknown comparison kind {kind!r}")
-
     def _mean_better(self, mean1: float, mean2: float, kind: str) -> int:
         if math.isnan(mean1) or math.isnan(mean2):
             return 0
@@ -114,16 +96,16 @@ class Comparator:
         self.harness.ensure_trials(c2, n, settings.min_trials)
 
         while True:
-            x = self._samples(c1, n, kind)
-            y = self._samples(c2, n, kind)
+            s1 = c1.results.stats(n, kind)
+            s2 = c2.results.stats(n, kind)
+            x, y = s1.values, s2.values
 
             # Failed executions dominate all comparisons: a candidate
             # with a failing trial is strictly worse than one without.
-            fail1, fail2 = c1.results.any_failed(n), c2.results.any_failed(n)
-            if fail1 or fail2:
-                if fail1 and fail2:
+            if s1.failed or s2.failed:
+                if s1.failed and s2.failed:
                     return 0
-                return -1 if fail1 else 1
+                return -1 if s1.failed else 1
             # Infinite objectives (without failure flags) compare the
             # same way.
             inf1 = any(math.isinf(v) for v in x)
@@ -134,14 +116,13 @@ class Comparator:
                 return -1 if inf1 else 1
 
             # Step 1: t-test.
-            p = welch_p_value(x, y)
+            p = welch_p_value_from_fits(s1.fit, s2.fit)
             if p < settings.p_threshold:
-                return self._mean_better(fit_normal(x).mean,
-                                         fit_normal(y).mean, kind)
+                return self._mean_better(s1.fit.mean, s2.fit.mean, kind)
 
             # Step 2: closeness of the fitted difference distribution.
             probability = probability_within_fraction(
-                x, y, settings.same_fraction)
+                x, y, settings.same_fraction, y_fit=s2.fit)
             if probability >= settings.same_confidence:
                 return 0
 
@@ -159,8 +140,7 @@ class Comparator:
                               kind: str, at_max1: bool, at_max2: bool
                               ) -> None:
         def expected_reduction(candidate: Candidate) -> float:
-            samples = self._samples(candidate, n, kind)
-            fit = fit_normal(samples)
+            fit = candidate.results.stats(n, kind).fit
             count = max(fit.count, 1)
             std = fit.std if fit.count >= 2 else abs(fit.mean) + 1.0
             return std / math.sqrt(count) - std / math.sqrt(count + 1)

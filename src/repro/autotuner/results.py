@@ -9,9 +9,11 @@ copies trials for input sizes a mutation provably did not affect.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
 from repro.autotuner.stats import NormalFit, fit_normal
 
-__all__ = ["Trial", "CandidateResults"]
+__all__ = ["Trial", "SampleStats", "CandidateResults"]
 
 
 @dataclass(frozen=True)
@@ -23,13 +25,25 @@ class Trial:
     failed: bool = False  # execution raised (e.g. runaway recursion)
 
 
+class SampleStats(NamedTuple):
+    """One size's samples of one kind, as the comparator reads them."""
+
+    values: tuple[float, ...]
+    fit: NormalFit      # fit_normal(values)
+    failed: bool        # any trial at this size failed
+
+
 class CandidateResults:
     """Per-input-size trial storage."""
 
-    __slots__ = ("_trials",)
+    __slots__ = ("_trials", "_stats")
 
     def __init__(self):
         self._trials: dict[float, list[Trial]] = {}
+        #: (n, kind) -> SampleStats, valid while its sample count
+        #: matches the trial count: trial lists only grow, so the count
+        #: identifies their contents.
+        self._stats: dict[tuple[float, str], SampleStats] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -74,12 +88,30 @@ class CandidateResults:
     def any_failed(self, n: float) -> bool:
         return any(t.failed for t in self._trials.get(float(n), ()))
 
+    def stats(self, n: float, kind: str) -> SampleStats:
+        """Samples of ``kind`` at size ``n``, fitted once per trial count.
+
+        ``kind="objective"`` gives the objective samples (failures
+        become +inf), ``kind="accuracy"`` the raw accuracies.
+        """
+        n = float(n)
+        cached = self._stats.get((n, kind))
+        if cached is not None and \
+                len(cached.values) == len(self._trials.get(n, ())):
+            return cached
+        if kind == "objective":
+            values = tuple(self.objectives(n))
+        elif kind == "accuracy":
+            values = tuple(self.accuracies(n))
+        else:
+            raise ValueError(f"unknown comparison kind {kind!r}")
+        stats = SampleStats(values, fit_normal(values), self.any_failed(n))
+        self._stats[(n, kind)] = stats
+        return stats
+
     def objective_fit(self, n: float) -> NormalFit:
         return fit_normal([v for v in self.objectives(n)
                            if v != float("inf")])
-
-    def accuracy_fit(self, n: float) -> NormalFit:
-        return fit_normal(self.accuracies(n))
 
     def mean_objective(self, n: float) -> float:
         values = self.objectives(n)

@@ -26,6 +26,7 @@ __all__ = [
     "student_t_cdf",
     "welch_t_statistic",
     "welch_p_value",
+    "welch_p_value_from_fits",
     "probability_within_fraction",
     "confidence_bound",
 ]
@@ -66,7 +67,10 @@ def fit_normal(values: Sequence[float]) -> NormalFit:
     mean = min(max(sum(values) / count, min(values)), max(values))
     if count == 1:
         return NormalFit(mean=mean, std=0.0, count=1)
-    variance = sum((v - mean) ** 2 for v in values) / (count - 1)
+    try:
+        variance = sum((v - mean) ** 2 for v in values) / (count - 1)
+    except OverflowError:
+        variance = float("inf")
     return NormalFit(mean=mean, std=math.sqrt(max(variance, 0.0)), count=count)
 
 
@@ -155,6 +159,10 @@ def welch_t_statistic(x: Sequence[float], y: Sequence[float]
     fx, fy = fit_normal(x), fit_normal(y)
     if fx.count < 2 or fy.count < 2:
         raise ValueError("welch_t_statistic needs >= 2 samples per side")
+    return _welch_t(fx, fy)
+
+
+def _welch_t(fx: NormalFit, fy: NormalFit) -> tuple[float, float]:
     vx = fx.std ** 2 / fx.count
     vy = fy.std ** 2 / fy.count
     pooled = vx + vy
@@ -177,9 +185,14 @@ def welch_p_value(x: Sequence[float], y: Sequence[float]) -> float:
     either side no test is possible and 1.0 (no evidence of
     difference) is returned.
     """
-    if len(x) < 2 or len(y) < 2:
+    return welch_p_value_from_fits(fit_normal(x), fit_normal(y))
+
+
+def welch_p_value_from_fits(fx: NormalFit, fy: NormalFit) -> float:
+    """:func:`welch_p_value` of the samples ``fx`` and ``fy`` were fit to."""
+    if fx.count < 2 or fy.count < 2:
         return 1.0
-    t, df = welch_t_statistic(x, y)
+    t, df = _welch_t(fx, fy)
     if math.isinf(t):
         return 0.0
     return 2.0 * (1.0 - student_t_cdf(abs(t), df))
@@ -189,23 +202,29 @@ def welch_p_value(x: Sequence[float], y: Sequence[float]) -> float:
 # Closeness and confidence bounds
 # ----------------------------------------------------------------------
 def probability_within_fraction(x: Sequence[float], y: Sequence[float],
-                                fraction: float = 0.01) -> float:
+                                fraction: float = 0.01, *,
+                                y_fit: NormalFit | None = None) -> float:
     """Probability that the mean percentage difference is < ``fraction``.
 
     Step 2 of the comparison heuristic: fit a normal to the paired
     percentage differences ``(x_i - y_i) / |mean(y)|`` and return the
     probability mass of the *mean* difference lying inside
     ``(-fraction, +fraction)``.  Unpaired surplus samples are ignored.
+    ``y_fit``, when given, is ``fit_normal(y)`` already computed.
     """
     paired = min(len(x), len(y))
     if paired == 0:
         return 0.0
-    fy = fit_normal(y)
+    fy = fit_normal(y) if y_fit is None else y_fit
     scale = abs(fy.mean)
     if scale == 0.0:
         scale = 1e-12
     differences = [(float(a) - float(b)) / scale
                    for a, b in zip(x[:paired], y[:paired])]
+    # A near-zero (subnormal) scale can overflow a difference to inf;
+    # such a mean difference lies outside any finite fraction.
+    if not all(math.isfinite(d) for d in differences):
+        return 0.0
     fit = fit_normal(differences)
     if fit.count == 1 or fit.is_singular():
         return 1.0 if abs(fit.mean) < fraction else 0.0

@@ -24,7 +24,7 @@ from repro.errors import CompileError, ExecutionError
 from repro.lang.context import ExecutionContext
 from repro.lang.rule import Rule
 from repro.lang.transform import Transform
-from repro.rng import generator_for
+from repro.rng import LazyGenerator
 from repro.runtime.timing import CostAccumulator, Metrics, WallTimer
 from repro.runtime.trace import ExecutionTrace
 
@@ -176,7 +176,8 @@ class CompiledProgram:
         """
         cost = CostAccumulator(limit=cost_limit)
         trace = ExecutionTrace(enabled=collect_trace)
-        rng = generator_for(seed, "execute", self.root)
+        # Derived only if a rule reads ctx.rng (see LazyGenerator).
+        rng = LazyGenerator(seed, "execute", self.root)
         with WallTimer() as timer:
             outputs = self.run_instance(
                 f"{self.root}@main", dict(inputs), n, config, rng, cost,
@@ -225,7 +226,7 @@ class CompiledProgram:
     # Instance execution (also entered by ExecutionContext.call)
     # ------------------------------------------------------------------
     def run_instance(self, prefix: str, inputs: dict[str, Any], n: float,
-                     config: Configuration, rng: np.random.Generator,
+                     config: Configuration, rng: LazyGenerator,
                      cost: CostAccumulator, trace: ExecutionTrace,
                      depth: int) -> dict[str, Any]:
         instance = self.instance(prefix)

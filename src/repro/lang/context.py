@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 import numpy as np
 
 from repro.errors import ExecutionError, LanguageError
+from repro.rng import LazyGenerator
 from repro.runtime.timing import CostAccumulator
 from repro.runtime.trace import ExecutionTrace
 
@@ -34,19 +35,20 @@ MAX_CALL_DEPTH = 96
 class ExecutionContext:
     """Runtime services available to rule bodies."""
 
-    __slots__ = ("program", "instance", "config", "n", "rng", "cost",
+    __slots__ = ("program", "instance", "config", "n", "_rng", "cost",
                  "trace", "depth", "dtype", "cost_scale")
 
     def __init__(self, program: "CompiledProgram", instance: "Instance",
                  config: "Configuration", n: float,
-                 rng: np.random.Generator, cost: CostAccumulator,
+                 rng: LazyGenerator, cost: CostAccumulator,
                  trace: ExecutionTrace, depth: int = 0,
                  dtype: np.dtype | None = None):
         self.program = program
         self.instance = instance
         self.config = config
         self.n = n
-        self.rng = rng
+        #: Shared by every context of one execution.
+        self._rng = rng
         self.cost = cost
         self.trace = trace
         self.depth = depth
@@ -59,6 +61,11 @@ class ExecutionContext:
         # of two, so scaled integer op counts stay exact and the
         # stacked path's cost/B recovery remains bit-identical.
         self.cost_scale = 1.0 if dtype is None else dtype.itemsize / 8.0
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The execution's seeded generator, derived on first read."""
+        return self._rng.get()
 
     # ------------------------------------------------------------------
     # Tunable access
@@ -149,7 +156,7 @@ class ExecutionContext:
                           target=callee.name, bin=bin_label, n=n)
         return self.program.run_instance(
             f"{callee.name}@{bin_label}", dict(inputs), n, self.config,
-            self.rng, self.cost, self.trace, self.depth + 1)
+            self._rng, self.cost, self.trace, self.depth + 1)
 
     # ------------------------------------------------------------------
     # Accounting / tracing
@@ -171,5 +178,5 @@ class ExecutionContext:
     def child(self, instance: "Instance", n: float) -> "ExecutionContext":
         """Context for executing ``instance`` one call level deeper."""
         return ExecutionContext(self.program, instance, self.config, n,
-                                self.rng, self.cost, self.trace,
+                                self._rng, self.cost, self.trace,
                                 self.depth + 1)

@@ -16,7 +16,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "generator_for", "spawn"]
+__all__ = ["derive_seed", "generator_for", "spawn", "LazyGenerator"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -44,3 +44,25 @@ def generator_for(base_seed: int, *labels: object) -> np.random.Generator:
 def spawn(rng: np.random.Generator) -> np.random.Generator:
     """Return a fresh generator seeded from ``rng``'s stream."""
     return np.random.default_rng(int(rng.integers(0, _MASK64, dtype=np.uint64)))
+
+
+class LazyGenerator:
+    """``generator_for(base_seed, *labels)``, derived on first use.
+
+    Deriving a generator (SHA-256 plus ``default_rng``) costs more than
+    many rule bodies, and most executions never draw.  An execution
+    hands one instance to every context it creates, so whichever rule
+    draws first derives the generator and later draws continue the
+    same stream.
+    """
+
+    __slots__ = ("_labels", "_generator")
+
+    def __init__(self, base_seed: int, *labels: object):
+        self._labels = (base_seed, *labels)
+        self._generator: np.random.Generator | None = None
+
+    def get(self) -> np.random.Generator:
+        if self._generator is None:
+            self._generator = generator_for(*self._labels)
+        return self._generator

@@ -1,10 +1,17 @@
 """Tests for the adaptive comparison heuristic (Section 5.5.1)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.autotuner.candidate import Candidate
 from repro.autotuner.comparison import Comparator, ComparisonSettings
+from repro.autotuner.stats import (
+    fit_normal,
+    probability_within_fraction,
+    welch_p_value,
+)
 from repro.autotuner.testing import ProgramTestHarness
 from repro.compiler.compile import compile_program
 from repro.config.decision_tree import SizeDecisionTree
@@ -132,3 +139,90 @@ class TestAdaptiveTrialCounts:
         a = candidate_with_m(harness, 100)
         b = candidate_with_m(harness, 100)
         assert comparator.compare(a, b, 512, "objective") == 0
+
+
+class RecomputingComparator(Comparator):
+    """The comparison loop before per-candidate statistics were
+    memoized: every pass rebuilds both sample lists and refits them."""
+
+    @staticmethod
+    def _samples(candidate, n, kind):
+        if kind == "objective":
+            return candidate.results.objectives(n)
+        return candidate.results.accuracies(n)
+
+    def compare(self, c1, c2, n, kind="objective"):
+        self.comparisons += 1
+        settings = self.settings
+        self.harness.ensure_trials(c1, n, settings.min_trials)
+        self.harness.ensure_trials(c2, n, settings.min_trials)
+        while True:
+            x = self._samples(c1, n, kind)
+            y = self._samples(c2, n, kind)
+            fail1 = c1.results.any_failed(n)
+            fail2 = c2.results.any_failed(n)
+            if fail1 or fail2:
+                if fail1 and fail2:
+                    return 0
+                return -1 if fail1 else 1
+            inf1 = any(math.isinf(v) for v in x)
+            inf2 = any(math.isinf(v) for v in y)
+            if inf1 or inf2:
+                if inf1 and inf2:
+                    return 0
+                return -1 if inf1 else 1
+            if welch_p_value(x, y) < settings.p_threshold:
+                return self._mean_better(fit_normal(x).mean,
+                                         fit_normal(y).mean, kind)
+            if probability_within_fraction(
+                    x, y, settings.same_fraction) >= \
+                    settings.same_confidence:
+                return 0
+            at_max1 = len(x) >= settings.max_trials
+            at_max2 = len(y) >= settings.max_trials
+            if at_max1 and at_max2:
+                return 0
+            self._run_most_informative(c1, c2, n, kind, at_max1, at_max2)
+
+    def _run_most_informative(self, c1, c2, n, kind, at_max1, at_max2):
+        def expected_reduction(candidate):
+            fit = fit_normal(self._samples(candidate, n, kind))
+            count = max(fit.count, 1)
+            std = fit.std if fit.count >= 2 else abs(fit.mean) + 1.0
+            return std / math.sqrt(count) - std / math.sqrt(count + 1)
+
+        if at_max1:
+            self.harness.run_trial(c2, n)
+        elif at_max2:
+            self.harness.run_trial(c1, n)
+        elif expected_reduction(c1) >= expected_reduction(c2):
+            self.harness.run_trial(c1, n)
+        else:
+            self.harness.run_trial(c2, n)
+
+
+class TestMemoizedComparison:
+    """Memoized comparison ≡ recomputed: same verdicts, same trials."""
+
+    @pytest.mark.parametrize("noise", [0.05, 0.3])
+    def test_matches_recomputing_loop(self, noise):
+        settings = ComparisonSettings(min_trials=2, max_trials=12)
+        ms = (40, 41, 44, 60, 100, 400)
+
+        def run(comparator_type):
+            harness = make_harness(noise=noise, seed=17)
+            comparator = comparator_type(harness, settings)
+            pool = [candidate_with_m(harness, m) for m in ms]
+            verdicts = []
+            # Candidates meet again across sizes and kinds, so each
+            # compare starts from samples the earlier ones grew.
+            for n in (64, 256):
+                for kind in ("objective", "accuracy"):
+                    for i, a in enumerate(pool):
+                        for b in pool[i + 1:]:
+                            verdicts.append(comparator.compare(a, b, n,
+                                                               kind))
+            counts = [c.results.count(n) for c in pool for n in (64, 256)]
+            return verdicts, counts
+
+        assert run(Comparator) == run(RecomputingComparator)

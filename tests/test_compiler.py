@@ -11,6 +11,7 @@ from repro.config.decision_tree import SizeDecisionTree
 from repro.errors import CompileError, ExecutionError
 from repro.lang.transform import CallSite, Transform
 from repro.lang.tunables import accuracy_variable
+from repro.rng import LazyGenerator
 from repro.runtime.timing import CostLimitExceeded
 
 
@@ -111,7 +112,7 @@ class TestCompiledProgram:
             approxmean_program.run_instance(
                 "approxmean@main", {}, 4,
                 approxmean_program.default_config(),
-                np.random.default_rng(0),
+                LazyGenerator(0, "execute", "approxmean"),
                 __import__("repro.runtime.timing",
                            fromlist=["CostAccumulator"]).CostAccumulator(),
                 __import__("repro.runtime.trace",

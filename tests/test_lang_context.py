@@ -188,3 +188,82 @@ class TestContextServices:
             "t@main.loops", SizeDecisionTree([-3.0]))
         with pytest.raises(ExecutionError):
             program.execute({"x": 0}, 1, config)
+
+
+class TestLazyRng:
+    """``ctx.rng`` is derived on first read, with the up-front stream."""
+
+    @staticmethod
+    def count_generators(monkeypatch) -> list:
+        """Record the labels of every ``generator_for`` call.
+
+        ``generator_for`` looks up ``derive_seed`` in its own module on
+        each call, so patching that sees callers that imported
+        ``generator_for`` by name.
+        """
+        import repro.rng
+
+        calls = []
+        real = repro.rng.derive_seed
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(repro.rng, "derive_seed", counting)
+        return calls
+
+    def test_binpacking_execution_derives_no_generator(self, monkeypatch):
+        from repro.suite import get_benchmark
+
+        spec = get_benchmark("binpacking")
+        program, _ = spec.compile()
+        inputs = spec.generate(32, np.random.default_rng(0))
+        calls = self.count_generators(monkeypatch)
+        program.execute(inputs, 32, program.default_config(), seed=3)
+        assert calls == []
+
+    def test_poisson_serve_derives_no_generator(self, monkeypatch):
+        from repro.runtime.executor import TunedProgram
+        from repro.serving import ServeRequest, ServingEngine
+        from repro.suite import get_benchmark
+
+        spec = get_benchmark("poisson")
+        program, _ = spec.compile()
+        tuned = TunedProgram(program, {
+            target: program.default_config()
+            for target in program.root_transform.accuracy_bins})
+        inputs = spec.generate(7, np.random.default_rng(0))
+        calls = self.count_generators(monkeypatch)
+        with ServingEngine() as engine:
+            engine.register("poisson", tuned)
+            response = engine.serve_one(ServeRequest(
+                program="poisson", inputs=inputs, n=7.0))
+        assert response.ok
+        assert calls == []
+
+    def test_nested_draws_continue_one_stream(self, monkeypatch):
+        from repro.rng import generator_for
+
+        inner = Transform("inner", inputs=("x",), outputs=("y",))
+
+        @inner.rule(outputs=("y",), inputs=("x",))
+        def draw_inner(ctx, x):
+            return tuple(ctx.rng.random(3))
+
+        outer = Transform("outer", inputs=("x",), outputs=("z",),
+                          calls=[CallSite("sub", "inner")])
+
+        @outer.rule(outputs=("z",), inputs=("x",))
+        def draw_outer(ctx, x):
+            first = ctx.rng.random()
+            middle = ctx.call("sub", {"x": x}, n=ctx.n)["y"]
+            return (first, *middle, ctx.rng.random())
+
+        program, _ = compile_program(outer, [inner])
+        calls = self.count_generators(monkeypatch)
+        result = program.execute({"x": 0}, 4, program.default_config(),
+                                 seed=11)
+        assert calls == [(11, "execute", "outer")]
+        expected = generator_for(11, "execute", "outer").random(5)
+        assert result.outputs["z"] == tuple(expected)

@@ -13,6 +13,8 @@ from repro.autotuner.stats import (
     probability_within_fraction,
     student_t_cdf,
     welch_p_value,
+    welch_p_value_from_fits,
+    welch_t_statistic,
 )
 from repro.config.decision_tree import SizeDecisionTree
 from repro.errors import ConfigError
@@ -115,6 +117,39 @@ def test_welch_p_value_range(values):
     shifted = [v + 1.0 for v in values]
     p = welch_p_value(values, shifted)
     assert 0.0 <= p <= 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=st.lists(finite_floats, max_size=12),
+       y=st.lists(finite_floats, max_size=12))
+def test_welch_fits_form_is_bit_identical(x, y):
+    """The comparator's cached-fit form equals the sample form exactly."""
+    p = welch_p_value_from_fits(fit_normal(x), fit_normal(y))
+    assert p == welch_p_value(x, y)
+    if len(x) < 2 or len(y) < 2:
+        assert p == 1.0
+        return
+    t, df = welch_t_statistic(x, y)
+    assert p == (0.0 if math.isinf(t)
+                 else 2.0 * (1.0 - student_t_cdf(abs(t), df)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.lists(finite_floats, min_size=1, max_size=12),
+       y=st.lists(finite_floats, min_size=1, max_size=12),
+       fraction=st.floats(min_value=1e-4, max_value=0.5))
+def test_within_fraction_reuses_fit_exactly(x, y, fraction):
+    assert probability_within_fraction(
+        x, y, fraction, y_fit=fit_normal(y)) == \
+        probability_within_fraction(x, y, fraction)
+
+
+@pytest.mark.parametrize("y_tail", [2.225073858507e-311,
+                                    9.554743456600135e-272])
+def test_within_fraction_near_zero_scale_is_zero(y_tail):
+    # A subnormal |mean(y)| overflows the scaled difference (to inf, or
+    # its square to inf); the mean difference is then far outside.
+    assert probability_within_fraction([0.0, 1.0], [0.0, y_tail], 0.5) == 0.0
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.autotuner.candidate import Candidate, MutationRecord
 from repro.autotuner.results import CandidateResults, Trial
+from repro.autotuner.stats import fit_normal
 from repro.config.configuration import Configuration
 from repro.lang.metrics import AccuracyMetric
 
@@ -42,6 +43,51 @@ class TestCandidateResults:
         results.add(4, Trial(10.0, 0.5))
         results.add(4, Trial(0.0, 0.0, failed=True))
         assert results.objective_fit(4).count == 1
+
+    def test_failed_trial_stats(self):
+        results = CandidateResults()
+        results.add(4, Trial(10.0, 0.5))
+        assert not results.stats(4, "objective").failed
+        results.add(4, Trial(3.0, 0.25, failed=True))
+        objective = results.stats(4, "objective")
+        assert objective.values == (10.0, float("inf"))
+        assert objective.failed
+        accuracy = results.stats(4, "accuracy")
+        assert accuracy.values == (0.5, 0.25)
+        assert accuracy.failed
+
+    def test_stats_cached_until_add(self):
+        results = CandidateResults()
+        results.add(4, Trial(10.0, 0.5))
+        results.add(4, Trial(12.0, 0.7))
+        first = results.stats(4, "objective")
+        assert results.stats(4.0, "objective") is first
+        assert first.fit == fit_normal([10.0, 12.0])
+        results.add(4, Trial(20.0, 0.9))
+        refreshed = results.stats(4, "objective")
+        assert refreshed.values == (10.0, 12.0, 20.0)
+        assert refreshed.fit == fit_normal([10.0, 12.0, 20.0])
+        assert results.stats(4, "accuracy").values == (0.5, 0.7, 0.9)
+
+    def test_stats_refresh_after_copy_from(self):
+        parent = CandidateResults()
+        parent.add(4, Trial(1.0, 0.1))
+        parent.add(4, Trial(3.0, 0.3))
+        parent.add(16, Trial(2.0, 0.2))
+        child = CandidateResults()
+        child.add(4, Trial(5.0, 0.5))
+        child.add(16, Trial(7.0, 0.7))
+        before = child.stats(4, "accuracy")
+        assert before.values == (0.5,)
+        child.copy_from(parent, below_size=10)
+        after = child.stats(4, "accuracy")
+        assert after.values == (0.5, 0.1, 0.3)
+        assert after.fit == fit_normal([0.5, 0.1, 0.3])
+        assert child.stats(16, "accuracy").values == (0.7,)
+
+    def test_stats_unknown_kind(self):
+        with pytest.raises(ValueError):
+            CandidateResults().stats(4, "nope")
 
     def test_copy_from_below_threshold(self):
         parent = CandidateResults()
