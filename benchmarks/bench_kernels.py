@@ -31,11 +31,14 @@ from repro.binpacking.algorithms import (
 from repro.binpacking.datagen import generate_items_with_known_optimal
 from repro.clustering.kernels import assign_clusters
 from repro.linalg.banded import (
+    _matvec,
+    _rmatvec,
     banded_cholesky_factor,
     banded_cholesky_solve,
     block_cholesky_solve,
 )
 from repro.linalg.cg import conjugate_gradient
+from repro.linalg.dtypes import as_float
 from repro.linalg.householder import tridiagonalize_symmetric
 from repro.linalg.poisson_ops import (
     apply_laplacian_1d,
@@ -234,12 +237,12 @@ class TestBatchedThroughput:
         # The Poisson direct rule's stacked solve: the block
         # substitution through the cached factor's blocks.
         n = 15
-        diag_inv, sub, _, _ = _direct_blocks(n, np.dtype(np.float64))
+        *blocks, _, _ = _direct_blocks(n, np.dtype(np.float64))
         rhs = rng.normal(size=(BATCH, n, n))
         _gate(
             "block_cholesky_solve",
-            lambda: block_cholesky_solve(diag_inv, sub, rhs),
-            lambda: [block_cholesky_solve(diag_inv, sub, rhs[i])
+            lambda: block_cholesky_solve(*blocks, rhs),
+            lambda: [block_cholesky_solve(*blocks, rhs[i])
                      for i in range(BATCH)],
             n=n)
 
@@ -254,6 +257,95 @@ class TestBatchedThroughput:
             lambda: [_vcycle(zero[i], f[i], n, h)
                      for i in range(BATCH)],
             n=n)
+
+
+# ----------------------------------------------------------------------
+# Folded-coupling block solve gate
+# ----------------------------------------------------------------------
+#: One right-hand side through the folded-coupling block solve must
+#: beat the two-product solve it replaced by this factor.
+BLOCK_SOLVE_FLOOR = 1.3
+
+
+def _two_product_block_solve(diag_inv, sub, b):
+    """The block solve before its couplings were folded into the
+    diagonal blocks, kept whole as the reference the gate below times
+    against: two block products per step,
+    ``y_k = L_k^{-1} (b_k - S_k y_{k-1})`` and
+    ``x_k = L_k^{-T} (y_k - S_{k+1}^T x_{k+1})``."""
+    diag_inv, sub, b = as_float(diag_inv), as_float(sub), as_float(b)
+    blocks, width = b.shape[-2:]
+    couplings = max(blocks - 1, 0)
+    if diag_inv.shape[-3:] != (blocks, width, width) or \
+            sub.shape[-3:] != (couplings, width, width):
+        raise ValueError("mismatched blocks")
+    batch_shape = np.broadcast_shapes(diag_inv.shape[:-3],
+                                      sub.shape[:-3], b.shape[:-2])
+    dtype = np.result_type(diag_inv, sub, b)
+    y = np.empty(batch_shape + (blocks, width), dtype=dtype)
+    for k in range(blocks):
+        residual = b[..., k, :]
+        if k:
+            residual = residual - _matvec(sub[..., k - 1, :, :],
+                                          y[..., k - 1, :])
+        y[..., k, :] = _matvec(diag_inv[..., k, :, :], residual)
+    x = np.empty_like(y)
+    for k in range(blocks - 1, -1, -1):
+        residual = y[..., k, :]
+        if k < blocks - 1:
+            residual = residual - _rmatvec(sub[..., k, :, :],
+                                           x[..., k + 1, :])
+        x[..., k, :] = _rmatvec(diag_inv[..., k, :, :], residual)
+    ops = 2.0 * (blocks * 2 * width * width
+                 + couplings * (2 * width * width + width))
+    return x, ops * float(np.prod(batch_shape, dtype=np.int64))
+
+
+def _best_seconds_interleaved(first, second, repeats=25):
+    """Best-of times of two callables timed in alternation, so a slow
+    spell of the host hits both alike."""
+    best = [float("inf"), float("inf")]
+    for _ in range(repeats):
+        for slot, fn in enumerate((first, second)):
+            start = time.perf_counter()
+            fn()
+            best[slot] = min(best[slot], time.perf_counter() - start)
+    return best
+
+
+class TestBlockSolveKernel:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [7, 15])
+    def test_folded_solve_beats_two_product_solve(self, rng, n, dtype):
+        dtype = np.dtype(dtype)
+        diag_inv, forward, backward, _, _ = _direct_blocks(n, dtype)
+        factor, _ = banded_cholesky_factor(
+            poisson_2d_banded(n, 1.0 / (n + 1), dtype=dtype))
+        # The couplings S_k, gathered from band storage as the direct
+        # rule gathered them before folding.
+        line = np.arange(n)
+        a, c = line[:, None], line[None, :]
+        sub = np.triu(factor[(n + a - c) % (n + 1),
+                             (line[:-1] * n)[:, None, None] + c])
+        rhs = rng.normal(size=(n, n)).astype(dtype)
+        reference, reference_ops = _two_product_block_solve(
+            diag_inv, sub, rhs)
+        folded, ops = block_cholesky_solve(diag_inv, forward, backward, rhs)
+        assert ops == reference_ops
+        bound = 16 * np.finfo(dtype).eps * np.abs(reference).max()
+        assert np.abs(folded - reference).max() <= bound
+        folded_s, reference_s = _best_seconds_interleaved(
+            lambda: block_cholesky_solve(diag_inv, forward, backward, rhs),
+            lambda: _two_product_block_solve(diag_inv, sub, rhs))
+        speedup = reference_s / folded_s
+        row = {"bench": "kernels", "kernel": "block_cholesky_solve_b1",
+               "n": n, "dtype": dtype.name, "folded_s": round(folded_s, 7),
+               "two_product_s": round(reference_s, 7),
+               "speedup": round(speedup, 2)}
+        print("BENCH_JSON " + json.dumps(row, sort_keys=True))
+        assert speedup >= BLOCK_SOLVE_FLOOR, (
+            f"block solve at n={n} {dtype.name} ran {speedup:.2f}x the "
+            f"two-product solve, below the {BLOCK_SOLVE_FLOOR:.1f}x gate")
 
 
 # ----------------------------------------------------------------------

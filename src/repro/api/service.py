@@ -91,8 +91,6 @@ class ServicePolicy:
     #: Per-request deadline in seconds (None = no deadline); also the
     #: shed controller's p95 budget when shedding is on.
     deadline: float | None = None
-    #: Seconds an under-filled micro-batch is held open to coalesce.
-    batch_window: float = 0.0
     #: Override the per-shard backend of an ``async:`` plan (e.g.
     #: ``"serial"`` on single-core hosts); None uses the plan's
     #: ``process:<workers>``.
@@ -148,8 +146,6 @@ class ServicePolicy:
             raise ConfigError("queue_limit must be >= 1")
         if self.deadline is not None and self.deadline <= 0:
             raise ConfigError("deadline must be positive (or None)")
-        if self.batch_window < 0:
-            raise ConfigError("batch_window must be >= 0")
         if not (0.0 <= self.shed_low_watermark
                 <= self.shed_high_watermark <= 1.0):
             raise ConfigError(
@@ -267,7 +263,6 @@ class Service:
             plan, store=store, shard_backend=shard_backend,
             batch_size=policy.batch_size, telemetry=telemetry,
             queue_limit=policy.queue_limit, deadline=policy.deadline,
-            batch_window=policy.batch_window,
             shedding=policy.shedding_policy())
         for name in names:
             frontdoor.register(name, store.load_tuned(

@@ -27,7 +27,9 @@ Three kernels:
   block-bidiagonal — the 2-D Laplacian's, whose ``L`` has one
   lower-triangular diagonal block per grid line and upper-triangular
   blocks below them — in 2m block steps instead of 2N column steps,
-  and accepts stacked right-hand sides and factors.
+  and accepts stacked right-hand sides and factors.  Its couplings come
+  pre-multiplied by the inverse diagonal blocks, so each step takes one
+  block product.
 
 Input floating dtypes are preserved end to end (a float32 band yields
 a float32 factor and solution); non-floating inputs are promoted to
@@ -143,52 +145,57 @@ def _forward_index(bandwidth: int, size: int
 
 
 @kernel(stacked=True, dtype_preserving=True)
-def block_cholesky_solve(diag_inv: np.ndarray, sub: np.ndarray,
-                         b: np.ndarray) -> tuple[np.ndarray, float]:
+def block_cholesky_solve(diag_inv: np.ndarray, forward: np.ndarray,
+                         backward: np.ndarray, b: np.ndarray
+                         ) -> tuple[np.ndarray, float]:
     """Solve ``A x = b`` given a block-bidiagonal Cholesky factor of ``A``.
 
     ``L`` has ``m`` diagonal blocks ``L_k`` and ``m - 1`` blocks
-    ``S_k = L[k, k-1]`` below them, each ``p x p``.  ``diag_inv`` is
-    ``(..., m, p, p)`` holding ``L_k^{-1}``, ``sub`` is
-    ``(..., m-1, p, p)`` with ``sub[..., k-1] == S_k``, and ``b`` is
-    ``(..., m, p)``; the batch axes of all three broadcast, so one
-    shared factor solves a stacked wave of right-hand sides.  The
-    sweeps are::
+    ``S_k = L[k, k-1]`` below them, each ``p x p``.  The couplings come
+    folded into their diagonal blocks: ``diag_inv`` is
+    ``(..., m, p, p)`` holding ``L_k^{-1}``, ``forward`` is
+    ``(..., m-1, p, p)`` with ``forward[..., k-1] == L_k^{-1} S_k``,
+    ``backward`` is ``(..., m-1, p, p)`` with
+    ``backward[..., k] == L_k^{-T} S_{k+1}^T``, and ``b`` is
+    ``(..., m, p)``; the batch axes of all four broadcast, so one
+    shared factor solves a stacked wave of right-hand sides.  Both
+    sweeps apply every ``L_k^{-1}`` (or ``L_k^{-T}``) in one product,
+    then take one coupling product per step::
 
-        y_k = L_k^{-1} (b_k - S_k y_{k-1})            k = 0 .. m-1
-        x_k = L_k^{-T} (y_k - S_{k+1}^T x_{k+1})      k = m-1 .. 0
+        y = L^{-1} b,   y_k -= forward[k-1] y_{k-1}     k = 1 .. m-1
+        x = L^{-T} y,   x_k -= backward[k] x_{k+1}      k = m-2 .. 0
 
     Every block product is a broadcast multiply and a sum, never
     ``@``: BLAS gemm and gemv round differently, and a matmul would
     make a stacked call differ from the slice loop in the last bit.
     """
-    diag_inv, sub, b = as_float(diag_inv), as_float(sub), as_float(b)
+    diag_inv, forward, backward, b = (
+        as_float(diag_inv), as_float(forward), as_float(backward),
+        as_float(b))
     blocks, width = b.shape[-2:]
     couplings = max(blocks - 1, 0)
     if diag_inv.shape[-3:] != (blocks, width, width) or \
-            sub.shape[-3:] != (couplings, width, width):
+            forward.shape[-3:] != (couplings, width, width) or \
+            backward.shape[-3:] != (couplings, width, width):
         raise ValueError(
             f"b of shape (..., {blocks}, {width}) needs diag_inv "
-            f"(..., {blocks}, {width}, {width}) and sub (..., "
-            f"{couplings}, {width}, {width}), got {diag_inv.shape} "
-            f"and {sub.shape}")
-    batch_shape = np.broadcast_shapes(diag_inv.shape[:-3],
-                                      sub.shape[:-3], b.shape[:-2])
-    dtype = np.result_type(diag_inv, sub, b)
+            f"(..., {blocks}, {width}, {width}) and forward and backward "
+            f"(..., {couplings}, {width}, {width}), got {diag_inv.shape}, "
+            f"{forward.shape} and {backward.shape}")
+    batch_shape = np.broadcast_shapes(
+        diag_inv.shape[:-3], forward.shape[:-3], backward.shape[:-3],
+        b.shape[:-2])
+    dtype = np.result_type(diag_inv, forward, backward, b)
+    # Allocated over the full batch: forward and backward may carry
+    # batch axes that diag_inv and b lack.
     y = np.empty(batch_shape + (blocks, width), dtype=dtype)
-    for k in range(blocks):
-        residual = b[..., k, :]
-        if k:
-            residual = residual - _matvec(sub[..., k - 1, :, :],
-                                          y[..., k - 1, :])
-        y[..., k, :] = _matvec(diag_inv[..., k, :, :], residual)
+    y[...] = _matvec(diag_inv, b)
+    for k in range(1, blocks):
+        y[..., k, :] -= _matvec(forward[..., k - 1, :, :], y[..., k - 1, :])
     x = np.empty_like(y)
-    for k in range(blocks - 1, -1, -1):
-        residual = y[..., k, :]
-        if k < blocks - 1:
-            residual = residual - _rmatvec(sub[..., k, :, :],
-                                           x[..., k + 1, :])
-        x[..., k, :] = _rmatvec(diag_inv[..., k, :, :], residual)
+    x[...] = _rmatvec(diag_inv, y)
+    for k in range(blocks - 2, -1, -1):
+        x[..., k, :] -= _matvec(backward[..., k, :, :], x[..., k + 1, :])
     # Per slice and sweep: m diagonal-block products and m - 1
     # coupling products with their subtractions, 2 p^2 per product.
     ops = 2.0 * (blocks * 2 * width * width

@@ -41,7 +41,21 @@ Internally the front door is one lock and one plain thread per shard.
 Admission runs on the caller's thread under the lock; each shard's
 worker waits on its own condition of that lock, drains a micro-batch,
 and calls ``engine.serve`` with the lock released, so shards execute
-concurrently while callers keep admitting.
+concurrently while callers keep admitting.  A shard runs one batch at
+a time: whoever drains it marks it busy, and the same critical section
+that books the batch releases it.  A synchronous :meth:`FrontDoor.serve`
+whose requests all land on one idle shard (empty queue, not busy)
+claims that shard and runs the batch on the caller's own thread, with
+the worker's drain and execute code, saving the hand-off to the worker
+and back; :meth:`FrontDoor.submit` never executes on its caller's
+thread.
+
+A future's done-callbacks run on the thread that resolves it, which
+may be a shard worker.  Because a shard is released before its
+futures resolve, such a callback may call :meth:`FrontDoor.submit`,
+and :meth:`FrontDoor.serve` while the shard is idle; a ``serve`` from
+a worker's callback that has to queue behind other traffic on that
+same shard would wait on its own thread.
 """
 
 from __future__ import annotations
@@ -173,8 +187,6 @@ class FrontDoor:
     bounds each shard's admission queue; ``max_batch`` bounds how many
     queued requests one drain hands to ``engine.serve`` (where
     same-bin requests fuse into stacked executions);
-    ``batch_window`` optionally holds an under-filled batch open for
-    that many seconds so trickling traffic still coalesces;
     ``deadline`` (seconds) expires requests still queued past it.
     ``shedding`` enables the accuracy-shedding admission controller;
     ``None`` disables shedding entirely (overload then only rejects).
@@ -182,13 +194,14 @@ class FrontDoor:
     Requests enter through :meth:`submit` (a future per request, from
     any thread) or the synchronous :meth:`serve`.  Admission never
     blocks on execution: a request is queued, degraded, or rejected
-    under one short-held lock on the caller's thread.
+    under one short-held lock on the caller's thread.  Only a
+    synchronous :meth:`serve` that finds its one shard idle then
+    executes its batch on the caller's thread.
     """
 
     def __init__(self, engines: Sequence[ServingEngine], *,
                  queue_limit: int = DEFAULT_QUEUE_LIMIT,
                  max_batch: int = DEFAULT_BATCH_SIZE,
-                 batch_window: float = 0.0,
                  deadline: float | None = None,
                  shedding: SheddingPolicy | None = None):
         engines = list(engines)
@@ -199,22 +212,22 @@ class FrontDoor:
             raise ConfigError("queue_limit must be >= 1")
         if max_batch < 1:
             raise ConfigError("max_batch must be >= 1")
-        if batch_window < 0:
-            raise ConfigError("batch_window must be >= 0")
         if deadline is not None and deadline <= 0:
             raise ConfigError("deadline must be positive (or None)")
         self._engines = engines
         self.queue_limit = queue_limit
         self.max_batch = max_batch
-        self.batch_window = batch_window
         self.deadline = deadline
         self.shedding = shedding
 
-        # One lock guards every queue and counter; each shard's worker
-        # sleeps on its own condition of that lock.
+        # One lock guards every queue, busy flag and counter; each
+        # shard's worker sleeps on its own condition of that lock.
         self._lock = threading.Lock()
         self._ready = [threading.Condition(self._lock) for _ in engines]
         self._queues: list[deque[_Item]] = [deque() for _ in engines]
+        # A shard is busy from the drain of a batch until the booking
+        # of its responses, whichever thread runs it.
+        self._busy = [False for _ in engines]
         self._rr = 0
         self._shed_level = 0
         self._submitted = 0
@@ -317,41 +330,65 @@ class FrontDoor:
         Callable from any thread.  The future *always* resolves to a
         :class:`ServeResponse` — rejected and deadline-expired
         requests resolve to explicit error responses, never silent
-        drops or exceptions.
+        drops or exceptions.  Execution always happens on a shard
+        worker, never on the calling thread.
         """
-        return self._admit_all([request])[0]
+        futures, _ = self._admit_all([request], claim=False)
+        return futures[0]
 
     def serve(self, requests: Sequence[ServeRequest]
               ) -> list[ServeResponse]:
         """Admit a batch and wait; responses align positionally.
 
-        The whole batch is admitted in one critical section with one
-        wake-up per shard, so an idle shard hands it to its engine as
-        one wave (up to ``max_batch`` requests).
+        The whole batch is admitted in one critical section.  When
+        every admitted request landed on one idle shard, this thread
+        claims the shard and runs its first micro-batch (up to
+        ``max_batch`` requests) itself; otherwise each shard it reached
+        is woken once and hands its share to its engine as one wave.
         """
-        return [future.result()
-                for future in self._admit_all(requests)]
+        futures, claimed = self._admit_all(requests, claim=True)
+        if claimed is not None:
+            self._run_batch(*claimed)
+        return [future.result() for future in futures]
 
-    def _admit_all(self, requests: Sequence[ServeRequest]
-                   ) -> list[Future]:
+    def _admit_all(self, requests: Sequence[ServeRequest], *, claim: bool
+                   ) -> tuple[list[Future], tuple[int, list[_Item]] | None]:
+        """Admit ``requests`` in one critical section.
+
+        Returns their futures and, when ``claim`` is set and every
+        admitted request went to one shard that was idle, that shard
+        and the batch this thread drained from it (the shard is then
+        busy until :meth:`_run_batch` books the batch).
+        """
         arrival = time.monotonic()
         futures: list[Future] = [Future() for _ in requests]
         refused: list[tuple[Future, ServeResponse]] = []
+        claimed = None
         with self._lock:
             if self._closed:
                 raise RuntimeError("front door is closed")
+            idle = [not queue and not busy
+                    for queue, busy in zip(self._queues, self._busy)]
             woken: set[int] = set()
             for request, future in zip(requests, futures):
                 shard = self._admit(request, future, arrival, refused)
                 if shard is not None:
                     woken.add(shard)
+            if claim and len(woken) == 1:
+                (shard,) = woken
+                if idle[shard]:
+                    live = self._drain(shard, refused)
+                    if live:
+                        claimed = shard, live
+                    if not self._queues[shard]:
+                        woken.clear()  # nothing left for the worker
             for shard in woken:
                 self._ready[shard].notify()
         # Futures resolve outside the lock: their done-callbacks run
         # on this thread and may call back into the front door.
         for future, response in refused:
             _resolve(future, response)
-        return futures
+        return futures, claimed
 
     def _admit(self, request: ServeRequest, future: Future,
                arrival: float,
@@ -415,74 +452,37 @@ class FrontDoor:
         return None
 
     # ------------------------------------------------------------------
-    # Shard workers (one thread each; engine.serve outside the lock)
+    # Shard execution (a worker thread, or a caller that claimed an
+    # idle shard; engine.serve outside the lock)
     # ------------------------------------------------------------------
     def _worker(self, shard: int) -> None:
-        engine = self._engines[shard]
+        queue = self._queues[shard]
+        ready = self._ready[shard]
         while True:
             expired: list[tuple[Future, ServeResponse]] = []
             with self._lock:
-                live = self._next_batch(shard, expired)
+                while self._busy[shard] or (not queue
+                                            and not self._closed):
+                    ready.wait()
+                if not queue:
+                    return  # closed, drained and released
+                live = self._drain(shard, expired)
             for future, response in expired:
                 _resolve(future, response)
-            if live is None:
-                return
-            if not live:
-                continue
-            try:
-                responses = engine.serve(
-                    [item.request for item in live])
-            except Exception as exc:
-                # A failed execution must not strand its callers:
-                # every request of the batch gets an explicit error.
-                responses = [_refusal(
-                    item.request, f"shard {shard} execution failed: "
-                    f"{type(exc).__name__}: {exc}") for item in live]
-            done = time.monotonic()
-            with self._lock:
-                for item, response in zip(live, responses):
-                    response.degraded = item.degraded
-                    response.latency = done - item.arrival
-                    self._latencies.append(response.latency)
-                    self._recent.append(response.latency)
-                    if response.ok:
-                        self._served += 1
-                    else:
-                        self._errors += 1
-                    self._escalations += response.escalations
-                    if response.fallback:
-                        self._fallbacks += 1
-                self._completed += len(live)
-                self._executing -= len(live)
-            for item, response in zip(live, responses):
-                _resolve(item.future, response)
+            if live:
+                self._run_batch(shard, live)
 
-    def _next_batch(self, shard: int,
-                    expired: list[tuple[Future, ServeResponse]]
-                    ) -> list[_Item] | None:
-        """Wait for traffic, then drain up to ``max_batch`` items
-        (lock held; the wait releases it).
+    def _drain(self, shard: int,
+               expired: list[tuple[Future, ServeResponse]]
+               ) -> list[_Item]:
+        """Pop up to ``max_batch`` items off an idle shard's queue
+        (lock held).
 
-        Returns the live (unexpired) items, marked executing; expired
-        items are counted and their refusals appended to ``expired``.
-        None once the front door is closed and this queue is empty.
+        Returns the live (unexpired) items, marked executing, and marks
+        the shard busy when there are any; expired items are counted
+        and their refusals appended to ``expired``.
         """
         queue = self._queues[shard]
-        ready = self._ready[shard]
-        while not queue and not self._closed:
-            ready.wait()
-        if not queue:
-            return None
-        if self.batch_window > 0:
-            # Hold the under-filled batch open one window so a trickle
-            # of single submissions still coalesces into one stacked
-            # execution.
-            until = time.monotonic() + self.batch_window
-            while len(queue) < self.max_batch and not self._closed:
-                remaining = until - time.monotonic()
-                if remaining <= 0:
-                    break
-                ready.wait(remaining)
         now = time.monotonic()
         live = []
         while queue and len(live) + len(expired) < self.max_batch:
@@ -499,7 +499,56 @@ class FrontDoor:
             refusal.latency = waited
             expired.append((item.future, refusal))
         self._executing += len(live)
+        self._busy[shard] = bool(live)
         return live
+
+    def _run_batch(self, shard: int, live: list[_Item]) -> None:
+        """Execute a drained batch on this thread, book it, release the
+        shard, then resolve its futures.
+
+        A raising engine fails the batch with explicit per-request
+        refusals.  The booking and release sit in a ``finally``, so a
+        ``BaseException`` (say, ``KeyboardInterrupt`` on a caller's
+        thread) still books the batch as refused and frees the shard
+        before it propagates.
+        """
+        responses = None
+        try:
+            responses = self._engines[shard].serve(
+                [item.request for item in live])
+        except Exception as exc:
+            # A failed execution must not strand its callers: every
+            # request of the batch gets an explicit error.
+            responses = [_refusal(
+                item.request, f"shard {shard} execution failed: "
+                f"{type(exc).__name__}: {exc}") for item in live]
+        finally:
+            if responses is None:
+                responses = [_refusal(
+                    item.request, f"shard {shard} execution interrupted")
+                    for item in live]
+            done = time.monotonic()
+            with self._lock:
+                for item, response in zip(live, responses):
+                    response.degraded = item.degraded
+                    response.latency = done - item.arrival
+                    self._latencies.append(response.latency)
+                    self._recent.append(response.latency)
+                    if response.ok:
+                        self._served += 1
+                    else:
+                        self._errors += 1
+                    self._escalations += response.escalations
+                    if response.fallback:
+                        self._fallbacks += 1
+                self._completed += len(live)
+                self._executing -= len(live)
+                # Released before any future resolves, so a
+                # done-callback that calls serve() finds the shard idle.
+                self._busy[shard] = False
+                self._ready[shard].notify()
+            for item, response in zip(live, responses):
+                _resolve(item.future, response)
 
     # ------------------------------------------------------------------
     # Stats & lifecycle
@@ -530,7 +579,10 @@ class FrontDoor:
         """Serve queued traffic, stop the workers, close every shard.
 
         Requests already admitted are served before the workers exit;
-        later submissions raise.  Idempotent.
+        later submissions raise.  A worker exits only once its shard is
+        released, so joining the workers also waits out a batch a
+        caller is running; only then are the engines closed.
+        Idempotent.
         """
         with self._lock:
             if self._closed:

@@ -91,22 +91,24 @@ def _direct_factor(n: int, dtype: np.dtype) -> tuple[np.ndarray, float]:
 
 @functools.lru_cache(maxsize=None)
 def _direct_blocks(n: int, dtype: np.dtype
-                   ) -> tuple[np.ndarray, np.ndarray, float, float]:
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float,
+                              float]:
     """The cached factor as the blocks :func:`block_cholesky_solve` takes.
 
     Row-major unknowns make ``L`` block-bidiagonal with one block per
     grid line: ``L[k n + a, k n + c] = factor[a - c, k n + c]`` for
-    ``a >= c`` (lower-triangular diagonal blocks) and
+    ``a >= c`` (lower-triangular diagonal blocks ``L_k``) and
     ``L[(k+1) n + a, k n + c] = factor[n + a - c, k n + c]`` for
-    ``a <= c`` (upper-triangular blocks below them).  Both are gathered
-    straight from band storage; the ``% (n + 1)`` wraps the unused
-    triangle onto valid rows that ``tril``/``triu`` then zero.  The
-    diagonal blocks are inverted in float64 and rounded once to the
-    working dtype.
+    ``a <= c`` (upper-triangular blocks ``S_{k+1}`` below them).  Both
+    are gathered straight from band storage; the ``% (n + 1)`` wraps
+    the unused triangle onto valid rows that ``tril``/``triu`` then
+    zero.  The diagonal blocks are inverted and the couplings folded
+    into them (``L_k^{-1} S_k`` and ``L_k^{-T} S_{k+1}^T``) in float64,
+    and each result is rounded once to the working dtype.
 
-    Returns ``(diag_inv, sub, factor_ops, solve_ops)``: the read-only
-    blocks (at most ~0.5 MB per entry, at n = 31 in float64) plus the
-    per-request DPBSV price the direct rule charges — one band
+    Returns ``(diag_inv, forward, backward, factor_ops, solve_ops)``:
+    the read-only blocks (under 1 MB per entry, at n = 31 in float64)
+    plus the per-request DPBSV price the direct rule charges — one band
     factorization and one band solve.  ``solve_ops`` repeats the band
     solve's count, ``2 * reach + 1`` per column in each of its two
     sweeps: running the unstacked band solve here would put it on the
@@ -117,12 +119,16 @@ def _direct_blocks(n: int, dtype: np.dtype
     a, c = line[:, None], line[None, :]
     starts = (line * n)[:, None, None]
     diag = np.tril(factor[(a - c) % (n + 1), starts + c])
-    sub = np.triu(factor[(n + a - c) % (n + 1), starts[:-1] + c])
-    diag_inv = np.linalg.inv(diag.astype(np.float64)).astype(dtype)
-    diag_inv.setflags(write=False)
-    sub.setflags(write=False)
+    sub = np.triu(factor[(n + a - c) % (n + 1), starts[:-1] + c]
+                  ).astype(np.float64)
+    inverse = np.linalg.inv(diag.astype(np.float64))
+    blocks = (inverse, inverse[1:] @ sub,
+              np.swapaxes(inverse[:-1], -1, -2) @ np.swapaxes(sub, -1, -2))
+    diag_inv, forward, backward = (block.astype(dtype) for block in blocks)
+    for block in (diag_inv, forward, backward):
+        block.setflags(write=False)
     solve_ops = 2.0 * sum(2 * min(n, j) + 1 for j in range(n * n))
-    return diag_inv, sub, factor_ops, solve_ops
+    return diag_inv, forward, backward, factor_ops, solve_ops
 
 
 def _batch_count(f: np.ndarray) -> float:
@@ -233,9 +239,10 @@ def build(precision_choices: tuple[str, ...] = ("float64", "float32")
             # charged a fresh DPBSV — band factorization plus band
             # solve — what its own scalar run would cost, and the
             # stacked-execution invariant (DESIGN.md, substitution 1).
-            diag_inv, sub, factor_ops, solve_ops = _direct_blocks(
-                n, f.dtype)
-            solution, _ = block_cholesky_solve(diag_inv, sub, f)
+            diag_inv, forward, backward, factor_ops, solve_ops = \
+                _direct_blocks(n, f.dtype)
+            solution, _ = block_cholesky_solve(diag_inv, forward,
+                                               backward, f)
             batch = _batch_count(f)
             ctx.add_cost(factor_ops * batch + solve_ops * batch)
             ctx.record("mg", action="direct", n=n)

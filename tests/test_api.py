@@ -631,7 +631,6 @@ class TestShardedService:
     @pytest.mark.parametrize("kwargs, match", [
         (dict(queue_limit=0), "queue_limit"),
         (dict(deadline=0.0), "deadline"),
-        (dict(batch_window=-0.1), "batch_window"),
         (dict(shed_low_watermark=0.9, shed_high_watermark=0.1),
          "watermark"),
         (dict(shed_max_level=-1), "shed_max_level"),

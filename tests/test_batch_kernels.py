@@ -267,18 +267,20 @@ class TestConjugateGradient:
 # Banded Cholesky
 # ----------------------------------------------------------------------
 def block_factor(factor):
-    """``(diag_inv, sub)`` for :func:`block_cholesky_solve` from a band
-    factor whose size is a multiple of its bandwidth ``p``.
+    """``(diag_inv, forward, backward)`` for :func:`block_cholesky_solve`
+    from a band factor whose size is a multiple of its bandwidth ``p``.
 
     Such a band matrix is block tridiagonal in ``p x p`` blocks, so its
     factor is block-bidiagonal.  Built through the dense ``L`` — an
     independent route from the direct rule's gather — with the diagonal
-    blocks inverted in float64 and rounded once, as the rule does.
+    blocks ``L_k`` inverted and the couplings ``S_k`` folded into them
+    (``L_k^{-1} S_k`` and ``L_k^{-T} S_{k+1}^T``) in float64, and each
+    result rounded once, as the rule does.
     """
     width = factor.shape[-2] - 1
     size = factor.shape[-1]
     blocks = size // width
-    lower = np.zeros(factor.shape[:-2] + (size, size), dtype=factor.dtype)
+    lower = np.zeros(factor.shape[:-2] + (size, size))
     for offset in range(width + 1):
         column = np.arange(size - offset)
         lower[..., column + offset, column] = factor[..., offset,
@@ -287,12 +289,15 @@ def block_factor(factor):
                                                width))
     diag = np.stack([tiles[..., k, :, k, :] for k in range(blocks)],
                     axis=-3)
-    sub = np.zeros(factor.shape[:-2] + (blocks - 1, width, width),
-                   dtype=factor.dtype)
+    sub = np.zeros(factor.shape[:-2] + (blocks - 1, width, width))
     for k in range(blocks - 1):
         sub[..., k, :, :] = tiles[..., k + 1, :, k, :]
-    diag_inv = np.linalg.inv(diag.astype(np.float64)).astype(factor.dtype)
-    return diag_inv, sub
+    diag_inv = np.linalg.inv(diag)
+    forward = diag_inv[..., 1:, :, :] @ sub
+    backward = (np.swapaxes(diag_inv[..., :-1, :, :], -1, -2)
+                @ np.swapaxes(sub, -1, -2))
+    return tuple(block.astype(factor.dtype)
+                 for block in (diag_inv, forward, backward))
 
 
 def poisson_blocks(n, dtype=np.float64):
@@ -301,16 +306,18 @@ def poisson_blocks(n, dtype=np.float64):
     return block_factor(factor)
 
 
-def assert_stacked_solve_equals_loop(diag_inv, sub, b):
+def assert_stacked_solve_equals_loop(blocks, b):
     """The stacked block solve equals looping it over every slice of
     the broadcast batch, bit for bit, with ops scaled exactly."""
-    x, ops = block_cholesky_solve(diag_inv, sub, b)
-    batch_shape = np.broadcast_shapes(diag_inv.shape[:-3], sub.shape[:-3],
+    x, ops = block_cholesky_solve(*blocks, b)
+    batch_shape = np.broadcast_shapes(*(block.shape[:-3]
+                                        for block in blocks),
                                       b.shape[:-2])
     assert x.shape == batch_shape + b.shape[-2:]
     assert x.dtype == b.dtype
     slices = [np.broadcast_to(array, batch_shape + array.shape[-core:])
-              for array, core in ((diag_inv, 3), (sub, 3), (b, 2))]
+              for array, core in [*((block, 3) for block in blocks),
+                                  (b, 2)]]
     slice_ops = None
     for index in np.ndindex(*batch_shape):
         expected, slice_ops = block_cholesky_solve(
@@ -340,9 +347,8 @@ class TestBandedCholesky:
     def test_shared_factor_stacked_solve(self, batch):
         rng = rng_for(batch)
         n = 5
-        diag_inv, sub = poisson_blocks(n)
         assert_stacked_solve_equals_loop(
-            diag_inv, sub, rng.standard_normal((batch, n, n)))
+            poisson_blocks(n), rng.standard_normal((batch, n, n)))
 
     def test_scalar_path_unchanged(self):
         rng = rng_for(3)
@@ -361,8 +367,7 @@ class TestBandedCholesky:
             banded_cholesky_factor(band)
 
     def test_degenerate_empty_batch(self):
-        diag_inv, sub = poisson_blocks(3)
-        solutions, ops = block_cholesky_solve(diag_inv, sub,
+        solutions, ops = block_cholesky_solve(*poisson_blocks(3),
                                               np.empty((0, 3, 3)))
         assert solutions.shape == (0, 3, 3)
         assert ops == 0.0
@@ -461,40 +466,41 @@ class TestBlockCholeskySolve:
     def test_stacked_equals_looped(self, batch, dtype):
         rng = rng_for(batch)
         n = 7
-        diag_inv, sub = poisson_blocks(n, dtype)
         assert_stacked_solve_equals_loop(
-            diag_inv, sub, rng.standard_normal((batch, n, n)).astype(dtype))
+            poisson_blocks(n, dtype),
+            rng.standard_normal((batch, n, n)).astype(dtype))
 
     @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
     def test_stacked_factors(self, dtype):
         rng = rng_for(11)
-        diag_inv, sub = block_factor(stacked_poisson_factors(4, 3, dtype))
+        blocks = block_factor(stacked_poisson_factors(4, 3, dtype))
         assert_stacked_solve_equals_loop(
-            diag_inv, sub, rng.standard_normal((3, 4, 4)).astype(dtype))
+            blocks, rng.standard_normal((3, 4, 4)).astype(dtype))
         assert_stacked_solve_equals_loop(
-            diag_inv, sub, rng.standard_normal((4, 4)).astype(dtype))
+            blocks, rng.standard_normal((4, 4)).astype(dtype))
 
     @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
     def test_broadcast_batch_shapes(self, dtype):
         rng = rng_for(12)
-        diag_inv, sub = block_factor(stacked_poisson_factors(3, 2, dtype))
+        diag_inv, forward, backward = block_factor(
+            stacked_poisson_factors(3, 2, dtype))
         assert_stacked_solve_equals_loop(
-            diag_inv[:, None], sub[:, None],
+            (diag_inv[:, None], forward[:, None], backward[:, None]),
             rng.standard_normal((1, 4, 3, 3)).astype(dtype))
         assert_stacked_solve_equals_loop(
-            diag_inv[:, None], sub[0],
+            (diag_inv[:, None], forward[0], backward[:, None]),
             rng.standard_normal((4, 3, 3)).astype(dtype))
 
     def test_empty_batch(self):
         # An empty batch of factors, alone and broadcast against a
         # stack of right-hand sides (TestBandedCholesky covers an
         # empty stack of right-hand sides).
-        diag_inv, sub = poisson_blocks(3)
-        x, ops = block_cholesky_solve(diag_inv[None][:0], sub,
-                                      np.ones((3, 3)))
+        diag_inv, forward, backward = poisson_blocks(3)
+        x, ops = block_cholesky_solve(diag_inv[None][:0], forward,
+                                      backward, np.ones((3, 3)))
         assert x.shape == (0, 3, 3) and ops == 0.0
-        x, ops = block_cholesky_solve(diag_inv[None, None][:0], sub,
-                                      np.ones((4, 3, 3)))
+        x, ops = block_cholesky_solve(diag_inv[None, None][:0], forward,
+                                      backward, np.ones((4, 3, 3)))
         assert x.shape == (0, 4, 3, 3) and ops == 0.0
 
     @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
@@ -509,26 +515,30 @@ class TestBlockCholeskySolve:
         for offset in range(1, width + 1):
             band[offset, :size - offset] = rng.uniform(-1, 1, size - offset)
         factor, _ = banded_cholesky_factor(band.astype(dtype))
-        diag_inv, sub = block_factor(factor)
+        blocks_of_factor = block_factor(factor)
         for _ in range(5):
             b = rng.standard_normal(size).astype(dtype)
             expected, _ = banded_cholesky_solve(factor, b)
-            x, _ = block_cholesky_solve(diag_inv, sub,
+            x, _ = block_cholesky_solve(*blocks_of_factor,
                                         b.reshape(blocks, width))
             assert x.dtype == dtype
             bound = 16 * np.finfo(dtype).eps * np.abs(expected).max()
             assert np.abs(x.reshape(-1) - expected).max() <= bound
 
     def test_mismatched_blocks_rejected(self):
-        diag_inv, sub = poisson_blocks(3)
+        diag_inv, forward, backward = poisson_blocks(3)
         with pytest.raises(ValueError):
-            block_cholesky_solve(diag_inv, sub, np.ones((4, 3)))
+            block_cholesky_solve(diag_inv, forward, backward,
+                                 np.ones((4, 3)))
         with pytest.raises(ValueError):
-            block_cholesky_solve(diag_inv, sub[:1], np.ones((3, 3)))
+            block_cholesky_solve(diag_inv, forward[:1], backward,
+                                 np.ones((3, 3)))
+        with pytest.raises(ValueError):
+            block_cholesky_solve(diag_inv, forward, backward[:1],
+                                 np.ones((3, 3)))
 
     def test_non_float_promotes_to_float64(self):
-        diag_inv, sub = poisson_blocks(3)
-        x, _ = block_cholesky_solve(diag_inv, sub,
+        x, _ = block_cholesky_solve(*poisson_blocks(3),
                                     np.ones((3, 3), dtype=np.int64))
         assert x.dtype == np.float64
 

@@ -33,6 +33,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
@@ -42,13 +43,19 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.compiler.compile import compile_program
 from repro.errors import ConfigError
 from repro.lang.metrics import AccuracyMetric
+from repro.lang.transform import Transform
 from repro.runtime.backends import (
     ProcessPoolBackend,
+    SerialBackend,
     ShardPlan,
+    TrialRequest,
     backend_from_spec,
 )
+from repro.runtime.batching import run_batch_stacked
+from repro.runtime.executor import TunedProgram
 from repro.runtime.policy import SheddingPolicy
 from repro.serving import (
     FrontDoor,
@@ -84,12 +91,15 @@ class GateEngine:
         self.gate = threading.Event()
         self.started = threading.Event()
         self.batches: list[list[ServeRequest]] = []
+        self.threads: list[threading.Thread] = []  # one per serve call
         self.executions = 0
+        self.closed = False
         self.delay = delay
         if open_gate:
             self.gate.set()
 
     def serve(self, requests):
+        self.threads.append(threading.current_thread())
         self.started.set()
         assert self.gate.wait(10.0), "test gate never released"
         time.sleep(self.delay)
@@ -114,7 +124,7 @@ class GateEngine:
                 "swaps": 0}
 
     def close(self):
-        pass
+        self.closed = True
 
 
 class RaisingEngine(GateEngine):
@@ -227,7 +237,6 @@ class TestBuild:
     @pytest.mark.parametrize("kwargs, match", [
         (dict(queue_limit=0), "queue_limit"),
         (dict(max_batch=0), "max_batch"),
-        (dict(batch_window=-0.1), "batch_window"),
         (dict(deadline=0.0), "deadline"),
     ])
     def test_bad_bounds_rejected(self, kwargs, match):
@@ -430,6 +439,280 @@ class TestShardFailure:
             assert door.stats().completed == 4
         finally:
             door.close()
+
+
+# ----------------------------------------------------------------------
+# Caller-runs: an idle shard runs a sync serve on the caller's thread
+# ----------------------------------------------------------------------
+def returns_within(fn, timeout=10.0):
+    """``(fn(), thread)`` for ``fn`` run on a fresh daemon thread; fails
+    instead of hanging when ``fn`` does not return within ``timeout``."""
+    result: list = []
+    thread = threading.Thread(target=lambda: result.append(fn()),
+                              daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert result, f"no return within {timeout}s: a deadlock"
+    return result[0], thread
+
+
+def wait_until(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+class TestCallerRuns:
+    def test_idle_door_serves_on_the_calling_thread(self):
+        engine = GateEngine(open_gate=True)
+        with FrontDoor([engine], shedding=None) as door:
+            responses = door.serve([fake_request() for _ in range(3)])
+            stats = door.stats()
+        assert all(response.ok for response in responses)
+        assert engine.threads == [threading.current_thread()]
+        assert [len(batch) for batch in engine.batches] == [3]
+        assert (stats.submitted, stats.completed, stats.queued) == (3, 3, 0)
+
+    def test_submit_never_runs_on_the_calling_thread(self):
+        engine = GateEngine(open_gate=True)
+        with FrontDoor([engine], shedding=None) as door:
+            assert door.submit(fake_request()).result(5.0).ok
+        [worker] = engine.threads
+        assert worker is not threading.current_thread()
+        assert worker.name == "repro-shard-0"
+
+    def test_busy_shard_queues_the_callers_batch_for_its_worker(self):
+        engine = GateEngine()
+        door = FrontDoor([engine], shedding=None)
+        try:
+            held = door.submit(fake_request())
+            assert engine.started.wait(5.0)  # the worker holds the shard
+            served: list = []
+            caller = threading.Thread(target=lambda: served.extend(
+                door.serve([fake_request(), fake_request()])))
+            caller.start()
+            wait_until(lambda: door.stats().queued == 3)
+            engine.gate.set()
+            caller.join(10.0)
+            assert held.result(5.0).ok
+            assert [response.ok for response in served] == [True, True]
+            worker = engine.threads[0]
+            assert engine.threads == [worker, worker]
+            assert [len(batch) for batch in engine.batches] == [1, 2]
+        finally:
+            engine.gate.set()
+            door.close()
+
+    def test_worker_waits_while_a_caller_runs_its_shard(self):
+        # One batch per shard at a time: a request queued behind a
+        # caller-run batch stays queued until that batch is booked.
+        engine = GateEngine()
+        door = FrontDoor([engine], shedding=None)
+        try:
+            served: list = []
+            caller = threading.Thread(target=lambda: served.extend(
+                door.serve([fake_request()])))
+            caller.start()
+            assert engine.started.wait(5.0)
+            queued = door.submit(fake_request())
+            time.sleep(0.05)
+            assert len(engine.threads) == 1  # the worker did not start
+            assert door.stats().queued == 2
+            engine.gate.set()
+            assert queued.result(5.0).ok
+            caller.join(10.0)
+            assert served[0].ok
+            assert engine.threads[0] is caller
+            assert engine.threads[1].name == "repro-shard-0"
+        finally:
+            engine.gate.set()
+            door.close()
+
+    def test_drain_of_only_expired_requests_releases_the_shard(self):
+        engine = GateEngine(open_gate=True)
+        door = FrontDoor([engine], deadline=1e-9, shedding=None)
+        try:
+            [refused] = door.serve([fake_request()])
+            assert not refused.ok and "deadline expired" in refused.error
+            assert engine.batches == []
+            door.deadline = None
+            # A shard left busy would park this request for a worker
+            # that waits on the busy flag forever.
+            [response], thread = returns_within(
+                lambda: door.serve([fake_request()]))
+            assert response.ok
+            assert engine.threads == [thread]
+            stats = door.stats()
+            assert (stats.submitted, stats.completed, stats.expired,
+                    stats.queued) == (2, 1, 1, 0)
+        finally:
+            door.close()
+
+    def test_interrupted_caller_run_batch_is_booked_and_released(self):
+        class Interrupt(BaseException):
+            pass
+
+        class InterruptedEngine(GateEngine):
+            def serve(self, requests):
+                if not self.batches:
+                    self.batches.append(list(requests))
+                    raise Interrupt
+                return super().serve(requests)
+
+        engine = InterruptedEngine(open_gate=True)
+        door = FrontDoor([engine], shedding=None)
+        try:
+            with pytest.raises(Interrupt):
+                door.serve([fake_request()])
+            stats = door.stats()
+            assert (stats.completed, stats.errors, stats.queued) == (1, 1, 0)
+            [response], thread = returns_within(
+                lambda: door.serve([fake_request()]))
+            assert response.ok and engine.threads == [thread]
+        finally:
+            door.close()
+
+    def test_close_waits_for_a_caller_run_batch(self):
+        engine = GateEngine()
+        door = FrontDoor([engine], shedding=None)
+        served: list = []
+        caller = threading.Thread(target=lambda: served.extend(
+            door.serve([fake_request()])))
+        caller.start()
+        assert engine.started.wait(5.0)
+        assert engine.threads == [caller]
+        closer = threading.Thread(target=door.close)
+        closer.start()
+        closer.join(0.1)
+        assert closer.is_alive() and not engine.closed
+        engine.gate.set()
+        closer.join(10.0)
+        caller.join(10.0)
+        assert not closer.is_alive() and engine.closed
+        assert served[0].ok
+        stats = door.stats()
+        assert (stats.submitted, stats.completed, stats.queued) == (1, 1, 0)
+
+    def test_serve_from_a_done_callback_does_not_deadlock(self):
+        # The callback runs on the shard's worker thread; the shard is
+        # released before the future resolves, so the nested serve()
+        # claims it and runs on that thread instead of waiting on it.
+        engine = GateEngine()
+        door = FrontDoor([engine], shedding=None)
+        nested: list = []
+        done = threading.Event()
+
+        def serve_again(future):
+            nested.extend(door.serve([fake_request()]))
+            done.set()
+
+        first = door.submit(fake_request())
+        assert engine.started.wait(5.0)
+        first.add_done_callback(serve_again)
+        engine.gate.set()
+        assert done.wait(10.0), "serve() from a done-callback deadlocked"
+        assert first.result(5.0).ok and nested[0].ok
+        assert engine.threads == [engine.threads[0]] * 2
+        door.close()
+
+
+# ----------------------------------------------------------------------
+# A rule that raises inside a fused stacked wave
+# ----------------------------------------------------------------------
+def _doubled_metric(outputs, inputs):
+    return float(np.tanh(abs(np.mean(outputs["ys"]))))
+
+
+def _double(ctx, xs):
+    if np.any(xs[..., 0] < 0.0):
+        raise ValueError("poisoned input")
+    ctx.add_cost(float(xs.size))
+    return 2.0 * xs + 1.0
+
+
+@pytest.fixture(scope="module")
+def doubler():
+    """A batchable program whose one rule raises on any slice whose
+    first entry is negative, so one bad request fails a fused wave."""
+    transform = Transform("doubler", inputs=("xs",), outputs=("ys",),
+                          accuracy_metric=_doubled_metric,
+                          accuracy_bins=(0.5, 0.9), batchable=True)
+    transform.rule(outputs=("ys",), inputs=("xs",),
+                   name="double")(_double)
+    program, _ = compile_program(transform)
+    return program
+
+
+def doubler_inputs(size, seed, poisoned=False):
+    xs = np.random.default_rng(seed).uniform(0.5, 1.5, size)
+    if poisoned:
+        xs[0] = -1.0
+    return {"xs": xs}
+
+
+#: (size, seed, poisoned): two fusable groups, one holding a bad slice.
+WAVE = [(8, 0, False), (8, 1, False), (16, 2, False), (8, 3, True),
+        (16, 4, False), (8, 5, False)]
+
+
+class TestFusedWaveFailure:
+    def test_run_batch_stacked_isolates_the_raising_slice(self, doubler):
+        config = doubler.default_config()
+        requests = [TrialRequest(
+            digest=config.digest, n=float(size), trial_index=index,
+            seed=seed, config=config,
+            inputs=doubler_inputs(size, seed, poisoned))
+            for index, (size, seed, poisoned) in enumerate(WAVE)]
+        counters: dict = {}
+        outcomes = run_batch_stacked(doubler, requests, SerialBackend(),
+                                     collect_outputs=True,
+                                     counters=counters)
+        # The size-16 group fused; the group holding the bad slice
+        # declined and ran request by request.
+        assert counters == {"stacked_calls": 1, "stacked_requests": 2}
+        for (_, _, poisoned), request, outcome in zip(WAVE, requests,
+                                                      outcomes):
+            if poisoned:
+                assert outcome.failed
+                assert "poisoned input" in outcome.error
+                continue
+            [scalar] = SerialBackend().run_batch(
+                doubler, [request], collect_outputs=True)
+            assert not outcome.failed
+            assert outcome.objective == scalar.objective
+            assert outcome.accuracy == scalar.accuracy
+            assert np.array_equal(outcome.outputs["ys"],
+                                  scalar.outputs["ys"])
+
+    def test_front_door_fails_only_the_raising_request(self, doubler):
+        tuned = TunedProgram(doubler, {target: doubler.default_config()
+                                       for target in (0.5, 0.9)})
+        requests = [ServeRequest(
+            program="doubler", inputs=doubler_inputs(size, seed, poisoned),
+            n=float(size), accuracy=0.9, seed=seed)
+            for size, seed, poisoned in WAVE]
+        with FrontDoor([ServingEngine()], shedding=None) as door:
+            door.register("doubler", tuned)
+            responses = door.serve(requests)
+            stats = door.stats()
+        for (_, _, poisoned), request, response in zip(WAVE, requests,
+                                                       responses):
+            if poisoned:
+                assert not response.ok and response.outputs is None
+                assert "execution failed" in response.error
+                assert "poisoned input" in response.error
+                continue
+            scalar = doubler.execute(request.inputs, request.n,
+                                     tuned.bin_configs[0.9],
+                                     seed=request.seed)
+            assert response.ok
+            assert np.array_equal(response.outputs["ys"],
+                                  scalar.outputs["ys"])
+            assert response.achieved_accuracy == _doubled_metric(
+                scalar.outputs, request.inputs)
+        assert (stats.completed, stats.served, stats.errors) == (6, 5, 1)
+        assert stats.stacked_calls == 1 and stats.stacked_requests == 2
 
 
 # ----------------------------------------------------------------------

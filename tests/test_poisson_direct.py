@@ -87,13 +87,14 @@ def test_second_call_is_a_hit():
 @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
 @pytest.mark.parametrize("n", SIZES)
 def test_cached_blocks_are_the_factor_blocks(n, dtype):
-    diag_inv, sub, factor_ops, solve_ops = _direct_blocks(n, dtype)
+    *blocks, factor_ops, solve_ops = _direct_blocks(n, dtype)
     factor, expected_factor_ops = fresh_factor(n, dtype)
-    assert not diag_inv.flags.writeable and not sub.flags.writeable
-    assert diag_inv.dtype == sub.dtype == dtype
-    expected_inv, expected_sub = block_factor(factor)
-    assert np.array_equal(diag_inv, expected_inv)
-    assert np.array_equal(sub, expected_sub)
+    # (diag_inv, forward, backward), each rounded once from float64
+    # products of the dense L's blocks.
+    for block, expected in zip(blocks, block_factor(factor)):
+        assert not block.flags.writeable
+        assert block.dtype == dtype
+        assert np.array_equal(block, expected)
     assert factor_ops == expected_factor_ops
     _, expected_solve_ops = banded_cholesky_solve(
         factor, np.zeros(n * n, dtype))
@@ -103,13 +104,13 @@ def test_cached_blocks_are_the_factor_blocks(n, dtype):
 @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
 @pytest.mark.parametrize("n", SIZES)
 def test_block_solve_matches_band_sweep(n, dtype):
-    diag_inv, sub, _, _ = _direct_blocks(n, dtype)
+    *blocks, _, _ = _direct_blocks(n, dtype)
     factor, _ = fresh_factor(n, dtype)
     rng = np.random.default_rng(n)
     for _ in range(10):
         b = rng.standard_normal((n, n)).astype(dtype)
         expected, _ = banded_cholesky_solve(factor, b.reshape(-1))
-        x, _ = block_cholesky_solve(diag_inv, sub, b)
+        x, _ = block_cholesky_solve(*blocks, b)
         assert x.dtype == dtype
         assert_within_ulp_bound(x.reshape(-1), expected)
 
@@ -215,11 +216,10 @@ def test_concurrent_first_block_calls_agree():
     _direct_factor.cache_clear()
     key = (15, np.dtype(np.float32))
     results = first_calls_from_four_threads(_direct_blocks, key)
-    diag_inv, sub, factor_ops, solve_ops = results[0]
+    *blocks, factor_ops, solve_ops = results[0]
     for other in results[1:]:
-        assert np.array_equal(other[0], diag_inv)
-        assert np.array_equal(other[1], sub)
-        assert other[2:] == (factor_ops, solve_ops)
-    for blocks in results:
-        assert not blocks[0].flags.writeable
-        assert not blocks[1].flags.writeable
+        for block, other_block in zip(blocks, other[:3]):
+            assert np.array_equal(other_block, block)
+        assert other[3:] == (factor_ops, solve_ops)
+    for result in results:
+        assert not any(block.flags.writeable for block in result[:3])
