@@ -89,10 +89,12 @@ class Project:
         self.training_info = training_info
         self.training_inputs = training_inputs
         self.backend = backend_from_spec(backend)
-        if isinstance(cache, TrialCache) or cache is None:
+        if isinstance(cache, TrialCache):
             self.cache = cache
             self._cache_owned = False
         else:
+            # A path persists; None is in memory, as long-lived as the
+            # project's one harness.
             self.cache = TrialCache(cache)
             self._cache_owned = True
         self.base_seed = base_seed
@@ -207,8 +209,7 @@ class Project:
             self._harness.close()
         else:
             self.backend.close()
-        if self._cache_owned and self.cache is not None \
-                and self.cache.path is not None:
+        if self._cache_owned and self.cache.path is not None:
             self.cache.save()
 
     def __enter__(self) -> "Project":

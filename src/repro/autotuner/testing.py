@@ -21,9 +21,12 @@ cost.  Because a
 trial's outcome is fully determined by ``(config, n, trial index, base
 seed)``, outcomes are recorded in request order regardless of how the
 backend schedules them — tuning results are bit-identical across
-backends under the cost objective.  An optional
-:class:`~repro.runtime.backends.TrialCache` short-circuits requests
-whose outcome is already known, across candidates and across runs.
+backends under the cost objective.  The harness's
+:class:`~repro.runtime.backends.TrialCache` (always present; in memory
+unless a path persists it) replays a request whenever an earlier
+execution of the same paired trial read config values the request's
+configuration resolves the same — across candidates, and across runs
+when persisted.
 
 ``noise`` injects multiplicative Gaussian noise into the objective; it
 exists to reproduce the paper's anecdote that increased measurement
@@ -52,6 +55,7 @@ from repro.runtime.backends import (
     TrialOutcome,
     TrialRequest,
 )
+from repro.runtime.backends.cache import Bucket
 from repro.runtime.batching import run_batch_stacked
 
 __all__ = ["ProgramTestHarness", "InputGenerator"]
@@ -66,12 +70,14 @@ DEFAULT_INPUT_CACHE_SIZE = 256
 class ProgramTestHarness:
     """Builds trial batches, dispatches them to a backend, records results.
 
-    ``backend`` defaults to :class:`SerialBackend`; ``cache`` (a
+    ``backend`` defaults to :class:`SerialBackend`.  ``cache`` (a
     :class:`TrialCache`) is consulted before dispatch and updated
-    after.  ``input_cache_size`` bounds the number of generated
-    training inputs held in memory (least-recently-used eviction;
-    ``None`` means unbounded) so long sweeps over many sizes don't
-    accumulate every input ever generated.
+    after; ``None`` gives the harness its own in-memory cache, which
+    lives as long as the harness.  ``input_cache_size`` bounds the
+    number of generated training inputs held in memory
+    (least-recently-used eviction; ``None`` means unbounded) so long
+    sweeps over many sizes don't accumulate every input ever
+    generated.
     """
 
     def __init__(self, program: CompiledProgram,
@@ -103,7 +109,7 @@ class ProgramTestHarness:
         self.noise = noise
         self.cost_limit = cost_limit
         self.backend = backend if backend is not None else SerialBackend()
-        self.cache = cache
+        self.cache = cache if cache is not None else TrialCache()
         self.input_cache_size = input_cache_size
         self.metric = program.root_transform.accuracy_metric
         if self.metric is None:
@@ -115,8 +121,10 @@ class ProgramTestHarness:
         self.trials_run = 0
         #: Trials actually executed by the backend (excludes cache hits).
         self.trials_executed = 0
-        self._input_cache: OrderedDict[tuple[float, int],
-                                       Mapping[str, object]] = OrderedDict()
+        #: (n, trial index) -> (training inputs, execution seed).
+        self._input_cache: OrderedDict[
+            tuple[float, int], tuple[Mapping[str, object], int]] = \
+            OrderedDict()
         # Trial-cache namespace: outcomes depend on the program AND on
         # which generator produced the training inputs, so both name
         # the store.  (Editing a generator's *body* while keeping its
@@ -140,10 +148,12 @@ class ProgramTestHarness:
         cached = self._input_cache.get(key)
         if cached is not None:
             self._input_cache.move_to_end(key)
-            return cached
-        rng = generator_for(self.base_seed, "input", float(n), trial_index)
+            return cached[0]
+        rng = generator_for(self.base_seed, "input", key[0], trial_index)
         inputs = self.input_generator(int(n), rng)
-        self._input_cache[key] = inputs
+        # The paired execution seed is derived once, beside the input.
+        self._input_cache[key] = (
+            inputs, derive_seed(self.base_seed, "exec", key[0], trial_index))
         if self.input_cache_size is not None:
             while len(self._input_cache) > self.input_cache_size:
                 self._input_cache.popitem(last=False)
@@ -154,13 +164,23 @@ class ProgramTestHarness:
     # ------------------------------------------------------------------
     def build_request(self, candidate: Candidate, n: float,
                       trial_index: int) -> TrialRequest:
+        n = float(n)
+        inputs = self.training_input(n, trial_index)
         return TrialRequest(
             digest=candidate.config.digest,
-            n=float(n),
+            n=n,
             trial_index=trial_index,
-            seed=derive_seed(self.base_seed, "exec", float(n), trial_index),
+            # Just stored or refreshed: the newest entry is never evicted.
+            seed=self._input_cache[(n, trial_index)][1],
             config=candidate.config,
-            inputs=self.training_input(n, trial_index))
+            inputs=inputs)
+
+    def _bucket(self, request: TrialRequest) -> Bucket:
+        return TrialCache.bucket(request.n, request.trial_index,
+                                 self.base_seed,
+                                 program=self._cache_namespace,
+                                 objective=self.objective,
+                                 cost_limit=self.cost_limit)
 
     def run_requests(self, requests: Sequence[TrialRequest]
                      ) -> list[TrialOutcome]:
@@ -171,35 +191,32 @@ class ProgramTestHarness:
         wall-clock measurements are not determined by the request, so
         replaying them across runs (and machines) would be wrong.
         """
-        outcomes: list[TrialOutcome | None] = [None] * len(requests)
-        cache = self.cache if self.objective == "cost" else None
-        if cache is None:
+        if self.objective != "cost":
             return self._dispatch(list(requests))
-        keys = [TrialCache.key_for(request, self.base_seed,
-                                   program=self._cache_namespace,
-                                   objective=self.objective,
-                                   cost_limit=self.cost_limit)
-                for request in requests]
-        # Identical keys within one batch (equal-config candidates at
-        # the same trial index) execute once and fan out to every
-        # position.
-        unique_missing: dict[str, int] = {}
-        for position, key in enumerate(keys):
-            hit = cache.get(key)
+        cache = self.cache
+        outcomes: list[TrialOutcome | None] = [None] * len(requests)
+        buckets = [self._bucket(request) for request in requests]
+        # Misses with equal configs at the same paired trial execute
+        # once and fan out to every position.
+        unique_missing: dict[tuple[Bucket, str], int] = {}
+        for position, (request, bucket) in enumerate(zip(requests,
+                                                          buckets)):
+            hit = cache.get(bucket, request.config)
             if hit is None:
-                unique_missing.setdefault(key, position)
+                unique_missing.setdefault((bucket, request.digest),
+                                          position)
             else:
                 outcomes[position] = hit
         if unique_missing:
             dispatch = list(unique_missing.values())
             fresh = self._dispatch([requests[i] for i in dispatch])
-            fresh_by_key = {}
             for position, outcome in zip(dispatch, fresh):
-                cache.put(keys[position], outcome)
-                fresh_by_key[keys[position]] = outcome
-            for position, key in enumerate(keys):
+                cache.put(buckets[position], outcome)
+            fresh_by_key = dict(zip(unique_missing, fresh))
+            for position, request in enumerate(requests):
                 if outcomes[position] is None:
-                    outcomes[position] = fresh_by_key[key]
+                    outcomes[position] = fresh_by_key[
+                        (buckets[position], request.digest)]
         return outcomes  # type: ignore[return-value]
 
     def _dispatch(self, requests: list[TrialRequest]

@@ -7,7 +7,9 @@ type" (Section 4.2) — plus the parameter space describing every tunable
 in every instance.  Executing the program walks the root instance's
 schedule, resolving each algorithmic choice site and tunable from a
 :class:`~repro.config.configuration.Configuration` at the current input
-size.
+size.  Every context reads the configuration through one
+:class:`~repro.config.configuration.RecordingConfig`, so each result
+names the config values its execution read.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.compiler.choice_graph import ChoiceGroup
-from repro.config.configuration import Configuration
+from repro.config.configuration import Configuration, RecordingConfig
 from repro.config.parameters import ParameterSpace
 from repro.errors import CompileError, ExecutionError
 from repro.lang.context import ExecutionContext
@@ -69,11 +71,16 @@ class ExecutionResult:
     most accurate bin because no bin satisfied the requested accuracy
     (the target is unmet by construction), and how many
     ``verify_accuracy`` escalations preceded this result.
+
+    ``reads`` lists every config read of the execution, in order, as
+    ``(name, n, value)`` (see
+    :class:`~repro.config.configuration.RecordingConfig`).
     """
 
     outputs: dict[str, Any]
     metrics: Metrics
     trace: ExecutionTrace
+    reads: tuple = ()
     bin_target: float | None = None
     fallback: bool = False
     escalations: int = 0
@@ -166,24 +173,29 @@ class CompiledProgram:
     def execute(self, inputs: Mapping[str, Any], n: float,
                 config: Configuration, *, seed: int = 0,
                 collect_trace: bool = False,
-                cost_limit: float | None = None) -> ExecutionResult:
+                cost_limit: float | None = None,
+                reads: list | None = None) -> ExecutionResult:
         """Run the root instance on ``inputs`` of size ``n``.
 
         ``cost_limit`` aborts executions whose accumulated cost exceeds
         the budget (raising
         :class:`~repro.runtime.timing.CostLimitExceeded`), the cost
-        model's analogue of a trial timeout.
+        model's analogue of a trial timeout.  ``reads`` (a list, when
+        given) receives the execution's config reads as they happen,
+        so a caller still has them when the execution raises.
         """
         cost = CostAccumulator(limit=cost_limit)
         trace = ExecutionTrace(enabled=collect_trace)
         # Derived only if a rule reads ctx.rng (see LazyGenerator).
         rng = LazyGenerator(seed, "execute", self.root)
+        recorder = RecordingConfig(config, reads)
         with WallTimer() as timer:
             outputs = self.run_instance(
-                f"{self.root}@main", dict(inputs), n, config, rng, cost,
+                f"{self.root}@main", dict(inputs), n, recorder, rng, cost,
                 trace, depth=0)
         metrics = Metrics(cost=cost.units, wall_time=timer.elapsed)
-        return ExecutionResult(outputs=outputs, metrics=metrics, trace=trace)
+        return ExecutionResult(outputs=outputs, metrics=metrics, trace=trace,
+                               reads=tuple(recorder.reads))
 
     def accuracy_of(self, outputs: Mapping[str, Any],
                     inputs: Mapping[str, Any]) -> float:
@@ -194,7 +206,8 @@ class CompiledProgram:
                 f"root transform {self.root!r} has no accuracy metric")
         return metric.compute(outputs, inputs)
 
-    def instance_dtype(self, instance: Instance, config: Configuration,
+    def instance_dtype(self, instance: Instance,
+                       config: Configuration | RecordingConfig,
                        n: float) -> np.dtype | None:
         """Configured working dtype of ``instance``, or None.
 
@@ -226,7 +239,7 @@ class CompiledProgram:
     # Instance execution (also entered by ExecutionContext.call)
     # ------------------------------------------------------------------
     def run_instance(self, prefix: str, inputs: dict[str, Any], n: float,
-                     config: Configuration, rng: LazyGenerator,
+                     config: RecordingConfig, rng: LazyGenerator,
                      cost: CostAccumulator, trace: ExecutionTrace,
                      depth: int) -> dict[str, Any]:
         instance = self.instance(prefix)

@@ -8,7 +8,11 @@ configurations through the mutators in :mod:`repro.autotuner.mutators`.
 """
 
 from repro.config.decision_tree import SizeDecisionTree
-from repro.config.configuration import Configuration, ConfigEntry
+from repro.config.configuration import (
+    Configuration,
+    ConfigEntry,
+    RecordingConfig,
+)
 from repro.config.parameters import (
     ParameterSpace,
     ChoiceSiteParam,
@@ -21,6 +25,7 @@ __all__ = [
     "SizeDecisionTree",
     "Configuration",
     "ConfigEntry",
+    "RecordingConfig",
     "ParameterSpace",
     "ChoiceSiteParam",
     "SizeValueParam",

@@ -8,6 +8,12 @@ are immutable from the outside; the mutators build modified copies via
 :meth:`Configuration.with_entry`.  Immutability lets each value carry
 its own content digest, computed on first use and kept for its
 lifetime.
+
+An execution never sees a :class:`Configuration` directly: it reads one
+through a :class:`RecordingConfig`, which records every read as
+``(name, n, value)``.  :meth:`Configuration.resolve` answers such a read
+for any configuration, so the trial cache can tell whether another
+configuration would have read exactly the same values.
 """
 
 from __future__ import annotations
@@ -19,9 +25,13 @@ from typing import Any, Iterator, Mapping
 from repro.config.decision_tree import SizeDecisionTree
 from repro.errors import ConfigError
 
-__all__ = ["Configuration", "ConfigEntry"]
+__all__ = ["Configuration", "ConfigEntry", "RecordingConfig"]
 
 ConfigEntry = Any  # SizeDecisionTree | float | int | str | bool
+
+#: What :meth:`Configuration.resolve` returns for a lookup of a missing
+#: entry; equal to no recorded value.
+_ABSENT = object()
 
 
 class Configuration:
@@ -84,6 +94,20 @@ class Configuration:
         parameter is.
         """
         entry = self[name]
+        if isinstance(entry, SizeDecisionTree):
+            return entry.lookup(n)
+        return entry
+
+    def resolve(self, name: str, n: float | None) -> ConfigEntry:
+        """The value the read ``(name, n)`` sees in this configuration.
+
+        ``n=None`` is the containment check ``name in config`` (a
+        bool); otherwise the entry resolved at ``n``, or a sentinel
+        equal to no recorded value when the entry is missing.
+        """
+        if n is None:
+            return name in self._entries
+        entry = self._entries.get(name, _ABSENT)
         if isinstance(entry, SizeDecisionTree):
             return entry.lookup(n)
         return entry
@@ -174,3 +198,36 @@ class Configuration:
             else:
                 lines.append(f"{name} = {entry!r}")
         return "\n".join(lines)
+
+
+class RecordingConfig:
+    """A configuration as one execution reads it.
+
+    Offers only the two reads an execution needs, ``name in config``
+    and :meth:`lookup`, and appends each to ``reads`` in order as
+    ``(name, n, value)``: ``(name, None, present)`` for a containment
+    check (and for a lookup of a missing entry, which then raises).
+    Two executions on the same inputs and seed whose configurations
+    resolve every recorded read to the same value run identically.
+    """
+
+    __slots__ = ("_config", "reads")
+
+    def __init__(self, config: Configuration, reads: list | None = None):
+        self._config = config
+        self.reads: list[tuple[str, float | None, ConfigEntry]] = \
+            reads if reads is not None else []
+
+    def __contains__(self, name: str) -> bool:
+        present = self._config.resolve(name, None)
+        self.reads.append((name, None, present))
+        return present
+
+    def lookup(self, name: str, n: float) -> ConfigEntry:
+        n = float(n)
+        value = self._config.resolve(name, n)
+        if value is _ABSENT:
+            self.reads.append((name, None, False))
+            raise ConfigError(f"configuration has no entry {name!r}")
+        self.reads.append((name, n, value))
+        return value

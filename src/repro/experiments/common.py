@@ -61,7 +61,8 @@ def tune_benchmark(name: str, settings: ExperimentSettings, *,
     ``backend`` (an :class:`~repro.runtime.backends.ExecutionBackend`)
     and ``cache`` (a :class:`~repro.runtime.backends.TrialCache`) are
     forwarded to the test harness, so experiment sweeps can run trials
-    in parallel and reuse measurements across repeated tunings.
+    in parallel and reuse measurements across repeated tunings (without
+    one, the harness keeps its own in-memory cache for this tune).
     """
     spec = get_benchmark(name)
     program, _ = spec.compile()

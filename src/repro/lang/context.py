@@ -22,7 +22,7 @@ from repro.runtime.trace import ExecutionTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.compiler.program import CompiledProgram, Instance
-    from repro.config.configuration import Configuration
+    from repro.config.configuration import RecordingConfig
 
 __all__ = ["ExecutionContext", "MAX_CALL_DEPTH"]
 
@@ -39,12 +39,14 @@ class ExecutionContext:
                  "trace", "depth", "dtype", "cost_scale")
 
     def __init__(self, program: "CompiledProgram", instance: "Instance",
-                 config: "Configuration", n: float,
+                 config: "RecordingConfig", n: float,
                  rng: LazyGenerator, cost: CostAccumulator,
                  trace: ExecutionTrace, depth: int = 0,
                  dtype: np.dtype | None = None):
         self.program = program
         self.instance = instance
+        #: The execution's one view of its configuration: every read
+        #: through it is recorded (see RecordingConfig).
         self.config = config
         self.n = n
         #: Shared by every context of one execution.
@@ -174,9 +176,3 @@ class ExecutionContext:
         """Record a domain-specific trace event (e.g. a relaxation)."""
         self.trace.record(kind, self.depth,
                           instance=self.instance.prefix, **payload)
-
-    def child(self, instance: "Instance", n: float) -> "ExecutionContext":
-        """Context for executing ``instance`` one call level deeper."""
-        return ExecutionContext(self.program, instance, self.config, n,
-                                self._rng, self.cost, self.trace,
-                                self.depth + 1)

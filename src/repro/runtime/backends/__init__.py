@@ -3,7 +3,7 @@
 The autotuner's hot loop is trial execution (Section 5.5.1).  This
 package defines the batch protocol (:class:`TrialRequest` /
 :class:`TrialOutcome` / :class:`ExecutionBackend`), three
-interchangeable backends, and a content-addressed result cache:
+interchangeable backends, and a trial-result cache:
 
 * :class:`SerialBackend` — the default; runs trials in submission
   order on the calling thread (the reference semantics);
@@ -11,9 +11,10 @@ interchangeable backends, and a content-addressed result cache:
   (numpy kernels release the GIL);
 * :class:`ProcessPoolBackend` — chunked map over worker processes for
   true parallelism;
-* :class:`TrialCache` — reuses measurements across candidates,
-  processes and tuning runs (the Section 5.4 result-reuse
-  optimisation, generalised).
+* :class:`TrialCache` — replays a measurement for any configuration
+  that resolves every config value the measured execution read alike,
+  across candidates and tuning runs (the Section 5.4 result-reuse
+  optimisation, made exact).
 
 Under the deterministic cost objective all three backends produce
 bit-identical tuning results for a fixed seed; pick by hardware, not

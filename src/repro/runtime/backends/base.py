@@ -10,7 +10,8 @@ inside the genetic loop.  This module separates *what* to run from
   configuration (plus its content digest), an input size, a paired
   trial index, the derived execution seed, and the training inputs;
 * a :class:`TrialOutcome` carries back the measurement — objective,
-  accuracy, failure flag and wall time;
+  accuracy, failure flag, wall time and the config values the
+  execution read;
 * an :class:`ExecutionBackend` maps a batch of requests to outcomes.
 
 Backends MUST return outcomes positionally aligned with the request
@@ -55,7 +56,7 @@ class TrialRequest:
     """One trial to run: a work unit a backend can execute anywhere.
 
     ``digest`` is :func:`config_digest` of ``config`` (carried on the
-    request so cache lookups and fusion keys never re-serialise);
+    request so batch dedupe and fusion keys never re-serialise);
     ``seed`` is the fully derived execution seed, so a worker needs no
     access to the harness's base seed.  ``inputs`` are the paired training inputs for
     ``(n, trial_index)``.  Everything here is picklable provided the
@@ -82,6 +83,11 @@ class TrialOutcome:
     ``error`` names the exception behind ``failed=True`` (type and
     message), so callers can tell a broken program from a genuine
     accuracy miss.
+
+    ``reads`` is the execution's config reads, ``(name, n, value)`` in
+    order (up to the raise, for a failed trial): the trial cache
+    replays this outcome for any configuration that resolves every
+    read to the same value.
     """
 
     objective: float
@@ -90,11 +96,13 @@ class TrialOutcome:
     wall_time: float = 0.0
     outputs: Mapping[str, Any] | None = None
     error: str | None = None
+    reads: tuple = ()
 
     def to_json(self) -> dict:
         payload = {"objective": self.objective,
                    "accuracy": self.accuracy,
-                   "failed": self.failed, "wall_time": self.wall_time}
+                   "failed": self.failed, "wall_time": self.wall_time,
+                   "reads": [list(read) for read in self.reads]}
         if self.error is not None:
             payload["error"] = self.error
         return payload
@@ -103,11 +111,14 @@ class TrialOutcome:
     def from_json(cls, data: Mapping[str, Any]) -> "TrialOutcome":
         objective = float(data["objective"])  # non-mappings raise here
         error = data.get("error")
+        reads = tuple((str(name), None if n is None else float(n), value)
+                      for name, n, value in data.get("reads", ()))
         return cls(objective=objective,
                    accuracy=float(data["accuracy"]),
                    failed=bool(data.get("failed", False)),
                    wall_time=float(data.get("wall_time", 0.0)),
-                   error=str(error) if error is not None else None)
+                   error=str(error) if error is not None else None,
+                   reads=reads)
 
 
 def execute_trial(program: "CompiledProgram", request: TrialRequest, *,
@@ -122,11 +133,12 @@ def execute_trial(program: "CompiledProgram", request: TrialRequest, *,
     """
     outputs = None
     error = None
+    reads: list = []
     with WallTimer() as timer:
         try:
             result = program.execute(request.inputs, request.n,
                                      request.config, seed=request.seed,
-                                     cost_limit=cost_limit)
+                                     cost_limit=cost_limit, reads=reads)
             accuracy = program.accuracy_of(result.outputs, request.inputs)
             value = result.metrics.objective(objective)
             failed = False
@@ -140,7 +152,7 @@ def execute_trial(program: "CompiledProgram", request: TrialRequest, *,
             error = f"{type(exc).__name__}: {exc}"
     return TrialOutcome(objective=float(value), accuracy=float(accuracy),
                         failed=failed, wall_time=timer.elapsed,
-                        outputs=outputs, error=error)
+                        outputs=outputs, error=error, reads=tuple(reads))
 
 
 class ExecutionBackend(ABC):

@@ -157,7 +157,8 @@ def execute_stacked(program: "CompiledProgram",
         outcomes.append(TrialOutcome(
             objective=float(value), accuracy=float(accuracy),
             failed=False, wall_time=wall,
-            outputs=sliced if collect_outputs else None))
+            outputs=sliced if collect_outputs else None,
+            reads=result.reads))
     return outcomes
 
 

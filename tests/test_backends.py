@@ -27,6 +27,7 @@ from repro.autotuner import Autotuner, ProgramTestHarness, TunerSettings
 from repro.autotuner.candidate import Candidate
 from repro.compiler.compile import compile_program
 from repro.config.configuration import Configuration
+from repro.config.decision_tree import SizeDecisionTree
 from repro.errors import ConfigError, TrainingError
 from repro.lang.transform import Transform
 from repro.lang.tunables import accuracy_variable
@@ -259,62 +260,131 @@ class TestBackendEquivalence:
 # ----------------------------------------------------------------------
 # TrialCache
 # ----------------------------------------------------------------------
+def _config(**entries) -> Configuration:
+    return Configuration({name.replace("_", "."): value
+                          for name, value in entries.items()})
+
+
+def _outcome(objective: float, *reads, **fields) -> TrialOutcome:
+    return TrialOutcome(objective=objective, accuracy=fields.pop(
+        "accuracy", 0.5), reads=tuple(reads), **fields)
+
+
 class TestTrialCache:
     def test_hit_miss_counters(self):
         cache = TrialCache()
-        key = TrialCache.key("abc", 16.0, 0, 3)
-        assert cache.get(key) is None
+        bucket = TrialCache.bucket(16.0, 0, 3)
+        config = _config(p_x=1)
+        assert cache.get(bucket, config) is None
         assert (cache.hits, cache.misses) == (0, 1)
-        cache.put(key, TrialOutcome(objective=1.5, accuracy=0.9))
-        assert cache.get(key) == TrialOutcome(objective=1.5, accuracy=0.9)
+        outcome = _outcome(1.5, ("p.x", 16.0, 1), accuracy=0.9)
+        cache.put(bucket, outcome)
+        assert cache.get(bucket, config) == outcome
         assert (cache.hits, cache.misses) == (1, 1)
         assert len(cache) == 1
 
     def test_rewriting_a_key_does_not_evict(self):
-        # Rewriting a key replaces its outcome in place: no second
-        # entry, and no earlier entry is dropped.
+        # Storing the same reads again replaces the outcome in place:
+        # no second entry, and no earlier entry is dropped.
         cache = TrialCache()
-        other = TrialCache.key("cc", 1.0, 0, 0)
-        key = TrialCache.key("dd", 1.0, 0, 0)
-        cache.put(other, TrialOutcome(objective=0.5, accuracy=0.05))
-        cache.put(key, TrialOutcome(objective=1.0, accuracy=0.1))
-        cache.put(key, TrialOutcome(objective=2.0, accuracy=0.2))
+        bucket = TrialCache.bucket(1.0, 0, 0)
+        cache.put(bucket, _outcome(0.5, ("p.x", 1.0, 2)))
+        cache.put(bucket, _outcome(1.0, ("p.x", 1.0, 1)))
+        cache.put(bucket, _outcome(2.0, ("p.x", 1.0, 1)))
         assert len(cache) == 2
-        assert cache.get(key).objective == 2.0
-        assert cache.get(other).objective == 0.5
+        assert cache.get(bucket, _config(p_x=1)).objective == 2.0
+        assert cache.get(bucket, _config(p_x=2)).objective == 0.5
+
+    def test_replays_only_configs_resolving_every_read_alike(self):
+        cache = TrialCache()
+        bucket = TrialCache.bucket(8.0, 0, 0)
+        recorded = _outcome(3.0, ("p.rule", 8.0, 1), ("p.k", 8.0, 4))
+        cache.put(bucket, recorded)
+        # An entry the execution never read may differ freely.
+        assert cache.get(bucket, _config(p_rule=1, p_k=4, p_unread=9)) \
+            is recorded
+        # A decision tree resolves at the recorded n.
+        tree = SizeDecisionTree([0, 1], cutoffs=[4.0])
+        assert cache.get(bucket, _config(p_rule=tree, p_k=4)) is recorded
+        assert cache.get(bucket, _config(p_rule=0, p_k=4)) is None
+        assert cache.get(bucket, _config(p_rule=1, p_k=5)) is None
+        assert cache.get(bucket, _config(p_rule=1)) is None  # k missing
+        # Same reads, another paired trial: a different bucket.
+        assert cache.get(TrialCache.bucket(8.0, 1, 0),
+                         _config(p_rule=1, p_k=4)) is None
+
+    def test_value_types_never_alias(self):
+        # 1, 1.0 and True compare equal but may steer a rule apart.
+        cache = TrialCache()
+        bucket = TrialCache.bucket(8.0, 0, 0)
+        cache.put(bucket, _outcome(1.0, ("p.k", 8.0, 1)))
+        assert cache.get(bucket, _config(p_k=1)) is not None
+        assert cache.get(bucket, _config(p_k=1.0)) is None
+        assert cache.get(bucket, _config(p_k=True)) is None
+
+    def test_unhashable_read_values_are_not_cached(self):
+        cache = TrialCache()
+        bucket = TrialCache.bucket(8.0, 0, 0)
+        cache.put(bucket, _outcome(1.0, ("p.k", 8.0, [1, 2])))  # no raise
+        assert len(cache) == 0
+        cache.put(bucket, _outcome(1.0, ("p.k", 8.0, 1)))
+        assert cache.get(bucket, _config(p_k=[1, 2])) is None
 
     def test_objective_and_cost_limit_namespace_keys(self):
-        assert TrialCache.key("d", 8.0, 1, 0, objective="cost") != \
-            TrialCache.key("d", 8.0, 1, 0, objective="time")
+        assert TrialCache.bucket(8.0, 1, 0, objective="cost") != \
+            TrialCache.bucket(8.0, 1, 0, objective="time")
         # A trial's pass/fail status depends on the cost budget, so
         # outcomes measured under different limits must never alias.
-        assert TrialCache.key("d", 8.0, 1, 0, cost_limit=None) != \
-            TrialCache.key("d", 8.0, 1, 0, cost_limit=1e6)
-        assert TrialCache.key("d", 8.0, 1, 0, cost_limit=1e6) != \
-            TrialCache.key("d", 8.0, 1, 0, cost_limit=2e6)
+        assert TrialCache.bucket(8.0, 1, 0, cost_limit=None) != \
+            TrialCache.bucket(8.0, 1, 0, cost_limit=1e6)
+        assert TrialCache.bucket(8.0, 1, 0, cost_limit=1e6) != \
+            TrialCache.bucket(8.0, 1, 0, cost_limit=2e6)
+        cache = TrialCache()
+        cache.put(TrialCache.bucket(8.0, 1, 0, cost_limit=1e6),
+                  _outcome(1.0, ("p.x", 8.0, 1)))
+        assert cache.get(TrialCache.bucket(8.0, 1, 0, cost_limit=2e6),
+                         _config(p_x=1)) is None
 
-    def test_large_sizes_never_collide(self):
-        # '%g' formatting would fold 1048576 and 1048580 together.
-        assert TrialCache.key("d", 1048576.0, 0, 0) != \
-            TrialCache.key("d", 1048580.0, 0, 0)
+    def test_large_sizes_never_collide(self, tmp_path):
+        # '%g' formatting would fold 1048576 and 1048580 together; the
+        # bucket keeps full precision, on disk too.
+        near = TrialCache.bucket(1048576.0, 0, 0)
+        far = TrialCache.bucket(1048580.0, 0, 0)
+        assert near != far
+        cache = TrialCache(tmp_path / "sizes.json")
+        cache.put(near, _outcome(1.0, ("p.x", 1048576.0, 1)))
+        cache.save()
+        reloaded = TrialCache(tmp_path / "sizes.json")
+        assert reloaded.get(near, _config(p_x=1)) is not None
+        assert reloaded.get(far, _config(p_x=1)) is None
 
     def test_program_namespaces_keys(self):
         # Different programs with identically-serialising configs must
         # not share measurements.
-        assert TrialCache.key("d", 8.0, 1, 0, program="poisson") != \
-            TrialCache.key("d", 8.0, 1, 0, program="helmholtz")
+        assert TrialCache.bucket(8.0, 1, 0, program="poisson") != \
+            TrialCache.bucket(8.0, 1, 0, program="helmholtz")
 
     def test_malformed_entries_skipped_on_load(self, tmp_path):
         path = tmp_path / "mixed.json"
-        good = TrialCache.key("aa", 4.0, 0, 0)
-        path.write_text(json.dumps({"version": 1, "entries": {
-            "bad1": {"accuracy": 0.5},             # missing objective
-            "bad2": None,                          # not a mapping
-            "bad3": {"objective": None, "accuracy": 0.1},
-            good: {"objective": 2.0, "accuracy": 0.9}}}))
+        good = {"objective": 2.0, "accuracy": 0.9,
+                "reads": [["p.x", 4.0, 1]]}
+        path.write_text(json.dumps({"version": 2, "buckets": [
+            {"bucket": ["", 4.0, 0, 0, "cost", None], "outcomes": [
+                {"accuracy": 0.5},                      # missing objective
+                None,                                   # not a mapping
+                {"objective": None, "accuracy": 0.1},
+                {"objective": 1.0, "accuracy": 0.1,     # not a triple
+                 "reads": [["p.x", 4.0]]},
+                {"objective": 1.0, "accuracy": 0.1,     # unhashable value
+                 "reads": [["p.x", 4.0, [1, 2]]]},
+                good]},
+            {"bucket": ["", 4.0], "outcomes": [good]},  # short bucket
+            {"outcomes": [good]},                       # no bucket
+            "not a bucket"]}))
         cache = TrialCache(path)  # must not raise
         assert len(cache) == 1
-        assert cache.get(good) == TrialOutcome(objective=2.0, accuracy=0.9)
+        assert cache.get(TrialCache.bucket(4.0, 0, 0), _config(p_x=1)) == \
+            _outcome(2.0, ("p.x", 4.0, 1), accuracy=0.9)
 
     def test_time_objective_bypasses_cache(self):
         """Wall-clock measurements are not content-determined; the
@@ -331,19 +401,35 @@ class TestTrialCache:
         other = Candidate(program.default_config())
         harness.ensure_trials(other, 16.0, 2)
         assert harness.trials_executed == 4  # no reuse under "time"
+        assert (cache.hits, cache.misses) == (0, 0)
 
     def test_persistence_round_trip(self, tmp_path):
         path = tmp_path / "trials.json"
         cache = TrialCache(path)
-        key = TrialCache.key("deadbeef", 64.0, 2, 11)
-        outcome = TrialOutcome(objective=3.25, accuracy=0.875,
-                               failed=False, wall_time=0.125)
-        cache.put(key, outcome)
+        bucket = TrialCache.bucket(64.0, 2, 11, program="p/gen",
+                                   cost_limit=5e8)
+        config = _config(p_on=True, p_rule=3, p_w=0.25, p_kind="fast")
+        outcomes = [
+            _outcome(3.25, ("p.on", None, True), ("p.rule", 64.0, 3),
+                     ("p.w", 64.0, 0.25), accuracy=0.875, wall_time=0.125),
+            _outcome(float("inf"), ("p.on", None, True),
+                     ("p.rule", 64.0, 2), ("p.kind", 64.0, "fast"),
+                     failed=True, error="CostLimitExceeded: over"),
+            _outcome(1.0, ("p.on", None, False))]
+        for outcome in outcomes:
+            cache.put(bucket, outcome)
         saved = cache.save()
         assert saved == str(path)
+        assert json.loads(path.read_text())["version"] == 2
         reloaded = TrialCache(path)
-        assert reloaded.get(key) == outcome
-        assert len(reloaded) == 1
+        assert len(reloaded) == 3
+        assert reloaded.get(bucket, config) == outcomes[0]
+        assert reloaded.get(bucket, _config(p_on=True, p_rule=2,
+                                            p_kind="fast")) == outcomes[1]
+        assert reloaded.get(bucket, _config(p_rule=3)) == outcomes[2]
+        # Reloaded values keep their types.
+        assert reloaded.get(bucket, _config(p_on=True, p_rule=3.0,
+                                            p_w=0.25)) is None
 
     def test_corrupt_store_ignored_at_construction(self, tmp_path):
         path = tmp_path / "corrupt.json"
@@ -353,9 +439,27 @@ class TestTrialCache:
         with pytest.raises(ValueError):
             cache.load(path)  # explicit loads still surface the damage
 
+    @pytest.mark.parametrize("payload", ["[]", "null", "3", '"entries"',
+                                         '{"version": 2, "buckets": {}}'])
+    def test_non_object_store_ignored_at_construction(self, tmp_path,
+                                                      payload):
+        path = tmp_path / "odd.json"
+        path.write_text(payload)
+        cache = TrialCache(path)  # must not raise: it's only a hint
+        assert len(cache) == 0
+
     def test_incompatible_version_ignored(self, tmp_path):
         path = tmp_path / "old.json"
         path.write_text('{"version": 999, "entries": {"k": {}}}')
+        cache = TrialCache(path)
+        assert len(cache) == 0
+
+    def test_version_1_store_skipped(self, tmp_path):
+        # A store keyed by config digest predates recorded reads.
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({"version": 1, "entries": {
+            "p|d|n=4.0|t=0|s=0|cost|lim=none":
+                {"objective": 2.0, "accuracy": 0.9}}}))
         cache = TrialCache(path)
         assert len(cache) == 0
 
@@ -365,9 +469,9 @@ class TestTrialCache:
         path = tmp_path / "cache.json"
         cache = TrialCache(path)
         first_harness, first = tune_pickmean(cache=cache)
-        # Even the first run deduplicates: mutations that land on a
-        # previously-seen configuration reuse its measurements.
-        assert 0 < first_harness.trials_executed <= first_harness.trials_run
+        # Even the first run replays: mutations whose configs read the
+        # same values as an earlier trial reuse its measurements.
+        assert 0 < first_harness.trials_executed < first_harness.trials_run
         cache.save()
 
         warm = TrialCache(path)
@@ -393,6 +497,18 @@ class TestTrialCache:
         assert harness.trials_executed == 3  # all three were cache hits
         assert first.results.objectives(16.0) == \
             second.results.objectives(16.0)
+
+    def test_every_harness_owns_a_cache(self):
+        program, _ = compile_program(make_pickmean_transform())
+        first = ProgramTestHarness(program, pickmean_inputs, base_seed=3)
+        second = ProgramTestHarness(program, pickmean_inputs, base_seed=3)
+        assert isinstance(first.cache, TrialCache)
+        assert first.cache is not second.cache  # never process-global
+        first.ensure_trials(Candidate(program.default_config()), 16.0, 2)
+        second.ensure_trials(Candidate(program.default_config()), 16.0, 2)
+        assert first.trials_executed == second.trials_executed == 2
+        first.ensure_trials(Candidate(program.default_config()), 16.0, 2)
+        assert first.trials_executed == 2
 
 
 # ----------------------------------------------------------------------

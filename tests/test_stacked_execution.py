@@ -300,22 +300,13 @@ class TestHarnessStacking:
                 [(candidate, 15.0, 4) for candidate in candidates])
         return harness, candidates
 
-    def test_population_trials_match_unstacked(self, poisson_program,
-                                               fused_calls):
-        looped_harness, looped_pop = self.run_population(
-            poisson_program, one_at_a_time=True)
-        assert fused_calls == []
-        stacked_harness, stacked_pop = self.run_population(
-            poisson_program)
-        assert len(fused_calls) >= 1
-        assert sum(fused_calls) >= 2
-        assert stacked_harness.trials_executed == \
-            looped_harness.trials_executed
-        for fused, scalar in zip(stacked_pop, looped_pop):
-            fused_trials = fused.results.trials(15.0)
-            scalar_trials = scalar.results.trials(15.0)
-            assert len(fused_trials) == len(scalar_trials) == 4
-            for a, b in zip(fused_trials, scalar_trials):
+    @staticmethod
+    def assert_same_trials(population, reference):
+        for candidate, expected in zip(population, reference):
+            trials = candidate.results.trials(15.0)
+            expected_trials = expected.results.trials(15.0)
+            assert len(trials) == len(expected_trials) == 4
+            for a, b in zip(trials, expected_trials):
                 assert a.objective == b.objective
                 assert a.failed == b.failed
                 if min(a.accuracy, b.accuracy) >= 14.0:
@@ -325,6 +316,34 @@ class TestHarnessStacking:
                     # values mean "exact to float64".
                     continue
                 assert a.accuracy == pytest.approx(b.accuracy, rel=1e-9)
+
+    def test_population_trials_match_unstacked(self, poisson_program,
+                                               fused_calls, monkeypatch):
+        from repro.runtime import batching
+        looped_harness, looped_pop = self.run_population(
+            poisson_program, one_at_a_time=True)
+        assert fused_calls == []
+        with monkeypatch.context() as patch:
+            # No group is ever large enough to fuse: the same batch
+            # goes to the backend request by request.
+            patch.setattr(batching, "MIN_GROUP_SIZE", 10 ** 9)
+            unfused_harness, unfused_pop = self.run_population(
+                poisson_program)
+        assert fused_calls == []
+        stacked_harness, stacked_pop = self.run_population(
+            poisson_program)
+        assert len(fused_calls) >= 1
+        assert sum(fused_calls) >= 2
+        # The same batch, fused or not, executes the same trials.  A
+        # batch cannot replay its own members, while one-at-a-time
+        # trials may replay earlier ones from the trial cache: never
+        # more executions, and the same recorded trials.
+        assert stacked_harness.trials_executed == \
+            unfused_harness.trials_executed
+        assert looped_harness.trials_executed <= \
+            stacked_harness.trials_executed
+        self.assert_same_trials(stacked_pop, unfused_pop)
+        self.assert_same_trials(stacked_pop, looped_pop)
 
     def test_float32_population_objectives_match_exactly(
             self, poisson_program, fused_calls):
