@@ -14,6 +14,11 @@ the headline SOR and cluster-assignment kernels.
 The ``TestBinPackingKernels`` section gates the Fit-family packing
 kernels against the per-item numpy scan they replaced, kept here as the
 reference: each must run at least 1.5x faster at n = 128 and n = 2048.
+
+The ``TestBinPackingInputs`` section gates training-input generation
+against one ``Generator.dirichlet`` call per bin, kept here as the
+reference: the items must be byte-identical and generation at n = 128
+at least 1.5x faster.
 """
 
 import json
@@ -529,3 +534,65 @@ class TestBinPackingKernels:
         assert speedup >= PACKING_FLOOR, (
             f"{name} at n={n} ran {speedup:.2f}x the numpy scan, "
             f"below the {PACKING_FLOOR:.1f}x gate")
+
+
+# ----------------------------------------------------------------------
+# Bin-packing input generation gate
+# ----------------------------------------------------------------------
+#: Input generation must beat one ``Generator.dirichlet`` call per bin
+#: by this factor at n = 128.
+DATAGEN_FLOOR = 1.5
+
+
+def _dirichlet_items(n, rng, two_piece_probability=0.6, max_pieces=4):
+    """The generator's default loop with one dirichlet call per bin."""
+    pieces = []
+    generated = bins = 0
+    while generated < n:
+        remaining = n - generated
+        if remaining <= max_pieces:
+            count = remaining
+        elif rng.random() < two_piece_probability:
+            count = 2
+        else:
+            count = int(rng.integers(3, max_pieces + 1))
+        pieces.append(rng.dirichlet(np.ones(count)))
+        generated += count
+        bins += 1
+    items = np.concatenate(pieces)
+    rng.shuffle(items)
+    return items, bins
+
+
+class TestBinPackingInputs:
+    def test_generation_beats_dirichlet_reference(self):
+        n, calls = 128, 24
+        for seed in range(calls):
+            items, bins = generate_items_with_known_optimal(
+                n, np.random.default_rng(seed))
+            expected, expected_bins = _dirichlet_items(
+                n, np.random.default_rng(seed))
+            assert items.tobytes() == expected.tobytes()
+            assert bins == expected_bins
+        fast_rng, reference_rng = (np.random.default_rng(1),
+                                   np.random.default_rng(1))
+
+        def generated():
+            for _ in range(calls):
+                generate_items_with_known_optimal(n, fast_rng)
+
+        def reference():
+            for _ in range(calls):
+                _dirichlet_items(n, reference_rng)
+
+        generated_s, reference_s = _best_seconds_interleaved(
+            generated, reference, repeats=15)
+        speedup = reference_s / generated_s
+        row = {"bench": "kernels", "kernel": "binpacking_datagen", "n": n,
+               "calls": calls, "generated_s": round(generated_s, 6),
+               "dirichlet_s": round(reference_s, 6),
+               "speedup": round(speedup, 2)}
+        print("BENCH_JSON " + json.dumps(row, sort_keys=True))
+        assert speedup >= DATAGEN_FLOOR, (
+            f"input generation at n={n} ran {speedup:.2f}x the dirichlet "
+            f"reference, below the {DATAGEN_FLOOR:.1f}x gate")

@@ -20,6 +20,7 @@ frontiers and artifact digests equal on serial and process backends).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, Sequence
@@ -85,6 +86,9 @@ class Project:
             raise ConfigError(
                 f"project for {program.root!r} needs a training-input "
                 f"generator: a callable (n, rng) -> inputs mapping")
+        if not (math.isfinite(noise) and noise >= 0.0):
+            # The harness is built lazily; fail before the first tune.
+            raise ValueError(f"noise must be finite and >= 0: {noise}")
         self.program = program
         self.training_info = training_info
         self.training_inputs = training_inputs

@@ -456,12 +456,20 @@ class MutatorPool:
 
     def random(self, candidate: Candidate, n: float,
                rng: np.random.Generator) -> Mutator | None:
+        """A weighted random pick among the applicable mutators.
+
+        Draws exactly as ``rng.choice(len(options), p=weights /
+        weights.sum())`` does: one ``rng.random()`` searched
+        (``side="right"``) in the normalised cumulative weights,
+        without ``choice``'s argument checks.
+        """
         options = self.applicable(candidate, n)
         if not options:
             return None
         weights = np.array([self._weight(m) for m in options])
-        probabilities = weights / weights.sum()
-        return options[int(rng.choice(len(options), p=probabilities))]
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        return options[int(cdf.searchsorted(rng.random(), side="right"))]
 
     def __len__(self) -> int:
         return len(self.mutators)

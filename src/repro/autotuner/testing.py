@@ -38,6 +38,7 @@ measurements and noisy replay stays deterministic.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Callable, Mapping, Sequence
 
@@ -46,6 +47,7 @@ import numpy as np
 from repro.autotuner.candidate import Candidate
 from repro.autotuner.results import Trial
 from repro.compiler.program import CompiledProgram
+from repro.config.configuration import Configuration
 from repro.errors import ReproError
 from repro.rng import derive_seed, generator_for
 from repro.runtime.backends import (
@@ -91,6 +93,8 @@ class ProgramTestHarness:
                  input_cache_size: int | None = DEFAULT_INPUT_CACHE_SIZE):
         if objective not in ("cost", "time"):
             raise ValueError(f"unknown objective {objective!r}")
+        if not (math.isfinite(noise) and noise >= 0.0):
+            raise ValueError(f"noise must be finite and >= 0: {noise}")
         if input_cache_size is not None and input_cache_size < 1:
             raise ValueError("input_cache_size must be >= 1 or None")
         if objective == "time" and backend is not None and \
@@ -167,7 +171,6 @@ class ProgramTestHarness:
         n = float(n)
         inputs = self.training_input(n, trial_index)
         return TrialRequest(
-            digest=candidate.config.digest,
             n=n,
             trial_index=trial_index,
             # Just stored or refreshed: the newest entry is never evicted.
@@ -196,27 +199,37 @@ class ProgramTestHarness:
         cache = self.cache
         outcomes: list[TrialOutcome | None] = [None] * len(requests)
         buckets = [self._bucket(request) for request in requests]
-        # Misses with equal configs at the same paired trial execute
-        # once and fan out to every position.
-        unique_missing: dict[tuple[Bucket, str], int] = {}
+        # Misses with identical configs at the same paired trial execute
+        # once and fan out: each miss maps to the position that runs it.
+        # The key is the config itself, or its digest if it cannot be
+        # hashed; `identical` keeps 1, 1.0 and True apart, as the cache
+        # does.
+        first: dict[tuple[Bucket, Configuration | str], int] = {}
+        runs_for: dict[int, int] = {}
         for position, (request, bucket) in enumerate(zip(requests,
                                                           buckets)):
             hit = cache.get(bucket, request.config)
-            if hit is None:
-                unique_missing.setdefault((bucket, request.digest),
-                                          position)
-            else:
+            if hit is not None:
                 outcomes[position] = hit
-        if unique_missing:
-            dispatch = list(unique_missing.values())
+                continue
+            try:
+                earlier = first.setdefault((bucket, request.config),
+                                           position)
+            except TypeError:  # an unhashable config value
+                earlier = first.setdefault(
+                    (bucket, request.config.digest), position)
+            if not requests[earlier].config.identical(request.config):
+                earlier = position
+            runs_for[position] = earlier
+        dispatch = [position for position, earlier in runs_for.items()
+                    if earlier == position]
+        if dispatch:
             fresh = self._dispatch([requests[i] for i in dispatch])
             for position, outcome in zip(dispatch, fresh):
                 cache.put(buckets[position], outcome)
-            fresh_by_key = dict(zip(unique_missing, fresh))
-            for position, request in enumerate(requests):
-                if outcomes[position] is None:
-                    outcomes[position] = fresh_by_key[
-                        (buckets[position], request.digest)]
+                outcomes[position] = outcome
+            for position, earlier in runs_for.items():
+                outcomes[position] = outcomes[earlier]
         return outcomes  # type: ignore[return-value]
 
     def _dispatch(self, requests: list[TrialRequest]

@@ -10,9 +10,19 @@ Every generated bin sums exactly to the capacity, so the optimal
 packing uses exactly the number of generated bins (total item volume
 equals ``bins * capacity`` and no packing can use fewer bins than the
 ceiling of the total volume).
+
+A bin's pieces are ``Dirichlet(1, ..., 1)`` draws, computed the way
+``Generator.dirichlet`` computes them for all-one weights but without
+its per-call argument checks: ``count`` standard exponential draws,
+each times ``1.0 / total`` where ``total`` is their left-to-right sum.
+Every draw, and so every generated item, is bit-identical to
+``rng.dirichlet(np.ones(count)) * capacity``, and the generator ends in
+the same state.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,6 +42,7 @@ def generate_items_with_known_optimal(
     with probability ``two_piece_probability`` and 3..``max_pieces``
     otherwise.  The final bin takes however many pieces remain (a
     single piece of size ``capacity`` is legal and keeps optimality).
+    ``capacity`` must be finite and positive.
 
     The two-piece bias shapes the item-size distribution so the
     accuracy spread across the 13 heuristics mirrors the paper's
@@ -41,13 +52,15 @@ def generate_items_with_known_optimal(
     """
     if n < 1:
         raise ValueError(f"need n >= 1 items: {n}")
+    if not (math.isfinite(capacity) and capacity > 0.0):
+        raise ValueError(f"capacity must be finite and > 0: {capacity}")
     if not 0.0 <= two_piece_probability <= 1.0:
         raise ValueError(
             f"two_piece_probability must be in [0, 1]: "
             f"{two_piece_probability}")
     if max_pieces < 2:
         raise ValueError(f"max_pieces must be >= 2: {max_pieces}")
-    pieces: list[np.ndarray] = []
+    pieces: list[float] = []
     generated = 0
     bins = 0
     while generated < n:
@@ -58,11 +71,16 @@ def generate_items_with_known_optimal(
             count = 2
         else:
             count = int(rng.integers(3, max_pieces + 1))
-        weights = rng.dirichlet(np.ones(count)) * capacity
-        pieces.append(weights)
+        # Generator.dirichlet(np.ones(count)), without its checks.
+        draws = rng.standard_exponential(count).tolist()
+        total = 0.0
+        for draw in draws:  # not sum(): it compensates from Python 3.12
+            total += draw
+        scale = 1.0 / total
+        pieces += [draw * scale * capacity for draw in draws]
         generated += count
         bins += 1
-    items = np.concatenate(pieces)
+    items = np.array(pieces)
     if shuffle:
         rng.shuffle(items)
     return items, bins

@@ -7,7 +7,7 @@ and size-indexed values) or a plain scalar/switch value.  Configurations
 are immutable from the outside; the mutators build modified copies via
 :meth:`Configuration.with_entry`.  Immutability lets each value carry
 its own content digest, computed on first use and kept for its
-lifetime.
+lifetime, and its hash likewise.
 
 An execution never sees a :class:`Configuration` directly: it reads one
 through a :class:`RecordingConfig`, which records every read as
@@ -37,11 +37,20 @@ _ABSENT = object()
 class Configuration:
     """An immutable assignment of values to every tunable parameter."""
 
-    __slots__ = ("_entries", "_digest")
+    __slots__ = ("_entries", "_digest", "_hash")
 
     def __init__(self, entries: Mapping[str, ConfigEntry]):
         self._entries = dict(entries)
         self._digest: str | None = None
+        self._hash: int | None = None
+
+    def __getstate__(self):
+        # String hashes differ between processes: never pickle _hash.
+        return self._entries, self._digest
+
+    def __setstate__(self, state) -> None:
+        self._entries, self._digest = state
+        self._hash = None
 
     @property
     def digest(self) -> str:
@@ -176,11 +185,36 @@ class Configuration:
             return NotImplemented
         return self._entries == other._entries
 
+    def identical(self, other: "Configuration") -> bool:
+        """Equal entries whose values (tree leaves included) have the
+        same types.
+
+        ``==`` and the hash follow Python, so 1, 1.0 and True compare
+        equal; a rule may branch on the type, so the trial cache keeps
+        them apart, and the harness shares an execution only between
+        identical configurations.
+        """
+        if self is other:
+            return True
+        if self != other:
+            return False
+        for name, entry in self._entries.items():
+            theirs = other._entries[name]
+            if isinstance(entry, SizeDecisionTree):
+                if any(type(mine) is not type(leaf) for mine, leaf
+                       in zip(entry.leaves, theirs.leaves)):
+                    return False
+            elif type(entry) is not type(theirs):
+                return False
+        return True
+
     def __hash__(self) -> int:
-        return hash(tuple(sorted(
-            (name, entry if not isinstance(entry, SizeDecisionTree)
-             else ("tree", entry.cutoffs, entry.leaves))
-            for name, entry in self._entries.items())))
+        if self._hash is None:
+            self._hash = hash(tuple(sorted(
+                (name, entry if not isinstance(entry, SizeDecisionTree)
+                 else ("tree", entry.cutoffs, entry.leaves))
+                for name, entry in self._entries.items())))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Configuration({len(self._entries)} entries)"

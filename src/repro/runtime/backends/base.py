@@ -7,8 +7,8 @@ inside the genetic loop.  This module separates *what* to run from
 *how* to run it:
 
 * a :class:`TrialRequest` names one measurement — a candidate
-  configuration (plus its content digest), an input size, a paired
-  trial index, the derived execution seed, and the training inputs;
+  configuration, an input size, a paired trial index, the derived
+  execution seed, and the training inputs;
 * a :class:`TrialOutcome` carries back the measurement — objective,
   accuracy, failure flag, wall time and the config values the
   execution read;
@@ -55,20 +55,24 @@ def config_digest(config: Configuration) -> str:
 class TrialRequest:
     """One trial to run: a work unit a backend can execute anywhere.
 
-    ``digest`` is :func:`config_digest` of ``config`` (carried on the
-    request so batch dedupe and fusion keys never re-serialise);
     ``seed`` is the fully derived execution seed, so a worker needs no
-    access to the harness's base seed.  ``inputs`` are the paired training inputs for
-    ``(n, trial_index)``.  Everything here is picklable provided the
-    program's inputs are (numpy arrays and scalars are).
+    access to the harness's base seed.  ``inputs`` are the paired
+    training inputs for ``(n, trial_index)``.  Everything here is
+    picklable provided the program's inputs are (numpy arrays and
+    scalars are).
     """
 
-    digest: str
     n: float
     trial_index: int
     seed: int
     config: Configuration
     inputs: Mapping[str, Any]
+
+    @property
+    def digest(self) -> str:
+        """The configuration's content digest (:attr:`Configuration.digest`),
+        computed only when a reader asks for it."""
+        return self.config.digest
 
 
 @dataclass(frozen=True)

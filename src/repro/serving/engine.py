@@ -473,8 +473,7 @@ class ServingEngine:
     @staticmethod
     def _trial_request(request: ServeRequest,
                        config: Configuration) -> TrialRequest:
-        return TrialRequest(digest=config.digest,
-                            n=float(request.n), trial_index=0,
+        return TrialRequest(n=float(request.n), trial_index=0,
                             seed=request.seed, config=config,
                             inputs=request.inputs)
 

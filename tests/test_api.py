@@ -26,9 +26,10 @@ from repro.compiler.compile import (
     compiled_from_factory,
     factory_spec,
 )
+from repro.config.configuration import Configuration
 from repro.errors import CompileError, ConfigError
 from repro.lang.transform import Transform
-from repro.lang.tunables import accuracy_variable
+from repro.lang.tunables import accuracy_variable, switch
 from repro.runtime.backends import (
     ProcessPoolBackend,
     SerialBackend,
@@ -78,6 +79,27 @@ def make_apimean() -> Transform:
 
 def apimean_inputs(n, rng):
     return {"xs": rng.normal(10.0, 1.0, size=max(2, int(n)))}
+
+
+def _unit_metric(outputs, inputs):
+    return 1.0
+
+
+def _pair_mean(ctx, xs):
+    low, high = ctx.param("pair")
+    ctx.add_cost(low * len(xs) + high)
+    return float(np.mean(xs))
+
+
+def make_pairs() -> Transform:
+    """A switch whose choices are lists: its configs cannot be hashed."""
+    transform = Transform(
+        "pairs", inputs=("xs",), outputs=("est",),
+        accuracy_metric=_unit_metric, accuracy_bins=(0.5,),
+        tunables=[switch("pair", choices=([1, 2], [3, 4]))])
+    transform.rule(outputs=("est",), inputs=("xs",),
+                   name="mean")(_pair_mean)
+    return transform
 
 
 QUICK = dict(input_sizes=(4.0, 8.0), rounds_per_size=1,
@@ -154,6 +176,42 @@ class TestProject:
         with Project.from_benchmark("poisson") as project:
             with pytest.raises(ConfigError, match="training size"):
                 project.settings(max_input_size=2.0)
+
+    def test_tunes_a_switch_over_unhashable_values(self):
+        with Project.from_transform(make_pairs, apimean_inputs,
+                                    base_seed=BASE_SEED) as project:
+            handle = project.tune(**QUICK)
+            executed = project.trials_executed
+        assert handle.frontier()
+        # Equal configs in one batch still run once, keyed by digest.
+        assert 0 < executed < handle.trials_run
+
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
+    def test_invalid_noise_raises(self, noise):
+        with pytest.raises(ValueError, match="noise"):
+            Project.from_transform(make_apimean, apimean_inputs,
+                                   noise=noise)
+
+    @pytest.mark.parametrize("noise, serialises", [(0.0, False),
+                                                   (0.1, True)])
+    def test_only_noise_reads_config_digests_on_binpacking(
+            self, monkeypatch, noise, serialises):
+        """Bin packing is not batchable, so without noise nothing reads
+        a trial's config digest and no configuration is serialised."""
+        dumps = Configuration.dumps
+        calls = []
+
+        def counting_dumps(config):
+            calls.append(config)
+            return dumps(config)
+
+        monkeypatch.setattr(Configuration, "dumps", counting_dumps)
+        with Project.from_benchmark("binpacking", base_seed=5,
+                                    noise=noise) as project:
+            project.tune(input_sizes=(8.0, 32.0), rounds_per_size=1,
+                         mutation_attempts=6, min_trials=3, max_trials=6,
+                         accuracy_confidence=None, seed=5)
+        assert bool(calls) == serialises
 
     def test_close_shuts_backend_and_is_idempotent(self):
         project = Project.from_transform(make_apimean, apimean_inputs,

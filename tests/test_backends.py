@@ -18,11 +18,14 @@ import dataclasses
 import json
 import os
 import pickle
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import repro
 from repro.autotuner import Autotuner, ProgramTestHarness, TunerSettings
 from repro.autotuner.candidate import Candidate
 from repro.compiler.compile import compile_program
@@ -515,6 +518,26 @@ class TestTrialCache:
 # Harness internals
 # ----------------------------------------------------------------------
 class TestHarness:
+    def test_batch_shares_runs_only_between_identical_configs(self):
+        """`==` aliases a leaf of 4 and one of 4.0; like the trial cache,
+        the batch runs them apart, and runs equal configs of the same
+        types once."""
+        program, _ = compile_program(make_pickmean_transform())
+        harness = ProgramTestHarness(program, pickmean_inputs, base_seed=3)
+        name = "pickmean@main.m"
+        default = program.default_config()
+        as_int = default.with_entry(name, SizeDecisionTree([4]))
+        as_float = default.with_entry(name, SizeDecisionTree([4.0]))
+        assert as_int == default == as_float
+        outcomes = harness.run_requests([
+            harness.build_request(Candidate(config), 16.0, 0)
+            for config in (default, as_int, as_float)])
+        assert harness.trials_executed == 2
+        assert outcomes[2] is outcomes[0]
+        read_types = [{type(value) for read, _, value in outcome.reads
+                       if read == name} for outcome in outcomes]
+        assert read_types == [{float}, {int}, {float}]
+
     def test_input_cache_lru_bound(self):
         program, _ = compile_program(make_pickmean_transform())
         harness = ProgramTestHarness(program, pickmean_inputs,
@@ -705,3 +728,28 @@ class TestProgramPickling:
         assert restored.digest == digest
         changed = config.with_entry("pickmean@main.m", 8)
         assert config_digest(changed) != digest
+
+    def test_unpickled_configuration_hashes_afresh(self):
+        """String hashes differ between processes, so a configuration
+        hashed and pickled in another process must hash as an equal
+        configuration built here does."""
+        entries = {"a@main.rule": SizeDecisionTree(["x", "y"], [8.0]),
+                   "a@main.mode": "fast"}
+        script = ("import pickle, sys\n"
+                  "from repro.config.configuration import Configuration\n"
+                  "from repro.config.decision_tree import SizeDecisionTree\n"
+                  "config = Configuration({'a@main.rule': SizeDecisionTree("
+                  "['x', 'y'], [8.0]), 'a@main.mode': 'fast'})\n"
+                  "hash(config)\n"
+                  "sys.stdout.buffer.write(pickle.dumps(config))\n")
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, check=True,
+            timeout=60, env={**os.environ, "PYTHONHASHSEED": seed,
+                             "PYTHONPATH": source})
+        restored = pickle.loads(done.stdout)
+        local = Configuration(entries)
+        assert restored == local
+        assert hash(restored) == hash(local)
+        assert {local: "hit"}.get(restored) == "hit"

@@ -31,6 +31,28 @@ def bin_fills(items, packing: Packing) -> np.ndarray:
     return fills
 
 
+def dirichlet_items(n, rng, *, capacity=1.0, two_piece_probability=0.6,
+                    max_pieces=4, shuffle=True):
+    """The generator's loop as first written, one dirichlet per bin."""
+    pieces = []
+    generated = bins = 0
+    while generated < n:
+        remaining = n - generated
+        if remaining <= max_pieces:
+            count = remaining
+        elif max_pieces == 2 or rng.random() < two_piece_probability:
+            count = 2
+        else:
+            count = int(rng.integers(3, max_pieces + 1))
+        pieces.append(rng.dirichlet(np.ones(count)) * capacity)
+        generated += count
+        bins += 1
+    items = np.concatenate(pieces)
+    if shuffle:
+        rng.shuffle(items)
+    return items, bins
+
+
 class TestIndividualAlgorithms:
     def test_first_fit_reuses_bins(self):
         items = [0.5, 0.5, 0.5, 0.5]
@@ -182,6 +204,33 @@ class TestDatagen:
                                               two_piece_probability=2.0)
         with pytest.raises(ValueError):
             generate_items_with_known_optimal(5, rng, max_pieces=1)
+
+    @pytest.mark.parametrize("capacity", [0.0, -1.0, math.nan, math.inf,
+                                          -math.inf])
+    def test_capacity_must_be_finite_and_positive(self, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            generate_items_with_known_optimal(
+                32, np.random.default_rng(3), capacity=capacity)
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"max_pieces": 2}, {"two_piece_probability": 0.0},
+        {"two_piece_probability": 1.0}, {"shuffle": False},
+        {"capacity": 2.5}])
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 8, 32, 128, 512])
+    def test_same_draws_as_dirichlet(self, n, kwargs):
+        """Byte-identical items, and the same generator state after, as
+        splitting every bin with ``Generator.dirichlet``."""
+        for seed in range(5):
+            expected_rng = np.random.default_rng(seed)
+            expected = dirichlet_items(n, expected_rng, **kwargs)
+            rng = np.random.default_rng(seed)
+            items, bins = generate_items_with_known_optimal(n, rng,
+                                                            **kwargs)
+            assert items.dtype == expected[0].dtype
+            assert items.tobytes() == expected[0].tobytes()
+            assert bins == expected[1]
+            assert rng.bit_generator.state == \
+                expected_rng.bit_generator.state
 
     def test_ffd_near_optimal_on_this_distribution(self):
         """The property Figure 7's top accuracy band relies on."""

@@ -39,6 +39,16 @@ class TestComparisonSettings:
             ComparisonSettings(min_trials=5, max_trials=3)
 
 
+class TestNoiseValidation:
+    @pytest.mark.parametrize("noise", [-0.1, -math.inf, math.inf, math.nan])
+    def test_invalid_noise_raises(self, noise):
+        with pytest.raises(ValueError, match="noise"):
+            make_harness(noise=noise)
+
+    def test_zero_noise_is_legal(self):
+        assert make_harness(noise=0.0).noise == 0.0
+
+
 class TestDeterministicComparisons:
     def test_clear_cost_difference_decided_at_min_trials(self):
         harness = make_harness()

@@ -88,3 +88,35 @@ class TestSerialisation:
 
     def test_describe_unresolved(self):
         assert "SizeDecisionTree" in sample_config().describe()
+
+
+class TestIdentical:
+    def test_equal_values_of_other_types_are_not_identical(self):
+        for value in (1, 1.0, True):
+            config = Configuration({"switch": value})
+            assert config.identical(Configuration({"switch": value}))
+        assert Configuration({"switch": 1}) == Configuration({"switch": True})
+        assert not Configuration({"switch": 1}).identical(
+            Configuration({"switch": True}))
+        assert not Configuration({"switch": 1}).identical(
+            Configuration({"switch": 1.0}))
+
+    def test_tree_leaf_types_count(self):
+        config = Configuration({"tree": SizeDecisionTree([1, 2], [16])})
+        floats = Configuration({"tree": SizeDecisionTree([1, 2.0], [16])})
+        assert config == floats
+        assert not config.identical(floats)
+        assert config.identical(
+            Configuration({"tree": SizeDecisionTree([1, 2], [16])}))
+
+    def test_unequal_configs_are_not_identical(self):
+        assert sample_config().identical(sample_config())
+        assert not sample_config().identical(
+            sample_config().with_entry("scalar", 4.5))
+        assert not Configuration({"a": 1}).identical(Configuration({"b": 1}))
+
+    def test_unhashable_values_compare(self):
+        assert Configuration({"pair": [1, 2]}).identical(
+            Configuration({"pair": [1, 2]}))
+        assert not Configuration({"pair": [1, 2]}).identical(
+            Configuration({"pair": [3, 4]}))

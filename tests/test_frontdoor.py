@@ -660,7 +660,7 @@ class TestFusedWaveFailure:
     def test_run_batch_stacked_isolates_the_raising_slice(self, doubler):
         config = doubler.default_config()
         requests = [TrialRequest(
-            digest=config.digest, n=float(size), trial_index=index,
+            n=float(size), trial_index=index,
             seed=seed, config=config,
             inputs=doubler_inputs(size, seed, poisoned))
             for index, (size, seed, poisoned) in enumerate(WAVE)]

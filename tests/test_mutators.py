@@ -216,6 +216,35 @@ class TestPool:
             assert mutator is not None
             assert mutator.applies(candidate, 16)
 
+    @pytest.mark.parametrize("prefix, weight", [(None, 1.0),
+                                                ("accvar", 4.0),
+                                                ("c", 2.7)])
+    def test_random_draws_as_choice_with_p(self, prefix, weight):
+        """Same pick, and same generator state after, as
+        ``rng.choice(p=)`` over the applicable mutators' weights."""
+        pool = MutatorPool.from_space(space())
+        if prefix is not None:
+            pool.prefer(prefix, weight)
+        parent = fresh_candidate()
+        config, record = next(m for m in pool if m.name == "switch:mode") \
+            .mutate(parent, 16, RNG(0))
+        child = Candidate(config, parent=parent, mutation=record)
+        for candidate in (parent, child):
+            for n in (1, 16, 1000):
+                options = pool.applicable(candidate, n)
+                weights = np.array([
+                    weight if prefix is not None
+                    and getattr(m, "param", None) is not None
+                    and m.param.name.startswith(prefix) else 1.0
+                    for m in options])
+                for seed in range(50):
+                    rng, expected_rng = RNG(seed), RNG(seed)
+                    expected = options[int(expected_rng.choice(
+                        len(options), p=weights / weights.sum()))]
+                    assert pool.random(candidate, n, rng) is expected
+                    assert rng.bit_generator.state == \
+                        expected_rng.bit_generator.state
+
     def test_fixed_parameters_produce_empty_pool(self):
         fixed = ParameterSpace([
             SizeValueParam("v", 5, 5, 5),

@@ -62,10 +62,9 @@ def poisson_inputs(n: int, seed: int):
 
 def make_request(program, n: int, seed: int,
                  config=None) -> TrialRequest:
-    from repro.runtime.backends import config_digest
     config = config if config is not None else program.default_config()
     return TrialRequest(
-        digest=config_digest(config), n=float(n), trial_index=seed,
+        n=float(n), trial_index=seed,
         seed=seed, config=config, inputs=poisson_inputs(n, seed))
 
 
@@ -86,7 +85,7 @@ class TestBatchingPrimitives:
     def test_unfusable_inputs_signature_is_none(self, poisson_program):
         request = make_request(poisson_program, 7, 0)
         weird = TrialRequest(
-            digest=request.digest, n=request.n, trial_index=0, seed=0,
+            n=request.n, trial_index=0, seed=0,
             config=request.config,
             inputs={**dict(request.inputs), "note": object()})
         assert stack_signature(weird) is None

@@ -123,7 +123,7 @@ def test_every_replay_re_executes_identically(name):
     for bucket, config, replayed in cache.replays:
         _, n, trial_index = bucket[:3]
         request = TrialRequest(
-            digest=config.digest, n=n, trial_index=trial_index,
+            n=n, trial_index=trial_index,
             seed=derive_seed(harness.base_seed, "exec", n, trial_index),
             config=config,
             inputs=harness.training_input(n, trial_index))
@@ -165,7 +165,7 @@ class TestFailedReplay:
         program, _ = compile_program(make_pickmean_transform())
         config = pickmean_config(program, 0, 4.0)
         request = TrialRequest(
-            digest=config.digest, n=16.0, trial_index=0, seed=1,
+            n=16.0, trial_index=0, seed=1,
             config=config, inputs=pickmean_inputs(16, np.random.default_rng(0)))
         outcome = execute_trial(program, request, cost_limit=2.0)
         assert outcome.failed
@@ -211,7 +211,7 @@ class TestFailedReplay:
 def pickmean_requests(program, count: int = 4) -> list[TrialRequest]:
     config = pickmean_config(program, 0, 4.0)
     rng = np.random.default_rng(5)
-    return [TrialRequest(digest=config.digest, n=16.0, trial_index=t,
+    return [TrialRequest(n=16.0, trial_index=t,
                          seed=t, config=config,
                          inputs=pickmean_inputs(16, rng))
             for t in range(count)]
@@ -288,7 +288,7 @@ class TestReads:
         program, _ = spec.compile()
         config = program.default_config()
         rng = np.random.default_rng(8)
-        requests = [TrialRequest(digest=config.digest, n=7.0, trial_index=t,
+        requests = [TrialRequest(n=7.0, trial_index=t,
                                  seed=t, config=config,
                                  inputs=spec.generate(7, rng))
                     for t in range(3)]
