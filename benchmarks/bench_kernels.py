@@ -15,6 +15,12 @@ The ``TestBinPackingKernels`` section gates the Fit-family packing
 kernels against the per-item numpy scan they replaced, kept here as the
 reference: each must run at least 1.5x faster at n = 128 and n = 2048.
 
+The ``TestBlockSolveKernel`` section gates the block Cholesky solve
+on one right-hand side against two solves kept here as references: the
+two-product solve it replaced (at least 1.3x faster) and the same
+folded solve with broadcast multiply-and-sum block products in place
+of gemv (at least 1.5x faster).
+
 The ``TestBinPackingInputs`` section gates training-input generation
 against one ``Generator.dirichlet`` call per bin, kept here as the
 reference: the items must be byte-identical and generation at n = 128
@@ -36,8 +42,6 @@ from repro.binpacking.algorithms import (
 from repro.binpacking.datagen import generate_items_with_known_optimal
 from repro.clustering.kernels import assign_clusters
 from repro.linalg.banded import (
-    _matvec,
-    _rmatvec,
     banded_cholesky_factor,
     banded_cholesky_solve,
     block_cholesky_solve,
@@ -265,11 +269,54 @@ class TestBatchedThroughput:
 
 
 # ----------------------------------------------------------------------
-# Folded-coupling block solve gate
+# Block solve gates
 # ----------------------------------------------------------------------
 #: One right-hand side through the folded-coupling block solve must
 #: beat the two-product solve it replaced by this factor.
 BLOCK_SOLVE_FLOOR = 1.3
+
+#: One right-hand side through the gemv block solve must beat the same
+#: folded solve written as broadcast multiply-and-sum products by this
+#: factor.
+GEMV_SOLVE_FLOOR = 1.5
+
+
+def _matvec(matrix, vector):
+    """``matrix @ vector`` over broadcast batch axes, as a broadcast
+    multiply and a sum."""
+    return np.add.reduce(matrix * vector[..., None, :], axis=-1)
+
+
+def _rmatvec(matrix, vector):
+    """``matrix.T @ vector`` over broadcast batch axes, as a broadcast
+    multiply and a sum."""
+    return np.add.reduce(matrix * vector[..., :, None], axis=-2)
+
+
+def _multiply_and_sum_block_solve(diag_inv, forward, backward, b):
+    """The folded-coupling block solve with every block product a
+    broadcast multiply and a sum, kept whole as the reference the gemv
+    gate below times against."""
+    diag_inv, forward, backward, b = (
+        as_float(diag_inv), as_float(forward), as_float(backward),
+        as_float(b))
+    blocks, width = b.shape[-2:]
+    couplings = max(blocks - 1, 0)
+    batch_shape = np.broadcast_shapes(
+        diag_inv.shape[:-3], forward.shape[:-3], backward.shape[:-3],
+        b.shape[:-2])
+    dtype = np.result_type(diag_inv, forward, backward, b)
+    y = np.empty(batch_shape + (blocks, width), dtype=dtype)
+    y[...] = _matvec(diag_inv, b)
+    for k in range(1, blocks):
+        y[..., k, :] -= _matvec(forward[..., k - 1, :, :], y[..., k - 1, :])
+    x = np.empty_like(y)
+    x[...] = _rmatvec(diag_inv, y)
+    for k in range(blocks - 2, -1, -1):
+        x[..., k, :] -= _matvec(backward[..., k, :, :], x[..., k + 1, :])
+    ops = 2.0 * (blocks * 2 * width * width
+                 + couplings * (2 * width * width + width))
+    return x, ops * float(np.prod(batch_shape, dtype=np.int64))
 
 
 def _two_product_block_solve(diag_inv, sub, b):
@@ -351,6 +398,33 @@ class TestBlockSolveKernel:
         assert speedup >= BLOCK_SOLVE_FLOOR, (
             f"block solve at n={n} {dtype.name} ran {speedup:.2f}x the "
             f"two-product solve, below the {BLOCK_SOLVE_FLOOR:.1f}x gate")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [7, 15])
+    def test_gemv_solve_beats_multiply_and_sum_solve(self, rng, n, dtype):
+        dtype = np.dtype(dtype)
+        blocks = _direct_blocks(n, dtype)[:3]
+        rhs = rng.normal(size=(n, n)).astype(dtype)
+        reference, reference_ops = _multiply_and_sum_block_solve(
+            *blocks, rhs)
+        solution, ops = block_cholesky_solve(*blocks, rhs)
+        assert ops == reference_ops
+        assert solution.dtype == reference.dtype == dtype
+        bound = 16 * np.finfo(dtype).eps * np.abs(reference).max()
+        assert np.abs(solution - reference).max() <= bound
+        gemv_s, reference_s = _best_seconds_interleaved(
+            lambda: block_cholesky_solve(*blocks, rhs),
+            lambda: _multiply_and_sum_block_solve(*blocks, rhs))
+        speedup = reference_s / gemv_s
+        row = {"bench": "kernels", "kernel": "block_cholesky_solve_gemv_b1",
+               "n": n, "dtype": dtype.name, "gemv_s": round(gemv_s, 7),
+               "multiply_and_sum_s": round(reference_s, 7),
+               "speedup": round(speedup, 2)}
+        print("BENCH_JSON " + json.dumps(row, sort_keys=True))
+        assert speedup >= GEMV_SOLVE_FLOOR, (
+            f"gemv block solve at n={n} {dtype.name} ran {speedup:.2f}x "
+            f"the multiply-and-sum solve, below the "
+            f"{GEMV_SOLVE_FLOOR:.1f}x gate")
 
 
 # ----------------------------------------------------------------------

@@ -144,7 +144,7 @@ class ServicePolicy:
             raise ConfigError("shadow_fraction must be in (0, 1]")
         if self.queue_limit < 1:
             raise ConfigError("queue_limit must be >= 1")
-        if self.deadline is not None and self.deadline <= 0:
+        if self.deadline is not None and not self.deadline > 0:  # NaN too
             raise ConfigError("deadline must be positive (or None)")
         if not (0.0 <= self.shed_low_watermark
                 <= self.shed_high_watermark <= 1.0):

@@ -29,7 +29,8 @@ Three kernels:
   blocks below them — in 2m block steps instead of 2N column steps,
   and accepts stacked right-hand sides and factors.  Its couplings come
   pre-multiplied by the inverse diagonal blocks, so each step takes one
-  block product.
+  block product: one BLAS gemv per slice, never gemm, so a stacked
+  call rounds exactly like the slice loop.
 
 Input floating dtypes are preserved end to end (a float32 band yields
 a float32 factor and solution); non-floating inputs are promoted to
@@ -165,13 +166,20 @@ def block_cholesky_solve(diag_inv: np.ndarray, forward: np.ndarray,
         y = L^{-1} b,   y_k -= forward[k-1] y_{k-1}     k = 1 .. m-1
         x = L^{-T} y,   x_k -= backward[k] x_{k+1}      k = m-2 .. 0
 
-    Every block product is a broadcast multiply and a sum, never
-    ``@``: BLAS gemm and gemv round differently, and a matmul would
-    make a stacked call differ from the slice loop in the last bit.
+    Every block product is ``np.matvec`` (``np.vecmat`` for the
+    transposed diagonal product), which issues one BLAS gemv per
+    slice, so a stacked call rounds exactly like the slice loop.
+    Never gemm: ``@`` over a stacked right-hand side runs one gemm,
+    which rounds differently and would make a stacked call differ from
+    the slice loop in the last bit.
     """
     diag_inv, forward, backward, b = (
         as_float(diag_inv), as_float(forward), as_float(backward),
         as_float(b))
+    if b.ndim < 2:
+        raise ValueError(
+            f"b must be (..., m, p): m blocks of p unknowns, got shape "
+            f"{b.shape}")
     blocks, width = b.shape[-2:]
     couplings = max(blocks - 1, 0)
     if diag_inv.shape[-3:] != (blocks, width, width) or \
@@ -189,25 +197,17 @@ def block_cholesky_solve(diag_inv: np.ndarray, forward: np.ndarray,
     # Allocated over the full batch: forward and backward may carry
     # batch axes that diag_inv and b lack.
     y = np.empty(batch_shape + (blocks, width), dtype=dtype)
-    y[...] = _matvec(diag_inv, b)
+    y[...] = np.matvec(diag_inv, b)
     for k in range(1, blocks):
-        y[..., k, :] -= _matvec(forward[..., k - 1, :, :], y[..., k - 1, :])
+        y[..., k, :] -= np.matvec(forward[..., k - 1, :, :],
+                                  y[..., k - 1, :])
     x = np.empty_like(y)
-    x[...] = _rmatvec(diag_inv, y)
+    x[...] = np.vecmat(y, diag_inv)
     for k in range(blocks - 2, -1, -1):
-        x[..., k, :] -= _matvec(backward[..., k, :, :], x[..., k + 1, :])
+        x[..., k, :] -= np.matvec(backward[..., k, :, :], x[..., k + 1, :])
     # Per slice and sweep: m diagonal-block products and m - 1
     # coupling products with their subtractions, 2 p^2 per product.
     ops = 2.0 * (blocks * 2 * width * width
                  + couplings * (2 * width * width + width))
     return x, ops * _slice_count(batch_shape)
 
-
-def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """``matrix @ vector`` over broadcast batch axes."""
-    return np.add.reduce(matrix * vector[..., None, :], axis=-1)
-
-
-def _rmatvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """``matrix.T @ vector`` over broadcast batch axes."""
-    return np.add.reduce(matrix * vector[..., :, None], axis=-2)

@@ -166,7 +166,7 @@ class SheddingPolicy:
                 f"high={self.high_watermark})")
         if self.max_level < 0:
             raise ValueError("max_level must be >= 0")
-        if self.p95_budget is not None and self.p95_budget <= 0:
+        if self.p95_budget is not None and not self.p95_budget > 0:
             raise ValueError("p95_budget must be positive (or None)")
 
 

@@ -212,7 +212,7 @@ class FrontDoor:
             raise ConfigError("queue_limit must be >= 1")
         if max_batch < 1:
             raise ConfigError("max_batch must be >= 1")
-        if deadline is not None and deadline <= 0:
+        if deadline is not None and not deadline > 0:  # NaN too
             raise ConfigError("deadline must be positive (or None)")
         self._engines = engines
         self.queue_limit = queue_limit
@@ -401,8 +401,10 @@ class FrontDoor:
         if self.shedding is not None:
             fill = (sum(len(queue) for queue in self._queues)
                     / (len(self._engines) * self.queue_limit))
+            # The recent p95 is read only against a budget.
             p95 = (latency_summary(self._recent)[1]
-                   if self._recent else None)
+                   if self._recent
+                   and self.shedding.p95_budget is not None else None)
             self._shed_level = update_shed_level(
                 self._shed_level, fill, self.shedding, p95=p95)
             if self._shed_level > 0:

@@ -43,8 +43,7 @@ def _metric(outputs, inputs) -> float:
         return MAX_ORDERS
     if initial == 0.0:
         return 0.0
-    return float(np.clip(math.log10(initial / error), -MAX_ORDERS,
-                         MAX_ORDERS))
+    return min(max(math.log10(initial / error), -MAX_ORDERS), MAX_ORDERS)
 
 
 def _clamped_k(ctx, matrix: np.ndarray) -> int:

@@ -47,13 +47,17 @@ ACCURACY_BINS = (1.0, 3.0, 5.0, 7.0, 9.0)
 #: paper reports already happens well below this size).
 DIRECT_MAX_SIZE = 31
 
-#: Metric clamp: float64 cannot resolve more than ~16 orders.
+#: Metric clamp: float64 cannot resolve more than ~16 orders.  The
+#: clamp is ``min(max(value, -MAX_ORDERS), MAX_ORDERS)``, value first,
+#: so a NaN value stays NaN as it does through ``np.clip``.
 MAX_ORDERS = 16.0
 
 
 def rms(array: np.ndarray) -> float:
+    # np.mean's own sum and division, without its Python-level wrapper.
     array = np.asarray(array, dtype=float)
-    return float(math.sqrt(float(np.mean(array * array))))
+    square = array * array
+    return math.sqrt(float(np.add.reduce(square, axis=None)) / square.size)
 
 
 def _metric(outputs, inputs) -> float:
@@ -64,8 +68,7 @@ def _metric(outputs, inputs) -> float:
         return MAX_ORDERS
     if initial == 0.0:
         return 0.0
-    return float(np.clip(math.log10(initial / error), -MAX_ORDERS,
-                         MAX_ORDERS))
+    return min(max(math.log10(initial / error), -MAX_ORDERS), MAX_ORDERS)
 
 
 def _grid_spacing(n: int) -> float:

@@ -57,8 +57,7 @@ def _metric(outputs, inputs) -> float:
         return MAX_ORDERS
     if initial == 0.0:
         return 0.0
-    return float(np.clip(math.log10(initial / final), -MAX_ORDERS,
-                         MAX_ORDERS))
+    return min(max(math.log10(initial / final), -MAX_ORDERS), MAX_ORDERS)
 
 
 def _run_cg(ctx, b, extra, apply_minv=None, preconditioner_cost=0.0):

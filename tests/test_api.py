@@ -697,6 +697,7 @@ class TestShardedService:
         (dict(slice_trials=0), "slice_trials"),
         (dict(shadow_fraction=0.0), "shadow_fraction"),
         (dict(shadow_fraction=1.5), "shadow_fraction"),
+        (dict(deadline=float("nan")), "deadline"),
     ])
     def test_policy_validation(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):

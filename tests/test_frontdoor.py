@@ -56,7 +56,8 @@ from repro.runtime.backends import (
 )
 from repro.runtime.batching import run_batch_stacked
 from repro.runtime.executor import TunedProgram
-from repro.runtime.policy import SheddingPolicy
+from repro.runtime.policy import SheddingPolicy, update_shed_level
+import repro.serving.frontdoor as frontdoor_module
 from repro.serving import (
     FrontDoor,
     ServeRequest,
@@ -238,6 +239,7 @@ class TestBuild:
         (dict(queue_limit=0), "queue_limit"),
         (dict(max_batch=0), "max_batch"),
         (dict(deadline=0.0), "deadline"),
+        (dict(deadline=float("nan")), "deadline"),
     ])
     def test_bad_bounds_rejected(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
@@ -759,6 +761,51 @@ class TestShedding:
             assert unfloored.degraded == 2
         finally:
             door.close()
+
+    @pytest.mark.parametrize("budget", [None, 1e-9, 10.0])
+    def test_recent_p95_summarised_only_against_a_budget(
+            self, monkeypatch, budget):
+        # Each controller step must land on the level it would reach
+        # fed the recent window's p95, as it was before the gate;
+        # without a budget the window is never summarised at all.
+        summarised = []
+        steps = []
+
+        def counting_summary(latencies):
+            summarised.append(len(latencies))
+            return latency_summary(latencies)
+
+        def recording_step(level, fill, policy, *, p95=None):
+            result = update_shed_level(level, fill, policy, p95=p95)
+            steps.append((level, fill, p95, list(door._recent), result))
+            return result
+
+        monkeypatch.setattr(frontdoor_module, "latency_summary",
+                            counting_summary)
+        monkeypatch.setattr(frontdoor_module, "update_shed_level",
+                            recording_step)
+        policy = SheddingPolicy(p95_budget=budget, max_level=2)
+        door = FrontDoor([GateEngine(open_gate=True)], shedding=policy)
+        try:
+            for _ in range(6):
+                assert door.submit(fake_request()).result(5.0).ok
+        finally:
+            door.close()
+        assert len(steps) == 6 and steps[-1][3]  # the window filled
+        level = 0
+        for before, fill, p95, recent, after in steps:
+            assert before == level
+            windowed = latency_summary(recent)[1] if recent else None
+            assert p95 == (None if budget is None else windowed)
+            level = update_shed_level(level, fill, policy, p95=windowed)
+            assert after == level
+        if budget is None:
+            assert summarised == []
+        else:
+            assert summarised == [len(step[3]) for step in steps
+                                  if step[3]]
+        if budget == 1e-9:  # every request is over budget
+            assert level == 2
 
     def test_shedding_disabled_never_degrades(self):
         engine = GateEngine(open_gate=True)

@@ -47,8 +47,9 @@ class TestSheddingPolicy:
             SheddingPolicy(max_level=-1)
 
     def test_bad_p95_budget_rejected(self):
-        with pytest.raises(ValueError, match="p95_budget"):
-            SheddingPolicy(p95_budget=0.0)
+        for budget in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="p95_budget"):
+                SheddingPolicy(p95_budget=budget)
 
 
 # ----------------------------------------------------------------------
