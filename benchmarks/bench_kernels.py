@@ -25,6 +25,11 @@ The ``TestBinPackingInputs`` section gates training-input generation
 against one ``Generator.dirichlet`` call per bin, kept here as the
 reference: the items must be byte-identical and generation at n = 128
 at least 1.5x faster.
+
+The ``TestStatistics`` section gates ``confidence_bound`` (its normal
+quantile cached per confidence) against a copy kept here that re-runs
+the 200-step quantile bisection on every call: the bounds must be
+equal and the cached form at least 5x faster.
 """
 
 import json
@@ -33,6 +38,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.autotuner.stats import confidence_bound, fit_normal, normal_cdf
 from repro.binpacking.algorithms import (
     ALGORITHMS,
     EPSILON,
@@ -670,3 +676,54 @@ class TestBinPackingInputs:
         assert speedup >= DATAGEN_FLOOR, (
             f"input generation at n={n} ran {speedup:.2f}x the dirichlet "
             f"reference, below the {DATAGEN_FLOOR:.1f}x gate")
+
+
+#: The cached-quantile bound must beat re-running the bisection by this.
+QUANTILE_FLOOR = 5.0
+
+
+def _bisection_confidence_bound(values, confidence, side):
+    """``confidence_bound`` as it was before the quantile was cached:
+    a 200-step bisection on the normal CDF on every call."""
+    fit = fit_normal(values)
+    lo, hi = -12.0, 12.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if normal_cdf(mid) < confidence:
+            lo = mid
+        else:
+            hi = mid
+    offset = 0.5 * (lo + hi) * fit.stderr
+    return fit.mean - offset if side == "lower" else fit.mean + offset
+
+
+class TestStatistics:
+    def test_cached_quantile_confidence_bound(self):
+        values = [0.91, 0.87, 0.95, 0.9, 0.88, 0.93, 0.9, 0.89]
+        confidences = (0.5, 0.9, 0.95, 0.99, 0.999)
+        for confidence in confidences:
+            for side in ("lower", "upper"):
+                assert confidence_bound(values, confidence, side) == \
+                    _bisection_confidence_bound(values, confidence, side)
+        calls = 20
+
+        def cached():
+            for _ in range(calls):
+                confidence_bound(values, 0.9, "lower")
+
+        def reference():
+            for _ in range(calls):
+                _bisection_confidence_bound(values, 0.9, "lower")
+
+        cached_s, reference_s = _best_seconds_interleaved(
+            cached, reference, repeats=15)
+        speedup = reference_s / cached_s
+        row = {"bench": "kernels", "kernel": "confidence_bound_quantile",
+               "samples": len(values), "calls": calls,
+               "cached_s": round(cached_s, 6),
+               "bisection_s": round(reference_s, 6),
+               "speedup": round(speedup, 2)}
+        print("BENCH_JSON " + json.dumps(row, sort_keys=True))
+        assert speedup >= QUANTILE_FLOOR, (
+            f"confidence_bound ran {speedup:.2f}x the bisection "
+            f"reference, below the {QUANTILE_FLOOR:.1f}x gate")

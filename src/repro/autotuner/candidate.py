@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.autotuner.results import CandidateResults
+from repro.autotuner.stats import confidence_bound_from_fit
 from repro.config.configuration import Configuration
 
 __all__ = ["Candidate", "MutationRecord"]
@@ -58,18 +59,15 @@ class Candidate:
         mean accuracy must meet the target (the paper's statistical
         guarantee); otherwise the sample mean is used.
         """
-        from repro.autotuner.stats import confidence_bound
-
         stats = self.results.stats(n, "accuracy")
-        accuracies = stats.values
-        if not accuracies or stats.failed:
+        if not stats.values or stats.failed:
             return False
         if confidence is None:
             # The unclamped sample mean, as mean_accuracy computes it
             # (NormalFit.mean is clamped to [min, max]).
-            return metric.meets(sum(accuracies) / len(accuracies), target)
+            return metric.meets(stats.mean, target)
         side = "lower" if metric.higher_is_better else "upper"
-        bound = confidence_bound(accuracies, confidence, side=side)
+        bound = confidence_bound_from_fit(stats.fit, confidence, side=side)
         return metric.meets(bound, target)
 
     def __repr__(self) -> str:

@@ -19,6 +19,13 @@ following steps:
 5. Go to step 1."
 
 All constants are configurable, as in the paper.
+
+Each verdict is decided once per sample state.  The loop's answer at a
+state is a pure function of the two sample tuples, their failure flags
+and the kind (the settings and metric are fixed per comparator), so
+the comparator remembers every state at which the loop returned and
+answers a later call that reaches it without any statistics or
+top-ups.  States that still needed a trial are never stored.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 from repro.autotuner.candidate import Candidate
+from repro.autotuner.results import SampleStats
 from repro.autotuner.stats import (
     probability_within_fraction,
     welch_p_value_from_fits,
@@ -56,6 +64,19 @@ class ComparisonSettings:
             raise ValueError("min_trials must be >= 1")
         if self.max_trials < self.min_trials:
             raise ValueError("max_trials must be >= min_trials")
+        # Each range keeps its step able to decide: a NaN threshold
+        # never finds a difference, and a non-positive fraction or a
+        # confidence above 1 never finds two candidates the same.
+        if not 0.0 < self.p_threshold < 1.0:
+            raise ValueError(
+                f"p_threshold must be in (0, 1): {self.p_threshold!r}")
+        if not (math.isfinite(self.same_fraction)
+                and self.same_fraction > 0.0):
+            raise ValueError(f"same_fraction must be finite and > 0: "
+                             f"{self.same_fraction!r}")
+        if not 0.0 < self.same_confidence <= 1.0:
+            raise ValueError(f"same_confidence must be in (0, 1]: "
+                             f"{self.same_confidence!r}")
 
 
 class Comparator:
@@ -74,6 +95,10 @@ class Comparator:
         self.metric = harness.metric
         #: Number of compare() invocations (ablation instrumentation).
         self.comparisons = 0
+        #: (kind, values1, failed1, values2, failed2) -> the verdict the
+        #: loop returned at that state.  A NaN sample equals only
+        #: itself under tuple equality, so it can only miss.
+        self._verdicts: dict[tuple, int] = {}
 
     def _mean_better(self, mean1: float, mean2: float, kind: str) -> int:
         if math.isnan(mean1) or math.isnan(mean2):
@@ -92,49 +117,72 @@ class Comparator:
         """Return +1 if ``c1`` is better, -1 if ``c2`` is, 0 if same."""
         self.comparisons += 1
         settings = self.settings
-        self.harness.ensure_trials(c1, n, settings.min_trials)
-        self.harness.ensure_trials(c2, n, settings.min_trials)
+        min_trials = settings.min_trials
+        if c1.results.count(n) < min_trials:
+            self.harness.ensure_trials(c1, n, min_trials)
+        if c2.results.count(n) < min_trials:
+            self.harness.ensure_trials(c2, n, min_trials)
 
+        verdicts = self._verdicts
         while True:
             s1 = c1.results.stats(n, kind)
             s2 = c2.results.stats(n, kind)
-            x, y = s1.values, s2.values
-
-            # Failed executions dominate all comparisons: a candidate
-            # with a failing trial is strictly worse than one without.
-            if s1.failed or s2.failed:
-                if s1.failed and s2.failed:
-                    return 0
-                return -1 if s1.failed else 1
-            # Infinite objectives (without failure flags) compare the
-            # same way.
-            inf1 = any(math.isinf(v) for v in x)
-            inf2 = any(math.isinf(v) for v in y)
-            if inf1 or inf2:
-                if inf1 and inf2:
-                    return 0
-                return -1 if inf1 else 1
-
-            # Step 1: t-test.
-            p = welch_p_value_from_fits(s1.fit, s2.fit)
-            if p < settings.p_threshold:
-                return self._mean_better(s1.fit.mean, s2.fit.mean, kind)
-
-            # Step 2: closeness of the fitted difference distribution.
-            probability = probability_within_fraction(
-                x, y, settings.same_fraction, y_fit=s2.fit)
-            if probability >= settings.same_confidence:
-                return 0
-
-            # Step 3: both at the trial budget -> same.
-            at_max1 = len(x) >= settings.max_trials
-            at_max2 = len(y) >= settings.max_trials
-            if at_max1 and at_max2:
-                return 0
-
+            state = (kind, s1.values, s1.failed, s2.values, s2.failed)
+            verdict = verdicts.get(state)
+            if verdict is not None:
+                return verdict
+            verdict = self._decide(s1, s2, kind)
+            if verdict is not None:
+                verdicts[state] = verdict
+                return verdict
             # Step 4: run one more trial where it most reduces the
             # standard error of the mean.
-            self._run_most_informative(c1, c2, n, kind, at_max1, at_max2)
+            self._run_most_informative(
+                c1, c2, n, kind, len(s1.values) >= settings.max_trials,
+                len(s2.values) >= settings.max_trials)
+
+    def _decide(self, s1: SampleStats, s2: SampleStats,
+                kind: str) -> int | None:
+        """Steps 1-3 at one sample state: the verdict, or ``None`` when
+        the state needs another trial."""
+        settings = self.settings
+        # Failed executions dominate all comparisons: a candidate
+        # with a failing trial is strictly worse than one without.
+        if s1.failed or s2.failed:
+            if s1.failed and s2.failed:
+                return 0
+            return -1 if s1.failed else 1
+        # Infinite objectives (without failure flags) compare the
+        # same way.
+        if s1.infinite or s2.infinite:
+            if s1.infinite and s2.infinite:
+                return 0
+            return -1 if s1.infinite else 1
+
+        x, y = s1.values, s2.values
+        # Equal finite samples (never empty here: compare() tops both
+        # sides up to min_trials >= 1) are what steps 1 and 2 would
+        # call the same: p = 1 is never below p_threshold < 1, and
+        # every paired difference is 0, so closeness is 1 >=
+        # same_confidence.
+        if s1.finite and x == y:
+            return 0
+
+        # Step 1: t-test.
+        p = welch_p_value_from_fits(s1.fit, s2.fit)
+        if p < settings.p_threshold:
+            return self._mean_better(s1.fit.mean, s2.fit.mean, kind)
+
+        # Step 2: closeness of the fitted difference distribution.
+        probability = probability_within_fraction(
+            x, y, settings.same_fraction, y_fit=s2.fit)
+        if probability >= settings.same_confidence:
+            return 0
+
+        # Step 3: both at the trial budget -> same.
+        if len(x) >= settings.max_trials and len(y) >= settings.max_trials:
+            return 0
+        return None
 
     def _run_most_informative(self, c1: Candidate, c2: Candidate, n: float,
                               kind: str, at_max1: bool, at_max2: bool

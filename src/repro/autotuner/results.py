@@ -8,6 +8,7 @@ copies trials for input sizes a mutation provably did not affect.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,11 +27,16 @@ class Trial:
 
 
 class SampleStats(NamedTuple):
-    """One size's samples of one kind, as the comparator reads them."""
+    """One size's samples of one kind, as the comparator and the
+    accuracy tests read them: everything here is derived from
+    ``values`` (and ``failed``) once, when the samples change."""
 
     values: tuple[float, ...]
     fit: NormalFit      # fit_normal(values)
     failed: bool        # any trial at this size failed
+    infinite: bool      # some value is +-inf
+    finite: bool        # every value is finite (no inf, no nan)
+    mean: float         # unclamped sum(values) / len(values); nan if empty
 
 
 class CandidateResults:
@@ -105,7 +111,11 @@ class CandidateResults:
             values = tuple(self.accuracies(n))
         else:
             raise ValueError(f"unknown comparison kind {kind!r}")
-        stats = SampleStats(values, fit_normal(values), self.any_failed(n))
+        infinite = any(map(math.isinf, values))
+        stats = SampleStats(
+            values, fit_normal(values), self.any_failed(n), infinite,
+            not infinite and all(map(math.isfinite, values)),
+            sum(values) / len(values) if values else float("nan"))
         self._stats[(n, kind)] = stats
         return stats
 

@@ -125,10 +125,12 @@ class ProgramTestHarness:
         self.trials_run = 0
         #: Trials actually executed by the backend (excludes cache hits).
         self.trials_executed = 0
-        #: (n, trial index) -> (training inputs, execution seed).
+        #: (n, trial index) -> (training inputs, execution seed,
+        #: trial-cache bucket): everything a paired trial shares
+        #: across candidates, derived once.
         self._input_cache: OrderedDict[
-            tuple[float, int], tuple[Mapping[str, object], int]] = \
-            OrderedDict()
+            tuple[float, int],
+            tuple[Mapping[str, object], int, Bucket]] = OrderedDict()
         # Trial-cache namespace: outcomes depend on the program AND on
         # which generator produced the training inputs, so both name
         # the store.  (Editing a generator's *body* while keeping its
@@ -148,20 +150,26 @@ class ProgramTestHarness:
         across candidates; regenerating an evicted entry therefore
         reproduces it exactly.
         """
-        key = (float(n), trial_index)
+        return self._paired_trial(float(n), trial_index)[0]
+
+    def _paired_trial(self, n: float, trial_index: int
+                      ) -> tuple[Mapping[str, object], int, Bucket]:
+        """The input-cache entry of paired trial ``(n, trial_index)``,
+        generated on a miss (``n`` already a float)."""
+        key = (n, trial_index)
         cached = self._input_cache.get(key)
         if cached is not None:
             self._input_cache.move_to_end(key)
-            return cached[0]
-        rng = generator_for(self.base_seed, "input", key[0], trial_index)
-        inputs = self.input_generator(int(n), rng)
-        # The paired execution seed is derived once, beside the input.
-        self._input_cache[key] = (
-            inputs, derive_seed(self.base_seed, "exec", key[0], trial_index))
+            return cached
+        rng = generator_for(self.base_seed, "input", n, trial_index)
+        entry = (self.input_generator(int(n), rng),
+                 derive_seed(self.base_seed, "exec", n, trial_index),
+                 self._new_bucket(n, trial_index))
+        self._input_cache[key] = entry
         if self.input_cache_size is not None:
             while len(self._input_cache) > self.input_cache_size:
                 self._input_cache.popitem(last=False)
-        return inputs
+        return entry
 
     # ------------------------------------------------------------------
     # The batch pipeline
@@ -169,18 +177,21 @@ class ProgramTestHarness:
     def build_request(self, candidate: Candidate, n: float,
                       trial_index: int) -> TrialRequest:
         n = float(n)
-        inputs = self.training_input(n, trial_index)
-        return TrialRequest(
-            n=n,
-            trial_index=trial_index,
-            # Just stored or refreshed: the newest entry is never evicted.
-            seed=self._input_cache[(n, trial_index)][1],
-            config=candidate.config,
-            inputs=inputs)
+        inputs, seed, _ = self._paired_trial(n, trial_index)
+        return TrialRequest(n=n, trial_index=trial_index, seed=seed,
+                            config=candidate.config, inputs=inputs)
 
     def _bucket(self, request: TrialRequest) -> Bucket:
-        return TrialCache.bucket(request.n, request.trial_index,
-                                 self.base_seed,
+        # A batch larger than the input cache can evict an entry
+        # between building a request and resolving it; the bucket is
+        # then rebuilt as the entry would have held it.
+        cached = self._input_cache.get((request.n, request.trial_index))
+        if cached is not None:
+            return cached[2]
+        return self._new_bucket(request.n, request.trial_index)
+
+    def _new_bucket(self, n: float, trial_index: int) -> Bucket:
+        return TrialCache.bucket(n, trial_index, self.base_seed,
                                  program=self._cache_namespace,
                                  objective=self.objective,
                                  cost_limit=self.cost_limit)

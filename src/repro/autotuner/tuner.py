@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping, Sequence
 
@@ -112,6 +113,8 @@ class TunerSettings:
             if not sizes:
                 raise bad("input_sizes is empty; give at least one "
                           "training input size")
+            if not all(map(math.isfinite, sizes)):
+                raise bad(f"input_sizes must be finite, got {sizes}")
             if any(n <= 0 for n in sizes):
                 raise bad(f"input_sizes must be positive, got {sizes}")
             if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -119,6 +122,11 @@ class TunerSettings:
                           f"(the sweep grows and the final size is the "
                           f"deployment size), got {sizes}")
         else:
+            if not (math.isfinite(self.min_input_size)
+                    and math.isfinite(self.max_input_size)):
+                raise bad(f"min_input_size and max_input_size must be "
+                          f"finite, got {self.min_input_size!r} and "
+                          f"{self.max_input_size!r}")
             if self.min_input_size <= 0:
                 raise bad(f"min_input_size must be positive, got "
                           f"{self.min_input_size!r} (the exponential "
@@ -151,6 +159,14 @@ class TunerSettings:
         if self.guided_max_evaluations < 1:
             raise bad(f"guided_max_evaluations must be >= 1, got "
                       f"{self.guided_max_evaluations!r}")
+        # Guided mutation scales a variable by the factor toward its
+        # hinted direction and widens the step up to factor**4: a factor
+        # at or below 1 steps the wrong way (or not at all) and never
+        # widens.
+        if not (math.isfinite(self.guided_factor)
+                and self.guided_factor > 1.0):
+            raise bad(f"guided_factor must be finite and > 1, got "
+                      f"{self.guided_factor!r}")
 
     def sizes(self) -> tuple[float, ...]:
         if self.input_sizes is not None:

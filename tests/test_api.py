@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -402,6 +403,17 @@ class TestSettingsValidation:
         (dict(accuracy_confidence=1.0), "accuracy_confidence"),
         (dict(accuracy_confidence=0.0), "accuracy_confidence"),
         (dict(guided_max_evaluations=0), "guided_max_evaluations"),
+        (dict(max_input_size=math.nan), "finite"),
+        (dict(max_input_size=math.inf), "finite"),
+        (dict(min_input_size=math.nan), "finite"),
+        (dict(min_input_size=-math.inf), "finite"),
+        (dict(input_sizes=(8.0, math.inf)), "finite"),
+        (dict(input_sizes=(math.nan,)), "finite"),
+        (dict(guided_factor=math.nan), "guided_factor"),
+        (dict(guided_factor=math.inf), "guided_factor"),
+        (dict(guided_factor=0.5), "guided_factor"),
+        (dict(guided_factor=1.0), "guided_factor"),
+        (dict(guided_factor=-2.0), "guided_factor"),
     ])
     def test_invalid_settings_raise_config_error(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):

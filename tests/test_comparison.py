@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from repro.autotuner import TunerSettings
+from repro.autotuner import comparison as comparison_module
 from repro.autotuner.candidate import Candidate
 from repro.autotuner.comparison import Comparator, ComparisonSettings
+from repro.autotuner.results import Trial
 from repro.autotuner.stats import (
     fit_normal,
     probability_within_fraction,
@@ -17,6 +20,7 @@ from repro.compiler.compile import compile_program
 from repro.config.decision_tree import SizeDecisionTree
 
 from tests.conftest import approxmean_inputs, make_approxmean_transform
+from tests.test_tune_golden import BINPACKING_SETTINGS, benchmark_tuner
 
 
 def make_harness(noise: float = 0.0, seed: int = 0) -> ProgramTestHarness:
@@ -37,6 +41,21 @@ class TestComparisonSettings:
             ComparisonSettings(min_trials=0)
         with pytest.raises(ValueError):
             ComparisonSettings(min_trials=5, max_trials=3)
+        # Constants that would disable a step: a NaN threshold never
+        # finds a difference; a non-positive fraction or a confidence
+        # above 1 never finds two candidates the same.
+        for kwargs in (dict(p_threshold=math.nan), dict(p_threshold=0.0),
+                       dict(p_threshold=1.0), dict(p_threshold=-0.05),
+                       dict(same_fraction=-1.0), dict(same_fraction=0.0),
+                       dict(same_fraction=math.nan),
+                       dict(same_fraction=math.inf),
+                       dict(same_confidence=2.0),
+                       dict(same_confidence=0.0),
+                       dict(same_confidence=math.nan)):
+            with pytest.raises(ValueError):
+                ComparisonSettings(**kwargs)
+        ComparisonSettings(p_threshold=0.5, same_fraction=10.0,
+                           same_confidence=1.0)
 
 
 class TestNoiseValidation:
@@ -236,3 +255,123 @@ class TestMemoizedComparison:
             return verdicts, counts
 
         assert run(Comparator) == run(RecomputingComparator)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05, 0.3])
+    def test_repeated_pairs_match_recomputing_loop(self, noise):
+        """Every ordered pair compared twice, including a failing
+        candidate, an infinite-objective one and two candidates with
+        equal samples (equal configs pair the same inputs and noise)."""
+        settings = ComparisonSettings(min_trials=2, max_trials=12)
+        ms = (40, 40, 44, 60, 400)
+        sizes = (64, 256)
+
+        def run(comparator_type):
+            harness = make_harness(noise=noise, seed=23)
+            comparator = comparator_type(harness, settings)
+            pool = [candidate_with_m(harness, m) for m in ms]
+            failing = candidate_with_m(harness, 44)
+            infinite = candidate_with_m(harness, 44)
+            for n in sizes:
+                failing.results.add(n, Trial(1.0, 0.5, failed=True))
+                infinite.results.add(n, Trial(math.inf, 0.5))
+            pool += [failing, infinite]
+            verdicts = []
+            for n in sizes:
+                for kind in ("objective", "accuracy"):
+                    for _ in range(2):
+                        for a in pool:
+                            for b in pool:
+                                if a is not b:
+                                    verdicts.append(
+                                        comparator.compare(a, b, n, kind))
+            counts = [c.results.count(n) for c in pool for n in sizes]
+            return verdicts, counts
+
+        assert run(Comparator) == run(RecomputingComparator)
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Spy on the comparison module's ``name``; returns the call log."""
+    calls = []
+    original = getattr(comparison_module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(comparison_module, name, spy)
+    return calls
+
+
+class TestVerdictMemo:
+    def test_equal_samples_share_one_welch_evaluation(self, monkeypatch):
+        welch = count_calls(monkeypatch, "welch_p_value_from_fits")
+        harness = make_harness()
+        comparator = Comparator(harness, ComparisonSettings(
+            min_trials=3, max_trials=25))
+        a = candidate_with_m(harness, 10)
+        b = candidate_with_m(harness, 10)   # a different candidate...
+        other = candidate_with_m(harness, 5000)
+        assert comparator.compare(a, other, 64) == 1
+        harness.ensure_trials(b, 64, 3)
+        assert a.results.stats(64, "objective").values == \
+            b.results.stats(64, "objective").values   # ...equal samples
+        assert comparator.compare(b, other, 64) == 1
+        assert len(welch) == 1
+
+    def test_equal_finite_samples_skip_the_statistics(self, monkeypatch):
+        welch = count_calls(monkeypatch, "welch_p_value_from_fits")
+        close = count_calls(monkeypatch, "probability_within_fraction")
+        harness = make_harness(noise=0.3, seed=5)
+        comparator = Comparator(harness)
+        a = candidate_with_m(harness, 100)
+        b = candidate_with_m(harness, 100)
+        assert comparator.compare(a, b, 512) == 0
+        assert comparator.compare(a, b, 512, "accuracy") == 0
+        assert welch == [] and close == []
+        # The recomputing loop reaches the same verdict the long way.
+        recomputing = RecomputingComparator(harness)
+        assert recomputing.compare(a, b, 512) == 0
+        assert a.results.count(512) == b.results.count(512) == 3
+
+    def test_shared_nan_samples_are_not_judged_same(self):
+        """Copied trials share their float objects, so NaN samples can
+        compare equal as tuples; the loop still tops them up."""
+        settings = ComparisonSettings(min_trials=2, max_trials=4)
+
+        def run(comparator_type):
+            harness = make_harness()
+            a = candidate_with_m(harness, 10)
+            for _ in range(2):
+                a.results.add(64, Trial(1.0, math.nan))
+            b = candidate_with_m(harness, 10)
+            b.results.copy_from(a.results)
+            verdict = comparator_type(harness, settings).compare(
+                a, b, 64, "accuracy")
+            return verdict, a.results.count(64), b.results.count(64)
+
+        assert run(Comparator) == run(RecomputingComparator) == (0, 4, 4)
+
+    def test_verdicts_are_kept_per_kind(self):
+        """Equal objective and accuracy samples point opposite ways:
+        lower objectives are better, higher accuracies are."""
+        harness = make_harness()
+        comparator = Comparator(harness, ComparisonSettings(
+            min_trials=2, max_trials=4))
+        low = candidate_with_m(harness, 10)
+        high = candidate_with_m(harness, 10)
+        for value in (1.0, 1.5):
+            low.results.add(16, Trial(value, value))
+            high.results.add(16, Trial(value + 10.0, value + 10.0))
+        assert comparator.compare(low, high, 16, "objective") == 1
+        assert comparator.compare(low, high, 16, "accuracy") == -1
+
+    def test_golden_binpacking_tune_halves_welch(self, monkeypatch):
+        """The golden tune's 267 comparisons evaluated Welch's test 338
+        times before verdicts were memoized."""
+        welch = count_calls(monkeypatch, "welch_p_value_from_fits")
+        tuner = benchmark_tuner("binpacking",
+                                TunerSettings(**BINPACKING_SETTINGS), 5)
+        tuner.tune()
+        assert tuner.comparator.comparisons == 267
+        assert len(welch) < 338 / 2

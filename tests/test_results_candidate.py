@@ -136,6 +136,16 @@ class TestCandidate:
         assert candidate.meets_accuracy(4, 0.9, HIGHER)
         assert not candidate.meets_accuracy(4, 0.95, HIGHER)
 
+    def test_meets_accuracy_reads_the_unclamped_mean(self):
+        """The sample mean of three 0.1s sums one ulp above 0.1;
+        ``NormalFit.mean`` clamps it back, ``mean_accuracy`` does not."""
+        candidate = Candidate(self.config())
+        for _ in range(3):
+            candidate.results.add(4, Trial(1.0, 0.1))
+        mean = candidate.results.mean_accuracy(4)
+        assert mean > 0.1
+        assert candidate.meets_accuracy(4, mean, HIGHER)
+
     def test_meets_accuracy_lower_is_better(self):
         candidate = Candidate(self.config())
         candidate.results.add(4, Trial(1.0, 1.05))

@@ -8,6 +8,7 @@ import scipy.stats
 
 from repro.autotuner.stats import (
     confidence_bound,
+    confidence_bound_from_fit,
     fit_normal,
     normal_cdf,
     probability_within_fraction,
@@ -175,3 +176,33 @@ class TestConfidenceBound:
 
     def test_empty_nan(self):
         assert math.isnan(confidence_bound([], 0.95))
+
+    @staticmethod
+    def _bisection_bound(values, confidence, side):
+        """The bound with its quantile recomputed by bisection on every
+        call, as before the quantile was cached."""
+        fit = fit_normal(values)
+        lo, hi = -12.0, 12.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if normal_cdf(mid) < confidence:
+                lo = mid
+            else:
+                hi = mid
+        offset = 0.5 * (lo + hi) * fit.stderr
+        return fit.mean - offset if side == "lower" else fit.mean + offset
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99, 0.999])
+    def test_cached_quantile_is_bit_identical(self, confidence, side):
+        values = [0.91, 0.87, 0.95, 0.9, 0.88, 0.93]
+        expected = self._bisection_bound(values, confidence, side)
+        for _ in range(2):   # the second call reads the cached quantile
+            assert confidence_bound(values, confidence, side) == expected
+            assert confidence_bound_from_fit(
+                fit_normal(values), confidence, side) == expected
+
+    def test_invalid_confidence_still_raises(self):
+        for confidence in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError):
+                confidence_bound([1.0, 2.0], confidence)
