@@ -20,9 +20,10 @@ retune loop costs at steady state and at transition points::
   artifact: the unit of background work the controller interleaves
   with traffic.  The slice is a third of the trials an identical
   untimed session runs, so the session always takes several slices.
-* **hot_swap** — latency of the atomic artifact swap itself (the only
-  moment serving and retuning touch), plus a correctness check that a
-  swapped engine really serves the new configuration.
+* **hot_swap** — latency of the atomic artifact swap itself at the
+  front door that owns the program registry (the only moment serving
+  and retuning touch), plus a correctness check that the swapped door
+  really serves the new configuration.
 
 Smoke-sized by default; set ``REPRO_BENCH_FULL=1`` for more repeats.
 """
@@ -39,6 +40,7 @@ from conftest import FULL, run_once
 
 from repro.autotuner import Autotuner, ProgramTestHarness, TunerSettings
 from repro.serving import (
+    FrontDoor,
     ServeRequest,
     ServingEngine,
     ServingTelemetry,
@@ -80,10 +82,9 @@ def _requests(spec, count):
 
 def _serve_elapsed(tuned, requests, telemetry):
     engine = ServingEngine(telemetry=telemetry)
-    engine.register("poisson", tuned)
-    engine.serve(requests[:2])  # warm caches
+    engine.serve(requests[:2], [tuned] * 2)  # warm caches
     start = time.perf_counter()
-    responses = engine.serve(requests)
+    responses = engine.serve(requests, [tuned] * len(requests))
     elapsed = time.perf_counter() - start
     assert all(r.ok for r in responses)
     return elapsed
@@ -116,8 +117,7 @@ def test_adaptive_loop_costs(benchmark):
         # (see ServingEngine._finish_ok) through record_batch, enough
         # times to time it precisely, window evictions included.
         probe = ServingEngine(telemetry=ServingTelemetry())
-        probe.register("poisson", tuned)
-        responses = probe.serve(requests)
+        responses = probe.serve(requests, [tuned] * len(requests))
         entries = [(r.program, r.bin_target, r.ok,
                     r.achieved_accuracy, r.escalations, r.fallback)
                    for r in responses]
@@ -170,21 +170,21 @@ def test_adaptive_loop_costs(benchmark):
             "session_trials": session_trials,
         })
 
-        # 3. Hot-swap latency (and correctness of the swapped engine).
+        # 3. Hot-swap latency (and correctness of the swapped door).
         candidate = session.result().tuned_program()
-        engine = ServingEngine()
-        engine.register("poisson", tuned)
-        engine.serve(requests[:2])
-        swap_times = []
-        current = tuned
-        for _ in range(REPEATS * 2):
-            nxt = candidate if current is tuned else tuned
-            start = time.perf_counter()
-            engine.hot_swap("poisson", nxt)
-            swap_times.append(time.perf_counter() - start)
-            current = nxt
-        assert engine.program_for("poisson") is current
-        assert engine.serve_one(requests[0]).ok
+        with FrontDoor([ServingEngine()], shedding=None) as door:
+            door.register("poisson", tuned)
+            door.serve(requests[:2])
+            swap_times = []
+            current = tuned
+            for _ in range(REPEATS * 2):
+                nxt = candidate if current is tuned else tuned
+                start = time.perf_counter()
+                door.hot_swap("poisson", nxt)
+                swap_times.append(time.perf_counter() - start)
+                current = nxt
+            assert door.program_for("poisson") is current
+            assert door.serve([requests[0]])[0].ok
         rows.append({
             "bench": "adaptive", "metric": "hot_swap",
             "swaps": len(swap_times),

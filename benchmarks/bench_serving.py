@@ -96,10 +96,11 @@ def test_serving_throughput(benchmark):
             for batch_size in BATCH_SIZES:
                 with ServingEngine(backend=factory(),
                                    batch_size=batch_size) as engine:
-                    engine.register("poisson", tuned)
-                    engine.serve(requests[:2])  # warm worker pools
+                    # warm worker pools
+                    engine.serve(requests[:2], [tuned] * 2)
                     start = time.perf_counter()
-                    responses = engine.serve(requests)
+                    responses = engine.serve(requests,
+                                             [tuned] * len(requests))
                     elapsed = time.perf_counter() - start
                 key = [(r.ok, r.bin_target, r.escalations,
                         repr(r.outputs) if r.ok else None)
@@ -180,13 +181,13 @@ def _step_load(tuned, requests):
 
     # -- Phase 1: unsharded serve_one stream --------------------------
     with ServingEngine() as engine:
-        engine.register("poisson", tuned)
-        engine.serve(requests[:2])  # warm caches outside the clock
+        # warm caches outside the clock
+        engine.serve(requests[:2], [tuned] * 2)
         latencies = []
         start = time.perf_counter()
         for request in requests:
             t0 = time.perf_counter()
-            engine.serve_one(request)
+            engine.serve([request], [tuned])
             latencies.append(time.perf_counter() - t0)
         elapsed = time.perf_counter() - start
     single_rps = count / elapsed

@@ -7,7 +7,10 @@ it, then shifts live traffic to variance 6 — silently breaking the
 0.99 bin's guarantee — and lets the service recover: `poll()` detects
 the drift, runs bounded background retune slices against *shifted*
 training inputs, shadows the candidate on sampled live traffic, and
-promotes it (store version pointer + atomic engine hot-swap).  The
+promotes it (store version pointer + atomic hot swap at the front
+door).  The service runs two serial shards (`async:2x1`): the front
+door holds the one program registry and every shadow, so the adaptive
+loop is the same at any shard count.  The
 whole adaptive loop is declared by one `ServicePolicy`; the transform
 is built by a module-level factory, so the service reloads the
 program from the stored artifact's `("factory", ...)` provenance
@@ -37,7 +40,8 @@ RETUNE = TunerSettings(input_sizes=(16.0, 64.0), rounds_per_size=2,
                        seed=21, initial_random=1,
                        guided_max_evaluations=12,
                        accuracy_confidence=None)
-POLICY = ServicePolicy(retune=RETUNE, slice_trials=40,
+POLICY = ServicePolicy(backend="async:2x1", shard_backend="serial",
+                       retune=RETUNE, slice_trials=40,
                        shadow_fraction=1.0, min_shadow_samples=6,
                        min_drift_samples=12, drift_confidence=0.9,
                        telemetry_window=64)
@@ -134,14 +138,13 @@ def main():
 
             # 5. Shadow on live traffic, then promotion + hot swap.
             service.serve(requests_at(service, SHIFT_SIGMA, 12, 200))
-            engine = service.frontdoor.shard_engines[0]
-            shadow = engine.shadow_status("adaptmean")
+            shadow = service.frontdoor.shadow_status("adaptmean")
             print(f"  shadow sampled {shadow.samples} live requests")
             service.poll()
             store = deployment.store
             print(f"store now: versions "
                   f"{store.versions('adaptmean')}, serving "
-                  f"v{store.latest_version('adaptmean')}; engine "
+                  f"v{store.latest_version('adaptmean')}; "
                   f"swaps: {service.stats().swaps}")
 
             # 6. Served accuracy recovers on the shifted workload.

@@ -1,9 +1,9 @@
 """The serve → observe → adapt side of the lifecycle façade.
 
 A production deployment wires seven objects together:
-``ArtifactStore`` + ``ServingEngine`` + ``FrontDoor`` +
-``ServingTelemetry`` + ``DriftDetector`` + ``RetuneController`` + a
-harness factory.  A
+``ArtifactStore`` + ``FrontDoor`` (the program registry) + its
+``ServingEngine`` shards + ``ServingTelemetry`` + ``DriftDetector`` +
+``RetuneController`` + a harness factory.  A
 :class:`Service` assembles all of them from one declarative
 :class:`ServicePolicy` and a store, and exposes the lifecycle verbs:
 
@@ -15,7 +15,7 @@ harness factory.  A
 * :meth:`Service.poll` and :meth:`Service.start_adaptive` /
   :meth:`Service.stop_adaptive` — the drift → background retune →
   shadow → promote loop, driven synchronously (deterministic tests)
-  or from a daemon thread.
+  or from a daemon thread, at any shard count.
 
 Every constituent stays reachable (:attr:`frontdoor`, :attr:`telemetry`,
 :attr:`store`, :attr:`controller`) — the façade assembles the
@@ -381,16 +381,6 @@ class Service:
     def controller(self) -> RetuneController:
         """The retune controller (built on first use)."""
         if self._controller is None:
-            if self.frontdoor.shards != 1:
-                # Scope limit, stated rather than half-working: the
-                # retune controller drives exactly one engine (drift →
-                # shadow → hot_swap); fanning that loop across shards
-                # is future work.  Adapt on an unsharded Service and
-                # deploy the promoted artifacts to the tier.
-                raise ConfigError(
-                    "the adaptive retune loop is not available behind "
-                    "the sharded front door; run it on an unsharded "
-                    "Service over the same store")
             policy = self.policy
             # Fail fast on a missing/bad policy — a crash inside
             # _launch_retunes would otherwise fail every poll tick.
@@ -404,7 +394,7 @@ class Service:
                     f"{policy.retune_backend!r}): concurrent trials "
                     f"would time each other's contention")
             self._controller = RetuneController(
-                self.frontdoor.shard_engines[0], self.store,
+                self.frontdoor, self.store,
                 harness_factory=self._harness_factory,
                 settings=self._settings_factory,
                 telemetry=self.telemetry, tag=policy.tag,

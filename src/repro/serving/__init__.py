@@ -9,12 +9,13 @@ serves batches of :class:`ServeRequest` traffic over any
 :class:`~repro.runtime.backends.ExecutionBackend`, making the same
 bin-selection and verify-escalation decisions as single-call
 :meth:`~repro.runtime.executor.TunedProgram.run`
-(:mod:`repro.runtime.policy` is shared by both), and supports atomic
-:meth:`~ServingEngine.hot_swap` plus shadow deployments.
-:class:`FrontDoor` scales that to a tier: engine workers sharded per
-the ``async:<shards>x<workers>`` spec, bounded queues, per-request
-deadlines, micro-batching into the stacked execution path, and
-accuracy-aware load shedding under overload.
+(:mod:`repro.runtime.policy` is shared by both).  :class:`FrontDoor`
+scales that to a tier and holds its one program registry: engine
+workers sharded per the ``async:<shards>x<workers>`` spec, bounded
+queues, per-request deadlines, micro-batching into the stacked
+execution path, accuracy-aware load shedding under overload, and
+atomic :meth:`~FrontDoor.hot_swap` plus shadow deployments across
+every shard.
 
 :class:`ServingTelemetry` + :class:`DriftDetector` observe served
 accuracy per bin against each artifact's stored statistical guarantee,
@@ -30,13 +31,8 @@ from repro.serving.artifact import (
     TunedArtifact,
 )
 from repro.serving.controller import RetuneController, RetuneStatus
-from repro.serving.engine import (
-    ServeRequest,
-    ServeResponse,
-    ServingEngine,
-    ShadowStatus,
-)
-from repro.serving.frontdoor import FrontDoor, FrontDoorStats
+from repro.serving.engine import ServeRequest, ServeResponse, ServingEngine
+from repro.serving.frontdoor import FrontDoor, FrontDoorStats, ShadowStatus
 from repro.serving.store import DEFAULT_TAG, ArtifactStore, StoreStats
 from repro.serving.telemetry import (
     BinSnapshot,

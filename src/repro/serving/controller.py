@@ -21,9 +21,13 @@ controller
 4. judges the shadow with the pure
    :func:`repro.runtime.policy.judge_shadow` policy: a promotion
    moves the store's latest pointer and atomically
-   :meth:`~repro.serving.engine.ServingEngine.hot_swap`\\ s the engine;
-   a regression rolls the shadow back and suspends the program until
-   an operator calls :meth:`clear`.
+   :meth:`~repro.serving.frontdoor.FrontDoor.hot_swap`\\ s the front
+   door; a regression rolls the shadow back and suspends the program
+   until an operator calls :meth:`clear`.
+
+It drives a :class:`~repro.serving.frontdoor.FrontDoor`, which holds
+every program and shadow, so the loop runs at any shard count: all
+shards write into the one telemetry the detector watches.
 
 Every action is appended to :attr:`events`, the controller's audit
 trail.
@@ -49,7 +53,7 @@ if TYPE_CHECKING:
     from repro.autotuner.session import TuningSession
     from repro.autotuner.testing import ProgramTestHarness
     from repro.compiler.program import CompiledProgram
-    from repro.serving.engine import ServingEngine
+    from repro.serving.frontdoor import FrontDoor
 
 __all__ = ["RetuneController", "RetuneStatus"]
 
@@ -95,7 +99,7 @@ class RetuneStatus:
 class RetuneController:
     """Drives drift detection, incremental retunes, and promotions.
 
-    ``telemetry`` defaults to the engine's own; the engine must record
+    ``telemetry`` defaults to the front door's; its engines must record
     telemetry for drift to ever be observed.  ``settings`` are the
     tuner knobs for retune sessions (scale them down: a retune refines
     a seeded population, it does not explore from scratch) — either
@@ -103,7 +107,7 @@ class RetuneController:
     TunerSettings`` resolving them per program.
     """
 
-    def __init__(self, engine: "ServingEngine", store: ArtifactStore, *,
+    def __init__(self, frontdoor: "FrontDoor", store: ArtifactStore, *,
                  harness_factory: HarnessFactory,
                  settings: "TunerSettings | SettingsFactory",
                  telemetry: ServingTelemetry | None = None,
@@ -115,14 +119,14 @@ class RetuneController:
                  drift_confidence: float = 0.9,
                  log: Callable[[str], None] | None = None):
         telemetry = telemetry if telemetry is not None \
-            else engine.telemetry
+            else frontdoor.telemetry
         if telemetry is None:
             raise TrainingError(
                 "RetuneController needs telemetry: attach a "
-                "ServingTelemetry to the engine (or pass one here)")
+                "ServingTelemetry to the engines (or pass one here)")
         if slice_trials < 1:
             raise ValueError("slice_trials must be >= 1")
-        self.engine = engine
+        self.frontdoor = frontdoor
         self.store = store
         self.telemetry = telemetry
         self.harness_factory = harness_factory
@@ -184,11 +188,11 @@ class RetuneController:
     def check_drift(self) -> dict[str, list[DriftEvent]]:
         """Drift events per served program (idle programs only)."""
         found: dict[str, list[DriftEvent]] = {}
-        for name in self.engine.programs:
+        for name in self.frontdoor.programs:
             with self._lock:
                 if name in self._active or name in self._suspended:
                     continue
-            tuned = self.engine.program_for(name)
+            tuned = self.frontdoor.program_for(name)
             events = self.detector.check(name, tuned.metric,
                                          tuned.guarantees)
             if events:
@@ -227,14 +231,14 @@ class RetuneController:
 
     def _judge_one(self, state: _Retune) -> None:
         name = state.program
-        status = self.engine.shadow_status(name)
+        status = self.frontdoor.shadow_status(name)
         if status is None:
             # Someone else swapped or stopped it; stand down.
             with self._lock:
                 self._active.pop(name, None)
             self._note(f"{name}: shadow vanished, standing down")
             return
-        metric = self.engine.program_for(name).metric
+        metric = self.frontdoor.program_for(name).metric
         if status.failures:
             decision_action = "rollback"
             reason = (f"candidate crashed {status.failures} "
@@ -251,8 +255,8 @@ class RetuneController:
             decision_action, reason = decision.action, decision.reason
         if decision_action == "wait":
             return
-        candidate = self.engine.shadow_candidate(name)
-        self.engine.stop_shadow(name)
+        candidate = self.frontdoor.shadow_candidate(name)
+        self.frontdoor.stop_shadow(name)
         if candidate is None:
             # The shadow vanished between judging and fetching (a
             # concurrent swap/stop): stand down — nothing regressed,
@@ -264,7 +268,7 @@ class RetuneController:
         if decision_action == "promote":
             self.store.promote(name, self.tag,
                                state.candidate_version)
-            self.engine.hot_swap(name, candidate)
+            self.frontdoor.hot_swap(name, candidate)
             with self._lock:
                 self._active.pop(name, None)
             self._note(f"{name}: promoted candidate "
@@ -309,7 +313,7 @@ class RetuneController:
         # the same tag could have appended to in between.
         state.candidate_version = ArtifactStore.parse_version(path)
         candidate = result.tuned_program()
-        self.engine.start_shadow(name, candidate,
+        self.frontdoor.start_shadow(name, candidate,
                                  fraction=self.shadow_fraction)
         state.phase = "shadow"
         self._note(f"{name}: retune finished after {state.slices} "
@@ -324,7 +328,7 @@ class RetuneController:
             state.harness.close()
         except Exception:  # noqa: BLE001 — already failing; keep going
             pass
-        self.engine.stop_shadow(name)
+        self.frontdoor.stop_shadow(name)
         with self._lock:
             self._active.pop(name, None)
             self._suspended.add(name)
@@ -332,7 +336,7 @@ class RetuneController:
 
     def _launch_retunes(self) -> None:
         for name, events in self.check_drift().items():
-            tuned = self.engine.program_for(name)
+            tuned = self.frontdoor.program_for(name)
             # Resolve settings *before* building the harness: a
             # failing resolver must not leak a fresh backend on every
             # poll tick while the drift stays pending.
@@ -400,7 +404,7 @@ class RetuneController:
                 state.harness.close()
             except Exception:  # noqa: BLE001 — one dead harness must
                 pass           # not leak the remaining retunes
-            self.engine.stop_shadow(state.program)
+            self.frontdoor.stop_shadow(state.program)
 
     def __enter__(self) -> "RetuneController":
         return self

@@ -37,6 +37,12 @@ accuracy of degraded traffic in the cheaper bin's rolling window
 watches it), so the adaptive layer sees the *true* served
 distribution.
 
+The front door owns the one program registry, hot swaps and shadows.
+Each admitted request carries the program resolved in the critical
+section that queued it, and a shard engine only executes ``(requests,
+programs)``, so a hot swap is linearizable by admission order across
+every shard.  Store loads run with the lock released.
+
 Internally the front door is one lock and one plain thread per shard.
 Admission runs on the caller's thread under the lock; each shard's
 worker waits on its own condition of that lock, drains a micro-batch,
@@ -64,10 +70,10 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Mapping, Sequence
 
-from repro.errors import ConfigError, ReproError
+from repro.errors import ArtifactError, ConfigError, ReproError
 from repro.runtime.backends import (
     ExecutionBackend,
     ShardPlan,
@@ -88,7 +94,7 @@ from repro.serving.engine import (
 from repro.serving.store import DEFAULT_TAG, ArtifactStore
 from repro.serving.telemetry import ServingTelemetry, latency_summary
 
-__all__ = ["FrontDoor", "FrontDoorStats"]
+__all__ = ["FrontDoor", "FrontDoorStats", "ShadowStatus"]
 
 #: Default bound on each shard's admission queue.
 DEFAULT_QUEUE_LIMIT = 256
@@ -101,16 +107,102 @@ RECENT_WINDOW = 128
 #: Bound on the latency reservoir behind stats().
 LATENCY_WINDOW = 4096
 
+#: Paired accuracy samples a shadow deployment keeps, pooled and per bin.
+SHADOW_WINDOW = 256
+
 
 @dataclass
 class _Item:
     """One admitted request waiting in a shard queue."""
 
     request: ServeRequest
+    tuned: TunedProgram              # resolved at admission
     degraded: int                    # bins shed at admission
     arrival: float                   # monotonic admission time
     deadline: float | None           # absolute monotonic deadline
     future: "Future[ServeResponse]"
+
+
+@dataclass(frozen=True)
+class ShadowStatus:
+    """Progress of one shadow deployment.
+
+    ``primary_accuracies`` / ``candidate_accuracies`` are *paired*:
+    entry ``i`` of both came from the same sampled request, so they
+    feed :func:`repro.runtime.policy.judge_shadow` directly.
+    ``per_bin`` holds the same paired windows bucketed by the bin the
+    *primary* served each request from — a drifted bin must be judged
+    against its own traffic, not a pool diluted by cheaper requests.
+    ``failures`` counts candidate executions that crashed, including
+    every sampled request of a shadow dispatch that raised (a crashing
+    candidate must never be promoted, and never fails live traffic).
+    """
+
+    program: str
+    fraction: float
+    samples: int
+    executions: int
+    failures: int
+    primary_accuracies: tuple[float, ...]
+    candidate_accuracies: tuple[float, ...]
+    per_bin: Mapping[float, tuple[tuple[float, ...],
+                                  tuple[float, ...]]] = \
+        field(default_factory=dict)
+
+
+class _ShadowState:
+    """Mutable state of one shadow deployment (door lock held)."""
+
+    __slots__ = ("candidate", "fraction", "stride", "counter",
+                 "executions", "failures", "primary", "shadow",
+                 "per_bin")
+
+    def __init__(self, candidate: TunedProgram, fraction: float):
+        self.candidate = candidate
+        self.fraction = fraction
+        self.stride = max(1, int(round(1.0 / fraction)))
+        self.counter = 0
+        self.executions = 0
+        self.failures = 0
+        self.primary: deque[float] = deque(maxlen=SHADOW_WINDOW)
+        self.shadow: deque[float] = deque(maxlen=SHADOW_WINDOW)
+        self.per_bin: dict[float, tuple[deque, deque]] = {}
+
+    def record(self, pairs: list[tuple[ServeRequest, ServeResponse]],
+               outcomes: list | None) -> None:
+        """Fold the candidate's ``outcomes`` for sampled ``pairs``
+        (``None``: the whole shadow dispatch raised)."""
+        self.executions += len(pairs)
+        if outcomes is None:
+            self.failures += len(pairs)
+            return
+        for (_, response), outcome in zip(pairs, outcomes):
+            if outcome.failed:
+                self.failures += 1
+            elif response.achieved_accuracy is not None:
+                # Paired appends: entry i of both windows came from the
+                # same request — pooled, and bucketed by the bin the
+                # primary served from.
+                self.primary.append(response.achieved_accuracy)
+                self.shadow.append(outcome.accuracy)
+                bucket = self.per_bin.get(response.bin_target)
+                if bucket is None:
+                    bucket = (deque(maxlen=SHADOW_WINDOW),
+                              deque(maxlen=SHADOW_WINDOW))
+                    self.per_bin[response.bin_target] = bucket
+                bucket[0].append(response.achieved_accuracy)
+                bucket[1].append(outcome.accuracy)
+
+    def status(self, name: str) -> ShadowStatus:
+        return ShadowStatus(
+            program=name, fraction=self.fraction,
+            samples=min(len(self.primary), len(self.shadow)),
+            executions=self.executions, failures=self.failures,
+            primary_accuracies=tuple(self.primary),
+            candidate_accuracies=tuple(self.shadow),
+            per_bin={target: (tuple(primary), tuple(candidate))
+                     for target, (primary, candidate)
+                     in self.per_bin.items()})
 
 
 @dataclass(frozen=True)
@@ -124,9 +216,10 @@ class FrontDoorStats:
     including batches in execution.  ``served``, ``errors``,
     ``escalations`` and ``fallbacks`` are counted from the responses of
     executed batches (a raising shard's refusals are errors); rejected
-    and expired requests count only in their own fields.
-    ``executions``, ``stacked_calls``, ``stacked_requests``,
-    ``shadow_executions`` and ``swaps`` are the shard engines'
+    and expired requests count only in their own fields.  ``swaps``
+    counts :meth:`FrontDoor.hot_swap` calls, once each.
+    ``executions``, ``stacked_calls``, ``stacked_requests`` and
+    ``shadow_executions`` are the shard engines'
     :meth:`~repro.serving.engine.ServingEngine.counters`, summed.
     Latency percentiles run over the ``ServeResponse.latency`` of
     completed requests: admission to response, queueing included.
@@ -183,13 +276,16 @@ class FrontDoor:
     :class:`~repro.serving.engine.ServingEngine` workers.
 
     ``engines`` supplies one engine per shard (use :meth:`build` to
-    expand an ``async:<shards>x<workers>`` spec).  ``queue_limit``
-    bounds each shard's admission queue; ``max_batch`` bounds how many
-    queued requests one drain hands to ``engine.serve`` (where
-    same-bin requests fuse into stacked executions);
-    ``deadline`` (seconds) expires requests still queued past it.
-    ``shedding`` enables the accuracy-shedding admission controller;
-    ``None`` disables shedding entirely (overload then only rejects).
+    expand an ``async:<shards>x<workers>`` spec); they share one
+    :class:`~repro.serving.telemetry.ServingTelemetry` (or none), the
+    door's :attr:`telemetry`.  ``store`` loads programs that were never
+    registered.  ``queue_limit`` bounds each shard's admission queue;
+    one drain hands up to its shard engine's ``batch_size`` queued
+    requests to ``engine.serve`` (where same-bin requests fuse into
+    stacked executions); ``deadline`` (seconds) expires requests still
+    queued past it.  ``shedding`` enables the accuracy-shedding
+    admission controller; ``None`` disables shedding entirely
+    (overload then only rejects).
 
     Requests enter through :meth:`submit` (a future per request, from
     any thread) or the synchronous :meth:`serve`.  Admission never
@@ -200,8 +296,8 @@ class FrontDoor:
     """
 
     def __init__(self, engines: Sequence[ServingEngine], *,
+                 store: ArtifactStore | None = None,
                  queue_limit: int = DEFAULT_QUEUE_LIMIT,
-                 max_batch: int = DEFAULT_BATCH_SIZE,
                  deadline: float | None = None,
                  shedding: SheddingPolicy | None = None):
         engines = list(engines)
@@ -210,19 +306,28 @@ class FrontDoor:
                               "engine")
         if queue_limit < 1:
             raise ConfigError("queue_limit must be >= 1")
-        if max_batch < 1:
-            raise ConfigError("max_batch must be >= 1")
         if deadline is not None and not deadline > 0:  # NaN too
             raise ConfigError("deadline must be positive (or None)")
+        telemetries = {id(engine.telemetry): engine.telemetry
+                       for engine in engines}
+        if len(telemetries) > 1:
+            # Drift detection and a swap's window reset read one
+            # telemetry for the whole tier.
+            raise ConfigError("a front door's shard engines must share "
+                              "one ServingTelemetry (or all have none)")
         self._engines = engines
+        self.store = store
+        (self.telemetry,) = telemetries.values()
         self.queue_limit = queue_limit
-        self.max_batch = max_batch
         self.deadline = deadline
         self.shedding = shedding
 
-        # One lock guards every queue, busy flag and counter; each
-        # shard's worker sleeps on its own condition of that lock.
+        # One lock guards the registry, every queue, busy flag and
+        # counter; each shard's worker sleeps on its own condition of
+        # that lock.
         self._lock = threading.Lock()
+        self._programs: dict[str, TunedProgram] = {}
+        self._shadows: dict[str, _ShadowState] = {}
         self._ready = [threading.Condition(self._lock) for _ in engines]
         self._queues: list[deque[_Item]] = [deque() for _ in engines]
         # A shard is busy from the drain of a batch until the booking
@@ -240,6 +345,7 @@ class FrontDoor:
         self._errors = 0
         self._escalations = 0
         self._fallbacks = 0
+        self._swaps = 0
         self._executing = 0              # drained, not yet resolved
         self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._recent: deque[float] = deque(maxlen=RECENT_WINDOW)
@@ -256,7 +362,6 @@ class FrontDoor:
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, plan: "ShardPlan | str", *,
-              store: ArtifactStore | None = None,
               shard_backend: "str | ExecutionBackend | None" = None,
               batch_size: int = DEFAULT_BATCH_SIZE,
               telemetry: ServingTelemetry | None = None,
@@ -267,9 +372,9 @@ class FrontDoor:
         own backend (``plan.shard_backend_spec``, i.e. a
         ``process:<workers>`` pool — override with ``shard_backend``,
         e.g. ``"serial"`` for tests and single-core hosts; a backend
-        instance serves a one-shard plan).  All
-        shards share ``store`` and ``telemetry``; remaining keyword
-        arguments go to :class:`FrontDoor` itself.
+        instance serves a one-shard plan), ``batch_size`` and the
+        shared ``telemetry``.  Remaining keyword arguments (``store``
+        among them) go to :class:`FrontDoor` itself.
         """
         if isinstance(plan, str):
             plan = backend_from_spec(plan, allow_sharded=True)
@@ -279,34 +384,110 @@ class FrontDoor:
                 f"spec or ShardPlan; got {plan!r}")
         spec = (shard_backend if shard_backend is not None
                 else plan.shard_backend_spec)
-        engines = [ServingEngine(store=store,
-                                 backend=backend_from_spec(spec),
+        engines = [ServingEngine(backend=backend_from_spec(spec),
                                  batch_size=batch_size,
                                  telemetry=telemetry)
                    for _ in range(plan.shards)]
-        kwargs.setdefault("max_batch", batch_size)
         return cls(engines, **kwargs)
 
     # ------------------------------------------------------------------
-    # Program registry passthroughs (fan out to every shard)
+    # Program registry and shadow deployments
     # ------------------------------------------------------------------
     def register(self, name: str, tuned: TunedProgram) -> None:
-        """Serve ``tuned`` under ``name`` on every shard."""
-        for engine in self._engines:
-            engine.register(name, tuned)
+        """Serve ``tuned`` under ``name`` (usually its root name)."""
+        with self._lock:
+            self._programs[name] = tuned
 
-    def hot_swap(self, name: str, tuned: TunedProgram) -> None:
-        """Atomically replace ``name`` on every shard."""
-        for engine in self._engines:
-            engine.hot_swap(name, tuned)
+    def hot_swap(self, name: str, tuned: TunedProgram
+                 ) -> TunedProgram | None:
+        """Atomically replace the program served under ``name``.
+
+        Requests admitted before the swap finish on the program they
+        were admitted under; every request admitted after it, on any
+        shard, runs ``tuned``.  Any active shadow of ``name`` ends (the
+        usual promotion path swaps in the shadow's own candidate), the
+        name's telemetry windows reset so the new artifact is judged
+        on its own traffic, and the previous program is returned for
+        audit or rollback.
+
+        A replacement compiled from another root raises
+        :class:`~repro.errors.ArtifactError` and changes nothing.
+        """
+        with self._lock:
+            previous = self._programs.get(name)
+            if previous is not None \
+                    and tuned.program.root != previous.program.root:
+                raise ArtifactError(
+                    f"cannot hot-swap {name!r}: the replacement is "
+                    f"compiled from root {tuned.program.root!r}, the "
+                    f"served program from {previous.program.root!r}")
+            self._programs[name] = tuned
+            self._shadows.pop(name, None)
+            self._swaps += 1
+        if self.telemetry is not None:
+            self.telemetry.reset(name)
+        return previous
 
     def program_for(self, name: str, tag: str = DEFAULT_TAG
                     ) -> TunedProgram:
-        return self._engines[0].program_for(name, tag)
+        """The tuned program serving ``name``; store-backed and cached."""
+        with self._lock:
+            tuned = self._programs.get(name)
+        if tuned is not None:
+            return tuned
+        if self.store is None:
+            raise ArtifactError(
+                f"no tuned program registered as {name!r} and the "
+                f"front door has no artifact store to load it from")
+        # Load outside the lock: disk I/O plus program recompilation
+        # must not stall admission or stats().
+        tuned = self.store.load_tuned(name, tag)
+        with self._lock:
+            # A concurrent loader may have won; first one in wins so
+            # every request serves the same TunedProgram object.
+            return self._programs.setdefault(name, tuned)
 
     @property
     def programs(self) -> tuple[str, ...]:
-        return self._engines[0].programs
+        with self._lock:
+            return tuple(self._programs)
+
+    def start_shadow(self, name: str, candidate: TunedProgram, *,
+                     fraction: float = 0.25) -> None:
+        """Shadow ``candidate`` on a sampled fraction of ``name``'s
+        traffic.
+
+        Every ``1/fraction``-th successfully served request is re-run
+        on the candidate (batched and fused on its shard's backend,
+        like live traffic); only its achieved accuracy is recorded —
+        callers always receive the primary's outputs, even when the
+        candidate crashes.  Sampling is a deterministic stride over
+        the whole tier, so a fixed request sequence shadows a fixed
+        subset.  The last :data:`SHADOW_WINDOW` pairs are kept.
+        """
+        if not 0.0 < fraction <= 1.0:
+            raise ValueError("shadow fraction must be in (0, 1]")
+        self.program_for(name)  # primary must exist (or load) first
+        with self._lock:
+            self._shadows[name] = _ShadowState(candidate, fraction)
+
+    def shadow_status(self, name: str) -> ShadowStatus | None:
+        """Progress of ``name``'s shadow, or ``None`` when inactive."""
+        with self._lock:
+            state = self._shadows.get(name)
+            return None if state is None else state.status(name)
+
+    def stop_shadow(self, name: str) -> ShadowStatus | None:
+        """End ``name``'s shadow; returns its final status."""
+        with self._lock:
+            state = self._shadows.pop(name, None)
+            return None if state is None else state.status(name)
+
+    def shadow_candidate(self, name: str) -> TunedProgram | None:
+        """The program currently shadowing ``name``, if any."""
+        with self._lock:
+            state = self._shadows.get(name)
+            return None if state is None else state.candidate
 
     @property
     def shards(self) -> int:
@@ -316,11 +497,6 @@ class FrontDoor:
     def shard_engines(self) -> tuple[ServingEngine, ...]:
         return tuple(self._engines)
 
-    @property
-    def shed_level(self) -> int:
-        with self._lock:
-            return self._shed_level
-
     # ------------------------------------------------------------------
     # Admission (caller threads)
     # ------------------------------------------------------------------
@@ -328,10 +504,10 @@ class FrontDoor:
         """Admit one request; the future resolves to its response.
 
         Callable from any thread.  The future *always* resolves to a
-        :class:`ServeResponse` — rejected and deadline-expired
-        requests resolve to explicit error responses, never silent
-        drops or exceptions.  Execution always happens on a shard
-        worker, never on the calling thread.
+        :class:`ServeResponse` — rejected, deadline-expired and
+        unknown-program requests resolve to explicit error responses,
+        never silent drops or exceptions.  Execution always happens on
+        a shard worker, never on the calling thread.
         """
         futures, _ = self._admit_all([request], claim=False)
         return futures[0]
@@ -342,9 +518,10 @@ class FrontDoor:
 
         The whole batch is admitted in one critical section.  When
         every admitted request landed on one idle shard, this thread
-        claims the shard and runs its first micro-batch (up to
-        ``max_batch`` requests) itself; otherwise each shard it reached
-        is woken once and hands its share to its engine as one wave.
+        claims the shard and runs its first micro-batch (up to the
+        shard engine's ``batch_size`` requests) itself; otherwise each
+        shard it reached is woken once and hands its share to its
+        engine as one wave.
         """
         futures, claimed = self._admit_all(requests, claim=True)
         if claimed is not None:
@@ -355,48 +532,82 @@ class FrontDoor:
                    ) -> tuple[list[Future], tuple[int, list[_Item]] | None]:
         """Admit ``requests`` in one critical section.
 
-        Returns their futures and, when ``claim`` is set and every
-        admitted request went to one shard that was idle, that shard
-        and the batch this thread drained from it (the shard is then
-        busy until :meth:`_run_batch` books the batch).
+        Programs not yet registered are loaded first, with the lock
+        released.  Returns the futures and, when ``claim`` is set and
+        every admitted request went to one shard that was idle, that
+        shard and the batch this thread drained from it (the shard is
+        then busy until :meth:`_run_batch` books the batch).
         """
         arrival = time.monotonic()
         futures: list[Future] = [Future() for _ in requests]
         refused: list[tuple[Future, ServeResponse]] = []
-        claimed = None
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("front door is closed")
-            idle = [not queue and not busy
-                    for queue, busy in zip(self._queues, self._busy)]
-            woken: set[int] = set()
-            for request, future in zip(requests, futures):
-                shard = self._admit(request, future, arrival, refused)
-                if shard is not None:
-                    woken.add(shard)
-            if claim and len(woken) == 1:
-                (shard,) = woken
-                if idle[shard]:
-                    live = self._drain(shard, refused)
-                    if live:
-                        claimed = shard, live
-                    if not self._queues[shard]:
-                        woken.clear()  # nothing left for the worker
-            for shard in woken:
-                self._ready[shard].notify()
+        unknown: dict[str, str] = {}     # program -> why it won't load
+        while True:
+            with self._lock:
+                if self._closed:
+                    raise RuntimeError("front door is closed")
+                missing = {request.program for request in requests
+                           if request.program not in self._programs
+                           and request.program not in unknown}
+                if not missing:
+                    claimed = self._admit_batch(
+                        requests, futures, arrival, refused, unknown,
+                        claim)
+                    break
+            for name in missing:
+                try:
+                    self.program_for(name)
+                except ReproError as exc:
+                    unknown[name] = str(exc)
         # Futures resolve outside the lock: their done-callbacks run
         # on this thread and may call back into the front door.
         for future, response in refused:
             _resolve(future, response)
         return futures, claimed
 
+    def _admit_batch(self, requests: Sequence[ServeRequest],
+                     futures: list[Future], arrival: float,
+                     refused: list[tuple[Future, ServeResponse]],
+                     unknown: Mapping[str, str], claim: bool
+                     ) -> tuple[int, list[_Item]] | None:
+        """Admit every request, wake the shards they reached, and
+        claim one idle shard for a synchronous caller (lock held)."""
+        idle = [not queue and not busy
+                for queue, busy in zip(self._queues, self._busy)]
+        woken: set[int] = set()
+        for request, future in zip(requests, futures):
+            shard = self._admit(request, future, arrival, refused,
+                                unknown)
+            if shard is not None:
+                woken.add(shard)
+        claimed = None
+        if claim and len(woken) == 1:
+            (shard,) = woken
+            if idle[shard]:
+                live = self._drain(shard, refused)
+                if live:
+                    claimed = shard, live
+                if not self._queues[shard]:
+                    woken.clear()  # nothing left for the worker
+        for shard in woken:
+            self._ready[shard].notify()
+        return claimed
+
     def _admit(self, request: ServeRequest, future: Future,
                arrival: float,
-               refused: list[tuple[Future, ServeResponse]]
-               ) -> int | None:
-        """One admission decision: shed, enqueue (returning the shard)
-        or reject (appending the refusal to ``refused``).  Lock held."""
+               refused: list[tuple[Future, ServeResponse]],
+               unknown: Mapping[str, str]) -> int | None:
+        """One admission decision: resolve the program, shed, enqueue
+        (returning the shard) or reject (appending the refusal to
+        ``refused``).  Lock held."""
         self._submitted += 1
+        tuned = self._programs.get(request.program)
+        if tuned is None:
+            # A program that could not be loaded: a completed error.
+            response = _refusal(request, unknown[request.program])
+            self._book(response, 0, arrival, time.monotonic())
+            refused.append((future, response))
+            return None
         degraded = 0
         if self.shedding is not None:
             fill = (sum(len(queue) for queue in self._queues)
@@ -408,7 +619,7 @@ class FrontDoor:
             self._shed_level = update_shed_level(
                 self._shed_level, fill, self.shedding, p95=p95)
             if self._shed_level > 0:
-                request, degraded = self._degrade(request,
+                request, degraded = self._degrade(request, tuned,
                                                   self._shed_level)
         shard = self._pick_shard()
         if shard is None:
@@ -419,23 +630,17 @@ class FrontDoor:
         deadline = (None if self.deadline is None
                     else arrival + self.deadline)
         self._queues[shard].append(_Item(
-            request=request, degraded=degraded, arrival=arrival,
-            deadline=deadline, future=future))
+            request=request, tuned=tuned, degraded=degraded,
+            arrival=arrival, deadline=deadline, future=future))
         return shard
 
-    def _degrade(self, request: ServeRequest, level: int
-                 ) -> tuple[ServeRequest, int]:
-        """Shed ``request`` by up to ``level`` bins (floor-bounded;
-        lock held)."""
-        try:
-            tuned = self._engines[0].program_for(request.program)
-            decision = degrade_request(
-                tuned.bins, tuned.metric, request.accuracy, level,
-                floor=request.floor)
-        except ReproError:
-            # Unknown/unloadable program: admit unchanged and let the
-            # shard engine produce its usual explicit error response.
-            return request, 0
+    def _degrade(self, request: ServeRequest, tuned: TunedProgram,
+                 level: int) -> tuple[ServeRequest, int]:
+        """Shed ``request`` by up to ``level`` of ``tuned``'s bins
+        (floor-bounded; lock held)."""
+        decision = degrade_request(
+            tuned.bins, tuned.metric, request.accuracy, level,
+            floor=request.floor)
         if decision.steps == 0:
             return request, 0
         self._degraded += 1
@@ -477,8 +682,8 @@ class FrontDoor:
     def _drain(self, shard: int,
                expired: list[tuple[Future, ServeResponse]]
                ) -> list[_Item]:
-        """Pop up to ``max_batch`` items off an idle shard's queue
-        (lock held).
+        """Pop up to the shard engine's ``batch_size`` items off an
+        idle shard's queue (lock held).
 
         Returns the live (unexpired) items, marked executing, and marks
         the shard busy when there are any; expired items are counted
@@ -487,7 +692,7 @@ class FrontDoor:
         queue = self._queues[shard]
         now = time.monotonic()
         live = []
-        while queue and len(live) + len(expired) < self.max_batch:
+        for _ in range(min(len(queue), self._engines[shard].batch_size)):
             item = queue.popleft()
             if item.deadline is None or now <= item.deadline:
                 live.append(item)
@@ -505,8 +710,8 @@ class FrontDoor:
         return live
 
     def _run_batch(self, shard: int, live: list[_Item]) -> None:
-        """Execute a drained batch on this thread, book it, release the
-        shard, then resolve its futures.
+        """Execute a drained batch on this thread, run its shadows,
+        book it, release the shard, then resolve its futures.
 
         A raising engine fails the batch with explicit per-request
         refusals.  The booking and release sit in a ``finally``, so a
@@ -514,10 +719,12 @@ class FrontDoor:
         thread) still books the batch as refused and frees the shard
         before it propagates.
         """
+        engine = self._engines[shard]
         responses = None
         try:
-            responses = self._engines[shard].serve(
-                [item.request for item in live])
+            responses = engine.serve([item.request for item in live],
+                                     [item.tuned for item in live])
+            self._run_shadows(engine, live, responses)
         except Exception as exc:
             # A failed execution must not strand its callers: every
             # request of the batch gets an explicit error.
@@ -532,18 +739,8 @@ class FrontDoor:
             done = time.monotonic()
             with self._lock:
                 for item, response in zip(live, responses):
-                    response.degraded = item.degraded
-                    response.latency = done - item.arrival
-                    self._latencies.append(response.latency)
-                    self._recent.append(response.latency)
-                    if response.ok:
-                        self._served += 1
-                    else:
-                        self._errors += 1
-                    self._escalations += response.escalations
-                    if response.fallback:
-                        self._fallbacks += 1
-                self._completed += len(live)
+                    self._book(response, item.degraded, item.arrival,
+                               done)
                 self._executing -= len(live)
                 # Released before any future resolves, so a
                 # done-callback that calls serve() finds the shard idle.
@@ -551,6 +748,49 @@ class FrontDoor:
                 self._ready[shard].notify()
             for item, response in zip(live, responses):
                 _resolve(item.future, response)
+
+    def _run_shadows(self, engine: ServingEngine, live: list[_Item],
+                     responses: Sequence[ServeResponse]) -> None:
+        """Re-run the sampled, successfully served requests of a batch
+        on their programs' shadow candidates, on ``engine``, and
+        record the paired accuracies."""
+        sampled: dict[_ShadowState, list] = {}
+        with self._lock:
+            if not self._shadows:
+                return
+            for item, response in zip(live, responses):
+                state = self._shadows.get(item.request.program)
+                if state is None or not response.ok:
+                    continue
+                state.counter += 1
+                if state.counter % state.stride == 0:
+                    sampled.setdefault(state, []).append(
+                        (item.request, response))
+        for state, pairs in sampled.items():
+            try:
+                outcomes = engine.run_shadow(
+                    state.candidate, [request for request, _ in pairs])
+            except Exception:  # noqa: BLE001 — a crashing candidate is
+                # the shadow's failure, never the live traffic's.
+                outcomes = None
+            with self._lock:
+                state.record(pairs, outcomes)
+
+    def _book(self, response: ServeResponse, degraded: int,
+              arrival: float, done: float) -> None:
+        """Stamp and count one completed request (lock held)."""
+        response.degraded = degraded
+        response.latency = done - arrival
+        self._latencies.append(response.latency)
+        self._recent.append(response.latency)
+        self._completed += 1
+        if response.ok:
+            self._served += 1
+        else:
+            self._errors += 1
+        self._escalations += response.escalations
+        if response.fallback:
+            self._fallbacks += 1
 
     # ------------------------------------------------------------------
     # Stats & lifecycle
@@ -565,7 +805,7 @@ class FrontDoor:
                 shed_level=self._shed_level,
                 served=self._served, errors=self._errors,
                 escalations=self._escalations,
-                fallbacks=self._fallbacks,
+                fallbacks=self._fallbacks, swaps=self._swaps,
                 queued=(sum(len(queue) for queue in self._queues)
                         + self._executing))
             latencies = list(self._latencies)
@@ -606,7 +846,6 @@ class FrontDoor:
     def __repr__(self) -> str:
         return (f"FrontDoor(shards={len(self._engines)}, "
                 f"queue_limit={self.queue_limit}, "
-                f"max_batch={self.max_batch}, "
                 f"deadline={self.deadline}, "
                 f"shedding={self.shedding!r})")
 

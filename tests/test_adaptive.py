@@ -12,6 +12,10 @@ The companion test retunes against *stale* (ultra-calm) training data:
 the candidate looks great in training, regresses in shadow, and must
 be rolled back — with the store's latest pointer and the served
 program untouched.
+
+The controller drives a front door, so the promotion scenario also
+runs behind two shards: one telemetry sees both shards' traffic, and
+the promotion swaps once for the whole tier.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from repro.runtime.backends import ThreadPoolBackend
 from repro.runtime.executor import TunedProgram
 from repro.serving import (
     ArtifactStore,
+    FrontDoor,
     RetuneController,
     ServeRequest,
-    ServingEngine,
     ServingTelemetry,
 )
 
@@ -109,8 +113,10 @@ def make_requests(sigma: float, count: int, *, first_seed: int = 0
     return requests
 
 
-def build_world(tmp_path, retune_sigma: float, *, backend=None):
-    """Tune on calm traffic, deploy, and wire the adaptive stack."""
+def build_world(tmp_path, retune_sigma: float, *, backend=None,
+                shards: int = 1):
+    """Tune on calm traffic, deploy, and wire the adaptive stack behind
+    a front door of ``shards`` serial shards (or one on ``backend``)."""
     program, _ = compile_program(make_adaptmean_transform())
     with ProgramTestHarness(program, make_generator(CALM_SIGMA),
                             base_seed=3) as harness:
@@ -124,10 +130,11 @@ def build_world(tmp_path, retune_sigma: float, *, backend=None):
     store = ArtifactStore(tmp_path / "artifacts")
     store.save(result.to_artifact(confidence=0.9))
     telemetry = ServingTelemetry(window=64)
-    engine = ServingEngine(store=store, telemetry=telemetry,
-                           backend=backend)
-    engine.register("adaptmean",
-                    store.load_tuned("adaptmean", compiled=program))
+    door = FrontDoor.build(
+        f"async:{shards}x1", store=store, telemetry=telemetry,
+        shard_backend=backend if backend is not None else "serial")
+    door.register("adaptmean",
+                  store.load_tuned("adaptmean", compiled=program))
 
     def harness_factory(name, compiled):
         return ProgramTestHarness(compiled,
@@ -135,11 +142,11 @@ def build_world(tmp_path, retune_sigma: float, *, backend=None):
                                   base_seed=11)
 
     controller = RetuneController(
-        engine, store, harness_factory=harness_factory,
+        door, store, harness_factory=harness_factory,
         settings=RETUNE, slice_trials=40, shadow_fraction=1.0,
         min_shadow_samples=6, min_drift_samples=12,
         drift_confidence=0.9)
-    return program, store, telemetry, engine, controller
+    return program, store, telemetry, door, controller
 
 
 def drive_retune_to_shadow(controller, max_polls: int = 200) -> int:
@@ -156,19 +163,22 @@ def drive_retune_to_shadow(controller, max_polls: int = 200) -> int:
 
 
 class TestAdaptiveLoop:
-    def test_drift_retune_shadow_promote_recovers(self, tmp_path):
-        program, store, telemetry, engine, controller = \
-            build_world(tmp_path, retune_sigma=SHIFT_SIGMA)
-        baseline = engine.program_for("adaptmean")
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_drift_retune_shadow_promote_recovers(self, tmp_path,
+                                                  shards):
+        program, store, telemetry, door, controller = \
+            build_world(tmp_path, retune_sigma=SHIFT_SIGMA,
+                        shards=shards)
+        baseline = door.program_for("adaptmean")
 
         # Calm traffic: guarantees hold, nothing to do.
-        engine.serve(make_requests(CALM_SIGMA, 16))
+        door.serve(make_requests(CALM_SIGMA, 16))
         assert telemetry.snapshot("adaptmean", TARGET).samples == 16
         assert controller.poll() == []
         assert controller.status() == {}
 
         # The workload shifts: observed accuracy erodes below 0.99.
-        engine.serve(make_requests(SHIFT_SIGMA, 24, first_seed=100))
+        door.serve(make_requests(SHIFT_SIGMA, 24, first_seed=100))
         drifted = telemetry.snapshot("adaptmean", TARGET)
         assert drifted.mean_accuracy < TARGET
 
@@ -187,19 +197,19 @@ class TestAdaptiveLoop:
         assert store.latest_version("adaptmean") == 1  # not served yet
 
         # Shadow evaluation on sampled live traffic, then promotion.
-        engine.serve(make_requests(SHIFT_SIGMA, 12, first_seed=200))
-        shadow = engine.shadow_status("adaptmean")
+        door.serve(make_requests(SHIFT_SIGMA, 12, first_seed=200))
+        shadow = door.shadow_status("adaptmean")
         assert shadow is not None and shadow.samples >= 6
         actions = controller.poll()
         assert any("promoted" in action for action in actions)
         assert controller.status() == {}
         assert store.latest_version("adaptmean") == 2
-        assert engine.counters()["swaps"] == 1
-        assert engine.program_for("adaptmean") is not baseline
-        assert engine.shadow_status("adaptmean") is None
+        assert door.stats().swaps == 1
+        assert door.program_for("adaptmean") is not baseline
+        assert door.shadow_status("adaptmean") is None
 
         # Served accuracy recovers on the shifted workload.
-        responses = engine.serve(
+        responses = door.serve(
             make_requests(SHIFT_SIGMA, 16, first_seed=300))
         assert all(r.ok for r in responses)
         recovered = telemetry.snapshot("adaptmean", TARGET)
@@ -207,22 +217,23 @@ class TestAdaptiveLoop:
         assert recovered.mean_accuracy >= TARGET
         # And the detector agrees the new artifact holds.
         assert controller.check_drift() == {}
+        door.close()
 
     def test_regressing_candidate_rolled_back(self, tmp_path):
-        program, store, telemetry, engine, controller = \
+        program, store, telemetry, door, controller = \
             build_world(tmp_path, retune_sigma=STALE_SIGMA)
-        baseline = engine.program_for("adaptmean")
+        baseline = door.program_for("adaptmean")
 
         # Same drift as above...
-        engine.serve(make_requests(SHIFT_SIGMA, 24, first_seed=100))
+        door.serve(make_requests(SHIFT_SIGMA, 24, first_seed=100))
         actions = controller.poll()
         assert any("drift" in action for action in actions)
         drive_retune_to_shadow(controller)
 
         # ...but the retune trained on stale ultra-calm data: its tiny
         # sampling config collapses on real (shifted) traffic.
-        engine.serve(make_requests(SHIFT_SIGMA, 12, first_seed=200))
-        shadow = engine.shadow_status("adaptmean")
+        door.serve(make_requests(SHIFT_SIGMA, 12, first_seed=200))
+        shadow = door.shadow_status("adaptmean")
         assert shadow is not None and shadow.samples >= 6
         candidate_mean = (sum(shadow.candidate_accuracies)
                           / len(shadow.candidate_accuracies))
@@ -236,23 +247,24 @@ class TestAdaptiveLoop:
         # and swap count are untouched; history keeps the candidate.
         assert store.latest_version("adaptmean") == 1
         assert store.versions("adaptmean") == [1, 2]
-        assert engine.program_for("adaptmean") is baseline
-        assert engine.counters()["swaps"] == 0
-        assert engine.shadow_status("adaptmean") is None
+        assert door.program_for("adaptmean") is baseline
+        assert door.stats().swaps == 0
+        assert door.shadow_status("adaptmean") is None
         # The program is suspended until an operator clears it.
         assert controller.suspended == ("adaptmean",)
         assert controller.poll() == []
         controller.clear("adaptmean")
         assert controller.suspended == ()
         assert telemetry.snapshot("adaptmean", TARGET).samples == 0
+        door.close()
 
     def test_crashing_shadow_candidate_rolled_back(self, tmp_path):
         """A candidate that raises in shadow fails only the shadow: live
         traffic stays ok, and the next poll rolls the candidate back."""
-        program, store, telemetry, engine, controller = \
+        program, store, telemetry, door, controller = \
             build_world(tmp_path, retune_sigma=SHIFT_SIGMA)
-        baseline = engine.program_for("adaptmean")
-        engine.serve(make_requests(SHIFT_SIGMA, 24, first_seed=100))
+        baseline = door.program_for("adaptmean")
+        door.serve(make_requests(SHIFT_SIGMA, 24, first_seed=100))
         controller.poll()
         drive_retune_to_shadow(controller)
 
@@ -263,46 +275,47 @@ class TestAdaptiveLoop:
             raise RuntimeError("candidate bug")
 
         crashing.execute = execute
-        engine.start_shadow("adaptmean", TunedProgram(crashing, {
+        door.start_shadow("adaptmean", TunedProgram(crashing, {
             target: crashing.default_config()
             for target in crashing.root_transform.accuracy_bins}),
             fraction=1.0)
-        responses = engine.serve(
+        responses = door.serve(
             make_requests(SHIFT_SIGMA, 4, first_seed=200))
         assert all(r.ok for r in responses)
-        assert engine.shadow_status("adaptmean").failures == 4
+        assert door.shadow_status("adaptmean").failures == 4
 
         actions = controller.poll()
         assert any("rolled back" in action and "crashed 4" in action
                    for action in actions)
-        assert engine.shadow_status("adaptmean") is None
-        assert engine.program_for("adaptmean") is baseline
-        assert engine.counters()["swaps"] == 0
+        assert door.shadow_status("adaptmean") is None
+        assert door.program_for("adaptmean") is baseline
+        assert door.stats().swaps == 0
         assert store.latest_version("adaptmean") == 1
         assert controller.suspended == ("adaptmean",)
+        door.close()
 
     def test_background_thread_promotes(self, tmp_path):
         """The same loop, driven by the controller's own thread with a
         parallel trial backend under the retune harness."""
         import time
 
-        program, store, telemetry, engine, controller = build_world(
+        program, store, telemetry, door, controller = build_world(
             tmp_path, retune_sigma=SHIFT_SIGMA,
             backend=ThreadPoolBackend(max_workers=2))
-        engine.serve(make_requests(SHIFT_SIGMA, 24, first_seed=100))
+        door.serve(make_requests(SHIFT_SIGMA, 24, first_seed=100))
         controller.start(interval=0.01)
         try:
             deadline = time.time() + 60.0
             promoted = False
             seed = 500
             while time.time() < deadline and not promoted:
-                engine.serve(make_requests(SHIFT_SIGMA, 8,
+                door.serve(make_requests(SHIFT_SIGMA, 8,
                                            first_seed=seed))
                 seed += 8
                 promoted = any("promoted" in event
                                for event in controller.events)
         finally:
             controller.stop()
-            engine.close()
+            door.close()
         assert promoted, f"events={controller.events}"
         assert store.latest_version("adaptmean") == 2

@@ -638,7 +638,7 @@ class TestService:
         store, handle = deployed_store
         tuned = handle.tuned_program()
 
-        class StubEngine:
+        class StubDoor:
             telemetry = ServingTelemetry()
             programs = ("apimean",)
 
@@ -665,7 +665,7 @@ class TestService:
             raise ConfigError("no sizes fit")
 
         controller = RetuneController(
-            StubEngine(), store, harness_factory=harness_factory,
+            StubDoor(), store, harness_factory=harness_factory,
             settings=raising_settings)
         controller.check_drift = lambda: {"apimean": [DriftEvent(
             program="apimean", target=0.9, observed=None,
@@ -748,12 +748,11 @@ class TestShardedService:
             assert isinstance(stats, FrontDoorStats)
             assert stats.submitted == stats.completed == 1
 
-    def test_adaptive_loop_unavailable_when_sharded(self,
-                                                    deployed_store):
+    def test_adaptive_loop_runs_behind_shards(self, deployed_store):
         store, _ = deployed_store
         policy = ServicePolicy(backend="async:2x1",
                                shard_backend="serial", retune="smoke")
         with Service.load(store, program="apimean", policy=policy,
                           training_inputs=apimean_inputs) as service:
-            with pytest.raises(ConfigError, match="front door"):
-                service.poll()
+            assert service.poll() == []       # no traffic, no drift
+            assert service.controller.frontdoor is service.frontdoor

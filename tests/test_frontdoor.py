@@ -4,8 +4,9 @@ Five contracts are enforced here:
 
 * **Equivalence** — a 104-request mixed-accuracy workload through the
   front door at low load is response-identical to the direct
-  ``ServingEngine`` path (same bins, outputs, escalation and fallback
-  accounting, executions and stacked calls), at one shard or three.
+  ``engine.serve(requests, programs)`` path (same bins, outputs,
+  escalation and fallback accounting, executions and stacked calls),
+  at one shard or three.
 * **Explicit refusal** — deadline-expired and queue-rejected requests
   resolve to explicit error responses and are counted; nothing is
   silently dropped, and every stats snapshot balances
@@ -23,8 +24,9 @@ Five contracts are enforced here:
   reports zeros, not a crash.
 
 A Hypothesis state machine then drives random interleavings of
-submits, sync serves, held shards, stats and close, checking the
-refusal and outcome accounting in every step.
+submits, sync serves, held shards, hot swaps, stats and close, checking
+the refusal and outcome accounting in every step, and that every
+request runs on the program version it was admitted under.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,7 +59,11 @@ from repro.runtime.backends import (
 )
 from repro.runtime.batching import run_batch_stacked
 from repro.runtime.executor import TunedProgram
-from repro.runtime.policy import SheddingPolicy, update_shed_level
+from repro.runtime.policy import (
+    SheddingPolicy,
+    plan_request,
+    update_shed_level,
+)
 import repro.serving.frontdoor as frontdoor_module
 from repro.serving import (
     FrontDoor,
@@ -75,9 +82,17 @@ HIGHER = AccuracyMetric(lambda outputs, inputs: 0.0, "higher")
 # ----------------------------------------------------------------------
 # Doubles: a duck-typed shard engine with a controllable gate
 # ----------------------------------------------------------------------
+FAKE_BINS = (0.5, 0.9, 0.99)
+
+
 class FakeTuned:
-    bins = (0.5, 0.9, 0.99)
+    """Tuned-program double: bins, a metric and a compiled root."""
+
     metric = HIGHER
+    program = SimpleNamespace(root="fake")
+
+    def __init__(self, bins=FAKE_BINS):
+        self.bins = bins
 
 
 class GateEngine:
@@ -85,10 +100,16 @@ class GateEngine:
 
     Lets tests hold a shard busy (to queue traffic behind it
     deterministically) and inspect exactly which requests — at which
-    accuracies and batch sizes — reached execution.
+    accuracies and batch sizes — reached execution.  Each response
+    reports the bin dynamic bin lookup picks on the program the
+    request was admitted under.
     """
 
-    def __init__(self, *, open_gate: bool = False, delay: float = 0.0):
+    telemetry = None
+
+    def __init__(self, *, open_gate: bool = False, delay: float = 0.0,
+                 batch_size: int = 64):
+        self.batch_size = batch_size
         self.gate = threading.Event()
         self.started = threading.Event()
         self.batches: list[list[ServeRequest]] = []
@@ -99,7 +120,7 @@ class GateEngine:
         if open_gate:
             self.gate.set()
 
-    def serve(self, requests):
+    def serve(self, requests, programs):
         self.threads.append(threading.current_thread())
         self.started.set()
         assert self.gate.wait(10.0), "test gate never released"
@@ -107,22 +128,16 @@ class GateEngine:
         self.batches.append(list(requests))
         self.executions += len(requests)
         return [ServeResponse(
-            program=request.program, ok=True, outputs={"est": 1.0},
-            bin_target=request.accuracy, requested_accuracy=request.accuracy,
+            program=request.program, ok=True, outputs={"tuned": tuned},
+            bin_target=plan_request(tuned.bins, tuned.metric,
+                                    accuracy=request.accuracy).start,
+            requested_accuracy=request.accuracy,
             achieved_accuracy=1.0, guarantee=None)
-            for request in requests]
-
-    def program_for(self, name, tag=None):
-        return FakeTuned()
-
-    @property
-    def programs(self):
-        return ("fake",)
+            for request, tuned in zip(requests, programs)]
 
     def counters(self):
         return {"executions": self.executions, "stacked_calls": 0,
-                "stacked_requests": 0, "shadow_executions": 0,
-                "swaps": 0}
+                "stacked_requests": 0, "shadow_executions": 0}
 
     def close(self):
         self.closed = True
@@ -136,18 +151,26 @@ class RaisingEngine(GateEngine):
         super().__init__(**kwargs)
         self.failures = 1
 
-    def serve(self, requests):
+    def serve(self, requests, programs):
         self.started.set()
         assert self.gate.wait(10.0), "test gate never released"
         if self.failures:
             self.failures -= 1
             raise RuntimeError("backend crashed")
-        return super().serve(requests)
+        return super().serve(requests, programs)
 
 
 def fake_request(accuracy=0.99, floor=None):
     return ServeRequest(program="fake", inputs={}, n=8.0,
                         accuracy=accuracy, floor=floor)
+
+
+def fake_door(engines, **kwargs) -> FrontDoor:
+    """A front door over engine doubles, serving ``FakeTuned`` as
+    ``"fake"``."""
+    door = FrontDoor(engines, **kwargs)
+    door.register("fake", FakeTuned())
+    return door
 
 
 # ----------------------------------------------------------------------
@@ -164,8 +187,7 @@ class TestFrontDoorEquivalence:
     def test_104_requests_match_direct_engine(self, tuned, shards):
         requests = mixed_requests(104)
         with ServingEngine() as engine:
-            engine.register("pickmean", tuned)
-            direct = engine.serve(requests)
+            direct = engine.serve(requests, [tuned] * len(requests))
             reference = engine.counters()
         with FrontDoor.build(f"async:{shards}x1", shard_backend="serial",
                              shedding=None) as door:
@@ -237,7 +259,6 @@ class TestBuild:
 
     @pytest.mark.parametrize("kwargs, match", [
         (dict(queue_limit=0), "queue_limit"),
-        (dict(max_batch=0), "max_batch"),
         (dict(deadline=0.0), "deadline"),
         (dict(deadline=float("nan")), "deadline"),
     ])
@@ -252,7 +273,7 @@ class TestBuild:
 class TestRefusalAccounting:
     def test_deadline_expiry_is_explicit(self):
         engine = GateEngine()
-        door = FrontDoor([engine], deadline=0.05, shedding=None)
+        door = fake_door([engine], deadline=0.05, shedding=None)
         try:
             # First request drains immediately and blocks the shard;
             # the second waits in queue past its deadline.
@@ -280,7 +301,7 @@ class TestRefusalAccounting:
 
     def test_full_queues_reject(self):
         engine = GateEngine()
-        door = FrontDoor([engine], queue_limit=2, shedding=None)
+        door = fake_door([engine], queue_limit=2, shedding=None)
         try:
             in_flight = door.submit(fake_request())
             assert engine.started.wait(5.0)
@@ -310,7 +331,7 @@ class TestRefusalAccounting:
         # no drain can make room mid-batch: exactly queue_limit
         # requests are admitted and the rest are refused.
         engine = GateEngine(open_gate=True)
-        door = FrontDoor([engine], queue_limit=2, shedding=None)
+        door = fake_door([engine], queue_limit=2, shedding=None)
         try:
             responses = door.serve([fake_request() for _ in range(5)])
             assert [r.ok for r in responses] == [True, True] + [False] * 3
@@ -325,7 +346,7 @@ class TestRefusalAccounting:
         # Four threads submit while a fifth polls stats(); every
         # snapshot must balance, batches in execution included.
         engine = GateEngine(open_gate=True, delay=0.002)
-        door = FrontDoor([engine], queue_limit=8, shedding=None)
+        door = fake_door([engine], queue_limit=8, shedding=None)
         stop = threading.Event()
         unbalanced: list = []
 
@@ -371,7 +392,7 @@ class TestRefusalAccounting:
 
     def test_queued_requests_coalesce_into_one_batch(self):
         engine = GateEngine()
-        door = FrontDoor([engine], shedding=None)
+        door = fake_door([engine], shedding=None)
         try:
             first = door.submit(fake_request())
             assert engine.started.wait(5.0)
@@ -393,7 +414,7 @@ class TestRefusalAccounting:
 class TestShardFailure:
     def test_raising_engine_resolves_its_batch_and_keeps_serving(self):
         engine = RaisingEngine()
-        door = FrontDoor([engine], shedding=None)
+        door = fake_door([engine], shedding=None)
         try:
             doomed = door.submit(fake_request())
             assert engine.started.wait(5.0)
@@ -468,7 +489,7 @@ def wait_until(condition, timeout=5.0):
 class TestCallerRuns:
     def test_idle_door_serves_on_the_calling_thread(self):
         engine = GateEngine(open_gate=True)
-        with FrontDoor([engine], shedding=None) as door:
+        with fake_door([engine], shedding=None) as door:
             responses = door.serve([fake_request() for _ in range(3)])
             stats = door.stats()
         assert all(response.ok for response in responses)
@@ -478,7 +499,7 @@ class TestCallerRuns:
 
     def test_submit_never_runs_on_the_calling_thread(self):
         engine = GateEngine(open_gate=True)
-        with FrontDoor([engine], shedding=None) as door:
+        with fake_door([engine], shedding=None) as door:
             assert door.submit(fake_request()).result(5.0).ok
         [worker] = engine.threads
         assert worker is not threading.current_thread()
@@ -486,7 +507,7 @@ class TestCallerRuns:
 
     def test_busy_shard_queues_the_callers_batch_for_its_worker(self):
         engine = GateEngine()
-        door = FrontDoor([engine], shedding=None)
+        door = fake_door([engine], shedding=None)
         try:
             held = door.submit(fake_request())
             assert engine.started.wait(5.0)  # the worker holds the shard
@@ -510,7 +531,7 @@ class TestCallerRuns:
         # One batch per shard at a time: a request queued behind a
         # caller-run batch stays queued until that batch is booked.
         engine = GateEngine()
-        door = FrontDoor([engine], shedding=None)
+        door = fake_door([engine], shedding=None)
         try:
             served: list = []
             caller = threading.Thread(target=lambda: served.extend(
@@ -533,7 +554,7 @@ class TestCallerRuns:
 
     def test_drain_of_only_expired_requests_releases_the_shard(self):
         engine = GateEngine(open_gate=True)
-        door = FrontDoor([engine], deadline=1e-9, shedding=None)
+        door = fake_door([engine], deadline=1e-9, shedding=None)
         try:
             [refused] = door.serve([fake_request()])
             assert not refused.ok and "deadline expired" in refused.error
@@ -556,14 +577,14 @@ class TestCallerRuns:
             pass
 
         class InterruptedEngine(GateEngine):
-            def serve(self, requests):
+            def serve(self, requests, programs):
                 if not self.batches:
                     self.batches.append(list(requests))
                     raise Interrupt
-                return super().serve(requests)
+                return super().serve(requests, programs)
 
         engine = InterruptedEngine(open_gate=True)
-        door = FrontDoor([engine], shedding=None)
+        door = fake_door([engine], shedding=None)
         try:
             with pytest.raises(Interrupt):
                 door.serve([fake_request()])
@@ -577,7 +598,7 @@ class TestCallerRuns:
 
     def test_close_waits_for_a_caller_run_batch(self):
         engine = GateEngine()
-        door = FrontDoor([engine], shedding=None)
+        door = fake_door([engine], shedding=None)
         served: list = []
         caller = threading.Thread(target=lambda: served.extend(
             door.serve([fake_request()])))
@@ -601,7 +622,7 @@ class TestCallerRuns:
         # released before the future resolves, so the nested serve()
         # claims it and runs on that thread instead of waiting on it.
         engine = GateEngine()
-        door = FrontDoor([engine], shedding=None)
+        door = fake_door([engine], shedding=None)
         nested: list = []
         done = threading.Event()
 
@@ -731,7 +752,7 @@ def always_hot(max_level):
 class TestShedding:
     def test_degrades_in_cost_order_and_stamps_responses(self):
         engine = GateEngine(open_gate=True)
-        door = FrontDoor([engine], shedding=always_hot(2))
+        door = fake_door([engine], shedding=always_hot(2))
         try:
             responses = [door.submit(fake_request(0.99)).result(5.0)
                          for _ in range(3)]
@@ -740,16 +761,15 @@ class TestShedding:
             executed = [batch[0].accuracy for batch in engine.batches]
             assert executed == [0.9, 0.5, 0.5]
             assert [r.degraded for r in responses] == [1, 2, 2]
-            assert door.shed_level == 2
-
             stats = door.stats()
+            assert stats.shed_level == 2
             assert stats.degraded == 3 and stats.degrade_steps == 5
         finally:
             door.close()
 
     def test_floor_bin_is_respected(self):
         engine = GateEngine(open_gate=True)
-        door = FrontDoor([engine], shedding=always_hot(8))
+        door = fake_door([engine], shedding=always_hot(8))
         try:
             door.submit(fake_request(0.99)).result(5.0)  # level now 1
             floored = door.submit(
@@ -785,7 +805,7 @@ class TestShedding:
         monkeypatch.setattr(frontdoor_module, "update_shed_level",
                             recording_step)
         policy = SheddingPolicy(p95_budget=budget, max_level=2)
-        door = FrontDoor([GateEngine(open_gate=True)], shedding=policy)
+        door = fake_door([GateEngine(open_gate=True)], shedding=policy)
         try:
             for _ in range(6):
                 assert door.submit(fake_request()).result(5.0).ok
@@ -809,7 +829,7 @@ class TestShedding:
 
     def test_shedding_disabled_never_degrades(self):
         engine = GateEngine(open_gate=True)
-        door = FrontDoor([engine], shedding=None)
+        door = fake_door([engine], shedding=None)
         try:
             response = door.submit(fake_request(0.99)).result(5.0)
             assert response.degraded == 0
@@ -855,7 +875,7 @@ class TestStatsAndLifecycle:
 
     def test_close_is_idempotent_and_final(self):
         engine = GateEngine(open_gate=True)
-        door = FrontDoor([engine], shedding=None)
+        door = fake_door([engine], shedding=None)
         assert door.submit(fake_request()).result(5.0).ok
         door.close()
         door.close()
@@ -864,33 +884,95 @@ class TestStatsAndLifecycle:
 
 
 # ----------------------------------------------------------------------
+# Hot swaps under concurrent admission
+# ----------------------------------------------------------------------
+class TestConcurrentHotSwap:
+    def test_each_caller_sees_versions_in_swap_order(self):
+        # Four threads submit across two shards while a fifth swaps
+        # forward through 40 versions.  A caller's requests are
+        # admitted in order, so the versions it is served must never
+        # go back; and no swap is lost or counted twice.
+        versions = [FakeTuned() for _ in range(41)]
+        engines = [GateEngine(open_gate=True, delay=0.0005)
+                   for _ in range(2)]
+        door = FrontDoor(engines, shedding=None)
+        door.register("fake", versions[0])
+        served: list[list] = [[] for _ in range(4)]
+
+        def submit_many(slot):
+            futures = [door.submit(fake_request()) for _ in range(60)]
+            served[slot] = [future.result(10.0) for future in futures]
+
+        def swap_all():
+            for version in versions[1:]:
+                door.hot_swap("fake", version)
+                time.sleep(0.0002)
+
+        threads = [threading.Thread(target=submit_many, args=(slot,))
+                   for slot in range(4)]
+        threads.append(threading.Thread(target=swap_all))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+            door.close()
+        assert not any(thread.is_alive() for thread in threads)
+        index = {id(version): i for i, version in enumerate(versions)}
+        for responses in served:
+            assert len(responses) == 60 and all(r.ok for r in responses)
+            order = [index[id(r.outputs["tuned"])] for r in responses]
+            assert order == sorted(order)
+        assert door.stats().swaps == 40
+        assert door.program_for("fake") is versions[-1]
+
+
+# ----------------------------------------------------------------------
 # Stateful accounting: any interleaving of submit/serve/stats/close
 # ----------------------------------------------------------------------
-accuracies = st.lists(st.sampled_from(FakeTuned.bins), min_size=1,
+accuracies = st.lists(st.sampled_from(FAKE_BINS), min_size=1,
                       max_size=4)
 
 
 class FrontDoorAccounting(RuleBasedStateMachine):
     """Random interleavings of async submits, sync serves, held and
-    released shards, stats snapshots and close.
+    released shards, hot swaps, stats snapshots and close.
 
     Two shards (one crashes on its first batch), a short queue, a
     deadline shorter than a ``pause`` and live shedding, so runs reach
     rejection, expiry, degradation and shard failure.  Every snapshot
     must balance, every future must resolve to a response, and a
     closed front door must refuse new traffic.
+
+    Hot swaps alternate between two versions told apart by their
+    bins: one tunes every bin, the other only the most accurate.  Each
+    swap is bracketed by probe submits, queued behind whatever the
+    shards hold, and every served probe must run on the version that
+    was registered when it was admitted: a swap is linearizable by
+    admission order, so once any response comes from the new version,
+    no request admitted later gets the old one.
     """
 
     def __init__(self):
         super().__init__()
-        self.engines = [GateEngine(open_gate=True),
-                        RaisingEngine(open_gate=True)]
+        self.engines = [GateEngine(open_gate=True, batch_size=2),
+                        RaisingEngine(open_gate=True, batch_size=2)]
         self.door = FrontDoor(
-            self.engines, queue_limit=2, max_batch=2, deadline=0.002,
+            self.engines, queue_limit=2, deadline=0.002,
             shedding=SheddingPolicy(low_watermark=0.25,
                                     high_watermark=0.5, max_level=2))
+        self.versions = [FakeTuned(), FakeTuned(bins=FAKE_BINS[-1:])]
+        self.version = 0
+        self.door.register("fake", self.versions[0])
+        #: (wanted accuracy, version at admission, future)
+        self.probes: list = []
         self.futures = []
         self.served = 0
+        self.swaps = 0
         self.closed = False
 
     def _gates(self, open_gate: bool) -> None:
@@ -916,6 +998,23 @@ class FrontDoorAccounting(RuleBasedStateMachine):
         self.served += len(wanted)
         assert len(responses) == len(wanted)
         assert all(isinstance(r, ServeResponse) for r in responses)
+
+    def _probe(self, wanted):
+        for accuracy in wanted:
+            future = self.door.submit(fake_request(accuracy))
+            self.futures.append(future)
+            self.probes.append((accuracy, self.version, future))
+
+    @precondition(lambda self: not self.closed)
+    @rule(wanted=accuracies)
+    def hot_swap(self, wanted):
+        self._probe(wanted)
+        previous = self.door.hot_swap("fake",
+                                      self.versions[1 - self.version])
+        assert previous is self.versions[self.version]
+        self.version = 1 - self.version
+        self.swaps += 1
+        self._probe(wanted)
 
     @rule()
     def hold(self):
@@ -960,11 +1059,29 @@ class FrontDoorAccounting(RuleBasedStateMachine):
         assert stats.requests == stats.served + stats.errors \
             == stats.completed
 
+    @invariant()
+    def probes_ran_on_their_admission_version(self):
+        assert self.door.stats().swaps == self.swaps
+        for wanted, version, future in self.probes:
+            if not future.done():
+                continue
+            response = future.result()
+            if not response.ok:
+                continue  # rejected, expired or crashed: no version
+            if version == 1:
+                assert response.bin_target == FAKE_BINS[-1]
+            else:
+                # Version 0 serves the wanted bin or, shed, a cheaper
+                # one; never version 1's lone top bin for a cheaper
+                # request.
+                assert response.bin_target <= wanted
+
     def teardown(self):
         self._gates(True)
         self.door.close()
         for future in self.futures:
             assert isinstance(future.result(10.0), ServeResponse)
+        self.probes_ran_on_their_admission_version()
         stats = self.door.stats()
         assert stats.queued == 0
         assert stats.submitted == (stats.completed + stats.rejected

@@ -236,9 +236,8 @@ class TestLazyRng:
         inputs = spec.generate(7, np.random.default_rng(0))
         calls = self.count_generators(monkeypatch)
         with ServingEngine() as engine:
-            engine.register("poisson", tuned)
-            response = engine.serve_one(ServeRequest(
-                program="poisson", inputs=inputs, n=7.0))
+            [response] = engine.serve([ServeRequest(
+                program="poisson", inputs=inputs, n=7.0)], [tuned])
         assert response.ok
         assert calls == []
 

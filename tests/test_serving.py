@@ -18,6 +18,7 @@ Three contracts are enforced here:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -412,8 +413,7 @@ class TestServingEquivalence:
         requests = mixed_requests(104)
         with ServingEngine(backend=backend_factory(),
                            batch_size=32) as engine:
-            engine.register("pickmean", tuned)
-            responses = engine.serve(requests)
+            responses = engine.serve(requests, [tuned] * len(requests))
             counters = engine.counters()
 
         assert len(responses) == len(requests)
@@ -465,8 +465,8 @@ class TestServingEquivalence:
                 ("serial", lambda: SerialBackend()),
                 ("thread", lambda: ThreadPoolBackend(max_workers=4))):
             with ServingEngine(backend=factory()) as engine:
-                engine.register("pickmean", tuned)
-                responses = engine.serve(requests)
+                responses = engine.serve(requests,
+                                         [tuned] * len(requests))
             outputs[name] = [
                 (r.ok, r.bin_target, r.escalations,
                  r.outputs["est"] if r.ok else None)
@@ -475,37 +475,96 @@ class TestServingEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Engine behaviour
+# Engine behaviour, served through a one-shard front door
 # ----------------------------------------------------------------------
+def one_shard(tuned: TunedProgram | None = None, name: str = "pickmean",
+              **engine_kwargs) -> FrontDoor:
+    """A one-shard front door over a fresh engine, serving ``tuned``
+    under ``name`` when given."""
+    door = FrontDoor([ServingEngine(**engine_kwargs)], shedding=None)
+    if tuned is not None:
+        door.register(name, tuned)
+    return door
+
+
 class TestServingEngine:
     def test_unknown_program_is_an_error_response(self):
-        engine = ServingEngine()
-        response = engine.serve_one(ServeRequest(
-            program="nonesuch", inputs={}, n=4.0))
+        with one_shard() as door:
+            [response] = door.serve([ServeRequest(
+                program="nonesuch", inputs={}, n=4.0)])
+            stats = door.stats()
         assert not response.ok
         assert "nonesuch" in response.error
-        assert engine.counters()["executions"] == 0
+        assert stats.executions == 0
+        # An explicit error the door answered, not a refusal.
+        assert (stats.completed, stats.errors, stats.rejected) == (1, 1, 0)
 
     def test_store_backed_lazy_load(self, tmp_path):
         tuned = suite_tuned_program("poisson")
         store = ArtifactStore(tmp_path)
         store.save(TunedArtifact.from_tuned(tuned))
-        engine = ServingEngine(store=store)
-        assert engine.programs == ()
         rng = np.random.default_rng(5)
         from repro.suite import get_benchmark
         inputs = get_benchmark("poisson").generate(7, rng)
-        response = engine.serve_one(ServeRequest(
-            program="poisson", inputs=inputs, n=7.0))
-        assert response.ok
-        assert engine.programs == ("poisson",)
+        with FrontDoor([ServingEngine()], store=store) as door:
+            assert door.programs == ()
+            [response] = door.serve([ServeRequest(
+                program="poisson", inputs=inputs, n=7.0)])
+            assert response.ok
+            assert door.programs == ("poisson",)
+
+    def test_store_load_never_blocks_the_door(self, tmp_path,
+                                              tuned_pickmean):
+        """A program loading from the store holds no door lock: stats()
+        and admission of a registered program proceed meanwhile, and
+        the loaded program then serves its waiting request."""
+        import threading
+        _, result = tuned_pickmean
+        loading, release = threading.Event(), threading.Event()
+
+        class BlockingStore(ArtifactStore):
+            def load_tuned(self, name, tag="default", **kwargs):
+                loading.set()
+                assert release.wait(10.0), "test never released the load"
+                return result.tuned_program()
+
+        rng = np.random.default_rng(7)
+        request = ServeRequest(program="lazy",
+                               inputs=pickmean_inputs(32, rng), n=32.0,
+                               accuracy=0.9)
+        door = FrontDoor([ServingEngine()], shedding=None,
+                         store=BlockingStore(tmp_path))
+        try:
+            door.register("pickmean", result.tuned_program())
+            waiting = threading.Thread(
+                target=lambda: door.submit(request), daemon=True)
+            waiting.start()
+            assert loading.wait(10.0)
+            meanwhile: list = []
+            other = threading.Thread(target=lambda: meanwhile.extend([
+                door.stats(),
+                door.submit(replace(request, program="pickmean"))
+                .result(10.0)]), daemon=True)
+            other.start()
+            other.join(5.0)
+            assert not other.is_alive(), "the door blocked on a load"
+            stats, served = meanwhile
+            assert stats.submitted == 0      # the lazy request waits
+            assert served.ok
+            release.set()
+            waiting.join(10.0)
+            assert not waiting.is_alive()
+            assert door.programs == ("pickmean", "lazy")
+        finally:
+            release.set()
+            door.close()
+        stats = door.stats()
+        assert (stats.submitted, stats.served) == (2, 2)
 
     def test_fallback_counted_not_silent(self, tuned_pickmean):
         program, result = tuned_pickmean
-        engine = ServingEngine()
-        engine.register("pickmean", result.tuned_program())
         rng = np.random.default_rng(9)
-        with FrontDoor([engine], shedding=None) as door:
+        with one_shard(result.tuned_program()) as door:
             response = door.serve([ServeRequest(
                 program="pickmean", inputs=pickmean_inputs(32, rng),
                 n=32.0, accuracy=5.0)])[0]  # beyond every bin
@@ -520,9 +579,6 @@ class TestServingEngine:
         """Verify traffic that must climb the ladder reports its
         escalation count and the front door aggregates them."""
         program, result = tuned_pickmean
-        tuned = result.tuned_program()
-        engine = ServingEngine()
-        engine.register("pickmean", tuned)
         rng = np.random.default_rng(11)
         # Request the least accurate bin exactly, but demand (via
         # verify) an accuracy only higher bins reach; unless bin one
@@ -530,7 +586,7 @@ class TestServingEngine:
         requests = [ServeRequest(
             program="pickmean", inputs=pickmean_inputs(64, rng), n=64.0,
             accuracy=0.5, verify=True, seed=s) for s in range(8)]
-        with FrontDoor([engine], shedding=None) as door:
+        with one_shard(result.tuned_program()) as door:
             responses = door.serve(requests)
             stats = door.stats()
         assert stats.requests == 8
@@ -553,16 +609,16 @@ class TestServingEngine:
         tuned = TunedProgram(program, {
             0.5: program.default_config(),
             0.9: program.default_config()})
-        engine = ServingEngine()
-        engine.register("fragile", tuned)
-        response = engine.serve_one(ServeRequest(
-            program="fragile", inputs={"x": 1.0}, n=4.0,
-            accuracy=0.5, verify=True))
+        with one_shard(tuned, "fragile") as door:
+            [response] = door.serve([ServeRequest(
+                program="fragile", inputs={"x": 1.0}, n=4.0,
+                accuracy=0.5, verify=True)])
+            stats = door.stats()
         assert not response.ok
         assert "ZeroDivisionError" in response.error
         assert response.bin_target == 0.5
         assert response.escalations == 0  # crash did not escalate
-        assert engine.counters()["executions"] == 1
+        assert stats.executions == 1
         with pytest.raises(ZeroDivisionError):
             tuned.run({"x": 1.0}, 4.0, accuracy=0.5, verify=True)
 
@@ -575,8 +631,8 @@ class TestServingEngine:
         consistent and every response is well-formed."""
         import threading
         _, result = tuned_pickmean
+        tuned = result.tuned_program()
         engine = ServingEngine(batch_size=4)
-        engine.register("pickmean", result.tuned_program())
         per_thread = 10
         collected: list[list] = [[], []]
 
@@ -585,7 +641,8 @@ class TestServingEngine:
             requests = [ServeRequest(
                 program="pickmean", inputs=pickmean_inputs(32, rng),
                 n=32.0, accuracy=0.9, seed=i) for i in range(per_thread)]
-            collected[slot] = engine.serve(requests)
+            collected[slot] = engine.serve(requests,
+                                           [tuned] * per_thread)
 
         threads = [threading.Thread(target=worker, args=(slot,))
                    for slot in range(2)]
@@ -598,6 +655,15 @@ class TestServingEngine:
         assert all(r.ok for responses in collected for r in responses)
         # One unverified execution per request, none lost to a race.
         assert engine.counters()["executions"] == 2 * per_thread
+
+    def test_programs_must_line_up_with_requests(self, tuned_pickmean):
+        _, result = tuned_pickmean
+        request = ServeRequest(
+            program="pickmean",
+            inputs=pickmean_inputs(8, np.random.default_rng(0)), n=8.0)
+        with pytest.raises(ValueError):
+            ServingEngine().serve([request, request],
+                                  [result.tuned_program()])
 
 
 # ----------------------------------------------------------------------
@@ -626,34 +692,70 @@ class TestHotSwapAndShadow:
     def test_hot_swap_is_atomic_and_counted(self, tuned_pickmean):
         program, result = tuned_pickmean
         tuned = result.tuned_program()
-        engine = ServingEngine()
-        engine.register("pickmean", tuned)
         replacement = degraded_pickmean(program)
-        previous = engine.hot_swap("pickmean", replacement)
-        assert previous is tuned
-        assert engine.program_for("pickmean") is replacement
-        assert engine.counters()["swaps"] == 1
-        # Served traffic now follows the new program's configs.
         rng = np.random.default_rng(4)
         inputs = pickmean_inputs(32, rng)
-        response = engine.serve_one(ServeRequest(
-            program="pickmean", inputs=inputs, n=32.0, seed=5))
+        with one_shard(tuned) as door:
+            previous = door.hot_swap("pickmean", replacement)
+            assert previous is tuned
+            assert door.program_for("pickmean") is replacement
+            assert door.stats().swaps == 1
+            # Served traffic now follows the new program's configs.
+            [response] = door.serve([ServeRequest(
+                program="pickmean", inputs=inputs, n=32.0, seed=5)])
         expected = replacement.run(inputs, 32.0, seed=5)
         assert response.outputs["est"] == expected.outputs["est"]
+
+    def test_one_swap_counts_once_across_shards(self, tuned_pickmean):
+        program, result = tuned_pickmean
+        with FrontDoor.build("async:2x1", shard_backend="serial",
+                             shedding=None) as door:
+            door.register("pickmean", result.tuned_program())
+            door.hot_swap("pickmean", degraded_pickmean(program))
+            assert door.stats().swaps == 1
+            door.hot_swap("pickmean", result.tuned_program())
+            assert door.stats().swaps == 2
+
+    def test_mismatched_hot_swap_is_refused(self, tuned_pickmean):
+        """A replacement compiled from another root raises; the old
+        program keeps serving, the swap is not counted and the shadow
+        survives."""
+        from repro.serving import ServingTelemetry
+        program, result = tuned_pickmean
+        tuned = result.tuned_program()
+        stranger = suite_tuned_program("binpacking")
+        telemetry = ServingTelemetry()
+        requests = [ServeRequest(
+            program="pickmean",
+            inputs=pickmean_inputs(32, np.random.default_rng(20 + i)),
+            n=32.0, accuracy=0.9, seed=i) for i in range(4)]
+        with one_shard(tuned, telemetry=telemetry) as door:
+            door.start_shadow("pickmean", degraded_pickmean(program),
+                              fraction=1.0)
+            before = door.serve(requests)
+            with pytest.raises(ArtifactError, match="root"):
+                door.hot_swap("pickmean", stranger)
+            assert door.program_for("pickmean") is tuned
+            assert door.stats().swaps == 0
+            assert door.shadow_status("pickmean").samples == 4
+            assert telemetry.snapshots("pickmean")  # not reset
+            after = door.serve(requests)
+            assert door.shadow_status("pickmean").samples == 8
+        assert [r.outputs["est"] for r in after] == \
+            [r.outputs["est"] for r in before]
 
     def test_swap_invalidates_config_digests(self, tuned_pickmean):
         """Same name, different configs: responses must re-digest."""
         program, result = tuned_pickmean
-        engine = ServingEngine()
-        engine.register("pickmean", result.tuned_program())
         rng = np.random.default_rng(4)
         inputs = pickmean_inputs(32, rng)
         request = ServeRequest(program="pickmean", inputs=inputs,
                                n=32.0, seed=5)
-        first = engine.serve_one(request)
         replacement = degraded_pickmean(program)
-        engine.hot_swap("pickmean", replacement)
-        second = engine.serve_one(request)
+        with one_shard(result.tuned_program()) as door:
+            [first] = door.serve([request])
+            door.hot_swap("pickmean", replacement)
+            [second] = door.serve([request])
         assert second.outputs["est"] == \
             replacement.run(inputs, 32.0, seed=5).outputs["est"]
         assert first.outputs["est"] != second.outputs["est"]
@@ -664,16 +766,15 @@ class TestHotSwapAndShadow:
         swapped-in program's requests are keyed by its own configs."""
         program, result = tuned_pickmean
         backend = RecordingBackend()
-        engine = ServingEngine(backend=backend)
-        engine.register("pickmean", result.tuned_program())
         request = ServeRequest(
             program="pickmean",
             inputs=pickmean_inputs(32, np.random.default_rng(4)),
             n=32.0, seed=5)
-        first = engine.serve_one(request)
         replacement = degraded_pickmean(program)
-        engine.hot_swap("pickmean", replacement)
-        engine.serve_one(request)
+        with one_shard(result.tuned_program(), backend=backend) as door:
+            [first] = door.serve([request])
+            door.hot_swap("pickmean", replacement)
+            door.serve([request])
         old_config = result.tuned_program().bin_configs[first.bin_target]
         new_config = replacement.bin_configs[first.bin_target]
         digests = [request.digest for request in backend.requests]
@@ -683,31 +784,28 @@ class TestHotSwapAndShadow:
     def test_shadow_samples_fraction_without_changing_responses(
             self, tuned_pickmean):
         program, result = tuned_pickmean
-        tuned = result.tuned_program()
-        engine = ServingEngine()
-        engine.register("pickmean", tuned)
         requests = [ServeRequest(
             program="pickmean",
             inputs=pickmean_inputs(32, np.random.default_rng(50 + i)),
             n=32.0, accuracy=0.9, seed=i) for i in range(12)]
-        plain = engine.serve(requests)
+        with one_shard(result.tuned_program()) as door:
+            plain = door.serve(requests)
+            door.start_shadow("pickmean", degraded_pickmean(program),
+                              fraction=0.25)
+            shadowed = door.serve(requests)
+            # Callers always get the primary's outputs.
+            assert [r.outputs["est"] for r in shadowed] == \
+                [r.outputs["est"] for r in plain]
+            status = door.shadow_status("pickmean")
+            assert status.samples == 3  # every 4th of 12 ok requests
+            assert status.executions == 3
+            assert len(status.primary_accuracies) == \
+                len(status.candidate_accuracies) == 3
+            assert door.stats().shadow_executions == 3
 
-        engine.start_shadow("pickmean", degraded_pickmean(program),
-                            fraction=0.25)
-        shadowed = engine.serve(requests)
-        # Callers always get the primary's outputs.
-        assert [r.outputs["est"] for r in shadowed] == \
-            [r.outputs["est"] for r in plain]
-        status = engine.shadow_status("pickmean")
-        assert status.samples == 3  # every 4th of 12 ok requests
-        assert status.executions == 3
-        assert len(status.primary_accuracies) == \
-            len(status.candidate_accuracies) == 3
-        assert engine.counters()["shadow_executions"] == 3
-
-        final = engine.stop_shadow("pickmean")
-        assert final.samples == 3
-        assert engine.shadow_status("pickmean") is None
+            final = door.stop_shadow("pickmean")
+            assert final.samples == 3
+            assert door.shadow_status("pickmean") is None
 
     def test_raising_shadow_candidate_never_fails_live_traffic(
             self, tuned_pickmean):
@@ -715,50 +813,40 @@ class TestHotSwapAndShadow:
         sampled request is a shadow failure — while callers get the
         primary's responses, ok and unchanged."""
         _, result = tuned_pickmean
-        engine = ServingEngine()
-        engine.register("pickmean", result.tuned_program())
         requests = [ServeRequest(
             program="pickmean",
             inputs=pickmean_inputs(32, np.random.default_rng(80 + i)),
             n=32.0, accuracy=0.9, seed=i) for i in range(4)]
-        plain = engine.serve(requests)
-
-        engine.start_shadow("pickmean", crashing_pickmean(),
-                            fraction=1.0)
-        shadowed = engine.serve(requests)
+        with one_shard(result.tuned_program()) as door:
+            plain = door.serve(requests)
+            door.start_shadow("pickmean", crashing_pickmean(),
+                              fraction=1.0)
+            shadowed = door.serve(requests)
+            status = door.shadow_status("pickmean")
+            stats = door.stats()
         assert all(r.ok for r in shadowed)
         assert [(r.bin_target, r.outputs["est"]) for r in shadowed] == \
             [(r.bin_target, r.outputs["est"]) for r in plain]
-        status = engine.shadow_status("pickmean")
         assert status.failures == status.executions == len(requests)
         assert status.samples == 0
-
-        with FrontDoor([engine], shedding=None) as door:
-            served = door.serve(requests)
-            stats = door.stats()
-        assert all(r.ok for r in served)
         assert stats.errors == 0
-        assert stats.served == len(requests)
-        assert engine.shadow_status("pickmean").failures == \
-            2 * len(requests)
+        assert stats.served == 2 * len(requests)
 
     def test_shadow_buckets_pairs_by_primary_bin(self, tuned_pickmean):
         """Mixed-accuracy traffic lands in per-bin windows, so a
         drifted bin is judged on its own requests."""
         program, result = tuned_pickmean
-        tuned = result.tuned_program()
-        engine = ServingEngine()
-        engine.register("pickmean", tuned)
         accuracies = [0.5, 0.99]
         requests = [ServeRequest(
             program="pickmean",
             inputs=pickmean_inputs(32, np.random.default_rng(70 + i)),
             n=32.0, accuracy=accuracies[i % 2], seed=i)
             for i in range(10)]
-        engine.start_shadow("pickmean", degraded_pickmean(program),
-                            fraction=1.0)
-        responses = engine.serve(requests)
-        status = engine.shadow_status("pickmean")
+        with one_shard(result.tuned_program()) as door:
+            door.start_shadow("pickmean", degraded_pickmean(program),
+                              fraction=1.0)
+            responses = door.serve(requests)
+            status = door.shadow_status("pickmean")
         served_bins = {r.bin_target for r in responses}
         assert set(status.per_bin) == served_bins
         for primary, candidate in status.per_bin.values():
@@ -768,31 +856,29 @@ class TestHotSwapAndShadow:
 
     def test_shadow_fraction_validated(self, tuned_pickmean):
         program, result = tuned_pickmean
-        engine = ServingEngine()
-        engine.register("pickmean", result.tuned_program())
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                engine.start_shadow("pickmean",
-                                    degraded_pickmean(program),
-                                    fraction=bad)
+        with one_shard(result.tuned_program()) as door:
+            for bad in (0.0, -0.5, 1.5):
+                with pytest.raises(ValueError):
+                    door.start_shadow("pickmean",
+                                      degraded_pickmean(program),
+                                      fraction=bad)
 
     def test_hot_swap_ends_shadow_and_resets_telemetry(
             self, tuned_pickmean):
         from repro.serving import ServingTelemetry
         program, result = tuned_pickmean
         telemetry = ServingTelemetry()
-        engine = ServingEngine(telemetry=telemetry)
-        tuned = result.tuned_program()
-        engine.register("pickmean", tuned)
-        engine.serve_one(ServeRequest(
-            program="pickmean",
-            inputs=pickmean_inputs(16, np.random.default_rng(1)),
-            n=16.0))
-        assert telemetry.snapshots("pickmean")
-        engine.start_shadow("pickmean", degraded_pickmean(program),
-                            fraction=1.0)
-        engine.hot_swap("pickmean", degraded_pickmean(program))
-        assert engine.shadow_status("pickmean") is None
+        with one_shard(result.tuned_program(),
+                       telemetry=telemetry) as door:
+            door.serve([ServeRequest(
+                program="pickmean",
+                inputs=pickmean_inputs(16, np.random.default_rng(1)),
+                n=16.0)])
+            assert telemetry.snapshots("pickmean")
+            door.start_shadow("pickmean", degraded_pickmean(program),
+                              fraction=1.0)
+            door.hot_swap("pickmean", degraded_pickmean(program))
+            assert door.shadow_status("pickmean") is None
         assert telemetry.snapshots("pickmean") == []
 
     def test_telemetry_records_served_bins(self, tuned_pickmean):
@@ -800,11 +886,12 @@ class TestHotSwapAndShadow:
         _, result = tuned_pickmean
         telemetry = ServingTelemetry()
         engine = ServingEngine(telemetry=telemetry)
-        engine.register("pickmean", result.tuned_program())
-        responses = engine.serve([ServeRequest(
+        requests = [ServeRequest(
             program="pickmean",
             inputs=pickmean_inputs(32, np.random.default_rng(60 + i)),
-            n=32.0, accuracy=0.9, seed=i) for i in range(6)])
+            n=32.0, accuracy=0.9, seed=i) for i in range(6)]
+        responses = engine.serve(requests,
+                                 [result.tuned_program()] * 6)
         bin_target = responses[0].bin_target
         snap = telemetry.snapshot("pickmean", bin_target)
         assert snap.served == 6

@@ -22,7 +22,7 @@ from repro.runtime.batching import (
     stack_signature,
 )
 from repro.runtime.executor import TunedProgram
-from repro.serving import ServeRequest, ServingEngine
+from repro.serving import FrontDoor, ServeRequest, ServingEngine
 from repro.suite import get_benchmark
 
 from tests.test_backends import RecordingBackend
@@ -162,17 +162,17 @@ class TestEngineStacking:
     def serve_wave(self, poisson_program, *, one_at_a_time: bool = False,
                    count: int = 104, verify: bool = False):
         engine = ServingEngine()
-        engine.register("poisson", poisson_tuned(poisson_program))
+        tuned = poisson_tuned(poisson_program)
         requests = [
             ServeRequest(program="poisson",
                          inputs=poisson_inputs(15, seed), n=15.0,
                          accuracy=3.0, verify=verify, seed=seed)
             for seed in range(count)]
         if one_at_a_time:
-            responses = [engine.serve([request])[0]
+            responses = [engine.serve([request], [tuned])[0]
                          for request in requests]
         else:
-            responses = engine.serve(requests)
+            responses = engine.serve(requests, [tuned] * count)
         return responses, engine.counters()
 
     def test_104_request_wave_matches_prebatching_path(
@@ -219,18 +219,21 @@ class TestEngineStacking:
             for seed in range(8)]
         statuses, counters = [], []
         for one_at_a_time in (False, True):
-            engine = ServingEngine()
-            engine.register("poisson", poisson_tuned(poisson_program))
-            engine.start_shadow("poisson",
-                                poisson_tuned(poisson_program, seed=200),
-                                fraction=1.0)
-            if one_at_a_time:
-                for request in requests:
-                    engine.serve([request])
-            else:
-                engine.serve(requests)
-            statuses.append(engine.shadow_status("poisson"))
-            counters.append(engine.counters())
+            with FrontDoor([ServingEngine()], shedding=None) as door:
+                door.register("poisson", poisson_tuned(poisson_program))
+                door.start_shadow(
+                    "poisson", poisson_tuned(poisson_program, seed=200),
+                    fraction=1.0)
+                if one_at_a_time:
+                    for request in requests:
+                        door.serve([request])
+                else:
+                    door.serve(requests)
+                statuses.append(door.shadow_status("poisson"))
+                stats = door.stats()
+            counters.append({"stacked_calls": stats.stacked_calls,
+                             "stacked_requests": stats.stacked_requests,
+                             "shadow_executions": stats.shadow_executions})
         fused, looped = statuses
         # One fused call for the live wave, one for the shadow wave.
         assert counters[0]["stacked_calls"] == 2
@@ -245,15 +248,14 @@ class TestEngineStacking:
                 getattr(looped, field), rel=1e-12)
 
     def test_mixed_sizes_unstack_correctly(self, poisson_program):
-        engine = ServingEngine()
-        engine.register("poisson", poisson_tuned(poisson_program))
         sizes = [7, 15, 7, 15, 7, 15, 7, 7]
         requests = [
             ServeRequest(program="poisson",
                          inputs=poisson_inputs(n, seed), n=float(n),
                          accuracy=3.0, seed=seed)
             for seed, n in enumerate(sizes)]
-        responses = engine.serve(requests)
+        responses = ServingEngine().serve(
+            requests, [poisson_tuned(poisson_program)] * len(sizes))
         for response, n in zip(responses, sizes):
             assert response.ok
             assert response.outputs["u"].shape == (n, n)
