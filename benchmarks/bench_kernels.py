@@ -21,6 +21,12 @@ two-product solve it replaced (at least 1.3x faster) and the same
 folded solve with broadcast multiply-and-sum block products in place
 of gemv (at least 1.5x faster).
 
+The ``TestPreSplitSweep`` section gates the block solve's sweeps over
+views split off once per solve against the per-step indexing sweeps
+they replaced, kept here as the reference: byte-identical solutions,
+and at least 1.15x faster on one right-hand side at n = 7 and 15.  Its
+B = 32 rows are recorded, not gated.
+
 The ``TestBinPackingInputs`` section gates training-input generation
 against one ``Generator.dirichlet`` call per bin, kept here as the
 reference: the items must be byte-identical and generation at n = 128
@@ -431,6 +437,71 @@ class TestBlockSolveKernel:
             f"gemv block solve at n={n} {dtype.name} ran {speedup:.2f}x "
             f"the multiply-and-sum solve, below the "
             f"{GEMV_SOLVE_FLOOR:.1f}x gate")
+
+
+#: One right-hand side through the sweeps over pre-split views must
+#: beat the per-step indexing sweeps they replaced by this factor.
+PRE_SPLIT_FLOOR = 1.15
+
+
+def _per_step_block_solve(diag_inv, forward, backward, b):
+    """The gemv block solve before its sweeps ran over pre-split
+    views, kept whole as the reference the gate below times against:
+    every step indexes the block axis afresh."""
+    diag_inv, forward, backward, b = (
+        as_float(diag_inv), as_float(forward), as_float(backward),
+        as_float(b))
+    blocks, width = b.shape[-2:]
+    couplings = max(blocks - 1, 0)
+    batch_shape = np.broadcast_shapes(
+        diag_inv.shape[:-3], forward.shape[:-3], backward.shape[:-3],
+        b.shape[:-2])
+    dtype = np.result_type(diag_inv, forward, backward, b)
+    y = np.empty(batch_shape + (blocks, width), dtype=dtype)
+    y[...] = np.matvec(diag_inv, b)
+    for k in range(1, blocks):
+        y[..., k, :] -= np.matvec(forward[..., k - 1, :, :],
+                                  y[..., k - 1, :])
+    x = np.empty_like(y)
+    x[...] = np.vecmat(y, diag_inv)
+    for k in range(blocks - 2, -1, -1):
+        x[..., k, :] -= np.matvec(backward[..., k, :, :], x[..., k + 1, :])
+    ops = 2.0 * (blocks * 2 * width * width
+                 + couplings * (2 * width * width + width))
+    return x, ops * float(np.prod(batch_shape, dtype=np.int64))
+
+
+class TestPreSplitSweep:
+    @pytest.mark.parametrize("batch", [1, 32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [7, 15])
+    def test_pre_split_solve_beats_per_step_solve(self, rng, n, dtype,
+                                                  batch):
+        """Gated at B=1, where the per-step views are most of the
+        sweep; B=32 is recorded, not gated."""
+        dtype = np.dtype(dtype)
+        blocks = _direct_blocks(n, dtype)[:3]
+        shape = (n, n) if batch == 1 else (batch, n, n)
+        rhs = rng.normal(size=shape).astype(dtype)
+        solution, ops = block_cholesky_solve(*blocks, rhs)
+        reference, reference_ops = _per_step_block_solve(*blocks, rhs)
+        assert solution.tobytes() == reference.tobytes()
+        assert ops == reference_ops
+        pre_split_s, reference_s = _best_seconds_interleaved(
+            lambda: block_cholesky_solve(*blocks, rhs),
+            lambda: _per_step_block_solve(*blocks, rhs), repeats=200)
+        speedup = reference_s / pre_split_s
+        row = {"bench": "kernels", "kernel": "block_cholesky_solve_pre_split",
+               "n": n, "dtype": dtype.name, "batch": batch,
+               "pre_split_s": round(pre_split_s, 7),
+               "per_step_s": round(reference_s, 7),
+               "speedup": round(speedup, 2), "gated": batch == 1}
+        print("BENCH_JSON " + json.dumps(row, sort_keys=True))
+        if batch == 1:
+            assert speedup >= PRE_SPLIT_FLOOR, (
+                f"pre-split block solve at n={n} {dtype.name} ran "
+                f"{speedup:.2f}x the per-step solve, below the "
+                f"{PRE_SPLIT_FLOOR:.2f}x gate")
 
 
 # ----------------------------------------------------------------------

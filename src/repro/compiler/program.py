@@ -262,12 +262,12 @@ class CompiledProgram:
             cast = []
             for name, value in data.items():
                 if isinstance(value, np.ndarray) and \
-                        np.issubdtype(value.dtype, np.floating) and \
-                        value.dtype != dtype:
+                        value.dtype.kind == "f" and value.dtype != dtype:
                     data[name] = value.astype(dtype)
                     cast.append(name)
-            trace.record("precision", depth, instance=prefix,
-                         dtype=dtype.name, cast=tuple(cast), n=n)
+            if trace.enabled:  # dtype.name alone costs microseconds
+                trace.record("precision", depth, instance=prefix,
+                             dtype=dtype.name, cast=tuple(cast), n=n)
         for group in instance.schedule:
             if group.is_choice_site:
                 index = ctx.choose(group.site_name, len(group.rules))

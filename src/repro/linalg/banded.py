@@ -145,6 +145,19 @@ def _forward_index(bandwidth: int, size: int
     return rows, cols
 
 
+def _blocks(array: np.ndarray, core: int) -> list[np.ndarray]:
+    """``array`` split along axis ``-core`` into a list of views.
+
+    Entry ``k`` is ``array[..., k, :]`` (``core - 1`` trailing axes),
+    with the same shape and strides.  One transpose and one ``list``
+    build every view in C, so a sweep step indexes a list instead of
+    building views.
+    """
+    axis = array.ndim - core
+    return list(array.transpose(axis, *range(axis),
+                                *range(axis + 1, array.ndim)))
+
+
 @kernel(stacked=True, dtype_preserving=True)
 def block_cholesky_solve(diag_inv: np.ndarray, forward: np.ndarray,
                          backward: np.ndarray, b: np.ndarray
@@ -190,21 +203,25 @@ def block_cholesky_solve(diag_inv: np.ndarray, forward: np.ndarray,
             f"(..., {blocks}, {width}, {width}) and forward and backward "
             f"(..., {couplings}, {width}, {width}), got {diag_inv.shape}, "
             f"{forward.shape} and {backward.shape}")
-    batch_shape = np.broadcast_shapes(
-        diag_inv.shape[:-3], forward.shape[:-3], backward.shape[:-3],
-        b.shape[:-2])
+    batch_shape = b.shape[:-2]
+    if not (diag_inv.shape[:-3] == forward.shape[:-3]
+            == backward.shape[:-3] == batch_shape):
+        batch_shape = np.broadcast_shapes(
+            diag_inv.shape[:-3], forward.shape[:-3], backward.shape[:-3],
+            batch_shape)
     dtype = np.result_type(diag_inv, forward, backward, b)
     # Allocated over the full batch: forward and backward may carry
     # batch axes that diag_inv and b lack.
     y = np.empty(batch_shape + (blocks, width), dtype=dtype)
     y[...] = np.matvec(diag_inv, b)
+    y_blocks, forward_blocks = _blocks(y, 2), _blocks(forward, 3)
     for k in range(1, blocks):
-        y[..., k, :] -= np.matvec(forward[..., k - 1, :, :],
-                                  y[..., k - 1, :])
+        y_blocks[k] -= np.matvec(forward_blocks[k - 1], y_blocks[k - 1])
     x = np.empty_like(y)
     x[...] = np.vecmat(y, diag_inv)
+    x_blocks, backward_blocks = _blocks(x, 2), _blocks(backward, 3)
     for k in range(blocks - 2, -1, -1):
-        x[..., k, :] -= np.matvec(backward[..., k, :, :], x[..., k + 1, :])
+        x_blocks[k] -= np.matvec(backward_blocks[k], x_blocks[k + 1])
     # Per slice and sweep: m diagonal-block products and m - 1
     # coupling products with their subtractions, 2 p^2 per product.
     ops = 2.0 * (blocks * 2 * width * width

@@ -32,7 +32,7 @@ def as_float(array) -> np.ndarray:
     ``repro.multigrid.relax``.
     """
     array = np.asarray(array)
-    if np.issubdtype(array.dtype, np.floating):
+    if array.dtype.kind == "f":
         return array
     return array.astype(np.float64)
 

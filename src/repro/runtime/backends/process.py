@@ -1,7 +1,7 @@
 """Process-pool backend.
 
-Chunks the request batch — a few chunks per worker, sized from the
-batch — and maps it over a persistent
+Chunks the request batch — a few strided chunks per worker, sized from
+the batch — and maps it over a persistent
 ``concurrent.futures.ProcessPoolExecutor``.  The compiled program is
 pickled once per pool (workers receive it through the initializer, not
 with every chunk); suite programs pickle by *provenance* — workers
@@ -132,11 +132,14 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def _chunks(self, requests: Sequence[TrialRequest]
                 ) -> list[list[TrialRequest]]:
-        # A few chunks per worker balances load without drowning the
-        # queue in pickling round-trips.
+        """A few chunks per worker, which balances load without
+        drowning the queue in pickling round-trips.  Strided, request
+        ``i`` in chunk ``i % k``: a batch lists each candidate's trials
+        together, so contiguous chunks would hand one slow candidate's
+        trials to one worker."""
         size = max(1, len(requests) // (self.max_workers * 4))
-        return [list(requests[i:i + size])
-                for i in range(0, len(requests), size)]
+        count = -(-len(requests) // size)
+        return [list(requests[i::count]) for i in range(count)]
 
     # ------------------------------------------------------------------
     def run_batch(self, program: "CompiledProgram",
@@ -167,17 +170,18 @@ class ProcessPoolBackend(ExecutionBackend):
                     raise
                 self._drop(program, pool)
                 continue
-            outcomes: list[TrialOutcome] = []
+            outcomes: list[TrialOutcome | None] = [None] * len(requests)
             try:
-                for future in futures:  # submission order => request order
-                    outcomes.extend(future.result())
+                for index, future in enumerate(futures):
+                    # Chunk ``index`` holds requests index, index + k, ...
+                    outcomes[index::len(futures)] = future.result()
             except BrokenProcessPool:
                 # A worker died mid-batch.  The batch fails, but the
                 # dead pool must not fail every later batch too.
                 self._drop(program, pool)
                 pool.shutdown(wait=False)
                 raise
-            return outcomes
+            return outcomes  # type: ignore[return-value]
         raise AssertionError("unreachable")  # the loop returns or raises
 
     def close(self) -> None:

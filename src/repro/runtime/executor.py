@@ -30,7 +30,13 @@ from repro.compiler.program import CompiledProgram, ExecutionResult
 from repro.config.configuration import Configuration
 from repro.errors import AccuracyError, TrainingError
 from repro.runtime.guarantees import StatisticalGuarantee
-from repro.runtime.policy import BinDecision, plan_request, select_bin
+from repro.runtime.policy import (
+    BinDecision,
+    RequestPlan,
+    escalation_ladders,
+    plan_request,
+    select_bin,
+)
 
 __all__ = ["TunedProgram"]
 
@@ -63,11 +69,22 @@ class TunedProgram:
             float(target): guarantee
             for target, guarantee in (guarantees or {}).items()
             if float(target) in self.bin_configs}
+        # Fixed per program: built here, read by every request.  Plans
+        # are not memoized by requested accuracy, which clients choose.
+        self._bins = tuple(self.bin_configs)
+        self._ladders = escalation_ladders(self._bins, self.metric)
 
     # ------------------------------------------------------------------
     @property
     def bins(self) -> tuple[float, ...]:
-        return tuple(self.bin_configs)
+        return self._bins
+
+    def plan(self, accuracy: float | None = None,
+             bin_target: float | None = None) -> RequestPlan:
+        """:func:`~repro.runtime.policy.plan_request` over this
+        program's bins, with the escalation ladders built once."""
+        return plan_request(self._bins, self.metric, accuracy, bin_target,
+                            ladders=self._ladders)
 
     def select(self, requested: float) -> BinDecision:
         """Dynamic bin lookup with an explicit fallback signal.
@@ -113,8 +130,7 @@ class TunedProgram:
         satisfied ``accuracy`` (``result.fallback``), and how many
         verify escalations ran (``result.escalations``).
         """
-        plan = plan_request(self.bins, self.metric, accuracy=accuracy,
-                            bin_target=bin_target)
+        plan = self.plan(accuracy, bin_target)
         fallback = plan.fallback
         required = plan.required
         last_accuracy: float | None = None

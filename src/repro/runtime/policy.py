@@ -25,14 +25,14 @@ declaration order of ``accuracy_bins`` on the transform, which every
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import TrainingError
 from repro.lang.metrics import AccuracyMetric
 
 __all__ = ["BinDecision", "RequestPlan", "select_bin",
-           "most_accurate_bin", "escalation_ladder", "plan_request",
-           "PromotionDecision", "judge_shadow",
+           "most_accurate_bin", "escalation_ladder", "escalation_ladders",
+           "plan_request", "PromotionDecision", "judge_shadow",
            "SheddingPolicy", "update_shed_level",
            "DegradeDecision", "degrade_request"]
 
@@ -85,6 +85,17 @@ def escalation_ladder(bins: Sequence[float], metric: AccuracyMetric,
                  if t == start or metric.better(t, start))
 
 
+def escalation_ladders(bins: Sequence[float], metric: AccuracyMetric
+                       ) -> dict[float, tuple[float, ...]]:
+    """Every start bin's :func:`escalation_ladder`, keyed by start.
+
+    They depend only on ``(bins, metric)``, so a deployed program
+    builds them once and hands them to every :func:`plan_request`.
+    """
+    return {start: escalation_ladder(bins, metric, start)
+            for start in bins}
+
+
 @dataclass(frozen=True)
 class RequestPlan:
     """Everything decided *before* a tuned request executes: which
@@ -102,14 +113,18 @@ class RequestPlan:
 
 def plan_request(bins: Sequence[float], metric: AccuracyMetric,
                  accuracy: float | None = None,
-                 bin_target: float | None = None) -> RequestPlan:
+                 bin_target: float | None = None, *,
+                 ladders: Mapping[float, tuple[float, ...]] | None = None
+                 ) -> RequestPlan:
     """Plan one tuned-program request.
 
     Exactly one of ``accuracy`` (resolved by dynamic bin lookup) or
     ``bin_target`` (an exact bin) may be given; with neither, the most
     accurate bin is planned.  This single prologue is shared by
     ``TunedProgram.run`` and the serving engine, so both paths decide
-    identically by construction.
+    identically by construction.  ``ladders`` are the
+    :func:`escalation_ladders` of ``(bins, metric)``, built here when
+    the caller did not build them once beforehand.
     """
     if accuracy is not None and bin_target is not None:
         raise ValueError("pass either accuracy or bin_target, not both")
@@ -128,8 +143,10 @@ def plan_request(bins: Sequence[float], metric: AccuracyMetric,
     else:
         start = most_accurate_bin(bins)
         required = float(start)
-    return RequestPlan(ladder=escalation_ladder(bins, metric, start),
-                       required=required, fallback=fallback)
+    if ladders is None:
+        ladders = escalation_ladders(bins, metric)
+    return RequestPlan(ladder=ladders[start], required=required,
+                       fallback=fallback)
 
 
 # ----------------------------------------------------------------------

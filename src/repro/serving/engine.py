@@ -55,7 +55,6 @@ from repro.runtime.backends import (
 from repro.runtime.batching import run_batch_stacked
 from repro.runtime.executor import TunedProgram
 from repro.runtime.guarantees import StatisticalGuarantee
-from repro.runtime.policy import plan_request
 from repro.serving.telemetry import ServingTelemetry
 
 if TYPE_CHECKING:
@@ -184,8 +183,7 @@ class ServingEngine:
         buffer: list | None = [] if self.telemetry is not None else None
         for index, (request, tuned) in enumerate(
                 zip(requests, programs, strict=True)):
-            plan = plan_request(tuned.bins, tuned.metric,
-                                accuracy=request.accuracy)
+            plan = tuned.plan(request.accuracy)
             pending.append(_Pending(
                 index=index, request=request, tuned=tuned,
                 ladder=plan.ladder, required=plan.required,
@@ -205,8 +203,7 @@ class ServingEngine:
         without collecting outputs; counted as shadow executions."""
         return self._execute(candidate.program, [
             self._trial_request(request, candidate.bin_configs[
-                plan_request(candidate.bins, candidate.metric,
-                             accuracy=request.accuracy).start])
+                candidate.plan(request.accuracy).start])
             for request in requests], shadow=True)
 
     def _run_wave(self, pending: list[_Pending],

@@ -744,8 +744,11 @@ class FrontDoor:
                 self._executing -= len(live)
                 # Released before any future resolves, so a
                 # done-callback that calls serve() finds the shard idle.
+                # The worker is woken only when it has something to do:
+                # a queue that filled meanwhile, or a door closing.
                 self._busy[shard] = False
-                self._ready[shard].notify()
+                if self._queues[shard] or self._closed:
+                    self._ready[shard].notify()
             for item, response in zip(live, responses):
                 _resolve(item.future, response)
 

@@ -173,6 +173,25 @@ class TestBackendEquivalence:
         assert [(o.objective, o.accuracy, o.failed) for o in serial] == \
             [(o.objective, o.accuracy, o.failed) for o in parallel]
 
+    def test_process_chunks_are_strided_and_outcomes_in_order(self):
+        """Request i rides in chunk i % k, so one candidate's adjacent
+        trials spread over the workers; outcomes still come back in
+        request order."""
+        backend = ProcessPoolBackend(max_workers=2)
+        chunks = backend._chunks(list(range(19)))
+        assert chunks == [list(range(19))[i::10] for i in range(10)]
+        program, _ = compile_program(make_pickmean_transform())
+        harness = ProgramTestHarness(program, pickmean_inputs, base_seed=3)
+        requests = [harness.build_request(
+            Candidate(program.random_config(np.random.default_rng(i))),
+            32.0, i % 3) for i in range(19)]
+        with backend:
+            parallel = backend.run_batch(program, requests)
+        serial = SerialBackend().run_batch(program, requests)
+        assert [(o.objective, o.accuracy, o.failed, o.reads)
+                for o in parallel] == \
+            [(o.objective, o.accuracy, o.failed, o.reads) for o in serial]
+
     def test_process_pool_per_program_pools(self):
         """Alternating programs keeps one warm pool per program (no
         teardown/respawn per switch), never serves another program's

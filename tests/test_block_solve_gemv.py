@@ -4,7 +4,9 @@ Every block product in :func:`block_cholesky_solve` is one
 ``np.matvec`` (or ``np.vecmat``) call, which issues one BLAS gemv per
 slice.  A stacked call must therefore equal looping the solve over
 its slices bit for bit — whatever the batch size, dtype, right-hand
-side strides or broadcast factor batch.
+side strides or broadcast factor batch.  The sweeps run over views
+split off once per solve, and must equal the per-step indexing they
+replaced byte for byte.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.linalg.banded import block_cholesky_solve
+from repro.linalg.dtypes import as_float
 
 from tests.test_batch_kernels import (
     FLOAT_DTYPES,
@@ -81,3 +84,75 @@ def test_vector_b_rejected_with_expected_shape():
     for b in (np.ones(9), np.float64(1.0)):
         with pytest.raises(ValueError, match=r"\(\.\.\., m, p\)"):
             block_cholesky_solve(diag_inv, forward, backward, b)
+
+
+def per_step_block_solve(diag_inv, forward, backward, b):
+    """The block solve as it was before its sweeps ran over pre-split
+    views, kept whole as the reference: every step indexes the block
+    axis of ``forward``, ``backward`` and the solution afresh."""
+    diag_inv, forward, backward, b = (
+        as_float(diag_inv), as_float(forward), as_float(backward),
+        as_float(b))
+    blocks, width = b.shape[-2:]
+    couplings = max(blocks - 1, 0)
+    batch_shape = np.broadcast_shapes(
+        diag_inv.shape[:-3], forward.shape[:-3], backward.shape[:-3],
+        b.shape[:-2])
+    dtype = np.result_type(diag_inv, forward, backward, b)
+    y = np.empty(batch_shape + (blocks, width), dtype=dtype)
+    y[...] = np.matvec(diag_inv, b)
+    for k in range(1, blocks):
+        y[..., k, :] -= np.matvec(forward[..., k - 1, :, :],
+                                  y[..., k - 1, :])
+    x = np.empty_like(y)
+    x[...] = np.vecmat(y, diag_inv)
+    for k in range(blocks - 2, -1, -1):
+        x[..., k, :] -= np.matvec(backward[..., k, :, :], x[..., k + 1, :])
+    ops = 2.0 * (blocks * 2 * width * width
+                 + couplings * (2 * width * width + width))
+    return x, ops * float(np.prod(batch_shape, dtype=np.int64))
+
+
+def assert_solve_equals_per_step(blocks, b):
+    x, ops = block_cholesky_solve(*blocks, b)
+    expected, expected_ops = per_step_block_solve(*blocks, b)
+    assert x.dtype == expected.dtype and x.shape == expected.shape
+    assert x.tobytes() == expected.tobytes()
+    assert ops == expected_ops
+
+
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+class TestPreSplitSweep:
+    """The sweeps over pre-split views are bit-identical to indexing
+    the block axis at every step: the same gemv runs on views of the
+    same shape and strides."""
+
+    @pytest.mark.parametrize("batch_shape", [(), (3,), (2, 3)])
+    def test_batched_right_hand_sides(self, batch_shape, dtype):
+        n = 7
+        rng = rng_for(400 + len(batch_shape))
+        assert_solve_equals_per_step(
+            poisson_blocks(n, dtype),
+            rng.standard_normal(batch_shape + (n, n)).astype(dtype))
+
+    def test_strided_right_hand_side(self, dtype):
+        n = 7
+        rng = rng_for(500)
+        wide = rng.standard_normal((3, n, 2 * n)).astype(dtype)
+        for b in (wide[..., ::2], np.swapaxes(wide[..., :n], -1, -2)):
+            assert not b.flags.c_contiguous
+            assert_solve_equals_per_step(poisson_blocks(n, dtype), b)
+
+    def test_factor_batches_of_different_ndims(self, dtype):
+        # forward carries a batch axis backward lacks, and the other
+        # way round, so each needs its own axis order.
+        n = 5
+        rng = rng_for(600)
+        diag_inv, forward, backward = distinct_poisson_blocks(n, 3, dtype)
+        b = rng.standard_normal((1, 3, n, n)).astype(dtype)
+        assert_solve_equals_per_step(
+            (diag_inv[0], forward[:, None], backward[0]), b)
+        assert_solve_equals_per_step(
+            (diag_inv[:, None], forward[0], backward[:, None]), b)
+        assert_solve_equals_per_step(
+            (diag_inv[0], forward[0], backward[:, None, None]), b[0])

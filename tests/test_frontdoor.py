@@ -505,6 +505,27 @@ class TestCallerRuns:
         assert worker is not threading.current_thread()
         assert worker.name == "repro-shard-0"
 
+    def test_idle_door_never_wakes_its_worker(self):
+        # Releasing a shard wakes its worker only for queued work or a
+        # closing door; a caller-run batch on an idle shard has neither.
+        engine = GateEngine(open_gate=True)
+        with fake_door([engine], shedding=None) as door:
+            ready = door._ready[0]
+            wait_until(lambda: len(ready._waiters) == 1)  # worker asleep
+            wakes: list = []
+            sleep = ready.wait
+
+            def counting_wait(*args):
+                wakes.append(threading.current_thread())
+                return sleep(*args)
+
+            ready.wait = counting_wait
+            for _ in range(200):
+                assert door.serve([fake_request()])[0].ok
+            time.sleep(0.01)
+            assert wakes == []
+        assert engine.threads == [threading.current_thread()] * 200
+
     def test_busy_shard_queues_the_callers_batch_for_its_worker(self):
         engine = GateEngine()
         door = fake_door([engine], shedding=None)

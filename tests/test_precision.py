@@ -28,6 +28,7 @@ from repro.config.parameters import (
 )
 from repro.errors import ConfigError, LanguageError
 from repro.lang import precision, rule, transform
+from repro.runtime.trace import ExecutionTrace
 from repro.serving import TunedArtifact
 from repro.suite import get_benchmark
 
@@ -176,6 +177,26 @@ class TestExecutorCast:
         assert events[0]["instance"] == "scaleit@main"
         assert events[0]["dtype"] == "float32"
         assert events[0]["cast"] == ("x",)
+
+    def test_disabled_trace_builds_no_precision_event(self, monkeypatch):
+        recorded: list = []
+        record = ExecutionTrace.record
+
+        def counting_record(trace, kind, depth=0, **payload):
+            recorded.append(kind)
+            record(trace, kind, depth, **payload)
+
+        monkeypatch.setattr(ExecutionTrace, "record", counting_record)
+        program = scaled_program()
+        config = program.default_config().with_entry(
+            "scaleit@main.precision", "float32")
+        result = program.execute({"x": np.ones(8)}, 8.0, config)
+        assert result.outputs["y"].dtype == np.float32
+        assert "precision" not in recorded and len(result.trace) == 0
+        result = program.execute({"x": np.ones(8)}, 8.0, config,
+                                 collect_trace=True)
+        [event] = result.trace.of_kind("precision")
+        assert (event["dtype"], event["cast"]) == ("float32", ("x",))
 
     def test_float32_input_is_not_recast(self):
         program = scaled_program()

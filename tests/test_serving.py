@@ -17,15 +17,17 @@ Three contracts are enforced here:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.autotuner import Autotuner, ProgramTestHarness, TunerSettings
 from repro.compiler.compile import compile_program
-from repro.errors import AccuracyError, ArtifactError
+from repro.errors import AccuracyError, ArtifactError, TrainingError
 from repro.runtime.backends import (
     ProcessPoolBackend,
     SerialBackend,
@@ -36,6 +38,7 @@ from repro.runtime.policy import (
     BinDecision,
     escalation_ladder,
     most_accurate_bin,
+    plan_request,
     select_bin,
 )
 from repro.serving import (
@@ -46,7 +49,7 @@ from repro.serving import (
     ServingEngine,
     TunedArtifact,
 )
-from repro.suite import all_benchmarks
+from repro.suite import all_benchmarks, get_benchmark
 
 from tests.test_backends import (
     RecordingBackend,
@@ -80,7 +83,6 @@ def suite_tuned_program(name: str) -> TunedProgram:
     """A TunedProgram for a suite benchmark without tuning: per-bin
     configurations sampled deterministically from the program's space
     (distinct per bin, so round-trip tests can tell bins apart)."""
-    from repro.suite import get_benchmark
     program, _ = get_benchmark(name).compile()
     configs = {}
     for index, target in enumerate(
@@ -126,6 +128,69 @@ class TestPolicy:
         assert most_accurate_bin((0.5, 0.9)) == 0.9
         with pytest.raises(ValueError):
             most_accurate_bin(())
+
+
+@functools.cache
+def ladder_program(name: str) -> TunedProgram:
+    """One shared untuned program per name: Poisson's metric is higher
+    is better, bin packing's lower is better."""
+    return suite_tuned_program(name)
+
+
+@st.composite
+def requested_accuracies(draw, name):
+    """``None``, a bin, a value between or beyond the bins, or a
+    target no bin reaches."""
+    bins = ladder_program(name).bins
+    low, high = min(bins), max(bins)
+    span = high - low
+    return draw(st.one_of(
+        st.none(), st.sampled_from(bins),
+        st.floats(min_value=low - span, max_value=high + span),
+        st.sampled_from((-1e9, 1e9))))
+
+
+class TestPrebuiltLadders:
+    """``TunedProgram.plan`` reads ladders built once per bin and
+    decides exactly as :func:`plan_request` building them per call."""
+
+    @pytest.mark.parametrize("name", ["poisson", "binpacking"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_plan_equals_plan_request(self, name, data):
+        tuned = ladder_program(name)
+        ladders = tuned._ladders
+        accuracy = data.draw(requested_accuracies(name))
+        assert tuned.plan(accuracy) == plan_request(
+            tuned.bins, tuned.metric, accuracy=accuracy)
+        target = data.draw(st.sampled_from(tuned.bins))
+        assert tuned.plan(bin_target=target) == plan_request(
+            tuned.bins, tuned.metric, bin_target=target)
+        # The plan state is one ladder per bin, whatever was requested.
+        assert tuned._ladders is ladders
+        assert set(ladders) == set(tuned.bins)
+
+    def test_unknown_bin_target_still_raises(self):
+        with pytest.raises(TrainingError, match="no tuned configuration"):
+            ladder_program("poisson").plan(bin_target=2.0)
+
+    def test_engine_and_shadow_plan_through_the_ladders(self):
+        tuned = ladder_program("poisson")
+        ladders = tuned._ladders
+        inputs = get_benchmark("poisson").generate(
+            7, np.random.default_rng(0))
+        requests = [ServeRequest(program="poisson", inputs=inputs, n=7.0,
+                                 accuracy=accuracy, verify=True)
+                    for accuracy in (None, 0.5, 2.0, 5.0, 8.0, 40.0)]
+        engine = ServingEngine()
+        responses = engine.serve(requests, [tuned] * len(requests))
+        for request, response in zip(requests, responses):
+            plan = plan_request(tuned.bins, tuned.metric,
+                                accuracy=request.accuracy)
+            assert response.bin_target in plan.ladder
+            assert response.fallback == plan.fallback
+        engine.run_shadow(tuned, requests)
+        assert tuned._ladders is ladders and len(ladders) == len(tuned.bins)
 
 
 # ----------------------------------------------------------------------
