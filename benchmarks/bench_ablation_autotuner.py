@@ -114,11 +114,13 @@ def test_ablation_guided_mutation(benchmark):
 
 
 def test_ablation_root_mutator_preference(benchmark):
-    """This repo's search refinement (EXPERIMENTS.md note 3).
+    """This repo's search refinement, not the paper's.
 
-    Weighting mutator selection toward the root instance's parameters
-    should cover at least as many accuracy bins of the recursive
-    Poisson benchmark as uniform selection, at the same budget.
+    The paper picks mutators uniformly at random; weighting selection
+    toward the root instance's parameters (``MutatorPool.prefer``),
+    which affect every execution, should cover at least as many
+    accuracy bins of the recursive Poisson benchmark as uniform
+    selection, at the same budget.
     """
     def run():
         _, preferred = tune("poisson", prefer_root_mutators=True,

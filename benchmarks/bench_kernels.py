@@ -27,6 +27,12 @@ they replaced, kept here as the reference: byte-identical solutions,
 and at least 1.15x faster on one right-hand side at n = 7 and 15.  Its
 B = 32 rows are recorded, not gated.
 
+The ``TestBlockFactorGates`` section gates the direct rules' block
+Cholesky route against copies kept here of the band route it replaced
+(band build, column-by-column band factor, band sweep): the Helmholtz
+direct solve at n = 7 and a cold build of the Poisson direct blocks
+at n = 31 must each run at least 5x faster, with agreeing solutions.
+
 The ``TestBinPackingInputs`` section gates training-input generation
 against one ``Generator.dirichlet`` call per bin, kept here as the
 reference: the items must be byte-identical and generation at n = 128
@@ -53,25 +59,22 @@ from repro.binpacking.algorithms import (
 )
 from repro.binpacking.datagen import generate_items_with_known_optimal
 from repro.clustering.kernels import assign_clusters
-from repro.linalg.banded import (
-    banded_cholesky_factor,
-    banded_cholesky_solve,
-    block_cholesky_solve,
-)
+from repro.linalg.banded import block_cholesky_factor, block_cholesky_solve
 from repro.linalg.cg import conjugate_gradient
 from repro.linalg.dtypes import as_float
 from repro.linalg.householder import tridiagonalize_symmetric
-from repro.linalg.poisson_ops import (
-    apply_laplacian_1d,
-    apply_laplacian_2d,
-    poisson_2d_banded,
-)
+from repro.linalg.poisson_ops import apply_laplacian_1d, apply_laplacian_2d
 from repro.linalg.tridiag_qr import tridiagonal_eigen_qr
 from repro.multigrid.grids import (
     coarse_size,
     is_grid_size,
     prolong,
     restrict_full_weighting,
+)
+from repro.multigrid.helmholtz3d import (
+    face_coefficients,
+    helmholtz_blocks,
+    manufactured_helmholtz_problem,
 )
 from repro.multigrid.relax import sor_poisson_2d
 from repro.suite.poisson import _direct_blocks
@@ -132,13 +135,14 @@ def test_kernel_grid_transfers(benchmark, rng):
 
 
 def test_kernel_banded_cholesky(benchmark):
+    # The direct solve DPBSV stands for: an uncached build and block
+    # factor of the n x n grid's Laplacian, then one block solve.
     n = 15
-    band = poisson_2d_banded(n, 1.0 / (n + 1))
-    b = np.arange(float(n * n))
+    b = np.arange(float(n * n)).reshape(n, n)
 
     def solve():
-        factor, _ = banded_cholesky_factor(band)
-        banded_cholesky_solve(factor, b)
+        blocks = _direct_blocks.__wrapped__(n, np.dtype(np.float64))[:3]
+        block_cholesky_solve(*blocks, b)
 
     benchmark(solve)
 
@@ -383,8 +387,8 @@ class TestBlockSolveKernel:
     def test_folded_solve_beats_two_product_solve(self, rng, n, dtype):
         dtype = np.dtype(dtype)
         diag_inv, forward, backward, _, _ = _direct_blocks(n, dtype)
-        factor, _ = banded_cholesky_factor(
-            poisson_2d_banded(n, 1.0 / (n + 1), dtype=dtype))
+        factor = _band_cholesky_factor(
+            _poisson_2d_band(n, 1.0 / (n + 1), dtype=dtype))
         # The couplings S_k, gathered from band storage as the direct
         # rule gathered them before folding.
         line = np.arange(n)
@@ -502,6 +506,168 @@ class TestPreSplitSweep:
                 f"pre-split block solve at n={n} {dtype.name} ran "
                 f"{speedup:.2f}x the per-step solve, below the "
                 f"{PRE_SPLIT_FLOOR:.2f}x gate")
+
+
+# ----------------------------------------------------------------------
+# Block factor gates, against the band route
+# ----------------------------------------------------------------------
+#: The block Cholesky route must beat the band route it replaced by
+#: this factor: the Helmholtz direct solve at n = 7, and a cold build
+#: of the Poisson direct blocks at n = 31.
+BLOCK_FACTOR_FLOOR = 5.0
+
+
+def _poisson_2d_band(n, h, dtype=None):
+    """The 2-D Poisson matrix in LAPACK lower band storage, bandwidth n,
+    built as the band route built it."""
+    size = n * n
+    scale = 1.0 / (h * h)
+    band = np.zeros((n + 1, size),
+                    dtype=np.float64 if dtype is None else dtype)
+    band[0, :] = 4.0 * scale
+    for j in range(size - 1):
+        if (j + 1) % n != 0:
+            band[1, j] = -scale
+    band[n, :size - n] = -scale
+    return band
+
+
+def _helmholtz_band(a, b, h, alpha=1.0, beta=1.0):
+    """The 3-D Helmholtz operator in lower band storage, bandwidth n^2,
+    built as the band route built it."""
+    a = as_float(a)
+    n = a.shape[0]
+    size = n ** 3
+    scale = beta / (h * h)
+    bm_x, bp_x, bm_y, bp_y, bm_z, bp_z = face_coefficients(b)
+    diagonal = (alpha * a + scale
+                * (bm_x + bp_x + bm_y + bp_y + bm_z + bp_z))
+    band = np.zeros((n * n + 1, size), dtype=diagonal.dtype)
+    band[0, :] = diagonal.reshape(-1)
+    indices = np.arange(size)
+    valid_z = indices % n < n - 1
+    valid_y = (indices // n) % n < n - 1
+    band[1, indices[valid_z]] = (-scale * bp_z).reshape(-1)[valid_z]
+    band[n, indices[valid_y]] = (-scale * bp_y).reshape(-1)[valid_y]
+    band[n * n, :size - n * n] = (-scale * bp_x).reshape(-1)[
+        :size - n * n]
+    return band
+
+
+def _band_cholesky_factor(band):
+    """The column-by-column band Cholesky factor the block factor
+    replaced, kept whole as the reference."""
+    band = np.array(as_float(band))
+    bandwidth = band.shape[-2] - 1
+    size = band.shape[-1]
+    for j in range(size):
+        pivot = band[..., 0, j]
+        if np.any(pivot <= 0.0):
+            raise np.linalg.LinAlgError(
+                f"matrix not positive definite at column {j}")
+        pivot = np.sqrt(pivot)
+        band[..., 0, j] = pivot
+        reach = min(bandwidth, size - 1 - j)
+        if reach == 0:
+            continue
+        band[..., 1:reach + 1, j] /= pivot[..., None]
+        column = band[..., 1:reach + 1, j]
+        for i in range(1, reach + 1):
+            band[..., 0:reach - i + 1, j + i] -= \
+                column[..., i - 1, None] * column[..., i - 1:reach]
+    return band
+
+
+def _band_cholesky_solve(factor, b):
+    """The band sweep the block solve replaced, kept as the reference:
+    one gather of the forward coefficients, then one column per step."""
+    x = np.array(as_float(b))
+    bandwidth, size = factor.shape[0] - 1, factor.shape[1]
+    offsets = np.arange(1, bandwidth + 1)
+    forward = factor[np.tile(offsets, (size, 1)),
+                     np.maximum(np.arange(size)[:, None] - offsets, 0)]
+    for j in range(size):
+        reach = min(bandwidth, j)
+        if reach > 0:
+            x[j] -= float(forward[j, :reach] @ x[j - reach:j][::-1])
+        x[j] /= factor[0, j]
+    for j in range(size - 1, -1, -1):
+        reach = min(bandwidth, size - 1 - j)
+        if reach > 0:
+            x[j] -= float(factor[1:reach + 1, j] @ x[j + 1:j + reach + 1])
+        x[j] /= factor[0, j]
+    return x
+
+
+def _band_route_direct_blocks(n, dtype):
+    """The Poisson direct blocks as the band route built them: factor
+    the band, gather ``L_k`` and ``S_k`` out of band storage, invert
+    and fold in float64, round once."""
+    factor = _band_cholesky_factor(
+        _poisson_2d_band(n, 1.0 / (n + 1), dtype=dtype))
+    line = np.arange(n)
+    a, c = line[:, None], line[None, :]
+    starts = (line * n)[:, None, None]
+    diag = np.tril(factor[(a - c) % (n + 1), starts + c])
+    sub = np.triu(factor[(n + a - c) % (n + 1), starts[:-1] + c]
+                  ).astype(np.float64)
+    inverse = np.linalg.inv(diag.astype(np.float64))
+    blocks = (inverse, inverse[1:] @ sub,
+              np.swapaxes(inverse[:-1], -1, -2) @ np.swapaxes(sub, -1, -2))
+    return tuple(block.astype(dtype) for block in blocks)
+
+
+def _block_gate_row(kernel, n, block_s, band_s, **extra):
+    speedup = band_s / block_s
+    row = {"bench": "kernels", "kernel": kernel, "n": n,
+           "block_s": round(block_s, 7), "band_s": round(band_s, 7),
+           "speedup": round(speedup, 2), **extra}
+    print("BENCH_JSON " + json.dumps(row, sort_keys=True))
+    assert speedup >= BLOCK_FACTOR_FLOOR, (
+        f"{kernel} at n={n} ran {speedup:.2f}x the band route, below the "
+        f"{BLOCK_FACTOR_FLOOR:.0f}x gate")
+
+
+class TestBlockFactorGates:
+    def test_helmholtz_direct_beats_band_route(self, rng):
+        n = 7
+        problem = manufactured_helmholtz_problem(n, rng)
+        a, b, f, h = problem["a"], problem["b"], problem["f"], problem["h"]
+
+        def block_route():
+            blocks, _ = block_cholesky_factor(*helmholtz_blocks(a, b, h))
+            return block_cholesky_solve(*blocks, f.reshape(n, n * n))[0]
+
+        def band_route():
+            factor = _band_cholesky_factor(_helmholtz_band(a, b, h))
+            return _band_cholesky_solve(factor, f.reshape(-1))
+
+        solution, reference = block_route(), band_route()
+        bound = 32 * np.finfo(np.float64).eps * np.abs(reference).max()
+        assert np.abs(solution.reshape(-1) - reference).max() <= bound
+        block_s, band_s = _best_seconds_interleaved(block_route, band_route,
+                                                    repeats=5)
+        _block_gate_row("helmholtz_direct_block", n, block_s, band_s)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cold_poisson_blocks_beat_band_route(self, rng, dtype):
+        n = 31
+        dtype = np.dtype(dtype)
+        build = _direct_blocks.__wrapped__  # uncached: a cold build
+        rhs = rng.normal(size=(n, n)).astype(dtype)
+        solution, _ = block_cholesky_solve(*build(n, dtype)[:3], rhs)
+        reference, _ = block_cholesky_solve(
+            *_band_route_direct_blocks(n, dtype), rhs)
+        assert solution.dtype == reference.dtype == dtype
+        # Both solve the same system; the band route's float32 factor is
+        # formed in float32, so its error sets the bound.
+        bound = 128 * np.finfo(dtype).eps * np.abs(reference).max()
+        assert np.abs(solution - reference).max() <= bound
+        block_s, band_s = _best_seconds_interleaved(
+            lambda: build(n, dtype),
+            lambda: _band_route_direct_blocks(n, dtype), repeats=5)
+        _block_gate_row("poisson_direct_blocks_cold", n, block_s, band_s,
+                        dtype=dtype.name)
 
 
 # ----------------------------------------------------------------------

@@ -8,10 +8,10 @@ Paper (n=2048, k_opt=45):
     accuracy 0.75 -> k=45, k-means++, once
     accuracy 0.95 -> k=46, k-means++, 100% stabilize
 
-Reproduced shape (see EXPERIMENTS.md for the exact rows measured): the
-chosen k grows with the accuracy bin, the lowest bin settles for cheap
-random seeding while k-means++ takes over at higher bins, and light
-iteration modes appear at low accuracy.
+Reproduced shape (the test prints the rows it measured): the chosen k
+grows with the accuracy bin, the lowest bin settles for cheap random
+seeding while k-means++ takes over at higher bins, and light iteration
+modes appear at low accuracy.
 """
 
 from conftest import run_once

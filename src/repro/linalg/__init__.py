@@ -3,8 +3,8 @@
 Replaces the LAPACK routines the paper's benchmarks call (DPBSV, the
 symmetric eigensolver drivers) with pure numpy implementations:
 
-* :mod:`repro.linalg.banded` — banded Cholesky factor/solve (DPBSV),
-  and the block solve through a block-bidiagonal factor;
+* :mod:`repro.linalg.banded` — block-tridiagonal Cholesky factor and
+  solve, priced as DPBSV's band factor and solve;
 * :mod:`repro.linalg.householder` — symmetric tridiagonalization;
 * :mod:`repro.linalg.tridiag_qr` — implicit-shift QL/QR tridiagonal
   eigensolver with eigenvector accumulation;
@@ -24,9 +24,9 @@ transforms can charge the cost model.
 """
 
 from repro.linalg.banded import (
-    banded_cholesky_factor,
-    banded_cholesky_solve,
+    block_cholesky_factor,
     block_cholesky_solve,
+    dpbsv_ops,
 )
 from repro.linalg.householder import tridiagonalize_symmetric
 from repro.linalg.tridiag_qr import tridiagonal_eigen_qr
@@ -45,13 +45,12 @@ from repro.linalg.precond import jacobi_preconditioner, polynomial_preconditione
 from repro.linalg.poisson_ops import (
     apply_laplacian_1d,
     laplacian_1d_diagonal,
-    poisson_2d_banded,
 )
 
 __all__ = [
-    "banded_cholesky_factor",
-    "banded_cholesky_solve",
+    "block_cholesky_factor",
     "block_cholesky_solve",
+    "dpbsv_ops",
     "tridiagonalize_symmetric",
     "tridiagonal_eigen_qr",
     "sturm_count",
@@ -65,5 +64,4 @@ __all__ = [
     "polynomial_preconditioner",
     "apply_laplacian_1d",
     "laplacian_1d_diagonal",
-    "poisson_2d_banded",
 ]

@@ -1,53 +1,45 @@
-"""Banded Cholesky factorization and solves.
+"""Block-tridiagonal Cholesky factorization and solves, priced as DPBSV.
 
 Stands in for LAPACK's DPBSV, which the paper's Poisson benchmark uses
 as its direct solver choice ("one direct (band Cholesky factorization
 through LAPACK's DPBSV routine)", Section 6.1.5).
 
-The symmetric positive-definite band matrix is stored in LAPACK lower
-band storage: ``band[i, j] == A[j + i, j]`` for ``0 <= i <= bandwidth``.
-Factorization costs ~ N * bandwidth^2 operations; each solve ~ 4 * N *
-bandwidth.  For the 2-D Poisson matrix on an n x n grid the bandwidth
-is n, giving the O(N * n^2) = O(n^4) direct-solve scaling that makes
-the direct choice lose to multigrid at large sizes — the crossover the
-autotuner discovers.
+Both direct solvers in the suite factor a matrix that is block
+tridiagonal by grid line or grid plane: the 2-D Poisson matrix on an
+n x n grid has n blocks of n x n, the 3-D Helmholtz operator n blocks
+of n^2 x n^2.  Their Cholesky factor ``L`` is block-bidiagonal, so it
+is factored and substituted block by block rather than column by
+column through band storage.
 
-Three kernels:
+* :func:`block_cholesky_factor` factors the diagonal and
+  sub-diagonal blocks, and returns the factor folded into the form the
+  solve takes.  It accepts stacked blocks; each slice is factored by
+  the same per-slice LAPACK and BLAS calls as an unstacked call.
+* :func:`block_cholesky_solve` substitutes through that folded factor
+  in 2m block steps, and accepts stacked right-hand sides and factors.
+  Each step takes one block product: one BLAS gemv per slice, never
+  gemm, so a stacked call rounds exactly like the slice loop.
+* :func:`dpbsv_ops` is the price both rules charge: the operation
+  counts of one band Cholesky factorization and one band solve.  A
+  band of bandwidth ``w`` over ``N`` unknowns costs ~ N * w^2 to
+  factor and ~ 4 * N * w to solve; for the 2-D Poisson matrix w = n,
+  giving the O(N * n^2) = O(n^4) direct-solve scaling that makes the
+  direct choice lose to multigrid at large sizes — the crossover the
+  autotuner discovers.
 
-* :func:`banded_cholesky_factor` factors a band, and accepts stacked
-  ``(..., bandwidth+1, size)`` bands (the per-column updates become
-  whole-batch numpy calls; the operation count scales by the number of
-  slices).
-* :func:`banded_cholesky_solve` substitutes one right-hand side
-  through one band factor, column by column.  The forward sweep reads
-  row ``j`` of ``L``, which band storage holds along an anti-diagonal,
-  so every forward coefficient is gathered in one fancy-index call
-  before the sweep.
-* :func:`block_cholesky_solve` substitutes through a factor that is
-  block-bidiagonal — the 2-D Laplacian's, whose ``L`` has one
-  lower-triangular diagonal block per grid line and upper-triangular
-  blocks below them — in 2m block steps instead of 2N column steps,
-  and accepts stacked right-hand sides and factors.  Its couplings come
-  pre-multiplied by the inverse diagonal blocks, so each step takes one
-  block product: one BLAS gemv per slice, never gemm, so a stacked
-  call rounds exactly like the slice loop.
-
-Input floating dtypes are preserved end to end (a float32 band yields
-a float32 factor and solution); non-floating inputs are promoted to
+Input floating dtypes are preserved end to end (float32 blocks yield a
+float32 factor and solution); non-floating inputs are promoted to
 float64.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
 from repro.contracts import kernel
 from repro.linalg.dtypes import as_float
 
-__all__ = ["banded_cholesky_factor", "banded_cholesky_solve",
-           "block_cholesky_solve"]
+__all__ = ["block_cholesky_factor", "block_cholesky_solve", "dpbsv_ops"]
 
 
 def _slice_count(batch_shape: tuple[int, ...]) -> float:
@@ -55,94 +47,87 @@ def _slice_count(batch_shape: tuple[int, ...]) -> float:
         else 1.0
 
 
+# Takes no arrays, so it holds both pledges trivially.
 @kernel(stacked=True, dtype_preserving=True)
-def banded_cholesky_factor(band: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky factor of an SPD band matrix, in band storage.
+def dpbsv_ops(bandwidth: int, size: int) -> tuple[float, float]:
+    """``(factor_ops, solve_ops)`` of a band Cholesky factor and solve.
 
-    ``band`` is ``(..., bandwidth+1, size)``; leading axes are batch
-    dimensions factored together.  Returns ``(L_band, ops)`` where
-    ``L_band[..., i, j] == L[j + i, j]`` per slice.  Raises
-    :class:`numpy.linalg.LinAlgError` if any slice's pivot is not
-    positive (matrix not positive definite).
+    The counts of the column-by-column band kernels DPBSV runs, in
+    closed form.  Column ``j`` of the factor reaches
+    ``r_j = min(bandwidth, size - 1 - j)`` rows below the diagonal and
+    costs ``r_j (r_j + 3) / 2 + 1`` (a square root, ``r_j`` divisions
+    and the rank-1 update of the trailing band); each of the solve's
+    two sweeps costs ``2 r + 1`` per column over the same reaches.
+    The reaches are ``0, 1, ..., w - 1`` once each and ``w`` for the
+    other ``size - w`` columns, with ``w = min(bandwidth, size - 1)``.
+    Integer arithmetic throughout, so the counts are exact.
     """
-    band = np.array(as_float(band))  # copy: factored in place
-    bandwidth = band.shape[-2] - 1
-    size = band.shape[-1]
-    ops = 0.0
-    for j in range(size):
-        pivot = band[..., 0, j]
-        if np.any(pivot <= 0.0):
-            raise np.linalg.LinAlgError(
-                f"matrix not positive definite at column {j}")
-        pivot = np.sqrt(pivot)
-        band[..., 0, j] = pivot
-        reach = min(bandwidth, size - 1 - j)
-        if reach == 0:
-            ops += 1
-            continue
-        band[..., 1:reach + 1, j] /= pivot[..., None]
-        column = band[..., 1:reach + 1, j]
-        # Rank-1 update of the trailing band columns.
-        for i in range(1, reach + 1):
-            band[..., 0:reach - i + 1, j + i] -= \
-                column[..., i - 1, None] * column[..., i - 1:reach]
-        ops += reach * (reach + 3) / 2 + 1
-    return band, ops * _slice_count(band.shape[:-2])
+    reach = max(0, min(bandwidth, size - 1))
+    tail = size - reach
+    total = reach * (reach - 1) // 2 + tail * reach
+    squares = (reach - 1) * reach * (2 * reach - 1) // 6 \
+        + tail * reach * reach
+    factor_ops = (squares + 3 * total) // 2 + size
+    solve_ops = 2 * (2 * total + size)
+    return float(factor_ops), float(solve_ops)
 
 
-@kernel(stacked=False, dtype_preserving=True)
-def banded_cholesky_solve(factor: np.ndarray, b: np.ndarray
-                          ) -> tuple[np.ndarray, float]:
-    """Solve ``A x = b`` given the band Cholesky factor of ``A``.
+@kernel(stacked=True, dtype_preserving=True)
+def block_cholesky_factor(diag: np.ndarray, sub: np.ndarray
+                          ) -> tuple[tuple[np.ndarray, np.ndarray,
+                                           np.ndarray], float]:
+    """Block Cholesky factor of an SPD block-tridiagonal matrix.
 
-    ``factor`` is one ``(bandwidth+1, size)`` band factor and ``b`` one
-    ``(size,)`` right-hand side.
+    ``diag`` is ``(..., m, p, p)`` holding the diagonal blocks ``A_k``
+    and ``sub`` is ``(..., m-1, p, p)`` holding the blocks below them,
+    ``sub[..., k-1] == A[k, k-1]``; their batch axes broadcast.  The
+    factor ``L`` has diagonal blocks ``L_k`` and couplings
+    ``S_k = L[k, k-1]``::
+
+        S_k = A[k, k-1] L_{k-1}^{-T},   L_k L_k^T = A_k - S_k S_k^T
+
+    Returns ``((diag_inv, forward, backward), ops)``: the factor folded
+    into the form :func:`block_cholesky_solve` takes —
+    ``diag_inv[..., k] == L_k^{-1}``,
+    ``forward[..., k-1] == L_k^{-1} S_k`` and
+    ``backward[..., k] == L_k^{-T} S_{k+1}^T`` — and the operations
+    spent.  Raises :class:`numpy.linalg.LinAlgError` if any slice is
+    not positive definite.
     """
-    factor = as_float(factor)
-    x = np.array(as_float(b))  # copy: substituted in place
-    if factor.ndim != 2 or x.shape != factor.shape[-1:]:
+    diag, sub = as_float(diag), as_float(sub)
+    if diag.ndim < 3 or diag.shape[-1] != diag.shape[-2] or \
+            diag.shape[-3] < 1:
         raise ValueError(
-            f"need a (bandwidth+1, size) factor and a (size,) right-hand "
-            f"side, got {factor.shape} and {x.shape}")
-    bandwidth = factor.shape[0] - 1
-    size = factor.shape[1]
-    # Forward substitution: L y = b.  Row j of L holds factor[i, j - i].
-    rows, cols = _forward_index(bandwidth, size)
-    forward = factor[rows, cols]
-    ops = 0.0
-    for j in range(size):
-        reach = min(bandwidth, j)
-        if reach > 0:
-            x[j] -= float(forward[j, :reach] @ x[j - reach:j][::-1])
-        x[j] /= factor[0, j]
-        ops += 2 * reach + 1
-    # Backward substitution: L^T x = y.  Column j of L is factor[:, j].
-    for j in range(size - 1, -1, -1):
-        reach = min(bandwidth, size - 1 - j)
-        if reach > 0:
-            x[j] -= float(factor[1:reach + 1, j] @ x[j + 1:j + reach + 1])
-        x[j] /= factor[0, j]
-        ops += 2 * reach + 1
-    return x, ops
-
-
-@functools.lru_cache(maxsize=64)
-def _forward_index(bandwidth: int, size: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, cols)`` gathering every forward-sweep coefficient.
-
-    ``factor[rows, cols][j, k] == L[j, j-k-1]`` for
-    ``k < min(bandwidth, j)``; the unused tail of each row points at
-    ``factor[k+1, 0]`` and is never read.  Returned read-only because
-    the cache hands the same arrays to every caller; bounded because
-    this public kernel accepts any band shape.
-    """
-    offsets = np.arange(1, bandwidth + 1)
-    rows = np.tile(offsets, (size, 1))
-    cols = np.maximum(np.arange(size)[:, None] - offsets, 0)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
+            f"diag must be (..., m, p, p) with m >= 1, got shape "
+            f"{diag.shape}")
+    blocks, width = diag.shape[-3:-1]
+    if sub.shape[-3:] != (blocks - 1, width, width):
+        raise ValueError(
+            f"diag of shape (..., {blocks}, {width}, {width}) needs sub "
+            f"(..., {blocks - 1}, {width}, {width}), got {sub.shape}")
+    batch_shape = np.broadcast_shapes(diag.shape[:-3], sub.shape[:-3])
+    dtype = np.result_type(diag, sub)
+    diag_inv = np.empty(batch_shape + (blocks, width, width), dtype=dtype)
+    coupling = np.empty(batch_shape + (blocks - 1, width, width),
+                        dtype=dtype)
+    pivot = diag[..., 0, :, :]
+    for k in range(blocks):
+        if k:
+            coupling[..., k - 1, :, :] = sub[..., k - 1, :, :] @ \
+                np.swapaxes(diag_inv[..., k - 1, :, :], -1, -2)
+            pivot = diag[..., k, :, :] - coupling[..., k - 1, :, :] @ \
+                np.swapaxes(coupling[..., k - 1, :, :], -1, -2)
+        diag_inv[..., k, :, :] = np.linalg.inv(np.linalg.cholesky(pivot))
+    forward = diag_inv[..., 1:, :, :] @ coupling
+    backward = (np.swapaxes(diag_inv[..., :-1, :, :], -1, -2)
+                @ np.swapaxes(coupling, -1, -2))
+    # Per slice: a Cholesky and a triangular inverse per diagonal block
+    # (p^3 / 3 each), and per coupling two products for the factor,
+    # the subtraction, and the two folds (2 p^3 per product).
+    cube = float(width) ** 3
+    ops = blocks * 2.0 * cube / 3.0 + \
+        (blocks - 1) * (8.0 * cube + width * width)
+    return (diag_inv, forward, backward), ops * _slice_count(batch_shape)
 
 
 def _blocks(array: np.ndarray, core: int) -> list[np.ndarray]:

@@ -6,13 +6,14 @@
   without it Jacobi preconditioning degenerates to a scaled identity;
   see DESIGN.md's substitution notes).
 * 2-D: the 5-point Laplacian on an n x n interior grid with Dirichlet
-  boundaries, both as a stencil application (for SOR/multigrid/CG) and
-  in the banded storage the direct solver consumes.
+  boundaries, as a stencil application (for SOR/multigrid/CG).  The
+  Poisson direct rule builds the same stencil's grid-line blocks for
+  :func:`repro.linalg.banded.block_cholesky_factor` itself.
 
 Input floating dtypes are preserved end to end (float32 stays
-float32); non-floating inputs are promoted to float64.  The matrix
-constructors take an optional ``dtype`` so callers can build operators
-in the working precision of their data.
+float32); non-floating inputs are promoted to float64.
+:func:`laplacian_1d_diagonal` takes an optional ``dtype`` so callers
+can build it in the working precision of their data.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "apply_laplacian_1d",
     "laplacian_1d_diagonal",
     "apply_laplacian_2d",
-    "poisson_2d_banded",
 ]
 
 
@@ -77,25 +77,3 @@ def apply_laplacian_2d(u: np.ndarray, h: float) -> np.ndarray:
     y[..., :, 1:] -= u[..., :, :-1]
     return y / (h * h)
 
-
-@kernel(stacked=True, dtype_preserving=True)
-def poisson_2d_banded(n: int, h: float,
-                      dtype: np.dtype | None = None) -> np.ndarray:
-    """The 2-D Poisson matrix in LAPACK lower band storage.
-
-    Unknowns are ordered row-major over the n x n interior grid; the
-    bandwidth is n.  Suitable for
-    :func:`repro.linalg.banded.banded_cholesky_factor`.
-    """
-    size = n * n
-    scale = 1.0 / (h * h)
-    band = np.zeros((n + 1, size),
-                    dtype=np.float64 if dtype is None else dtype)
-    band[0, :] = 4.0 * scale
-    # Horizontal neighbours: offset 1, absent across row boundaries.
-    for j in range(size - 1):
-        if (j + 1) % n != 0:
-            band[1, j] = -scale
-    # Vertical neighbours: offset n.
-    band[n, :size - n] = -scale
-    return band

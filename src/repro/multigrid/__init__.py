@@ -16,7 +16,7 @@ from repro.multigrid.grids import (
 from repro.multigrid.relax import sor_poisson_2d, sor_helmholtz_3d
 from repro.multigrid.helmholtz3d import (
     apply_helmholtz_3d,
-    helmholtz_banded,
+    helmholtz_blocks,
     manufactured_helmholtz_problem,
     restrict_coefficients,
 )
@@ -30,7 +30,7 @@ __all__ = [
     "sor_poisson_2d",
     "sor_helmholtz_3d",
     "apply_helmholtz_3d",
-    "helmholtz_banded",
+    "helmholtz_blocks",
     "manufactured_helmholtz_problem",
     "restrict_coefficients",
     "CycleShape",

@@ -20,7 +20,7 @@ from repro.linalg.dtypes import as_float
 __all__ = [
     "face_coefficients",
     "apply_helmholtz_3d",
-    "helmholtz_banded",
+    "helmholtz_blocks",
     "manufactured_helmholtz_problem",
     "restrict_coefficients",
 ]
@@ -64,38 +64,42 @@ def apply_helmholtz_3d(phi: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 @kernel(dtype_preserving=True)
-def helmholtz_banded(a: np.ndarray, b: np.ndarray, h: float, *,
-                     alpha: float = 1.0, beta: float = 1.0) -> np.ndarray:
-    """The operator in LAPACK lower band storage (bandwidth n^2).
+def helmholtz_blocks(a: np.ndarray, b: np.ndarray, h: float, *,
+                     alpha: float = 1.0, beta: float = 1.0
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The operator as blocks, one diagonal block per x-plane.
 
-    Unknowns ordered x-major; used by the direct-solver rule at small
-    grid sizes.  The matrix is SPD for positive ``a``/``b`` and
-    positive ``alpha``/``beta``.
+    Unknowns are ordered x-major, index ``(i, j, k)`` flattening to
+    ``i n^2 + j n + k``, so the matrix is block tridiagonal by plane.
+    Returns ``(diag, sub)``: ``diag`` is ``(n, n^2, n^2)``, each plane's
+    diagonal plus its y and z couplings; ``sub`` is
+    ``(n-1, n^2, n^2)``, the diagonal x coupling of plane ``i+1`` to
+    plane ``i`` — the form
+    :func:`repro.linalg.banded.block_cholesky_factor` takes.  The
+    matrix is SPD for positive ``a``/``b`` and positive
+    ``alpha``/``beta``.
     """
     a = as_float(a)
     n = a.shape[0]
-    size = n ** 3
+    plane = n * n
     scale = beta / (h * h)
     bm_x, bp_x, bm_y, bp_y, bm_z, bp_z = face_coefficients(b)
     diagonal = (alpha * a + scale
                 * (bm_x + bp_x + bm_y + bp_y + bm_z + bp_z))
-    band = np.zeros((n * n + 1, size), dtype=diagonal.dtype)
-    band[0, :] = diagonal.reshape(-1)
-
-    # Index (i, j, k) flattens to i*n^2 + j*n + k: offset 1 couples k
-    # (z), offset n couples j (y), offset n^2 couples i (x).
-    coupling_z = (-scale * bp_z).reshape(-1)
-    coupling_y = (-scale * bp_y).reshape(-1)
-    coupling_x = (-scale * bp_x).reshape(-1)
-    indices = np.arange(size)
-    k_index = indices % n
-    j_index = (indices // n) % n
-    valid_z = k_index < n - 1
-    valid_y = j_index < n - 1
-    band[1, indices[valid_z]] = coupling_z[valid_z]
-    band[n, indices[valid_y]] = coupling_y[valid_y]
-    band[n * n, :size - n * n] = coupling_x[:size - n * n]
-    return band
+    diag = np.zeros((n, plane, plane), dtype=diagonal.dtype)
+    points = np.arange(plane)
+    diag[:, points, points] = diagonal.reshape(n, plane)
+    # Within a plane, offset 1 couples k (z) and offset n couples j (y);
+    # the coupling at the last k or j leaves the grid and is dropped.
+    for offset, face, inside in ((1, bp_z, points % n < n - 1),
+                                 (n, bp_y, points // n < n - 1)):
+        rows = points[inside]
+        coupling = (-scale * face).reshape(n, plane)[:, inside]
+        diag[:, rows + offset, rows] = coupling
+        diag[:, rows, rows + offset] = coupling
+    sub = np.zeros((n - 1, plane, plane), dtype=diagonal.dtype)
+    sub[:, points, points] = (-scale * bp_x[:-1]).reshape(n - 1, plane)
+    return diag, sub
 
 
 @kernel(dtype_preserving=True)

@@ -18,7 +18,8 @@ from repro.errors import ExecutionError
 from repro.lang.dsl import accuracy_metric, call, rule, transform
 from repro.lang.transform import Transform
 from repro.lang.tunables import accuracy_variable, cutoff, for_enough
-from repro.linalg.banded import banded_cholesky_factor, banded_cholesky_solve
+from repro.linalg.banded import (block_cholesky_factor, block_cholesky_solve,
+                                 dpbsv_ops)
 from repro.multigrid.grids import (
     coarse_size,
     is_grid_size,
@@ -28,7 +29,7 @@ from repro.multigrid.grids import (
 from repro.multigrid.helmholtz3d import (
     apply_helmholtz_3d,
     face_coefficients,
-    helmholtz_banded,
+    helmholtz_blocks,
     manufactured_helmholtz_problem,
 )
 from repro.multigrid.relax import sor_helmholtz_3d
@@ -164,11 +165,15 @@ def build() -> tuple[Transform, tuple[Transform, ...]]:
                 raise ExecutionError(
                     f"direct solver limited to n <= {DIRECT_MAX_SIZE}, "
                     f"got {n}")
-            band = helmholtz_banded(a, b_coef, _grid_spacing(n),
-                                    alpha=ALPHA, beta=BETA)
-            factor, factor_ops = banded_cholesky_factor(band)
-            solution, solve_ops = banded_cholesky_solve(
-                factor, f.reshape(-1))
+            # Factored and solved plane by plane, but charged DPBSV's
+            # band factorization and band solve (bandwidth n^2 over
+            # n^3 unknowns), as DESIGN.md's substitution 1 describes.
+            diag, sub = helmholtz_blocks(a, b_coef, _grid_spacing(n),
+                                         alpha=ALPHA, beta=BETA)
+            blocks, _ = block_cholesky_factor(diag, sub)
+            solution, _ = block_cholesky_solve(*blocks,
+                                               f.reshape(n, n * n))
+            factor_ops, solve_ops = dpbsv_ops(n * n, n ** 3)
             ctx.add_cost(factor_ops + solve_ops)
             ctx.record("mg", action="direct", n=n)
             return solution.reshape(f.shape)

@@ -1,6 +1,6 @@
 """The 2-D Poisson benchmark (Section 6.1.5).
 
-Three algorithmic building blocks — direct (band Cholesky), iterative
+Three algorithmic building blocks — direct (Cholesky), iterative
 (Red-Black SOR) and recursive (multigrid) — plus a full-multigrid rule
 with an estimation phase.  The recursive rules call the transform
 itself through auto-accuracy call sites, so the autotuner chooses the
@@ -25,8 +25,9 @@ from repro.lang.dsl import accuracy_metric, call, rule, transform
 from repro.lang.transform import Transform
 from repro.lang.tunables import (accuracy_variable, cutoff, for_enough,
                                  precision)
-from repro.linalg.banded import banded_cholesky_factor, block_cholesky_solve
-from repro.linalg.poisson_ops import apply_laplacian_2d, poisson_2d_banded
+from repro.linalg.banded import (block_cholesky_factor, block_cholesky_solve,
+                                 dpbsv_ops)
+from repro.linalg.poisson_ops import apply_laplacian_2d
 from repro.multigrid.grids import (
     coarse_size,
     is_grid_size,
@@ -76,62 +77,42 @@ def _grid_spacing(n: int) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _direct_factor(n: int, dtype: np.dtype) -> tuple[np.ndarray, float]:
-    """Band Cholesky factor of the n x n grid's 5-point Laplacian.
-
-    The matrix depends only on ``(n, dtype)``, never on the request, so
-    it is factored once per process.  ``lru_cache`` is the sanctioned
-    memoization idiom (see ``multigrid.relax._ring_parity_indices``);
-    the cache stays small because the direct rule refuses
-    ``n > DIRECT_MAX_SIZE`` before calling it (at most ~250 KB per
-    entry).  The factor is read-only because every caller shares it.
-    """
-    band = poisson_2d_banded(n, _grid_spacing(n), dtype=dtype)
-    factor, ops = banded_cholesky_factor(band)
-    factor.setflags(write=False)
-    return factor, ops
-
-
-@functools.lru_cache(maxsize=None)
 def _direct_blocks(n: int, dtype: np.dtype
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float,
                               float]:
-    """The cached factor as the blocks :func:`block_cholesky_solve` takes.
+    """The factored 5-point Laplacian as :func:`block_cholesky_solve`
+    takes it.
 
-    Row-major unknowns make ``L`` block-bidiagonal with one block per
-    grid line: ``L[k n + a, k n + c] = factor[a - c, k n + c]`` for
-    ``a >= c`` (lower-triangular diagonal blocks ``L_k``) and
-    ``L[(k+1) n + a, k n + c] = factor[n + a - c, k n + c]`` for
-    ``a <= c`` (upper-triangular blocks ``S_{k+1}`` below them).  Both
-    are gathered straight from band storage; the ``% (n + 1)`` wraps
-    the unused triangle onto valid rows that ``tril``/``triu`` then
-    zero.  The diagonal blocks are inverted and the couplings folded
-    into them (``L_k^{-1} S_k`` and ``L_k^{-T} S_{k+1}^T``) in float64,
-    and each result is rounded once to the working dtype.
+    Row-major unknowns make the matrix block tridiagonal with one block
+    per grid line: ``n`` diagonal blocks ``tridiag(-1, 4, -1) / h^2``
+    and ``n - 1`` couplings ``-I / h^2`` below them.  The blocks are
+    built straight from the stencil and factored in float64, and each
+    folded block is rounded once to the working dtype.  The matrix
+    depends only on ``(n, dtype)``, never on the request, so it is
+    factored once per process.  ``lru_cache`` is the sanctioned
+    memoization idiom (see ``multigrid.relax._ring_parity_indices``);
+    the cache stays small because the direct rule refuses
+    ``n > DIRECT_MAX_SIZE`` before calling it.
 
     Returns ``(diag_inv, forward, backward, factor_ops, solve_ops)``:
     the read-only blocks (under 1 MB per entry, at n = 31 in float64)
     plus the per-request DPBSV price the direct rule charges — one band
-    factorization and one band solve.  ``solve_ops`` repeats the band
-    solve's count, ``2 * reach + 1`` per column in each of its two
-    sweeps: running the unstacked band solve here would put it on the
-    batchable transform's value path.
+    factorization and one band solve of bandwidth ``n`` over ``n^2``
+    unknowns.
     """
-    factor, factor_ops = _direct_factor(n, dtype)
+    h = _grid_spacing(n)
+    scale = 1.0 / (h * h)
     line = np.arange(n)
-    a, c = line[:, None], line[None, :]
-    starts = (line * n)[:, None, None]
-    diag = np.tril(factor[(a - c) % (n + 1), starts + c])
-    sub = np.triu(factor[(n + a - c) % (n + 1), starts[:-1] + c]
-                  ).astype(np.float64)
-    inverse = np.linalg.inv(diag.astype(np.float64))
-    blocks = (inverse, inverse[1:] @ sub,
-              np.swapaxes(inverse[:-1], -1, -2) @ np.swapaxes(sub, -1, -2))
+    stencil = np.zeros((n, n))
+    stencil[line, line] = 4.0 * scale
+    stencil[line[1:], line[:-1]] = stencil[line[:-1], line[1:]] = -scale
+    diag = np.broadcast_to(stencil, (n, n, n))
+    sub = np.broadcast_to(-scale * np.eye(n), (n - 1, n, n))
+    blocks, _ = block_cholesky_factor(diag, sub)
     diag_inv, forward, backward = (block.astype(dtype) for block in blocks)
     for block in (diag_inv, forward, backward):
         block.setflags(write=False)
-    solve_ops = 2.0 * sum(2 * min(n, j) + 1 for j in range(n * n))
-    return diag_inv, forward, backward, factor_ops, solve_ops
+    return (diag_inv, forward, backward, *dpbsv_ops(n, n * n))
 
 
 def _batch_count(f: np.ndarray) -> float:

@@ -9,8 +9,10 @@ operation count must be exactly B times the scalar count.
 The multigrid/stencil kernels are elementwise numpy expressions, so
 batched and scalar results are required to be *bit-identical*, and so
 is the block Cholesky solve, whose block products are broadcast
-multiply-and-sums; stacked CG reassociates reductions (einsum over the
-batch axis), so it compares under a tight allclose.
+products are one gemv per slice, and the block Cholesky factor, whose
+per-slice LAPACK and BLAS calls match an unstacked call's; stacked CG
+reassociates reductions (einsum over the batch axis), so it compares
+under a tight allclose.
 """
 
 from __future__ import annotations
@@ -20,17 +22,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.clustering.kernels import assign_clusters
-from repro.linalg.banded import (
-    banded_cholesky_factor,
-    banded_cholesky_solve,
-    block_cholesky_solve,
-)
+from repro.linalg.banded import block_cholesky_factor, block_cholesky_solve
 from repro.linalg.cg import conjugate_gradient
-from repro.linalg.poisson_ops import (
-    apply_laplacian_1d,
-    apply_laplacian_2d,
-    poisson_2d_banded,
-)
+from repro.linalg.poisson_ops import apply_laplacian_1d, apply_laplacian_2d
 from repro.multigrid.helmholtz3d import face_coefficients
 from repro.multigrid.relax import (
     _MASK_CACHE,
@@ -39,7 +33,9 @@ from repro.multigrid.relax import (
     sor_poisson_2d,
 )
 from repro.multigrid.grids import prolong, restrict_full_weighting
-from test_props_linalg import spd_bands
+from dense_reference import (assert_within_ulp_bound, dense_from_blocks,
+                             refined_solve)
+from test_props_linalg import random_spd_blocks
 
 BATCH_SIZES = (1, 3, 17)
 FLOAT_DTYPES = (np.float32, np.float64)
@@ -264,46 +260,63 @@ class TestConjugateGradient:
 
 
 # ----------------------------------------------------------------------
-# Banded Cholesky
+# Block Cholesky
 # ----------------------------------------------------------------------
+def poisson_stencil_blocks(n, h=0.125, shifts=(0.0,)):
+    """``(diag, sub)`` of the n x n grid's 5-point Laplacian, one
+    stacked copy per entry of ``shifts`` with its diagonal raised by
+    that shift, in float64."""
+    scale = 1.0 / (h * h)
+    line = np.eye(n) * 4.0 * scale - (np.eye(n, k=1) + np.eye(n, k=-1)) \
+        * scale
+    diag = np.stack([np.stack([line + shift * np.eye(n)] * n)
+                     for shift in shifts])
+    sub = np.broadcast_to(-scale * np.eye(n),
+                          (len(shifts), max(n - 1, 0), n, n))
+    return diag, sub
+
+
+def stacked_poisson_factors(n, batch, dtype):
+    """``batch`` distinct Poisson-like factors (diagonal shifted per
+    slice) in ``dtype``, as the block-bidiagonal Cholesky factor
+    ``(lower, coupling)``: ``lower[..., k] == L_k`` and
+    ``coupling[..., k-1] == S_k == L[k, k-1]``.
+
+    Sliced out of a dense float64 Cholesky factor, a route independent
+    of :func:`block_cholesky_factor`.
+    """
+    diag, sub = poisson_stencil_blocks(n, shifts=[0.1 * i
+                                                  for i in range(batch)])
+    tiles = np.linalg.cholesky(np.stack([
+        dense_from_blocks(d, s) for d, s in zip(diag, sub)])).reshape(
+            batch, n, n, n, n)
+    line = np.arange(n)
+    lower = np.moveaxis(tiles[:, line, :, line, :], 0, 1)
+    coupling = np.moveaxis(tiles[:, line[1:], :, line[:-1], :], 0, 1)
+    return lower.astype(dtype), coupling.astype(dtype)
+
+
 def block_factor(factor):
     """``(diag_inv, forward, backward)`` for :func:`block_cholesky_solve`
-    from a band factor whose size is a multiple of its bandwidth ``p``.
+    from a block-bidiagonal factor ``(lower, coupling)``.
 
-    Such a band matrix is block tridiagonal in ``p x p`` blocks, so its
-    factor is block-bidiagonal.  Built through the dense ``L`` — an
-    independent route from the direct rule's gather — with the diagonal
-    blocks ``L_k`` inverted and the couplings ``S_k`` folded into them
-    (``L_k^{-1} S_k`` and ``L_k^{-T} S_{k+1}^T``) in float64, and each
-    result rounded once, as the rule does.
+    The diagonal blocks ``L_k`` are inverted and the couplings ``S_k``
+    folded into them (``L_k^{-1} S_k`` and ``L_k^{-T} S_{k+1}^T``) in
+    float64, and each result rounded once to the factor's dtype.
     """
-    width = factor.shape[-2] - 1
-    size = factor.shape[-1]
-    blocks = size // width
-    lower = np.zeros(factor.shape[:-2] + (size, size))
-    for offset in range(width + 1):
-        column = np.arange(size - offset)
-        lower[..., column + offset, column] = factor[..., offset,
-                                                     :size - offset]
-    tiles = lower.reshape(factor.shape[:-2] + (blocks, width, blocks,
-                                               width))
-    diag = np.stack([tiles[..., k, :, k, :] for k in range(blocks)],
-                    axis=-3)
-    sub = np.zeros(factor.shape[:-2] + (blocks - 1, width, width))
-    for k in range(blocks - 1):
-        sub[..., k, :, :] = tiles[..., k + 1, :, k, :]
-    diag_inv = np.linalg.inv(diag)
-    forward = diag_inv[..., 1:, :, :] @ sub
+    lower, coupling = factor
+    diag_inv = np.linalg.inv(lower.astype(np.float64))
+    coupling = coupling.astype(np.float64)
+    forward = diag_inv[..., 1:, :, :] @ coupling
     backward = (np.swapaxes(diag_inv[..., :-1, :, :], -1, -2)
-                @ np.swapaxes(sub, -1, -2))
-    return tuple(block.astype(factor.dtype)
+                @ np.swapaxes(coupling, -1, -2))
+    return tuple(block.astype(lower.dtype)
                  for block in (diag_inv, forward, backward))
 
 
 def poisson_blocks(n, dtype=np.float64):
-    factor, _ = banded_cholesky_factor(
-        poisson_2d_banded(n, 0.125, dtype=dtype))
-    return block_factor(factor)
+    return tuple(block[0] for block in
+                 block_factor(stacked_poisson_factors(n, 1, dtype)))
 
 
 def assert_stacked_solve_equals_loop(blocks, b):
@@ -327,21 +340,36 @@ def assert_stacked_solve_equals_loop(blocks, b):
         assert ops == slice_ops * float(np.prod(batch_shape))
 
 
-class TestBandedCholesky:
+class TestBlockCholeskyFactor:
+    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
     @pytest.mark.parametrize("batch", BATCH_SIZES)
-    def test_stacked_factor_equals_slice_loop(self, batch):
-        n = 5
-        band = poisson_2d_banded(n, 0.125)
-        # Vary the diagonal per slice so the batch is not degenerate.
-        stacked = np.stack([band] * batch)
-        for i in range(batch):
-            stacked[i, 0, :] += 0.1 * i
-        factors, batched_ops = banded_cholesky_factor(stacked)
+    def test_stacked_factor_equals_slice_loop(self, batch, dtype):
+        rng = rng_for(batch)
+        pairs = [random_spd_blocks(rng, 5, 4) for _ in range(batch)]
+        diag = np.stack([d for d, _ in pairs]).astype(dtype)
+        sub = np.stack([s for _, s in pairs]).astype(dtype)
+        blocks, batched_ops = block_cholesky_factor(diag, sub)
         scalar_ops = None
         for i in range(batch):
-            expected, scalar_ops = banded_cholesky_factor(stacked[i])
-            assert np.array_equal(factors[i], expected)
+            expected, scalar_ops = block_cholesky_factor(diag[i], sub[i])
+            for block, one in zip(blocks, expected):
+                assert block.dtype == dtype
+                assert block[i].tobytes() == one.tobytes()
         assert batched_ops == batch * scalar_ops
+
+    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+    def test_equals_dense_factor_folded(self, dtype):
+        # The same folded factor as the dense route, within rounding.
+        diag, sub = poisson_stencil_blocks(5, shifts=(0.0, 0.1, 0.2))
+        blocks, _ = block_cholesky_factor(diag, sub)
+        for block, expected in zip(
+                blocks, block_factor(stacked_poisson_factors(5, 3,
+                                                             np.float64))):
+            assert np.allclose(block, expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected).max())
+        blocks, _ = block_cholesky_factor(diag.astype(dtype),
+                                          sub.astype(dtype))
+        assert all(block.dtype == dtype for block in blocks)
 
     @pytest.mark.parametrize("batch", BATCH_SIZES)
     def test_shared_factor_stacked_solve(self, batch):
@@ -350,21 +378,37 @@ class TestBandedCholesky:
         assert_stacked_solve_equals_loop(
             poisson_blocks(n), rng.standard_normal((batch, n, n)))
 
-    def test_scalar_path_unchanged(self):
+    def test_poisson_solve_inverts_the_stencil(self):
         rng = rng_for(3)
         n = 7
-        factor, _ = banded_cholesky_factor(poisson_2d_banded(n, 0.125))
-        rhs = rng.standard_normal(n * n)
-        x, _ = banded_cholesky_solve(factor, rhs)
-        residual = np.linalg.norm(
-            apply_laplacian_2d(x.reshape(n, n), 0.125).reshape(-1) - rhs)
-        assert residual < 1e-8
+        blocks, _ = block_cholesky_factor(
+            *(array[0] for array in poisson_stencil_blocks(n)))
+        rhs = rng.standard_normal((n, n))
+        x, _ = block_cholesky_solve(*blocks, rhs)
+        residual = np.abs(apply_laplacian_2d(x, 0.125) - rhs).max()
+        assert residual < 1e-10
 
     def test_not_positive_definite_raises_batched(self):
-        band = np.stack([poisson_2d_banded(3, 0.25)] * 2)
-        band[1, 0, :] = -1.0  # one bad slice poisons the batch
+        diag, sub = poisson_stencil_blocks(3, shifts=(0.0, 0.0))
+        diag[1, 1, 0, 0] = -1.0  # one bad slice poisons the batch
         with pytest.raises(np.linalg.LinAlgError):
-            banded_cholesky_factor(band)
+            block_cholesky_factor(diag, sub)
+
+    def test_mismatched_blocks_rejected(self):
+        diag, sub = poisson_stencil_blocks(3)
+        with pytest.raises(ValueError):
+            block_cholesky_factor(diag, sub[:, :1])
+        with pytest.raises(ValueError):
+            block_cholesky_factor(diag[..., :2], sub)
+        with pytest.raises(ValueError):
+            block_cholesky_factor(diag[:, :0], sub[:, :0])
+
+    def test_empty_batch(self):
+        diag, sub = poisson_stencil_blocks(3)
+        blocks, ops = block_cholesky_factor(diag[:0], sub[:0])
+        assert [block.shape for block in blocks] == [
+            (0, 3, 3, 3), (0, 2, 3, 3), (0, 2, 3, 3)]
+        assert ops == 0.0
 
     def test_degenerate_empty_batch(self):
         solutions, ops = block_cholesky_solve(*poisson_blocks(3),
@@ -373,93 +417,10 @@ class TestBandedCholesky:
         assert ops == 0.0
 
 
-def reference_banded_solve(factor, b):
-    """The seed kernel's solve: a fresh index gather per forward column.
-
-    Kept as the reference the one-gather ``banded_cholesky_solve`` must
-    match bit for bit (same values, ops and dtype).
-    """
-    factor = np.asarray(factor)
-    bandwidth = factor.shape[-2] - 1
-    size = factor.shape[-1]
-    x = np.array(b)
-    ops = 0.0
-    for j in range(size):
-        reach = min(bandwidth, j)
-        if reach > 0:
-            rows = np.arange(1, reach + 1)
-            x[j] -= float(factor[rows, j - rows] @ x[j - reach:j][::-1])
-        x[j] /= factor[0, j]
-        ops += 2 * reach + 1
-    for j in range(size - 1, -1, -1):
-        reach = min(bandwidth, size - 1 - j)
-        if reach > 0:
-            x[j] -= float(factor[1:reach + 1, j] @ x[j + 1:j + reach + 1])
-        x[j] /= factor[0, j]
-        ops += 2 * reach + 1
-    return x, ops
-
-
-def assert_solve_matches_reference(factor, b):
-    x, ops = banded_cholesky_solve(factor, b)
-    expected, expected_ops = reference_banded_solve(factor, b)
-    assert x.dtype == expected.dtype
-    assert np.array_equal(x, expected)
-    assert ops == expected_ops
-
-
-def stacked_poisson_factors(n, batch, dtype):
-    """``batch`` distinct Poisson-like factors (diagonal shifted per
-    slice) in ``dtype``."""
-    band = np.stack([poisson_2d_banded(n, 0.125, dtype=dtype)] * batch)
-    for i in range(batch):
-        band[i, 0, :] += dtype(0.1 * i)
-    return banded_cholesky_factor(band)[0]
-
-
-class TestBandedSolveOneGather:
-    """The one-gather forward sweep is bit-identical to the per-column
-    gather it replaced.  The band solve takes one factor and one
-    right-hand side; stacked solves go through the block solve."""
-
-    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
-    @pytest.mark.parametrize("n", (1, 3, 5))
-    def test_shared_factor(self, dtype, n):
-        rng = rng_for(n)
-        factor, _ = banded_cholesky_factor(
-            poisson_2d_banded(n, 0.125, dtype=dtype))
-        assert_solve_matches_reference(
-            factor, rng.standard_normal(n * n).astype(dtype))
-        with pytest.raises(ValueError):
-            banded_cholesky_solve(
-                factor, rng.standard_normal((5, n * n)).astype(dtype))
-        with pytest.raises(ValueError):
-            banded_cholesky_solve(
-                stacked_poisson_factors(n, 2, dtype),
-                rng.standard_normal(n * n).astype(dtype))
-
-    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
-    def test_bandwidth_zero(self, dtype):
-        rng = rng_for(13)
-        factor, _ = banded_cholesky_factor(
-            rng.uniform(1.0, 2.0, (1, 6)).astype(dtype))
-        assert_solve_matches_reference(
-            factor, rng.standard_normal(6).astype(dtype))
-
-    @settings(max_examples=25, deadline=None)
-    @given(spd_bands(), st.sampled_from(FLOAT_DTYPES))
-    def test_random_spd_bands(self, drawn, dtype):
-        band, rng = drawn
-        size = band.shape[1]
-        factor, _ = banded_cholesky_factor(band.astype(dtype))
-        assert_solve_matches_reference(
-            factor, rng.normal(size=size).astype(dtype))
-
-
 class TestBlockCholeskySolve:
     """The block solve: stacked ≡ looped bit for bit (every block
-    product is a broadcast multiply and sum, never a matmul), and equal
-    to the band sweep within 16 ulp of the solution's largest entry."""
+    product is one gemv per slice, never a gemm), and equal to the
+    dense reference within 16 ulp of the solution's largest entry."""
 
     @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
     @pytest.mark.parametrize("batch", (2, 3, 8, 32))
@@ -493,7 +454,7 @@ class TestBlockCholeskySolve:
 
     def test_empty_batch(self):
         # An empty batch of factors, alone and broadcast against a
-        # stack of right-hand sides (TestBandedCholesky covers an
+        # stack of right-hand sides (TestBlockCholeskyFactor covers an
         # empty stack of right-hand sides).
         diag_inv, forward, backward = poisson_blocks(3)
         x, ops = block_cholesky_solve(diag_inv[None][:0], forward,
@@ -506,24 +467,20 @@ class TestBlockCholeskySolve:
     @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
     @pytest.mark.parametrize("blocks, width", [(1, 3), (4, 1), (5, 3),
                                                (6, 4)])
-    def test_matches_band_sweep_on_random_spd_bands(self, blocks, width,
-                                                    dtype):
+    def test_matches_dense_reference_on_random_spd(self, blocks, width,
+                                                   dtype):
         rng = rng_for(blocks * 10 + width)
-        size = blocks * width
-        band = np.zeros((width + 1, size))
-        band[0] = rng.uniform(2.0 * width + 1.0, 2.0 * width + 2.0, size)
-        for offset in range(1, width + 1):
-            band[offset, :size - offset] = rng.uniform(-1, 1, size - offset)
-        factor, _ = banded_cholesky_factor(band.astype(dtype))
-        blocks_of_factor = block_factor(factor)
+        diag, sub = (array.astype(dtype)
+                     for array in random_spd_blocks(rng, blocks, width))
+        folded, _ = block_cholesky_factor(diag, sub)
+        dense = dense_from_blocks(diag, sub)
         for _ in range(5):
-            b = rng.standard_normal(size).astype(dtype)
-            expected, _ = banded_cholesky_solve(factor, b)
-            x, _ = block_cholesky_solve(*blocks_of_factor,
-                                        b.reshape(blocks, width))
+            b = rng.standard_normal((blocks, width)).astype(dtype)
+            x, _ = block_cholesky_solve(*folded, b)
             assert x.dtype == dtype
-            bound = 16 * np.finfo(dtype).eps * np.abs(expected).max()
-            assert np.abs(x.reshape(-1) - expected).max() <= bound
+            assert_within_ulp_bound(x.reshape(-1),
+                                    refined_solve(dense, b.reshape(-1)),
+                                    dtype)
 
     def test_mismatched_blocks_rejected(self):
         diag_inv, forward, backward = poisson_blocks(3)

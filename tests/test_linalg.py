@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.linalg.banded import banded_cholesky_factor, banded_cholesky_solve
+from repro.linalg.banded import (block_cholesky_factor, block_cholesky_solve,
+                                 dpbsv_ops)
 from repro.linalg.bisection import (
     bisect_eigenvalues,
     inverse_iteration,
@@ -16,7 +17,6 @@ from repro.linalg.poisson_ops import (
     apply_laplacian_1d,
     apply_laplacian_2d,
     laplacian_1d_diagonal,
-    poisson_2d_banded,
 )
 from repro.linalg.precond import (
     jacobi_preconditioner,
@@ -30,6 +30,38 @@ from repro.linalg.svd import (
 )
 from repro.linalg.tridiag_qr import tridiagonal_eigen_qr
 
+from dense_reference import (assert_within_ulp_bound, dense_from_blocks,
+                             refined_solve)
+from test_batch_kernels import poisson_stencil_blocks
+from test_props_linalg import random_spd_blocks
+
+#: ``(bandwidth, size) -> (factor_ops, solve_ops)`` as the column-by-
+#: column band Cholesky kernels counted them: the DPBSV price every
+#: direct rule charges.  Poisson's n x n grid is ``(n, n^2)``,
+#: Helmholtz's n^3 grid ``(n^2, n^3)``; the rest are odd shapes.
+DPBSV_PRICES = {
+    # Poisson, n = 1, 3, 7, 15, 31
+    (1, 1): (1.0, 2.0),
+    (3, 9): (70.0, 102.0),
+    (7, 49): (1596.0, 1358.0),
+    (15, 225): (29240.0, 13470.0),
+    (31, 961): (496496.0, 119102.0),
+    # Helmholtz, n = 3, 7 (n = 1 is Poisson's (1, 1))
+    (9, 27): (1155.0, 846.0),
+    (49, 343): (395675.0, 63014.0),
+    # bandwidth 0, bandwidth past the matrix, and small odd shapes
+    (0, 1): (1.0, 2.0),
+    (0, 6): (6.0, 12.0),
+    (1, 2): (4.0, 8.0),
+    (2, 5): (22.0, 38.0),
+    (4, 2): (4.0, 8.0),
+    (5, 3): (10.0, 18.0),
+    (3, 10): (80.0, 116.0),
+    (6, 7): (84.0, 98.0),
+    (9, 40): (1870.0, 1340.0),
+    (17, 100): (15162.0, 6388.0),
+}
+
 
 def random_symmetric(n, seed=0):
     rng = np.random.default_rng(seed)
@@ -42,47 +74,45 @@ def random_tridiagonal(n, seed=0):
     return rng.normal(size=n), rng.normal(size=n - 1)
 
 
-class TestBandedCholesky:
+@pytest.mark.parametrize("shape", sorted(DPBSV_PRICES))
+def test_dpbsv_price_matches_band_kernel_counts(shape):
+    assert dpbsv_ops(*shape) == DPBSV_PRICES[shape]
+
+
+class TestBlockCholesky:
     def test_poisson_solve_matches_dense(self):
         n = 6
         h = 1.0 / (n + 1)
-        band = poisson_2d_banded(n, h)
-        factor, ops = banded_cholesky_factor(band)
+        diag, sub = (array[0] for array in poisson_stencil_blocks(n, h))
+        blocks, ops = block_cholesky_factor(diag, sub)
         rng = np.random.default_rng(0)
-        b = rng.normal(size=n * n)
-        x, solve_ops = banded_cholesky_solve(factor, b)
-        residual = apply_laplacian_2d(x.reshape(n, n), h).reshape(-1) - b
+        b = rng.normal(size=(n, n))
+        x, solve_ops = block_cholesky_solve(*blocks, b)
+        residual = apply_laplacian_2d(x, h) - b
         assert np.abs(residual).max() < 1e-10
         assert ops > 0 and solve_ops > 0
 
-    def test_random_spd_band(self):
+    def test_random_spd_blocks(self):
         rng = np.random.default_rng(1)
-        size, bandwidth = 30, 4
-        band = np.zeros((bandwidth + 1, size))
-        band[0] = rng.uniform(5, 6, size)
-        for offset in range(1, bandwidth + 1):
-            band[offset, :size - offset] = rng.uniform(-0.5, 0.5,
-                                                       size - offset)
-        dense = np.zeros((size, size))
-        for offset in range(bandwidth + 1):
-            for j in range(size - offset):
-                dense[j + offset, j] = band[offset, j]
-                dense[j, j + offset] = band[offset, j]
-        factor, _ = banded_cholesky_factor(band)
-        b = rng.normal(size=size)
-        x, _ = banded_cholesky_solve(factor, b)
-        assert np.allclose(dense @ x, b, atol=1e-9)
+        diag, sub = random_spd_blocks(rng, 6, 5)
+        blocks, _ = block_cholesky_factor(diag, sub)
+        b = rng.normal(size=(6, 5))
+        x, _ = block_cholesky_solve(*blocks, b)
+        assert_within_ulp_bound(
+            x.reshape(-1),
+            refined_solve(dense_from_blocks(diag, sub), b.reshape(-1)),
+            np.float64)
 
     def test_not_positive_definite_rejected(self):
-        band = np.array([[1.0, -5.0], [0.0, 0.0]])
+        diag = np.array([[[1.0, -5.0], [-5.0, 1.0]]])
         with pytest.raises(np.linalg.LinAlgError):
-            banded_cholesky_factor(band)
+            block_cholesky_factor(diag, np.zeros((0, 2, 2)))
 
     def test_solve_shape_checked(self):
-        band = poisson_2d_banded(3, 0.25)
-        factor, _ = banded_cholesky_factor(band)
+        blocks, _ = block_cholesky_factor(
+            *(array[0] for array in poisson_stencil_blocks(3, 0.25)))
         with pytest.raises(ValueError):
-            banded_cholesky_solve(factor, np.ones(5))
+            block_cholesky_solve(*blocks, np.ones((3, 5)))
 
 
 class TestHouseholder:
@@ -322,16 +352,11 @@ class TestPoissonOps:
         assert np.allclose(laplacian_1d_diagonal(4, 0.5),
                            np.full(4, 8.0))
 
-    def test_2d_banded_matches_apply(self):
+    def test_2d_stencil_blocks_match_apply(self):
         n = 5
         h = 1.0 / (n + 1)
-        band = poisson_2d_banded(n, h)
-        size = n * n
-        dense = np.zeros((size, size))
-        for offset in range(band.shape[0]):
-            for j in range(size - offset):
-                dense[j + offset, j] = band[offset, j]
-                dense[j, j + offset] = band[offset, j]
+        dense = dense_from_blocks(
+            *(array[0] for array in poisson_stencil_blocks(n, h)))
         rng = np.random.default_rng(1)
         u = rng.normal(size=(n, n))
         assert np.allclose(dense @ u.reshape(-1),

@@ -14,14 +14,16 @@ from repro.multigrid.grids import (
 from repro.multigrid.helmholtz3d import (
     apply_helmholtz_3d,
     face_coefficients,
-    helmholtz_banded,
+    helmholtz_blocks,
     manufactured_helmholtz_problem,
     restrict_coefficients,
 )
 from repro.multigrid.relax import sor_helmholtz_3d, sor_poisson_2d
-from repro.linalg.banded import banded_cholesky_factor, banded_cholesky_solve
+from repro.linalg.banded import block_cholesky_factor, block_cholesky_solve
 from repro.linalg.poisson_ops import apply_laplacian_2d
 from repro.runtime.trace import ExecutionTrace
+
+from dense_reference import dense_from_blocks
 
 
 class TestGridSizes:
@@ -128,19 +130,17 @@ class TestSORPoisson:
 
 
 class TestHelmholtz3D:
-    def test_operator_matches_banded_matrix(self):
+    def test_operator_matches_plane_blocks(self):
         n = 3
         rng = np.random.default_rng(0)
         a = rng.uniform(0.5, 1.0, size=(n, n, n))
         b = rng.uniform(0.5, 1.0, size=(n, n, n))
         h = 0.25
-        band = helmholtz_banded(a, b, h)
-        size = n ** 3
-        dense = np.zeros((size, size))
-        for offset in range(band.shape[0]):
-            for j in range(size - offset):
-                dense[j + offset, j] = band[offset, j]
-                dense[j, j + offset] = band[offset, j]
+        diag, sub = helmholtz_blocks(a, b, h)
+        assert diag.shape == (n, n * n, n * n)
+        assert sub.shape == (n - 1, n * n, n * n)
+        dense = dense_from_blocks(diag, sub)
+        assert np.array_equal(dense, dense.T)
         phi = rng.normal(size=(n, n, n))
         applied, _ = apply_helmholtz_3d(phi, a, b, h)
         assert np.allclose(dense @ phi.reshape(-1), applied.reshape(-1))
@@ -156,9 +156,9 @@ class TestHelmholtz3D:
     def test_direct_solve_recovers_exact(self):
         rng = np.random.default_rng(2)
         problem = manufactured_helmholtz_problem(3, rng)
-        band = helmholtz_banded(problem["a"], problem["b"], problem["h"])
-        factor, _ = banded_cholesky_factor(band)
-        x, _ = banded_cholesky_solve(factor, problem["f"].reshape(-1))
+        blocks, _ = block_cholesky_factor(
+            *helmholtz_blocks(problem["a"], problem["b"], problem["h"]))
+        x, _ = block_cholesky_solve(*blocks, problem["f"].reshape(3, 9))
         assert np.allclose(x.reshape(3, 3, 3), problem["phi_exact"],
                            atol=1e-8)
 

@@ -1,13 +1,13 @@
 """The Poisson ``direct`` rule's cached factor and its block solve.
 
 The 5-point Laplacian depends only on the grid size and working dtype,
-so ``_direct_factor`` factors it once per ``(n, dtype)`` and
-``_direct_blocks`` keeps that factor's blocks for the block solve.  The
-caches must be invisible: the cached factor equals a fresh one bit for
-bit, neither can be written through, the block solve agrees with the
-band sweep through a fresh factor within 16 ulp of the solution's
-largest entry, and the rule's charged cost equals an uncached
-factor-plus-solve exactly — at B=1 and in a stacked wave.
+so ``_direct_blocks`` builds its grid-line blocks from the stencil and
+factors them once per ``(n, dtype)``.  The cache must be invisible: the
+cached blocks equal a fresh build bit for bit and cannot be written
+through, the block solve agrees with a refined dense reference within
+16 ulp of the solution's largest entry, and the rule's charged cost is
+the DPBSV price — one band factorization and one band solve — exactly,
+at B=1 and in a stacked wave.
 """
 
 from __future__ import annotations
@@ -20,33 +20,33 @@ import pytest
 
 from repro.config.decision_tree import SizeDecisionTree
 from repro.errors import ExecutionError
-from repro.linalg.banded import (
-    banded_cholesky_factor,
-    banded_cholesky_solve,
-    block_cholesky_solve,
-)
-from repro.linalg.poisson_ops import poisson_2d_banded
+from repro.linalg.banded import block_cholesky_factor, block_cholesky_solve
 from repro.suite import get_benchmark
-from repro.suite.poisson import (DIRECT_MAX_SIZE, _direct_blocks,
-                                 _direct_factor)
-from test_batch_kernels import block_factor
+from repro.suite.poisson import DIRECT_MAX_SIZE, _direct_blocks
+
+from dense_reference import (assert_within_ulp_bound, dense_from_blocks,
+                             refined_solve)
+from test_batch_kernels import poisson_stencil_blocks
+from test_linalg import DPBSV_PRICES
 
 FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 SIZES = (1, 3, 7, 15, DIRECT_MAX_SIZE)
-#: The block solve's distance from the band sweep, in units of the
-#: working dtype's epsilon times the solution's largest entry.
-ULP_BOUND = 16
 
 
-def assert_within_ulp_bound(x, reference):
-    bound = ULP_BOUND * np.finfo(reference.dtype).eps * \
-        np.abs(reference).max()
-    assert np.abs(x - reference).max() <= bound
+def stencil_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return tuple(array[0]
+                 for array in poisson_stencil_blocks(n, 1.0 / (n + 1)))
 
 
-def fresh_factor(n: int, dtype: np.dtype) -> tuple[np.ndarray, float]:
-    return banded_cholesky_factor(
-        poisson_2d_banded(n, 1.0 / (n + 1), dtype=dtype))
+def fresh_blocks(n: int, dtype: np.dtype) -> tuple[np.ndarray, ...]:
+    """The folded factor built afresh: factored in float64 from the
+    test's own stencil blocks and rounded once to ``dtype``."""
+    blocks, _ = block_cholesky_factor(*stencil_blocks(n))
+    return tuple(block.astype(dtype) for block in blocks)
+
+
+def dense_laplacian(n: int) -> np.ndarray:
+    return dense_from_blocks(*stencil_blocks(n))
 
 
 @pytest.fixture(scope="module")
@@ -65,59 +65,41 @@ def direct_config(program, precision: str):
 
 @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
 @pytest.mark.parametrize("n", SIZES)
-def test_cached_factor_equals_fresh_factor(n, dtype):
-    factor, ops = _direct_factor(n, dtype)
-    expected, expected_ops = fresh_factor(n, dtype)
-    assert not factor.flags.writeable
-    assert factor.dtype == expected.dtype
-    assert np.array_equal(factor, expected)
-    assert ops == expected_ops
+def test_cached_blocks_equal_fresh_build(n, dtype):
+    *blocks, factor_ops, solve_ops = _direct_blocks(n, dtype)
+    for block, expected in zip(blocks, fresh_blocks(n, dtype)):
+        assert not block.flags.writeable
+        assert block.dtype == dtype
+        assert block.tobytes() == expected.tobytes()
+    assert (factor_ops, solve_ops) == DPBSV_PRICES[(n, n * n)]
 
 
 def test_second_call_is_a_hit():
-    _direct_factor(7, np.dtype(np.float64))
-    before = _direct_factor.cache_info()
-    first = _direct_factor(7, np.dtype(np.float64))
-    after = _direct_factor.cache_info()
+    _direct_blocks(7, np.dtype(np.float64))
+    before = _direct_blocks.cache_info()
+    first = _direct_blocks(7, np.dtype(np.float64))
+    after = _direct_blocks.cache_info()
     assert after.hits == before.hits + 1
     assert after.currsize == before.currsize
-    assert _direct_factor(7, np.dtype(np.float64))[0] is first[0]
+    assert _direct_blocks(7, np.dtype(np.float64))[0] is first[0]
 
 
 @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
 @pytest.mark.parametrize("n", SIZES)
-def test_cached_blocks_are_the_factor_blocks(n, dtype):
-    *blocks, factor_ops, solve_ops = _direct_blocks(n, dtype)
-    factor, expected_factor_ops = fresh_factor(n, dtype)
-    # (diag_inv, forward, backward), each rounded once from float64
-    # products of the dense L's blocks.
-    for block, expected in zip(blocks, block_factor(factor)):
-        assert not block.flags.writeable
-        assert block.dtype == dtype
-        assert np.array_equal(block, expected)
-    assert factor_ops == expected_factor_ops
-    _, expected_solve_ops = banded_cholesky_solve(
-        factor, np.zeros(n * n, dtype))
-    assert solve_ops == expected_solve_ops
-
-
-@pytest.mark.parametrize("dtype", FLOAT_DTYPES)
-@pytest.mark.parametrize("n", SIZES)
-def test_block_solve_matches_band_sweep(n, dtype):
+def test_block_solve_matches_dense_reference(n, dtype):
     *blocks, _, _ = _direct_blocks(n, dtype)
-    factor, _ = fresh_factor(n, dtype)
     rng = np.random.default_rng(n)
-    for _ in range(10):
-        b = rng.standard_normal((n, n)).astype(dtype)
-        expected, _ = banded_cholesky_solve(factor, b.reshape(-1))
-        x, _ = block_cholesky_solve(*blocks, b)
-        assert x.dtype == dtype
-        assert_within_ulp_bound(x.reshape(-1), expected)
+    b = rng.standard_normal((10, n, n)).astype(dtype)
+    x, _ = block_cholesky_solve(*blocks, b)
+    assert x.dtype == dtype
+    reference = refined_solve(dense_laplacian(n), b.reshape(10, -1).T).T
+    for request, expected in zip(x.reshape(10, -1), reference):
+        assert_within_ulp_bound(request, expected, dtype)
 
 
 @pytest.mark.parametrize("precision", ("float64", "float32"))
 @pytest.mark.parametrize("batch", (1, 5))
-def test_direct_rule_matches_uncached_reference(poisson, precision, batch):
+def test_direct_rule_matches_dense_reference(poisson, precision, batch):
     spec, program = poisson
     n = 7
     problems = [spec.generate(n, np.random.default_rng(seed))
@@ -131,18 +113,16 @@ def test_direct_rule_matches_uncached_reference(poisson, precision, batch):
 
     dtype = np.dtype(precision)
     f = inputs["f"].astype(dtype).reshape(-1, n * n)
-    factor, factor_ops = fresh_factor(n, dtype)
     u = result.outputs["u"]
     assert u.dtype == dtype
     assert u.shape == inputs["f"].shape
-    solve_ops = 0.0
-    for request, rhs in zip(u.reshape(-1, n * n), f):
-        expected, ops = banded_cholesky_solve(factor, rhs)
-        assert_within_ulp_bound(request, expected)
-        solve_ops += ops
-    # Charged as a fresh factorization per request plus the band solve,
+    reference = refined_solve(dense_laplacian(n), f.T).T
+    for request, expected in zip(u.reshape(-1, n * n), reference):
+        assert_within_ulp_bound(request, expected, dtype)
+    # Charged a fresh band factorization and band solve per request,
     # scaled by the working dtype's itemsize like every charged cost.
-    expected_cost = (factor_ops * batch + solve_ops) * dtype.itemsize / 8
+    factor_ops, solve_ops = DPBSV_PRICES[(n, n * n)]
+    expected_cost = (factor_ops + solve_ops) * batch * dtype.itemsize / 8
     assert result.metrics.cost == expected_cost
 
 
@@ -166,13 +146,11 @@ def test_oversized_grid_raises_before_caching(poisson):
     n = 63
     assert n > DIRECT_MAX_SIZE
     inputs = spec.generate(n, np.random.default_rng(0))
-    before = (_direct_factor.cache_info().currsize,
-              _direct_blocks.cache_info().currsize)
+    before = _direct_blocks.cache_info().currsize
     with pytest.raises(ExecutionError):
         program.execute(inputs, n, direct_config(program, "float64"),
                         seed=0)
-    assert (_direct_factor.cache_info().currsize,
-            _direct_blocks.cache_info().currsize) == before
+    assert _direct_blocks.cache_info().currsize == before
 
 
 def first_calls_from_four_threads(cached, key):
@@ -200,26 +178,13 @@ def first_calls_from_four_threads(cached, key):
     return results
 
 
-def test_concurrent_first_calls_agree():
-    _direct_factor.cache_clear()
-    key = (15, np.dtype(np.float64))
-    results = first_calls_from_four_threads(_direct_factor, key)
-    expected, expected_ops = fresh_factor(*key)
-    for factor, ops in results:
-        assert not factor.flags.writeable
-        assert np.array_equal(factor, expected)
-        assert ops == expected_ops
-
-
 def test_concurrent_first_block_calls_agree():
     _direct_blocks.cache_clear()
-    _direct_factor.cache_clear()
     key = (15, np.dtype(np.float32))
     results = first_calls_from_four_threads(_direct_blocks, key)
-    *blocks, factor_ops, solve_ops = results[0]
-    for other in results[1:]:
-        for block, other_block in zip(blocks, other[:3]):
-            assert np.array_equal(other_block, block)
-        assert other[3:] == (factor_ops, solve_ops)
+    expected = fresh_blocks(*key)
     for result in results:
-        assert not any(block.flags.writeable for block in result[:3])
+        for block, fresh in zip(result[:3], expected):
+            assert not block.flags.writeable
+            assert np.array_equal(block, fresh)
+        assert result[3:] == DPBSV_PRICES[(15, 225)]

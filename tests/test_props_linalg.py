@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.linalg.banded import banded_cholesky_factor, banded_cholesky_solve
+from repro.linalg.banded import block_cholesky_factor, block_cholesky_solve
 from repro.linalg.bisection import (
     bisect_eigenvalues,
     solve_shifted_tridiagonal,
@@ -13,6 +13,9 @@ from repro.linalg.bisection import (
 from repro.linalg.cg import conjugate_gradient
 from repro.linalg.householder import tridiagonalize_symmetric
 from repro.linalg.tridiag_qr import tridiagonal_eigen_qr
+
+from dense_reference import (assert_within_ulp_bound, dense_from_blocks,
+                             refined_solve)
 
 
 @st.composite
@@ -90,39 +93,44 @@ def test_householder_preserves_spectrum(n, seed):
     assert np.allclose(values, np.linalg.eigvalsh(a), atol=1e-8)
 
 
-@st.composite
-def spd_bands(draw):
-    """``(band, rng)``: a random SPD band in lower band storage.
+def random_spd_blocks(rng: np.random.Generator, blocks: int, width: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """``(diag, sub)`` of a random SPD block-tridiagonal matrix.
 
-    Diagonally dominant, hence SPD; ``rng`` is the generator that drew
-    it, left for drawing right-hand sides.
+    Off-diagonal entries lie in [-1, 1] and each diagonal entry exceeds
+    twice its row's off-diagonal reach, so the matrix is strongly
+    diagonally dominant, hence SPD and well conditioned.
     """
-    size = draw(st.integers(min_value=2, max_value=20))
-    bandwidth = min(draw(st.integers(min_value=1, max_value=4)), size - 1)
+    diag = rng.uniform(-1.0, 1.0, (blocks, width, width))
+    diag = np.tril(diag, -1) + np.swapaxes(np.tril(diag, -1), -1, -2)
+    diag += np.eye(width) * rng.uniform(6.0 * width, 6.0 * width + 1.0,
+                                        (blocks, 1, width))
+    sub = rng.uniform(-1.0, 1.0, (blocks - 1, width, width))
+    return diag, sub
+
+
+@st.composite
+def spd_block_tridiagonals(draw):
+    """``(diag, sub, rng)``: a random SPD block-tridiagonal matrix of
+    1..6 blocks of 1..8 unknowns, and the generator that drew it, left
+    for drawing right-hand sides."""
+    blocks = draw(st.integers(min_value=1, max_value=6))
+    width = draw(st.integers(min_value=1, max_value=8))
     rng = np.random.default_rng(draw(st.integers(0, 999)))
-    band = np.zeros((bandwidth + 1, size))
-    band[0] = rng.uniform(2.0 * bandwidth + 1.0, 2.0 * bandwidth + 2.0,
-                          size)  # diagonally dominant -> SPD
-    for offset in range(1, bandwidth + 1):
-        band[offset, :size - offset] = rng.uniform(-1, 1, size - offset)
-    return band, rng
+    return (*random_spd_blocks(rng, blocks, width), rng)
 
 
-@settings(max_examples=25, deadline=None)
-@given(spd_bands())
-def test_banded_cholesky_solves_random_spd(drawn):
-    band, rng = drawn
-    bandwidth = band.shape[0] - 1
-    size = band.shape[1]
-    dense = np.zeros((size, size))
-    for offset in range(bandwidth + 1):
-        for j in range(size - offset):
-            dense[j + offset, j] = band[offset, j]
-            dense[j, j + offset] = band[offset, j]
-    factor, _ = banded_cholesky_factor(band)
-    b = rng.normal(size=size)
-    x, _ = banded_cholesky_solve(factor, b)
-    assert np.allclose(dense @ x, b, atol=1e-8)
+@settings(max_examples=40, deadline=None)
+@given(spd_block_tridiagonals(), st.sampled_from((np.float32, np.float64)))
+def test_block_cholesky_solves_random_spd(drawn, dtype):
+    diag, sub, rng = drawn
+    diag, sub = diag.astype(dtype), sub.astype(dtype)
+    b = rng.normal(size=diag.shape[:2]).astype(dtype)
+    blocks, _ = block_cholesky_factor(diag, sub)
+    x, _ = block_cholesky_solve(*blocks, b)
+    assert x.dtype == dtype
+    reference = refined_solve(dense_from_blocks(diag, sub), b.reshape(-1))
+    assert_within_ulp_bound(x.reshape(-1), reference, dtype)
 
 
 @settings(max_examples=20, deadline=None)
