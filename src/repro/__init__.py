@@ -20,10 +20,9 @@ Public API highlights
 - :func:`repro.lang.accuracy_variable`, :func:`repro.lang.for_enough`,
   :func:`repro.lang.cutoff`, :func:`repro.lang.switch` — tunables
   (names inferred inside a DSL class body).
-- :func:`repro.lang.check`, :func:`repro.lang.describe`,
-  :func:`repro.lang.analyze` — batched declaration diagnostics,
-  program introspection, and the whole-program static contract
-  analyzer (:mod:`repro.analysis`).
+- :func:`repro.lang.check`, :func:`repro.lang.describe` — batched
+  declaration diagnostics (dead tunables and unreachable instances
+  included, via :mod:`repro.analysis`) and program introspection.
 - :func:`repro.compiler.compile_program` — compile to an executable
   program + training info.
 - :class:`repro.autotuner.Autotuner` — the accuracy-aware genetic tuner.
@@ -43,7 +42,6 @@ from repro.lang import (
     accuracy_metric,
     accuracy_variable,
     allocator,
-    analyze,
     call,
     check,
     cutoff,
@@ -81,7 +79,6 @@ __all__ = [
     "cutoff",
     "switch",
     "scaled_by",
-    "analyze",
     "check",
     "describe",
     "Diagnostics",

@@ -1,18 +1,18 @@
-"""Source-level call-graph discovery for rule bodies and kernels.
+"""Source-level call-graph discovery for rule bodies and their helpers.
 
-The analyzer works on *function objects* (rule bodies, accuracy
-metrics, allocators) and walks the Python source they were compiled
-from.  Resolution is hybrid: the AST supplies the call expressions,
-and each callee name is resolved against the function's **runtime**
-namespaces — ``__globals__``, closure cells (suite benchmarks register
-rules through closures), and builtins — so a resolved callee is the
-actual object that would be called, not a guess from import text.
-Attribute chains (``np.random.normal``, ``time.perf_counter``) resolve
-by ``getattr`` through module and class objects only, which cannot run
+The dead-tunable check works on *function objects* (rule bodies,
+accuracy metrics, allocators) and walks the Python source they were
+compiled from.  Resolution is hybrid: the AST supplies the call
+expressions, and each callee name is resolved against the function's
+**runtime** namespaces — ``__globals__``, closure cells (suite
+benchmarks register rules through closures), and builtins — so a
+resolved callee is the actual object that would be called, not a guess
+from import text.  Attribute chains (``np.linalg.norm``) resolve by
+``getattr`` through module and class objects only, which cannot run
 user code.
 
 Anything unresolvable (method calls on parameters like ``ctx.param``,
-dynamic dispatch through containers) is skipped: the analysis is
+dynamic dispatch through containers) is skipped: the walk is
 deliberately best-effort and never raises on strange code.
 """
 
@@ -23,26 +23,12 @@ import builtins
 import functools
 import inspect
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.lang.diagnostics import SourceLocation
 
-__all__ = ["FunctionInfo", "CallGraph", "resolve_attribute_module",
-           "SUBSTRATE_PACKAGES", "in_substrate", "TransformFunctions",
-           "transform_functions"]
-
-#: The three substrate packages whose contracts the analyzer enforces.
-SUBSTRATE_PACKAGES = ("repro.linalg", "repro.multigrid",
-                      "repro.clustering")
-
-
-def in_substrate(module_name: str | None) -> bool:
-    """True when ``module_name`` lies inside a substrate package."""
-    if not module_name:
-        return False
-    return any(module_name == pkg or module_name.startswith(pkg + ".")
-               for pkg in SUBSTRATE_PACKAGES)
+__all__ = ["FunctionInfo", "CallGraph", "transform_functions"]
 
 
 # ----------------------------------------------------------------------
@@ -58,7 +44,6 @@ class _ModuleIndex:
     ``None`` (unanalyzable) rather than guessing."""
 
     def __init__(self, filename: str):
-        self.filename = filename
         self.functions: dict[tuple[str, int],
                              "ast.FunctionDef | ast.Lambda | None"] = {}
         try:
@@ -84,33 +69,16 @@ class FunctionInfo:
     fn: Callable
     node: "ast.FunctionDef | ast.Lambda"
     filename: str
-    module: str | None
 
-    def body(self) -> list[ast.AST]:
-        """Body statements; a lambda's single expression as one item."""
-        body = self.node.body
-        return body if isinstance(body, list) else [body]
-
-    @property
-    def name(self) -> str:
-        return getattr(self.fn, "__name__", "<anonymous>")
-
-    def location(self, node: ast.AST | None = None) -> SourceLocation:
-        lineno = getattr(node, "lineno", None) if node is not None \
-            else None
-        if lineno is None:
-            lineno = self.node.lineno
-        return SourceLocation(self.filename, lineno)
+    def location(self) -> SourceLocation:
+        return SourceLocation(self.filename, self.node.lineno)
 
     def local_names(self) -> set[str]:
         """Names bound inside the function (params + any Store)."""
-        names = {a.arg for a in self.node.args.args}
-        names.update(a.arg for a in self.node.args.posonlyargs)
-        names.update(a.arg for a in self.node.args.kwonlyargs)
-        if self.node.args.vararg:
-            names.add(self.node.args.vararg.arg)
-        if self.node.args.kwarg:
-            names.add(self.node.args.kwarg.arg)
+        args = self.node.args
+        names = {a.arg for a in args.posonlyargs + args.args
+                 + args.kwonlyargs}
+        names.update(a.arg for a in (args.vararg, args.kwarg) if a)
         for sub in ast.walk(self.node):
             if isinstance(sub, ast.Name) and \
                     isinstance(sub.ctx, ast.Store):
@@ -137,26 +105,6 @@ class FunctionInfo:
 _RESOLVABLE_BASES = (types.ModuleType, type)
 
 
-def resolve_attribute_module(obj: Any) -> str | None:
-    """Best-effort module name of a resolved object.
-
-    C-level bound methods (``random.random`` is a method of a hidden
-    ``Random`` instance) report ``__module__ = None``; fall back to the
-    module of the instance's class so they still attribute correctly.
-    """
-    if isinstance(obj, types.ModuleType):
-        return obj.__name__
-    module = getattr(obj, "__module__", None)
-    if isinstance(module, str):
-        return module
-    owner = getattr(obj, "__self__", None)
-    if owner is not None:
-        module = getattr(type(owner), "__module__", None)
-        if isinstance(module, str):
-            return module
-    return None
-
-
 class CallGraph:
     """Lazy whole-program call graph over Python function objects."""
 
@@ -177,14 +125,11 @@ class CallGraph:
         ``wrapper`` closure.
         """
         fn = CallGraph.unwrap(fn)
-        if fn is None:
-            return None
         code = getattr(fn, "__code__", None)
         if code is None:
             return None
-        key = code
-        if key in self._infos:
-            return self._infos[key]
+        if code in self._infos:
+            return self._infos[code]
         index = self._modules.get(code.co_filename)
         if index is None:
             index = _ModuleIndex(code.co_filename)
@@ -193,12 +138,9 @@ class CallGraph:
         # (pack.__name__ = algorithm_name) but the AST keeps the
         # compile-time def name, which is exactly co_name.
         node = index.functions.get((code.co_name, code.co_firstlineno))
-        if node is None:
-            self._infos[key] = None
-            return None
-        info = FunctionInfo(fn=fn, node=node, filename=code.co_filename,
-                            module=getattr(fn, "__module__", None))
-        self._infos[key] = info
+        info = None if node is None else FunctionInfo(
+            fn=fn, node=node, filename=code.co_filename)
+        self._infos[code] = info
         return info
 
     @staticmethod
@@ -243,29 +185,29 @@ class CallGraph:
                 return None
         return None
 
-    def callees(self, info: FunctionInfo) -> Iterator[tuple[Any, ast.Call]]:
-        """Resolved ``(callee, call_node)`` pairs inside ``info``.
+    def callees(self, info: FunctionInfo) -> Iterator[Any]:
+        """Resolved callees of the calls inside ``info``.
 
         Walks the function *body* only: decorator expressions and
         default-argument values execute at import time, not when a rule
-        runs, so they are not part of the execution-time call graph
-        (descending through ``@kernel(...)`` would otherwise drag the
-        registry itself into every purity scan).
+        runs, so they are not part of the execution-time call graph.
         """
         namespace = info.namespace()
         local_names = info.local_names()
-        for statement in info.body():
+        body = info.node.body
+        for statement in body if isinstance(body, list) else [body]:
             for node in ast.walk(statement):
-                if not isinstance(node, ast.Call):
-                    continue
-                callee = self.resolve(node.func, namespace, local_names)
-                if callee is not None:
-                    yield callee, node
+                if isinstance(node, ast.Call):
+                    callee = self.resolve(node.func, namespace,
+                                          local_names)
+                    if callee is not None:
+                        yield callee
 
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
-    def _should_descend(self, callee: Any, origin_files: set[str]) -> bool:
+    @staticmethod
+    def _should_descend(callee: Any, origin_files: set[str]) -> bool:
         """Descend into project functions only: anything under the
         ``repro`` package, plus functions declared in the same files as
         the traversal roots (example scripts, test fixtures)."""
@@ -274,19 +216,12 @@ class CallGraph:
         module = getattr(callee, "__module__", None) or ""
         if module == "repro" or module.startswith("repro."):
             return True
-        code = getattr(callee, "__code__", None)
-        return code is not None and code.co_filename in origin_files
+        return callee.__code__.co_filename in origin_files
 
-    def reachable(self, roots: Iterable[Callable], *,
-                  stop_in_substrate: bool = False
-                  ) -> list[FunctionInfo]:
+    def reachable(self, roots: Iterable[Callable]) -> list[FunctionInfo]:
         """Every analyzable function transitively called from ``roots``.
 
-        Roots come first, in order; discovery order after that.  With
-        ``stop_in_substrate`` the traversal records substrate functions
-        but does not descend into them — the *frontier* view pledge
-        verification wants (a registered kernel's callees are covered
-        by the kernel's own contract tests).
+        Roots come first, in order; discovery order after that.
         """
         roots = [self.unwrap(fn) for fn in roots]
         origin_files = {
@@ -294,7 +229,7 @@ class CallGraph:
             if getattr(fn, "__code__", None) is not None}
         seen: set[Any] = set()
         ordered: list[FunctionInfo] = []
-        stack: list[Callable] = list(roots)[::-1]
+        stack: list[Callable] = roots[::-1]
         while stack:
             fn = self.unwrap(stack.pop())
             code = getattr(fn, "__code__", None)
@@ -305,36 +240,19 @@ class CallGraph:
             if info is None:
                 continue
             ordered.append(info)
-            if stop_in_substrate and in_substrate(info.module):
-                continue
-            for callee, _ in self.callees(info):
+            for callee in self.callees(info):
                 callee = self.unwrap(callee)
                 if self._should_descend(callee, origin_files):
                     stack.append(callee)
         return ordered
 
 
-@dataclass
-class TransformFunctions:
-    """The traversal roots one transform contributes to the analyzer."""
-
-    rules: list[tuple[str, Callable]] = field(default_factory=list)
-    metrics: list[Callable] = field(default_factory=list)
-    allocators: list[Callable] = field(default_factory=list)
-
-    def roots(self) -> list[Callable]:
-        return ([fn for _, fn in self.rules] + self.metrics
-                + self.allocators)
-
-
-def transform_functions(transform) -> TransformFunctions:
-    """Collect rule/metric/allocator function objects of a transform."""
-    collected = TransformFunctions()
-    for rule in transform.rules:
-        collected.rules.append((rule.name, rule.fn))
+def transform_functions(transform) -> list[Callable]:
+    """The traversal roots of a transform: its rule bodies, then its
+    accuracy metric and allocators."""
+    roots = [rule.fn for rule in transform.rules]
     metric = transform.accuracy_metric
     if metric is not None and callable(getattr(metric, "fn", None)):
-        collected.metrics.append(metric.fn)
-    for fn in transform.allocators.values():
-        collected.allocators.append(fn)
-    return collected
+        roots.append(metric.fn)
+    roots.extend(transform.allocators.values())
+    return roots

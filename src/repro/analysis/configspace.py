@@ -1,26 +1,26 @@
-"""Pass 4: config-space analyses on the compiled program (REP4xx/REP001).
+"""Config-space checks on a compiled program, and its search-space size.
 
-Unlike passes 1–3 these work mostly on the *compiled* artifacts — the
-instance graph and the :class:`~repro.config.parameters.ParameterSpace`
-— with one AST assist: tunable reads are discovered as string literals
-in ``ctx.param("name")`` / ``ctx.for_enough("name")`` calls across
-every function reachable from a transform's rules (the whole repository
-reads tunables by literal name; a dynamic read would at worst produce a
-spurious warning, never an error).
+Two declaration errors that no execution shows, reported by
+:func:`repro.lang.check` (and so by ``python -m repro.lang``):
 
-* ``REP401`` — dead tunable: declared on a transform but read by no
-  reachable function.  Every instance of the transform drags the
-  tunable into the search space, so a dead one multiplies the space for
-  nothing and silently lies in ``describe()``.  The ``precision()``
-  tunable is exempt: the *executor* reads it, not the rules.
-* ``REP402`` — unreachable instance: bin inference materialises one
-  instance per (callee, accuracy bin), but a callee only ever invoked
-  with explicit accuracies can have bins no call path dispatches to —
-  tuned configuration that is never exercised.
-* ``REP001`` — the search-space size estimate ``describe()`` prints:
-  log10 of the product of the discrete domain sizes (choice sites,
-  switches, integer ranges), with continuous dimensions counted
-  separately rather than discretised into a made-up resolution.
+* **dead tunable** — declared on a transform but read by no reachable
+  function.  Every instance of the transform drags the tunable into
+  the search space, so a dead one multiplies the space for nothing and
+  silently lies in ``describe()``.  Tunable reads are discovered as
+  string literals in ``ctx.param("name")`` / ``ctx.for_enough("name")``
+  calls across every function reachable from the transform's rules,
+  metric and allocators (the whole repository reads tunables by
+  literal name).  The ``precision()`` tunable is exempt: the
+  *executor* reads it, not the rules.
+* **unreachable instance** — bin inference materialises one instance
+  per (callee, accuracy bin), but a callee only ever invoked with
+  explicit accuracies can have bins no call path dispatches to: tuned
+  configuration that is never exercised.
+
+:func:`search_space_size` is the estimate ``describe()`` prints: log10
+of the product of the discrete domain sizes (choice sites, switches,
+integer ranges), with continuous dimensions counted separately rather
+than discretised into a made-up resolution.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from __future__ import annotations
 import ast
 import math
 
-from repro.analysis.callgraph import CallGraph, TransformFunctions
-from repro.analysis.findings import AnalysisReport
+from repro.analysis.callgraph import CallGraph, transform_functions
 from repro.config.parameters import (
     ChoiceSiteParam,
     ParameterSpace,
@@ -37,8 +36,9 @@ from repro.config.parameters import (
     SizeValueParam,
     SwitchParam,
 )
+from repro.lang.diagnostics import Diagnostics
 
-__all__ = ["lint_config_space", "search_space_size",
+__all__ = ["config_space_diagnostics", "search_space_size",
            "render_search_space"]
 
 #: ExecutionContext methods whose first (literal) argument names a
@@ -46,50 +46,44 @@ __all__ = ["lint_config_space", "search_space_size",
 _READER_METHODS = ("param", "for_enough")
 
 
-def _tunable_reads(graph: CallGraph, functions: TransformFunctions
-                   ) -> set[str]:
+def _tunable_reads(graph: CallGraph, transform) -> set[str]:
     """Tunable names read anywhere reachable from the transform."""
     reads: set[str] = set()
-    for info in graph.reachable(functions.roots()):
+    for info in graph.reachable(transform_functions(transform)):
         for node in ast.walk(info.node):
-            if not (isinstance(node, ast.Call)
+            if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr in _READER_METHODS
                     and node.args
                     and isinstance(node.args[0], ast.Constant)
                     and isinstance(node.args[0].value, str)):
-                continue
-            reads.add(node.args[0].value)
+                reads.add(node.args[0].value)
     return reads
 
 
-def _lint_dead_tunables(graph: CallGraph, transform,
-                        functions: TransformFunctions,
-                        report: AnalysisReport) -> None:
-    reads = _tunable_reads(graph, functions)
+def _dead_tunables(graph: CallGraph, transform,
+                   diagnostics: Diagnostics) -> None:
     precision = transform.precision_param
-    for tunable in transform.tunables:
-        if precision is not None and tunable.name == precision.name:
-            continue  # read by the executor, not the rules
-        if tunable.name in reads:
+    names = [tunable.name for tunable in transform.tunables
+             if precision is None or tunable.name != precision.name]
+    if not names:
+        return
+    reads = _tunable_reads(graph, transform)
+    first_rule = transform.rules[0] if transform.rules else None
+    info = graph.info(first_rule.fn) if first_rule is not None else None
+    for name in names:
+        if name in reads:
             continue
-        first_rule = transform.rules[0] if transform.rules else None
-        location = None
-        if first_rule is not None:
-            info = graph.info(first_rule.fn)
-            if info is not None:
-                location = info.location()
-        report.add(
-            "REP401",
-            f"tunable {tunable.name!r} is declared but no reachable "
-            f"rule reads it (no ctx.param({tunable.name!r}) / "
-            f"ctx.for_enough({tunable.name!r}) on any path); it "
-            f"multiplies the search space of every instance for "
-            f"nothing",
-            transform=transform.name, location=location)
+        diagnostics.error(
+            f"dead tunable {name!r}: no reachable rule reads it (no "
+            f"ctx.param({name!r}) or ctx.for_enough({name!r}) on any "
+            f"path); it multiplies the search space of every instance "
+            f"for nothing",
+            transform=transform.name,
+            location=info.location() if info is not None else None)
 
 
-def _lint_unreachable_instances(program, report: AnalysisReport) -> None:
+def _unreachable_instances(program, diagnostics: Diagnostics) -> None:
     """BFS over the instance graph from the root's main instance."""
     instances = program.instances
     reached: set[str] = set()
@@ -113,13 +107,21 @@ def _lint_unreachable_instances(program, report: AnalysisReport) -> None:
                     f"{site.target}@{label}"
                     for label in callee.bin_labels())
     for prefix in sorted(set(instances) - reached):
-        instance = instances[prefix]
-        report.add(
-            "REP402",
-            f"instance {prefix!r} is unreachable: no call path from "
+        diagnostics.error(
+            f"unreachable instance {prefix!r}: no call path from "
             f"{program.root}@main dispatches to it, yet its tunables "
             f"sit in the search space",
-            transform=instance.transform.name)
+            transform=instances[prefix].transform.name)
+
+
+def config_space_diagnostics(program) -> Diagnostics:
+    """Dead tunables and unreachable instances of a compiled program."""
+    diagnostics = Diagnostics()
+    graph = CallGraph()
+    for name in sorted(program.transforms):
+        _dead_tunables(graph, program.transform(name), diagnostics)
+    _unreachable_instances(program, diagnostics)
+    return diagnostics
 
 
 def search_space_size(space: ParameterSpace) -> tuple[float, int]:
@@ -153,19 +155,3 @@ def render_search_space(space: ParameterSpace) -> str:
         text += (f" (x {continuous} continuous dimension"
                  f"{'s' if continuous != 1 else ''})")
     return text
-
-
-def lint_config_space(program, graph: CallGraph,
-                      per_transform: dict[str, TransformFunctions],
-                      report: AnalysisReport) -> None:
-    """Run all REP4xx checks plus the REP001 size estimate."""
-    for name in sorted(program.transforms):
-        transform = program.transform(name)
-        functions = per_transform.get(name)
-        if functions is not None:
-            _lint_dead_tunables(graph, transform, functions, report)
-    _lint_unreachable_instances(program, report)
-    report.add(
-        "REP001",
-        f"configuration space: {render_search_space(program.space)}",
-        transform=program.root)

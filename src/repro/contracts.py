@@ -1,9 +1,11 @@
-"""Kernel contracts: machine-checkable pledges the analyzer enforces.
+"""Kernel contracts: declared properties the test suite checks.
 
 A decorator records the pledge in an identity-keyed registry and
 returns the function *unchanged* (zero call overhead, no wrapper to
-break pickling), and the :mod:`repro.analysis` static analyzer — not
-the runtime — enforces the declared property.
+break pickling).  Nothing at runtime enforces a pledge: the kernel
+conformance test (``tests/test_kernel_conformance.py``) runs every
+registered kernel on float32 inputs and on stacked batches, and fails
+for a kernel it has no inputs for, so the registry stays complete.
 
 The substrate packages (:mod:`repro.linalg`, :mod:`repro.multigrid`,
 :mod:`repro.clustering`) honour two contracts the layers above depend
@@ -41,10 +43,8 @@ class KernelContract:
     dtype_preserving: bool = False
 
 
-#: Registry keyed by the function object itself.  The analyzer resolves
-#: call sites to actual function objects (through module globals and
-#: closure cells), so identity keys are exact — no name collisions, no
-#: stale string paths.
+#: Registry keyed by the function object itself: identity keys are
+#: exact — no name collisions, no stale string paths.
 _REGISTRY: dict[Callable, KernelContract] = {}
 
 

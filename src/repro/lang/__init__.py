@@ -31,11 +31,11 @@ Declaration and compile errors are *batched*: every problem in a
 declaration is collected into a
 :class:`~repro.lang.diagnostics.Diagnostics` pass with source
 locations and raised once.  :func:`repro.lang.check` runs those checks
-without raising, :func:`repro.lang.describe` renders a program's
-choice sites, tunables, accuracy bins and call graph, and
-:func:`repro.lang.analyze` runs the :mod:`repro.analysis` whole-program
-contract analyzer (``python -m repro.lang`` gates both the suite
-declarations and the static-analysis findings in CI).
+without raising, adding the config-space errors no execution shows
+(dead tunables, unreachable instances), and
+:func:`repro.lang.describe` renders a program's choice sites,
+tunables, accuracy bins and call graph (``python -m repro.lang`` gates
+the suite and example declarations in CI).
 """
 
 from repro.lang.tunables import (
@@ -52,7 +52,7 @@ from repro.lang.rule import Rule
 from repro.lang.transform import CallSite, Transform
 from repro.lang.dsl import accuracy_metric, allocator, call, rule, transform
 from repro.lang.scaling import scaled_by, RESAMPLERS
-from repro.lang.check import analyze, check, describe
+from repro.lang.check import check, describe
 
 __all__ = [
     "Transform",
@@ -73,7 +73,6 @@ __all__ = [
     "Diagnostic",
     "Diagnostics",
     "SourceLocation",
-    "analyze",
     "check",
     "describe",
     "scaled_by",

@@ -1,13 +1,11 @@
-"""``python -m repro.lang`` — the declaration checker / analyzer CLI.
+"""``python -m repro.lang`` — the declaration checker CLI.
 
-By default runs :func:`repro.lang.check` over every registered suite
-benchmark (or the benchmark names passed as arguments) and exits
-non-zero when any declaration fails, so CI catches language-frontend
-regressions before a single trial runs.  ``--examples <dir>`` also
-validates example files; ``--analyze`` runs the :mod:`repro.analysis`
-whole-program contract analyzer instead (gating on errors and
-non-baselined warnings, see ``--baseline``); ``--json`` emits
-machine-readable results in either mode.
+Runs :func:`repro.lang.check` over every registered suite benchmark
+(or the benchmark names passed as arguments) and exits non-zero when
+any declaration fails — a compile error, a dead tunable or an
+unreachable instance — so CI catches language-frontend regressions
+before a single trial runs.  ``--examples <dir>`` also validates
+example files; ``--json`` emits machine-readable results.
 """
 
 import sys

@@ -83,9 +83,10 @@ class ExecutionContext:
             raise ExecutionError(
                 f"choice site {site!r} resolved to {index}, outside "
                 f"[0, {num_choices})")
-        self.trace.record("choice", self.depth,
-                          instance=self.instance.prefix, site=site,
-                          index=index, n=self.n)
+        if self.trace.enabled:
+            self.trace.record("choice", self.depth,
+                              instance=self.instance.prefix, site=site,
+                              index=index, n=self.n)
         return index
 
     def for_enough(self, name: str) -> range:
@@ -153,9 +154,11 @@ class ExecutionContext:
                     f"[0, {len(bins)})")
             bin_target = bins[index]
             bin_label = callee.bin_label(bin_target)
-        self.trace.record("subcall", self.depth,
-                          instance=self.instance.prefix, site=site_name,
-                          target=callee.name, bin=bin_label, n=n)
+        if self.trace.enabled:
+            self.trace.record("subcall", self.depth,
+                              instance=self.instance.prefix,
+                              site=site_name, target=callee.name,
+                              bin=bin_label, n=n)
         return self.program.run_instance(
             f"{callee.name}@{bin_label}", dict(inputs), n, self.config,
             self._rng, self.cost, self.trace, self.depth + 1)
@@ -173,6 +176,10 @@ class ExecutionContext:
         self.cost.add(units * self.cost_scale)
 
     def record(self, kind: str, **payload: Any) -> None:
-        """Record a domain-specific trace event (e.g. a relaxation)."""
-        self.trace.record(kind, self.depth,
-                          instance=self.instance.prefix, **payload)
+        """Record a domain-specific trace event (e.g. a relaxation).
+
+        A disabled trace returns before the payload is built.
+        """
+        if self.trace.enabled:
+            self.trace.record(kind, self.depth,
+                              instance=self.instance.prefix, **payload)

@@ -1,11 +1,10 @@
 """Shared target resolution for the ``repro.lang`` tool surfaces.
 
-``describe``, ``check`` and the static analyzer all accept the same
-spectrum of targets — a compiled program, a transform, a factory, a
-registered benchmark name, or an example file full of module-level
-declarations.  This module is the one place that spectrum is turned
-into compiled programs, so the three tools cannot drift apart in what
-they accept.
+``describe`` and ``check`` accept the same spectrum of targets — a
+compiled program, a transform, a factory, a registered benchmark name,
+or an example file full of module-level declarations.  This module is
+the one place that spectrum is turned into compiled programs, so the
+two tools cannot drift apart in what they accept.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ def resolve_program(target, extras: Sequence[Transform] = ()):
             root, factory_extras = built, ()
         return compile_program(root, tuple(factory_extras) + tuple(extras))[0]
     raise TypeError(
-        f"describe/check/analyze take a CompiledProgram, Transform, "
+        f"describe/check take a CompiledProgram, Transform, "
         f"factory callable or benchmark name; got {type(target).__name__}")
 
 

@@ -47,8 +47,6 @@ def _slice_count(batch_shape: tuple[int, ...]) -> float:
         else 1.0
 
 
-# Takes no arrays, so it holds both pledges trivially.
-@kernel(stacked=True, dtype_preserving=True)
 def dpbsv_ops(bandwidth: int, size: int) -> tuple[float, float]:
     """``(factor_ops, solve_ops)`` of a band Cholesky factor and solve.
 

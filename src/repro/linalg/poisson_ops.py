@@ -54,11 +54,17 @@ def apply_laplacian_1d(x: np.ndarray, h: float = 1.0,
 def laplacian_1d_diagonal(n: int, h: float = 1.0,
                           extra_diagonal: np.ndarray | None = None,
                           dtype: np.dtype | None = None) -> np.ndarray:
-    """diag(T) for the 1-D operator (for Jacobi preconditioning)."""
-    diagonal = np.full(n, 2.0 / (h * h),
-                       dtype=np.float64 if dtype is None else dtype)
-    if extra_diagonal is not None:
-        diagonal = diagonal + as_float(extra_diagonal)
+    """diag(T) for the 1-D operator (for Jacobi preconditioning).
+
+    ``dtype`` defaults to the extra diagonal's floating dtype, or
+    float64 without one.
+    """
+    extra = None if extra_diagonal is None else as_float(extra_diagonal)
+    if dtype is None:
+        dtype = np.float64 if extra is None else extra.dtype
+    diagonal = np.full(n, 2.0 / (h * h), dtype=dtype)
+    if extra is not None:
+        diagonal = diagonal + extra
     return diagonal
 
 

@@ -43,7 +43,7 @@ def jacobi_preconditioner(diagonal: np.ndarray
     def apply(r: np.ndarray) -> np.ndarray:
         return r * inverse
 
-    return apply, float(len(diagonal))
+    return apply, float(diagonal.shape[-1])
 
 
 @kernel(stacked=True, dtype_preserving=True)

@@ -26,13 +26,11 @@ __all__ = ["is_grid_size", "coarse_size", "restrict_full_weighting",
            "prolong"]
 
 
-@kernel(stacked=True, dtype_preserving=True)
 def is_grid_size(n: int) -> bool:
     """True for sizes of the form 2^k - 1 (k >= 1)."""
     return n >= 1 and ((n + 1) & n) == 0
 
 
-@kernel(stacked=True, dtype_preserving=True)
 def coarse_size(n: int) -> int:
     """Size of the next-coarser grid."""
     if not is_grid_size(n) or n < 3:

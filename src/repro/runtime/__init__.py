@@ -10,7 +10,7 @@ from repro.runtime.backends import (
     TrialCache,
     TrialOutcome,
     TrialRequest,
-    backend_from_name,
+    backend_from_spec,
 )
 from repro.runtime.policy import (
     BinDecision,
@@ -38,5 +38,5 @@ __all__ = [
     "TrialCache",
     "TrialRequest",
     "TrialOutcome",
-    "backend_from_name",
+    "backend_from_spec",
 ]

@@ -46,7 +46,6 @@ __all__ = [
     "ShardPlan",
     "config_digest",
     "execute_trial",
-    "backend_from_name",
     "backend_from_spec",
 ]
 
@@ -109,30 +108,6 @@ def _parse_shard_plan(spec: str, rest: str) -> ShardPlan:
     return ShardPlan(shards=shards, workers=workers)
 
 
-def _backend_factory(name: str) -> "type[ExecutionBackend] | None":
-    """The one registry lookup behind both public parsers."""
-    return _BACKENDS.get(name.lower())
-
-
-def _choices() -> list[str]:
-    return sorted(set(_BACKENDS))
-
-
-def backend_from_name(name: str, **kwargs) -> ExecutionBackend:
-    """Build a backend from a short name (``serial``/``thread``/``process``).
-
-    Convenience for CLI flags and benchmark sweeps; keyword arguments
-    are forwarded to the backend constructor.  For the ``name:workers``
-    spec-string form (and ``ConfigError`` diagnostics) use
-    :func:`backend_from_spec`.
-    """
-    factory = _backend_factory(name)
-    if factory is None:
-        raise ValueError(f"unknown execution backend {name!r}; "
-                         f"choose from {_choices()}")
-    return factory(**kwargs)
-
-
 def backend_from_spec(spec: "str | ExecutionBackend", *,
                       allow_sharded: bool = False
                       ) -> "ExecutionBackend | ShardPlan":
@@ -169,12 +144,12 @@ def backend_from_spec(spec: "str | ExecutionBackend", *,
                 f"door, not a trial-execution backend; pass it where a "
                 f"serving tier accepts it (e.g. ServicePolicy.backend)")
         return _parse_shard_plan(spec, count if sep else "")
-    factory = _backend_factory(name)
+    factory = _BACKENDS.get(name.lower())
     if factory is None:
         raise ConfigError(
             f"unknown execution backend {name!r} in spec {spec!r}; "
             f"valid specs are {_SPEC_FORMS} "
-            f"(accepted names: {', '.join(_choices())}, async)")
+            f"(accepted names: {', '.join(sorted(_BACKENDS))}, async)")
     if not sep:
         return factory()
     if not count:

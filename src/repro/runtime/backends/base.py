@@ -167,7 +167,7 @@ class ExecutionBackend(ABC):
     per-request determinism (see module docstring).
     """
 
-    #: Short identifier used by :func:`backend_from_name` and logs.
+    #: Short identifier used in logs and backend specs.
     name: str = "abstract"
 
     @abstractmethod

@@ -7,8 +7,10 @@ tuning run.  An execution depends only on its inputs, its input size,
 its seed and the config values it reads: inputs and seed are fixed by
 ``(n, trial index, base seed)``, and every config read goes through a
 :class:`~repro.config.configuration.RecordingConfig` and rides back on
-the outcome as ``(name, n, value)``.  (The REP1xx purity gate keeps
-rules from depending on anything else.)  So an outcome measured once
+the outcome as ``(name, n, value)``.  (Rules must depend on nothing
+else; ``tests/test_trial_replay.py`` runs every suite rule twice under
+differently seeded global generators to hold them to it.)  So an
+outcome measured once
 under the deterministic cost objective replays for *any*
 configuration that resolves every recorded read to the same value —
 a mutation of a tunable no rule reads at ``n``, a child that picks

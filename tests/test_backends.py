@@ -40,7 +40,7 @@ from repro.runtime.backends import (
     ThreadPoolBackend,
     TrialCache,
     TrialOutcome,
-    backend_from_name,
+    backend_from_spec,
     config_digest,
     execute_trial,
 )
@@ -269,14 +269,14 @@ class TestBackendEquivalence:
         assert TrialOutcome.from_json(outcome.to_json()).error == \
             outcome.error
 
-    def test_backend_from_name(self):
-        assert isinstance(backend_from_name("serial"), SerialBackend)
-        assert isinstance(backend_from_name("thread"), ThreadPoolBackend)
-        backend = backend_from_name("process", max_workers=2)
+    def test_backend_from_spec_names(self):
+        assert isinstance(backend_from_spec("serial"), SerialBackend)
+        assert isinstance(backend_from_spec("thread"), ThreadPoolBackend)
+        backend = backend_from_spec("process:2")
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.max_workers == 2
-        with pytest.raises(ValueError):
-            backend_from_name("quantum")
+        with pytest.raises(ConfigError):
+            backend_from_spec("quantum")
 
 
 # ----------------------------------------------------------------------

@@ -1,25 +1,19 @@
-"""Batched-kernel equivalence: stacked calls equal per-slice loops.
+"""Batched-kernel edge cases: degenerate batches, broadcasting, errors.
 
-The port of scipy's ``test_batch.py`` idiom: for every kernel that
-accepts a leading batch dimension, the batched output must equal
-stacking the scalar kernel's output over slices — across dtypes, batch
-sizes B in {1, 3, 17}, and the degenerate B=0 — and the returned
-operation count must be exactly B times the scalar count.
-
-The multigrid/stencil kernels are elementwise numpy expressions, so
-batched and scalar results are required to be *bit-identical*, and so
-is the block Cholesky solve, whose block products are broadcast
-products are one gemv per slice, and the block Cholesky factor, whose
-per-slice LAPACK and BLAS calls match an unstacked call's; stacked CG
-reassociates reductions (einsum over the batch axis), so it compares
-under a tight allclose.
+The per-kernel rule — a stacked call equals the loop over its slices,
+for B in {1, 3, 17} and both float dtypes — is one parametrized test
+over the kernel registry in ``test_kernel_conformance.py``.  This file
+keeps what that rule does not cover: the degenerate B=0, broadcast
+batch shapes and stacked factors in the block Cholesky solve (whose
+block products are one gemv per slice, so it is bit-identical to the
+loop at B in {2, 3, 8, 32} too), per-slice early stopping in stacked
+CG, mixed-dtype coefficient fields, and input validation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.clustering.kernels import assign_clusters
 from repro.linalg.banded import block_cholesky_factor, block_cholesky_solve
@@ -37,7 +31,6 @@ from dense_reference import (assert_within_ulp_bound, dense_from_blocks,
                              refined_solve)
 from test_props_linalg import random_spd_blocks
 
-BATCH_SIZES = (1, 3, 17)
 FLOAT_DTYPES = (np.float32, np.float64)
 
 
@@ -49,28 +42,6 @@ def rng_for(seed: int) -> np.random.Generator:
 # SOR relaxation
 # ----------------------------------------------------------------------
 class TestSorPoisson2d:
-    @pytest.mark.parametrize("batch", BATCH_SIZES)
-    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
-    def test_batched_equals_slice_loop(self, batch, dtype):
-        rng = rng_for(batch)
-        n = 15
-        u = rng.standard_normal((batch, n, n)).astype(dtype)
-        f = rng.standard_normal((batch, n, n)).astype(dtype)
-        batched, batched_ops = sor_poisson_2d(u, f, 0.1, 1.4, 3)
-        scalar_ops = None
-        for i in range(batch):
-            expected, scalar_ops = sor_poisson_2d(u[i], f[i], 0.1, 1.4, 3)
-            assert np.array_equal(batched[i], expected)
-        assert batched_ops == batch * scalar_ops
-
-    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
-    def test_dtype_preserved(self, dtype):
-        rng = rng_for(7)
-        u = rng.standard_normal((7, 7)).astype(dtype)
-        f = rng.standard_normal((7, 7)).astype(dtype)
-        result, _ = sor_poisson_2d(u, f, 0.1, 1.4, 2)
-        assert result.dtype == dtype
-
     def test_non_float_promotes_to_float64(self):
         u = np.zeros((7, 7), dtype=np.int64)
         f = np.ones((7, 7), dtype=np.int64)
@@ -93,23 +64,6 @@ class TestSorPoisson2d:
 
 
 class TestSorHelmholtz3d:
-    @pytest.mark.parametrize("batch", BATCH_SIZES)
-    def test_batched_equals_slice_loop(self, batch):
-        rng = rng_for(batch)
-        n = 7
-        phi = rng.standard_normal((batch, n, n, n))
-        f = rng.standard_normal((batch, n, n, n))
-        a = rng.uniform(0.5, 1.0, (n, n, n))
-        faces = face_coefficients(rng.uniform(0.5, 1.0, (n, n, n)))
-        batched, batched_ops = sor_helmholtz_3d(
-            phi, f, a, faces, 0.125, 1.2, 2)
-        scalar_ops = None
-        for i in range(batch):
-            expected, scalar_ops = sor_helmholtz_3d(
-                phi[i], f[i], a, faces, 0.125, 1.2, 2)
-            assert np.array_equal(batched[i], expected)
-        assert batched_ops == batch * scalar_ops
-
     @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
     def test_dtype_preserved(self, dtype):
         rng = rng_for(11)
@@ -139,32 +93,6 @@ class TestSorHelmholtz3d:
 # Grid transfers
 # ----------------------------------------------------------------------
 class TestGridTransfers:
-    @pytest.mark.parametrize("batch", BATCH_SIZES)
-    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
-    def test_restrict_batched_equals_slice_loop(self, batch, dtype):
-        rng = rng_for(batch)
-        fine = rng.standard_normal((batch, 15, 15)).astype(dtype)
-        batched, batched_ops = restrict_full_weighting(fine, core_ndim=2)
-        assert batched.dtype == dtype
-        scalar_ops = None
-        for i in range(batch):
-            expected, scalar_ops = restrict_full_weighting(fine[i])
-            assert np.array_equal(batched[i], expected)
-        assert batched_ops == batch * scalar_ops
-
-    @pytest.mark.parametrize("batch", BATCH_SIZES)
-    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
-    def test_prolong_batched_equals_slice_loop(self, batch, dtype):
-        rng = rng_for(batch)
-        coarse = rng.standard_normal((batch, 7, 7)).astype(dtype)
-        batched, batched_ops = prolong(coarse, core_ndim=2)
-        assert batched.dtype == dtype
-        scalar_ops = None
-        for i in range(batch):
-            expected, scalar_ops = prolong(coarse[i])
-            assert np.array_equal(batched[i], expected)
-        assert batched_ops == batch * scalar_ops
-
     def test_default_core_ndim_is_all_axes(self):
         rng = rng_for(5)
         fine = rng.standard_normal((7, 7))
@@ -194,24 +122,6 @@ class TestConjugateGradient:
     @staticmethod
     def operator(x):
         return apply_laplacian_1d(x, 0.1)
-
-    @pytest.mark.parametrize("batch", BATCH_SIZES)
-    def test_stacked_equals_slice_loop(self, batch):
-        rng = rng_for(batch)
-        n = 31
-        b = rng.standard_normal((batch, n))
-        x, norms, ops = conjugate_gradient(
-            self.operator, b, iterations=25, operator_cost=5.0 * n,
-            tolerance=1e-8)
-        assert x.shape == (batch, n) and ops.shape == (batch,)
-        for i in range(batch):
-            xi, norms_i, ops_i = conjugate_gradient(
-                self.operator, b[i], iterations=25, operator_cost=5.0 * n,
-                tolerance=1e-8)
-            np.testing.assert_allclose(x[i], xi, rtol=1e-12, atol=1e-12)
-            assert len(norms[i]) == len(norms_i)
-            np.testing.assert_allclose(norms[i], norms_i, rtol=1e-12)
-            assert ops[i] == ops_i  # per-slice freezing charges the same
 
     def test_per_slice_early_stop(self):
         # One trivially converged slice (zero RHS) next to a live one:
@@ -342,22 +252,6 @@ def assert_stacked_solve_equals_loop(blocks, b):
 
 class TestBlockCholeskyFactor:
     @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
-    @pytest.mark.parametrize("batch", BATCH_SIZES)
-    def test_stacked_factor_equals_slice_loop(self, batch, dtype):
-        rng = rng_for(batch)
-        pairs = [random_spd_blocks(rng, 5, 4) for _ in range(batch)]
-        diag = np.stack([d for d, _ in pairs]).astype(dtype)
-        sub = np.stack([s for _, s in pairs]).astype(dtype)
-        blocks, batched_ops = block_cholesky_factor(diag, sub)
-        scalar_ops = None
-        for i in range(batch):
-            expected, scalar_ops = block_cholesky_factor(diag[i], sub[i])
-            for block, one in zip(blocks, expected):
-                assert block.dtype == dtype
-                assert block[i].tobytes() == one.tobytes()
-        assert batched_ops == batch * scalar_ops
-
-    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
     def test_equals_dense_factor_folded(self, dtype):
         # The same folded factor as the dense route, within rounding.
         diag, sub = poisson_stencil_blocks(5, shifts=(0.0, 0.1, 0.2))
@@ -370,13 +264,6 @@ class TestBlockCholeskyFactor:
         blocks, _ = block_cholesky_factor(diag.astype(dtype),
                                           sub.astype(dtype))
         assert all(block.dtype == dtype for block in blocks)
-
-    @pytest.mark.parametrize("batch", BATCH_SIZES)
-    def test_shared_factor_stacked_solve(self, batch):
-        rng = rng_for(batch)
-        n = 5
-        assert_stacked_solve_equals_loop(
-            poisson_blocks(n), rng.standard_normal((batch, n, n)))
 
     def test_poisson_solve_inverts_the_stencil(self):
         rng = rng_for(3)
@@ -504,25 +391,6 @@ class TestBlockCholeskySolve:
 # Poisson stencils
 # ----------------------------------------------------------------------
 class TestPoissonStencils:
-    @pytest.mark.parametrize("batch", BATCH_SIZES)
-    def test_laplacian_1d_batched(self, batch):
-        rng = rng_for(batch)
-        x = rng.standard_normal((batch, 12))
-        extra = rng.uniform(0.1, 1.0, 12)
-        batched = apply_laplacian_1d(x, 0.2, extra)
-        for i in range(batch):
-            assert np.array_equal(batched[i],
-                                  apply_laplacian_1d(x[i], 0.2, extra))
-
-    @pytest.mark.parametrize("batch", BATCH_SIZES)
-    def test_laplacian_2d_batched(self, batch):
-        rng = rng_for(batch)
-        u = rng.standard_normal((batch, 9, 9))
-        batched = apply_laplacian_2d(u, 0.1)
-        for i in range(batch):
-            assert np.array_equal(batched[i],
-                                  apply_laplacian_2d(u[i], 0.1))
-
     def test_degenerate_empty_batch(self):
         assert apply_laplacian_2d(np.empty((0, 5, 5)), 0.1).shape \
             == (0, 5, 5)
@@ -532,18 +400,6 @@ class TestPoissonStencils:
 # Cluster assignment
 # ----------------------------------------------------------------------
 class TestAssignClusters:
-    @pytest.mark.parametrize("batch", BATCH_SIZES)
-    def test_batched_equals_slice_loop(self, batch):
-        rng = rng_for(batch)
-        points = rng.standard_normal((batch, 40, 3))
-        centroids = rng.standard_normal((batch, 5, 3))
-        assignments, batched_ops = assign_clusters(points, centroids)
-        scalar_ops = None
-        for i in range(batch):
-            expected, scalar_ops = assign_clusters(points[i], centroids[i])
-            assert np.array_equal(assignments[i], expected)
-        assert batched_ops == batch * scalar_ops
-
     def test_shared_centroids_broadcast(self):
         rng = rng_for(1)
         points = rng.standard_normal((4, 20, 2))

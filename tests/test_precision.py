@@ -19,6 +19,7 @@ from repro.autotuner.candidate import Candidate
 from repro.autotuner.mutators import MutatorPool
 from repro.compiler.compile import compile_program
 from repro.config.configuration import Configuration
+from repro.config.decision_tree import SizeDecisionTree
 from repro.config.parameters import (
     PRECISION_DTYPES,
     ParameterSpace,
@@ -30,7 +31,9 @@ from repro.errors import ConfigError, LanguageError
 from repro.lang import precision, rule, transform
 from repro.runtime.trace import ExecutionTrace
 from repro.serving import TunedArtifact
-from repro.suite import get_benchmark
+from repro.suite import all_benchmarks, get_benchmark
+
+from tests.test_trial_replay import root_rule_cases
 
 
 @pytest.fixture(scope="module")
@@ -300,3 +303,49 @@ class TestArtifactRoundTrip:
             "poisson@main.precision", "float16")
         with pytest.raises(ConfigError, match="float16"):
             poisson_program.space.validate(config)
+
+
+# ----------------------------------------------------------------------
+# Every precision() program runs every root rule in float32
+# ----------------------------------------------------------------------
+def _precision_programs() -> list[str]:
+    """Suite programs with a ``precision()`` tunable on any transform."""
+    names = []
+    for name in sorted(all_benchmarks()):
+        program, _ = get_benchmark(name).compile()
+        if any(transform.precision_param is not None
+               for transform in program.transforms.values()):
+            names.append(name)
+    return names
+
+
+PRECISION_PROGRAMS = _precision_programs()
+
+
+class TestProgramFloat32:
+    """A float32 configuration the tuner prices at half cost must run
+    in float32: with every ``.precision`` entry set to float32 and each
+    root rule forced in turn, every output array comes back float32.
+    A kernel on the rule's path that widens to float64 fails here."""
+
+    @pytest.mark.parametrize("name, site, index",
+                             root_rule_cases(PRECISION_PROGRAMS))
+    def test_every_output_array_is_float32(self, name, site, index):
+        spec = get_benchmark(name)
+        program, _ = spec.compile()
+        config = program.default_config()
+        updates = {key: "float32" for key, _ in config.items()
+                   if key.endswith(".precision")}
+        updates[site] = SizeDecisionTree([index])
+        config = config.with_entries(updates)
+        n = spec.training_sizes[1]
+        inputs = spec.generate(int(n), np.random.default_rng(index))
+        result = program.execute(inputs, n, config)
+        arrays = {key: value for key, value in result.outputs.items()
+                  if isinstance(value, np.ndarray)}
+        assert arrays, f"{name} rule {index} returned no array"
+        assert {key: value.dtype for key, value in arrays.items()} == \
+            {key: np.dtype(np.float32) for key in arrays}
+
+    def test_both_precision_programs_are_covered(self):
+        assert {"poisson", "preconditioner"} <= set(PRECISION_PROGRAMS)

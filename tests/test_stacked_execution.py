@@ -23,7 +23,7 @@ from repro.runtime.batching import (
 )
 from repro.runtime.executor import TunedProgram
 from repro.serving import FrontDoor, ServeRequest, ServingEngine
-from repro.suite import get_benchmark
+from repro.suite import all_benchmarks, get_benchmark
 
 from tests.test_backends import RecordingBackend
 
@@ -32,6 +32,24 @@ from tests.test_backends import RecordingBackend
 def poisson_program():
     program, _ = get_benchmark("poisson").compile()
     return program
+
+
+def _batchable_benchmarks() -> list[str]:
+    return [name for name in sorted(all_benchmarks())
+            if is_batchable(get_benchmark(name).compile()[0])]
+
+
+@pytest.fixture(scope="module", params=_batchable_benchmarks())
+def batchable(request):
+    """``(spec, program)`` of each suite program that may fuse waves."""
+    spec = get_benchmark(request.param)
+    program, _ = spec.compile()
+    return spec, program
+
+
+def stack_size(spec) -> float:
+    """A mid-range training size: big enough to exercise every rule."""
+    return spec.training_sizes[min(2, len(spec.training_sizes) - 1)]
 
 
 def pin_precision(config, value: str = "float64"):
@@ -90,14 +108,22 @@ class TestBatchingPrimitives:
             inputs={**dict(request.inputs), "note": object()})
         assert stack_signature(weird) is None
 
-    def test_execute_stacked_matches_scalar(self, poisson_program):
-        requests = [make_request(poisson_program, 15, seed)
-                    for seed in range(6)]
-        fused = execute_stacked(poisson_program, requests,
-                                cost_limit=5e8, collect_outputs=True)
+    def test_execute_stacked_matches_scalar(self, batchable):
+        spec, program = batchable
+        n = stack_size(spec)
+        requests = [
+            TrialRequest(n=n, trial_index=seed, seed=seed,
+                         config=program.default_config(),
+                         inputs=spec.generate(int(n),
+                                              np.random.default_rng(seed)))
+            for seed in range(6)]
+        fused = execute_stacked(program, requests,
+                                cost_limit=spec.cost_limit,
+                                collect_outputs=True)
         backend = SerialBackend()
-        scalar = backend.run_batch(poisson_program, requests,
-                                   objective="cost", cost_limit=5e8,
+        scalar = backend.run_batch(program, requests,
+                                   objective="cost",
+                                   cost_limit=spec.cost_limit,
                                    collect_outputs=True)
         assert fused is not None
         for fused_outcome, scalar_outcome in zip(fused, scalar):
@@ -106,9 +132,10 @@ class TestBatchingPrimitives:
             assert fused_outcome.objective == scalar_outcome.objective
             assert fused_outcome.accuracy == \
                 pytest.approx(scalar_outcome.accuracy, rel=1e-12)
-            np.testing.assert_allclose(
-                fused_outcome.outputs["u"], scalar_outcome.outputs["u"],
-                rtol=1e-12, atol=1e-12)
+            for name in program.root_transform.outputs:
+                np.testing.assert_allclose(
+                    fused_outcome.outputs[name],
+                    scalar_outcome.outputs[name], rtol=1e-12, atol=1e-12)
 
     def test_run_batch_stacked_alignment_with_mixed_shapes(
             self, poisson_program):
@@ -281,31 +308,32 @@ class TestHarnessStacking:
         monkeypatch.setattr(batching, "execute_stacked", spy)
         return calls
 
-    def run_population(self, poisson_program, *,
+    def run_population(self, spec, program, *,
                        one_at_a_time: bool = False,
                        precision: str = "float64"):
-        generate = get_benchmark("poisson").generate
         harness = ProgramTestHarness(
-            poisson_program, generate, base_seed=11, cost_limit=5e8)
+            program, spec.generate, base_seed=11,
+            cost_limit=spec.cost_limit)
         rng = np.random.default_rng(5)
         candidates = [
-            Candidate(pin_precision(poisson_program.random_config(rng),
+            Candidate(pin_precision(program.random_config(rng),
                                     precision))
             for _ in range(3)]
+        n = stack_size(spec)
         if one_at_a_time:
             for candidate in candidates:
                 for _ in range(4):
-                    harness.run_trials([(candidate, 15.0)])
+                    harness.run_trials([(candidate, n)])
         else:
             harness.ensure_trials_batch(
-                [(candidate, 15.0, 4) for candidate in candidates])
+                [(candidate, n, 4) for candidate in candidates])
         return harness, candidates
 
     @staticmethod
-    def assert_same_trials(population, reference):
+    def assert_same_trials(population, reference, n):
         for candidate, expected in zip(population, reference):
-            trials = candidate.results.trials(15.0)
-            expected_trials = expected.results.trials(15.0)
+            trials = candidate.results.trials(n)
+            expected_trials = expected.results.trials(n)
             assert len(trials) == len(expected_trials) == 4
             for a, b in zip(trials, expected_trials):
                 assert a.objective == b.objective
@@ -318,21 +346,21 @@ class TestHarnessStacking:
                     continue
                 assert a.accuracy == pytest.approx(b.accuracy, rel=1e-9)
 
-    def test_population_trials_match_unstacked(self, poisson_program,
+    def test_population_trials_match_unstacked(self, batchable,
                                                fused_calls, monkeypatch):
         from repro.runtime import batching
+        spec, program = batchable
         looped_harness, looped_pop = self.run_population(
-            poisson_program, one_at_a_time=True)
+            spec, program, one_at_a_time=True)
         assert fused_calls == []
         with monkeypatch.context() as patch:
             # No group is ever large enough to fuse: the same batch
             # goes to the backend request by request.
             patch.setattr(batching, "MIN_GROUP_SIZE", 10 ** 9)
             unfused_harness, unfused_pop = self.run_population(
-                poisson_program)
+                spec, program)
         assert fused_calls == []
-        stacked_harness, stacked_pop = self.run_population(
-            poisson_program)
+        stacked_harness, stacked_pop = self.run_population(spec, program)
         assert len(fused_calls) >= 1
         assert sum(fused_calls) >= 2
         # The same batch, fused or not, executes the same trials.  A
@@ -343,16 +371,19 @@ class TestHarnessStacking:
             unfused_harness.trials_executed
         assert looped_harness.trials_executed <= \
             stacked_harness.trials_executed
-        self.assert_same_trials(stacked_pop, unfused_pop)
-        self.assert_same_trials(stacked_pop, looped_pop)
+        n = stack_size(spec)
+        self.assert_same_trials(stacked_pop, unfused_pop, n)
+        self.assert_same_trials(stacked_pop, looped_pop, n)
 
     def test_float32_population_objectives_match_exactly(
             self, poisson_program, fused_calls):
+        spec = get_benchmark("poisson")
         _, looped_pop = self.run_population(
-            poisson_program, one_at_a_time=True, precision="float32")
+            spec, poisson_program, one_at_a_time=True,
+            precision="float32")
         assert fused_calls == []
         _, stacked_pop = self.run_population(
-            poisson_program, precision="float32")
+            spec, poisson_program, precision="float32")
         assert len(fused_calls) >= 1
         for fused, scalar in zip(stacked_pop, looped_pop):
             fused_trials = fused.results.trials(15.0)

@@ -4,13 +4,18 @@ The harness's trial cache replays an outcome whenever a request's
 configuration resolves every config value an earlier execution of the
 same paired trial read to the same value.  These tests re-execute every
 replay of small tunes of all six suite programs and require the
-measurement to match exactly, and pin the reads that make replay sound:
+measurement to match exactly, run every root rule of every suite
+program twice under differently seeded global generators and require
+the two executions to agree bit for bit, and pin the reads that make
+replay sound:
 failed executions carry their reads up to the raise, every backend
 ships them back, and the paired execution seed is the one the harness
 always derived.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from repro.autotuner.candidate import Candidate
 from repro.compiler.compile import compile_program
 from repro.config.configuration import Configuration, RecordingConfig
 from repro.config.decision_tree import SizeDecisionTree
+from repro.config.parameters import ChoiceSiteParam
 from repro.errors import ConfigError
 from repro.lang.context import MAX_CALL_DEPTH
 from repro.lang.transform import CallSite, Transform
@@ -34,6 +40,7 @@ from repro.runtime.backends import (
     TrialRequest,
     execute_trial,
 )
+from repro.runtime.backends.base import TRIAL_FAILURES
 from repro.runtime.batching import execute_stacked
 from repro.suite import get_benchmark
 
@@ -133,6 +140,68 @@ def test_every_replay_re_executes_identically(name):
                 executed.error) == (replayed.objective, replayed.accuracy,
                                     replayed.failed, replayed.error)
         assert executed.reads == replayed.reads
+
+
+def root_rule_cases(names=SUITE_SIZES):
+    """``(benchmark, choice key, rule index)`` for every rule of every
+    root choice site of the named suite programs."""
+    cases = []
+    for name in sorted(names):
+        program, _ = get_benchmark(name).compile()
+        prefix = f"{program.root}@main.rule."
+        for param in program.space:
+            if isinstance(param, ChoiceSiteParam) and \
+                    param.name.startswith(prefix):
+                cases.extend(
+                    pytest.param(name, param.name, index,
+                                 id=f"{name}-{param.name[len(prefix):]}-"
+                                    f"{label}")
+                    for index, label in enumerate(param.choice_labels))
+    return cases
+
+
+def _execution_record(program, spec, config, n, trial):
+    """Everything one execution shows: outputs (bytes, dtype, shape),
+    cost and reads, or the error it raised."""
+    inputs = spec.generate(int(n), np.random.default_rng(trial))
+    reads: list = []
+    try:
+        result = program.execute(inputs, n, config, seed=trial,
+                                 cost_limit=spec.cost_limit, reads=reads)
+    except TRIAL_FAILURES as exc:  # a failure must be the same failure
+        return repr(exc), reads
+    outputs = {key: (np.asarray(value).dtype.str,
+                     np.asarray(value).shape,
+                     np.asarray(value).tobytes())
+               for key, value in result.outputs.items()}
+    return outputs, result.metrics.cost, reads
+
+
+@pytest.mark.parametrize("name, site, index", root_rule_cases())
+def test_execution_depends_only_on_inputs_seed_and_reads(name, site,
+                                                         index):
+    """What a replay assumes, per root rule: two executions on the same
+    inputs, seed and config agree bit for bit, even with the global
+    ``random`` and legacy ``np.random`` generators seeded differently
+    in between.  A rule that draws outside ``ctx.rng``, or keeps state
+    across executions that reaches its outputs, fails here."""
+    spec = get_benchmark(name)
+    program, _ = spec.compile()
+    config = program.default_config().with_entries(
+        {site: SizeDecisionTree([index])})
+    n = SUITE_SIZES[name][1]
+    saved = random.getstate(), np.random.get_state()
+    records = []
+    try:
+        for global_seed in (1, 2):
+            random.seed(global_seed)
+            np.random.seed(global_seed)
+            records.append(_execution_record(program, spec, config, n,
+                                             trial=index))
+    finally:
+        random.setstate(saved[0])
+        np.random.set_state(saved[1])
+    assert records[0] == records[1]
 
 
 # ----------------------------------------------------------------------
