@@ -267,6 +267,10 @@ def main(argv: "Sequence[str] | None" = None,
     ok, example_dirs = _pop_flag_values(args, "--examples", log)
     if not ok:
         return 1
+    unknown = [a for a in args if a.startswith("--")]
+    if unknown:
+        log(f"unknown option {unknown[0]!r}")
+        return 1
     return _check_main(args or sorted(all_benchmarks()), example_dirs,
                        json_mode, log)
 

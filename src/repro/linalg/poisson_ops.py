@@ -12,8 +12,8 @@
 
 Input floating dtypes are preserved end to end (float32 stays
 float32); non-floating inputs are promoted to float64.
-:func:`laplacian_1d_diagonal` takes an optional ``dtype`` so callers
-can build it in the working precision of their data.
+:func:`laplacian_1d_diagonal` is built in its extra diagonal's dtype,
+so callers get it in the working precision of their data.
 """
 
 from __future__ import annotations
@@ -52,16 +52,15 @@ def apply_laplacian_1d(x: np.ndarray, h: float = 1.0,
 
 @kernel(stacked=True, dtype_preserving=True)
 def laplacian_1d_diagonal(n: int, h: float = 1.0,
-                          extra_diagonal: np.ndarray | None = None,
-                          dtype: np.dtype | None = None) -> np.ndarray:
+                          extra_diagonal: np.ndarray | None = None
+                          ) -> np.ndarray:
     """diag(T) for the 1-D operator (for Jacobi preconditioning).
 
-    ``dtype`` defaults to the extra diagonal's floating dtype, or
-    float64 without one.
+    Built in the extra diagonal's floating dtype, or float64 without
+    one.
     """
     extra = None if extra_diagonal is None else as_float(extra_diagonal)
-    if dtype is None:
-        dtype = np.float64 if extra is None else extra.dtype
+    dtype = np.float64 if extra is None else extra.dtype
     diagonal = np.full(n, 2.0 / (h * h), dtype=dtype)
     if extra is not None:
         diagonal = diagonal + extra

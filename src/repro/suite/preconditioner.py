@@ -96,8 +96,7 @@ def build(precision_choices: tuple[str, ...] = ("float64", "float32")
         @rule
         def jacobi_pcg(ctx, b_rhs, extra_diag):
             diagonal = laplacian_1d_diagonal(len(b_rhs), SPACING,
-                                             extra_diag,
-                                             dtype=b_rhs.dtype)
+                                             extra_diag)
             apply_minv, cost = jacobi_preconditioner(diagonal)
             return _run_cg(ctx, b_rhs, extra_diag, apply_minv, cost)
 

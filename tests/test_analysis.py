@@ -321,3 +321,10 @@ class TestCheckCLI:
         lines = []
         assert main(["--examples"], log=lines.append) == 1
         assert lines == ["--examples requires an argument"]
+
+    @pytest.mark.parametrize("argv", [["--analyze"],
+                                      ["--baseline", "x.json"]])
+    def test_unknown_option_is_refused(self, argv):
+        lines = []
+        assert main(argv, log=lines.append) == 1
+        assert lines == [f"unknown option {argv[0]!r}"]

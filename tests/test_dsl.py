@@ -523,8 +523,7 @@ def build_preconditioner_twin() -> Transform:
                name="jacobi_pcg")
     def jacobi_pcg(ctx, b_rhs, extra_diag):
         diagonal = laplacian_1d_diagonal(len(b_rhs), mod.SPACING,
-                                         extra_diag,
-                                         dtype=b_rhs.dtype)
+                                         extra_diag)
         apply_minv, cost = jacobi_preconditioner(diagonal)
         return mod._run_cg(ctx, b_rhs, extra_diag, apply_minv, cost)
 

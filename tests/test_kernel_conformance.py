@@ -67,6 +67,9 @@ for _module in pkgutil.walk_packages(repro.__path__, "repro."):
 
 BATCH_SIZES = (1, 3, 17)
 FLOAT_DTYPES = (np.float32, np.float64)
+#: Absolute residual tolerance per dtype, well above its round-off
+#: floor so that every slice stops early.
+CG_TOLERANCE = {np.float32: 1e-3, np.float64: 1e-8}
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,9 @@ class Recipe:
     #: Stacked-vs-looped tolerance in units of the dtype's epsilon
     #: (0: bit-identical).
     rtol_eps: float = 0.0
+    #: Output positions that must match bit for bit even under
+    #: ``rtol_eps``.
+    exact: tuple[int, ...] = ()
     #: Scalar outputs are per-slice prices, not per-call totals.
     per_slice_scalars: bool = False
 
@@ -138,12 +144,12 @@ def _run_polynomial(kernel, extra, r):
 
 
 def _run_cg(kernel, b, extra):
-    x, norms, ops = kernel(lambda v: apply_laplacian_1d(v, 1.0, extra), b,
-                           iterations=10, operator_cost=5.0 * b.shape[-1])
-    if b.ndim == 1:
-        return x, len(norms), norms[-1], ops
-    return (x, np.array([len(one) for one in norms]),
-            np.array([one[-1] for one in norms]), ops)
+    """CG to a tolerance each slice reaches at its own step, so the
+    stacked call must freeze every slice where its scalar run stops:
+    the same residual history and the same charged ops."""
+    return kernel(lambda v: apply_laplacian_1d(v, 1.0, extra), b,
+                  iterations=25, operator_cost=5.0 * b.shape[-1],
+                  tolerance=CG_TOLERANCE[b.dtype.type])
 
 
 def _run_sor_helmholtz(kernel, phi, f, a, b):
@@ -182,10 +188,10 @@ RECIPES: dict[Callable, Recipe] = {
         lambda rng, dt: (uniform(rng, dt, 12), normal(rng, dt, 12)),
         run=_run_polynomial, batched=(1,), per_slice_scalars=True),
     # Stacked CG reduces with einsum, the scalar loop with @: the two
-    # round differently.
+    # round differently, but stop at the same step and charge the same.
     conjugate_gradient: Recipe(
         lambda rng, dt: (normal(rng, dt, 31), uniform(rng, dt, 31)),
-        run=_run_cg, batched=(0,), rtol_eps=5000.0),
+        run=_run_cg, batched=(0,), rtol_eps=5000.0, exact=(2,)),
     sor_poisson_2d: Recipe(
         lambda rng, dt: (normal(rng, dt, 15, 15), normal(rng, dt, 15, 15),
                          0.1, 1.4, 3),
@@ -300,16 +306,19 @@ def test_stacked_call_equals_slice_loop(kernel, batch, dtype):
     rtol = recipe.rtol_eps * np.finfo(dtype).eps
     for position, value in enumerate(stacked):
         per_slice = [outputs[position] for outputs in looped]
-        if not isinstance(value, np.ndarray):
+        if not isinstance(value, (np.ndarray, list)):
             expected = (per_slice[0] if recipe.per_slice_scalars
                         else math.fsum(per_slice))
             assert value == expected, f"output {position}"
             continue
+        # An array with a leading batch axis, or a list of per-slice
+        # histories.
         assert len(value) == batch, f"output {position}"
         for row, one in zip(value, per_slice):
             if isinstance(one, np.ndarray):
                 assert row.dtype == one.dtype, f"output {position}"
-            if rtol:
+            assert np.shape(row) == np.shape(one), f"output {position}"
+            if rtol and position not in recipe.exact:
                 np.testing.assert_allclose(row, one, rtol=rtol, atol=rtol)
             else:
                 assert np.array_equal(row, one), f"output {position}"
