@@ -5,7 +5,7 @@ dominant time requirement of our autotuner is testing candidate
 algorithms" (Section 5.5.1):
 
 1. raw backend throughput — one population-sized batch of Poisson
-   trials through serial / thread / process backends (plus a
+   trials through the serial and process backends (plus a
    warm-cache replay), reporting trials/sec and speedup over serial;
 2. tuner wall-clock — a full (scaled-down) autotuning run per backend,
    reporting wall-clock, trials/sec and the bit-identical frontier.
@@ -30,7 +30,6 @@ from repro.rng import generator_for
 from repro.runtime.backends import (
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     TrialCache,
 )
 from repro.suite import get_benchmark
@@ -64,8 +63,7 @@ def _batch_requests(program, harness):
 def test_backend_batch_throughput(benchmark):
     spec, program, harness = _poisson_harness()
     requests = _batch_requests(program, harness)
-    backends = [SerialBackend(), ThreadPoolBackend(max_workers=WORKERS),
-                ProcessPoolBackend(max_workers=WORKERS)]
+    backends = [SerialBackend(), ProcessPoolBackend(max_workers=WORKERS)]
 
     def run():
         rows = {}
@@ -120,7 +118,6 @@ def test_tuner_wall_clock_per_backend(benchmark):
                              accuracy_confidence=None)
     backends = {
         "serial": lambda: SerialBackend(),
-        "thread": lambda: ThreadPoolBackend(max_workers=WORKERS),
         "process": lambda: ProcessPoolBackend(max_workers=WORKERS),
     }
 
@@ -135,7 +132,6 @@ def test_tuner_wall_clock_per_backend(benchmark):
                 elapsed = time.perf_counter() - start
             rows[name] = (elapsed, result.trials_run / elapsed)
             frontiers[name] = result.frontier()
-        assert frontiers["thread"] == frontiers["serial"]
         assert frontiers["process"] == frontiers["serial"]
         return rows
 

@@ -6,7 +6,7 @@ artifact, and serve the same mixed-accuracy request batch through a
 For each (backend, batch size) cell the benchmark prints one
 machine-readable line::
 
-    BENCH_JSON {"bench": "serving", "backend": "thread", ...}
+    BENCH_JSON {"bench": "serving", "backend": "process", ...}
 
 so CI logs double as a throughput time series.  Correctness rides
 along: every cell must return bin choices and outputs identical to the
@@ -27,11 +27,7 @@ import numpy as np
 from conftest import FULL, run_once
 
 from repro.autotuner import Autotuner, ProgramTestHarness, TunerSettings
-from repro.runtime.backends import (
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadPoolBackend,
-)
+from repro.runtime.backends import ProcessPoolBackend, SerialBackend
 from repro.runtime.policy import SheddingPolicy
 from repro.serving import (
     FrontDoor,
@@ -54,7 +50,6 @@ TUNE_SETTINGS = TunerSettings(input_sizes=(7.0,), rounds_per_size=1,
 
 BACKENDS = {
     "serial": lambda: SerialBackend(),
-    "thread": lambda: ThreadPoolBackend(max_workers=WORKERS),
     "process": lambda: ProcessPoolBackend(max_workers=WORKERS),
 }
 

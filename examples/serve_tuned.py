@@ -10,8 +10,8 @@ loop on the Poisson benchmark:
    an `ArtifactStore` on disk;
 2. in the role of a fresh serving process, `Service.load` rebuilds the
    program from the artifact's recorded provenance (no re-tuning, no
-   access to the tuner) and serves a mixed-accuracy batch on a
-   thread-pool backend declared by a `ServicePolicy` spec string;
+   access to the tuner) and serves a mixed-accuracy batch on the
+   serial backend declared by a `ServicePolicy` spec string;
 3. each response reports its bin choice, achieved accuracy, guarantee,
    and the engine's latency/escalation/fallback counters.
 
@@ -41,7 +41,7 @@ def serve_from_store(root: str) -> None:
     # program from its recorded provenance.
     spec = get_benchmark("poisson")
     rng = np.random.default_rng(42)
-    policy = ServicePolicy(backend="threads:4", batch_size=4)
+    policy = ServicePolicy(backend="serial", batch_size=4)
     with Service.load(root, program="poisson", policy=policy) as service:
         requests = [
             service.request(spec.generate(15, rng), 15.0,

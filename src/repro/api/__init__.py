@@ -8,8 +8,8 @@ three objects over the deep stack underneath:
 
 * :class:`Project` — a transform (or suite benchmark) plus its
   training-input generator; owns compilation, the test harness, the
-  execution backend (spec strings: ``"serial"``, ``"threads:8"``,
-  ``"process:4"``) and an optional trial-cache path.
+  execution backend (spec strings: ``"serial"``, ``"process:4"``)
+  and an optional trial-cache path.
 * :meth:`Project.tune` — named settings presets (``"smoke"``,
   ``"paper"``) plus keyword overrides; returns a :class:`TunedHandle`
   with ``.frontier()``, ``.run(...)`` and ``.deploy(store, tag=...)``.

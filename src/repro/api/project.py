@@ -127,8 +127,8 @@ class Project:
         ``("factory", "module:qualname")`` provenance: it then pickles
         to process-pool workers and reloads from stored artifacts by
         re-running the factory.  A plain transform instance compiles
-        without provenance — fine for serial and thread backends, and
-        for process backends when every rule function is a picklable
+        without provenance — fine for the serial backend, and for
+        process backends when every rule function is a picklable
         module-level callable.
         """
         if isinstance(transform, Transform):

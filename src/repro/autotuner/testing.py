@@ -14,7 +14,7 @@ trials itself: it builds batches of :class:`TrialRequest` work units
 and hands them to :func:`~repro.runtime.batching.run_batch_stacked` —
 the same dispatch path the serving engine uses — over a pluggable
 :class:`~repro.runtime.backends.ExecutionBackend` (serial by default;
-thread- and process-pool backends run batches in parallel).  A
+the process-pool backend runs batches in parallel).  A
 candidate's paired trials on same-shape inputs fuse into one stacked
 execution when the program is ``batchable`` and the objective is
 cost.  Because a

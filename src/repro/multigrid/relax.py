@@ -30,10 +30,6 @@ cache line in four at stride 2), which is where the batched-vs-looped
 throughput win comes from.  The per-element arithmetic and its
 evaluation order are identical to the scalar subset path, so compact
 results are bit-for-bit equal to looping the scalar kernel.
-
-The :func:`_checkerboard` parity masks remain available (and cached by
-shape — they were previously rebuilt from ``np.indices`` on every SOR
-call) for callers that need explicit masks.
 """
 
 from __future__ import annotations
@@ -46,24 +42,6 @@ import numpy as np
 from repro.contracts import kernel
 
 __all__ = ["sor_poisson_2d", "sor_helmholtz_3d"]
-
-#: Parity masks keyed by grid shape.  Kept for mask-based callers; the
-#: handful of distinct level shapes makes an unbounded cache safe.
-_MASK_CACHE: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _checkerboard(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(red, black) parity masks for ``shape``, cached by shape."""
-    masks = _MASK_CACHE.get(shape)
-    if masks is None:
-        grids = np.indices(shape)
-        red = (grids.sum(axis=0) % 2) == 0
-        black = ~red
-        red.setflags(write=False)
-        black.setflags(write=False)
-        masks = (red, black)
-        _MASK_CACHE[shape] = masks
-    return masks
 
 
 def _color_subsets(ndim: int) -> tuple[tuple[tuple[int, ...], ...],

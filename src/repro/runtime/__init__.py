@@ -6,7 +6,6 @@ from repro.runtime.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     TrialCache,
     TrialOutcome,
     TrialRequest,
@@ -33,7 +32,6 @@ __all__ = [
     "TraceEvent",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
     "ProcessPoolBackend",
     "TrialCache",
     "TrialRequest",

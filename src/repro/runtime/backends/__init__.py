@@ -2,13 +2,11 @@
 
 The autotuner's hot loop is trial execution (Section 5.5.1).  This
 package defines the batch protocol (:class:`TrialRequest` /
-:class:`TrialOutcome` / :class:`ExecutionBackend`), three
+:class:`TrialOutcome` / :class:`ExecutionBackend`), two
 interchangeable backends, and a trial-result cache:
 
 * :class:`SerialBackend` — the default; runs trials in submission
   order on the calling thread (the reference semantics);
-* :class:`ThreadPoolBackend` — overlaps trials on a thread pool
-  (numpy kernels release the GIL);
 * :class:`ProcessPoolBackend` — chunked map over worker processes for
   true parallelism;
 * :class:`TrialCache` — replays a measurement for any configuration
@@ -16,7 +14,7 @@ interchangeable backends, and a trial-result cache:
   across candidates and tuning runs (the Section 5.4 result-reuse
   optimisation, made exact).
 
-Under the deterministic cost objective all three backends produce
+Under the deterministic cost objective both backends produce
 bit-identical tuning results for a fixed seed; pick by hardware, not
 by semantics.
 """
@@ -33,7 +31,6 @@ from repro.runtime.backends.base import (
 from repro.runtime.backends.cache import TrialCache
 from repro.runtime.backends.process import ProcessPoolBackend
 from repro.runtime.backends.serial import SerialBackend
-from repro.runtime.backends.threads import ThreadPoolBackend
 
 __all__ = [
     "ExecutionBackend",
@@ -41,7 +38,6 @@ __all__ = [
     "TrialOutcome",
     "TrialCache",
     "SerialBackend",
-    "ThreadPoolBackend",
     "ProcessPoolBackend",
     "ShardPlan",
     "config_digest",
@@ -51,15 +47,12 @@ __all__ = [
 
 _BACKENDS = {
     "serial": SerialBackend,
-    "thread": ThreadPoolBackend,
-    "threads": ThreadPoolBackend,
     "process": ProcessPoolBackend,
     "processes": ProcessPoolBackend,
 }
 
 #: The spec forms named by every malformed-spec diagnostic.
-_SPEC_FORMS = ("'serial', 'threads[:N]', 'process[:N]' or "
-               "'async:<shards>x<workers>'")
+_SPEC_FORMS = "'serial', 'process[:N]' or 'async:<shards>x<workers>'"
 
 
 @dataclass(frozen=True)
@@ -113,9 +106,8 @@ def backend_from_spec(spec: "str | ExecutionBackend", *,
                       ) -> "ExecutionBackend | ShardPlan":
     """Build a backend from a spec string — the one shared parser.
 
-    Specs are ``"<name>"`` or ``"<name>:<workers>"``: ``"serial"``,
-    ``"threads:8"``, ``"process:4"`` (``thread``/``threads`` and
-    ``process``/``processes`` are synonyms).  An
+    Specs are ``"<name>"`` or ``"<name>:<workers>"``: ``"serial"``
+    or ``"process:4"`` (``process`` and ``processes`` are synonyms).  An
     :class:`ExecutionBackend` instance passes through unchanged, so
     every API that takes a spec also takes a hand-built backend.
     Malformed specs raise :class:`~repro.errors.ConfigError` naming
@@ -133,8 +125,8 @@ def backend_from_spec(spec: "str | ExecutionBackend", *,
         return spec
     if not isinstance(spec, str):
         raise ConfigError(
-            f"backend spec must be a string like 'serial', 'threads:8' "
-            f"or 'process:4', or an ExecutionBackend instance; got "
+            f"backend spec must be a string like 'serial' or "
+            f"'process:4', or an ExecutionBackend instance; got "
             f"{type(spec).__name__}")
     name, sep, count = spec.strip().partition(":")
     if name.lower() == "async":

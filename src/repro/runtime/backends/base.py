@@ -162,8 +162,8 @@ def execute_trial(program: "CompiledProgram", request: TrialRequest, *,
 class ExecutionBackend(ABC):
     """Maps batches of trial requests to outcomes.
 
-    Implementations may run the batch serially, across threads, or
-    across processes; the contract is positional alignment and
+    Implementations may run the batch serially or across processes;
+    the contract is positional alignment and
     per-request determinism (see module docstring).
     """
 

@@ -18,6 +18,7 @@ to :class:`~repro.runtime.backends.serial.SerialBackend`.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 import threading
 from collections import OrderedDict
@@ -31,7 +32,6 @@ from repro.runtime.backends.base import (
     TrialRequest,
     execute_trial,
 )
-from repro.runtime.backends.threads import default_workers
 
 if TYPE_CHECKING:
     from repro.compiler.program import CompiledProgram
@@ -42,6 +42,10 @@ __all__ = ["ProcessPoolBackend"]
 #: process on purpose: each worker keeps its own copy, and the parent
 #: process never reads it.
 _WORKER_PROGRAM: "CompiledProgram" | None = None
+
+
+def default_workers() -> int:
+    return max(2, min(8, os.cpu_count() or 2))
 
 
 def _init_worker(program_bytes: bytes) -> None:
@@ -107,7 +111,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     f"pickling {program.root!r} failed ({exc!r}).  Suite "
                     f"programs compiled via BenchmarkSpec.compile() pickle "
                     f"by provenance; ad-hoc programs need module-level "
-                    f"rule functions, or use ThreadPoolBackend.") from exc
+                    f"rule functions, or use SerialBackend.") from exc
             context = (multiprocessing.get_context(self.start_method)
                        if self.start_method else None)
             pool = ProcessPoolExecutor(

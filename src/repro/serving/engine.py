@@ -12,9 +12,9 @@ synchronous call; this module does it for *traffic*:
 * the :class:`ServingEngine` executes a batch of requests, each on the
   tuned program the front door resolved for it, grouped per program
   and dispatched on any
-  :class:`~repro.runtime.backends.ExecutionBackend` — serial, thread
-  pool, or process pool — so one engine saturates whatever hardware
-  the backend exposes.  Every batch, live or shadow, goes through
+  :class:`~repro.runtime.backends.ExecutionBackend` — serial or
+  process pool — so one engine saturates whatever hardware the
+  backend exposes.  Every batch, live or shadow, goes through
   :func:`~repro.runtime.batching.run_batch_stacked`, so same-bin
   same-shape requests to a ``batchable`` program fuse into one
   stacked execution;

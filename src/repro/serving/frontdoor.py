@@ -57,11 +57,13 @@ and back; :meth:`FrontDoor.submit` never executes on its caller's
 thread.
 
 A future's done-callbacks run on the thread that resolves it, which
-may be a shard worker.  Because a shard is released before its
-futures resolve, such a callback may call :meth:`FrontDoor.submit`,
-and :meth:`FrontDoor.serve` while the shard is idle; a ``serve`` from
-a worker's callback that has to queue behind other traffic on that
-same shard would wait on its own thread.
+may be a shard worker, and such a callback may call
+:meth:`FrontDoor.submit` or :meth:`FrontDoor.serve`.  A shard is
+released before its futures resolve, so a nested ``serve`` can claim
+it when it is idle.  When the nested requests queue on the worker's
+own shard instead, behind other traffic or spread over several
+shards, that worker runs its shard's batches until the nested futures
+resolve, so it never waits on itself.
 """
 
 from __future__ import annotations
@@ -350,10 +352,11 @@ class FrontDoor:
         self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._recent: deque[float] = deque(maxlen=RECENT_WINDOW)
         self._closed = False
-        self._workers = [
+        # Each worker thread, mapped to its shard.
+        self._workers = {
             threading.Thread(target=self._worker, args=(shard,),
-                             name=f"repro-shard-{shard}", daemon=True)
-            for shard in range(len(engines))]
+                             name=f"repro-shard-{shard}", daemon=True): shard
+            for shard in range(len(engines))}
         for worker in self._workers:
             worker.start()
 
@@ -521,11 +524,16 @@ class FrontDoor:
         claims the shard and runs its first micro-batch (up to the
         shard engine's ``batch_size`` requests) itself; otherwise each
         shard it reached is woken once and hands its share to its
-        engine as one wave.
+        engine as one wave.  Called on a shard's worker thread (from a
+        done-callback), it runs that shard's batches itself until its
+        futures resolve, since no other thread would.
         """
         futures, claimed = self._admit_all(requests, claim=True)
         if claimed is not None:
             self._run_batch(*claimed)
+        shard = self._workers.get(threading.current_thread())
+        if shard is not None:
+            self._work_until(shard, futures)
         return [future.result() for future in futures]
 
     def _admit_all(self, requests: Sequence[ServeRequest], *, claim: bool
@@ -673,6 +681,41 @@ class FrontDoor:
                     ready.wait()
                 if not queue:
                     return  # closed, drained and released
+                live = self._drain(shard, expired)
+            for future, response in expired:
+                _resolve(future, response)
+            if live:
+                self._run_batch(shard, live)
+
+    def _work_until(self, shard: int, futures: list[Future]) -> None:
+        """Run ``shard``'s batches on its own worker thread until every
+        future in ``futures`` has resolved.
+
+        The worker would otherwise block in a nested :meth:`serve` on
+        requests queued behind (or on) its own shard.  Each future's
+        resolution wakes the shard's condition, so the wait below
+        cannot miss it.
+        """
+        pending = [future for future in futures if not future.done()]
+        queue = self._queues[shard]
+        ready = self._ready[shard]
+
+        def wake(_future: Future) -> None:
+            with self._lock:
+                ready.notify()
+
+        def settled() -> bool:
+            return all(future.done() for future in pending)
+
+        for future in pending:
+            future.add_done_callback(wake)
+        while True:
+            expired: list[tuple[Future, ServeResponse]] = []
+            with self._lock:
+                while not settled() and (self._busy[shard] or not queue):
+                    ready.wait()
+                if settled():
+                    return
                 live = self._drain(shard, expired)
             for future, response in expired:
                 _resolve(future, response)

@@ -25,7 +25,7 @@ import pytest
 
 from repro.autotuner import Autotuner, ProgramTestHarness, TunerSettings
 from repro.compiler.compile import compile_program
-from repro.runtime.backends import ThreadPoolBackend
+from repro.runtime.backends import ProcessPoolBackend
 from repro.runtime.executor import TunedProgram
 from repro.serving import (
     ArtifactStore,
@@ -295,13 +295,13 @@ class TestAdaptiveLoop:
         door.close()
 
     def test_background_thread_promotes(self, tmp_path):
-        """The same loop, driven by the controller's own thread with a
-        parallel trial backend under the retune harness."""
+        """The same loop, driven by the controller's own thread, with
+        the front door's shard on a process-pool backend."""
         import time
 
         program, store, telemetry, door, controller = build_world(
             tmp_path, retune_sigma=SHIFT_SIGMA,
-            backend=ThreadPoolBackend(max_workers=2))
+            backend=ProcessPoolBackend(max_workers=2))
         door.serve(make_requests(SHIFT_SIGMA, 24, first_seed=100))
         controller.start(interval=0.01)
         try:

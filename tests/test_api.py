@@ -35,7 +35,6 @@ from repro.runtime.backends import (
     ProcessPoolBackend,
     SerialBackend,
     ShardPlan,
-    ThreadPoolBackend,
     backend_from_spec,
 )
 from repro.serving import ArtifactStore, FrontDoorStats
@@ -216,7 +215,7 @@ class TestProject:
 
     def test_close_shuts_backend_and_is_idempotent(self):
         project = Project.from_transform(make_apimean, apimean_inputs,
-                                         backend="threads:2")
+                                         backend="process:2")
         _ = project.harness
         project.close()
         project.close()
@@ -291,9 +290,6 @@ class TestProject:
 class TestBackendSpec:
     @pytest.mark.parametrize("spec, kind, workers", [
         ("serial", SerialBackend, None),
-        ("threads", ThreadPoolBackend, None),
-        ("threads:8", ThreadPoolBackend, 8),
-        ("thread:2", ThreadPoolBackend, 2),
         ("process:4", ProcessPoolBackend, 4),
         ("processes:3", ProcessPoolBackend, 3),
     ])
@@ -309,10 +305,11 @@ class TestBackendSpec:
 
     @pytest.mark.parametrize("spec, match", [
         ("warp:4", "unknown execution backend"),
+        ("threads:2", "unknown execution backend"),
         ("serial:2", "no worker count"),
-        ("threads:many", "not an integer"),
-        ("threads:0", ">= 1"),
-        ("threads:", "without a worker count"),
+        ("process:many", "not an integer"),
+        ("process:0", ">= 1"),
+        ("process:", "without a worker count"),
         ("serial:", "without a worker count"),
     ])
     def test_bad_specs_raise_config_error(self, spec, match):
@@ -432,13 +429,13 @@ class TestSettingsValidation:
 class TestHarnessContextManager:
     def test_with_block_closes_backend(self):
         program, _ = compile_program(make_apimean())
-        backend = ThreadPoolBackend(max_workers=2)
+        backend = ProcessPoolBackend(max_workers=2)
         with ProgramTestHarness(program, apimean_inputs,
                                 backend=backend) as harness:
             assert harness.backend is backend
             # Force the pool into existence so close() has work to do.
-            backend._ensure_pool()
-        assert backend._pool is None  # close() ran
+            backend._ensure_pool(program)
+        assert not backend._pools  # close() ran
 
 
 # ----------------------------------------------------------------------
@@ -537,7 +534,7 @@ class TestService:
         store, _ = deployed_store
         policy = ServicePolicy(
             retune=TunerSettings(objective="time", **QUICK),
-            retune_backend="threads:2")
+            retune_backend="process:2")
         with Service.load(store, program="apimean", policy=policy,
                           training_inputs=apimean_inputs) as service:
             with pytest.raises(ConfigError, match="serial"):

@@ -1,7 +1,7 @@
 """Execution backends: equivalence, determinism, caching, picklability.
 
 The backend contract (repro.runtime.backends.base) promises that
-serial, thread-pool and process-pool execution produce bit-identical
+serial and process-pool execution produce bit-identical
 tuning results under the deterministic cost objective.  These tests
 hold every backend to it, and cover the TrialCache and the harness's
 bounded input cache.
@@ -37,7 +37,6 @@ from repro.lang.tunables import accuracy_variable
 from repro.runtime.backends import (
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     TrialCache,
     TrialOutcome,
     backend_from_spec,
@@ -133,7 +132,6 @@ def tune_pickmean(backend=None, cache=None, **overrides):
 
 BACKENDS = {
     "serial": lambda: SerialBackend(),
-    "thread": lambda: ThreadPoolBackend(max_workers=3),
     "process": lambda: ProcessPoolBackend(max_workers=2),
 }
 
@@ -168,8 +166,8 @@ class TestBackendEquivalence:
         requests = [harness.build_request(candidate, 32.0, i)
                     for i in range(8)]
         serial = SerialBackend().run_batch(program, requests)
-        with ThreadPoolBackend(max_workers=4) as threaded:
-            parallel = threaded.run_batch(program, requests)
+        with ProcessPoolBackend(max_workers=2) as processes:
+            parallel = processes.run_batch(program, requests)
         assert [(o.objective, o.accuracy, o.failed) for o in serial] == \
             [(o.objective, o.accuracy, o.failed) for o in parallel]
 
@@ -271,7 +269,6 @@ class TestBackendEquivalence:
 
     def test_backend_from_spec_names(self):
         assert isinstance(backend_from_spec("serial"), SerialBackend)
-        assert isinstance(backend_from_spec("thread"), ThreadPoolBackend)
         backend = backend_from_spec("process:2")
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.max_workers == 2
@@ -606,7 +603,7 @@ class TestHarness:
         with pytest.raises(ValueError, match="serial"):
             ProgramTestHarness(program, pickmean_inputs,
                                objective="time",
-                               backend=ThreadPoolBackend(max_workers=2))
+                               backend=ProcessPoolBackend(max_workers=2))
         # Serial (explicit or default) stays allowed.
         ProgramTestHarness(program, pickmean_inputs, objective="time",
                            backend=SerialBackend())

@@ -20,12 +20,7 @@ from repro.linalg.banded import block_cholesky_factor, block_cholesky_solve
 from repro.linalg.cg import conjugate_gradient
 from repro.linalg.poisson_ops import apply_laplacian_1d, apply_laplacian_2d
 from repro.multigrid.helmholtz3d import face_coefficients
-from repro.multigrid.relax import (
-    _MASK_CACHE,
-    _checkerboard,
-    sor_helmholtz_3d,
-    sor_poisson_2d,
-)
+from repro.multigrid.relax import sor_helmholtz_3d, sor_poisson_2d
 from repro.multigrid.grids import prolong, restrict_full_weighting
 from dense_reference import (assert_within_ulp_bound, dense_from_blocks,
                              refined_solve)
@@ -53,14 +48,6 @@ class TestSorPoisson2d:
         result, ops = sor_poisson_2d(empty, empty, 0.1, 1.4, 2)
         assert result.shape == (0, 7, 7)
         assert ops == 0.0
-
-    def test_checkerboard_masks_cached_and_frozen(self):
-        red, black = _checkerboard((5, 5))
-        assert (5, 5) in _MASK_CACHE
-        assert not red.flags.writeable and not black.flags.writeable
-        assert np.array_equal(red, ~black)
-        again_red, _ = _checkerboard((5, 5))
-        assert again_red is red  # same object, not rebuilt
 
 
 class TestSorHelmholtz3d:

@@ -658,5 +658,5 @@ class TestBackendSpecMessage:
             backend_from_spec("quantum:3")
         message = str(exc_info.value)
         assert "'serial'" in message
-        assert "'threads[:N]'" in message
         assert "'process[:N]'" in message
+        assert "'async:<shards>x<workers>'" in message

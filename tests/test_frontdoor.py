@@ -660,6 +660,60 @@ class TestCallerRuns:
         assert engine.threads == [engine.threads[0]] * 2
         door.close()
 
+    def test_serve_from_a_done_callback_behind_queued_traffic(self):
+        # The nested serve() queues behind a request already waiting on
+        # the shard whose worker runs the callback.  That worker runs
+        # its own shard's batches until the nested futures resolve,
+        # instead of waiting on itself.
+        engine = GateEngine()
+        door = fake_door([engine], shedding=None)
+        nested: list = []
+        done = threading.Event()
+
+        def serve_again(future):
+            nested.extend(door.serve([fake_request()]))
+            done.set()
+
+        first = door.submit(fake_request())
+        assert engine.started.wait(5.0)
+        first.add_done_callback(serve_again)
+        second = door.submit(fake_request())
+        engine.gate.set()
+        assert done.wait(10.0), "serve() from a done-callback deadlocked"
+        assert first.result(5.0).ok and second.result(5.0).ok
+        assert nested[0].ok
+        # The queued request and the nested one ran as one batch on
+        # the worker that ran the first.
+        assert [len(batch) for batch in engine.batches] == [1, 2]
+        assert engine.threads == [engine.threads[0]] * 2
+        stats = door.stats()
+        assert (stats.submitted, stats.completed, stats.rejected,
+                stats.expired, stats.queued) == (3, 3, 0, 0, 0)
+        door.close()
+
+    def test_serve_from_a_done_callback_across_shards(self):
+        # A nested serve() that spreads over two shards claims neither;
+        # the share queued on the callback's own shard runs there.
+        engines = [GateEngine(), GateEngine(open_gate=True)]
+        door = fake_door(engines, shedding=None)
+        nested: list = []
+        done = threading.Event()
+
+        def serve_again(future):
+            nested.extend(door.serve([fake_request(), fake_request()]))
+            done.set()
+
+        first = door.submit(fake_request())
+        assert engines[0].started.wait(5.0)
+        first.add_done_callback(serve_again)
+        engines[0].gate.set()
+        assert done.wait(10.0), "serve() from a done-callback deadlocked"
+        assert len(nested) == 2 and all(r.ok for r in nested)
+        assert [len(e.batches) for e in engines] == [2, 1]
+        stats = door.stats()
+        assert (stats.submitted, stats.completed, stats.queued) == (3, 3, 0)
+        door.close()
+
 
 # ----------------------------------------------------------------------
 # A rule that raises inside a fused stacked wave

@@ -7,8 +7,8 @@ Three contracts are enforced here:
   dynamic-bin-lookup decisions for any requested accuracy; schema or
   program mismatches are rejected loudly.
 * **Serve/run equivalence** — a large batch of mixed-accuracy
-  ``ServeRequest``s through the engine (on thread and process
-  backends) returns bin choices and outputs identical to serial
+  ``ServeRequest``s through the engine (on the process backend)
+  returns bin choices and outputs identical to serial
   single-call ``TunedProgram.run``, with guarantees, escalation
   counts, and latency populated.
 * **Observability** — fallbacks and escalations are counted, never
@@ -31,7 +31,6 @@ from repro.errors import AccuracyError, ArtifactError, TrainingError
 from repro.runtime.backends import (
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
 )
 from repro.runtime.executor import TunedProgram
 from repro.runtime.policy import (
@@ -466,17 +465,10 @@ class TestServingEquivalence:
         reference = result.tuned_program()
         return tuned, reference
 
-    @pytest.mark.parametrize("backend_factory", [
-        pytest.param(lambda: ThreadPoolBackend(max_workers=4),
-                     id="thread"),
-        pytest.param(lambda: ProcessPoolBackend(max_workers=2),
-                     id="process"),
-    ])
-    def test_batch_matches_serial_single_calls(self, served_setup,
-                                               backend_factory):
+    def test_batch_matches_serial_single_calls(self, served_setup):
         tuned, reference = served_setup
         requests = mixed_requests(104)
-        with ServingEngine(backend=backend_factory(),
+        with ServingEngine(backend=ProcessPoolBackend(max_workers=2),
                            batch_size=32) as engine:
             responses = engine.serve(requests, [tuned] * len(requests))
             counters = engine.counters()
@@ -522,13 +514,13 @@ class TestServingEquivalence:
         assert sum(r.fallback for r in responses) > 0  # the 1.5s
         assert counters["executions"] >= len(requests)
 
-    def test_thread_and_process_identical(self, served_setup):
+    def test_serial_and_process_identical(self, served_setup):
         tuned, _ = served_setup
         requests = mixed_requests(24)
         outputs = {}
         for name, factory in (
                 ("serial", lambda: SerialBackend()),
-                ("thread", lambda: ThreadPoolBackend(max_workers=4))):
+                ("process", lambda: ProcessPoolBackend(max_workers=2))):
             with ServingEngine(backend=factory()) as engine:
                 responses = engine.serve(requests,
                                          [tuned] * len(requests))
@@ -536,7 +528,7 @@ class TestServingEquivalence:
                 (r.ok, r.bin_target, r.escalations,
                  r.outputs["est"] if r.ok else None)
                 for r in responses]
-        assert outputs["thread"] == outputs["serial"]
+        assert outputs["process"] == outputs["serial"]
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,6 @@ from repro.rng import derive_seed
 from repro.runtime.backends import (
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     TrialCache,
     TrialOutcome,
     TrialRequest,
@@ -339,9 +338,8 @@ class TestReads:
                                   ("b", None, False)]
 
     @pytest.mark.parametrize("backend", [
-        SerialBackend, lambda: ThreadPoolBackend(max_workers=2),
-        lambda: ProcessPoolBackend(max_workers=2)],
-        ids=["serial", "thread", "process"])
+        SerialBackend, lambda: ProcessPoolBackend(max_workers=2)],
+        ids=["serial", "process"])
     def test_reads_ride_back_on_every_backend(self, backend):
         program, _ = compile_program(make_pickmean_transform())
         requests = pickmean_requests(program)
