@@ -37,6 +37,7 @@ from repro.runtime.backends import (
     ShardPlan,
     backend_from_spec,
 )
+from repro.runtime.backends.process import default_workers
 from repro.serving import ArtifactStore, FrontDoorStats
 
 # ----------------------------------------------------------------------
@@ -290,6 +291,7 @@ class TestProject:
 class TestBackendSpec:
     @pytest.mark.parametrize("spec, kind, workers", [
         ("serial", SerialBackend, None),
+        ("process", ProcessPoolBackend, None),
         ("process:4", ProcessPoolBackend, 4),
         ("processes:3", ProcessPoolBackend, 3),
     ])
@@ -298,6 +300,8 @@ class TestBackendSpec:
         assert isinstance(backend, kind)
         if workers is not None:
             assert backend.max_workers == workers
+        elif kind is ProcessPoolBackend:
+            assert backend.max_workers == default_workers()
 
     def test_instance_passes_through(self):
         backend = SerialBackend()

@@ -275,6 +275,16 @@ class TestBackendEquivalence:
         with pytest.raises(ConfigError):
             backend_from_spec("quantum")
 
+    @pytest.mark.parametrize("cpus, workers", [
+        (1, 2), (4, 4), (64, 8), (None, 2)])
+    def test_default_worker_count_tracks_cpus(self, monkeypatch,
+                                              cpus, workers):
+        """Without an explicit count the process pool takes one worker
+        per CPU, at least two and at most eight."""
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert ProcessPoolBackend().max_workers == workers
+        assert backend_from_spec("process").max_workers == workers
+
 
 # ----------------------------------------------------------------------
 # TrialCache
@@ -701,7 +711,8 @@ class TestProgramPickling:
                     for i in range(2)]
         with ProcessPoolBackend(max_workers=1) as backend:
             with pytest.raises(TypeError,
-                               match="requires a picklable program"):
+                               match="requires a picklable program"
+                                     ".*use SerialBackend"):
                 backend.run_batch(program, requests)
         outcomes = SerialBackend().run_batch(program, requests)
         assert not any(outcome.failed for outcome in outcomes)

@@ -714,6 +714,66 @@ class TestCallerRuns:
         assert (stats.submitted, stats.completed, stats.queued) == (3, 3, 0)
         door.close()
 
+    def test_serve_from_a_done_callback_runs_every_queued_batch(self):
+        # With one request per batch, the nested serve() claims the
+        # shard for the request queued ahead of it only; the worker
+        # then runs the nested request's own batch itself.
+        engine = GateEngine(batch_size=1)
+        door = fake_door([engine], shedding=None)
+        nested: list = []
+        done = threading.Event()
+
+        def serve_again(future):
+            nested.extend(door.serve([fake_request()]))
+            done.set()
+
+        first = door.submit(fake_request())
+        assert engine.started.wait(5.0)
+        first.add_done_callback(serve_again)
+        second = door.submit(fake_request())
+        engine.gate.set()
+        assert done.wait(10.0), "serve() from a done-callback deadlocked"
+        assert first.result(5.0).ok and second.result(5.0).ok
+        assert nested[0].ok
+        assert [len(batch) for batch in engine.batches] == [1, 1, 1]
+        assert engine.threads == [engine.threads[0]] * 3
+        stats = door.stats()
+        assert (stats.submitted, stats.completed, stats.rejected,
+                stats.expired, stats.queued) == (3, 3, 0, 0, 0)
+        door.close()
+
+    def test_serve_from_a_done_callback_expires_stale_traffic(self):
+        # The request queued ahead of the nested one outlives its
+        # deadline: the worker refuses it as expired, runs the nested
+        # request, and the books still balance.
+        engine = GateEngine(batch_size=1)
+        door = fake_door([engine], deadline=0.2, shedding=None)
+        nested: list = []
+        done = threading.Event()
+
+        def serve_again(future):
+            nested.extend(door.serve([fake_request()]))
+            done.set()
+
+        first = door.submit(fake_request())
+        assert engine.started.wait(5.0)
+        first.add_done_callback(serve_again)
+        second = door.submit(fake_request())
+        time.sleep(0.4)
+        engine.gate.set()
+        assert done.wait(10.0), "serve() from a done-callback deadlocked"
+        assert first.result(5.0).ok and nested[0].ok
+        refused = second.result(5.0)
+        assert not refused.ok and "deadline expired" in refused.error
+        assert [len(batch) for batch in engine.batches] == [1, 1]
+        assert engine.threads == [engine.threads[0]] * 2
+        stats = door.stats()
+        assert stats.submitted == (stats.completed + stats.rejected
+                                   + stats.expired + stats.queued)
+        assert (stats.submitted, stats.completed, stats.expired,
+                stats.queued) == (3, 2, 1, 0)
+        door.close()
+
 
 # ----------------------------------------------------------------------
 # A rule that raises inside a fused stacked wave
