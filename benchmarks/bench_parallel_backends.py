@@ -8,7 +8,11 @@ algorithms" (Section 5.5.1):
    trials through the serial and process backends (plus a
    warm-cache replay), reporting trials/sec and speedup over serial;
 2. tuner wall-clock — a full (scaled-down) autotuning run per backend,
-   reporting wall-clock, trials/sec and the bit-identical frontier.
+   repeated over rounds that alternate the backend order, reporting
+   each backend's median wall-clock and IQR, the speedup of the
+   medians and the bit-identical frontier.  The process pool is
+   spawned before the clock starts, so the rows time the tune, not
+   the spawn.
 
 Parallel speedups require parallel hardware: the process-backend
 throughput assertion is gated on ``os.cpu_count() >= 2`` so a 1-core
@@ -22,7 +26,7 @@ from __future__ import annotations
 import os
 import time
 
-from conftest import run_once
+from conftest import FULL, median_iqr, run_once
 
 from repro.autotuner import Autotuner, ProgramTestHarness, TunerSettings
 from repro.autotuner.candidate import Candidate
@@ -40,6 +44,8 @@ BATCH_N = 31.0
 TRIALS_PER_CANDIDATE = 4
 POPULATION = 16
 TUNE_SIZES = (7.0, 15.0, 31.0)
+#: Alternating rounds of the per-backend tune.
+TUNE_ROUNDS = 11 if FULL else 5
 
 
 def _poisson_harness(backend=None, cache=None):
@@ -122,23 +128,48 @@ def test_tuner_wall_clock_per_backend(benchmark):
     }
 
     def run():
-        rows = {}
-        frontiers = {}
-        for name, factory in backends.items():
-            _, program, harness = _poisson_harness(backend=factory())
-            with harness:
-                start = time.perf_counter()
-                result = Autotuner(program, harness, settings).tune()
-                elapsed = time.perf_counter() - start
-            rows[name] = (elapsed, result.trials_run / elapsed)
-            frontiers[name] = result.frontier()
-        assert frontiers["process"] == frontiers["serial"]
-        return rows
+        # One program and one backend per name for every round, so the
+        # pool spawned by the warm-up batch is the pool the tunes use.
+        # Each round tunes through a fresh harness: a fresh trial cache.
+        spec, program, warm_harness = _poisson_harness()
+        default = Candidate(program.default_config())
+        warm = [warm_harness.build_request(default, TUNE_SIZES[0], index)
+                for index in range(2)]
+        live = {name: factory() for name, factory in backends.items()}
+        walls: dict[str, list[float]] = {name: [] for name in live}
+        trials: dict[str, int] = {}
+        reference = None
+        try:
+            for backend in live.values():
+                backend.run_batch(program, warm,
+                                  cost_limit=spec.cost_limit)
+            names = list(live)
+            for round_index in range(TUNE_ROUNDS):
+                order = names if round_index % 2 == 0 else names[::-1]
+                for name in order:
+                    harness = ProgramTestHarness(
+                        program, spec.generate, base_seed=5,
+                        cost_limit=spec.cost_limit, backend=live[name])
+                    start = time.perf_counter()
+                    result = Autotuner(program, harness, settings).tune()
+                    walls[name].append(time.perf_counter() - start)
+                    trials[name] = result.trials_run
+                    if reference is None:
+                        reference = result.frontier()
+                    assert result.frontier() == reference, \
+                        f"{name} frontier diverged in round {round_index}"
+        finally:
+            for backend in live.values():
+                backend.close()
+        return {name: (*median_iqr(walls[name]), trials[name])
+                for name in live}
 
     rows = run_once(benchmark, run)
-    serial_wall, _ = rows["serial"]
+    serial_wall = rows["serial"][0]
     print(f"\nPoisson autotuning (sizes {TUNE_SIZES}, "
-          f"{os.cpu_count()} cpus):")
-    for name, (wall, tps) in rows.items():
-        print(f"  {name:>8}: {wall:6.2f}s wall  {tps:7.1f} trials/s  "
+          f"{os.cpu_count()} cpus), median of {TUNE_ROUNDS} "
+          f"alternating rounds, pools spawned before the clock:")
+    for name, (wall, iqr, trials) in rows.items():
+        print(f"  {name:>8}: {wall:6.3f}s wall (IQR {iqr:.3f}s)  "
+              f"{trials / wall:7.1f} trials/s  "
               f"(speedup x{serial_wall / wall:.2f})")

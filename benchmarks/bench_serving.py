@@ -3,15 +3,19 @@
 Tune the Poisson benchmark once (scaled down), package it as a tuned
 artifact, and serve the same mixed-accuracy request batch through a
 ``ServingEngine`` on every execution backend at several batch sizes.
-For each (backend, batch size) cell the benchmark prints one
-machine-readable line::
+Every cell keeps one warm engine and serves the batch for several
+rounds, in an order that alternates round by round, so one cold or
+noisy pass cannot decide a row.  For each (backend, batch size) cell
+the benchmark prints one machine-readable line::
 
     BENCH_JSON {"bench": "serving", "backend": "process", ...}
 
-so CI logs double as a throughput time series.  Correctness rides
-along: every cell must return bin choices and outputs identical to the
-serial reference, so a serving-path regression (wrong bin, wrong
-output, dropped response) fails the smoke run immediately.
+carrying the median req/s over the rounds, its IQR and the round
+count, so CI logs double as a throughput time series.  Correctness
+rides along: every cell must return bin choices and outputs identical
+to the serial reference on every round, so a serving-path regression
+(wrong bin, wrong output, dropped response) fails the smoke run
+immediately.  No row is gated on speed.
 
 Smoke-sized by default; set ``REPRO_BENCH_FULL=1`` for the full sweep.
 """
@@ -24,7 +28,7 @@ import time
 
 import numpy as np
 
-from conftest import FULL, run_once
+from conftest import FULL, median_iqr, run_once
 
 from repro.autotuner import Autotuner, ProgramTestHarness, TunerSettings
 from repro.runtime.backends import ProcessPoolBackend, SerialBackend
@@ -41,6 +45,8 @@ from repro.suite import get_benchmark
 WORKERS = max(2, min(4, os.cpu_count() or 1))
 REQUEST_COUNT = 120 if FULL else 36
 BATCH_SIZES = (8, 32, 128) if FULL else (8, 32)
+#: Alternating rounds per (backend, batch size) cell.
+SERVING_ROUNDS = 15 if FULL else 5
 SERVE_N = 7.0
 TUNE_SETTINGS = TunerSettings(input_sizes=(7.0,), rounds_per_size=1,
                               mutation_attempts=4, min_trials=2,
@@ -85,48 +91,68 @@ def test_serving_throughput(benchmark):
     requests = _mixed_requests()
 
     def run():
-        rows = []
+        cells = [(backend_name, batch_size)
+                 for backend_name in BACKENDS
+                 for batch_size in BATCH_SIZES]
+        engines = {(name, batch_size): ServingEngine(
+                       backend=BACKENDS[name](), batch_size=batch_size)
+                   for name, batch_size in cells}
+        rates: dict[tuple, list[float]] = {cell: [] for cell in cells}
+        last: dict[tuple, list] = {}
         reference = None
-        for backend_name, factory in BACKENDS.items():
-            for batch_size in BATCH_SIZES:
-                with ServingEngine(backend=factory(),
-                                   batch_size=batch_size) as engine:
-                    # warm worker pools
-                    engine.serve(requests[:2], [tuned] * 2)
+        try:
+            for engine in engines.values():
+                engine.serve(requests[:2], [tuned] * 2)  # warm pools
+            for round_index in range(SERVING_ROUNDS):
+                order = cells if round_index % 2 == 0 else cells[::-1]
+                for cell in order:
                     start = time.perf_counter()
-                    responses = engine.serve(requests,
-                                             [tuned] * len(requests))
+                    responses = engines[cell].serve(
+                        requests, [tuned] * len(requests))
                     elapsed = time.perf_counter() - start
-                key = [(r.ok, r.bin_target, r.escalations,
-                        repr(r.outputs) if r.ok else None)
-                       for r in responses]
-                if reference is None:
-                    reference = key
-                assert key == reference, \
-                    f"{backend_name}/batch={batch_size} diverged " \
-                    f"from the serial reference"
-                fallbacks = sum(r.fallback for r in responses)
-                assert len(responses) == REQUEST_COUNT
-                assert fallbacks > 0  # the 9.99 requests
-                rows.append({
-                    "bench": "serving",
-                    "program": "poisson",
-                    "backend": backend_name,
-                    "batch_size": batch_size,
-                    "requests": len(requests),
-                    "throughput_rps": round(len(requests) / elapsed, 2),
-                    "escalations": sum(r.escalations for r in responses),
-                    "fallbacks": fallbacks,
-                    "errors": sum(not r.ok for r in responses),
-                })
+                    key = [(r.ok, r.bin_target, r.escalations,
+                            repr(r.outputs) if r.ok else None)
+                           for r in responses]
+                    if reference is None:
+                        reference = key  # serial, batch 8, round 0
+                    assert key == reference, \
+                        f"{cell[0]}/batch={cell[1]} diverged from the " \
+                        f"serial reference in round {round_index}"
+                    rates[cell].append(len(requests) / elapsed)
+                    last[cell] = responses
+        finally:
+            for engine in engines.values():
+                engine.close()
+        rows = []
+        for backend_name, batch_size in cells:
+            responses = last[(backend_name, batch_size)]
+            fallbacks = sum(r.fallback for r in responses)
+            assert len(responses) == REQUEST_COUNT
+            assert fallbacks > 0  # the 9.99 requests
+            median, iqr = median_iqr(rates[(backend_name, batch_size)])
+            rows.append({
+                "bench": "serving",
+                "program": "poisson",
+                "backend": backend_name,
+                "batch_size": batch_size,
+                "requests": len(requests),
+                "rounds": SERVING_ROUNDS,
+                "throughput_rps": round(median, 2),
+                "throughput_rps_iqr": round(iqr, 2),
+                "escalations": sum(r.escalations for r in responses),
+                "fallbacks": fallbacks,
+                "errors": sum(not r.ok for r in responses),
+            })
         return rows
 
     rows = run_once(benchmark, run)
     print(f"\nServing {REQUEST_COUNT} mixed-accuracy Poisson requests "
-          f"at n={SERVE_N:g} ({os.cpu_count()} cpus):")
+          f"at n={SERVE_N:g} ({os.cpu_count()} cpus), median of "
+          f"{SERVING_ROUNDS} alternating rounds:")
     for row in rows:
         print(f"  {row['backend']:>8}/batch={row['batch_size']:<4} "
-              f"{row['throughput_rps']:8.1f} req/s  "
+              f"{row['throughput_rps']:8.1f} req/s "
+              f"(IQR {row['throughput_rps_iqr']:.1f})  "
               f"{row['escalations']} escalations, "
               f"{row['fallbacks']} fallbacks")
         print("BENCH_JSON " + json.dumps(row, sort_keys=True))

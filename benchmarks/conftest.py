@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.experiments.common import ExperimentSettings
@@ -31,3 +32,9 @@ def run_once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1,
                               warmup_rounds=0)
+
+
+def median_iqr(values) -> tuple[float, float]:
+    """Median and interquartile range of repeated measurements."""
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return float(median), float(q3 - q1)

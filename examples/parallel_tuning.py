@@ -11,6 +11,9 @@ trial-cache path, nothing else changes:
 3. `"serial"` again, against the trial cache written by run 1 — zero
    trials re-executed.
 
+The example asserts both claims: the process frontier equals the
+serial one, and the warm run executes no trial.
+
 Run:  python examples/parallel_tuning.py
 """
 
@@ -31,27 +34,33 @@ def tune(backend="serial", cache=None):
 
 
 def main():
-    cache_path = Path(tempfile.gettempdir()) / "poisson_trials.json"
+    with tempfile.TemporaryDirectory() as scratch:
+        run(Path(scratch) / "poisson_trials.json")
 
+
+def run(cache_path):
     # Closing the project persists the cache it built from the path.
-    _, serial_result, serial_time = tune("serial", cache_path)
+    serial_project, serial_result, serial_time = tune("serial", cache_path)
     print(f"serial:      {serial_time:6.2f}s, "
           f"{serial_result.trials_run} trials, "
           f"frontier {serial_result.frontier()[:2]} ...")
+    assert serial_project.trials_executed > 0, "the cold run ran nothing"
 
     _, process_result, process_time = tune("process:2")
     identical = process_result.frontier() == serial_result.frontier()
     print(f"process:     {process_time:6.2f}s, "
           f"{process_result.trials_run} trials, "
           f"bit-identical frontier: {identical}")
+    assert identical, "the process frontier differs from the serial one"
 
     warm_project, cached_result, cached_time = tune("serial", cache_path)
     print(f"warm cache:  {cached_time:6.2f}s, "
           f"{cached_result.trials_run} trials recorded, "
           f"{warm_project.trials_executed} executed "
           f"(cache: {warm_project.cache})")
-
-    cache_path.unlink(missing_ok=True)
+    assert warm_project.trials_executed == 0, \
+        "the warm-cache run re-executed trials"
+    assert cached_result.frontier() == serial_result.frontier()
 
 
 if __name__ == "__main__":

@@ -77,7 +77,6 @@ class Project:
                  backend: str | ExecutionBackend = "serial",
                  cache: "str | os.PathLike | TrialCache | None" = None,
                  base_seed: int = 0,
-                 objective: str = "cost",
                  noise: float = 0.0,
                  cost_limit: float | None = None,
                  default_sizes: Sequence[float] | None = None,
@@ -102,7 +101,6 @@ class Project:
             self.cache = TrialCache(cache)
             self._cache_owned = True
         self.base_seed = base_seed
-        self.objective = objective
         self.noise = noise
         self.cost_limit = cost_limit
         self.default_sizes = (tuple(float(n) for n in default_sizes)
@@ -184,7 +182,7 @@ class Project:
         if self._harness is None:
             self._harness = ProgramTestHarness(
                 self.program, self.training_inputs,
-                objective=self.objective, base_seed=self.base_seed,
+                base_seed=self.base_seed,
                 noise=self.noise, cost_limit=self.cost_limit,
                 backend=self.backend, cache=self.cache)
         return self._harness
@@ -236,17 +234,8 @@ class Project:
         constraints are respected without the user naming a single
         size.
         """
-        resolved = settings_for(preset, **overrides)
-        # The project's objective is the ambient default: it fills the
-        # gap unless the caller pinned one (an explicit override, or a
-        # full TunerSettings preset, wins — a conflicting explicit
-        # choice then fails loudly at Autotuner construction).
-        if "objective" not in overrides \
-                and not isinstance(preset, TunerSettings) \
-                and resolved.objective != self.objective:
-            resolved = replace(resolved, objective=self.objective)
-        return fit_sizes(resolved, self.default_sizes,
-                         self.program.root)
+        return fit_sizes(settings_for(preset, **overrides),
+                         self.default_sizes, self.program.root)
 
     def tuner(self, preset: str | TunerSettings | None = None,
               **overrides: Any) -> Autotuner:

@@ -59,6 +59,9 @@ from repro.serving.telemetry import (
 
 __all__ = ["ServicePolicy", "Service"]
 
+#: Base seed of every retune harness.
+RETUNE_BASE_SEED = 11
+
 
 @dataclass(frozen=True)
 class ServicePolicy:
@@ -110,20 +113,11 @@ class ServicePolicy:
     #: Backend spec for retune harnesses (a fresh backend per retune;
     #: serial by default so retunes never contend with serving).
     retune_backend: str = "serial"
-    retune_base_seed: int = 11
-    #: Per-trial cost budget for retune harnesses.  ``"auto"`` (the
-    #: default) uses the benchmark spec's budget for
-    #: benchmark-provenance programs (the same budget their original
-    #: tuning ran under) and no budget otherwise; a float or ``None``
-    #: forces that value.
-    retune_cost_limit: "float | None | str" = "auto"
     slice_trials: int = 48
     shadow_fraction: float = 0.5
     min_shadow_samples: int = 8
     min_drift_samples: int = 16
     drift_confidence: float = 0.9
-    #: Seconds between polls of the background adaptive thread.
-    poll_interval: float = 0.1
 
     def __post_init__(self) -> None:
         if not isinstance(self.retune_backend, str):
@@ -353,17 +347,13 @@ class Service:
                          ) -> ProgramTestHarness:
         # Called by the controller per retune; each harness gets a
         # fresh backend (the controller closes it with the harness).
-        cost_limit = self.policy.retune_cost_limit
-        if cost_limit == "auto":
-            # Retune under the same per-trial budget the original
-            # tuning ran under, when the program knows one.
-            spec = self._benchmark_spec(compiled)
-            cost_limit = spec.cost_limit if spec is not None else None
+        # Retunes run under the per-trial budget the original tuning
+        # ran under, when the program knows one.
+        spec = self._benchmark_spec(compiled)
         return ProgramTestHarness(
             compiled, self._generator_for(name, compiled),
-            objective=self.policy.retune_settings().objective,
-            base_seed=self.policy.retune_base_seed,
-            cost_limit=cost_limit,
+            base_seed=RETUNE_BASE_SEED,
+            cost_limit=spec.cost_limit if spec is not None else None,
             backend=backend_from_spec(self.policy.retune_backend))
 
     def _settings_factory(self, name: str, compiled: CompiledProgram
@@ -384,15 +374,7 @@ class Service:
             policy = self.policy
             # Fail fast on a missing/bad policy — a crash inside
             # _launch_retunes would otherwise fail every poll tick.
-            settings = policy.retune_settings()
-            backend_name = \
-                policy.retune_backend.strip().partition(":")[0].lower()
-            if settings.objective == "time" and backend_name != "serial":
-                raise ConfigError(
-                    f"retune objective 'time' requires "
-                    f"retune_backend='serial' (got "
-                    f"{policy.retune_backend!r}): concurrent trials "
-                    f"would time each other's contention")
+            policy.retune_settings()
             self._controller = RetuneController(
                 self.frontdoor, self.store,
                 harness_factory=self._harness_factory,
@@ -425,7 +407,7 @@ class Service:
 
     def start_adaptive(self) -> None:
         """Run the adaptive loop in a daemon thread."""
-        self.controller.start(interval=self.policy.poll_interval)
+        self.controller.start()
 
     def stop_adaptive(self) -> None:
         if self._controller is not None:

@@ -21,7 +21,7 @@ __all__ = ["Trial", "SampleStats", "CandidateResults"]
 class Trial:
     """One timed, accuracy-measured execution of a candidate."""
 
-    objective: float      # cost units or wall seconds (lower is better)
+    objective: float      # cost units (lower is better)
     accuracy: float       # value of the program's accuracy metric
     failed: bool = False  # execution raised (e.g. runaway recursion)
 

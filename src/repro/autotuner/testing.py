@@ -16,12 +16,11 @@ the same dispatch path the serving engine uses — over a pluggable
 :class:`~repro.runtime.backends.ExecutionBackend` (serial by default;
 the process-pool backend runs batches in parallel).  A
 candidate's paired trials on same-shape inputs fuse into one stacked
-execution when the program is ``batchable`` and the objective is
-cost.  Because a
-trial's outcome is fully determined by ``(config, n, trial index, base
-seed)``, outcomes are recorded in request order regardless of how the
-backend schedules them — tuning results are bit-identical across
-backends under the cost objective.  The harness's
+execution when the program is ``batchable``.  Because a trial's
+outcome — its operation count and accuracy — is fully determined by
+``(config, n, trial index, base seed)``, outcomes are recorded in
+request order regardless of how the backend schedules them — tuning
+results are bit-identical across backends.  The harness's
 :class:`~repro.runtime.backends.TrialCache` (always present; in memory
 unless a path persists it) replays a request whenever an earlier
 execution of the same paired trial read config values the request's
@@ -84,31 +83,18 @@ class ProgramTestHarness:
 
     def __init__(self, program: CompiledProgram,
                  input_generator: InputGenerator, *,
-                 objective: str = "cost",
                  base_seed: int = 0,
                  noise: float = 0.0,
                  cost_limit: float | None = None,
                  backend: ExecutionBackend | None = None,
                  cache: TrialCache | None = None,
                  input_cache_size: int | None = DEFAULT_INPUT_CACHE_SIZE):
-        if objective not in ("cost", "time"):
-            raise ValueError(f"unknown objective {objective!r}")
         if not (math.isfinite(noise) and noise >= 0.0):
             raise ValueError(f"noise must be finite and >= 0: {noise}")
         if input_cache_size is not None and input_cache_size < 1:
             raise ValueError("input_cache_size must be >= 1 or None")
-        if objective == "time" and backend is not None and \
-                not isinstance(backend, SerialBackend):
-            # Concurrent trials time each other's contention: samples
-            # would mix loaded and unloaded measurements and bias the
-            # adaptive comparisons.  Wall-clock tuning is serial.
-            raise ValueError(
-                f"objective='time' requires the serial backend; "
-                f"{type(backend).__name__} would measure scheduler "
-                f"contention, not the candidate")
         self.program = program
         self.input_generator = input_generator
-        self.objective = objective
         self.base_seed = base_seed
         self.noise = noise
         self.cost_limit = cost_limit
@@ -193,20 +179,12 @@ class ProgramTestHarness:
     def _new_bucket(self, n: float, trial_index: int) -> Bucket:
         return TrialCache.bucket(n, trial_index, self.base_seed,
                                  program=self._cache_namespace,
-                                 objective=self.objective,
                                  cost_limit=self.cost_limit)
 
     def run_requests(self, requests: Sequence[TrialRequest]
                      ) -> list[TrialOutcome]:
         """Resolve requests through the cache, dispatch misses as one
-        batch, and return outcomes aligned with ``requests``.
-
-        The cache only serves the deterministic cost objective:
-        wall-clock measurements are not determined by the request, so
-        replaying them across runs (and machines) would be wrong.
-        """
-        if self.objective != "cost":
-            return self._dispatch(list(requests))
+        batch, and return outcomes aligned with ``requests``."""
         cache = self.cache
         outcomes: list[TrialOutcome | None] = [None] * len(requests)
         buckets = [self._bucket(request) for request in requests]
@@ -248,7 +226,6 @@ class ProgramTestHarness:
         """Send cache-missing requests to the backend, fusing stackable
         groups (same config digest, same input shapes)."""
         fresh = run_batch_stacked(self.program, requests, self.backend,
-                                  objective=self.objective,
                                   cost_limit=self.cost_limit)
         self.trials_executed += len(fresh)
         return fresh

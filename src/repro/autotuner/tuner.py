@@ -62,7 +62,9 @@ class TunerSettings:
     k_per_bin: int = 2                 # K kept per accuracy bin
     min_trials: int = 3
     max_trials: int = 25
-    objective: str = "cost"            # "cost" | "time"
+    #: The operation count is the only objective; the field stays so
+    #: existing settings keep their digest.
+    objective: str = "cost"
     seed: int = 0
     initial_random: int = 2            # random seed configs beside default
     #: Statistical accuracy guarantees are the paper's default
@@ -102,9 +104,9 @@ class TunerSettings:
         def bad(message: str) -> ConfigError:
             return ConfigError(f"invalid TunerSettings: {message}")
 
-        if self.objective not in ("cost", "time"):
-            raise bad(f"unknown objective {self.objective!r} "
-                      f"(expected 'cost' or 'time')")
+        if self.objective != "cost":
+            raise bad(f"unknown objective {self.objective!r}; 'cost' "
+                      f"(the operation count) is the only objective")
         if self.require_targets not in ("error", "warn", "ignore"):
             raise bad(f"require_targets must be 'error', 'warn' or "
                       f"'ignore', got {self.require_targets!r}")
@@ -298,15 +300,6 @@ class Autotuner:
         self.program = program
         self.harness = harness
         self.settings = settings or TunerSettings()
-        # settings.objective is validated by TunerSettings itself;
-        # here only the harness pairing can still be wrong.
-        if self.settings.objective != harness.objective:
-            raise TrainingError(
-                f"TunerSettings.objective={self.settings.objective!r} but "
-                f"the harness measures {harness.objective!r}; construct "
-                f"ProgramTestHarness(..., objective="
-                f"{self.settings.objective!r}) so trials optimise the "
-                f"objective the tuner was asked for")
         self.metric = harness.metric
         self.bins = program.root_transform.accuracy_bins
         if not self.bins:

@@ -27,7 +27,7 @@ from repro.lang.context import ExecutionContext
 from repro.lang.rule import Rule
 from repro.lang.transform import Transform
 from repro.rng import LazyGenerator
-from repro.runtime.timing import CostAccumulator, Metrics, WallTimer
+from repro.runtime.timing import CostAccumulator, Metrics
 from repro.runtime.trace import ExecutionTrace
 
 __all__ = ["Instance", "CompiledProgram", "ExecutionResult"]
@@ -88,10 +88,6 @@ class ExecutionResult:
     @property
     def cost(self) -> float:
         return self.metrics.cost
-
-    @property
-    def wall_time(self) -> float:
-        return self.metrics.wall_time
 
 
 def _rebuild_from_provenance(provenance: tuple[str, str]
@@ -189,12 +185,11 @@ class CompiledProgram:
         # Derived only if a rule reads ctx.rng (see LazyGenerator).
         rng = LazyGenerator(seed, "execute", self.root)
         recorder = RecordingConfig(config, reads)
-        with WallTimer() as timer:
-            outputs = self.run_instance(
-                f"{self.root}@main", dict(inputs), n, recorder, rng, cost,
-                trace, depth=0)
-        metrics = Metrics(cost=cost.units, wall_time=timer.elapsed)
-        return ExecutionResult(outputs=outputs, metrics=metrics, trace=trace,
+        outputs = self.run_instance(
+            f"{self.root}@main", dict(inputs), n, recorder, rng, cost,
+            trace, depth=0)
+        return ExecutionResult(outputs=outputs,
+                               metrics=Metrics(cost=cost.units), trace=trace,
                                reads=tuple(recorder.reads))
 
     def accuracy_of(self, outputs: Mapping[str, Any],

@@ -1,4 +1,4 @@
-"""Runtime support: timing/cost accounting, traces, tuned-program
+"""Runtime support: cost accounting, traces, tuned-program
 execution, the bin-selection/escalation policy, and the pluggable
 trial-execution backends."""
 
@@ -17,7 +17,7 @@ from repro.runtime.policy import (
     most_accurate_bin,
     select_bin,
 )
-from repro.runtime.timing import CostAccumulator, Metrics, WallTimer
+from repro.runtime.timing import CostAccumulator, Metrics
 from repro.runtime.trace import ExecutionTrace, TraceEvent
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "escalation_ladder",
     "CostAccumulator",
     "Metrics",
-    "WallTimer",
     "ExecutionTrace",
     "TraceEvent",
     "ExecutionBackend",

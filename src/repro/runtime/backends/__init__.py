@@ -14,9 +14,9 @@ interchangeable backends, and a trial-result cache:
   across candidates and tuning runs (the Section 5.4 result-reuse
   optimisation, made exact).
 
-Under the deterministic cost objective both backends produce
-bit-identical tuning results for a fixed seed; pick by hardware, not
-by semantics.
+Both backends produce bit-identical tuning results for a fixed seed,
+because the objective is a deterministic operation count; pick by
+hardware, not by semantics.
 """
 
 from dataclasses import dataclass

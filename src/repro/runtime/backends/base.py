@@ -9,15 +9,15 @@ inside the genetic loop.  This module separates *what* to run from
 * a :class:`TrialRequest` names one measurement — a candidate
   configuration, an input size, a paired trial index, the derived
   execution seed, and the training inputs;
-* a :class:`TrialOutcome` carries back the measurement — objective,
-  accuracy, failure flag, wall time and the config values the
-  execution read;
+* a :class:`TrialOutcome` carries back the measurement — objective
+  (the execution's operation count), accuracy, failure flag and the
+  config values the execution read;
 * an :class:`ExecutionBackend` maps a batch of requests to outcomes.
 
 Backends MUST return outcomes positionally aligned with the request
 batch, and every outcome must depend only on its request (never on
 batch order or concurrency), so that serial and parallel backends are
-interchangeable bit-for-bit under the deterministic cost objective.
+interchangeable bit-for-bit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.config.configuration import Configuration
 from repro.errors import ReproError
-from repro.runtime.timing import CostLimitExceeded, WallTimer
+from repro.runtime.timing import CostLimitExceeded
 
 if TYPE_CHECKING:
     from repro.compiler.program import CompiledProgram
@@ -97,7 +97,6 @@ class TrialOutcome:
     objective: float
     accuracy: float
     failed: bool = False
-    wall_time: float = 0.0
     outputs: Mapping[str, Any] | None = None
     error: str | None = None
     reads: tuple = ()
@@ -105,7 +104,7 @@ class TrialOutcome:
     def to_json(self) -> dict:
         payload = {"objective": self.objective,
                    "accuracy": self.accuracy,
-                   "failed": self.failed, "wall_time": self.wall_time,
+                   "failed": self.failed,
                    "reads": [list(read) for read in self.reads]}
         if self.error is not None:
             payload["error"] = self.error
@@ -120,13 +119,11 @@ class TrialOutcome:
         return cls(objective=objective,
                    accuracy=float(data["accuracy"]),
                    failed=bool(data.get("failed", False)),
-                   wall_time=float(data.get("wall_time", 0.0)),
                    error=str(error) if error is not None else None,
                    reads=reads)
 
 
 def execute_trial(program: "CompiledProgram", request: TrialRequest, *,
-                  objective: str = "cost",
                   cost_limit: float | None = None,
                   collect_outputs: bool = False) -> TrialOutcome:
     """Run one trial.  The single execution kernel shared by every
@@ -138,25 +135,24 @@ def execute_trial(program: "CompiledProgram", request: TrialRequest, *,
     outputs = None
     error = None
     reads: list = []
-    with WallTimer() as timer:
-        try:
-            result = program.execute(request.inputs, request.n,
-                                     request.config, seed=request.seed,
-                                     cost_limit=cost_limit, reads=reads)
-            accuracy = program.accuracy_of(result.outputs, request.inputs)
-            value = result.metrics.objective(objective)
-            failed = False
-            if collect_outputs:
-                outputs = result.outputs
-        except TRIAL_FAILURES as exc:
-            metric = program.root_transform.accuracy_metric
-            value = float("inf")
-            accuracy = metric.worst_value()
-            failed = True
-            error = f"{type(exc).__name__}: {exc}"
+    try:
+        result = program.execute(request.inputs, request.n,
+                                 request.config, seed=request.seed,
+                                 cost_limit=cost_limit, reads=reads)
+        accuracy = program.accuracy_of(result.outputs, request.inputs)
+        value = result.metrics.cost
+        failed = False
+        if collect_outputs:
+            outputs = result.outputs
+    except TRIAL_FAILURES as exc:
+        metric = program.root_transform.accuracy_metric
+        value = float("inf")
+        accuracy = metric.worst_value()
+        failed = True
+        error = f"{type(exc).__name__}: {exc}"
     return TrialOutcome(objective=float(value), accuracy=float(accuracy),
-                        failed=failed, wall_time=timer.elapsed,
-                        outputs=outputs, error=error, reads=tuple(reads))
+                        failed=failed, outputs=outputs, error=error,
+                        reads=tuple(reads))
 
 
 class ExecutionBackend(ABC):
@@ -173,7 +169,6 @@ class ExecutionBackend(ABC):
     @abstractmethod
     def run_batch(self, program: "CompiledProgram",
                   requests: Sequence[TrialRequest], *,
-                  objective: str = "cost",
                   cost_limit: float | None = None,
                   collect_outputs: bool = False) -> list[TrialOutcome]:
         """Execute ``requests`` and return aligned outcomes.

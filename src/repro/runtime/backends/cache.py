@@ -10,15 +10,14 @@ its seed and the config values it reads: inputs and seed are fixed by
 the outcome as ``(name, n, value)``.  (Rules must depend on nothing
 else; ``tests/test_trial_replay.py`` runs every suite rule twice under
 differently seeded global generators to hold them to it.)  So an
-outcome measured once
-under the deterministic cost objective replays for *any*
-configuration that resolves every recorded read to the same value —
-a mutation of a tunable no rule reads at ``n``, a child that picks
-the same rule, or a re-run of the whole tune.
+outcome measured once replays for *any* configuration that resolves
+every recorded read to the same value — a mutation of a tunable no
+rule reads at ``n``, a child that picks the same rule, or a re-run of
+the whole tune.
 
-A bucket ``(program, n, trial index, base seed, objective, cost
-limit)`` holds the outcomes measured there.  Executions in one bucket
-are deterministic in the values they read, so their read sequences
+A bucket ``(program, n, trial index, base seed, cost limit)`` holds
+the outcomes measured there.  Executions in one bucket are
+deterministic in the values they read, so their read sequences
 share a prefix up to the first read whose value differs: the bucket is
 a tree branching on read values, and a lookup resolves one read per
 level.
@@ -40,9 +39,9 @@ from repro.runtime.backends.base import TrialOutcome
 
 __all__ = ["TrialCache"]
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
-#: ``(program, n, trial index, base seed, objective, cost limit)``.
+#: ``(program, n, trial index, base seed, cost limit)``.
 Bucket = tuple
 
 
@@ -92,17 +91,14 @@ class TrialCache:
     @staticmethod
     def bucket(n: float, trial_index: int, base_seed: int, *,
                program: str = "",
-               objective: str = "cost",
                cost_limit: float | None = None) -> Bucket:
         """Where one paired trial's outcomes live.
 
         ``program`` (a caller-chosen namespace; the harness uses
-        "<root transform>/<input generator>"), ``objective`` and
-        ``cost_limit`` namespace the bucket: different programs never
-        alias, cost-model and wall-clock measurements never masquerade
-        as each other, and an outcome measured under one trial budget
-        (whose pass/fail status depends on it) is never replayed under
-        another.  ``n`` is kept as a full-precision float, so nearby
+        "<root transform>/<input generator>") and ``cost_limit``
+        namespace the bucket: different programs never alias, and an
+        outcome measured under one trial budget (whose pass/fail status
+        depends on it) is never replayed under another.  ``n`` is kept as a full-precision float, so nearby
         large sizes never collide, on disk too.
 
         One caveat the bucket cannot see: *editing code* — a program's
@@ -112,7 +108,7 @@ class TrialCache:
         """
         limit = None if cost_limit is None else float(cost_limit)
         return (program, float(n), int(trial_index), int(base_seed),
-                objective, limit)
+                limit)
 
     # ------------------------------------------------------------------
     # Lookup / store
@@ -202,11 +198,10 @@ class TrialCache:
             return
         for entry in buckets:
             try:
-                program, n, trial_index, base_seed, objective, limit = \
+                program, n, trial_index, base_seed, limit = \
                     entry["bucket"]
                 bucket = self.bucket(n, trial_index, base_seed,
                                      program=str(program),
-                                     objective=str(objective),
                                      cost_limit=limit)
                 payloads = list(entry["outcomes"])
             except (KeyError, TypeError, ValueError):

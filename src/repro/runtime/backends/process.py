@@ -11,8 +11,7 @@ functions never travel over the wire (see
 
 Work units are the picklable ``(config, inputs, n, seed)`` payload of
 each :class:`TrialRequest`; outcomes come back aligned with the batch.
-Under the deterministic cost objective this backend is bit-identical
-to :class:`~repro.runtime.backends.serial.SerialBackend`.
+This backend is bit-identical to :class:`~repro.runtime.backends.serial.SerialBackend`.
 """
 
 from __future__ import annotations
@@ -53,11 +52,11 @@ def _init_worker(program_bytes: bytes) -> None:
     _WORKER_PROGRAM = pickle.loads(program_bytes)
 
 
-def _run_chunk(requests: Sequence[TrialRequest], objective: str,
+def _run_chunk(requests: Sequence[TrialRequest],
                cost_limit: float | None,
                collect_outputs: bool = False) -> list[TrialOutcome]:
     assert _WORKER_PROGRAM is not None, "worker initializer did not run"
-    return [execute_trial(_WORKER_PROGRAM, request, objective=objective,
+    return [execute_trial(_WORKER_PROGRAM, request,
                           cost_limit=cost_limit,
                           collect_outputs=collect_outputs)
             for request in requests]
@@ -148,13 +147,12 @@ class ProcessPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def run_batch(self, program: "CompiledProgram",
                   requests: Sequence[TrialRequest], *,
-                  objective: str = "cost",
                   cost_limit: float | None = None,
                   collect_outputs: bool = False) -> list[TrialOutcome]:
         if len(requests) <= 1:
             # Adaptive-comparison top-ups arrive one at a time; process
             # dispatch would be pure overhead and changes no outcome.
-            return [execute_trial(program, request, objective=objective,
+            return [execute_trial(program, request,
                                   cost_limit=cost_limit,
                                   collect_outputs=collect_outputs)
                     for request in requests]
@@ -162,8 +160,8 @@ class ProcessPoolBackend(ExecutionBackend):
         for attempt in range(2):
             pool = self._ensure_pool(program)
             try:
-                futures = [pool.submit(_run_chunk, chunk, objective,
-                                       cost_limit, collect_outputs)
+                futures = [pool.submit(_run_chunk, chunk, cost_limit,
+                                       collect_outputs)
                            for chunk in chunks]
             except RuntimeError:
                 # A concurrent _ensure_pool LRU-evicted (shut down)

@@ -21,17 +21,15 @@ class SerialBackend(ExecutionBackend):
     """Runs each request in submission order on the calling thread.
 
     The default backend; the reference semantics every parallel backend
-    must reproduce bit-for-bit under the cost objective.
+    must reproduce bit-for-bit.
     """
 
     name = "serial"
 
     def run_batch(self, program: "CompiledProgram",
                   requests: Sequence[TrialRequest], *,
-                  objective: str = "cost",
                   cost_limit: float | None = None,
                   collect_outputs: bool = False) -> list[TrialOutcome]:
-        return [execute_trial(program, request, objective=objective,
-                              cost_limit=cost_limit,
+        return [execute_trial(program, request, cost_limit=cost_limit,
                               collect_outputs=collect_outputs)
                 for request in requests]

@@ -16,17 +16,16 @@ never consults the trial seed, control flow is identical across
 slices, and recorded cost scales exactly by the batch size.  Because
 every cost term in the pledged suites is an integer-valued float, the
 stacked run's total cost divided by the batch size equals each scalar
-run's cost *exactly* — the per-request ``cost`` objective survives
-stacking bit-for-bit.
+run's cost *exactly* — the per-request objective survives stacking
+bit-for-bit.
 
 :func:`run_batch_stacked` is the one dispatch path for every trial
 batch — tuning, serving and shadowing alike.  Stacking is refused
 (falling back to the backend's per-request ``run_batch``) whenever
-the pledge cannot be honoured mechanically: non-``cost`` objectives
-(wall-clock is a property of the fused call, not of any one request),
-mismatched input signatures, groups of one, outputs that do not carry
-the batch dimension, or any trial failure inside the fused call
-(per-request failure attribution requires scalar runs).
+the pledge cannot be honoured mechanically: mismatched input
+signatures, groups of one, outputs that do not carry the batch
+dimension, or any trial failure inside the fused call (per-request
+failure attribution requires scalar runs).
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from repro.runtime.backends.base import (
     TrialOutcome,
     TrialRequest,
 )
-from repro.runtime.timing import WallTimer
 
 if TYPE_CHECKING:
     from repro.compiler.program import CompiledProgram
@@ -110,7 +108,6 @@ def stack_signature(request: TrialRequest,
 
 def execute_stacked(program: "CompiledProgram",
                     requests: Sequence[TrialRequest], *,
-                    objective: str = "cost",
                     cost_limit: float | None = None,
                     collect_outputs: bool = False
                     ) -> list[TrialOutcome] | None:
@@ -133,19 +130,17 @@ def execute_stacked(program: "CompiledProgram",
         else:
             stacked_inputs[key] = value
     limit = None if cost_limit is None else cost_limit * batch
-    with WallTimer() as timer:
-        try:
-            result = program.execute(stacked_inputs, first.n,
-                                     first.config, seed=first.seed,
-                                     cost_limit=limit)
-        except TRIAL_FAILURES:
-            return None
+    try:
+        result = program.execute(stacked_inputs, first.n,
+                                 first.config, seed=first.seed,
+                                 cost_limit=limit)
+    except TRIAL_FAILURES:
+        return None
     for value in result.outputs.values():
         if not (isinstance(value, np.ndarray) and value.ndim >= 1
                 and value.shape[0] == batch):
             return None
-    value = result.metrics.objective(objective) / batch
-    wall = timer.elapsed / batch
+    value = result.metrics.cost / batch
     outcomes: list[TrialOutcome] = []
     for index, request in enumerate(requests):
         sliced = {name: array[index]
@@ -156,7 +151,7 @@ def execute_stacked(program: "CompiledProgram",
             return None
         outcomes.append(TrialOutcome(
             objective=float(value), accuracy=float(accuracy),
-            failed=False, wall_time=wall,
+            failed=False,
             outputs=sliced if collect_outputs else None,
             reads=result.reads))
     return outcomes
@@ -165,7 +160,6 @@ def execute_stacked(program: "CompiledProgram",
 def run_batch_stacked(program: "CompiledProgram",
                       requests: Sequence[TrialRequest],
                       backend: ExecutionBackend, *,
-                      objective: str = "cost",
                       cost_limit: float | None = None,
                       collect_outputs: bool = False,
                       counters: MutableMapping[str, int] | None = None
@@ -176,16 +170,15 @@ def run_batch_stacked(program: "CompiledProgram",
     :func:`stack_signature` run as single stacked calls; everything
     else — unfusable requests, single requests, and any group whose
     fused call declined — goes to ``backend.run_batch`` in one
-    positional batch, under the same objective, cost limit and
-    outputs flag.  Outcomes are always aligned with ``requests``.
+    positional batch, under the same cost limit and outputs flag.
+    Outcomes are always aligned with ``requests``.
 
     ``counters`` (when given) receives ``stacked_calls`` and
     ``stacked_requests`` increments for observability.
     """
     requests = list(requests)
-    if (objective != "cost" or not is_batchable(program)
-            or len(requests) < MIN_GROUP_SIZE):
-        return backend.run_batch(program, requests, objective=objective,
+    if not is_batchable(program) or len(requests) < MIN_GROUP_SIZE:
+        return backend.run_batch(program, requests,
                                  cost_limit=cost_limit,
                                  collect_outputs=collect_outputs)
     groups: dict[tuple, list[int]] = {}
@@ -202,8 +195,7 @@ def run_batch_stacked(program: "CompiledProgram",
             residual.extend(indices)
             continue
         wave = [requests[i] for i in indices]
-        fused = execute_stacked(program, wave, objective=objective,
-                                cost_limit=cost_limit,
+        fused = execute_stacked(program, wave, cost_limit=cost_limit,
                                 collect_outputs=collect_outputs)
         if fused is None:
             residual.extend(indices)
@@ -218,8 +210,7 @@ def run_batch_stacked(program: "CompiledProgram",
         residual.sort()
         settled = backend.run_batch(
             program, [requests[i] for i in residual],
-            objective=objective, cost_limit=cost_limit,
-            collect_outputs=collect_outputs)
+            cost_limit=cost_limit, collect_outputs=collect_outputs)
         for position, outcome in zip(residual, settled):
             outcomes[position] = outcome
     return outcomes  # type: ignore[return-value]

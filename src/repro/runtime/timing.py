@@ -1,26 +1,23 @@
-"""Timing and the deterministic operation-count cost model.
+"""The deterministic operation-count cost model.
 
 The paper evaluates candidates by wall-clock time on a dedicated 8-core
 machine.  A pure-Python reproduction cannot use wall-clock time as the
-primary signal without making every experiment nondeterministic and
-machine-dependent, so every substrate kernel in this repository also
+signal without making every experiment nondeterministic and
+machine-dependent, so every substrate kernel in this repository
 *accounts its work* — floating-point operations, comparisons, item
-moves — into a :class:`CostAccumulator`.  The autotuner and the
-experiment harness can then optimise either metric:
-
-* ``objective="cost"`` (default) — deterministic operation counts;
-  reproducible "who wins / by what factor" results.
-* ``objective="time"`` — real wall-clock seconds, identical code path.
+moves — into a :class:`CostAccumulator`, and the autotuner optimises
+that count: the one objective, which makes "who wins / by what factor"
+reproducible.  Wall time is measured from outside (the perfbench
+spans) and compared against cost, never optimised.
 
 DESIGN.md documents this as the hardware substitution.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-__all__ = ["CostAccumulator", "CostLimitExceeded", "WallTimer", "Metrics"]
+__all__ = ["CostAccumulator", "CostLimitExceeded", "Metrics"]
 
 
 class CostLimitExceeded(Exception):
@@ -57,39 +54,9 @@ class CostAccumulator:
         return f"CostAccumulator(units={self.units:g})"
 
 
-class WallTimer:
-    """Context manager measuring elapsed wall-clock seconds."""
-
-    __slots__ = ("start", "elapsed")
-
-    def __init__(self):
-        self.start = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "WallTimer":
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self.start
-
-
 @dataclass
 class Metrics:
     """Measurements from one execution of a compiled program."""
 
     cost: float = 0.0
-    wall_time: float = 0.0
     accuracy: float | None = None
-
-    def objective(self, name: str) -> float:
-        """Return the optimisation objective value ``name``.
-
-        ``"cost"`` selects the deterministic operation count and
-        ``"time"`` the wall-clock seconds.
-        """
-        if name == "cost":
-            return self.cost
-        if name == "time":
-            return self.wall_time
-        raise ValueError(f"unknown objective {name!r}")

@@ -244,8 +244,8 @@ class ServingEngine:
             for offset in range(0, len(batch), self.batch_size):
                 outcomes.extend(run_batch_stacked(
                     program, batch[offset:offset + self.batch_size],
-                    self.backend, objective="cost",
-                    collect_outputs=not shadow, counters=counters))
+                    self.backend, collect_outputs=not shadow,
+                    counters=counters))
         finally:
             with self._lock:
                 for key, increment in counters.items():

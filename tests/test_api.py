@@ -13,6 +13,7 @@ Two contracts matter:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -255,17 +256,16 @@ class TestProject:
             assert project.program.provenance == \
                 ("factory", f"{make_apimean.__module__}:make_apimean")
 
-    def test_project_objective_threads_into_settings(self):
-        with Project.from_transform(make_apimean, apimean_inputs,
-                                    objective="time",
-                                    base_seed=BASE_SEED) as project:
-            assert project.settings(**QUICK).objective == "time"
-            handle = project.tune(**QUICK)     # no redundant override
-            assert handle.result.settings.objective == "time"
-            # An explicit conflicting choice still fails loudly.
-            from repro.errors import TrainingError
-            with pytest.raises(TrainingError, match="objective"):
-                project.tune(objective="cost", **QUICK)
+    def test_project_tunes_on_cost_only(self):
+        with pytest.raises(TypeError, match="objective"):
+            Project.from_transform(make_apimean, apimean_inputs,
+                                   objective="cost")
+        with Project.from_transform(make_apimean,
+                                    apimean_inputs) as project:
+            assert project.settings(**QUICK).objective == "cost"
+            with pytest.raises(ConfigError, match="only objective"):
+                project.tune(objective="time", **QUICK)
+            assert project.trials_run == 0
 
     def test_non_importable_factory_rejected(self):
         with pytest.raises(CompileError, match="module-level"):
@@ -394,6 +394,7 @@ class TestSettingsValidation:
         (dict(min_input_size=0.0), "positive"),
         (dict(min_input_size=-2.0), "positive"),
         (dict(objective="energy"), "objective"),
+        (dict(objective="time"), "'cost'.*only objective"),
         (dict(require_targets="explode"), "require_targets"),
         (dict(rounds_per_size=-1), "rounds_per_size"),
         (dict(min_trials=0), "min_trials"),
@@ -419,6 +420,23 @@ class TestSettingsValidation:
     def test_invalid_settings_raise_config_error(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
             TunerSettings(**kwargs)
+
+    def test_objective_field_and_digest_kept(self):
+        # ``objective`` stays a field: every existing settings value
+        # keeps its digest, and callers that pin it by name still work.
+        assert {f.name for f in dataclasses.fields(TunerSettings)} == {
+            "accuracy_confidence", "copy_parent_results", "guided_factor",
+            "guided_max_evaluations", "include_meta_mutators",
+            "initial_random", "input_sizes", "k_per_bin",
+            "keep_most_accurate", "log", "lognormal_scaling",
+            "max_input_size", "max_tree_levels", "max_trials",
+            "min_input_size", "min_trials", "mutation_attempts",
+            "objective", "prefer_root_mutators", "require_targets",
+            "root_mutator_weight", "rounds_per_size", "seed",
+            "use_guided_mutation"}
+        assert TunerSettings().digest() == "6f93b3cb81a096cf"
+        assert TunerSettings(objective="cost").digest() == \
+            TunerSettings().digest()
 
     def test_valid_edge_cases_pass(self):
         # Zero rounds (test-only tuning) and None confidence are legal.
@@ -522,27 +540,18 @@ class TestService:
         with pytest.raises(ConfigError, match="spec string"):
             ServicePolicy(retune_backend=SerialBackend())
 
-    def test_time_objective_retunes_propagate_to_harness(self,
-                                                         tmp_path):
-        program, _ = compiled_from_factory(factory_spec(make_apimean))
-        time_settings = TunerSettings(objective="time", **QUICK)
+    def test_retune_harness_seed_and_budget(self, tmp_path):
+        """Retune harnesses run at base seed 11, and without a trial
+        budget when the program has no benchmark spec (the spec's
+        budget is checked in the benchmark-sizes test below)."""
         service = Service(ArtifactStore(tmp_path), frontdoor=None,
                           telemetry=None,
-                          policy=ServicePolicy(retune=time_settings),
+                          policy=ServicePolicy(retune="smoke"),
                           training_inputs=apimean_inputs)
+        program, _ = compiled_from_factory(factory_spec(make_apimean))
         with service._harness_factory("apimean", program) as harness:
-            assert harness.objective == "time"
-
-    def test_time_objective_rejects_parallel_retune_backend(
-            self, deployed_store):
-        store, _ = deployed_store
-        policy = ServicePolicy(
-            retune=TunerSettings(objective="time", **QUICK),
-            retune_backend="process:2")
-        with Service.load(store, program="apimean", policy=policy,
-                          training_inputs=apimean_inputs) as service:
-            with pytest.raises(ConfigError, match="serial"):
-                service.poll()
+            assert (harness.base_seed, harness.cost_limit) == (11, None)
+            assert harness.input_generator is apimean_inputs
 
     def test_deploy_retain_needs_a_path_created_store(
             self, deployed_store):
@@ -630,7 +639,7 @@ class TestService:
             assert service.programs == ("apimean",)
 
     def test_failing_settings_resolution_never_builds_a_harness(
-            self, deployed_store):
+            self, deployed_store, monkeypatch):
         """A raising settings resolver must not leak a fresh harness
         (and backend) on every poll tick (controller launch order)."""
         from repro.serving import ServingTelemetry
@@ -675,10 +684,14 @@ class TestService:
             controller.poll()
         assert built == []   # settings resolved before harness build
 
-        # And when construction fails *after* the harness exists (an
-        # objective mismatch), the harness's backend is closed.
-        controller.settings = TunerSettings(objective="time", **QUICK)
-        with pytest.raises(Exception, match="objective"):
+        # And when construction fails *after* the harness exists, the
+        # harness's backend is closed.
+        def raising_session(self, **kwargs):
+            raise ConfigError("session refused")
+
+        monkeypatch.setattr(Autotuner, "session", raising_session)
+        controller.settings = TunerSettings(**QUICK)
+        with pytest.raises(ConfigError, match="session refused"):
             controller.poll()
         assert len(built) == 1
         assert built[0].backend.closed

@@ -15,11 +15,13 @@ in TestProgramPickling.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import os
 import pickle
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -31,7 +33,7 @@ from repro.autotuner.candidate import Candidate
 from repro.compiler.compile import compile_program
 from repro.config.configuration import Configuration
 from repro.config.decision_tree import SizeDecisionTree
-from repro.errors import ConfigError, TrainingError
+from repro.errors import ConfigError
 from repro.lang.transform import Transform
 from repro.lang.tunables import accuracy_variable
 from repro.runtime.backends import (
@@ -43,6 +45,7 @@ from repro.runtime.backends import (
     config_digest,
     execute_trial,
 )
+from repro.runtime.batching import execute_stacked, run_batch_stacked
 from repro.suite import get_benchmark
 
 # ----------------------------------------------------------------------
@@ -110,6 +113,29 @@ class KillWorker:
 
     def __reduce__(self):
         return (os._exit, (1,))
+
+
+def _hold_until(release: str) -> int:
+    """Create ``release + ".held"``, then block until ``release``
+    exists (at most 60 s)."""
+    open(release + ".held", "w").close()
+    deadline = time.monotonic() + 60.0
+    while not os.path.exists(release) and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return 0
+
+
+class HoldWorker:
+    """Unpickling this holds the process doing it until the file
+    ``release`` exists: placed in a request's inputs, it keeps the
+    process-pool worker that receives the request mid-batch.  The
+    worker creates ``release + ".held"`` once it is held."""
+
+    def __init__(self, release: os.PathLike):
+        self.release = os.fspath(release)
+
+    def __reduce__(self):
+        return (_hold_until, (self.release,))
 
 
 def quick_settings(**overrides) -> TunerSettings:
@@ -267,6 +293,26 @@ class TestBackendEquivalence:
         assert TrialOutcome.from_json(outcome.to_json()).error == \
             outcome.error
 
+    def test_outcome_objective_is_the_operation_count(self):
+        program, _ = compile_program(make_pickmean_transform())
+        harness = ProgramTestHarness(program, pickmean_inputs, base_seed=3)
+        request = harness.build_request(
+            Candidate(program.default_config()), 16.0, 0)
+        result = program.execute(request.inputs, request.n,
+                                  request.config, seed=request.seed)
+        outcome = execute_trial(program, request)
+        assert outcome.objective == result.cost > 0
+        assert "wall_time" not in outcome.to_json()
+
+    @pytest.mark.parametrize("function", [
+        execute_trial, SerialBackend.run_batch,
+        ProcessPoolBackend.run_batch, run_batch_stacked, execute_stacked,
+        TrialCache.bucket], ids=lambda f: f.__qualname__)
+    def test_no_objective_keyword(self, function):
+        # The operation count is the only objective: nothing on the
+        # trial path selects one.
+        assert "objective" not in inspect.signature(function).parameters
+
     def test_backend_from_spec_names(self):
         assert isinstance(backend_from_spec("serial"), SerialBackend)
         backend = backend_from_spec("process:2")
@@ -359,9 +405,7 @@ class TestTrialCache:
         cache.put(bucket, _outcome(1.0, ("p.k", 8.0, 1)))
         assert cache.get(bucket, _config(p_k=[1, 2])) is None
 
-    def test_objective_and_cost_limit_namespace_keys(self):
-        assert TrialCache.bucket(8.0, 1, 0, objective="cost") != \
-            TrialCache.bucket(8.0, 1, 0, objective="time")
+    def test_cost_limit_namespaces_keys(self):
         # A trial's pass/fail status depends on the cost budget, so
         # outcomes measured under different limits must never alias.
         assert TrialCache.bucket(8.0, 1, 0, cost_limit=None) != \
@@ -397,8 +441,8 @@ class TestTrialCache:
         path = tmp_path / "mixed.json"
         good = {"objective": 2.0, "accuracy": 0.9,
                 "reads": [["p.x", 4.0, 1]]}
-        path.write_text(json.dumps({"version": 2, "buckets": [
-            {"bucket": ["", 4.0, 0, 0, "cost", None], "outcomes": [
+        path.write_text(json.dumps({"version": 3, "buckets": [
+            {"bucket": ["", 4.0, 0, 0, None], "outcomes": [
                 {"accuracy": 0.5},                      # missing objective
                 None,                                   # not a mapping
                 {"objective": None, "accuracy": 0.1},
@@ -415,22 +459,26 @@ class TestTrialCache:
         assert cache.get(TrialCache.bucket(4.0, 0, 0), _config(p_x=1)) == \
             _outcome(2.0, ("p.x", 4.0, 1), accuracy=0.9)
 
-    def test_time_objective_bypasses_cache(self):
-        """Wall-clock measurements are not content-determined; the
-        harness must re-execute them even with a cache attached."""
-        program, _ = compile_program(make_pickmean_transform())
-        cache = TrialCache()
-        harness = ProgramTestHarness(program, pickmean_inputs,
-                                     objective="time", base_seed=3,
-                                     cache=cache)
-        candidate = Candidate(program.default_config())
-        harness.ensure_trials(candidate, 16.0, 2)
-        assert harness.trials_executed == 2
+    def test_v2_store_loads_as_empty_cache(self, tmp_path):
+        """A store from before the bucket lost its objective field is
+        an incompatible version: skipped, never raised, never read as
+        today's buckets."""
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps({"version": 2, "buckets": [
+            {"bucket": ["", 4.0, 0, 0, "cost", None], "outcomes": [
+                {"objective": 2.0, "accuracy": 0.9,
+                 "reads": [["p.x", 4.0, 1]]}]}]}))
+        cache = TrialCache(path)  # must not raise
         assert len(cache) == 0
-        other = Candidate(program.default_config())
-        harness.ensure_trials(other, 16.0, 2)
-        assert harness.trials_executed == 4  # no reuse under "time"
-        assert (cache.hits, cache.misses) == (0, 0)
+        cache.load(path)          # an explicit load skips it too
+        assert len(cache) == 0
+        assert cache.get(TrialCache.bucket(4.0, 0, 0), _config(p_x=1)) \
+            is None
+        cache.put(TrialCache.bucket(4.0, 0, 0),
+                  _outcome(2.0, ("p.x", 4.0, 1)))
+        cache.save()
+        assert json.loads(path.read_text())["version"] == 3
+        assert len(TrialCache(path)) == 1
 
     def test_persistence_round_trip(self, tmp_path):
         path = tmp_path / "trials.json"
@@ -440,7 +488,7 @@ class TestTrialCache:
         config = _config(p_on=True, p_rule=3, p_w=0.25, p_kind="fast")
         outcomes = [
             _outcome(3.25, ("p.on", None, True), ("p.rule", 64.0, 3),
-                     ("p.w", 64.0, 0.25), accuracy=0.875, wall_time=0.125),
+                     ("p.w", 64.0, 0.25), accuracy=0.875),
             _outcome(float("inf"), ("p.on", None, True),
                      ("p.rule", 64.0, 2), ("p.kind", 64.0, "fast"),
                      failed=True, error="CostLimitExceeded: over"),
@@ -449,7 +497,7 @@ class TestTrialCache:
             cache.put(bucket, outcome)
         saved = cache.save()
         assert saved == str(path)
-        assert json.loads(path.read_text())["version"] == 2
+        assert json.loads(path.read_text())["version"] == 3
         reloaded = TrialCache(path)
         assert len(reloaded) == 3
         assert reloaded.get(bucket, config) == outcomes[0]
@@ -594,29 +642,11 @@ class TestHarness:
         assert result.frontier() == unbounded.frontier()
         assert result.trials_run == unbounded.trials_run
 
-    def test_objective_mismatch_raises(self):
-        program, _ = compile_program(make_pickmean_transform())
-        harness = ProgramTestHarness(program, pickmean_inputs,
-                                     objective="cost")
-        with pytest.raises(TrainingError, match="objective"):
-            Autotuner(program, harness,
-                      quick_settings(objective="time"))
-
     def test_unknown_settings_objective_raises(self):
         # Malformed settings now fail at construction (ConfigError),
         # before any tuner or harness exists.
         with pytest.raises(ConfigError, match="objective"):
             quick_settings(objective="energy")
-
-    def test_time_objective_rejects_parallel_backends(self):
-        program, _ = compile_program(make_pickmean_transform())
-        with pytest.raises(ValueError, match="serial"):
-            ProgramTestHarness(program, pickmean_inputs,
-                               objective="time",
-                               backend=ProcessPoolBackend(max_workers=2))
-        # Serial (explicit or default) stays allowed.
-        ProgramTestHarness(program, pickmean_inputs, objective="time",
-                           backend=SerialBackend())
 
     def test_batch_dedups_identical_configs(self):
         """Equal-config candidates in one batch execute each paired

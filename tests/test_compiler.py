@@ -158,11 +158,6 @@ class TestCompiledProgram:
         assert len(traced.trace) > 0
         assert len(untraced.trace) == 0
 
-    def test_wall_time_measured(self, approxmean_program):
-        result = approxmean_program.execute(
-            {"xs": np.ones(8)}, 8, approxmean_program.default_config())
-        assert result.wall_time > 0
-
 
 class TestColumnGranularity:
     def build(self) -> Transform:

@@ -73,7 +73,7 @@ from repro.serving import (
     latency_summary,
 )
 
-from tests.test_backends import KillWorker, tune_pickmean
+from tests.test_backends import HoldWorker, KillWorker, tune_pickmean
 from tests.test_serving import mixed_requests
 
 HIGHER = AccuracyMetric(lambda outputs, inputs: 0.0, "higher")
@@ -461,6 +461,56 @@ class TestShardFailure:
             assert all(r.ok for r in door.serve(healthy))
             assert door.stats().completed == 4
         finally:
+            door.close()
+
+    def test_close_waits_out_a_process_batch_mid_flight(self, tuned,
+                                                        tmp_path):
+        """``close()`` while a process worker is mid-batch: the close
+        waits the batch out, serves what queued behind it, resolves
+        every admitted future, and shuts the shard's pools down."""
+        backend = ProcessPoolBackend(max_workers=1, start_method="spawn")
+        door = FrontDoor([ServingEngine(backend=backend)], shedding=None)
+        release = tmp_path / "release"
+        try:
+            door.register("pickmean", tuned)
+            healthy = mixed_requests(6)
+            held = [healthy[0], ServeRequest(
+                program="pickmean", n=healthy[1].n,
+                inputs={**healthy[1].inputs,
+                        "hold": HoldWorker(release)})]
+            # serve() admits both in one batch, so they reach the pool
+            # together and the worker holds the whole batch.
+            served: list = []
+            caller = threading.Thread(
+                target=lambda: served.extend(door.serve(held)),
+                daemon=True)
+            caller.start()
+            wait_until((tmp_path / "release.held").exists, timeout=60.0)
+            queued = [door.submit(request) for request in healthy[2:]]
+            (pool,) = [pool for _, pool in backend._pools.values()]
+            closer = threading.Thread(target=door.close, daemon=True)
+            closer.start()
+            closer.join(0.3)
+            assert closer.is_alive(), "close did not wait out the batch"
+            assert not served and not any(f.done() for f in queued)
+            with pytest.raises(RuntimeError, match="closed"):
+                door.submit(healthy[0])   # closing: no new admissions
+            release.touch()
+            closer.join(60.0)
+            caller.join(10.0)
+            assert not closer.is_alive(), "close never returned"
+            responses = served + [future.result(timeout=0)
+                                  for future in queued]
+            assert len(responses) == 6
+            assert all(response.ok for response in responses)
+            stats = door.stats()
+            assert stats.submitted == stats.completed == 6
+            assert stats.queued == 0
+            assert not backend._pools
+            with pytest.raises(RuntimeError):
+                pool.submit(int)   # the shard's pool is shut down
+        finally:
+            release.touch()
             door.close()
 
 

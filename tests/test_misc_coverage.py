@@ -36,10 +36,9 @@ class TestInstanceKeys:
 class TestExecutionResult:
     def test_properties(self):
         result = ExecutionResult(outputs={"y": 1},
-                                 metrics=Metrics(cost=5, wall_time=0.1),
+                                 metrics=Metrics(cost=5),
                                  trace=ExecutionTrace())
         assert result.cost == 5
-        assert result.wall_time == 0.1
 
 
 class TestFigure6Result:

@@ -1,18 +1,16 @@
-"""Tests for runtime support: cost model, wall timer, traces, errors."""
+"""Tests for runtime support: cost model, traces, errors."""
 
-import time
+from dataclasses import fields
 
-import numpy as np
 import pytest
 
-from repro.autotuner import Autotuner, ProgramTestHarness, TunerSettings
+from repro.autotuner import ProgramTestHarness
 from repro.compiler.compile import compile_program
 from repro.errors import AccuracyError, ReproError
 from repro.runtime.timing import (
     CostAccumulator,
     CostLimitExceeded,
     Metrics,
-    WallTimer,
 )
 from repro.runtime.trace import ExecutionTrace, TraceEvent
 
@@ -44,22 +42,14 @@ class TestCostAccumulator:
         assert cost.units == 1e18
 
 
-class TestWallTimer:
-    def test_measures_elapsed(self):
-        with WallTimer() as timer:
-            time.sleep(0.01)
-        assert timer.elapsed >= 0.009
-
-
 class TestMetrics:
-    def test_objective_selection(self):
-        metrics = Metrics(cost=5.0, wall_time=0.25)
-        assert metrics.objective("cost") == 5.0
-        assert metrics.objective("time") == 0.25
-
-    def test_unknown_objective(self):
-        with pytest.raises(ValueError):
-            Metrics().objective("energy")
+    def test_cost_and_accuracy_only(self):
+        # The operation count is the one objective: no wall time rides
+        # along, and there is no objective selector.
+        assert [f.name for f in fields(Metrics)] == ["cost", "accuracy"]
+        metrics = Metrics(cost=5.0)
+        assert (metrics.cost, metrics.accuracy) == (5.0, None)
+        assert not hasattr(metrics, "objective")
 
 
 class TestExecutionTrace:
@@ -83,28 +73,12 @@ class TestExecutionTrace:
         assert event.depth == 2
 
 
-class TestWallClockObjective:
-    def test_time_objective_tunes(self):
-        """The identical pipeline works on wall-clock measurements."""
+class TestHarnessConstruction:
+    def test_harness_takes_no_objective(self):
         program, _ = compile_program(make_approxmean_transform())
-        harness = ProgramTestHarness(program, approxmean_inputs,
-                                     objective="time", base_seed=3)
-        settings = TunerSettings(input_sizes=(64.0, 512.0),
-                                 rounds_per_size=1, mutation_attempts=4,
-                                 min_trials=2, max_trials=4, seed=7,
-                                 initial_random=1, objective="time",
-                                 accuracy_confidence=None)
-        result = Autotuner(program, harness, settings).tune()
-        assert result.trials_run > 0
-        n = result.sizes[-1]
-        for candidate in result.best_per_bin.values():
-            assert candidate.results.mean_objective(n) > 0
-
-    def test_invalid_objective_rejected(self):
-        program, _ = compile_program(make_approxmean_transform())
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="objective"):
             ProgramTestHarness(program, approxmean_inputs,
-                               objective="energy")
+                               objective="cost")
 
     def test_metric_required(self):
         from repro.lang.transform import Transform

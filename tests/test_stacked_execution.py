@@ -122,7 +122,6 @@ class TestBatchingPrimitives:
                                 collect_outputs=True)
         backend = SerialBackend()
         scalar = backend.run_batch(program, requests,
-                                   objective="cost",
                                    cost_limit=spec.cost_limit,
                                    collect_outputs=True)
         assert fused is not None
@@ -149,7 +148,6 @@ class TestBatchingPrimitives:
         assert len(outcomes) == 8 and not backend.requests
         assert counters == {"stacked_calls": 2, "stacked_requests": 8}
         scalar = SerialBackend().run_batch(poisson_program, requests,
-                                           objective="cost",
                                            cost_limit=5e8)
         for fused_outcome, scalar_outcome in zip(outcomes, scalar):
             assert fused_outcome.objective == scalar_outcome.objective
@@ -163,19 +161,9 @@ class TestBatchingPrimitives:
                           cost_limit=5e8, counters=counters)
         assert [r.trial_index for r in backend.requests] == [0, 1]
         # The residual runs under the caller's own arguments.
-        assert backend.calls == [{"objective": "cost", "cost_limit": 5e8,
+        assert backend.calls == [{"cost_limit": 5e8,
                                   "collect_outputs": False}]
         assert counters == {}
-
-    def test_wall_clock_objective_never_stacks(self, poisson_program):
-        requests = [make_request(poisson_program, 7, seed)
-                    for seed in range(4)]
-        backend = RecordingBackend()
-        run_batch_stacked(poisson_program, requests, backend,
-                          objective="time", collect_outputs=True)
-        assert [r.trial_index for r in backend.requests] == [0, 1, 2, 3]
-        assert backend.calls == [{"objective": "time", "cost_limit": None,
-                                  "collect_outputs": True}]
 
     def test_non_batchable_program_never_stacks(self):
         program, _ = get_benchmark("clustering").compile()
@@ -440,7 +428,7 @@ class TestPrecisionStacking:
                                 cost_limit=5e8, collect_outputs=True)
         assert fused is not None
         scalar = SerialBackend().run_batch(
-            poisson_program, requests, objective="cost", cost_limit=5e8,
+            poisson_program, requests, cost_limit=5e8,
             collect_outputs=True)
         for fused_outcome, scalar_outcome in zip(fused, scalar):
             assert not fused_outcome.failed
