@@ -19,13 +19,21 @@ The ``TestBlockSolveKernel`` section gates the block Cholesky solve
 on one right-hand side against two solves kept here as references: the
 two-product solve it replaced (at least 1.3x faster) and the same
 folded solve with broadcast multiply-and-sum block products in place
-of gemv (at least 1.5x faster).
+of gemv (at least 1.5x faster).  Like ``TestPreSplitSweep`` it gates
+the kernel, so both solve the Poisson factor with one grid line per
+block (``_line_direct_blocks``), not the direct rule's grouped layout.
 
 The ``TestPreSplitSweep`` section gates the block solve's sweeps over
 views split off once per solve against the per-step indexing sweeps
 they replaced, kept here as the reference: byte-identical solutions,
 and at least 1.15x faster on one right-hand side at n = 7 and 15.  Its
 B = 32 rows are recorded, not gated.
+
+The ``TestGroupedLineBlocks`` section gates the Poisson direct rule's
+layout: its solve over blocks of several whole grid lines must run at
+least 1.5x faster than the same solve over one line per block on one
+right-hand side at n = 7 and 15, agreeing within 16 ulp.  Its B = 8
+rows are recorded, not gated.
 
 The ``TestBlockFactorGates`` section gates the direct rules' block
 Cholesky route against copies kept here of the band route it replaced
@@ -136,13 +144,14 @@ def test_kernel_grid_transfers(benchmark, rng):
 
 def test_kernel_banded_cholesky(benchmark):
     # The direct solve DPBSV stands for: an uncached build and block
-    # factor of the n x n grid's Laplacian, then one block solve.
+    # factor of the n x n grid's Laplacian, then one block solve, in
+    # the direct rule's layout of a few grid lines per block.
     n = 15
-    b = np.arange(float(n * n)).reshape(n, n)
+    b = np.arange(float(n * n))
 
     def solve():
         blocks = _direct_blocks.__wrapped__(n, np.dtype(np.float64))[:3]
-        block_cholesky_solve(*blocks, b)
+        block_cholesky_solve(*blocks, b.reshape(-1, blocks[0].shape[-1]))
 
     benchmark(solve)
 
@@ -260,10 +269,12 @@ class TestBatchedThroughput:
 
     def test_batched_banded_solve_throughput(self, rng):
         # The Poisson direct rule's stacked solve: the block
-        # substitution through the cached factor's blocks.
+        # substitution through the cached factor's blocks, in its
+        # layout of a few grid lines per block.
         n = 15
         *blocks, _, _ = _direct_blocks(n, np.dtype(np.float64))
-        rhs = rng.normal(size=(BATCH, n, n))
+        rhs = rng.normal(size=(BATCH, n * n)).reshape(
+            BATCH, -1, blocks[0].shape[-1])
         _gate(
             "block_cholesky_solve",
             lambda: block_cholesky_solve(*blocks, rhs),
@@ -295,6 +306,24 @@ BLOCK_SOLVE_FLOOR = 1.3
 #: folded solve written as broadcast multiply-and-sum products by this
 #: factor.
 GEMV_SOLVE_FLOOR = 1.5
+
+
+def _line_direct_blocks(n, dtype):
+    """The folded Poisson direct factor with one grid line per block,
+    as the direct rule built it before it grouped lines: ``n`` blocks
+    of ``n`` unknowns from the stencil, factored in float64, rounded
+    once to ``dtype``.  Solves an ``(..., n, n)`` right-hand side as
+    it is."""
+    h = 1.0 / (n + 1)
+    scale = 1.0 / (h * h)
+    line = np.arange(n)
+    stencil = np.zeros((n, n))
+    stencil[line, line] = 4.0 * scale
+    stencil[line[1:], line[:-1]] = stencil[line[:-1], line[1:]] = -scale
+    blocks, _ = block_cholesky_factor(
+        np.broadcast_to(stencil, (n, n, n)),
+        np.broadcast_to(-scale * np.eye(n), (n - 1, n, n)))
+    return tuple(block.astype(dtype) for block in blocks)
 
 
 def _matvec(matrix, vector):
@@ -386,7 +415,7 @@ class TestBlockSolveKernel:
     @pytest.mark.parametrize("n", [7, 15])
     def test_folded_solve_beats_two_product_solve(self, rng, n, dtype):
         dtype = np.dtype(dtype)
-        diag_inv, forward, backward, _, _ = _direct_blocks(n, dtype)
+        diag_inv, forward, backward = _line_direct_blocks(n, dtype)
         factor = _band_cholesky_factor(
             _poisson_2d_band(n, 1.0 / (n + 1), dtype=dtype))
         # The couplings S_k, gathered from band storage as the direct
@@ -419,7 +448,7 @@ class TestBlockSolveKernel:
     @pytest.mark.parametrize("n", [7, 15])
     def test_gemv_solve_beats_multiply_and_sum_solve(self, rng, n, dtype):
         dtype = np.dtype(dtype)
-        blocks = _direct_blocks(n, dtype)[:3]
+        blocks = _line_direct_blocks(n, dtype)
         rhs = rng.normal(size=(n, n)).astype(dtype)
         reference, reference_ops = _multiply_and_sum_block_solve(
             *blocks, rhs)
@@ -484,7 +513,7 @@ class TestPreSplitSweep:
         """Gated at B=1, where the per-step views are most of the
         sweep; B=32 is recorded, not gated."""
         dtype = np.dtype(dtype)
-        blocks = _direct_blocks(n, dtype)[:3]
+        blocks = _line_direct_blocks(n, dtype)
         shape = (n, n) if batch == 1 else (batch, n, n)
         rhs = rng.normal(size=shape).astype(dtype)
         solution, ops = block_cholesky_solve(*blocks, rhs)
@@ -506,6 +535,52 @@ class TestPreSplitSweep:
                 f"pre-split block solve at n={n} {dtype.name} ran "
                 f"{speedup:.2f}x the per-step solve, below the "
                 f"{PRE_SPLIT_FLOOR:.2f}x gate")
+
+
+#: One right-hand side through the direct rule's grouped blocks (several
+#: whole grid lines per block) must beat the same solve over one grid
+#: line per block by this factor.
+GROUPED_LINES_FLOOR = 1.5
+
+
+class TestGroupedLineBlocks:
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [7, 15])
+    def test_grouped_solve_beats_line_solve(self, rng, n, dtype, batch):
+        """Gated at B=1, the serving path's usual wave; B=8 is
+        recorded, not gated."""
+        dtype = np.dtype(dtype)
+        grouped = _direct_blocks(n, dtype)[:3]
+        lines = _line_direct_blocks(n, dtype)
+        shape = (n, n) if batch == 1 else (batch, n, n)
+        rhs = rng.normal(size=shape).astype(dtype)
+        rows = rhs.reshape(*rhs.shape[:-2], -1, grouped[0].shape[-1])
+
+        def grouped_solve():
+            return block_cholesky_solve(*grouped, rows)[0].reshape(shape)
+
+        def line_solve():
+            return block_cholesky_solve(*lines, rhs)[0]
+
+        solution, reference = grouped_solve(), line_solve()
+        assert solution.dtype == reference.dtype == dtype
+        bound = 16 * np.finfo(dtype).eps * np.abs(reference).max()
+        assert np.abs(solution - reference).max() <= bound
+        grouped_s, line_s = _best_seconds_interleaved(
+            grouped_solve, line_solve, repeats=200)
+        speedup = line_s / grouped_s
+        row = {"bench": "kernels", "kernel": "poisson_direct_grouped_lines",
+               "n": n, "dtype": dtype.name, "batch": batch,
+               "lines_per_block": grouped[0].shape[-1] // n,
+               "grouped_s": round(grouped_s, 7), "line_s": round(line_s, 7),
+               "speedup": round(speedup, 2), "gated": batch == 1}
+        print("BENCH_JSON " + json.dumps(row, sort_keys=True))
+        if batch == 1:
+            assert speedup >= GROUPED_LINES_FLOOR, (
+                f"grouped direct solve at n={n} {dtype.name} ran "
+                f"{speedup:.2f}x the line-by-line solve, below the "
+                f"{GROUPED_LINES_FLOOR:.1f}x gate")
 
 
 # ----------------------------------------------------------------------

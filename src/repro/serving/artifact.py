@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, TYPE_CHECKING
 
 from repro.config.configuration import Configuration
-from repro.errors import ArtifactError
+from repro.errors import ArtifactError, ConfigError
 from repro.runtime.guarantees import StatisticalGuarantee
 
 if TYPE_CHECKING:
@@ -117,6 +117,9 @@ class TunedArtifact:
         Rejects mismatches loudly: a different root transform, or a
         different declared-bin set, means the artifact was tuned for a
         different program and its configurations cannot be trusted.
+        So does a bin whose configuration lies outside the program's
+        parameter space (a missing entry, a value outside its domain,
+        a choice out of range): it would serve nonsense, not fail.
         """
         from repro.runtime.executor import TunedProgram
         if program.root != self.program:
@@ -130,6 +133,13 @@ class TunedArtifact:
                 f"{[f'{t:g}' for t in self.declared_bins]} but the "
                 f"compiled program declares "
                 f"{[f'{t:g}' for t in declared]}")
+        for entry in self.bins:
+            try:
+                program.space.validate(entry.config)
+            except ConfigError as exc:
+                raise ArtifactError(
+                    f"artifact for {self.program!r}, bin "
+                    f"{entry.target:g}: {exc}") from exc
         configs = {entry.target: entry.config for entry in self.bins}
         guarantees = {entry.target: entry.guarantee for entry in self.bins
                       if entry.guarantee is not None}

@@ -266,6 +266,12 @@ class RetuneController:
             self._note(f"{name}: shadow vanished, standing down")
             return
         if decision_action == "promote":
+            # Attach the stored version before any pointer moves: an
+            # unreadable or out-of-space file raises here, the retune
+            # is abandoned, and the served program stays.
+            self.store.load_version(
+                name, self.tag, state.candidate_version
+            ).to_tuned(candidate.program)
             self.store.promote(name, self.tag,
                                state.candidate_version)
             self.frontdoor.hot_swap(name, candidate)

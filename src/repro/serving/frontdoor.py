@@ -53,8 +53,9 @@ that books the batch releases it.  A synchronous :meth:`FrontDoor.serve`
 whose requests all land on one idle shard (empty queue, not busy)
 claims that shard and runs the batch on the caller's own thread, with
 the worker's drain and execute code, saving the hand-off to the worker
-and back; :meth:`FrontDoor.submit` never executes on its caller's
-thread.
+and back.  Its requests get no future: their responses come straight
+back from the batch.  :meth:`FrontDoor.submit` never executes on its
+caller's thread.
 
 A future's done-callbacks run on the thread that resolves it, which
 may be a shard worker, and such a callback may call
@@ -122,7 +123,9 @@ class _Item:
     degraded: int                    # bins shed at admission
     arrival: float                   # monotonic admission time
     deadline: float | None           # absolute monotonic deadline
-    future: "Future[ServeResponse]"
+    # None only for a request of the batch its own synchronous caller
+    # claimed: that caller takes the response from _run_batch.
+    future: "Future[ServeResponse] | None" = None
 
 
 @dataclass(frozen=True)
@@ -529,25 +532,30 @@ class FrontDoor:
         futures resolve, since no other thread would.
         """
         futures, claimed = self._admit_all(requests, claim=True)
-        if claimed is not None:
-            self._run_batch(*claimed)
+        # The claimed batch's responses come straight back, in the
+        # order of the requests that have no future.
+        responses = iter(self._run_batch(*claimed) if claimed else ())
         shard = self._workers.get(threading.current_thread())
         if shard is not None:
-            self._work_until(shard, futures)
-        return [future.result() for future in futures]
+            self._work_until(shard, [future for future in futures
+                                     if future is not None])
+        return [next(responses) if future is None else future.result()
+                for future in futures]
 
     def _admit_all(self, requests: Sequence[ServeRequest], *, claim: bool
-                   ) -> tuple[list[Future], tuple[int, list[_Item]] | None]:
+                   ) -> tuple[list[Future | None],
+                              tuple[int, list[_Item]] | None]:
         """Admit ``requests`` in one critical section.
 
         Programs not yet registered are loaded first, with the lock
-        released.  Returns the futures and, when ``claim`` is set and
-        every admitted request went to one shard that was idle, that
-        shard and the batch this thread drained from it (the shard is
-        then busy until :meth:`_run_batch` books the batch).
+        released.  Returns each request's future and, when ``claim`` is
+        set and every admitted request went to one shard that was idle,
+        that shard and the batch this thread drained from it (the shard
+        is then busy until :meth:`_run_batch` books the batch).  The
+        requests of a claimed batch get no future (``None``), in the
+        batch's order.
         """
         arrival = time.monotonic()
-        futures: list[Future] = [Future() for _ in requests]
         refused: list[tuple[Future, ServeResponse]] = []
         unknown: dict[str, str] = {}     # program -> why it won't load
         while True:
@@ -558,9 +566,8 @@ class FrontDoor:
                            if request.program not in self._programs
                            and request.program not in unknown}
                 if not missing:
-                    claimed = self._admit_batch(
-                        requests, futures, arrival, refused, unknown,
-                        claim)
+                    futures, claimed = self._admit_batch(
+                        requests, arrival, refused, unknown, claim)
                     break
             for name in missing:
                 try:
@@ -574,20 +581,21 @@ class FrontDoor:
         return futures, claimed
 
     def _admit_batch(self, requests: Sequence[ServeRequest],
-                     futures: list[Future], arrival: float,
+                     arrival: float,
                      refused: list[tuple[Future, ServeResponse]],
                      unknown: Mapping[str, str], claim: bool
-                     ) -> tuple[int, list[_Item]] | None:
+                     ) -> tuple[list[Future | None],
+                                tuple[int, list[_Item]] | None]:
         """Admit every request, wake the shards they reached, and
-        claim one idle shard for a synchronous caller (lock held)."""
+        claim one idle shard for a synchronous caller (lock held).
+
+        Every request the claim leaves out gets its future here,
+        before the lock is released and a worker can drain it."""
         idle = [not queue and not busy
                 for queue, busy in zip(self._queues, self._busy)]
         woken: set[int] = set()
-        for request, future in zip(requests, futures):
-            shard = self._admit(request, future, arrival, refused,
-                                unknown)
-            if shard is not None:
-                woken.add(shard)
+        admitted = [self._admit(request, arrival, refused, unknown,
+                                woken) for request in requests]
         claimed = None
         if claim and len(woken) == 1:
             (shard,) = woken
@@ -597,25 +605,32 @@ class FrontDoor:
                     claimed = shard, live
                 if not self._queues[shard]:
                     woken.clear()  # nothing left for the worker
+        for item in (admitted if claimed is None
+                     else self._queues[claimed[0]]):
+            if isinstance(item, _Item) and item.future is None:
+                item.future = Future()
         for shard in woken:
             self._ready[shard].notify()
-        return claimed
+        return [item.future if isinstance(item, _Item) else item
+                for item in admitted], claimed
 
-    def _admit(self, request: ServeRequest, future: Future,
-               arrival: float,
+    def _admit(self, request: ServeRequest, arrival: float,
                refused: list[tuple[Future, ServeResponse]],
-               unknown: Mapping[str, str]) -> int | None:
-        """One admission decision: resolve the program, shed, enqueue
-        (returning the shard) or reject (appending the refusal to
-        ``refused``).  Lock held."""
+               unknown: Mapping[str, str], woken: set[int]
+               ) -> _Item | Future:
+        """One admission decision: resolve the program, shed, and
+        enqueue (returning the queued item, its shard added to
+        ``woken``) or refuse (returning the refusal's future, the
+        refusal appended to ``refused``).  Lock held."""
         self._submitted += 1
         tuned = self._programs.get(request.program)
         if tuned is None:
             # A program that could not be loaded: a completed error.
             response = _refusal(request, unknown[request.program])
             self._book(response, 0, arrival, time.monotonic())
+            future = Future()
             refused.append((future, response))
-            return None
+            return future
         degraded = 0
         if self.shedding is not None:
             fill = (sum(len(queue) for queue in self._queues)
@@ -632,15 +647,17 @@ class FrontDoor:
         shard = self._pick_shard()
         if shard is None:
             self._rejected += 1
+            future = Future()
             refused.append((future, _refusal(
                 request, "rejected: all shard queues full")))
-            return None
+            return future
         deadline = (None if self.deadline is None
                     else arrival + self.deadline)
-        self._queues[shard].append(_Item(
-            request=request, tuned=tuned, degraded=degraded,
-            arrival=arrival, deadline=deadline, future=future))
-        return shard
+        item = _Item(request=request, tuned=tuned, degraded=degraded,
+                     arrival=arrival, deadline=deadline)
+        self._queues[shard].append(item)
+        woken.add(shard)
+        return item
 
     def _degrade(self, request: ServeRequest, tuned: TunedProgram,
                  level: int) -> tuple[ServeRequest, int]:
@@ -747,14 +764,18 @@ class FrontDoor:
                 f"deadline expired after {waited:.3f}s in queue "
                 f"(deadline {self.deadline:g}s)")
             refusal.latency = waited
+            if item.future is None:  # drained by its claiming caller
+                item.future = Future()
             expired.append((item.future, refusal))
         self._executing += len(live)
         self._busy[shard] = bool(live)
         return live
 
-    def _run_batch(self, shard: int, live: list[_Item]) -> None:
+    def _run_batch(self, shard: int, live: list[_Item]
+                   ) -> list[ServeResponse]:
         """Execute a drained batch on this thread, run its shadows,
-        book it, release the shard, then resolve its futures.
+        book it, release the shard, then resolve its futures; returns
+        the responses, aligned with ``live``.
 
         A raising engine fails the batch with explicit per-request
         refusals.  The booking and release sit in a ``finally``, so a
@@ -793,7 +814,9 @@ class FrontDoor:
                 if self._queues[shard] or self._closed:
                     self._ready[shard].notify()
             for item, response in zip(live, responses):
-                _resolve(item.future, response)
+                if item.future is not None:
+                    _resolve(item.future, response)
+        return responses
 
     def _run_shadows(self, engine: ServingEngine, live: list[_Item],
                      responses: Sequence[ServeResponse]) -> None:

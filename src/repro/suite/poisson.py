@@ -76,6 +76,53 @@ def _grid_spacing(n: int) -> float:
     return 1.0 / (n + 1)
 
 
+#: Widest block the direct rule's factor groups grid lines into, in
+#: unknowns.  Grouping ``g`` lines per block cuts the solve's block
+#: steps from ``2n`` to ``2n / g``, each one product, but every block
+#: is stored and applied dense, so the factor's size and the solve's
+#: flops both grow with ``g``; up to this width the fewer steps win.
+DIRECT_BLOCK_UNKNOWNS = 128
+
+
+def _lines_per_block(n: int) -> int:
+    """Grid lines per block of the direct factor: the largest divisor
+    ``g`` of ``n`` with ``g * n <= DIRECT_BLOCK_UNKNOWNS``, or 1 when no
+    divisor fits (n = 31 is prime; n = 63's smallest divisor, 3, is
+    already too wide)."""
+    return max((g for g in range(1, n + 1)
+                if n % g == 0 and g * n <= DIRECT_BLOCK_UNKNOWNS),
+               default=1)
+
+
+def _laplacian_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 5-point Laplacian's ``(diag, sub)`` blocks, ``g =
+    _lines_per_block(n)`` grid lines each, in float64, unfactored.
+
+    Row-major unknowns make the matrix block tridiagonal for any
+    grouping of consecutive grid lines.  There are ``n / g`` diagonal
+    blocks of ``g n`` unknowns, each the Laplacian of a ``g x n``
+    strip (``tridiag(-1, 4, -1) / h^2`` per line, ``-I / h^2`` between
+    neighbouring lines), and ``n / g - 1`` couplings below them whose
+    only nonzeros are the ``-I / h^2`` joining a strip's first line to
+    the previous strip's last.  Built straight from the stencil.
+    """
+    h = _grid_spacing(n)
+    scale = 1.0 / (h * h)
+    lines = _lines_per_block(n)
+    width = lines * n
+    unknown = np.arange(width)
+    strip = np.zeros((width, width))
+    strip[unknown, unknown] = 4.0 * scale
+    along = unknown[:-1][unknown[1:] % n != 0]  # a right neighbour
+    strip[along + 1, along] = strip[along, along + 1] = -scale
+    across = unknown[:-n]  # a neighbour on the next line
+    strip[across + n, across] = strip[across, across + n] = -scale
+    below = np.zeros((width, width))
+    below[unknown[:n], unknown[width - n:]] = -scale
+    return (np.broadcast_to(strip, (n // lines, width, width)),
+            np.broadcast_to(below, (n // lines - 1, width, width)))
+
+
 @functools.lru_cache(maxsize=None)
 def _direct_blocks(n: int, dtype: np.dtype
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float,
@@ -83,33 +130,25 @@ def _direct_blocks(n: int, dtype: np.dtype
     """The factored 5-point Laplacian as :func:`block_cholesky_solve`
     takes it.
 
-    Row-major unknowns make the matrix block tridiagonal with one block
-    per grid line: ``n`` diagonal blocks ``tridiag(-1, 4, -1) / h^2``
-    and ``n - 1`` couplings ``-I / h^2`` below them.  The blocks are
-    built straight from the stencil and factored in float64, and each
-    folded block is rounded once to the working dtype.  The matrix
-    depends only on ``(n, dtype)``, never on the request, so it is
-    factored once per process.  ``lru_cache`` is the sanctioned
-    memoization idiom (see ``multigrid.relax._ring_parity_indices``);
-    the cache stays small because the direct rule refuses
-    ``n > DIRECT_MAX_SIZE`` before calling it.
+    The blocks of :func:`_laplacian_blocks` — ``n / g`` of ``g n``
+    unknowns, ``g`` grid lines each — factored in float64, with each
+    folded block rounded once to the working dtype.  A right-hand side
+    ``(..., n, n)`` reshapes to ``(..., n / g, g n)`` as a view, and
+    the solution back.  The matrix depends only on ``(n, dtype)``,
+    never on the request, so it is factored once per process.
+    ``lru_cache`` is the sanctioned memoization idiom (see
+    ``multigrid.relax._ring_parity_indices``); the cache stays small
+    because the direct rule refuses ``n > DIRECT_MAX_SIZE`` before
+    calling it.
 
     Returns ``(diag_inv, forward, backward, factor_ops, solve_ops)``:
     the read-only blocks (under 1 MB per entry, at n = 31 in float64)
     plus the per-request DPBSV price the direct rule charges — one band
     factorization and one band solve of bandwidth ``n`` over ``n^2``
-    unknowns.
+    unknowns, whatever the grouping.
     """
-    h = _grid_spacing(n)
-    scale = 1.0 / (h * h)
-    line = np.arange(n)
-    stencil = np.zeros((n, n))
-    stencil[line, line] = 4.0 * scale
-    stencil[line[1:], line[:-1]] = stencil[line[:-1], line[1:]] = -scale
-    diag = np.broadcast_to(stencil, (n, n, n))
-    sub = np.broadcast_to(-scale * np.eye(n), (n - 1, n, n))
-    blocks, _ = block_cholesky_factor(diag, sub)
-    diag_inv, forward, backward = (block.astype(dtype) for block in blocks)
+    folded, _ = block_cholesky_factor(*_laplacian_blocks(n))
+    diag_inv, forward, backward = (block.astype(dtype) for block in folded)
     for block in (diag_inv, forward, backward):
         block.setflags(write=False)
     return (diag_inv, forward, backward, *dpbsv_ops(n, n * n))
@@ -219,18 +258,19 @@ def build(precision_choices: tuple[str, ...] = ("float64", "float32")
                     f"direct solver limited to n <= {DIRECT_MAX_SIZE}, "
                     f"got {n}")
             # The factor is cached per (n, dtype) and solved block by
-            # block, one grid line per step, but each request is still
-            # charged a fresh DPBSV — band factorization plus band
-            # solve — what its own scalar run would cost, and the
+            # block, a few grid lines per block, but each request is
+            # still charged a fresh DPBSV — band factorization plus
+            # band solve — what its own scalar run would cost, and the
             # stacked-execution invariant (DESIGN.md, substitution 1).
             diag_inv, forward, backward, factor_ops, solve_ops = \
                 _direct_blocks(n, f.dtype)
+            rows = f.reshape(*f.shape[:-2], -1, diag_inv.shape[-1])
             solution, _ = block_cholesky_solve(diag_inv, forward,
-                                               backward, f)
+                                               backward, rows)
             batch = _batch_count(f)
             ctx.add_cost(factor_ops * batch + solve_ops * batch)
             ctx.record("mg", action="direct", n=n)
-            return solution
+            return solution.reshape(f.shape)
 
         @rule
         def iterative(ctx, f):

@@ -20,6 +20,8 @@ the promotion swaps once for the whole tier.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,44 @@ class TestAdaptiveLoop:
         controller.clear("adaptmean")
         assert controller.suspended == ()
         assert telemetry.snapshot("adaptmean", TARGET).samples == 0
+        door.close()
+
+    @pytest.mark.parametrize("corruption", ["out_of_space", "unreadable"])
+    def test_corrupt_candidate_version_never_swapped_in(self, tmp_path,
+                                                        corruption):
+        """A stored candidate version that cannot attach (a value
+        outside its parameter's domain, or a file that does not parse)
+        fails the promotion before the latest pointer or the served
+        program moves."""
+        program, store, telemetry, door, controller = \
+            build_world(tmp_path, retune_sigma=SHIFT_SIGMA)
+        baseline = door.program_for("adaptmean")
+        door.serve(make_requests(SHIFT_SIGMA, 24, first_seed=100))
+        controller.poll()
+        drive_retune_to_shadow(controller)
+        path = store._version_path("adaptmean", "default", 2)
+        if corruption == "out_of_space":
+            with open(path, encoding="utf-8") as handle:
+                payload = json.load(handle)
+            for entry in payload["bins"].values():
+                tree = entry["config"]["adaptmean@main.m"]
+                tree["leaves"] = [10 ** 9] * len(tree["leaves"])
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle)
+        else:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("{not json")
+        door.serve(make_requests(SHIFT_SIGMA, 12, first_seed=200))
+
+        actions = controller.poll()
+        assert any("ArtifactError" in action for action in actions)
+        assert door.program_for("adaptmean") is baseline
+        assert door.stats().swaps == 0
+        assert store.latest_version("adaptmean") == 1
+        assert controller.suspended == ("adaptmean",)
+        responses = door.serve(
+            make_requests(SHIFT_SIGMA, 4, first_seed=300))
+        assert all(r.ok for r in responses)
         door.close()
 
     def test_crashing_shadow_candidate_rolled_back(self, tmp_path):

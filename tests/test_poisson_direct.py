@@ -1,13 +1,14 @@
 """The Poisson ``direct`` rule's cached factor and its block solve.
 
 The 5-point Laplacian depends only on the grid size and working dtype,
-so ``_direct_blocks`` builds its grid-line blocks from the stencil and
-factors them once per ``(n, dtype)``.  The cache must be invisible: the
-cached blocks equal a fresh build bit for bit and cannot be written
-through, the block solve agrees with a refined dense reference within
-16 ulp of the solution's largest entry, and the rule's charged cost is
-the DPBSV price — one band factorization and one band solve — exactly,
-at B=1 and in a stacked wave.
+so ``_direct_blocks`` builds its blocks from the stencil, ``g`` whole
+grid lines per block, and factors them once per ``(n, dtype)``.  The
+blocks reassemble exactly into the dense Laplacian.  The cache must be
+invisible: the cached blocks equal a fresh build bit for bit and
+cannot be written through, the block solve agrees with a refined dense
+reference within 16 ulp of the solution's largest entry, and the
+rule's charged cost is the DPBSV price — one band factorization and
+one band solve — exactly, at B=1 and in a stacked wave.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from repro.config.decision_tree import SizeDecisionTree
 from repro.errors import ExecutionError
 from repro.linalg.banded import block_cholesky_factor, block_cholesky_solve
 from repro.suite import get_benchmark
-from repro.suite.poisson import DIRECT_MAX_SIZE, _direct_blocks
+from repro.suite.poisson import (DIRECT_MAX_SIZE, _direct_blocks,
+                                 _laplacian_blocks, _lines_per_block)
 
 from dense_reference import (assert_within_ulp_bound, dense_from_blocks,
                              refined_solve)
@@ -33,20 +35,36 @@ FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 SIZES = (1, 3, 7, 15, DIRECT_MAX_SIZE)
 
 
-def stencil_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return tuple(array[0]
-                 for array in poisson_stencil_blocks(n, 1.0 / (n + 1)))
+def dense_laplacian(n: int) -> np.ndarray:
+    """The dense 5-point Laplacian, from the test's own line blocks."""
+    return dense_from_blocks(*(
+        array[0] for array in poisson_stencil_blocks(n, 1.0 / (n + 1))))
+
+
+def grouped_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(diag, sub)`` sliced out of :func:`dense_laplacian`, ``g``
+    grid lines per block."""
+    width = _lines_per_block(n) * n
+    dense = dense_laplacian(n)
+    spans = [slice(start, start + width) for start in range(0, n * n, width)]
+    diag = np.array([dense[span, span] for span in spans])
+    sub = np.array([dense[span, above]
+                    for above, span in zip(spans, spans[1:])])
+    return diag, sub.reshape(-1, width, width)
 
 
 def fresh_blocks(n: int, dtype: np.dtype) -> tuple[np.ndarray, ...]:
-    """The folded factor built afresh: factored in float64 from the
-    test's own stencil blocks and rounded once to ``dtype``."""
-    blocks, _ = block_cholesky_factor(*stencil_blocks(n))
+    """The folded factor built afresh: factored in float64 from blocks
+    sliced out of the test's own dense Laplacian, rounded once to
+    ``dtype``."""
+    blocks, _ = block_cholesky_factor(*grouped_blocks(n))
     return tuple(block.astype(dtype) for block in blocks)
 
 
-def dense_laplacian(n: int) -> np.ndarray:
-    return dense_from_blocks(*stencil_blocks(n))
+def grouped_rhs(n: int, b: np.ndarray) -> np.ndarray:
+    """``b`` of shape ``(..., n, n)`` as the solve takes it:
+    ``(..., n / g, g n)``."""
+    return b.reshape(*b.shape[:-2], -1, _lines_per_block(n) * n)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +81,23 @@ def direct_config(program, precision: str):
     })
 
 
+@pytest.mark.parametrize("n, lines", [
+    (1, 1), (3, 3), (7, 7), (15, 5), (31, 1), (63, 1), (127, 1)])
+def test_lines_per_block(n, lines):
+    # The largest divisor g of n with g * n <= 128 unknowns: n = 31 and
+    # 127 are prime, and n = 63's smallest divisor is already too wide.
+    assert _lines_per_block(n) == lines
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_grouped_blocks_reassemble_the_laplacian(n):
+    diag, sub = _laplacian_blocks(n)
+    width = _lines_per_block(n) * n
+    assert diag.shape == (n * n // width, width, width)
+    assert sub.shape == (n * n // width - 1, width, width)
+    assert np.array_equal(dense_from_blocks(diag, sub), dense_laplacian(n))
+
+
 @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
 @pytest.mark.parametrize("n", SIZES)
 def test_cached_blocks_equal_fresh_build(n, dtype):
@@ -70,6 +105,7 @@ def test_cached_blocks_equal_fresh_build(n, dtype):
     for block, expected in zip(blocks, fresh_blocks(n, dtype)):
         assert not block.flags.writeable
         assert block.dtype == dtype
+        assert block.shape == expected.shape
         assert block.tobytes() == expected.tobytes()
     assert (factor_ops, solve_ops) == DPBSV_PRICES[(n, n * n)]
 
@@ -90,7 +126,7 @@ def test_block_solve_matches_dense_reference(n, dtype):
     *blocks, _, _ = _direct_blocks(n, dtype)
     rng = np.random.default_rng(n)
     b = rng.standard_normal((10, n, n)).astype(dtype)
-    x, _ = block_cholesky_solve(*blocks, b)
+    x, _ = block_cholesky_solve(*blocks, grouped_rhs(n, b))
     assert x.dtype == dtype
     reference = refined_solve(dense_laplacian(n), b.reshape(10, -1).T).T
     for request, expected in zip(x.reshape(10, -1), reference):

@@ -19,14 +19,17 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Service
 from repro.autotuner import Autotuner, ProgramTestHarness, TunerSettings
 from repro.compiler.compile import compile_program
+from repro.config.decision_tree import SizeDecisionTree
 from repro.errors import AccuracyError, ArtifactError, TrainingError
 from repro.runtime.backends import (
     ProcessPoolBackend,
@@ -263,6 +266,63 @@ class TestArtifactRoundTrip:
         assert metadata["settings_digest"] == result.settings.digest()
         assert metadata["created_at"] == "2026-07-29T00:00:00Z"
         assert metadata["trials_run"] == result.trials_run
+
+
+class TestArtifactAttachValidation:
+    """An artifact whose bin configs leave the program's parameter
+    space is refused when it attaches, naming the bin and the entry,
+    on every load path: it would otherwise serve ``ok=True`` with a
+    meaningless result."""
+
+    @staticmethod
+    def corrupted(entry, value):
+        tuned = suite_tuned_program("poisson")
+        artifact = TunedArtifact.from_tuned(tuned)
+        bins = list(artifact.bins)
+        bins[2] = replace(bins[2], config=bins[2].config.with_entries(
+            {entry: value}))
+        return tuned.program, replace(artifact, bins=tuple(bins))
+
+    CORRUPTIONS = [
+        ("poisson@main.omega", 7.5, "outside"),
+        ("poisson@main.rule.u", SizeDecisionTree([7]), "out of range"),
+    ]
+
+    @pytest.mark.parametrize("entry, value, why", CORRUPTIONS)
+    def test_attach_refuses_a_config_outside_the_space(self, entry, value,
+                                                       why):
+        program, artifact = self.corrupted(entry, value)
+        with pytest.raises(ArtifactError,
+                           match=f"bin 5: '{entry}': .*{why}"):
+            artifact.to_tuned(program)
+        with pytest.raises(ArtifactError, match="bin 5"):
+            artifact.resolve()
+
+    @pytest.mark.parametrize("entry, value, why", CORRUPTIONS)
+    def test_store_and_service_loads_refuse_it(self, tmp_path, entry,
+                                               value, why):
+        program, artifact = self.corrupted(entry, value)
+        store = ArtifactStore(tmp_path)
+        store.save(artifact)
+        with pytest.raises(ArtifactError, match=why):
+            store.load_tuned("poisson")
+        with pytest.raises(ArtifactError, match=why):
+            store.load_tuned("poisson", compiled=program)
+        with pytest.raises(ArtifactError, match=why):
+            Service.load(store, program="poisson", compiled=program)
+        with FrontDoor([ServingEngine()], store=store) as door:
+            with pytest.raises(ArtifactError, match=why):
+                door.program_for("poisson")
+            assert door.programs == ()
+
+    def test_unreadable_artifact_file_is_an_artifact_error(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        path = store.path_for("poisson")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("{truncated")
+        with pytest.raises(ArtifactError, match="could not read"):
+            store.load_tuned("poisson")
 
 
 # ----------------------------------------------------------------------
