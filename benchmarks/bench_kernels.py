@@ -196,13 +196,26 @@ def _best_seconds(fn, repeats=9):
     return best
 
 
+def _best_seconds_interleaved(first, second, repeats=25):
+    """Best-of times of two callables timed in alternation, so a slow
+    spell of the host hits both alike."""
+    best = [float("inf"), float("inf")]
+    for _ in range(repeats):
+        for slot, fn in enumerate((first, second)):
+            start = time.perf_counter()
+            fn()
+            best[slot] = min(best[slot], time.perf_counter() - start)
+    return best
+
+
 def _gate(kernel: str, stacked_fn, looped_fn, **extra):
-    """Time both variants, emit BENCH_JSON, enforce the throughput gate."""
+    """Time both variants in alternation, emit BENCH_JSON, enforce the
+    throughput gate."""
     for _ in range(2):  # warm both paths (shape caches, allocator pools)
         stacked_fn()
         looped_fn()
-    stacked = _best_seconds(stacked_fn)
-    looped = _best_seconds(looped_fn)
+    stacked, looped = _best_seconds_interleaved(stacked_fn, looped_fn,
+                                                repeats=9)
     speedup = looped / stacked
     row = {"bench": "kernels", "kernel": kernel, "batch": BATCH,
            "stacked_s": round(stacked, 6), "looped_s": round(looped, 6),
@@ -396,18 +409,6 @@ def _two_product_block_solve(diag_inv, sub, b):
     ops = 2.0 * (blocks * 2 * width * width
                  + couplings * (2 * width * width + width))
     return x, ops * float(np.prod(batch_shape, dtype=np.int64))
-
-
-def _best_seconds_interleaved(first, second, repeats=25):
-    """Best-of times of two callables timed in alternation, so a slow
-    spell of the host hits both alike."""
-    best = [float("inf"), float("inf")]
-    for _ in range(repeats):
-        for slot, fn in enumerate((first, second)):
-            start = time.perf_counter()
-            fn()
-            best[slot] = min(best[slot], time.perf_counter() - start)
-    return best
 
 
 class TestBlockSolveKernel:

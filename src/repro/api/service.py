@@ -89,7 +89,8 @@ class ServicePolicy:
     #: Version retention when the service creates the store from a path.
     retain: int | None = None
     # --- front door -----------------------------------------------
-    #: Per-shard admission-queue bound.
+    #: Admission-queue bound per shard (the front door's one queue
+    #: holds ``queue_limit`` times the shard count).
     queue_limit: int = DEFAULT_QUEUE_LIMIT
     #: Per-request deadline in seconds (None = no deadline); also the
     #: shed controller's p95 budget when shedding is on.

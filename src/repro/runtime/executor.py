@@ -28,7 +28,7 @@ from typing import Any, Mapping
 
 from repro.compiler.program import CompiledProgram, ExecutionResult
 from repro.config.configuration import Configuration
-from repro.errors import AccuracyError, TrainingError
+from repro.errors import AccuracyError, ConfigError, TrainingError
 from repro.runtime.guarantees import StatisticalGuarantee
 from repro.runtime.policy import (
     BinDecision,
@@ -42,7 +42,8 @@ __all__ = ["TunedProgram"]
 
 
 class TunedProgram:
-    """A compiled program with tuned per-bin configurations."""
+    """A compiled program with tuned per-bin configurations, each
+    checked against the program's parameter space when built."""
 
     def __init__(self, program: CompiledProgram,
                  bin_configs: Mapping[float, Configuration],
@@ -65,6 +66,15 @@ class TunedProgram:
         if not self.bin_configs:
             raise TrainingError(
                 f"tuned program for {program.root!r} has no bins")
+        # An out-of-space config would serve nonsense, not fail; checked
+        # here, no path that registers or swaps in a program skips it.
+        for target, config in self.bin_configs.items():
+            try:
+                program.space.validate(config)
+            except ConfigError as exc:
+                raise ConfigError(
+                    f"tuned program for {program.root!r}, bin "
+                    f"{target:g}: {exc}") from exc
         self.guarantees: dict[float, StatisticalGuarantee] = {
             float(target): guarantee
             for target, guarantee in (guarantees or {}).items()

@@ -117,9 +117,10 @@ class TunedArtifact:
         Rejects mismatches loudly: a different root transform, or a
         different declared-bin set, means the artifact was tuned for a
         different program and its configurations cannot be trusted.
-        So does a bin whose configuration lies outside the program's
-        parameter space (a missing entry, a value outside its domain,
-        a choice out of range): it would serve nonsense, not fail.
+        So does a bin whose configuration the
+        :class:`~repro.runtime.executor.TunedProgram` refuses as
+        outside the program's parameter space; its ``ConfigError`` is
+        re-raised as :class:`ArtifactError`.
         """
         from repro.runtime.executor import TunedProgram
         if program.root != self.program:
@@ -133,17 +134,13 @@ class TunedArtifact:
                 f"{[f'{t:g}' for t in self.declared_bins]} but the "
                 f"compiled program declares "
                 f"{[f'{t:g}' for t in declared]}")
-        for entry in self.bins:
-            try:
-                program.space.validate(entry.config)
-            except ConfigError as exc:
-                raise ArtifactError(
-                    f"artifact for {self.program!r}, bin "
-                    f"{entry.target:g}: {exc}") from exc
         configs = {entry.target: entry.config for entry in self.bins}
         guarantees = {entry.target: entry.guarantee for entry in self.bins
                       if entry.guarantee is not None}
-        return TunedProgram(program, configs, guarantees=guarantees)
+        try:
+            return TunedProgram(program, configs, guarantees=guarantees)
+        except ConfigError as exc:
+            raise ArtifactError(str(exc)) from exc
 
     def resolve_program(self) -> "CompiledProgram":
         """Rebuild the compiled program from recorded provenance.

@@ -4,10 +4,11 @@ One :class:`~repro.serving.engine.ServingEngine` is a single
 in-process object; the front door turns it into a *tier*.  Programs
 are sharded across several engine workers (one backend each — the
 ``async:<shards>x<workers>`` spec expands to a process pool per
-shard), traffic flows through bounded per-shard queues, and each
-shard drains its queue in micro-batches so the PR-6 stacked execution
-path sees large same-bin waves even when callers submit one request
-at a time.
+shard), traffic flows through one bounded admission queue, and
+whichever shard is idle drains its head in a micro-batch, so the
+stacked execution path sees large same-bin waves even when callers
+submit one request at a time, and no request waits behind a busy
+shard while another sits idle.
 
 The unique lever of a variable-accuracy system is that the policy
 layer already knows each bin's cost *and* statistical guarantee, so
@@ -22,7 +23,7 @@ under overload the front door sheds **accuracy instead of requests**:
   :func:`~repro.runtime.policy.degrade_request` — never below the
   request's ``floor`` bin — and every degraded response is stamped
   (``ServeResponse.degraded``) rather than silently cheapened;
-* only when every shard queue is full is a request rejected, and
+* only when the admission queue is full is a request rejected, and
   requests whose deadline passes while queued get an explicit
   deadline-expired error response — both outcomes are counted, so
   ``submitted == completed + rejected + expired + queued`` holds in
@@ -43,28 +44,28 @@ section that queued it, and a shard engine only executes ``(requests,
 programs)``, so a hot swap is linearizable by admission order across
 every shard.  Store loads run with the lock released.
 
-Internally the front door is one lock and one plain thread per shard.
-Admission runs on the caller's thread under the lock; each shard's
-worker waits on its own condition of that lock, drains a micro-batch,
-and calls ``engine.serve`` with the lock released, so shards execute
-concurrently while callers keep admitting.  A shard runs one batch at
-a time: whoever drains it marks it busy, and the same critical section
-that books the batch releases it.  A synchronous :meth:`FrontDoor.serve`
-whose requests all land on one idle shard (empty queue, not busy)
-claims that shard and runs the batch on the caller's own thread, with
-the worker's drain and execute code, saving the hand-off to the worker
-and back.  Its requests get no future: their responses come straight
-back from the batch.  :meth:`FrontDoor.submit` never executes on its
-caller's thread.
+Internally the front door is one lock, one queue, one condition of
+that lock, and one plain thread per shard.  Admission runs on the
+caller's thread under the lock; every worker waits on the condition,
+drains a micro-batch for its idle shard, and calls ``engine.serve``
+with the lock released, so shards execute concurrently while callers
+keep admitting.  A shard runs one batch at a time: whoever drains for
+it marks it busy, and the same critical section that books the batch
+releases it.  A synchronous :meth:`FrontDoor.serve` that finds the
+queue empty claims an idle shard and runs its first micro-batch on the
+caller's own thread, with the worker's drain and execute code, saving
+the hand-off to the worker and back.  Its requests get no future:
+their responses come straight back from the batch.
+:meth:`FrontDoor.submit` never executes on its caller's thread.
 
 A future's done-callbacks run on the thread that resolves it, which
 may be a shard worker, and such a callback may call
 :meth:`FrontDoor.submit` or :meth:`FrontDoor.serve`.  A shard is
-released before its futures resolve, so a nested ``serve`` can claim
-it when it is idle.  When the nested requests queue on the worker's
-own shard instead, behind other traffic or spread over several
-shards, that worker runs its shard's batches until the nested futures
-resolve, so it never waits on itself.
+released before its futures resolve, so a nested ``serve`` claims the
+worker's own shard when the queue is empty.  When the nested requests
+queue behind other traffic instead, that worker keeps running batches
+on its shard until the nested futures resolve, so it never waits on
+itself.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ from repro.serving.telemetry import ServingTelemetry, latency_summary
 
 __all__ = ["FrontDoor", "FrontDoorStats", "ShadowStatus"]
 
-#: Default bound on each shard's admission queue.
+#: Default admission-queue bound per shard.
 DEFAULT_QUEUE_LIMIT = 256
 
 #: End-to-end latency samples the shed controller looks back over.
@@ -116,7 +117,7 @@ SHADOW_WINDOW = 256
 
 @dataclass
 class _Item:
-    """One admitted request waiting in a shard queue."""
+    """One admitted request waiting in the admission queue."""
 
     request: ServeRequest
     tuned: TunedProgram              # resolved at admission
@@ -284,10 +285,11 @@ class FrontDoor:
     expand an ``async:<shards>x<workers>`` spec); they share one
     :class:`~repro.serving.telemetry.ServingTelemetry` (or none), the
     door's :attr:`telemetry`.  ``store`` loads programs that were never
-    registered.  ``queue_limit`` bounds each shard's admission queue;
-    one drain hands up to its shard engine's ``batch_size`` queued
-    requests to ``engine.serve`` (where same-bin requests fuse into
-    stacked executions); ``deadline`` (seconds) expires requests still
+    registered.  The one admission queue holds ``queue_limit`` requests
+    per shard; one drain hands up to the draining shard engine's
+    ``batch_size`` queued requests to ``engine.serve`` (where same-bin
+    requests fuse into stacked executions); ``deadline`` (seconds)
+    expires requests still
     queued past it.  ``shedding`` enables the accuracy-shedding
     admission controller; ``None`` disables shedding entirely
     (overload then only rejects).
@@ -296,8 +298,8 @@ class FrontDoor:
     any thread) or the synchronous :meth:`serve`.  Admission never
     blocks on execution: a request is queued, degraded, or rejected
     under one short-held lock on the caller's thread.  Only a
-    synchronous :meth:`serve` that finds its one shard idle then
-    executes its batch on the caller's thread.
+    synchronous :meth:`serve` that finds the queue empty and a shard
+    idle then executes its batch on the caller's thread.
     """
 
     def __init__(self, engines: Sequence[ServingEngine], *,
@@ -327,18 +329,17 @@ class FrontDoor:
         self.deadline = deadline
         self.shedding = shedding
 
-        # One lock guards the registry, every queue, busy flag and
-        # counter; each shard's worker sleeps on its own condition of
-        # that lock.
+        # One lock guards the registry, the queue, every busy flag and
+        # counter; every worker sleeps on the one condition of that
+        # lock.
         self._lock = threading.Lock()
         self._programs: dict[str, TunedProgram] = {}
         self._shadows: dict[str, _ShadowState] = {}
-        self._ready = [threading.Condition(self._lock) for _ in engines]
-        self._queues: list[deque[_Item]] = [deque() for _ in engines]
+        self._ready = threading.Condition(self._lock)
+        self._queue: deque[_Item] = deque()
         # A shard is busy from the drain of a batch until the booking
         # of its responses, whichever thread runs it.
         self._busy = [False for _ in engines]
-        self._rr = 0
         self._shed_level = 0
         self._submitted = 0
         self._completed = 0
@@ -357,7 +358,7 @@ class FrontDoor:
         self._closed = False
         # Each worker thread, mapped to its shard.
         self._workers = {
-            threading.Thread(target=self._worker, args=(shard,),
+            threading.Thread(target=self._work, args=(shard,),
                              name=f"repro-shard-{shard}", daemon=True): shard
             for shard in range(len(engines))}
         for worker in self._workers:
@@ -523,13 +524,13 @@ class FrontDoor:
         """Admit a batch and wait; responses align positionally.
 
         The whole batch is admitted in one critical section.  When
-        every admitted request landed on one idle shard, this thread
-        claims the shard and runs its first micro-batch (up to the
-        shard engine's ``batch_size`` requests) itself; otherwise each
-        shard it reached is woken once and hands its share to its
-        engine as one wave.  Called on a shard's worker thread (from a
-        done-callback), it runs that shard's batches itself until its
-        futures resolve, since no other thread would.
+        the queue was empty and a shard is idle, this thread claims the
+        shard (a worker's own first) and runs the first micro-batch (up
+        to the shard engine's ``batch_size`` requests) itself; whatever
+        stays queued is left to the workers.  Called on a shard's
+        worker thread (from a done-callback), it runs batches on that
+        shard itself until its futures resolve, since no other thread
+        might.
         """
         futures, claimed = self._admit_all(requests, claim=True)
         # The claimed batch's responses come straight back, in the
@@ -537,8 +538,8 @@ class FrontDoor:
         responses = iter(self._run_batch(*claimed) if claimed else ())
         shard = self._workers.get(threading.current_thread())
         if shard is not None:
-            self._work_until(shard, [future for future in futures
-                                     if future is not None])
+            self._work(shard, [future for future in futures
+                               if future is not None])
         return [next(responses) if future is None else future.result()
                 for future in futures]
 
@@ -549,11 +550,10 @@ class FrontDoor:
 
         Programs not yet registered are loaded first, with the lock
         released.  Returns each request's future and, when ``claim`` is
-        set and every admitted request went to one shard that was idle,
-        that shard and the batch this thread drained from it (the shard
-        is then busy until :meth:`_run_batch` books the batch).  The
-        requests of a claimed batch get no future (``None``), in the
-        batch's order.
+        set, the queue was empty and a shard was idle, that shard and
+        the batch this thread drained for it (the shard is then busy
+        until :meth:`_run_batch` books the batch).  The requests of a
+        claimed batch get no future (``None``), in the batch's order.
         """
         arrival = time.monotonic()
         refused: list[tuple[Future, ServeResponse]] = []
@@ -586,42 +586,45 @@ class FrontDoor:
                      unknown: Mapping[str, str], claim: bool
                      ) -> tuple[list[Future | None],
                                 tuple[int, list[_Item]] | None]:
-        """Admit every request, wake the shards they reached, and
-        claim one idle shard for a synchronous caller (lock held).
+        """Admit every request, claim an idle shard for a synchronous
+        caller, and wake the workers for what stays queued (lock held).
 
-        Every request the claim leaves out gets its future here,
-        before the lock is released and a worker can drain it."""
-        idle = [not queue and not busy
-                for queue, busy in zip(self._queues, self._busy)]
-        woken: set[int] = set()
-        admitted = [self._admit(request, arrival, refused, unknown,
-                                woken) for request in requests]
+        A caller claims only when the queue was empty, so its batch is
+        the head of the queue.  Every request the claim leaves out gets
+        its future here, before the lock is released and a worker can
+        drain it."""
+        queue = self._queue
+        was_empty = not queue
+        admitted = [self._admit(request, arrival, refused, unknown)
+                    for request in requests]
         claimed = None
-        if claim and len(woken) == 1:
-            (shard,) = woken
-            if idle[shard]:
+        if claim and was_empty and queue:
+            # A worker's own shard first, so its thread never holds a
+            # second shard while its own sits idle.
+            home = self._workers.get(threading.current_thread(), 0)
+            shard = next((shard for shard in (home, *range(self.shards))
+                          if not self._busy[shard]), None)
+            if shard is not None:
                 live = self._drain(shard, refused)
                 if live:
                     claimed = shard, live
-                if not self._queues[shard]:
-                    woken.clear()  # nothing left for the worker
-        for item in (admitted if claimed is None
-                     else self._queues[claimed[0]]):
+        for item in admitted if claimed is None else queue:
             if isinstance(item, _Item) and item.future is None:
                 item.future = Future()
-        for shard in woken:
-            self._ready[shard].notify()
+        # notify_all: a bare notify() could wake a worker whose shard is
+        # busy.  With every shard busy, the next release wakes them.
+        if queue and not all(self._busy):
+            self._ready.notify_all()
         return [item.future if isinstance(item, _Item) else item
                 for item in admitted], claimed
 
     def _admit(self, request: ServeRequest, arrival: float,
                refused: list[tuple[Future, ServeResponse]],
-               unknown: Mapping[str, str], woken: set[int]
-               ) -> _Item | Future:
+               unknown: Mapping[str, str]) -> _Item | Future:
         """One admission decision: resolve the program, shed, and
-        enqueue (returning the queued item, its shard added to
-        ``woken``) or refuse (returning the refusal's future, the
-        refusal appended to ``refused``).  Lock held."""
+        enqueue (returning the queued item) or refuse (returning the
+        refusal's future, the refusal appended to ``refused``).  Lock
+        held."""
         self._submitted += 1
         tuned = self._programs.get(request.program)
         if tuned is None:
@@ -632,9 +635,9 @@ class FrontDoor:
             refused.append((future, response))
             return future
         degraded = 0
+        capacity = len(self._engines) * self.queue_limit
         if self.shedding is not None:
-            fill = (sum(len(queue) for queue in self._queues)
-                    / (len(self._engines) * self.queue_limit))
+            fill = len(self._queue) / capacity
             # The recent p95 is read only against a budget.
             p95 = (latency_summary(self._recent)[1]
                    if self._recent
@@ -644,8 +647,7 @@ class FrontDoor:
             if self._shed_level > 0:
                 request, degraded = self._degrade(request, tuned,
                                                   self._shed_level)
-        shard = self._pick_shard()
-        if shard is None:
+        if len(self._queue) >= capacity:
             self._rejected += 1
             future = Future()
             refused.append((future, _refusal(
@@ -655,8 +657,7 @@ class FrontDoor:
                     else arrival + self.deadline)
         item = _Item(request=request, tuned=tuned, degraded=degraded,
                      arrival=arrival, deadline=deadline)
-        self._queues[shard].append(item)
-        woken.add(shard)
+        self._queue.append(item)
         return item
 
     def _degrade(self, request: ServeRequest, tuned: TunedProgram,
@@ -673,65 +674,44 @@ class FrontDoor:
         return (replace(request, accuracy=decision.target),
                 decision.steps)
 
-    def _pick_shard(self) -> int | None:
-        """Round-robin over shards, skipping full queues (lock held)."""
-        count = len(self._engines)
-        for offset in range(count):
-            shard = (self._rr + offset) % count
-            if len(self._queues[shard]) < self.queue_limit:
-                self._rr = (shard + 1) % count
-                return shard
-        return None
-
     # ------------------------------------------------------------------
     # Shard execution (a worker thread, or a caller that claimed an
     # idle shard; engine.serve outside the lock)
     # ------------------------------------------------------------------
-    def _worker(self, shard: int) -> None:
-        queue = self._queues[shard]
-        ready = self._ready[shard]
-        while True:
-            expired: list[tuple[Future, ServeResponse]] = []
-            with self._lock:
-                while self._busy[shard] or (not queue
-                                            and not self._closed):
-                    ready.wait()
-                if not queue:
-                    return  # closed, drained and released
-                live = self._drain(shard, expired)
-            for future, response in expired:
-                _resolve(future, response)
-            if live:
-                self._run_batch(shard, live)
+    def _work(self, shard: int, futures: list[Future] | None = None
+              ) -> None:
+        """Drain micro-batches off the queue and run them on ``shard``,
+        on this thread: the shard worker's loop, which returns once the
+        door is closed, the queue empty and the shard released.
 
-    def _work_until(self, shard: int, futures: list[Future]) -> None:
-        """Run ``shard``'s batches on its own worker thread until every
-        future in ``futures`` has resolved.
-
-        The worker would otherwise block in a nested :meth:`serve` on
-        requests queued behind (or on) its own shard.  Each future's
-        resolution wakes the shard's condition, so the wait below
-        cannot miss it.
+        With ``futures`` the worker runs a nested :meth:`serve` (from a
+        done-callback), which would otherwise wait on requests it may
+        have to run itself, and returns once they have all resolved;
+        each resolution wakes the condition, so the wait cannot miss it.
         """
-        pending = [future for future in futures if not future.done()]
-        queue = self._queues[shard]
-        ready = self._ready[shard]
+        if futures is None:
+            def finished() -> bool:
+                return (self._closed and not self._queue
+                        and not self._busy[shard])
+        else:
+            pending = [future for future in futures if not future.done()]
 
-        def wake(_future: Future) -> None:
-            with self._lock:
-                ready.notify()
+            def wake(_future: Future) -> None:
+                with self._lock:
+                    self._ready.notify_all()
 
-        def settled() -> bool:
-            return all(future.done() for future in pending)
+            def finished() -> bool:
+                return all(future.done() for future in pending)
 
-        for future in pending:
-            future.add_done_callback(wake)
+            for future in pending:
+                future.add_done_callback(wake)
         while True:
             expired: list[tuple[Future, ServeResponse]] = []
             with self._lock:
-                while not settled() and (self._busy[shard] or not queue):
-                    ready.wait()
-                if settled():
+                while not finished() and (self._busy[shard]
+                                          or not self._queue):
+                    self._ready.wait()
+                if finished():
                     return
                 live = self._drain(shard, expired)
             for future, response in expired:
@@ -742,14 +722,14 @@ class FrontDoor:
     def _drain(self, shard: int,
                expired: list[tuple[Future, ServeResponse]]
                ) -> list[_Item]:
-        """Pop up to the shard engine's ``batch_size`` items off an
-        idle shard's queue (lock held).
+        """Pop up to the shard engine's ``batch_size`` items off the
+        queue for an idle shard (lock held).
 
         Returns the live (unexpired) items, marked executing, and marks
         the shard busy when there are any; expired items are counted
         and their refusals appended to ``expired``.
         """
-        queue = self._queues[shard]
+        queue = self._queue
         now = time.monotonic()
         live = []
         for _ in range(min(len(queue), self._engines[shard].batch_size)):
@@ -808,11 +788,11 @@ class FrontDoor:
                 self._executing -= len(live)
                 # Released before any future resolves, so a
                 # done-callback that calls serve() finds the shard idle.
-                # The worker is woken only when it has something to do:
-                # a queue that filled meanwhile, or a door closing.
+                # The workers are woken only when there is something to
+                # do: queued work, or a door closing.
                 self._busy[shard] = False
-                if self._queues[shard] or self._closed:
-                    self._ready[shard].notify()
+                if self._queue or self._closed:
+                    self._ready.notify_all()
             for item, response in zip(live, responses):
                 if item.future is not None:
                     _resolve(item.future, response)
@@ -875,8 +855,7 @@ class FrontDoor:
                 served=self._served, errors=self._errors,
                 escalations=self._escalations,
                 fallbacks=self._fallbacks, swaps=self._swaps,
-                queued=(sum(len(queue) for queue in self._queues)
-                        + self._executing))
+                queued=len(self._queue) + self._executing)
             latencies = list(self._latencies)
         p50, p95, p99 = latency_summary(latencies)
         shard_counters = [engine.counters() for engine in self._engines]
@@ -890,17 +869,17 @@ class FrontDoor:
         """Serve queued traffic, stop the workers, close every shard.
 
         Requests already admitted are served before the workers exit;
-        later submissions raise.  A worker exits only once its shard is
-        released, so joining the workers also waits out a batch a
-        caller is running; only then are the engines closed.
+        later submissions raise.  A worker exits only once the queue is
+        empty and its shard released, so joining the workers also waits
+        out a batch a caller is running; only then are the engines
+        closed.
         Idempotent.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            for ready in self._ready:
-                ready.notify()
+            self._ready.notify_all()
         for worker in self._workers:
             worker.join(timeout=60.0)
         for engine in self._engines:

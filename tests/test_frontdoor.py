@@ -221,15 +221,6 @@ class TestFrontDoorEquivalence:
         assert stats.escalations == sum(r.escalations for r in direct)
         assert stats.fallbacks == sum(r.fallback for r in direct)
 
-    def test_low_load_spreads_across_shards(self, tuned):
-        with FrontDoor.build("async:2x1", shard_backend="serial",
-                             shedding=None) as door:
-            door.register("pickmean", tuned)
-            door.serve(mixed_requests(16))
-            per_shard = [engine.counters()["executions"]
-                         for engine in door.shard_engines]
-        assert all(count > 0 for count in per_shard)
-
 
 # ----------------------------------------------------------------------
 # Construction
@@ -409,6 +400,41 @@ class TestRefusalAccounting:
 
 
 # ----------------------------------------------------------------------
+# One queue, shared by every shard
+# ----------------------------------------------------------------------
+def held_and_other(engines):
+    """``(held, other)``: the gated engine whose shard took the first
+    request, and the other one."""
+    wait_until(lambda: any(engine.started.is_set() for engine in engines))
+    return engines if engines[0].started.is_set() else engines[::-1]
+
+
+class TestWorkSharing:
+    def test_idle_shard_takes_what_a_held_shard_would_strand(self):
+        # Routing at admission would queue every other request behind
+        # the held shard; from one queue the open shard takes them all.
+        engines = [GateEngine(), GateEngine()]
+        door = fake_door(engines, shedding=None)
+        try:
+            first = door.submit(fake_request())
+            held, other = held_and_other(engines)
+            other.gate.set()
+            rest = [door.submit(fake_request()) for _ in range(3)]
+            assert all(future.result(5.0).ok for future in rest)
+            assert not first.done() and held.batches == []
+            assert sum(len(batch) for batch in other.batches) == 3
+            held.gate.set()
+            assert first.result(5.0).ok
+            stats = door.stats()
+            assert (stats.submitted, stats.completed, stats.queued) \
+                == (4, 4, 0)
+        finally:
+            for engine in engines:
+                engine.gate.set()
+            door.close()
+
+
+# ----------------------------------------------------------------------
 # A shard whose execution raises fails its batch, not the tier
 # ----------------------------------------------------------------------
 class TestShardFailure:
@@ -560,7 +586,7 @@ class TestCallerRuns:
         # closing door; a caller-run batch on an idle shard has neither.
         engine = GateEngine(open_gate=True)
         with fake_door([engine], shedding=None) as door:
-            ready = door._ready[0]
+            ready = door._ready
             wait_until(lambda: len(ready._waiters) == 1)  # worker asleep
             wakes: list = []
             sleep = ready.wait
@@ -742,9 +768,9 @@ class TestCallerRuns:
         door.close()
 
     def test_serve_from_a_done_callback_across_shards(self):
-        # A nested serve() that spreads over two shards claims neither;
-        # the share queued on the callback's own shard runs there.
-        engines = [GateEngine(), GateEngine(open_gate=True)]
+        # The nested pair finds the queue empty and runs as one batch
+        # on the callback's own shard, though the other shard is idle.
+        engines = [GateEngine(), GateEngine()]
         door = fake_door(engines, shedding=None)
         nested: list = []
         done = threading.Event()
@@ -754,12 +780,13 @@ class TestCallerRuns:
             done.set()
 
         first = door.submit(fake_request())
-        assert engines[0].started.wait(5.0)
+        held, other = held_and_other(engines)
+        other.gate.set()
         first.add_done_callback(serve_again)
-        engines[0].gate.set()
+        held.gate.set()
         assert done.wait(10.0), "serve() from a done-callback deadlocked"
         assert len(nested) == 2 and all(r.ok for r in nested)
-        assert [len(e.batches) for e in engines] == [2, 1]
+        assert [len(held.batches), len(other.batches)] == [2, 0]
         stats = door.stats()
         assert (stats.submitted, stats.completed, stats.queued) == (3, 3, 0)
         door.close()

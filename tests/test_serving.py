@@ -30,7 +30,12 @@ from repro.api import Service
 from repro.autotuner import Autotuner, ProgramTestHarness, TunerSettings
 from repro.compiler.compile import compile_program
 from repro.config.decision_tree import SizeDecisionTree
-from repro.errors import AccuracyError, ArtifactError, TrainingError
+from repro.errors import (
+    AccuracyError,
+    ArtifactError,
+    ConfigError,
+    TrainingError,
+)
 from repro.runtime.backends import (
     ProcessPoolBackend,
     SerialBackend,
@@ -314,6 +319,26 @@ class TestArtifactAttachValidation:
             with pytest.raises(ArtifactError, match=why):
                 door.program_for("poisson")
             assert door.programs == ()
+
+    @pytest.mark.parametrize("entry, value, why", CORRUPTIONS)
+    def test_hot_swap_never_takes_an_out_of_space_program(self, entry,
+                                                          value, why):
+        # The check sits in TunedProgram itself, so a program built
+        # outside any artifact is refused before it reaches hot_swap.
+        program, artifact = self.corrupted(entry, value)
+        configs = {bin_.target: bin_.config for bin_ in artifact.bins}
+        good = suite_tuned_program("poisson")
+        inputs = get_benchmark("poisson").generate(
+            7, np.random.default_rng(0))
+        request = ServeRequest(program="poisson", inputs=inputs, n=7.0)
+        with FrontDoor([ServingEngine()]) as door:
+            door.register("poisson", good)
+            with pytest.raises(ConfigError, match=f"bin 5: .*{why}"):
+                door.hot_swap("poisson", TunedProgram(program, configs))
+            assert door.stats().swaps == 0
+            assert door.program_for("poisson") is good
+            [response] = door.serve([request])
+            assert response.ok
 
     def test_unreadable_artifact_file_is_an_artifact_error(self, tmp_path):
         store = ArtifactStore(tmp_path)
