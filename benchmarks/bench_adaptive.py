@@ -9,7 +9,9 @@ retune loop costs at steady state and at transition points::
 
 * **telemetry_overhead** — what per-response telemetry recording adds
   to the steady-state serve path, which must stay within 5%
-  (observability may not tax serving).  The gate is component-based —
+  (observability may not tax serving).  The front door books every
+  executed batch with one ``record_batch(responses)`` call; the gate
+  is component-based —
   the measured per-response ``record_batch`` cost over the measured
   per-request serve cost — because a raw on/off A/B of a multi-second
   serve cannot resolve a sub-percent true difference through machine
@@ -81,10 +83,14 @@ def _requests(spec, count):
 
 
 def _serve_elapsed(tuned, requests, telemetry):
-    engine = ServingEngine(telemetry=telemetry)
+    """Seconds to serve ``requests`` on a warm engine, recording the
+    responses in ``telemetry`` (unless None) as the front door does."""
+    engine = ServingEngine()
     engine.serve(requests[:2], [tuned] * 2)  # warm caches
     start = time.perf_counter()
     responses = engine.serve(requests, [tuned] * len(requests))
+    if telemetry is not None:
+        telemetry.record_batch(responses)
     elapsed = time.perf_counter() - start
     assert all(r.ok for r in responses)
     return elapsed
@@ -113,22 +119,20 @@ def test_adaptive_loop_costs(benchmark):
                                telemetry=ServingTelemetry()))
         serve_per_request = min(plain_times) / REQUEST_COUNT
 
-        # Replay exactly what the engine buffers per settled response
-        # (see ServingEngine._finish_ok) through record_batch, enough
-        # times to time it precisely, window evictions included.
-        probe = ServingEngine(telemetry=ServingTelemetry())
-        responses = probe.serve(requests, [tuned] * len(requests))
-        entries = [(r.program, r.bin_target, r.ok,
-                    r.achieved_accuracy, r.escalations, r.fallback)
-                   for r in responses]
+        # Replay exactly what the front door books per executed batch
+        # (see FrontDoor._run_batch) — the batch's responses — through
+        # record_batch, enough times to time it precisely, window
+        # evictions included.
+        responses = ServingEngine().serve(requests,
+                                          [tuned] * len(requests))
         record_times = []
         for _ in range(REPEATS):
             telemetry = ServingTelemetry()
             start = time.perf_counter()
             for _ in range(50):
-                telemetry.record_batch(entries)
+                telemetry.record_batch(responses)
             record_times.append((time.perf_counter() - start)
-                                / (50 * len(entries)))
+                                / (50 * len(responses)))
         record_per_response = min(record_times)
         overhead_pct = 100.0 * record_per_response / serve_per_request
         rows.append({

@@ -7,9 +7,9 @@ A production deployment wires seven objects together:
 :class:`Service` assembles all of them from one declarative
 :class:`ServicePolicy` and a store, and exposes the lifecycle verbs:
 
-* :meth:`Service.load` — open the store, build the front door and
-  its shard engines (backends from a spec string), attach telemetry,
-  register programs;
+* :meth:`Service.load` — open the store, build the front door (which
+  owns the telemetry) and its shard engines (backends from a spec
+  string), register programs;
 * :meth:`Service.serve` / :meth:`Service.request` — traffic;
 * :meth:`Service.stats` / :meth:`Service.snapshot` — observability;
 * :meth:`Service.poll` and :meth:`Service.start_adaptive` /
@@ -189,12 +189,11 @@ class Service:
     """
 
     def __init__(self, store: ArtifactStore, frontdoor: FrontDoor,
-                 telemetry: ServingTelemetry, policy: ServicePolicy, *,
+                 policy: ServicePolicy, *,
                  training_inputs: "InputGenerator | Mapping[str, InputGenerator] | None" = None,
                  log: Callable[[str], None] | None = None):
         self.store = store
         self.frontdoor = frontdoor
-        self.telemetry = telemetry
         self.policy = policy
         self.training_inputs = training_inputs
         self.log = log
@@ -249,20 +248,20 @@ class Service:
             raise ConfigError(
                 "compiled= attaches one program; name exactly one "
                 "(got {})".format(names))
-        telemetry = ServingTelemetry(window=policy.telemetry_window)
         plan, shard_backend = policy.shard_plan(), policy.shard_backend
         if plan is None:
             # Any other backend is the one shard's own.
             plan, shard_backend = ShardPlan(1, 1), policy.backend
         frontdoor = FrontDoor.build(
             plan, store=store, shard_backend=shard_backend,
-            batch_size=policy.batch_size, telemetry=telemetry,
+            batch_size=policy.batch_size,
+            telemetry=ServingTelemetry(window=policy.telemetry_window),
             queue_limit=policy.queue_limit, deadline=policy.deadline,
             shedding=policy.shedding_policy())
         for name in names:
             frontdoor.register(name, store.load_tuned(
                 name, policy.tag, compiled=compiled))
-        return cls(store, frontdoor, telemetry, policy,
+        return cls(store, frontdoor, policy,
                    training_inputs=training_inputs, log=log)
 
     # ------------------------------------------------------------------
@@ -307,6 +306,11 @@ class Service:
     # ------------------------------------------------------------------
     def stats(self) -> FrontDoorStats:
         return self.frontdoor.stats()
+
+    @property
+    def telemetry(self) -> ServingTelemetry:
+        """The front door's telemetry: every batch it served."""
+        return self.frontdoor.telemetry
 
     def snapshot(self, target: float, program: str | None = None
                  ) -> BinSnapshot:
@@ -379,8 +383,7 @@ class Service:
             self._controller = RetuneController(
                 self.frontdoor, self.store,
                 harness_factory=self._harness_factory,
-                settings=self._settings_factory,
-                telemetry=self.telemetry, tag=policy.tag,
+                settings=self._settings_factory, tag=policy.tag,
                 slice_trials=policy.slice_trials,
                 shadow_fraction=policy.shadow_fraction,
                 min_shadow_samples=policy.min_shadow_samples,

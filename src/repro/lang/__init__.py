@@ -24,7 +24,8 @@ Paper construct              DSL construct
 ``scaled_by``                :func:`repro.lang.scaling.scaled_by`
 ``Foo<accuracy>`` calls      ``site = call("Foo", accuracy=N)`` / ``ctx.call``
 automatic sub-accuracy       ``site = call("Foo")`` (either...or)
-``verify_accuracy``          :func:`repro.runtime.executor.run_verified`
+``verify_accuracy``          ``TunedProgram.run(verify=True)``, or
+                             ``ServeRequest(verify=True)`` when served
 ===========================  ==================================================
 
 Declaration and compile errors are *batched*: every problem in a

@@ -26,8 +26,9 @@ controller
    until an operator calls :meth:`clear`.
 
 It drives a :class:`~repro.serving.frontdoor.FrontDoor`, which holds
-every program and shadow, so the loop runs at any shard count: all
-shards write into the one telemetry the detector watches.
+every program and shadow and records every executed batch, on any
+shard, in its one telemetry — the one the detector watches — so the
+loop runs at any shard count.
 
 Every action is appended to :attr:`events`, the controller's audit
 trail.
@@ -43,11 +44,7 @@ from repro.autotuner.tuner import Autotuner, TunerSettings
 from repro.errors import TrainingError
 from repro.runtime.policy import judge_shadow
 from repro.serving.store import DEFAULT_TAG, ArtifactStore
-from repro.serving.telemetry import (
-    DriftDetector,
-    DriftEvent,
-    ServingTelemetry,
-)
+from repro.serving.telemetry import DriftDetector, DriftEvent
 
 if TYPE_CHECKING:
     from repro.autotuner.session import TuningSession
@@ -99,8 +96,8 @@ class RetuneStatus:
 class RetuneController:
     """Drives drift detection, incremental retunes, and promotions.
 
-    ``telemetry`` defaults to the front door's; its engines must record
-    telemetry for drift to ever be observed.  ``settings`` are the
+    Drift is read from the front door's :attr:`telemetry`, which the
+    door feeds with every batch it serves.  ``settings`` are the
     tuner knobs for retune sessions (scale them down: a retune refines
     a seeded population, it does not explore from scratch) — either
     one fixed ``TunerSettings``, or a callable ``(name, compiled) ->
@@ -110,7 +107,6 @@ class RetuneController:
     def __init__(self, frontdoor: "FrontDoor", store: ArtifactStore, *,
                  harness_factory: HarnessFactory,
                  settings: "TunerSettings | SettingsFactory",
-                 telemetry: ServingTelemetry | None = None,
                  tag: str = DEFAULT_TAG,
                  slice_trials: int = 48,
                  shadow_fraction: float = 0.5,
@@ -118,24 +114,18 @@ class RetuneController:
                  min_drift_samples: int = 16,
                  drift_confidence: float = 0.9,
                  log: Callable[[str], None] | None = None):
-        telemetry = telemetry if telemetry is not None \
-            else frontdoor.telemetry
-        if telemetry is None:
-            raise TrainingError(
-                "RetuneController needs telemetry: attach a "
-                "ServingTelemetry to the engines (or pass one here)")
         if slice_trials < 1:
             raise ValueError("slice_trials must be >= 1")
         self.frontdoor = frontdoor
         self.store = store
-        self.telemetry = telemetry
+        self.telemetry = frontdoor.telemetry
         self.harness_factory = harness_factory
         self.settings = settings
         self.tag = tag
         self.slice_trials = slice_trials
         self.shadow_fraction = shadow_fraction
         self.min_shadow_samples = min_shadow_samples
-        self.detector = DriftDetector(telemetry,
+        self.detector = DriftDetector(self.telemetry,
                                       min_samples=min_drift_samples,
                                       confidence=drift_confidence)
         self.log = log

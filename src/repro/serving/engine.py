@@ -31,19 +31,19 @@ Bin decisions are made by :mod:`repro.runtime.policy` — the same pure
 functions the single-call path uses — so a served response chooses the
 exact bin ``TunedProgram.run`` would.
 
-The engine counts only what it alone sees — live executions, shadow
-executions and fused stacked calls (live and shadow alike) — and
-:meth:`ServingEngine.counters` snapshots them.  Programs, swaps,
-shadows, per-request outcomes and latency belong to the front door
-every engine serves behind
-(:class:`~repro.serving.frontdoor.FrontDoorStats`).
+The engine keeps only its backend and ``batch_size``: no lock, no
+counters, no telemetry.  What it alone sees — live executions, shadow
+executions and fused stacked calls — it adds to a ``counters`` dict its
+caller passes per call, the way :func:`run_batch_stacked` does.
+Programs, swaps, shadows, per-request outcomes, latency, telemetry and
+those counters' totals belong to the front door every engine serves
+behind (:class:`~repro.serving.frontdoor.FrontDoorStats`).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, MutableMapping, Sequence
 
 from repro.config.configuration import Configuration
 from repro.runtime.backends import (
@@ -55,7 +55,6 @@ from repro.runtime.backends import (
 from repro.runtime.batching import run_batch_stacked
 from repro.runtime.executor import TunedProgram
 from repro.runtime.guarantees import StatisticalGuarantee
-from repro.serving.telemetry import ServingTelemetry
 
 if TYPE_CHECKING:
     from repro.compiler.program import CompiledProgram
@@ -150,37 +149,35 @@ class ServingEngine:
     ``batch_size`` bounds how many requests one ``run_batch`` call
     carries; process backends amortise their per-batch dispatch over
     it, and the front door drains up to that many queued requests per
-    batch.
-
-    With ``telemetry`` attached, every settled response is folded into
-    per-bin rolling windows (achieved accuracy, escalations,
-    fallbacks) — the observability layer drift detection and
-    background retuning build on.
+    batch.  The engine holds no mutable state of its own, so any
+    number of threads may call :meth:`serve` at once.
     """
 
     def __init__(self, *,
                  backend: ExecutionBackend | None = None,
-                 batch_size: int = DEFAULT_BATCH_SIZE,
-                 telemetry: ServingTelemetry | None = None):
+                 batch_size: int = DEFAULT_BATCH_SIZE):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.backend = backend if backend is not None else SerialBackend()
         self.batch_size = batch_size
-        self.telemetry = telemetry
-        self._lock = threading.Lock()  # guards: _counters
-        self._counters = {"executions": 0, "stacked_calls": 0,
-                          "stacked_requests": 0, "shadow_executions": 0}
 
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
     def serve(self, requests: Sequence[ServeRequest],
-              programs: Sequence[TunedProgram]) -> list[ServeResponse]:
+              programs: Sequence[TunedProgram], *,
+              counters: MutableMapping[str, int] | None = None
+              ) -> list[ServeResponse]:
         """Serve request ``i`` on ``programs[i]``; responses align
-        positionally with requests."""
+        positionally with requests.
+
+        ``counters`` (when given) receives ``executions`` (live request
+        executions, escalations included) and the ``stacked_calls`` /
+        ``stacked_requests`` of every fused call made, even when the
+        call raises part way.
+        """
         responses: list[ServeResponse | None] = [None] * len(requests)
         pending: list[_Pending] = []
-        buffer: list | None = [] if self.telemetry is not None else None
         for index, (request, tuned) in enumerate(
                 zip(requests, programs, strict=True)):
             plan = tuned.plan(request.accuracy)
@@ -190,25 +187,26 @@ class ServingEngine:
                 fallback=plan.fallback))
 
         while pending:
-            pending = self._run_wave(pending, responses, buffer)
-        if buffer:
-            self.telemetry.record_batch(buffer)
+            pending = self._run_wave(pending, responses, counters)
         return responses  # type: ignore[return-value]
 
     def run_shadow(self, candidate: TunedProgram,
-                   requests: Sequence[ServeRequest]
+                   requests: Sequence[ServeRequest], *,
+                   counters: MutableMapping[str, int] | None = None
                    ) -> list[TrialOutcome]:
         """Run ``requests`` on ``candidate`` at the bins dynamic bin
         lookup picks for them, batched and fused like live traffic but
-        without collecting outputs; counted as shadow executions."""
+        without collecting outputs; counted in ``counters`` as
+        ``shadow_executions`` (and fused calls)."""
         return self._execute(candidate.program, [
             self._trial_request(request, candidate.bin_configs[
                 candidate.plan(request.accuracy).start])
-            for request in requests], shadow=True)
+            for request in requests], counters, shadow=True)
 
     def _run_wave(self, pending: list[_Pending],
                   responses: list[ServeResponse | None],
-                  buffer: list | None = None) -> list[_Pending]:
+                  counters: MutableMapping[str, int] | None
+                  ) -> list[_Pending]:
         """Execute every pending request's current bin, one dispatch
         per program; return the entries that must escalate to their
         next bin."""
@@ -221,35 +219,32 @@ class ServingEngine:
             outcomes = self._execute(tuned.program, [
                 self._trial_request(entry.request,
                                     tuned.bin_configs[entry.target])
-                for entry in group])
+                for entry in group], counters)
             for entry, outcome in zip(group, outcomes):
                 entry.last_accuracy = (None if outcome.failed
                                        else outcome.accuracy)
-                if self._settle(entry, outcome, responses, buffer):
+                if self._settle(entry, outcome, responses):
                     continue
                 entry.pos += 1
                 escalating.append(entry)
         return escalating
 
     def _execute(self, program: "CompiledProgram",
-                 batch: list[TrialRequest], *,
+                 batch: list[TrialRequest],
+                 counters: MutableMapping[str, int] | None, *,
                  shadow: bool = False) -> list[TrialOutcome]:
         """Run ``batch`` through :func:`run_batch_stacked` in
-        ``batch_size`` chunks; count it as executed (even when a chunk
-        raises) along with the fused calls it made."""
-        counters = {"shadow_executions" if shadow else "executions":
-                    len(batch)}
+        ``batch_size`` chunks; count it in ``counters`` as executed
+        before the first chunk runs, and each fused call as made."""
+        if counters is not None:
+            key = "shadow_executions" if shadow else "executions"
+            counters[key] = counters.get(key, 0) + len(batch)
         outcomes: list[TrialOutcome] = []
-        try:
-            for offset in range(0, len(batch), self.batch_size):
-                outcomes.extend(run_batch_stacked(
-                    program, batch[offset:offset + self.batch_size],
-                    self.backend, collect_outputs=not shadow,
-                    counters=counters))
-        finally:
-            with self._lock:
-                for key, increment in counters.items():
-                    self._counters[key] += increment
+        for offset in range(0, len(batch), self.batch_size):
+            outcomes.extend(run_batch_stacked(
+                program, batch[offset:offset + self.batch_size],
+                self.backend, collect_outputs=not shadow,
+                counters=counters))
         return outcomes
 
     @staticmethod
@@ -259,8 +254,7 @@ class ServingEngine:
                             seed=request.seed, config=config,
                             inputs=request.inputs)
 
-    def _settle(self, entry: _Pending, outcome, responses,
-                buffer: list | None = None) -> bool:
+    def _settle(self, entry: _Pending, outcome, responses) -> bool:
         """Record a response for ``entry`` if it is done; True when
         settled, False when it should escalate to the next bin."""
         if outcome.failed:
@@ -271,37 +265,32 @@ class ServingEngine:
             cause = (f" ({outcome.error})"
                      if outcome.error is not None else "")
             responses[entry.index] = self._finish(
-                entry, buffer, None,
+                entry, None,
                 error=f"execution failed at bin {entry.target:g}{cause}")
             return True
         if not entry.request.verify \
                 or entry.tuned.metric.meets(outcome.accuracy,
                                             entry.required):
             responses[entry.index] = self._finish(
-                entry, buffer, outcome.accuracy, outputs=outcome.outputs)
+                entry, outcome.accuracy, outputs=outcome.outputs)
             return True
         if entry.pos + 1 < len(entry.ladder):
             return False  # climb to the next, more accurate bin
         responses[entry.index] = self._finish(
-            entry, buffer, entry.last_accuracy,
+            entry, entry.last_accuracy,
             error=f"verify_accuracy failed: required {entry.required:g}, "
                   f"best achieved {entry.last_accuracy!r} after trying "
                   f"bins {list(entry.ladder)}")
         return True
 
-    def _finish(self, entry: _Pending, buffer: list | None,
-                accuracy: float | None, *,
+    @staticmethod
+    def _finish(entry: _Pending, accuracy: float | None, *,
                 outputs: Mapping[str, Any] | None = None,
                 error: str | None = None) -> ServeResponse:
-        """The response settling ``entry`` (ok unless ``error``),
-        buffered for telemetry."""
+        """The response settling ``entry`` (ok unless ``error``)."""
         request = entry.request
-        ok = error is None
-        if buffer is not None:
-            buffer.append((request.program, entry.target, ok, accuracy,
-                           entry.pos, entry.fallback))
         return ServeResponse(
-            program=request.program, ok=ok, outputs=outputs,
+            program=request.program, ok=error is None, outputs=outputs,
             bin_target=entry.target,
             requested_accuracy=request.accuracy,
             achieved_accuracy=accuracy,
@@ -309,20 +298,8 @@ class ServingEngine:
             fallback=entry.fallback, escalations=entry.pos, error=error)
 
     # ------------------------------------------------------------------
-    # Counters & lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------
-    def counters(self) -> dict[str, int]:
-        """Snapshot of what only the engine sees.
-
-        ``executions`` counts live request executions (escalations
-        included) and ``shadow_executions`` candidate re-runs;
-        ``stacked_calls`` / ``stacked_requests`` count every fused call
-        the engine made and the requests it covered, live and shadow
-        alike.
-        """
-        with self._lock:
-            return dict(self._counters)
-
     def close(self) -> None:
         self.backend.close()
 

@@ -29,14 +29,17 @@ under overload the front door sheds **accuracy instead of requests**:
   ``submitted == completed + rejected + expired + queued`` holds in
   every snapshot.
 
-:class:`FrontDoorStats` is the one serving snapshot: the front door
-counts every resolved request's outcome and stamps its latency
-(``ServeResponse.latency``, admission to response), and sums the
-engine-only counters over shards.  Telemetry records the realized
-accuracy of degraded traffic in the cheaper bin's rolling window
-(where the :class:`~repro.serving.telemetry.DriftDetector` already
-watches it), so the adaptive layer sees the *true* served
-distribution.
+:class:`FrontDoorStats` is the one serving snapshot.  The booking of
+an executed batch is the one place a served request is recorded: the
+door feeds the batch's responses to its one
+:class:`~repro.serving.telemetry.ServingTelemetry`, then, under its
+lock, counts every response's outcome, stamps its latency
+(``ServeResponse.latency``, admission to response) and adds the
+execution counters the shard engine filled for that batch.  So
+telemetry records the realized accuracy of degraded traffic in the
+cheaper bin's rolling window (where the
+:class:`~repro.serving.telemetry.DriftDetector` already watches it),
+and its per-bin counts add up to the stats.
 
 The front door owns the one program registry, hot swaps and shadows.
 Each admitted request carries the program resolved in the critical
@@ -111,7 +114,7 @@ RECENT_WINDOW = 128
 #: Bound on the latency reservoir behind stats().
 LATENCY_WINDOW = 4096
 
-#: Paired accuracy samples a shadow deployment keeps, pooled and per bin.
+#: Paired accuracy samples a shadow deployment keeps per bin.
 SHADOW_WINDOW = 256
 
 
@@ -133,15 +136,16 @@ class _Item:
 class ShadowStatus:
     """Progress of one shadow deployment.
 
-    ``primary_accuracies`` / ``candidate_accuracies`` are *paired*:
-    entry ``i`` of both came from the same sampled request, so they
-    feed :func:`repro.runtime.policy.judge_shadow` directly.
-    ``per_bin`` holds the same paired windows bucketed by the bin the
-    *primary* served each request from — a drifted bin must be judged
-    against its own traffic, not a pool diluted by cheaper requests.
-    ``failures`` counts candidate executions that crashed, including
-    every sampled request of a shadow dispatch that raised (a crashing
-    candidate must never be promoted, and never fails live traffic).
+    ``per_bin`` maps the bin the *primary* served each sampled request
+    from to a ``(primary, candidate)`` pair of accuracy windows — a
+    drifted bin must be judged against its own traffic, not a pool
+    diluted by cheaper requests.  The windows are *paired*: entry
+    ``i`` of both came from the same request, so they feed
+    :func:`repro.runtime.policy.judge_shadow` directly.  ``samples`` is
+    the number of pairs held, summed over bins.  ``failures`` counts
+    candidate executions that crashed, including every sampled request
+    of a shadow dispatch that raised (a crashing candidate must never
+    be promoted, and never fails live traffic).
     """
 
     program: str
@@ -149,8 +153,6 @@ class ShadowStatus:
     samples: int
     executions: int
     failures: int
-    primary_accuracies: tuple[float, ...]
-    candidate_accuracies: tuple[float, ...]
     per_bin: Mapping[float, tuple[tuple[float, ...],
                                   tuple[float, ...]]] = \
         field(default_factory=dict)
@@ -160,8 +162,7 @@ class _ShadowState:
     """Mutable state of one shadow deployment (door lock held)."""
 
     __slots__ = ("candidate", "fraction", "stride", "counter",
-                 "executions", "failures", "primary", "shadow",
-                 "per_bin")
+                 "executions", "failures", "per_bin")
 
     def __init__(self, candidate: TunedProgram, fraction: float):
         self.candidate = candidate
@@ -170,9 +171,8 @@ class _ShadowState:
         self.counter = 0
         self.executions = 0
         self.failures = 0
-        self.primary: deque[float] = deque(maxlen=SHADOW_WINDOW)
-        self.shadow: deque[float] = deque(maxlen=SHADOW_WINDOW)
-        self.per_bin: dict[float, tuple[deque, deque]] = {}
+        # (primary, candidate) accuracy pairs, by the primary's bin.
+        self.per_bin: dict[float, deque[tuple[float, float]]] = {}
 
     def record(self, pairs: list[tuple[ServeRequest, ServeResponse]],
                outcomes: list | None) -> None:
@@ -186,29 +186,22 @@ class _ShadowState:
             if outcome.failed:
                 self.failures += 1
             elif response.achieved_accuracy is not None:
-                # Paired appends: entry i of both windows came from the
-                # same request — pooled, and bucketed by the bin the
-                # primary served from.
-                self.primary.append(response.achieved_accuracy)
-                self.shadow.append(outcome.accuracy)
                 bucket = self.per_bin.get(response.bin_target)
                 if bucket is None:
-                    bucket = (deque(maxlen=SHADOW_WINDOW),
-                              deque(maxlen=SHADOW_WINDOW))
-                    self.per_bin[response.bin_target] = bucket
-                bucket[0].append(response.achieved_accuracy)
-                bucket[1].append(outcome.accuracy)
+                    bucket = self.per_bin[response.bin_target] = \
+                        deque(maxlen=SHADOW_WINDOW)
+                bucket.append((response.achieved_accuracy,
+                               outcome.accuracy))
 
     def status(self, name: str) -> ShadowStatus:
+        # A bucket exists only once a pair lands in it, so it unzips
+        # into two windows of equal length.
         return ShadowStatus(
             program=name, fraction=self.fraction,
-            samples=min(len(self.primary), len(self.shadow)),
+            samples=sum(map(len, self.per_bin.values())),
             executions=self.executions, failures=self.failures,
-            primary_accuracies=tuple(self.primary),
-            candidate_accuracies=tuple(self.shadow),
-            per_bin={target: (tuple(primary), tuple(candidate))
-                     for target, (primary, candidate)
-                     in self.per_bin.items()})
+            per_bin={target: tuple(zip(*pairs))
+                     for target, pairs in self.per_bin.items()})
 
 
 @dataclass(frozen=True)
@@ -225,8 +218,8 @@ class FrontDoorStats:
     and expired requests count only in their own fields.  ``swaps``
     counts :meth:`FrontDoor.hot_swap` calls, once each.
     ``executions``, ``stacked_calls``, ``stacked_requests`` and
-    ``shadow_executions`` are the shard engines'
-    :meth:`~repro.serving.engine.ServingEngine.counters`, summed.
+    ``shadow_executions`` are the counters the shard engines filled
+    for each batch, added in the critical section that books it.
     Latency percentiles run over the ``ServeResponse.latency`` of
     completed requests: admission to response, queueing included.
     """
@@ -282,15 +275,15 @@ class FrontDoor:
     :class:`~repro.serving.engine.ServingEngine` workers.
 
     ``engines`` supplies one engine per shard (use :meth:`build` to
-    expand an ``async:<shards>x<workers>`` spec); they share one
-    :class:`~repro.serving.telemetry.ServingTelemetry` (or none), the
-    door's :attr:`telemetry`.  ``store`` loads programs that were never
-    registered.  The one admission queue holds ``queue_limit`` requests
-    per shard; one drain hands up to the draining shard engine's
-    ``batch_size`` queued requests to ``engine.serve`` (where same-bin
-    requests fuse into stacked executions); ``deadline`` (seconds)
-    expires requests still
-    queued past it.  ``shedding`` enables the accuracy-shedding
+    expand an ``async:<shards>x<workers>`` spec).  ``telemetry`` is the
+    one :class:`~repro.serving.telemetry.ServingTelemetry` every
+    executed batch is recorded in (a fresh one by default).  ``store``
+    loads programs that were never registered.  The one admission
+    queue holds ``queue_limit`` requests per shard; one drain hands up
+    to the draining shard engine's ``batch_size`` queued requests to
+    ``engine.serve`` (where same-bin requests fuse into stacked
+    executions); ``deadline`` (seconds) expires requests still queued
+    past it.  ``shedding`` enables the accuracy-shedding
     admission controller; ``None`` disables shedding entirely
     (overload then only rejects).
 
@@ -303,6 +296,7 @@ class FrontDoor:
     """
 
     def __init__(self, engines: Sequence[ServingEngine], *,
+                 telemetry: ServingTelemetry | None = None,
                  store: ArtifactStore | None = None,
                  queue_limit: int = DEFAULT_QUEUE_LIMIT,
                  deadline: float | None = None,
@@ -315,16 +309,10 @@ class FrontDoor:
             raise ConfigError("queue_limit must be >= 1")
         if deadline is not None and not deadline > 0:  # NaN too
             raise ConfigError("deadline must be positive (or None)")
-        telemetries = {id(engine.telemetry): engine.telemetry
-                       for engine in engines}
-        if len(telemetries) > 1:
-            # Drift detection and a swap's window reset read one
-            # telemetry for the whole tier.
-            raise ConfigError("a front door's shard engines must share "
-                              "one ServingTelemetry (or all have none)")
         self._engines = engines
+        self.telemetry = (telemetry if telemetry is not None
+                          else ServingTelemetry())
         self.store = store
-        (self.telemetry,) = telemetries.values()
         self.queue_limit = queue_limit
         self.deadline = deadline
         self.shedding = shedding
@@ -352,6 +340,10 @@ class FrontDoor:
         self._escalations = 0
         self._fallbacks = 0
         self._swaps = 0
+        # What the shard engines executed, added per booked batch.
+        self._executed = dict.fromkeys(
+            ("executions", "stacked_calls", "stacked_requests",
+             "shadow_executions"), 0)
         self._executing = 0              # drained, not yet resolved
         self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._recent: deque[float] = deque(maxlen=RECENT_WINDOW)
@@ -371,7 +363,6 @@ class FrontDoor:
     def build(cls, plan: "ShardPlan | str", *,
               shard_backend: "str | ExecutionBackend | None" = None,
               batch_size: int = DEFAULT_BATCH_SIZE,
-              telemetry: ServingTelemetry | None = None,
               **kwargs) -> "FrontDoor":
         """Expand an ``async:<shards>x<workers>`` spec into a tier.
 
@@ -379,9 +370,9 @@ class FrontDoor:
         own backend (``plan.shard_backend_spec``, i.e. a
         ``process:<workers>`` pool — override with ``shard_backend``,
         e.g. ``"serial"`` for tests and single-core hosts; a backend
-        instance serves a one-shard plan), ``batch_size`` and the
-        shared ``telemetry``.  Remaining keyword arguments (``store``
-        among them) go to :class:`FrontDoor` itself.
+        instance serves a one-shard plan) and ``batch_size``.
+        Remaining keyword arguments (``telemetry`` and ``store`` among
+        them) go to :class:`FrontDoor` itself.
         """
         if isinstance(plan, str):
             plan = backend_from_spec(plan, allow_sharded=True)
@@ -392,8 +383,7 @@ class FrontDoor:
         spec = (shard_backend if shard_backend is not None
                 else plan.shard_backend_spec)
         engines = [ServingEngine(backend=backend_from_spec(spec),
-                                 batch_size=batch_size,
-                                 telemetry=telemetry)
+                                 batch_size=batch_size)
                    for _ in range(plan.shards)]
         return cls(engines, **kwargs)
 
@@ -431,8 +421,7 @@ class FrontDoor:
             self._programs[name] = tuned
             self._shadows.pop(name, None)
             self._swaps += 1
-        if self.telemetry is not None:
-            self.telemetry.reset(name)
+        self.telemetry.reset(name)
         return previous
 
     def program_for(self, name: str, tag: str = DEFAULT_TAG
@@ -757,18 +746,23 @@ class FrontDoor:
         book it, release the shard, then resolve its futures; returns
         the responses, aligned with ``live``.
 
-        A raising engine fails the batch with explicit per-request
-        refusals.  The booking and release sit in a ``finally``, so a
-        ``BaseException`` (say, ``KeyboardInterrupt`` on a caller's
-        thread) still books the batch as refused and frees the shard
-        before it propagates.
+        Booking is the one place a served batch is recorded: its
+        responses go to telemetry (outside the lock), then its outcomes,
+        latencies and the execution counters the engine filled for it
+        are counted in one critical section.  A raising engine fails
+        the batch with explicit per-request refusals.  The booking and
+        release sit in a ``finally``, so a ``BaseException`` (say,
+        ``KeyboardInterrupt`` on a caller's thread) still books the
+        batch as refused and frees the shard before it propagates.
         """
         engine = self._engines[shard]
+        counters: dict[str, int] = {}
         responses = None
         try:
             responses = engine.serve([item.request for item in live],
-                                     [item.tuned for item in live])
-            self._run_shadows(engine, live, responses)
+                                     [item.tuned for item in live],
+                                     counters=counters)
+            self._run_shadows(engine, live, responses, counters)
         except Exception as exc:
             # A failed execution must not strand its callers: every
             # request of the batch gets an explicit error.
@@ -780,11 +774,15 @@ class FrontDoor:
                 responses = [_refusal(
                     item.request, f"shard {shard} execution interrupted")
                     for item in live]
+            # Refusals carry no bin, so telemetry skips them.
+            self.telemetry.record_batch(responses)
             done = time.monotonic()
             with self._lock:
                 for item, response in zip(live, responses):
                     self._book(response, item.degraded, item.arrival,
                                done)
+                for key, count in counters.items():
+                    self._executed[key] += count
                 self._executing -= len(live)
                 # Released before any future resolves, so a
                 # done-callback that calls serve() finds the shard idle.
@@ -799,10 +797,11 @@ class FrontDoor:
         return responses
 
     def _run_shadows(self, engine: ServingEngine, live: list[_Item],
-                     responses: Sequence[ServeResponse]) -> None:
+                     responses: Sequence[ServeResponse],
+                     counters: dict[str, int]) -> None:
         """Re-run the sampled, successfully served requests of a batch
-        on their programs' shadow candidates, on ``engine``, and
-        record the paired accuracies."""
+        on their programs' shadow candidates, on ``engine`` (counted in
+        the batch's ``counters``), and record the paired accuracies."""
         sampled: dict[_ShadowState, list] = {}
         with self._lock:
             if not self._shadows:
@@ -818,7 +817,8 @@ class FrontDoor:
         for state, pairs in sampled.items():
             try:
                 outcomes = engine.run_shadow(
-                    state.candidate, [request for request, _ in pairs])
+                    state.candidate, [request for request, _ in pairs],
+                    counters=counters)
             except Exception:  # noqa: BLE001 — a crashing candidate is
                 # the shadow's failure, never the live traffic's.
                 outcomes = None
@@ -855,12 +855,10 @@ class FrontDoor:
                 served=self._served, errors=self._errors,
                 escalations=self._escalations,
                 fallbacks=self._fallbacks, swaps=self._swaps,
-                queued=len(self._queue) + self._executing)
+                queued=len(self._queue) + self._executing,
+                **self._executed)
             latencies = list(self._latencies)
         p50, p95, p99 = latency_summary(latencies)
-        shard_counters = [engine.counters() for engine in self._engines]
-        for key in shard_counters[0]:
-            counters[key] = sum(c[key] for c in shard_counters)
         return FrontDoorStats(
             shards=len(self._engines), **counters,
             p50_latency=p50, p95_latency=p95, p99_latency=p99)

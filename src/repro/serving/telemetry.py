@@ -25,13 +25,16 @@ import math
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.lang.metrics import AccuracyMetric
 from repro.runtime.guarantees import (
     StatisticalGuarantee,
     statistical_guarantee,
 )
+
+if TYPE_CHECKING:
+    from repro.serving.engine import ServeResponse
 
 __all__ = ["latency_summary", "BinSnapshot", "ServingTelemetry",
            "DriftEvent", "DriftDetector"]
@@ -102,10 +105,12 @@ class _BinWindow:
 class ServingTelemetry:
     """Thread-safe rolling windows of observed serving behaviour.
 
-    One window per ``(program, bin target)``; ``record`` is called by
-    the engine for every settled response (a handful of deque appends,
-    cheap enough for the steady-state serve path — measured by
-    ``benchmarks/bench_adaptive.py``).
+    One window per ``(program, bin target)``.  The front door feeds it
+    every executed batch's responses through :meth:`record_batch` (a
+    handful of deque appends per response, cheap enough for the
+    steady-state serve path — measured by
+    ``benchmarks/bench_adaptive.py``), so its per-bin counts add up to
+    the door's :class:`~repro.serving.frontdoor.FrontDoorStats`.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW):
@@ -118,40 +123,33 @@ class ServingTelemetry:
     # ------------------------------------------------------------------
     # Recording (the serve-path hot call)
     # ------------------------------------------------------------------
-    def record(self, program: str, bin_target: float | None, *,
-               ok: bool, accuracy: float | None = None,
-               escalations: int = 0, fallback: bool = False) -> None:
-        """Fold one served response into its bin's window."""
-        self.record_batch([(program, bin_target, ok, accuracy,
-                            escalations, fallback)])
+    def record_batch(self, responses: Iterable["ServeResponse"]) -> None:
+        """Fold a batch of responses into their bins' windows under one
+        lock acquisition.
 
-    def record_batch(self, entries: Iterable[tuple]) -> None:
-        """Fold many responses under one lock acquisition.
-
-        Entries are ``(program, bin_target, ok, accuracy, escalations,
-        fallback)`` tuples; the engine buffers one per settled
-        response and flushes the batch once per ``serve`` call, so
-        steady-state serving pays a list append per response, not a
-        lock round-trip.
+        Each response counts in the window of the bin it settled at:
+        served or error, its escalations, a fallback, and its achieved
+        accuracy when it has one.  A response without a bin (a refusal
+        that never executed) is skipped.
         """
         with self._lock:
-            for (program, bin_target, ok, accuracy, escalations,
-                 fallback) in entries:
-                if bin_target is None:
+            for response in responses:
+                if response.bin_target is None:
                     continue
-                key = (program, float(bin_target))
+                key = (response.program, float(response.bin_target))
                 entry = self._bins.get(key)
                 if entry is None:
                     entry = self._bins[key] = _BinWindow(self.window)
-                if ok:
+                if response.ok:
                     entry.served += 1
                 else:
                     entry.errors += 1
-                entry.escalations += escalations
-                if fallback:
+                entry.escalations += response.escalations
+                if response.fallback:
                     entry.fallbacks += 1
-                if accuracy is not None:
-                    entry.accuracies.append(float(accuracy))
+                if response.achieved_accuracy is not None:
+                    entry.accuracies.append(
+                        float(response.achieved_accuracy))
 
     # ------------------------------------------------------------------
     # Reading

@@ -237,10 +237,11 @@ class TestAdaptiveLoop:
         door.serve(make_requests(SHIFT_SIGMA, 12, first_seed=200))
         shadow = door.shadow_status("adaptmean")
         assert shadow is not None and shadow.samples >= 6
-        candidate_mean = (sum(shadow.candidate_accuracies)
-                          / len(shadow.candidate_accuracies))
-        primary_mean = (sum(shadow.primary_accuracies)
-                        / len(shadow.primary_accuracies))
+        primary = [a for p, _ in shadow.per_bin.values() for a in p]
+        candidate = [a for _, c in shadow.per_bin.values() for a in c]
+        assert len(primary) == len(candidate) == shadow.samples
+        candidate_mean = sum(candidate) / len(candidate)
+        primary_mean = sum(primary) / len(primary)
         assert candidate_mean < primary_mean  # a genuine regression
 
         actions = controller.poll()

@@ -545,7 +545,6 @@ class TestService:
         budget when the program has no benchmark spec (the spec's
         budget is checked in the benchmark-sizes test below)."""
         service = Service(ArtifactStore(tmp_path), frontdoor=None,
-                          telemetry=None,
                           policy=ServicePolicy(retune="smoke"),
                           training_inputs=apimean_inputs)
         program, _ = compiled_from_factory(factory_spec(make_apimean))
@@ -590,7 +589,6 @@ class TestService:
         spec = get_benchmark("poisson")
         program, _ = spec.compile()
         service = Service(ArtifactStore(tmp_path), frontdoor=None,
-                          telemetry=None,
                           policy=ServicePolicy(retune="smoke"))
         settings = service._settings_factory("poisson", program)
         assert settings.input_sizes == (3.0, 7.0, 15.0)

@@ -1,6 +1,6 @@
 """The sharded serving front door (repro.serving.frontdoor).
 
-Five contracts are enforced here:
+Six contracts are enforced here:
 
 * **Equivalence** — a 104-request mixed-accuracy workload through the
   front door at low load is response-identical to the direct
@@ -22,6 +22,12 @@ Five contracts are enforced here:
   its percentiles are exactly those of the ``ServeResponse.latency``
   it stamps; a front door that has not completed a request yet
   reports zeros, not a crash.
+* **One booking** — the door records each executed batch once, so
+  telemetry's per-bin served, escalation and fallback counts, summed
+  over bins, equal ``FrontDoorStats`` (its errors too, less the
+  refusals that never reached a bin), and a served rule that raises
+  ``CostLimitExceeded`` resolves with an error in its bin, counts once
+  and leaves the door serving.
 
 A Hypothesis state machine then drives random interleavings of
 submits, sync serves, held shards, hot swaps, stats and close, checking
@@ -34,6 +40,8 @@ from __future__ import annotations
 import sys
 import threading
 import time
+from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -64,6 +72,7 @@ from repro.runtime.policy import (
     plan_request,
     update_shed_level,
 )
+from repro.runtime.timing import CostLimitExceeded
 import repro.serving.frontdoor as frontdoor_module
 from repro.serving import (
     FrontDoor,
@@ -105,8 +114,6 @@ class GateEngine:
     request was admitted under.
     """
 
-    telemetry = None
-
     def __init__(self, *, open_gate: bool = False, delay: float = 0.0,
                  batch_size: int = 64):
         self.batch_size = batch_size
@@ -114,19 +121,17 @@ class GateEngine:
         self.started = threading.Event()
         self.batches: list[list[ServeRequest]] = []
         self.threads: list[threading.Thread] = []  # one per serve call
-        self.executions = 0
         self.closed = False
         self.delay = delay
         if open_gate:
             self.gate.set()
 
-    def serve(self, requests, programs):
+    def serve(self, requests, programs, counters=None):
         self.threads.append(threading.current_thread())
         self.started.set()
         assert self.gate.wait(10.0), "test gate never released"
         time.sleep(self.delay)
         self.batches.append(list(requests))
-        self.executions += len(requests)
         return [ServeResponse(
             program=request.program, ok=True, outputs={"tuned": tuned},
             bin_target=plan_request(tuned.bins, tuned.metric,
@@ -134,10 +139,6 @@ class GateEngine:
             requested_accuracy=request.accuracy,
             achieved_accuracy=1.0, guarantee=None)
             for request, tuned in zip(requests, programs)]
-
-    def counters(self):
-        return {"executions": self.executions, "stacked_calls": 0,
-                "stacked_requests": 0, "shadow_executions": 0}
 
     def close(self):
         self.closed = True
@@ -151,7 +152,7 @@ class RaisingEngine(GateEngine):
         super().__init__(**kwargs)
         self.failures = 1
 
-    def serve(self, requests, programs):
+    def serve(self, requests, programs, counters=None):
         self.started.set()
         assert self.gate.wait(10.0), "test gate never released"
         if self.failures:
@@ -186,9 +187,10 @@ class TestFrontDoorEquivalence:
     @pytest.mark.parametrize("shards", [3, 1])
     def test_104_requests_match_direct_engine(self, tuned, shards):
         requests = mixed_requests(104)
+        reference = Counter()
         with ServingEngine() as engine:
-            direct = engine.serve(requests, [tuned] * len(requests))
-            reference = engine.counters()
+            direct = engine.serve(requests, [tuned] * len(requests),
+                                  counters=reference)
         with FrontDoor.build(f"async:{shards}x1", shard_backend="serial",
                              shedding=None) as door:
             door.register("pickmean", tuned)
@@ -674,7 +676,7 @@ class TestCallerRuns:
             pass
 
         class InterruptedEngine(GateEngine):
-            def serve(self, requests, programs):
+            def serve(self, requests, programs, counters=None):
                 if not self.batches:
                     self.batches.append(list(requests))
                     raise Interrupt
@@ -1305,3 +1307,130 @@ class FrontDoorAccounting(RuleBasedStateMachine):
 FrontDoorAccounting.TestCase.settings = settings(
     max_examples=30, stateful_step_count=20, deadline=None)
 TestFrontDoorAccounting = FrontDoorAccounting.TestCase
+
+
+# ----------------------------------------------------------------------
+# A served rule over its cost limit
+# ----------------------------------------------------------------------
+#: Units the priced rule may charge; it refuses any input that would
+#: cost more, as a rule that charges its price before building would.
+PRICE_LIMIT = 100.0
+
+
+def _priced(ctx, xs):
+    price = float(xs.size) ** 2
+    if price > PRICE_LIMIT:
+        raise CostLimitExceeded(
+            f"cost {price:g} exceeded limit {PRICE_LIMIT:g}")
+    ctx.add_cost(price)
+    return 2.0 * xs + 1.0
+
+
+@pytest.fixture(scope="module")
+def priced():
+    """A tuned program whose one rule raises ``CostLimitExceeded`` on
+    inputs of more than 10 values, every bin on the default config."""
+    transform = Transform("priced", inputs=("xs",), outputs=("ys",),
+                          accuracy_metric=_doubled_metric,
+                          accuracy_bins=(0.5, 0.9))
+    transform.rule(outputs=("ys",), inputs=("xs",),
+                   name="priced")(_priced)
+    program, _ = compile_program(transform)
+    return TunedProgram(program, {target: program.default_config()
+                                  for target in (0.5, 0.9)})
+
+
+def priced_request(size):
+    return ServeRequest(program="priced", inputs=doubler_inputs(size, 0),
+                        n=float(size), accuracy=0.9)
+
+
+class TestServedCostLimit:
+    def test_over_limit_request_fails_alone_and_the_door_serves_on(
+            self, priced):
+        with FrontDoor([ServingEngine()], shedding=None) as door:
+            door.register("priced", priced)
+            over = door.submit(priced_request(64)).result(10.0)
+            stats = door.stats()
+            window = door.telemetry.snapshot("priced", 0.9)
+            [fine] = door.serve([priced_request(8)])
+            after = door.stats()
+        # Resolved with an error naming its bin and the cause, not
+        # escalated: a failed execution is not an accuracy miss.
+        assert not over.ok and over.outputs is None
+        assert over.bin_target == 0.9 and over.escalations == 0
+        assert "execution failed at bin 0.9" in over.error
+        assert "CostLimitExceeded" in over.error
+        # Counted once, as an error and as completed.
+        assert (stats.submitted, stats.completed, stats.served,
+                stats.errors, stats.executions) == (1, 1, 0, 1, 1)
+        # Telemetry books one error in that bin, with no accuracy.
+        assert (window.served, window.errors, window.samples) == (0, 1, 0)
+        # The door serves the next request.
+        assert fine.ok and fine.bin_target == 0.9
+        assert (after.completed, after.served, after.errors) == (2, 1, 1)
+
+
+# ----------------------------------------------------------------------
+# Telemetry and stats book the same responses
+# ----------------------------------------------------------------------
+#: The seed that makes a :class:`CrashingEngine` raise.
+CRASH_SEED = 99
+
+
+class CrashingEngine(ServingEngine):
+    """A shard engine whose ``serve`` raises, as a crashed backend
+    does, on any batch holding a request seeded :data:`CRASH_SEED`."""
+
+    def serve(self, requests, programs, *, counters=None):
+        if any(request.seed == CRASH_SEED for request in requests):
+            raise RuntimeError("backend crashed")
+        return super().serve(requests, programs, counters=counters)
+
+
+class TestTelemetryMatchesStats:
+    def test_per_bin_windows_add_up_to_the_stats(self, tuned):
+        # Mixed traffic, each request floored at its nominal bin so the
+        # always-hot controller sheds none of it...
+        top = max(tuned.bins)
+        requests = [replace(request, floor=top if request.accuracy is None
+                            else request.accuracy)
+                    for request in mixed_requests(24)]
+        # ...but one batch of four crashes its shard...
+        requests[13] = replace(requests[13], seed=CRASH_SEED)
+        # ...and one unfloored request is shed a bin below its nominal.
+        shed = ServeRequest(program="pickmean",
+                            inputs=requests[2].inputs, n=requests[2].n,
+                            accuracy=top)
+        with FrontDoor([CrashingEngine(batch_size=4),
+                        CrashingEngine(batch_size=4)],
+                       shedding=always_hot(1)) as door:
+            door.register("pickmean", tuned)
+            responses = door.serve([*requests, shed])
+            stats = door.stats()
+            telemetry = door.telemetry
+        windows = telemetry.snapshots("pickmean")
+
+        assert stats.shards == 2 and stats.completed == 25
+        # Every kind of outcome is present...
+        assert stats.escalations > 0 and stats.fallbacks > 0
+        refused = [r for r in responses if r.bin_target is None]
+        assert len(refused) == 4
+        assert all("shard" in r.error and "backend crashed" in r.error
+                   for r in refused)
+        assert any(r.bin_target is not None and not r.ok
+                   for r in responses)  # a verify failure, in its bin
+        # ...and the windows, summed over bins, are the stats.
+        assert sum(w.served for w in windows) == stats.served
+        assert sum(w.escalations for w in windows) == stats.escalations
+        assert sum(w.fallbacks for w in windows) == stats.fallbacks
+        assert sum(w.errors for w in windows) == \
+            stats.errors - len(refused)
+        # The shed request served from, and was booked in, the cheaper
+        # bin's window.
+        shed_response = responses[-1]
+        cheaper = tuned.bins[-2]
+        assert (stats.degraded, shed_response.degraded) == (1, 1)
+        assert shed_response.ok and shed_response.bin_target == cheaper
+        assert shed_response.achieved_accuracy in \
+            telemetry.accuracies("pickmean", cheaper)

@@ -555,8 +555,9 @@ class TestServingEquivalence:
         requests = mixed_requests(104)
         with ServingEngine(backend=ProcessPoolBackend(max_workers=2),
                            batch_size=32) as engine:
-            responses = engine.serve(requests, [tuned] * len(requests))
-            counters = engine.counters()
+            counters: dict[str, int] = {}
+            responses = engine.serve(requests, [tuned] * len(requests),
+                                     counters=counters)
 
         assert len(responses) == len(requests)
         checked_ok = checked_failed = 0
@@ -769,14 +770,15 @@ class TestServingEngine:
             ServingEngine(batch_size=0)
 
     def test_concurrent_serve_calls(self, tuned_pickmean):
-        """serve() may be driven from several threads: counters stay
-        consistent and every response is well-formed."""
+        """serve() may be driven from several threads: each call's
+        counters stay its own and every response is well-formed."""
         import threading
         _, result = tuned_pickmean
         tuned = result.tuned_program()
         engine = ServingEngine(batch_size=4)
         per_thread = 10
         collected: list[list] = [[], []]
+        counters: list[dict[str, int]] = [{}, {}]
 
         def worker(slot):
             rng = np.random.default_rng(slot)
@@ -784,7 +786,8 @@ class TestServingEngine:
                 program="pickmean", inputs=pickmean_inputs(32, rng),
                 n=32.0, accuracy=0.9, seed=i) for i in range(per_thread)]
             collected[slot] = engine.serve(requests,
-                                           [tuned] * per_thread)
+                                           [tuned] * per_thread,
+                                           counters=counters[slot])
 
         threads = [threading.Thread(target=worker, args=(slot,))
                    for slot in range(2)]
@@ -796,7 +799,7 @@ class TestServingEngine:
                    for responses in collected)
         assert all(r.ok for responses in collected for r in responses)
         # One unverified execution per request, none lost to a race.
-        assert engine.counters()["executions"] == 2 * per_thread
+        assert [c["executions"] for c in counters] == [per_thread] * 2
 
     def test_programs_must_line_up_with_requests(self, tuned_pickmean):
         _, result = tuned_pickmean
@@ -862,16 +865,14 @@ class TestHotSwapAndShadow:
         """A replacement compiled from another root raises; the old
         program keeps serving, the swap is not counted and the shadow
         survives."""
-        from repro.serving import ServingTelemetry
         program, result = tuned_pickmean
         tuned = result.tuned_program()
         stranger = suite_tuned_program("binpacking")
-        telemetry = ServingTelemetry()
         requests = [ServeRequest(
             program="pickmean",
             inputs=pickmean_inputs(32, np.random.default_rng(20 + i)),
             n=32.0, accuracy=0.9, seed=i) for i in range(4)]
-        with one_shard(tuned, telemetry=telemetry) as door:
+        with one_shard(tuned) as door:
             door.start_shadow("pickmean", degraded_pickmean(program),
                               fraction=1.0)
             before = door.serve(requests)
@@ -880,7 +881,7 @@ class TestHotSwapAndShadow:
             assert door.program_for("pickmean") is tuned
             assert door.stats().swaps == 0
             assert door.shadow_status("pickmean").samples == 4
-            assert telemetry.snapshots("pickmean")  # not reset
+            assert door.telemetry.snapshots("pickmean")  # not reset
             after = door.serve(requests)
             assert door.shadow_status("pickmean").samples == 8
         assert [r.outputs["est"] for r in after] == \
@@ -941,8 +942,8 @@ class TestHotSwapAndShadow:
             status = door.shadow_status("pickmean")
             assert status.samples == 3  # every 4th of 12 ok requests
             assert status.executions == 3
-            assert len(status.primary_accuracies) == \
-                len(status.candidate_accuracies) == 3
+            [(primary, candidate)] = status.per_bin.values()
+            assert len(primary) == len(candidate) == 3
             assert door.stats().shadow_executions == 3
 
             final = door.stop_shadow("pickmean")
@@ -1007,11 +1008,9 @@ class TestHotSwapAndShadow:
 
     def test_hot_swap_ends_shadow_and_resets_telemetry(
             self, tuned_pickmean):
-        from repro.serving import ServingTelemetry
         program, result = tuned_pickmean
-        telemetry = ServingTelemetry()
-        with one_shard(result.tuned_program(),
-                       telemetry=telemetry) as door:
+        with one_shard(result.tuned_program()) as door:
+            telemetry = door.telemetry
             door.serve([ServeRequest(
                 program="pickmean",
                 inputs=pickmean_inputs(16, np.random.default_rng(1)),
@@ -1024,16 +1023,14 @@ class TestHotSwapAndShadow:
         assert telemetry.snapshots("pickmean") == []
 
     def test_telemetry_records_served_bins(self, tuned_pickmean):
-        from repro.serving import ServingTelemetry
         _, result = tuned_pickmean
-        telemetry = ServingTelemetry()
-        engine = ServingEngine(telemetry=telemetry)
         requests = [ServeRequest(
             program="pickmean",
             inputs=pickmean_inputs(32, np.random.default_rng(60 + i)),
             n=32.0, accuracy=0.9, seed=i) for i in range(6)]
-        responses = engine.serve(requests,
-                                 [result.tuned_program()] * 6)
+        with one_shard(result.tuned_program()) as door:
+            responses = door.serve(requests)
+            telemetry = door.telemetry
         bin_target = responses[0].bin_target
         snap = telemetry.snapshot("pickmean", bin_target)
         assert snap.served == 6

@@ -9,6 +9,8 @@ counters revealing that fewer program executions happened.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,7 @@ class TestEngineStacking:
     def serve_wave(self, poisson_program, *, one_at_a_time: bool = False,
                    count: int = 104, verify: bool = False):
         engine = ServingEngine()
+        counters = Counter()  # a fused call adds its keys on first use
         tuned = poisson_tuned(poisson_program)
         requests = [
             ServeRequest(program="poisson",
@@ -184,11 +187,13 @@ class TestEngineStacking:
                          accuracy=3.0, verify=verify, seed=seed)
             for seed in range(count)]
         if one_at_a_time:
-            responses = [engine.serve([request], [tuned])[0]
+            responses = [engine.serve([request], [tuned],
+                                      counters=counters)[0]
                          for request in requests]
         else:
-            responses = engine.serve(requests, [tuned] * count)
-        return responses, engine.counters()
+            responses = engine.serve(requests, [tuned] * count,
+                                     counters=counters)
+        return responses, counters
 
     def test_104_request_wave_matches_prebatching_path(
             self, poisson_program):
@@ -258,9 +263,12 @@ class TestEngineStacking:
             counters[1]["shadow_executions"] == 8
         assert fused.failures == looped.failures == 0
         assert fused.samples == looped.samples == 8
-        for field in ("primary_accuracies", "candidate_accuracies"):
-            assert getattr(fused, field) == pytest.approx(
-                getattr(looped, field), rel=1e-12)
+        assert fused.per_bin.keys() == looped.per_bin.keys()
+        for target, (primary, candidate) in fused.per_bin.items():
+            looped_primary, looped_candidate = looped.per_bin[target]
+            assert primary == pytest.approx(looped_primary, rel=1e-12)
+            assert candidate == pytest.approx(looped_candidate,
+                                              rel=1e-12)
 
     def test_mixed_sizes_unstack_correctly(self, poisson_program):
         sizes = [7, 15, 7, 15, 7, 15, 7, 7]

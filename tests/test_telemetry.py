@@ -7,6 +7,7 @@ import pytest
 
 from repro.lang.metrics import AccuracyMetric
 from repro.runtime.guarantees import statistical_guarantee
+from repro.serving.engine import ServeResponse
 from repro.serving.telemetry import (
     DriftDetector,
     ServingTelemetry,
@@ -17,6 +18,15 @@ higher = AccuracyMetric(lambda o, i: 0.0, name="acc",
                         higher_is_better=True)
 lower = AccuracyMetric(lambda o, i: 0.0, name="err",
                        higher_is_better=False)
+
+
+def record(telemetry, program, bin_target, *, ok, accuracy=None,
+           escalations=0, fallback=False):
+    """Fold one response into ``telemetry``, as the front door does."""
+    telemetry.record_batch([ServeResponse(
+        program=program, ok=ok, outputs=None, bin_target=bin_target,
+        requested_accuracy=None, achieved_accuracy=accuracy,
+        guarantee=None, fallback=fallback, escalations=escalations)])
 
 
 class TestPercentile:
@@ -57,9 +67,9 @@ class TestServingTelemetry:
     def test_record_and_snapshot(self):
         telemetry = ServingTelemetry(window=8)
         for accuracy in (0.9, 0.95, 0.85):
-            telemetry.record("p", 0.9, ok=True, accuracy=accuracy)
-        telemetry.record("p", 0.9, ok=False, accuracy=0.2,
-                         escalations=1, fallback=True)
+            record(telemetry, "p", 0.9, ok=True, accuracy=accuracy)
+        record(telemetry, "p", 0.9, ok=False, accuracy=0.2,
+               escalations=1, fallback=True)
         snap = telemetry.snapshot("p", 0.9)
         assert snap.served == 3
         assert snap.errors == 1
@@ -74,21 +84,21 @@ class TestServingTelemetry:
     def test_window_is_bounded(self):
         telemetry = ServingTelemetry(window=4)
         for i in range(10):
-            telemetry.record("p", 0.5, ok=True, accuracy=float(i))
+            record(telemetry, "p", 0.5, ok=True, accuracy=float(i))
         assert telemetry.accuracies("p", 0.5) == (6.0, 7.0, 8.0, 9.0)
         # Lifetime counters keep counting past the window.
         assert telemetry.snapshot("p", 0.5).served == 10
 
     def test_bin_none_ignored(self):
         telemetry = ServingTelemetry()
-        telemetry.record("p", None, ok=False)
+        record(telemetry, "p", None, ok=False)
         assert telemetry.snapshots() == []
 
     def test_enumeration(self):
         telemetry = ServingTelemetry()
-        telemetry.record("b", 0.9, ok=True, accuracy=1.0)
-        telemetry.record("a", 0.5, ok=True, accuracy=1.0)
-        telemetry.record("a", 0.9, ok=True, accuracy=1.0)
+        record(telemetry, "b", 0.9, ok=True, accuracy=1.0)
+        record(telemetry, "a", 0.5, ok=True, accuracy=1.0)
+        record(telemetry, "a", 0.9, ok=True, accuracy=1.0)
         assert telemetry.programs() == ("a", "b")
         assert telemetry.bins_for("a") == (0.5, 0.9)
         assert len(telemetry.snapshots("a")) == 2
@@ -100,8 +110,8 @@ class TestServingTelemetry:
 
     def test_reset_one_program(self):
         telemetry = ServingTelemetry()
-        telemetry.record("a", 0.9, ok=True, accuracy=1.0)
-        telemetry.record("b", 0.9, ok=True, accuracy=1.0)
+        record(telemetry, "a", 0.9, ok=True, accuracy=1.0)
+        record(telemetry, "b", 0.9, ok=True, accuracy=1.0)
         telemetry.reset("a")
         assert telemetry.programs() == ("b",)
         telemetry.reset()
@@ -121,7 +131,7 @@ class TestDriftDetector:
     def test_no_drift_when_accuracy_holds(self):
         telemetry = ServingTelemetry()
         for _ in range(30):
-            telemetry.record("p", 0.9, ok=True, accuracy=0.97)
+            record(telemetry, "p", 0.9, ok=True, accuracy=0.97)
         detector = DriftDetector(telemetry, min_samples=16)
         assert detector.check("p", higher,
                               {0.9: self.stored(0.9)}) == []
@@ -129,8 +139,8 @@ class TestDriftDetector:
     def test_drift_flagged_when_accuracy_erodes(self):
         telemetry = ServingTelemetry()
         for i in range(30):
-            telemetry.record("p", 0.9, ok=True,
-                             accuracy=0.7 + 0.001 * (i % 5))
+            record(telemetry, "p", 0.9, ok=True,
+                   accuracy=0.7 + 0.001 * (i % 5))
         detector = DriftDetector(telemetry, min_samples=16)
         events = detector.check("p", higher, {0.9: self.stored(0.9)})
         assert len(events) == 1
@@ -143,7 +153,7 @@ class TestDriftDetector:
     def test_min_samples_gate(self):
         telemetry = ServingTelemetry()
         for _ in range(5):
-            telemetry.record("p", 0.9, ok=True, accuracy=0.1)
+            record(telemetry, "p", 0.9, ok=True, accuracy=0.1)
         detector = DriftDetector(telemetry, min_samples=16)
         assert detector.check("p", higher,
                               {0.9: self.stored(0.9)}) == []
@@ -151,7 +161,7 @@ class TestDriftDetector:
     def test_bins_without_stored_guarantee_skipped(self):
         telemetry = ServingTelemetry()
         for _ in range(30):
-            telemetry.record("p", 0.9, ok=True, accuracy=0.1)
+            record(telemetry, "p", 0.9, ok=True, accuracy=0.1)
         detector = DriftDetector(telemetry, min_samples=16)
         assert detector.check("p", higher, {}) == []
 
@@ -159,8 +169,8 @@ class TestDriftDetector:
         # Bin-packing style: target 1.1, observed ratios creep *up*.
         telemetry = ServingTelemetry()
         for i in range(30):
-            telemetry.record("p", 1.1, ok=True,
-                             accuracy=1.3 + 0.001 * (i % 3))
+            record(telemetry, "p", 1.1, ok=True,
+                   accuracy=1.3 + 0.001 * (i % 3))
         stored = statistical_guarantee([1.05] * 20, 1.1, lower, 0.9)
         detector = DriftDetector(telemetry, min_samples=16)
         events = detector.check("p", lower, {1.1: stored})
