@@ -25,7 +25,7 @@ low-level API, it does not wall it off.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.api.presets import fit_sizes, settings_for
@@ -101,19 +101,11 @@ class ServicePolicy:
     shard_backend: str | None = None
     #: Shed accuracy (cheaper bins) under overload; False only rejects.
     shedding: bool = True
-    shed_low_watermark: float = 0.25
-    shed_high_watermark: float = 0.75
-    shed_max_level: int = 8
     # --- adaptive loop ----------------------------------------------
     #: Settings for background retunes: a preset name, a TunerSettings,
-    #: or None (adaptive loop disabled).
+    #: or None (adaptive loop disabled).  Retune harnesses run serially,
+    #: so retunes never contend with serving.
     retune: str | TunerSettings | None = None
-    #: Keyword overrides applied on top of ``retune`` when it is a
-    #: preset name.
-    retune_overrides: Mapping[str, Any] = field(default_factory=dict)
-    #: Backend spec for retune harnesses (a fresh backend per retune;
-    #: serial by default so retunes never contend with serving).
-    retune_backend: str = "serial"
     slice_trials: int = 48
     shadow_fraction: float = 0.5
     min_shadow_samples: int = 8
@@ -121,14 +113,6 @@ class ServicePolicy:
     drift_confidence: float = 0.9
 
     def __post_init__(self) -> None:
-        if not isinstance(self.retune_backend, str):
-            # Unlike the serving backend, retune harnesses are built
-            # and *closed* per retune by the controller; a shared
-            # hand-built instance would be closed after the first one.
-            raise ConfigError(
-                f"retune_backend must be a spec string (got "
-                f"{type(self.retune_backend).__name__}): each retune "
-                f"builds and closes its own backend")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.telemetry_window < 1:
@@ -141,14 +125,6 @@ class ServicePolicy:
             raise ConfigError("queue_limit must be >= 1")
         if self.deadline is not None and not self.deadline > 0:  # NaN too
             raise ConfigError("deadline must be positive (or None)")
-        if not (0.0 <= self.shed_low_watermark
-                <= self.shed_high_watermark <= 1.0):
-            raise ConfigError(
-                f"shedding watermarks must satisfy 0 <= low <= high "
-                f"<= 1 (got low={self.shed_low_watermark}, "
-                f"high={self.shed_high_watermark})")
-        if self.shed_max_level < 0:
-            raise ConfigError("shed_max_level must be >= 0")
 
     def shard_plan(self) -> ShardPlan | None:
         """The parsed :class:`ShardPlan` when ``backend`` is an
@@ -167,10 +143,7 @@ class ServicePolicy:
         """
         if not self.shedding:
             return None
-        return SheddingPolicy(low_watermark=self.shed_low_watermark,
-                              high_watermark=self.shed_high_watermark,
-                              p95_budget=self.deadline,
-                              max_level=self.shed_max_level)
+        return SheddingPolicy(p95_budget=self.deadline)
 
     def retune_settings(self) -> TunerSettings:
         if self.retune is None:
@@ -178,7 +151,7 @@ class ServicePolicy:
                 "the adaptive loop needs ServicePolicy.retune: a "
                 "settings preset name (e.g. 'smoke') or TunerSettings "
                 "for background retunes")
-        return settings_for(self.retune, **dict(self.retune_overrides))
+        return settings_for(self.retune)
 
 
 class Service:
@@ -350,16 +323,15 @@ class Service:
 
     def _harness_factory(self, name: str, compiled: CompiledProgram
                          ) -> ProgramTestHarness:
-        # Called by the controller per retune; each harness gets a
-        # fresh backend (the controller closes it with the harness).
-        # Retunes run under the per-trial budget the original tuning
-        # ran under, when the program knows one.
+        # Called by the controller per retune; each harness gets its
+        # own serial backend (the controller closes it with the
+        # harness).  Retunes run under the per-trial budget the
+        # original tuning ran under, when the program knows one.
         spec = self._benchmark_spec(compiled)
         return ProgramTestHarness(
             compiled, self._generator_for(name, compiled),
             base_seed=RETUNE_BASE_SEED,
-            cost_limit=spec.cost_limit if spec is not None else None,
-            backend=backend_from_spec(self.policy.retune_backend))
+            cost_limit=spec.cost_limit if spec is not None else None)
 
     def _settings_factory(self, name: str, compiled: CompiledProgram
                           ) -> TunerSettings:

@@ -2,28 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
 from repro.autotuner.results import CandidateResults
 from repro.autotuner.stats import confidence_bound_from_fit
 from repro.config.configuration import Configuration
 
-__all__ = ["Candidate", "MutationRecord"]
-
-
-@dataclass(frozen=True)
-class MutationRecord:
-    """What a mutator changed, kept for the undo meta-mutator.
-
-    ``preserved_below`` is the input-size threshold under which the
-    mutation provably did not change behaviour (``None`` when nothing
-    is preserved); the tuner uses it to copy the parent's trials.
-    """
-
-    mutator_name: str
-    changes: tuple[tuple[str, Any], ...]  # (key, previous entry) pairs
-    preserved_below: float | None = None
+__all__ = ["Candidate"]
 
 
 class Candidate:
@@ -32,23 +15,23 @@ class Candidate:
     _next_id = 0
 
     __slots__ = ("candidate_id", "config", "results", "parent_id",
-                 "last_mutation", "lineage")
+                 "parent_config", "lineage")
 
     def __init__(self, config: Configuration, *,
-                 parent: "Candidate | None" = None,
-                 mutation: MutationRecord | None = None):
+                 parent: "Candidate | None" = None, step: str = "?"):
         self.candidate_id = Candidate._next_id
         Candidate._next_id += 1
         self.config = config
         self.results = CandidateResults()
         self.parent_id = parent.candidate_id if parent is not None else None
-        self.last_mutation = mutation
-        # Human-readable breadcrumb trail of how this candidate came to be.
-        if parent is None:
-            self.lineage: tuple[str, ...] = ()
-        else:
-            step = mutation.mutator_name if mutation else "?"
-            self.lineage = parent.lineage + (step,)
+        #: The configuration this one was mutated from (what the undo
+        #: meta-mutator restores); None for a root candidate.
+        self.parent_config = parent.config if parent is not None else None
+        #: Human-readable breadcrumb trail of how this candidate came to
+        #: be: the name of each mutation step (a mutator's or guided
+        #: mutation's) from its root ancestor.
+        self.lineage: tuple[str, ...] = (
+            () if parent is None else parent.lineage + (step,))
 
     # ------------------------------------------------------------------
     def meets_accuracy(self, n: float, target: float, metric,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.autotuner.candidate import Candidate, MutationRecord
+from repro.autotuner.candidate import Candidate
 from repro.autotuner.testing import ProgramTestHarness
 from repro.config.parameters import ParameterSpace, SizeValueParam
 from repro.lang.metrics import AccuracyMetric
@@ -99,9 +99,8 @@ def guided_mutation(population: list[Candidate],
             tree = base.config.tree(param.name)
             config = base.config.with_entry(
                 param.name, tree.set_leaf_for_size(n, value))
-            record = MutationRecord(f"guided:{param.name}",
-                                    ((param.name, tree),))
-            sweep.append(Candidate(config, parent=base, mutation=record))
+            sweep.append(Candidate(config, parent=base,
+                                   step=f"guided:{param.name}"))
         harness.ensure_trials_batch(
             [(child, n, min_trials) for child in sweep])
         evaluations += len(sweep)

@@ -18,10 +18,10 @@ categories of the paper are implemented:
 * **meta** — apply several random mutators at once (larger jumps) or
   undo a candidate's previous mutation.
 
-Mutators also report, through :class:`MutationRecord.preserved_below`,
-the input-size threshold under which behaviour is provably unchanged so
-the tuner can copy the parent's results (the testing-reduction
-optimisation described in the paper).
+The paper's mutators also copy their input candidate's results for
+input sizes a mutation provably left unchanged.  Here the trial cache
+replays those results exactly, so no mutator reports what it left
+unchanged (DESIGN.md, substitution 6).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.autotuner.candidate import Candidate, MutationRecord
+from repro.autotuner.candidate import Candidate
 from repro.config.configuration import Configuration
 from repro.config.parameters import (
     ChoiceSiteParam,
@@ -58,12 +58,6 @@ class MutationFailed(Exception):
 class Mutator(ABC):
     """Creates a new configuration by changing an existing one."""
 
-    #: Whether this mutator can change result accuracy.  The paper's
-    #: tuner "conservatively assumes all mutators affect accuracy", so
-    #: this flag is informational (used in logs and ablations) rather
-    #: than a correctness lever.
-    affects_accuracy = True
-
     def __init__(self, name: str):
         self.name = name
 
@@ -78,9 +72,8 @@ class Mutator(ABC):
 
     @abstractmethod
     def mutate(self, candidate: Candidate, n: float,
-               rng: np.random.Generator
-               ) -> tuple[Configuration, MutationRecord]:
-        """Return the mutated configuration and its mutation record."""
+               rng: np.random.Generator) -> Configuration:
+        """Return the mutated configuration."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
@@ -144,10 +137,7 @@ class TreeChangeLeafMutator(Mutator):
         current = tree.lookup(n)
         new_value = _sample_new_leaf(self.param, current, rng)
         new_tree = tree.set_leaf_for_size(n, new_value)
-        config = candidate.config.with_entry(self.param.name, new_tree)
-        record = MutationRecord(self.name,
-                                ((self.param.name, tree),))
-        return config, record
+        return candidate.config.with_entry(self.param.name, new_tree)
 
 
 class TreeAddLevelMutator(Mutator):
@@ -180,11 +170,7 @@ class TreeAddLevelMutator(Mutator):
         current = split.lookup(n)
         new_value = _sample_new_leaf(self.param, current, rng)
         new_tree = split.set_leaf_for_size(n, new_value)
-        config = candidate.config.with_entry(self.param.name, new_tree)
-        record = MutationRecord(self.name,
-                                ((self.param.name, tree),),
-                                preserved_below=cutoff)
-        return config, record
+        return candidate.config.with_entry(self.param.name, new_tree)
 
 
 class TreeRemoveLevelMutator(Mutator):
@@ -203,9 +189,7 @@ class TreeRemoveLevelMutator(Mutator):
             raise MutationFailed("tree has no levels to remove")
         index = int(rng.integers(0, tree.num_levels))
         new_tree = tree.remove_level(index)
-        config = candidate.config.with_entry(self.param.name, new_tree)
-        record = MutationRecord(self.name, ((self.param.name, tree),))
-        return config, record
+        return candidate.config.with_entry(self.param.name, new_tree)
 
 
 class TreeScaleCutoffMutator(Mutator):
@@ -214,8 +198,6 @@ class TreeScaleCutoffMutator(Mutator):
     "a log-normal random scaling mutator is introduced for each active
     cutoff value in the decision tree."
     """
-
-    affects_accuracy = False
 
     def __init__(self, param):
         super().__init__(f"tree.scalecutoff:{param.name}")
@@ -236,9 +218,7 @@ class TreeScaleCutoffMutator(Mutator):
             raise MutationFailed(str(exc)) from None
         if new_tree == tree:
             raise MutationFailed("cutoff scaling had no effect")
-        config = candidate.config.with_entry(self.param.name, new_tree)
-        record = MutationRecord(self.name, ((self.param.name, tree),))
-        return config, record
+        return candidate.config.with_entry(self.param.name, new_tree)
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +230,6 @@ class ScalarScaleMutator(Mutator):
     def __init__(self, param: ScalarParam):
         super().__init__(f"scalar.scale:{param.name}")
         self.param = param
-        self.affects_accuracy = param.affects_accuracy
 
     def mutate(self, candidate, n, rng):
         current = float(candidate.config[self.param.name])
@@ -261,9 +240,7 @@ class ScalarScaleMutator(Mutator):
                 current + (1.0 if factor > 1.0 else -1.0))
         if value == current:
             raise MutationFailed(f"scaling left {self.param.name} unchanged")
-        config = candidate.config.with_entry(self.param.name, value)
-        record = MutationRecord(self.name, ((self.param.name, current),))
-        return config, record
+        return candidate.config.with_entry(self.param.name, value)
 
 
 class SwitchMutator(Mutator):
@@ -272,7 +249,6 @@ class SwitchMutator(Mutator):
     def __init__(self, param: SwitchParam):
         super().__init__(f"switch:{param.name}")
         self.param = param
-        self.affects_accuracy = param.affects_accuracy
 
     def applies(self, candidate, n):
         return len(self.param.choices) > 1
@@ -284,9 +260,7 @@ class SwitchMutator(Mutator):
             raise MutationFailed(f"switch {self.param.name} has no "
                                  f"alternative values")
         value = alternatives[int(rng.integers(0, len(alternatives)))]
-        config = candidate.config.with_entry(self.param.name, value)
-        record = MutationRecord(self.name, ((self.param.name, current),))
-        return config, record
+        return candidate.config.with_entry(self.param.name, value)
 
 
 # ----------------------------------------------------------------------
@@ -309,8 +283,6 @@ class CompoundMutator(Mutator):
         count = int(rng.integers(self.min_applications,
                                  self.max_applications + 1))
         working = candidate
-        first_seen: dict[str, object] = {}
-        preserved: float | None = None
         applied = 0
         for _ in range(count * 4):  # allow retries on failed sub-mutations
             if applied >= count:
@@ -321,49 +293,37 @@ class CompoundMutator(Mutator):
                 break
             mutator = options[int(rng.integers(0, len(options)))]
             try:
-                config, record = mutator.mutate(working, n, rng)
+                config = mutator.mutate(working, n, rng)
             except MutationFailed:
                 continue
-            for key, old in record.changes:
-                first_seen.setdefault(key, old)
-            if record.preserved_below is None:
-                preserved = None if applied == 0 else preserved
-                preserved = None
-            elif applied == 0 or (preserved is not None
-                                  and record.preserved_below < preserved):
-                preserved = record.preserved_below
             # Wrap in a fresh candidate so the next sub-mutation sees
             # the updated configuration.
-            working = Candidate(config, parent=working, mutation=record)
+            working = Candidate(config, parent=working, step=mutator.name)
             applied += 1
         if applied == 0:
             raise MutationFailed("no sub-mutation succeeded")
-        record = MutationRecord(
-            self.name, tuple(first_seen.items()),
-            preserved_below=preserved if applied > 0 else None)
-        return working.config, record
+        return working.config
 
 
 class UndoMutator(Mutator):
-    """Undo the previous mutation applied to a candidate."""
+    """Undo the mutation that made a candidate: its parent's config.
+
+    Every mutation changes some entries of its parent's configuration
+    and nothing else, so restoring them gives the parent's
+    configuration back exactly; the candidate keeps it as
+    ``parent_config``.
+    """
 
     def __init__(self):
         super().__init__("meta.undo")
 
     def applies(self, candidate, n):
-        record = candidate.last_mutation
-        return (record is not None and bool(record.changes)
-                and all(key in candidate.config
-                        for key, _ in record.changes))
+        return candidate.parent_config is not None
 
     def mutate(self, candidate, n, rng):
-        record = candidate.last_mutation
-        if record is None or not record.changes:
+        if candidate.parent_config is None:
             raise MutationFailed("candidate has no mutation to undo")
-        current = tuple((key, candidate.config[key])
-                        for key, _ in record.changes)
-        config = candidate.config.with_entries(dict(record.changes))
-        return config, MutationRecord(self.name, current)
+        return candidate.parent_config
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Each candidate stores, per training input size, the list of trials run
 so far.  The adaptive comparison heuristic (Section 5.5.1) adds trials
-one at a time; the mutators' results-copying optimisation (Section 5.4)
-copies trials for input sizes a mutation provably did not affect.
+one at a time.  Every trial is the candidate's own: the paper's copy of
+a parent's trials for sizes a mutation left unchanged (Section 5.4) is
+the trial cache's job here, which replays them exactly (DESIGN.md,
+substitution 6).
 """
 
 from __future__ import annotations
@@ -56,20 +58,6 @@ class CandidateResults:
     # ------------------------------------------------------------------
     def add(self, n: float, trial: Trial) -> None:
         self._trials.setdefault(float(n), []).append(trial)
-
-    def copy_from(self, other: "CandidateResults",
-                  below_size: float | None = None) -> None:
-        """Copy ``other``'s trials, optionally only for sizes < bound.
-
-        Implements the mutator optimisation: "in cases where the
-        behavior of the algorithm is unchanged either below or above a
-        threshold ... the mutator copies unaffected results gathered on
-        the input candidate algorithm to the output candidate
-        algorithm" (Section 5.4).
-        """
-        for n, trials in other._trials.items():
-            if below_size is None or n < below_size:
-                self._trials.setdefault(n, []).extend(trials)
 
     # ------------------------------------------------------------------
     # Queries

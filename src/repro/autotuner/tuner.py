@@ -80,9 +80,12 @@ class TunerSettings:
     guided_factor: float = 2.0
     max_tree_levels: int = 4
     keep_most_accurate: bool = True
-    #: Copy the parent's results for input sizes a mutation provably
-    #: did not affect (Section 5.4 optimisation).
+    #: Section 5.4's copy of a parent's results for sizes a mutation
+    #: left unchanged is the trial cache's replay (DESIGN.md,
+    #: substitution 6), so only True is accepted; the field stays so
+    #: existing settings keep their digest.
     copy_parent_results: bool = True
+    #: Add the meta mutators (compound and undo) to the pool.
     include_meta_mutators: bool = True
     lognormal_scaling: bool = True     # False => ablation: uniform scaling
     use_guided_mutation: bool = True   # False => ablation
@@ -107,6 +110,11 @@ class TunerSettings:
         if self.objective != "cost":
             raise bad(f"unknown objective {self.objective!r}; 'cost' "
                       f"(the operation count) is the only objective")
+        if self.copy_parent_results is not True:
+            raise bad(f"copy_parent_results must be True, got "
+                      f"{self.copy_parent_results!r}: the trial cache "
+                      f"replays a parent's unchanged results, so there "
+                      f"is nothing to switch off")
         if self.require_targets not in ("error", "warn", "ignore"):
             raise bad(f"require_targets must be 'error', 'warn' or "
                       f"'ignore', got {self.require_targets!r}")
@@ -363,15 +371,11 @@ class Autotuner:
             if mutator is None:
                 continue
             try:
-                config, record = mutator.mutate(parent, n, rng)
+                config = mutator.mutate(parent, n, rng)
             except MutationFailed:
                 continue
-            child = Candidate(config, parent=parent, mutation=record)
-            if self.settings.copy_parent_results and \
-                    record.preserved_below is not None:
-                child.results.copy_from(parent.results,
-                                        below_size=record.preserved_below)
-            children.append((child, parent))
+            children.append((Candidate(config, parent=parent,
+                                       step=mutator.name), parent))
         # Phase 2: every child's initial trials in one backend batch.
         self.harness.ensure_trials_batch(
             [(child, n, self.settings.min_trials)

@@ -2,11 +2,11 @@
 
 Section 4.1: "the main transform level representation is the choice
 dependency graph ... data dependencies are represented by vertices,
-while rules are represented by graph hyperedges".  We realise the
-hypergraph as a bipartite ``networkx`` digraph with two node kinds —
-``("data", name)`` and ``("group", outputs)`` — where a *group* is the
-set of rules sharing an output tuple (i.e. one hyperedge per rule
-choice group).  The graph is used to
+while rules are represented by graph hyperedges".  A *group* is the set
+of rules sharing an output tuple (one hyperedge per rule choice group).
+Folding each datum into the group that produces it leaves a graph over
+groups alone, which the standard library's
+:class:`graphlib.TopologicalSorter` orders to
 
 * validate that the program is schedulable (acyclic once rules'
   self-dependencies are dropped), and
@@ -18,15 +18,14 @@ choice group).  The graph is used to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from typing import Tuple
-
-import networkx as nx
 
 from repro.errors import CompileError
 from repro.lang.rule import Rule
 from repro.lang.transform import Transform
 
-__all__ = ["ChoiceGroup", "build_choice_graph", "schedule_groups"]
+__all__ = ["ChoiceGroup", "schedule_groups"]
 
 
 @dataclass(frozen=True)
@@ -62,29 +61,6 @@ class ChoiceGroup:
         return frozenset(reads)
 
 
-def build_choice_graph(transform: Transform) -> tuple[nx.DiGraph,
-                                                      list[ChoiceGroup]]:
-    """Build the bipartite choice dependency graph for ``transform``."""
-    transform.validate()
-    groups = [ChoiceGroup(outputs, tuple(rules))
-              for outputs, rules in transform.choice_groups()]
-
-    graph = nx.DiGraph()
-    for name in transform.data_names:
-        graph.add_node(("data", name), kind="data",
-                       role=("input" if name in transform.inputs else
-                             "output" if name in transform.outputs else
-                             "through"))
-    for group in groups:
-        node = ("group", group.outputs)
-        graph.add_node(node, kind="group", group=group)
-        for read in group.effective_inputs():
-            graph.add_edge(("data", read), node)
-        for written in group.outputs:
-            graph.add_edge(node, ("data", written))
-    return graph, groups
-
-
 def schedule_groups(transform: Transform) -> list[ChoiceGroup]:
     """Topologically order the choice groups of ``transform``.
 
@@ -93,17 +69,18 @@ def schedule_groups(transform: Transform) -> list[ChoiceGroup]:
     over-approximation; PetaBricks prunes per-choice, which only
     matters for performance of scheduling, not correctness).
     """
-    graph, groups = build_choice_graph(transform)
+    transform.validate()
+    groups = {outputs: ChoiceGroup(outputs, tuple(rules))
+              for outputs, rules in transform.choice_groups()}
+    producer = {name: outputs for outputs in groups for name in outputs}
+    sorter = TopologicalSorter()
+    for outputs, group in groups.items():
+        sorter.add(outputs, *(producer[read]
+                              for read in sorted(group.effective_inputs())
+                              if read in producer))
     try:
-        order = list(nx.topological_sort(graph))
-    except nx.NetworkXUnfeasible:
-        cycle = nx.find_cycle(graph)
+        return [groups[outputs] for outputs in sorter.static_order()]
+    except CycleError as exc:
         raise CompileError(
             f"transform {transform.name!r}: choice dependency graph has a "
-            f"cycle: {cycle}") from None
-    by_outputs = {group.outputs: group for group in groups}
-    scheduled = [by_outputs[node[1]] for node in order if node[0] == "group"]
-    if len(scheduled) != len(groups):
-        raise CompileError(
-            f"transform {transform.name!r}: scheduling dropped groups")
-    return scheduled
+            f"cycle: {exc.args[1]}") from None

@@ -39,6 +39,7 @@ from repro.runtime.backends import (
     backend_from_spec,
 )
 from repro.runtime.backends.process import default_workers
+from repro.runtime.policy import SheddingPolicy
 from repro.serving import ArtifactStore, FrontDoorStats
 
 # ----------------------------------------------------------------------
@@ -536,10 +537,6 @@ class TestService:
                                          program="apimean")
             assert still_fine.program == "apimean"
 
-    def test_retune_backend_instance_rejected(self):
-        with pytest.raises(ConfigError, match="spec string"):
-            ServicePolicy(retune_backend=SerialBackend())
-
     def test_retune_harness_seed_and_budget(self, tmp_path):
         """Retune harnesses run at base seed 11, and without a trial
         budget when the program has no benchmark spec (the spec's
@@ -551,6 +548,7 @@ class TestService:
         with service._harness_factory("apimean", program) as harness:
             assert (harness.base_seed, harness.cost_limit) == (11, None)
             assert harness.input_generator is apimean_inputs
+            assert isinstance(harness.backend, SerialBackend)
 
     def test_deploy_retain_needs_a_path_created_store(
             self, deployed_store):
@@ -567,8 +565,7 @@ class TestService:
     def test_adaptive_controller_assembles_from_policy(
             self, deployed_store):
         store, handle = deployed_store
-        policy = ServicePolicy(retune="smoke",
-                               retune_overrides={"seed": 21},
+        policy = ServicePolicy(retune=settings_for("smoke", seed=21),
                                slice_trials=10)
         with Service.load(store, program="apimean", policy=policy,
                           training_inputs=apimean_inputs) as service:
@@ -713,9 +710,6 @@ class TestShardedService:
     @pytest.mark.parametrize("kwargs, match", [
         (dict(queue_limit=0), "queue_limit"),
         (dict(deadline=0.0), "deadline"),
-        (dict(shed_low_watermark=0.9, shed_high_watermark=0.1),
-         "watermark"),
-        (dict(shed_max_level=-1), "shed_max_level"),
         (dict(batch_size=0), "batch_size"),
         (dict(telemetry_window=0), "telemetry_window"),
         (dict(slice_trials=0), "slice_trials"),
@@ -735,7 +729,7 @@ class TestShardedService:
 
     def test_shedding_policy_uses_deadline_as_p95_budget(self):
         policy = ServicePolicy(deadline=0.5)
-        assert policy.shedding_policy().p95_budget == 0.5
+        assert policy.shedding_policy() == SheddingPolicy(p95_budget=0.5)
         assert ServicePolicy(shedding=False).shedding_policy() is None
 
     def test_async_backend_builds_front_door(self, deployed_store):

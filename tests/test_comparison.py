@@ -335,7 +335,7 @@ class TestVerdictMemo:
         assert a.results.count(512) == b.results.count(512) == 3
 
     def test_shared_nan_samples_are_not_judged_same(self):
-        """Copied trials share their float objects, so NaN samples can
+        """Shared trials share their float objects, so NaN samples can
         compare equal as tuples; the loop still tops them up."""
         settings = ComparisonSettings(min_trials=2, max_trials=4)
 
@@ -345,7 +345,8 @@ class TestVerdictMemo:
             for _ in range(2):
                 a.results.add(64, Trial(1.0, math.nan))
             b = candidate_with_m(harness, 10)
-            b.results.copy_from(a.results)
+            for trial in a.results.trials(64):
+                b.results.add(64, trial)
             verdict = comparator_type(harness, settings).compare(
                 a, b, 64, "accuracy")
             return verdict, a.results.count(64), b.results.count(64)

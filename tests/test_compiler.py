@@ -1,18 +1,23 @@
 """Tests for the compiler: choice graph, analysis, program execution."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.compiler.analysis import gather_transforms
-from repro.compiler.choice_graph import build_choice_graph, schedule_groups
+from repro.compiler.choice_graph import schedule_groups
 from repro.compiler.compile import compile_program
 from repro.compiler.training_info import TrainingInfo
 from repro.config.decision_tree import SizeDecisionTree
 from repro.errors import CompileError, ExecutionError
+from repro.lang.targets import (example_files, load_example_targets,
+                                resolve_program)
 from repro.lang.transform import CallSite, Transform
 from repro.lang.tunables import accuracy_variable
 from repro.rng import LazyGenerator
 from repro.runtime.timing import CostLimitExceeded
+from repro.suite.registry import all_benchmarks, get_benchmark
 
 
 def kmeans_like() -> Transform:
@@ -29,8 +34,7 @@ def kmeans_like() -> Transform:
 
 class TestChoiceGraph:
     def test_groups_and_sites(self):
-        _, groups = build_choice_graph(kmeans_like())
-        by_outputs = {g.outputs: g for g in groups}
+        by_outputs = {g.outputs: g for g in schedule_groups(kmeans_like())}
         assert by_outputs[("centers",)].is_choice_site
         assert not by_outputs[("labels",)].is_choice_site
         assert by_outputs[("centers",)].site_name == "centers"
@@ -54,6 +58,40 @@ class TestChoiceGraph:
                        name="r2")(lambda ctx, b: b)
         with pytest.raises(CompileError):
             schedule_groups(transform)
+
+
+def _bins(name: str, site: str) -> dict[str, list[str]]:
+    return {f"{name}@{label}": [site]
+            for label in ("1", "3", "5", "7", "9", "main")}
+
+
+#: Every suite program's and example declaration's schedule: per
+#: instance, its choice groups' site names in execution order.
+SCHEDULES = {
+    "binpacking": {"binpacking@main": ["assignment+num_bins"]},
+    "clustering": {"kmeans@main": ["centroids", "assignments"]},
+    "helmholtz": _bins("helmholtz", "phi"),
+    "imagecompression": {"imagecompression@main": ["approx"]},
+    "poisson": _bins("poisson", "u"),
+    "preconditioner": {"preconditioner@main": ["x"]},
+    "adaptive_serving.py:make_transform": {"adaptmean@main": ["est"]},
+    "quickstart.py:approxmean": {"approxmean@main": ["est"]},
+    "signal_scaling.py:make_smoother": {"smoother@main": ["smooth"]},
+}
+
+
+def test_schedules_pinned():
+    programs = {name: get_benchmark(name).compile()[0]
+                for name in all_benchmarks()}
+    examples = Path(__file__).resolve().parent.parent / "examples"
+    for path in example_files(examples):
+        for label, target, extras in load_example_targets(path):
+            programs[f"{Path(path).name}:{label}"] = \
+                resolve_program(target, extras)
+    assert {name: {prefix: [group.site_name
+                            for group in instance.schedule]
+                   for prefix, instance in program.instances.items()}
+            for name, program in programs.items()} == SCHEDULES
 
 
 class TestGatherTransforms:

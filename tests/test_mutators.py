@@ -48,16 +48,15 @@ class TestTreeChangeLeaf:
     def test_changes_leaf_at_current_size(self):
         mutator = TreeChangeLeafMutator(space()["choice"])
         candidate = fresh_candidate()
-        config, record = mutator.mutate(candidate, 16, RNG())
+        config = mutator.mutate(candidate, 16, RNG())
         assert config.tree("choice").lookup(16) != \
             candidate.config.tree("choice").lookup(16)
-        assert record.changes[0][0] == "choice"
 
     def test_respects_domain(self):
         mutator = TreeChangeLeafMutator(space()["accvar"])
         candidate = fresh_candidate()
         for seed in range(30):
-            config, _ = mutator.mutate(candidate, 16, RNG(seed))
+            config = mutator.mutate(candidate, 16, RNG(seed))
             value = config.tree("accvar").lookup(16)
             assert 1 <= value <= 1000
 
@@ -71,7 +70,7 @@ class TestTreeChangeLeaf:
     def test_uniform_scaling_resamples(self):
         mutator = TreeChangeLeafMutator(space()["uniformvar"])
         candidate = fresh_candidate()
-        config, _ = mutator.mutate(candidate, 16, RNG())
+        config = mutator.mutate(candidate, 16, RNG())
         assert config.tree("uniformvar").lookup(16) != 0.5
 
 
@@ -79,14 +78,13 @@ class TestTreeAddLevel:
     def test_cutoff_at_three_quarters_n(self):
         mutator = TreeAddLevelMutator(space()["choice"])
         candidate = fresh_candidate()
-        config, record = mutator.mutate(candidate, 16, RNG())
+        config = mutator.mutate(candidate, 16, RNG())
         assert config.tree("choice").cutoffs == (12.0,)
-        assert record.preserved_below == 12.0
 
     def test_behaviour_below_preserved(self):
         mutator = TreeAddLevelMutator(space()["accvar"])
         candidate = fresh_candidate()
-        config, record = mutator.mutate(candidate, 16, RNG())
+        config = mutator.mutate(candidate, 16, RNG())
         old = candidate.config.tree("accvar")
         new = config.tree("accvar")
         for n in (1, 5, 11):
@@ -96,7 +94,7 @@ class TestTreeAddLevel:
         param = space()["choice"]
         mutator = TreeAddLevelMutator(param, max_levels=1)
         candidate = fresh_candidate()
-        config, _ = mutator.mutate(candidate, 16, RNG())
+        config = mutator.mutate(candidate, 16, RNG())
         deeper = Candidate(config)
         assert not mutator.applies(deeper, 32)
         with pytest.raises(MutationFailed):
@@ -113,10 +111,10 @@ class TestTreeRemoveLevel:
         remove = TreeRemoveLevelMutator(space()["choice"])
         candidate = fresh_candidate()
         assert not remove.applies(candidate, 16)
-        config, _ = add.mutate(candidate, 16, RNG())
+        config = add.mutate(candidate, 16, RNG())
         child = Candidate(config)
         assert remove.applies(child, 16)
-        config2, _ = remove.mutate(child, 16, RNG())
+        config2 = remove.mutate(child, 16, RNG())
         assert config2.tree("choice").num_levels == 0
 
 
@@ -127,10 +125,10 @@ class TestTreeScaleCutoff:
 
     def test_scales_a_cutoff(self):
         add = TreeAddLevelMutator(space()["choice"])
-        config, _ = add.mutate(fresh_candidate(), 16, RNG())
+        config = add.mutate(fresh_candidate(), 16, RNG())
         child = Candidate(config)
         mutator = TreeScaleCutoffMutator(space()["choice"])
-        new_config, _ = mutator.mutate(child, 16, RNG(3))
+        new_config = mutator.mutate(child, 16, RNG(3))
         assert new_config.tree("choice").cutoffs != \
             config.tree("choice").cutoffs
 
@@ -140,14 +138,14 @@ class TestScalarAndSwitch:
         mutator = ScalarScaleMutator(space()["cut"])
         candidate = fresh_candidate()
         for seed in range(30):
-            config, _ = mutator.mutate(candidate, 16, RNG(seed))
+            config = mutator.mutate(candidate, 16, RNG(seed))
             assert 1 <= config["cut"] <= 512
             assert config["cut"] != candidate.config["cut"]
 
     def test_switch_changes_value(self):
         mutator = SwitchMutator(space()["mode"])
         candidate = fresh_candidate()
-        config, _ = mutator.mutate(candidate, 16, RNG())
+        config = mutator.mutate(candidate, 16, RNG())
         assert config["mode"] != candidate.config["mode"]
         assert config["mode"] in ("a", "b", "c")
 
@@ -156,11 +154,11 @@ class TestMetaMutators:
     def test_undo_restores_parent_config(self):
         mutator = TreeChangeLeafMutator(space()["choice"])
         parent = fresh_candidate()
-        config, record = mutator.mutate(parent, 16, RNG())
-        child = Candidate(config, parent=parent, mutation=record)
+        config = mutator.mutate(parent, 16, RNG())
+        child = Candidate(config, parent=parent, step=mutator.name)
         undo = UndoMutator()
         assert undo.applies(child, 16)
-        restored, _ = undo.mutate(child, 16, RNG())
+        restored = undo.mutate(child, 16, RNG())
         assert restored == parent.config
 
     def test_undo_not_applicable_without_history(self):
@@ -171,20 +169,18 @@ class TestMetaMutators:
                 SwitchMutator(space()["mode"])]
         compound = CompoundMutator(base, min_applications=2,
                                    max_applications=2)
-        config, record = compound.mutate(fresh_candidate(), 16, RNG(1))
-        changed = [key for key, _ in record.changes]
-        assert len(changed) >= 1
+        config = compound.mutate(fresh_candidate(), 16, RNG(1))
         assert config != fresh_candidate().config
 
-    def test_compound_records_first_seen_old_values(self):
+    def test_undo_after_compound_restores_parent_config(self):
         base = [ScalarScaleMutator(space()["cut"])]
         compound = CompoundMutator(base, min_applications=2,
                                    max_applications=3)
         parent = fresh_candidate()
-        config, record = compound.mutate(parent, 16, RNG(2))
-        # Undoing through the record restores the original value.
-        restored = config.with_entries(dict(record.changes))
-        assert restored["cut"] == parent.config["cut"]
+        config = compound.mutate(parent, 16, RNG(2))
+        assert config["cut"] != parent.config["cut"]
+        child = Candidate(config, parent=parent, step=compound.name)
+        assert UndoMutator().mutate(child, 16, RNG()) == parent.config
 
 
 class TestPool:
@@ -226,9 +222,9 @@ class TestPool:
         if prefix is not None:
             pool.prefer(prefix, weight)
         parent = fresh_candidate()
-        config, record = next(m for m in pool if m.name == "switch:mode") \
+        config = next(m for m in pool if m.name == "switch:mode") \
             .mutate(parent, 16, RNG(0))
-        child = Candidate(config, parent=parent, mutation=record)
+        child = Candidate(config, parent=parent, step="switch:mode")
         for candidate in (parent, child):
             for n in (1, 16, 1000):
                 options = pool.applicable(candidate, n)
@@ -267,9 +263,9 @@ class TestMutatedConfigsStayValid:
         for step in range(120):
             mutator = pool.random(candidate, 16, rng)
             try:
-                config, record = mutator.mutate(candidate, 16, rng)
+                config = mutator.mutate(candidate, 16, rng)
             except MutationFailed:
                 continue
             sp.validate(config)
             candidate = Candidate(config, parent=candidate,
-                                  mutation=record)
+                                  step=mutator.name)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.autotuner.candidate import Candidate, MutationRecord
+from repro.autotuner.candidate import Candidate
 from repro.autotuner.results import CandidateResults, Trial
 from repro.autotuner.stats import fit_normal
 from repro.config.configuration import Configuration
@@ -69,42 +69,9 @@ class TestCandidateResults:
         assert refreshed.fit == fit_normal([10.0, 12.0, 20.0])
         assert results.stats(4, "accuracy").values == (0.5, 0.7, 0.9)
 
-    def test_stats_refresh_after_copy_from(self):
-        parent = CandidateResults()
-        parent.add(4, Trial(1.0, 0.1))
-        parent.add(4, Trial(3.0, 0.3))
-        parent.add(16, Trial(2.0, 0.2))
-        child = CandidateResults()
-        child.add(4, Trial(5.0, 0.5))
-        child.add(16, Trial(7.0, 0.7))
-        before = child.stats(4, "accuracy")
-        assert before.values == (0.5,)
-        child.copy_from(parent, below_size=10)
-        after = child.stats(4, "accuracy")
-        assert after.values == (0.5, 0.1, 0.3)
-        assert after.fit == fit_normal([0.5, 0.1, 0.3])
-        assert child.stats(16, "accuracy").values == (0.7,)
-
     def test_stats_unknown_kind(self):
         with pytest.raises(ValueError):
             CandidateResults().stats(4, "nope")
-
-    def test_copy_from_below_threshold(self):
-        parent = CandidateResults()
-        parent.add(4, Trial(1.0, 0.1))
-        parent.add(16, Trial(2.0, 0.2))
-        child = CandidateResults()
-        child.copy_from(parent, below_size=10)
-        assert child.count(4) == 1
-        assert child.count(16) == 0
-
-    def test_copy_from_unbounded(self):
-        parent = CandidateResults()
-        parent.add(4, Trial(1.0, 0.1))
-        parent.add(16, Trial(2.0, 0.2))
-        child = CandidateResults()
-        child.copy_from(parent)
-        assert child.count(16) == 1
 
     def test_empty_queries(self):
         results = CandidateResults()
@@ -124,10 +91,11 @@ class TestCandidate:
 
     def test_lineage(self):
         parent = Candidate(self.config())
-        record = MutationRecord("mut", (("a", 1),))
-        child = Candidate(self.config(), parent=parent, mutation=record)
+        child = Candidate(self.config(), parent=parent, step="mut")
+        grandchild = Candidate(self.config(), parent=child, step="guided")
         assert child.parent_id == parent.candidate_id
-        assert child.lineage == ("mut",)
+        assert parent.lineage == ()
+        assert grandchild.lineage == ("mut", "guided")
 
     def test_meets_accuracy_mean(self):
         candidate = Candidate(self.config())

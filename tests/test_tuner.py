@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.autotuner import Autotuner, ProgramTestHarness, TunerSettings
+from repro.autotuner.candidate import Candidate
+from repro.autotuner.mutators import TreeAddLevelMutator
 from repro.compiler.compile import compile_program
-from repro.errors import TrainingError
+from repro.config.parameters import ChoiceSiteParam
+from repro.errors import ConfigError, TrainingError
 from repro.lang.transform import Transform
 
 from tests.conftest import approxmean_inputs, make_approxmean_transform
@@ -116,15 +119,38 @@ class TestSettings:
         assert settings.sizes() == (3.0, 7.0)
 
 
-class TestResultsCopyOptimisation:
-    def test_copy_disabled_runs_more_trials(self):
-        _, harness_on, result_on = tune_approxmean(
-            copy_parent_results=True, seed=9)
-        _, harness_off, result_off = tune_approxmean(
-            copy_parent_results=False, seed=9)
-        # Identical search path (same seed) but the copying variant
-        # reuses parent trials, so it can only run fewer or equal.
-        assert result_on.trials_run <= result_off.trials_run
+class TestTrialCacheReplacesResultCopy:
+    """Section 5.4 copies a parent's results to a child for the sizes
+    the mutation left unchanged; the harness's trial cache replays
+    them instead."""
+
+    def test_add_level_child_replays_parent_below_cutoff(self):
+        program, _ = compile_program(make_approxmean_transform())
+        harness = ProgramTestHarness(program, approxmean_inputs,
+                                     base_seed=3)
+        parent = Candidate(program.default_config())
+        harness.ensure_trials(parent, 16.0, 4)
+        param = next(p for p in program.space
+                     if isinstance(p, ChoiceSiteParam))
+        config = TreeAddLevelMutator(param).mutate(
+            parent, 64.0, np.random.default_rng(0))
+        assert config.tree(param.name).cutoffs == (48.0,)
+        child = Candidate(config, parent=parent,
+                          step=f"tree.addlevel:{param.name}")
+        executed = harness.trials_executed
+        harness.ensure_trials(child, 16.0, 4)
+        assert harness.trials_executed == executed
+        assert child.results.objectives(16.0) == \
+            parent.results.objectives(16.0)
+        assert child.results.accuracies(16.0) == \
+            parent.results.accuracies(16.0)
+        # Above the cutoff the child runs its new leaf.
+        harness.ensure_trials(child, 64.0, 1)
+        assert harness.trials_executed == executed + 1
+
+    def test_copy_cannot_be_switched_off(self):
+        with pytest.raises(ConfigError, match="trial cache"):
+            TunerSettings(copy_parent_results=False)
 
 
 class TestAblationSwitches:
