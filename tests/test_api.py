@@ -710,6 +710,8 @@ class TestShardedService:
     @pytest.mark.parametrize("kwargs, match", [
         (dict(queue_limit=0), "queue_limit"),
         (dict(deadline=0.0), "deadline"),
+        (dict(queue_limit=-1), "queue_limit"),
+        (dict(shadow_fraction=float("nan")), "shadow_fraction"),
         (dict(batch_size=0), "batch_size"),
         (dict(telemetry_window=0), "telemetry_window"),
         (dict(slice_trials=0), "slice_trials"),

@@ -1,5 +1,8 @@
 """Tests for the compiler: choice graph, analysis, program execution."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +62,21 @@ class TestChoiceGraph:
         with pytest.raises(CompileError):
             schedule_groups(transform)
 
+    def test_cycle_error_names_the_groups_on_it(self):
+        transform = Transform("t", inputs=("a",), outputs=("b", "c", "d"))
+        transform.rule(outputs=("b",), inputs=("c",),
+                       name="r1")(lambda ctx, c: c)
+        transform.rule(outputs=("c",), inputs=("b",),
+                       name="r2")(lambda ctx, b: b)
+        transform.rule(outputs=("d",), inputs=("a",),
+                       name="r3")(lambda ctx, a: a)
+        with pytest.raises(CompileError, match="cycle") as info:
+            schedule_groups(transform)
+        message = str(info.value)
+        assert "'t'" in message
+        assert "('b',)" in message and "('c',)" in message
+        assert "('d',)" not in message
+
 
 def _bins(name: str, site: str) -> dict[str, list[str]]:
     return {f"{name}@{label}": [site]
@@ -78,6 +96,16 @@ SCHEDULES = {
     "quickstart.py:approxmean": {"approxmean@main": ["est"]},
     "signal_scaling.py:make_smoother": {"smoother@main": ["smooth"]},
 }
+
+
+def test_import_loads_no_networkx():
+    """The compiler orders choice groups with the standard library's
+    graphlib; numpy is the only third-party import."""
+    script = ("import sys, repro.api\n"
+              "assert 'networkx' not in sys.modules\n")
+    source = str(Path(__file__).resolve().parent.parent / "src")
+    subprocess.run([sys.executable, "-c", script], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": source})
 
 
 def test_schedules_pinned():

@@ -5,7 +5,7 @@ import pytest
 
 from repro.autotuner import Autotuner, ProgramTestHarness, TunerSettings
 from repro.autotuner.candidate import Candidate
-from repro.autotuner.mutators import TreeAddLevelMutator
+from repro.autotuner.mutators import MutatorPool, TreeAddLevelMutator
 from repro.compiler.compile import compile_program
 from repro.config.parameters import ChoiceSiteParam
 from repro.errors import ConfigError, TrainingError
@@ -147,6 +147,21 @@ class TestTrialCacheReplacesResultCopy:
         # Above the cutoff the child runs its new leaf.
         harness.ensure_trials(child, 64.0, 1)
         assert harness.trials_executed == executed + 1
+
+    def test_winner_lineages_name_their_steps(self):
+        """Each tuned winner remembers the configuration it was
+        mutated from, and every step of its lineage names a pool
+        mutator or a guided move on an accuracy variable."""
+        program, _, result = tune_approxmean()
+        steps = {m.name for m in MutatorPool.from_space(program.space)}
+        steps |= {f"guided:{p.name}"
+                  for p in program.space.accuracy_variables()}
+        winners = list(result.best_per_bin.values())
+        assert any(w.lineage for w in winners)
+        for winner in winners:
+            assert set(winner.lineage) <= steps
+            assert (winner.parent_config is None) == (not winner.lineage)
+            assert winner.parent_config != winner.config
 
     def test_copy_cannot_be_switched_off(self):
         with pytest.raises(ConfigError, match="trial cache"):
