@@ -1,4 +1,4 @@
-"""Golden tune pins: three small tunes, pinned decision by decision.
+"""Golden tune pins: four small tunes, pinned decision by decision.
 
 Each case pins the trial count, the number of comparisons, every tuned
 bin's configuration digest and the frontier (exact ``repr`` of each
@@ -83,6 +83,16 @@ def test_clustering_golden():
         CLUSTERING_GOLDEN
 
 
+def test_poisson_golden():
+    """Poisson tunes the omega cutoffs and the working precision."""
+    settings = TunerSettings(input_sizes=(7.0, 15.0), rounds_per_size=1,
+                             mutation_attempts=16, min_trials=2,
+                             max_trials=4, seed=3, initial_random=2,
+                             accuracy_confidence=None)
+    assert fingerprint(benchmark_tuner("poisson", settings, 5)) == \
+        POISSON_GOLDEN
+
+
 # Recorded before the change; see the module docstring.
 BINPACKING_GOLDEN = {
     "trials_run": 323,
@@ -134,5 +144,24 @@ CLUSTERING_GOLDEN = {
         ('0.5', '2.950101663424579', '4224.0'),
         ('0.75', '2.950101663424579', '4224.0'),
         ('0.95', '2.950101663424579', '4224.0'),
+    ],
+}
+
+POISSON_GOLDEN = {
+    "trials_run": 87,
+    "comparisons": 119,
+    "digests": {
+        1.0: '39c8ab6449e84023a676553c23c35d47',
+        3.0: 'f7e892dac34ee7aa18607c3ad21d4650',
+        5.0: '4522d35ed14024f53c6e64b9b83f02cd',
+        7.0: '245c26a2532df794d4b939f4807dfc9a',
+        9.0: '245c26a2532df794d4b939f4807dfc9a',
+    },
+    "frontier": [
+        ('1.0', '1.8186693907649754', '17348.0'),
+        ('3.0', '3.0605275069780213', '27496.0'),
+        ('5.0', '6.301638942733695', '348885.0'),
+        ('7.0', '15.55194777113201', '3699000.0'),
+        ('9.0', '15.55194777113201', '3699000.0'),
     ],
 }
