@@ -29,13 +29,7 @@ import ast
 import math
 
 from repro.analysis.callgraph import CallGraph, transform_functions
-from repro.config.parameters import (
-    ChoiceSiteParam,
-    ParameterSpace,
-    ScalarParam,
-    SizeValueParam,
-    SwitchParam,
-)
+from repro.config.parameters import ChoiceSiteParam, ParameterSpace
 from repro.lang.diagnostics import Diagnostics
 
 __all__ = ["config_space_diagnostics", "search_space_size",
@@ -136,13 +130,10 @@ def search_space_size(space: ParameterSpace) -> tuple[float, int]:
     for param in space:
         if isinstance(param, ChoiceSiteParam):
             log10 += math.log10(param.num_choices)
-        elif isinstance(param, (SizeValueParam, ScalarParam)):
-            if param.integer:
-                log10 += math.log10(param.hi - param.lo + 1.0)
-            else:
-                continuous += 1
-        elif isinstance(param, SwitchParam):
-            log10 += math.log10(len(param.choices))
+        elif param.integer:
+            log10 += math.log10(param.hi - param.lo + 1.0)
+        else:
+            continuous += 1
     return log10, continuous
 
 

@@ -28,8 +28,7 @@ def _candidate_moves(base: Candidate, param: SizeValueParam, n: float,
     The static-analysis direction hint restricts the search to one
     direction when known; unknown-direction variables try both.
     """
-    tree = base.config.tree(param.name)
-    current = float(tree.lookup(n))
+    current = float(base.config.lookup(param.name, n))
     directions = ([param.accuracy_direction] if param.accuracy_direction
                   else [+1, -1])
     moves = []
@@ -96,9 +95,9 @@ def guided_mutation(population: list[Candidate],
                                                current_factor)]
         sweep: list[Candidate] = []
         for param, value in moves[:max_evaluations - evaluations]:
-            tree = base.config.tree(param.name)
             config = base.config.with_entry(
-                param.name, tree.set_leaf_for_size(n, value))
+                param.name, base.config[param.name].set_leaf_for_size(
+                    n, value))
             sweep.append(Candidate(config, parent=base,
                                    step=f"guided:{param.name}"))
         harness.ensure_trials_batch(

@@ -10,13 +10,18 @@ categories of the paper are implemented:
 * **decision tree manipulation** — add a level (cutoff initially at
   ``3N/4``, preserving behaviour for smaller inputs), remove a level,
   or change the algorithm in the leaf governing the current size;
-* **log-normal random scaling** — scale values compared against data
-  sizes (accuracy variables, cutoffs inside decision trees, scalar
-  cutoffs) by ``exp(Normal(0, 1))``;
-* **uniform random** — replace switch values and algorithmic choices by
-  uniform draws from their (small) legal sets;
+* **log-normal random scaling** — scale numeric leaves (accuracy
+  variables, ``cutoff()`` values) and cutoffs inside decision trees by
+  ``exp(Normal(0, 1))``;
+* **uniform random** — replace a choice leaf (algorithmic choices,
+  switch values, precisions) by a uniform draw from its other values;
 * **meta** — apply several random mutators at once (larger jumps) or
   undo a candidate's previous mutation.
+
+Every tunable is a decision tree, so every base mutator is a tree
+mutator.  A flat tunable (``cutoff()``, ``switch()``, ``precision()``,
+the synthesized loop order) gets only the change-leaf mutator: its tree
+keeps no levels.
 
 The paper's mutators also copy their input candidate's results for
 input sizes a mutation provably left unchanged.  Here the trial cache
@@ -26,6 +31,7 @@ unchanged (DESIGN.md, substitution 6).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
@@ -37,13 +43,11 @@ from repro.config.configuration import Configuration
 from repro.config.parameters import (
     ChoiceSiteParam,
     ParameterSpace,
-    ScalarParam,
     SizeValueParam,
-    SwitchParam,
 )
 from repro.errors import ConfigError
 
-__all__ = ["MutationFailed", "Mutator", "MutatorPool"]
+__all__ = ["MutationFailed", "Mutator", "ConfigMutator", "MutatorPool"]
 
 
 class MutationFailed(Exception):
@@ -79,15 +83,38 @@ class Mutator(ABC):
         return f"<{type(self).__name__} {self.name}>"
 
 
+class ConfigMutator(Mutator):
+    """A mutator that reads only its candidate's configuration.
+
+    Such a mutator also applies to a bare configuration, which is how
+    :class:`CompoundMutator` chains several without a candidate per
+    step.
+    """
+
+    def applies(self, candidate, n):
+        return self.applies_to(candidate.config, n)
+
+    def mutate(self, candidate, n, rng):
+        return self.mutate_config(candidate.config, n, rng)
+
+    def applies_to(self, config: Configuration, n: float) -> bool:
+        return True
+
+    @abstractmethod
+    def mutate_config(self, config: Configuration, n: float,
+                      rng: np.random.Generator) -> Configuration:
+        """Return the mutated configuration."""
+
+
 # ----------------------------------------------------------------------
 # Leaf-value samplers
 # ----------------------------------------------------------------------
-def _different_choice(num_choices: int, current: int,
-                      rng: np.random.Generator) -> int:
-    if num_choices < 2:
-        raise MutationFailed("only one choice available")
-    alternatives = [c for c in range(num_choices) if c != current]
-    return int(rng.choice(alternatives))
+def _different_choice(param: ChoiceSiteParam, current,
+                      rng: np.random.Generator):
+    alternatives = [c for c in param.choices if c != current]
+    if not alternatives:
+        raise MutationFailed(f"{param.name} has no other choice")
+    return alternatives[int(rng.integers(0, len(alternatives)))]
 
 
 def _lognormal_scaled(param: SizeValueParam, current: float,
@@ -114,33 +141,30 @@ def _uniform_resample(param: SizeValueParam, current: float,
 def _sample_new_leaf(param, current, rng: np.random.Generator):
     """Sample a new leaf value appropriate for the parameter kind."""
     if isinstance(param, ChoiceSiteParam):
-        return _different_choice(param.num_choices, int(current), rng)
-    if isinstance(param, SizeValueParam):
-        if param.scaling == "lognormal":
-            return _lognormal_scaled(param, float(current), rng)
-        return _uniform_resample(param, float(current), rng)
-    raise MutationFailed(f"parameter kind {type(param).__name__} has no tree")
+        return _different_choice(param, current, rng)
+    if param.scaling == "lognormal":
+        return _lognormal_scaled(param, float(current), rng)
+    return _uniform_resample(param, float(current), rng)
 
 
 # ----------------------------------------------------------------------
 # Decision-tree manipulation mutators
 # ----------------------------------------------------------------------
-class TreeChangeLeafMutator(Mutator):
+class TreeChangeLeafMutator(ConfigMutator):
     """Change the tree leaf governing the current input size."""
 
     def __init__(self, param):
         super().__init__(f"tree.change:{param.name}")
         self.param = param
 
-    def mutate(self, candidate, n, rng):
-        tree = candidate.config.tree(self.param.name)
-        current = tree.lookup(n)
-        new_value = _sample_new_leaf(self.param, current, rng)
-        new_tree = tree.set_leaf_for_size(n, new_value)
-        return candidate.config.with_entry(self.param.name, new_tree)
+    def mutate_config(self, config, n, rng):
+        tree = config[self.param.name]
+        new_value = _sample_new_leaf(self.param, tree.lookup(n), rng)
+        return config.with_entry(self.param.name,
+                                 tree.set_leaf_for_size(n, new_value))
 
 
-class TreeAddLevelMutator(Mutator):
+class TreeAddLevelMutator(ConfigMutator):
     """Add a decision-tree level with the cutoff initially at 3N/4.
 
     "This leaves the behavior for smaller inputs the same, while
@@ -152,47 +176,45 @@ class TreeAddLevelMutator(Mutator):
         self.param = param
         self.max_levels = max_levels
 
-    def applies(self, candidate, n):
-        tree = candidate.config.tree(self.param.name)
+    def applies_to(self, config, n):
+        tree = config[self.param.name]
         cutoff = 3.0 * n / 4.0
         return (tree.num_levels < self.max_levels
                 and cutoff >= 1.0
                 and cutoff not in tree.cutoffs)
 
-    def mutate(self, candidate, n, rng):
-        tree = candidate.config.tree(self.param.name)
+    def mutate_config(self, config, n, rng):
+        tree = config[self.param.name]
         cutoff = 3.0 * n / 4.0
         if cutoff < 1.0 or cutoff in tree.cutoffs:
             raise MutationFailed(f"cannot place cutoff at {cutoff}")
         if tree.num_levels >= self.max_levels:
             raise MutationFailed("tree at maximum depth")
         split = tree.add_level(cutoff)
-        current = split.lookup(n)
-        new_value = _sample_new_leaf(self.param, current, rng)
-        new_tree = split.set_leaf_for_size(n, new_value)
-        return candidate.config.with_entry(self.param.name, new_tree)
+        new_value = _sample_new_leaf(self.param, split.lookup(n), rng)
+        return config.with_entry(self.param.name,
+                                 split.set_leaf_for_size(n, new_value))
 
 
-class TreeRemoveLevelMutator(Mutator):
+class TreeRemoveLevelMutator(ConfigMutator):
     """Remove a random decision-tree level."""
 
     def __init__(self, param):
         super().__init__(f"tree.removelevel:{param.name}")
         self.param = param
 
-    def applies(self, candidate, n):
-        return candidate.config.tree(self.param.name).num_levels > 0
+    def applies_to(self, config, n):
+        return config[self.param.name].num_levels > 0
 
-    def mutate(self, candidate, n, rng):
-        tree = candidate.config.tree(self.param.name)
+    def mutate_config(self, config, n, rng):
+        tree = config[self.param.name]
         if tree.num_levels == 0:
             raise MutationFailed("tree has no levels to remove")
         index = int(rng.integers(0, tree.num_levels))
-        new_tree = tree.remove_level(index)
-        return candidate.config.with_entry(self.param.name, new_tree)
+        return config.with_entry(self.param.name, tree.remove_level(index))
 
 
-class TreeScaleCutoffMutator(Mutator):
+class TreeScaleCutoffMutator(ConfigMutator):
     """Log-normally scale an active cutoff inside a decision tree.
 
     "a log-normal random scaling mutator is introduced for each active
@@ -203,11 +225,11 @@ class TreeScaleCutoffMutator(Mutator):
         super().__init__(f"tree.scalecutoff:{param.name}")
         self.param = param
 
-    def applies(self, candidate, n):
-        return candidate.config.tree(self.param.name).num_levels > 0
+    def applies_to(self, config, n):
+        return config[self.param.name].num_levels > 0
 
-    def mutate(self, candidate, n, rng):
-        tree = candidate.config.tree(self.param.name)
+    def mutate_config(self, config, n, rng):
+        tree = config[self.param.name]
         if tree.num_levels == 0:
             raise MutationFailed("tree has no cutoffs")
         index = int(rng.integers(0, tree.num_levels))
@@ -218,91 +240,45 @@ class TreeScaleCutoffMutator(Mutator):
             raise MutationFailed(str(exc)) from None
         if new_tree == tree:
             raise MutationFailed("cutoff scaling had no effect")
-        return candidate.config.with_entry(self.param.name, new_tree)
-
-
-# ----------------------------------------------------------------------
-# Scalar / switch mutators
-# ----------------------------------------------------------------------
-class ScalarScaleMutator(Mutator):
-    """Log-normally scale a scalar cutoff/blocking value."""
-
-    def __init__(self, param: ScalarParam):
-        super().__init__(f"scalar.scale:{param.name}")
-        self.param = param
-
-    def mutate(self, candidate, n, rng):
-        current = float(candidate.config[self.param.name])
-        factor = math.exp(rng.normal(0.0, 1.0))
-        value = self.param.coerce(current * factor)
-        if value == current and self.param.integer:
-            value = self.param.coerce(
-                current + (1.0 if factor > 1.0 else -1.0))
-        if value == current:
-            raise MutationFailed(f"scaling left {self.param.name} unchanged")
-        return candidate.config.with_entry(self.param.name, value)
-
-
-class SwitchMutator(Mutator):
-    """Uniform-randomly replace a switch value."""
-
-    def __init__(self, param: SwitchParam):
-        super().__init__(f"switch:{param.name}")
-        self.param = param
-
-    def applies(self, candidate, n):
-        return len(self.param.choices) > 1
-
-    def mutate(self, candidate, n, rng):
-        current = candidate.config[self.param.name]
-        alternatives = [c for c in self.param.choices if c != current]
-        if not alternatives:
-            raise MutationFailed(f"switch {self.param.name} has no "
-                                 f"alternative values")
-        value = alternatives[int(rng.integers(0, len(alternatives)))]
-        return candidate.config.with_entry(self.param.name, value)
+        return config.with_entry(self.param.name, new_tree)
 
 
 # ----------------------------------------------------------------------
 # Meta mutators
 # ----------------------------------------------------------------------
-class CompoundMutator(Mutator):
+class CompoundMutator(ConfigMutator):
     """Apply several random base mutators at once (a larger jump)."""
 
-    def __init__(self, base_mutators: Sequence[Mutator],
+    def __init__(self, base_mutators: Sequence[ConfigMutator],
                  min_applications: int = 2, max_applications: int = 4):
         super().__init__("meta.compound")
         self.base_mutators = list(base_mutators)
         self.min_applications = min_applications
         self.max_applications = max_applications
 
-    def applies(self, candidate, n):
-        return any(m.applies(candidate, n) for m in self.base_mutators)
+    def applies_to(self, config, n):
+        return any(m.applies_to(config, n) for m in self.base_mutators)
 
-    def mutate(self, candidate, n, rng):
+    def mutate_config(self, config, n, rng):
         count = int(rng.integers(self.min_applications,
                                  self.max_applications + 1))
-        working = candidate
         applied = 0
         for _ in range(count * 4):  # allow retries on failed sub-mutations
             if applied >= count:
                 break
             options = [m for m in self.base_mutators
-                       if m.applies(working, n)]
+                       if m.applies_to(config, n)]
             if not options:
                 break
             mutator = options[int(rng.integers(0, len(options)))]
             try:
-                config = mutator.mutate(working, n, rng)
+                config = mutator.mutate_config(config, n, rng)
             except MutationFailed:
                 continue
-            # Wrap in a fresh candidate so the next sub-mutation sees
-            # the updated configuration.
-            working = Candidate(config, parent=working, step=mutator.name)
             applied += 1
         if applied == 0:
             raise MutationFailed("no sub-mutation succeeded")
-        return working.config
+        return config
 
 
 class UndoMutator(Mutator):
@@ -375,36 +351,24 @@ class MutatorPool:
         """Generate the pool from static analysis information.
 
         ``lognormal_scaling=False`` replaces every log-normal value
-        mutator by a uniform resample (used by the scaling-strategy
-        ablation benchmark).
+        mutator, ``cutoff()`` values included, by a uniform resample
+        (used by the scaling-strategy ablation benchmark).
         """
-        base: list[Mutator] = []
+        base: list[ConfigMutator] = []
         for param in space:
             if isinstance(param, ChoiceSiteParam):
-                if param.num_choices > 1:
-                    base.append(TreeChangeLeafMutator(param))
-                    base.append(TreeAddLevelMutator(param, max_tree_levels))
-                    base.append(TreeRemoveLevelMutator(param))
-                    base.append(TreeScaleCutoffMutator(param))
-            elif isinstance(param, SizeValueParam):
-                if param.lo != param.hi:
-                    effective = param
-                    if not lognormal_scaling and \
-                            param.scaling == "lognormal":
-                        import dataclasses
-                        effective = dataclasses.replace(
-                            param, scaling="uniform")
-                    base.append(TreeChangeLeafMutator(effective))
-                    base.append(TreeAddLevelMutator(effective,
-                                                    max_tree_levels))
-                    base.append(TreeRemoveLevelMutator(effective))
-                    base.append(TreeScaleCutoffMutator(effective))
-            elif isinstance(param, ScalarParam):
-                if param.lo != param.hi:
-                    base.append(ScalarScaleMutator(param))
-            elif isinstance(param, SwitchParam):
-                if len(param.choices) > 1:
-                    base.append(SwitchMutator(param))
+                if param.num_choices < 2:
+                    continue
+            else:
+                if param.lo == param.hi:
+                    continue
+                if not lognormal_scaling and param.scaling == "lognormal":
+                    param = dataclasses.replace(param, scaling="uniform")
+            base.append(TreeChangeLeafMutator(param))
+            if not param.flat:
+                base.append(TreeAddLevelMutator(param, max_tree_levels))
+                base.append(TreeRemoveLevelMutator(param))
+                base.append(TreeScaleCutoffMutator(param))
         mutators = list(base)
         if include_meta and base:
             mutators.append(CompoundMutator(base))

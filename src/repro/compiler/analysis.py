@@ -15,11 +15,7 @@ from typing import Mapping
 
 from repro.compiler.choice_graph import schedule_groups
 from repro.compiler.program import Instance
-from repro.config.parameters import (
-    ChoiceSiteParam,
-    ParameterSpace,
-    SwitchParam,
-)
+from repro.config.parameters import ChoiceSiteParam, ParameterSpace
 from repro.errors import CompileError
 from repro.lang.diagnostics import Diagnostics
 from repro.lang.transform import Transform
@@ -123,7 +119,7 @@ def build_parameter_space(instances: Mapping[str, Instance],
             if group.is_choice_site:
                 space.add(ChoiceSiteParam(
                     name=instance.choice_key(group.site_name),
-                    num_choices=len(group.rules),
+                    choices=tuple(range(len(group.rules))),
                     choice_labels=tuple(r.name for r in group.rules)))
 
         # Transform-declared tunables, namespaced per instance.
@@ -134,9 +130,10 @@ def build_parameter_space(instances: Mapping[str, Instance],
         # Synthesized outer control flow for column-granularity rules.
         for rule in transform.rules:
             if rule.granularity == "column":
-                space.add(SwitchParam(
+                space.add(ChoiceSiteParam(
                     name=instance.order_key(rule.name),
-                    choices=("forward", "backward"), default="forward"))
+                    choices=("forward", "backward"),
+                    affects_accuracy=False, flat=True))
 
         # Sub-accuracy selection for auto-accuracy call sites.
         for site in transform.call_sites.values():
@@ -144,7 +141,7 @@ def build_parameter_space(instances: Mapping[str, Instance],
             if callee.is_variable_accuracy and site.accuracy is None:
                 space.add(ChoiceSiteParam(
                     name=instance.call_bin_key(site.name),
-                    num_choices=len(callee.accuracy_bins),
+                    choices=tuple(range(len(callee.accuracy_bins))),
                     # Default to the most accurate bin so the initial
                     # population meets targets; the tuner then explores
                     # cheaper sub-accuracies.

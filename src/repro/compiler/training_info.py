@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.compiler.program import Instance
-from repro.config.parameters import (
-    ChoiceSiteParam,
-    ParameterSpace,
-    ScalarParam,
-    SizeValueParam,
-    SwitchParam,
-)
+from repro.config.parameters import ChoiceSiteParam, ParameterSpace
 from repro.lang.transform import Transform
 
 __all__ = ["TunableInfo", "TrainingInfo", "build_training_info"]
@@ -33,7 +27,7 @@ class TunableInfo:
     """Static description of one configuration entry."""
 
     key: str
-    kind: str  # "choice" | "sizevalue" | "scalar" | "switch"
+    kind: str  # "choice" | "sizevalue"
     is_accuracy_variable: bool = False
     accuracy_direction: int = 0
     affects_accuracy: bool = True
@@ -154,23 +148,13 @@ def build_training_info(root: Transform,
                 key=param.name, kind="choice",
                 affects_accuracy=param.affects_accuracy,
                 domain=f"choices={param.num_choices}"))
-        elif isinstance(param, SizeValueParam):
+        else:
             tunables.append(TunableInfo(
                 key=param.name, kind="sizevalue",
                 is_accuracy_variable=param.is_accuracy_variable,
                 accuracy_direction=param.accuracy_direction,
-                affects_accuracy=param.is_accuracy_variable,
-                domain=f"[{param.lo:g},{param.hi:g}]"))
-        elif isinstance(param, ScalarParam):
-            tunables.append(TunableInfo(
-                key=param.name, kind="scalar",
                 affects_accuracy=param.affects_accuracy,
                 domain=f"[{param.lo:g},{param.hi:g}]"))
-        elif isinstance(param, SwitchParam):
-            tunables.append(TunableInfo(
-                key=param.name, kind="switch",
-                affects_accuracy=param.affects_accuracy,
-                domain=f"choices={len(param.choices)}"))
 
     metric = root.accuracy_metric
     return TrainingInfo(

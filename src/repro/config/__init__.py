@@ -3,7 +3,8 @@
 A *configuration* (Section 5.2 of the paper) is an assignment of
 decisions to every available choice: decision trees mapping input size
 to an algorithm for each choice site, cutoff values, switches, accuracy
-variables, and user-defined parameters.  The autotuner manipulates
+variables, and user-defined parameters — every one of them a decision
+tree over input size.  The autotuner manipulates
 configurations through the mutators in :mod:`repro.autotuner.mutators`.
 """
 
@@ -17,8 +18,6 @@ from repro.config.parameters import (
     ParameterSpace,
     ChoiceSiteParam,
     SizeValueParam,
-    ScalarParam,
-    SwitchParam,
 )
 
 __all__ = [
@@ -29,6 +28,4 @@ __all__ = [
     "ParameterSpace",
     "ChoiceSiteParam",
     "SizeValueParam",
-    "ScalarParam",
-    "SwitchParam",
 ]

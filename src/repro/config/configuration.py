@@ -1,10 +1,13 @@
 """Choice configuration files.
 
 A :class:`Configuration` is the paper's "choice configuration file"
-(Section 5.2): a mapping from parameter name to either a
-:class:`~repro.config.decision_tree.SizeDecisionTree` (for choice sites
-and size-indexed values) or a plain scalar/switch value.  Configurations
-are immutable from the outside; the mutators build modified copies via
+(Section 5.2): a mapping from parameter name to a
+:class:`~repro.config.decision_tree.SizeDecisionTree`, the value of
+that parameter for each input-size interval.  A bare value given to the
+constructor (and so to :meth:`Configuration.with_entry` and to the
+legacy ``{"kind": "value"}`` JSON form) becomes a tree with no levels,
+one value for every size.  Configurations are immutable from the
+outside; the mutators build modified copies via
 :meth:`Configuration.with_entry`.  Immutability lets each value carry
 its own content digest, computed on first use and kept for its
 lifetime, and its hash likewise.
@@ -27,6 +30,8 @@ from repro.errors import ConfigError
 
 __all__ = ["Configuration", "ConfigEntry", "RecordingConfig"]
 
+#: What the constructor accepts per entry: a tree, or a bare value that
+#: it wraps as a tree with no levels.
 ConfigEntry = Any  # SizeDecisionTree | float | int | str | bool
 
 #: What :meth:`Configuration.resolve` returns for a lookup of a missing
@@ -40,7 +45,10 @@ class Configuration:
     __slots__ = ("_entries", "_digest", "_hash")
 
     def __init__(self, entries: Mapping[str, ConfigEntry]):
-        self._entries = dict(entries)
+        self._entries: dict[str, SizeDecisionTree] = {
+            name: entry if isinstance(entry, SizeDecisionTree)
+            else SizeDecisionTree([entry])
+            for name, entry in entries.items()}
         self._digest: str | None = None
         self._hash: int | None = None
 
@@ -68,13 +76,14 @@ class Configuration:
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def __getitem__(self, name: str) -> ConfigEntry:
+    def __getitem__(self, name: str) -> SizeDecisionTree:
         try:
             return self._entries[name]
         except KeyError:
             raise ConfigError(f"configuration has no entry {name!r}") from None
 
-    def get(self, name: str, default: ConfigEntry | None = None) -> ConfigEntry:
+    def get(self, name: str, default: SizeDecisionTree | None = None
+            ) -> SizeDecisionTree | None:
         return self._entries.get(name, default)
 
     def __contains__(self, name: str) -> bool:
@@ -89,25 +98,11 @@ class Configuration:
     def items(self):
         return self._entries.items()
 
-    def tree(self, name: str) -> SizeDecisionTree:
-        entry = self[name]
-        if not isinstance(entry, SizeDecisionTree):
-            raise ConfigError(f"entry {name!r} is not a decision tree")
-        return entry
+    def lookup(self, name: str, n: float) -> Any:
+        """Resolve entry ``name`` for input size ``n``."""
+        return self[name].lookup(n)
 
-    def lookup(self, name: str, n: float) -> ConfigEntry:
-        """Resolve entry ``name`` for input size ``n``.
-
-        Decision-tree entries are looked up at ``n``; scalar entries are
-        returned unchanged, so call sites need not care which kind a
-        parameter is.
-        """
-        entry = self[name]
-        if isinstance(entry, SizeDecisionTree):
-            return entry.lookup(n)
-        return entry
-
-    def resolve(self, name: str, n: float | None) -> ConfigEntry:
+    def resolve(self, name: str, n: float | None) -> Any:
         """The value the read ``(name, n)`` sees in this configuration.
 
         ``n=None`` is the containment check ``name in config`` (a
@@ -116,10 +111,8 @@ class Configuration:
         """
         if n is None:
             return name in self._entries
-        entry = self._entries.get(name, _ABSENT)
-        if isinstance(entry, SizeDecisionTree):
-            return entry.lookup(n)
-        return entry
+        entry = self._entries.get(name)
+        return _ABSENT if entry is None else entry.lookup(n)
 
     # ------------------------------------------------------------------
     # Functional updates
@@ -143,23 +136,17 @@ class Configuration:
     # Serialisation
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
-        payload = {}
-        for name, entry in sorted(self._entries.items()):
-            if isinstance(entry, SizeDecisionTree):
-                payload[name] = {"kind": "tree", **entry.to_json()}
-            else:
-                payload[name] = {"kind": "value", "value": entry}
-        return payload
+        return {name: {"kind": "tree", **entry.to_json()}
+                for name, entry in sorted(self._entries.items())}
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "Configuration":
-        entries: dict[str, ConfigEntry] = {}
-        for name, item in data.items():
-            if item.get("kind") == "tree":
-                entries[name] = SizeDecisionTree.from_json(item)
-            else:
-                entries[name] = item["value"]
-        return cls(entries)
+        """Read :meth:`to_json`'s form, and the legacy
+        ``{"kind": "value", "value": v}`` entry as a tree with no
+        levels."""
+        return cls({name: SizeDecisionTree.from_json(item)
+                    if item.get("kind") == "tree" else item["value"]
+                    for name, item in data.items()})
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
@@ -186,8 +173,7 @@ class Configuration:
         return self._entries == other._entries
 
     def identical(self, other: "Configuration") -> bool:
-        """Equal entries whose values (tree leaves included) have the
-        same types.
+        """Equal entries whose tree leaves have the same types.
 
         ``==`` and the hash follow Python, so 1, 1.0 and True compare
         equal; a rule may branch on the type, so the trial cache keeps
@@ -198,22 +184,14 @@ class Configuration:
             return True
         if self != other:
             return False
-        for name, entry in self._entries.items():
-            theirs = other._entries[name]
-            if isinstance(entry, SizeDecisionTree):
-                if any(type(mine) is not type(leaf) for mine, leaf
-                       in zip(entry.leaves, theirs.leaves)):
-                    return False
-            elif type(entry) is not type(theirs):
-                return False
-        return True
+        return all(type(mine) is type(leaf)
+                   for name, entry in self._entries.items()
+                   for mine, leaf in zip(entry.leaves,
+                                         other._entries[name].leaves))
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(sorted(
-                (name, entry if not isinstance(entry, SizeDecisionTree)
-                 else ("tree", entry.cutoffs, entry.leaves))
-                for name, entry in self._entries.items())))
+            self._hash = hash(tuple(sorted(self._entries.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -222,15 +200,11 @@ class Configuration:
     def describe(self, n: float | None = None) -> str:
         """Human-readable dump, optionally resolved at input size ``n``."""
         lines = []
-        for name in sorted(self._entries):
-            entry = self._entries[name]
-            if isinstance(entry, SizeDecisionTree):
-                if n is None:
-                    lines.append(f"{name} = {entry!r}")
-                else:
-                    lines.append(f"{name} = {entry.lookup(n)!r}  (at n={n})")
-            else:
+        for name, entry in sorted(self._entries.items()):
+            if n is None:
                 lines.append(f"{name} = {entry!r}")
+            else:
+                lines.append(f"{name} = {entry.lookup(n)!r}  (at n={n})")
         return "\n".join(lines)
 
 
@@ -249,7 +223,7 @@ class RecordingConfig:
 
     def __init__(self, config: Configuration, reads: list | None = None):
         self._config = config
-        self.reads: list[tuple[str, float | None, ConfigEntry]] = \
+        self.reads: list[tuple[str, float | None, Any]] = \
             reads if reads is not None else []
 
     def __contains__(self, name: str) -> bool:
@@ -257,7 +231,7 @@ class RecordingConfig:
         self.reads.append((name, None, present))
         return present
 
-    def lookup(self, name: str, n: float) -> ConfigEntry:
+    def lookup(self, name: str, n: float) -> Any:
         n = float(n)
         value = self._config.resolve(name, n)
         if value is _ABSENT:

@@ -2,20 +2,24 @@
 
 The compiler's static analysis (Section 5.3) reduces a program to a set
 of named, typed tunable parameters; the autotuner generates mutators
-from these descriptions.  Four parameter kinds cover everything in the
-paper's configuration files (Section 5.2):
+from these descriptions.  Every parameter is configured by a decision
+tree over input size (Section 5.2: "decision trees to decide which
+algorithm to use for each choice site, accuracy, and input size"), and
+two kinds describe the leaves:
 
-* :class:`ChoiceSiteParam` — an algorithmic choice site; configured by a
-  decision tree over input size whose leaves are choice indices.
-* :class:`SizeValueParam` — a numeric value that may differ per input
-  size (accuracy variables, ``for_enough`` iteration counts); configured
-  by a decision tree with numeric leaves.
-* :class:`ScalarParam` — a single numeric value (cutoffs, blocking
-  sizes); mutated by log-normal scaling.
-* :class:`SwitchParam` — a single value drawn from a small finite set
-  (storage strategies, iteration orders); mutated uniformly at random.
+* :class:`ChoiceSiteParam` — leaves drawn from a finite tuple of
+  values: algorithmic choice sites and call-bin sites choose an index
+  (``choices == tuple(range(k))``); ``switch()`` and the synthesized
+  loop order choose among declared values.
+* :class:`SizeValueParam` — numeric leaves in ``[lo, hi]``: accuracy
+  variables, ``for_enough`` iteration counts and ``cutoff()`` values.
 
-:class:`PrecisionParam` is a :class:`SwitchParam` whose choices name
+A *flat* parameter (``flat=True``: the ``cutoff()``, ``switch()`` and
+``precision()`` declarations and the synthesized loop order) keeps a
+tree with no levels, one value for every size: the mutator pool
+changes its leaf and never adds a level.
+
+:class:`PrecisionParam` is a :class:`ChoiceSiteParam` whose choices name
 floating-point dtypes (``"float32"``/``"float64"``): the executor casts
 an instance's inputs to the configured dtype before running its rules,
 so the autotuner can trade numeric precision for speed under the same
@@ -35,8 +39,6 @@ from repro.errors import ConfigError
 __all__ = [
     "ChoiceSiteParam",
     "SizeValueParam",
-    "ScalarParam",
-    "SwitchParam",
     "PrecisionParam",
     "ParameterSpace",
     "PRECISION_DTYPES",
@@ -68,27 +70,40 @@ def precision_dtype(name: Any) -> np.dtype:
 
 @dataclass(frozen=True)
 class ChoiceSiteParam:
-    """An algorithmic choice site with ``num_choices`` alternatives."""
+    """A tunable whose leaves are drawn from the tuple ``choices``.
+
+    ``default`` names a choice (None: the first).  Choices given as any
+    iterable are stored as a tuple.
+    """
 
     name: str
-    num_choices: int
-    default: int = 0
+    choices: tuple[Any, ...]
+    default: Any = None
     choice_labels: tuple[str, ...] = ()
     #: True when switching the choice can change result accuracy (the
     #: autotuner conservatively assumes so unless told otherwise).
     affects_accuracy: bool = True
+    #: One value for every size (see the module docstring).
+    flat: bool = False
 
     def __post_init__(self):
-        if self.num_choices < 1:
+        object.__setattr__(self, "choices", tuple(self.choices))
+        if not self.choices:
             raise ConfigError(f"choice site {self.name!r} needs >= 1 choice")
-        if not 0 <= self.default < self.num_choices:
+        if self.default is None:
+            object.__setattr__(self, "default", self.choices[0])
+        elif self.default not in self.choices:
             raise ConfigError(
-                f"choice site {self.name!r}: default {self.default} out of "
-                f"range [0, {self.num_choices})")
+                f"choice site {self.name!r}: default {self.default!r} not "
+                f"in choices {self.choices!r}")
         if self.choice_labels and len(self.choice_labels) != self.num_choices:
             raise ConfigError(
                 f"choice site {self.name!r}: {len(self.choice_labels)} labels "
                 f"for {self.num_choices} choices")
+
+    @property
+    def num_choices(self) -> int:
+        return len(self.choices)
 
     def default_entry(self) -> SizeDecisionTree:
         return SizeDecisionTree([self.default])
@@ -120,6 +135,9 @@ class SizeValueParam:
     scaling: str = "lognormal"  # "lognormal" | "uniform"
     accuracy_direction: int = 0
     is_accuracy_variable: bool = False
+    affects_accuracy: bool = True
+    #: One value for every size (see the module docstring).
+    flat: bool = False
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -145,69 +163,16 @@ class SizeValueParam:
 
 
 @dataclass(frozen=True)
-class ScalarParam:
-    """A single numeric tunable (cutoff, block size, ...)."""
+class PrecisionParam(ChoiceSiteParam):
+    """A choice over floating-point dtype names (``precision()`` in the DSL).
 
-    name: str
-    lo: float
-    hi: float
-    default: float
-    integer: bool = True
-    scaling: str = "lognormal"
-    affects_accuracy: bool = False
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ConfigError(
-                f"parameter {self.name!r}: lo {self.lo} > hi {self.hi}")
-        if not self.lo <= self.default <= self.hi:
-            raise ConfigError(
-                f"parameter {self.name!r}: default {self.default} outside "
-                f"[{self.lo}, {self.hi}]")
-
-    def default_entry(self) -> float:
-        return self.coerce(self.default)
-
-    def coerce(self, value: float) -> float:
-        value = min(max(float(value), self.lo), self.hi)
-        if self.integer:
-            value = float(int(round(value)))
-        return value
-
-
-@dataclass(frozen=True)
-class SwitchParam:
-    """A tunable drawn from a small finite set of values."""
-
-    name: str
-    choices: tuple[Any, ...]
-    default: Any = None
-    affects_accuracy: bool = False
-
-    def __post_init__(self):
-        if not self.choices:
-            raise ConfigError(f"switch {self.name!r} needs choices")
-        if self.default is not None and self.default not in self.choices:
-            raise ConfigError(
-                f"switch {self.name!r}: default {self.default!r} not in "
-                f"choices {self.choices!r}")
-
-    def default_entry(self) -> Any:
-        return self.default if self.default is not None else self.choices[0]
-
-
-@dataclass(frozen=True)
-class PrecisionParam(SwitchParam):
-    """A switch over floating-point dtype names (``precision()`` in the DSL).
-
-    Behaves exactly like a :class:`SwitchParam` for mutation, sampling,
-    validation and JSON round-tripping; the executor additionally casts
-    the owning instance's floating inputs to the configured dtype before
-    running its rules, and scales abstract cost by the dtype's relative
-    width (float32 ops count half a float64 op — the bandwidth model the
-    stacked kernels follow).  The subclass name appears in the dataclass
-    repr, so adding a precision dimension changes
-    :meth:`ParameterSpace.digest`.
+    Mutated, sampled, validated and serialised as any choice site; the
+    executor additionally casts the owning instance's floating inputs
+    to the configured dtype before running its rules, and scales
+    abstract cost by the dtype's relative width (float32 ops count half
+    a float64 op — the bandwidth model the stacked kernels follow).
+    The subclass name appears in the dataclass repr, so adding a
+    precision dimension changes :meth:`ParameterSpace.digest`.
     """
 
     def __post_init__(self):
@@ -224,7 +189,7 @@ class PrecisionParam(SwitchParam):
         return precision_dtype(value)
 
 
-Param = ChoiceSiteParam | SizeValueParam | ScalarParam | SwitchParam
+Param = ChoiceSiteParam | SizeValueParam
 
 
 class ParameterSpace:
@@ -287,12 +252,6 @@ class ParameterSpace:
     def accuracy_variables(self) -> list[SizeValueParam]:
         return [p for p in self.size_values() if p.is_accuracy_variable]
 
-    def scalars(self) -> list[ScalarParam]:
-        return [p for p in self if isinstance(p, ScalarParam)]
-
-    def switches(self) -> list[SwitchParam]:
-        return [p for p in self if isinstance(p, SwitchParam)]
-
     # Configuration construction -------------------------------------------
     def default_config(self):
         from repro.config.configuration import Configuration
@@ -305,54 +264,26 @@ class ParameterSpace:
         entries: dict[str, Any] = {}
         for param in self:
             if isinstance(param, ChoiceSiteParam):
-                entries[param.name] = SizeDecisionTree(
-                    [int(rng.integers(0, param.num_choices))])
-            elif isinstance(param, SizeValueParam):
-                value = param.coerce(rng.uniform(param.lo, param.hi))
-                entries[param.name] = SizeDecisionTree([value])
-            elif isinstance(param, ScalarParam):
+                entries[param.name] = param.choices[
+                    int(rng.integers(0, param.num_choices))]
+            else:
                 entries[param.name] = param.coerce(
                     rng.uniform(param.lo, param.hi))
-            else:
-                entries[param.name] = param.choices[
-                    int(rng.integers(0, len(param.choices)))]
         return Configuration(entries)
 
     def validate(self, config) -> None:
         """Raise :class:`ConfigError` if ``config`` violates any domain."""
         for param in self:
-            entry = config[param.name]
-            if isinstance(param, ChoiceSiteParam):
-                self._expect_tree(param.name, entry)
-                for leaf in entry.leaves:
-                    if not 0 <= int(leaf) < param.num_choices:
+            for leaf in config[param.name].leaves:
+                if isinstance(param, ChoiceSiteParam):
+                    if leaf not in param.choices:
                         raise ConfigError(
-                            f"{param.name!r}: choice {leaf} out of range "
-                            f"[0, {param.num_choices})")
-            elif isinstance(param, SizeValueParam):
-                self._expect_tree(param.name, entry)
-                for leaf in entry.leaves:
-                    if not param.lo <= float(leaf) <= param.hi:
-                        raise ConfigError(
-                            f"{param.name!r}: value {leaf} outside "
-                            f"[{param.lo}, {param.hi}]")
-            elif isinstance(param, ScalarParam):
-                if not param.lo <= float(entry) <= param.hi:
+                            f"{param.name!r}: choice {leaf!r} out of range "
+                            f"{param.choices!r}")
+                elif not param.lo <= float(leaf) <= param.hi:
                     raise ConfigError(
-                        f"{param.name!r}: value {entry} outside "
+                        f"{param.name!r}: value {leaf} outside "
                         f"[{param.lo}, {param.hi}]")
-            else:
-                if entry not in param.choices:
-                    raise ConfigError(
-                        f"{param.name!r}: value {entry!r} not in "
-                        f"{param.choices!r}")
-
-    @staticmethod
-    def _expect_tree(name: str, entry: Any) -> None:
-        if not isinstance(entry, SizeDecisionTree):
-            raise ConfigError(
-                f"{name!r}: expected a SizeDecisionTree, got "
-                f"{type(entry).__name__}")
 
     def merged_with(self, other: "ParameterSpace") -> "ParameterSpace":
         merged = ParameterSpace(list(self))

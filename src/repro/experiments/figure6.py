@@ -13,7 +13,7 @@ Sub-figure mapping (paper -> suite benchmark):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.experiments.common import (
     ExperimentSettings,
@@ -21,6 +21,7 @@ from repro.experiments.common import (
     tune_benchmark,
 )
 from repro.experiments.reporting import format_table
+from repro.runtime.backends.base import TRIAL_FAILURES
 
 __all__ = ["SUBFIGURES", "Figure6Result", "run_figure6"]
 
@@ -44,6 +45,9 @@ class Figure6Result:
     #: costs[bin][size] = mean execution cost
     costs: dict[float, dict[float, float]]
     unmet_bins: tuple[float, ...]
+    #: failures[(bin, size)] = error text of a cell whose evaluation
+    #: failed (its cost is NaN)
+    failures: dict[tuple[float, float], str] = field(default_factory=dict)
 
     @property
     def reference_bin(self) -> float:
@@ -79,6 +83,8 @@ class Figure6Result:
         table = format_table(headers, rows, title)
         if self.unmet_bins:
             table += f"\n(unmet accuracy bins: {self.unmet_bins})"
+        for (target, n), error in self.failures.items():
+            table += f"\n(x{target:g} failed at n={int(n)}: {error})"
         return table
 
 
@@ -92,6 +98,7 @@ def run_figure6(benchmark: str,
     spec, program, result = tune_benchmark(benchmark, settings)
     sizes = settings.sizes_for(spec)
     costs: dict[float, dict[float, float]] = {}
+    failures: dict[tuple[float, float], str] = {}
     for target, candidate in result.best_per_bin.items():
         per_size: dict[float, float] = {}
         for n in sizes:
@@ -100,9 +107,10 @@ def run_figure6(benchmark: str,
                     program, spec, candidate.config, n,
                     trials=settings.evaluation_trials,
                     seed=settings.seed + 17)
-            except Exception:
+            except TRIAL_FAILURES as exc:
                 per_size[n] = float("nan")
+                failures[(target, n)] = f"{type(exc).__name__}: {exc}"
         costs[target] = per_size
     return Figure6Result(
         benchmark=benchmark, sizes=sizes, bins=result.bins,
-        costs=costs, unmet_bins=result.unmet_bins)
+        costs=costs, unmet_bins=result.unmet_bins, failures=failures)

@@ -36,8 +36,7 @@ __all__ = ["describe", "check", "check_example_file", "main"]
 
 
 def _describe_tunable(param) -> str:
-    from repro.config.parameters import (PrecisionParam, ScalarParam,
-                                         SizeValueParam, SwitchParam)
+    from repro.config.parameters import PrecisionParam, SizeValueParam
     if isinstance(param, SizeValueParam):
         kind = ("accuracy variable" if param.is_accuracy_variable
                 else "size value")
@@ -45,16 +44,10 @@ def _describe_tunable(param) -> str:
             param.accuracy_direction, "")
         return (f"{kind} in [{param.lo:g}, {param.hi:g}], "
                 f"default {param.default:g}{hint}")
-    if isinstance(param, ScalarParam):
-        return (f"cutoff in [{param.lo:g}, {param.hi:g}], "
-                f"default {param.default:g}")
-    # PrecisionParam subclasses SwitchParam, so it must be tested first.
     if isinstance(param, PrecisionParam):
         return (f"precision over {list(param.choices)!r}, "
                 f"default {param.default!r} (executor casts inputs)")
-    if isinstance(param, SwitchParam):
-        return f"switch over {list(param.choices)!r}"
-    return repr(param)
+    return f"switch over {list(param.choices)!r}"
 
 
 def describe(target, extras: Sequence[Transform] = ()) -> str:

@@ -468,6 +468,5 @@ def _lower_class(cls: type, transform_name: str, *,
 
 def _is_param(value: Any) -> bool:
     """A fully named tunable parameter (the imperative constructors)."""
-    from repro.config.parameters import (ScalarParam, SizeValueParam,
-                                         SwitchParam)
-    return isinstance(value, (ScalarParam, SizeValueParam, SwitchParam))
+    from repro.config.parameters import ChoiceSiteParam, SizeValueParam
+    return isinstance(value, (ChoiceSiteParam, SizeValueParam))

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.config.parameters import (
+    ChoiceSiteParam,
     PrecisionParam,
-    ScalarParam,
     SizeValueParam,
-    SwitchParam,
 )
 from repro.errors import LanguageError
 from repro.lang.diagnostics import Diagnostics
@@ -61,7 +60,7 @@ class Transform:
                  through: Sequence[str] = (),
                  accuracy_metric: AccuracyMetric | Callable | None = None,
                  accuracy_bins: Sequence[float] | None = None,
-                 tunables: Iterable[SizeValueParam | ScalarParam | SwitchParam] = (),
+                 tunables: Iterable[SizeValueParam | ChoiceSiteParam] = (),
                  calls: Iterable[CallSite] = (),
                  allocators: Mapping[str, Callable] | None = None,
                  batchable: bool = False):
@@ -108,7 +107,7 @@ class Transform:
         else:
             self.accuracy_bins = ()
 
-        self.tunables: list[SizeValueParam | ScalarParam | SwitchParam] = []
+        self.tunables: list[SizeValueParam | ChoiceSiteParam] = []
         #: The transform's precision() tunable, if declared (at most
         #: one: the executor casts *all* the instance's floating inputs
         #: per its entry, so a second would be ambiguous).
@@ -177,7 +176,7 @@ class Transform:
 
         return register
 
-    def add_tunable(self, tunable: SizeValueParam | ScalarParam | SwitchParam
+    def add_tunable(self, tunable: SizeValueParam | ChoiceSiteParam
                     ) -> None:
         if isinstance(tunable, TunableDecl):
             tunable = tunable.build()

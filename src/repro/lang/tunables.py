@@ -13,6 +13,10 @@ These are thin, intention-revealing wrappers over the parameter kinds in
   by log-normal scaling (Section 5.4).
 * :func:`switch` — small finite choices (storage, iteration order),
   mutated uniformly at random.
+
+A cutoff is a :class:`~repro.config.parameters.SizeValueParam` and a
+switch or precision a :class:`~repro.config.parameters.ChoiceSiteParam`,
+all three *flat*: one value for every input size.
 * :func:`precision` — the transform's floating-point working precision
   (``"float32"``/``"float64"``): the executor casts the instance's
   floating inputs to the configured dtype, so precision becomes one
@@ -34,8 +38,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from repro.config.parameters import (PRECISION_DTYPES, PrecisionParam,
-                                     ScalarParam, SizeValueParam, SwitchParam)
+from repro.config.parameters import (PRECISION_DTYPES, ChoiceSiteParam,
+                                     PrecisionParam, SizeValueParam)
 from repro.errors import LanguageError
 from repro.lang.diagnostics import SourceLocation
 
@@ -154,14 +158,14 @@ def cutoff(name: str | None = None, lo: float | None = None,
            hi: float | None = None, default: float | None = None, *,
            integer: bool = True,
            affects_accuracy: bool = False
-           ) -> "ScalarParam | TunableDecl":
+           ) -> "SizeValueParam | TunableDecl":
     """Declare a scalar cutoff value (blocking size, switch point...)."""
 
-    def build(bound_name: str) -> ScalarParam:
+    def build(bound_name: str) -> SizeValueParam:
         _required("cutoff", lo=lo, hi=hi, default=default)
-        return ScalarParam(name=bound_name, lo=lo, hi=hi, default=default,
-                           integer=integer, scaling="lognormal",
-                           affects_accuracy=affects_accuracy)
+        return SizeValueParam(name=bound_name, lo=lo, hi=hi,
+                              default=default, integer=integer,
+                              affects_accuracy=affects_accuracy, flat=True)
 
     if name is None:
         return TunableDecl("cutoff", build)
@@ -170,19 +174,20 @@ def cutoff(name: str | None = None, lo: float | None = None,
 
 def switch(name: str | None = None,
            choices: Sequence[Any] | None = None, default: Any = None, *,
-           affects_accuracy: bool = False) -> "SwitchParam | TunableDecl":
+           affects_accuracy: bool = False
+           ) -> "ChoiceSiteParam | TunableDecl":
     """Declare a switch over a small finite set of values."""
 
-    def build(bound_name: str) -> SwitchParam:
+    def build(bound_name: str) -> ChoiceSiteParam:
         _required("switch", choices=choices)
         choice_tuple = tuple(choices)
         if default is not None and default not in choice_tuple:
             raise LanguageError(
                 f"switch {bound_name!r}: default {default!r} is not "
                 f"one of the declared choices {choice_tuple!r}")
-        return SwitchParam(name=bound_name, choices=choice_tuple,
-                           default=default,
-                           affects_accuracy=affects_accuracy)
+        return ChoiceSiteParam(name=bound_name, choices=choice_tuple,
+                               default=default,
+                               affects_accuracy=affects_accuracy, flat=True)
 
     if name is None:
         return TunableDecl("switch", build)
@@ -220,7 +225,7 @@ def precision(name: str | None = None,
                 f"one of the declared choices {choice_tuple!r}")
         return PrecisionParam(name=bound_name, choices=choice_tuple,
                               default=default,
-                              affects_accuracy=affects_accuracy)
+                              affects_accuracy=affects_accuracy, flat=True)
 
     if name is None:
         return TunableDecl("precision", build)

@@ -86,15 +86,17 @@ def build() -> tuple[Transform, tuple[Transform, ...]]:
         # Rule 3: the iterative kmeans solver.
         @rule
         def lloyd(ctx, points, centroids):
+            # Each tunable is read only on the branch that uses it, so
+            # configs differing in an unused one replay one execution.
             mode = ctx.param("iter_mode")
-            cap = int(ctx.param("lloyd_iters"))
             if mode == "once":
                 max_iterations, fraction = 1, 1.0
             elif mode == "threshold":
-                max_iterations = cap
+                max_iterations = int(ctx.param("lloyd_iters"))
                 fraction = float(ctx.param("change_threshold"))
             else:  # fixpoint: iterate until change == 0
-                max_iterations, fraction = cap, 0.0
+                max_iterations = int(ctx.param("lloyd_iters"))
+                fraction = 0.0
             assignments, _, iterations = lloyd_iterations(
                 points, centroids.T, max_iterations=max_iterations,
                 change_fraction=fraction, on_cost=ctx.add_cost)

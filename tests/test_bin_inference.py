@@ -6,12 +6,9 @@ import pytest
 from repro.autotuner.candidate import Candidate
 from repro.autotuner.mutators import MutatorPool
 from repro.compiler.compile import compile_program
-from repro.config.parameters import (
-    ParameterSpace,
-    ScalarParam,
-    SwitchParam,
-)
+from repro.config.parameters import ParameterSpace
 from repro.errors import ConfigError, LanguageError
+from repro.lang.tunables import cutoff
 from repro.lang.transform import CallSite, Transform
 
 
@@ -75,8 +72,8 @@ class TestBinInference:
 class TestPoolPreference:
     def space(self):
         return ParameterSpace([
-            ScalarParam("root@main.cut", 1, 100, 10),
-            ScalarParam("sub@0.5.cut", 1, 100, 10),
+            cutoff("root@main.cut", 1, 100, 10),
+            cutoff("sub@0.5.cut", 1, 100, 10),
         ])
 
     def test_preference_biases_selection(self):

@@ -17,7 +17,13 @@ def sample_config() -> Configuration:
 
 class TestAccess:
     def test_getitem(self):
-        assert sample_config()["scalar"] == 3.5
+        assert sample_config()["scalar"] == SizeDecisionTree([3.5])
+
+    def test_bare_value_is_a_tree_with_no_levels(self):
+        entry = Configuration({"x": 1.5})["x"]
+        assert isinstance(entry, SizeDecisionTree)
+        assert entry.num_levels == 0
+        assert entry.leaves == (1.5,)
 
     def test_missing_entry(self):
         with pytest.raises(ConfigError):
@@ -32,12 +38,12 @@ class TestAccess:
         assert sorted(config) == ["scalar", "switch", "tree"]
         assert len(config) == 3
 
-    def test_tree_accessor(self):
-        assert sample_config().tree("tree").lookup(20) == 2
+    def test_getitem_returns_the_tree(self):
+        assert sample_config()["tree"].lookup(20) == 2
 
-    def test_tree_accessor_rejects_scalar(self):
-        with pytest.raises(ConfigError):
-            sample_config().tree("scalar")
+    def test_every_entry_is_a_tree(self):
+        assert all(isinstance(entry, SizeDecisionTree)
+                   for _, entry in sample_config().items())
 
     def test_lookup_resolves_trees_and_scalars(self):
         config = sample_config()
@@ -50,8 +56,8 @@ class TestUpdates:
     def test_with_entry(self):
         config = sample_config()
         updated = config.with_entry("scalar", 9.0)
-        assert updated["scalar"] == 9.0
-        assert config["scalar"] == 3.5  # original untouched
+        assert updated["scalar"] == SizeDecisionTree([9.0])
+        assert config.lookup("scalar", 1) == 3.5  # original untouched
 
     def test_with_entry_unknown_key(self):
         with pytest.raises(ConfigError):
@@ -60,14 +66,28 @@ class TestUpdates:
     def test_with_entries(self):
         updated = sample_config().with_entries(
             {"scalar": 1.0, "switch": "slow"})
-        assert updated["scalar"] == 1.0
-        assert updated["switch"] == "slow"
+        assert updated["scalar"] == SizeDecisionTree([1.0])
+        assert updated["switch"] == SizeDecisionTree(["slow"])
 
 
 class TestSerialisation:
     def test_json_round_trip(self):
         config = sample_config()
         assert Configuration.from_json(config.to_json()) == config
+
+    def test_json_holds_only_tree_entries(self):
+        payload = sample_config().to_json()
+        assert {item["kind"] for item in payload.values()} == {"tree"}
+        assert payload["switch"] == {"kind": "tree", "cutoffs": [],
+                                     "leaves": ["fast"]}
+
+    def test_legacy_value_entry_loads_as_a_tree_with_no_levels(self):
+        config = Configuration.from_json({
+            "omega": {"kind": "value", "value": 1.25},
+            "precision": {"kind": "value", "value": "float32"}})
+        assert config["omega"] == SizeDecisionTree([1.25])
+        assert config["precision"] == SizeDecisionTree(["float32"])
+        assert config.identical(Configuration.loads(config.dumps()))
 
     def test_dumps_loads(self):
         config = sample_config()

@@ -109,3 +109,75 @@ class TestMain:
         from repro.experiments.__main__ import main
         with pytest.raises(SystemExit):
             main(["nonsense"])
+
+
+class TestFiguresAreNeverSilent:
+    """A failed evaluation is recorded with its error; any other
+    exception is a bug in the run and propagates."""
+
+    @staticmethod
+    def failing_first(real, error):
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise error
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    def test_figure6_records_a_failed_cell(self, monkeypatch):
+        from repro.experiments import figure6
+        from repro.runtime.timing import CostLimitExceeded
+        monkeypatch.setattr(figure6, "mean_cost", self.failing_first(
+            figure6.mean_cost, CostLimitExceeded("budget exceeded")))
+        result = run_figure6("binpacking", tiny_settings())
+        [((target, n), error)] = result.failures.items()
+        assert error == "CostLimitExceeded: budget exceeded"
+        assert result.costs[target][n] != result.costs[target][n]
+        assert (f"(x{target:g} failed at n={int(n)}: "
+                f"CostLimitExceeded: budget exceeded)") in result.render()
+
+    def test_figure6_propagates_other_errors(self, monkeypatch):
+        from repro.experiments import figure6
+        monkeypatch.setattr(figure6, "mean_cost", self.failing_first(
+            figure6.mean_cost, RuntimeError("a bug")))
+        with pytest.raises(RuntimeError, match="a bug"):
+            run_figure6("binpacking", tiny_settings())
+
+    @staticmethod
+    def stub_helmholtz_tune(monkeypatch, error):
+        """Figure 8 over a default Helmholtz config whose first
+        execution raises ``error``."""
+        from types import SimpleNamespace
+
+        from repro.experiments import figure8
+        from repro.suite import get_benchmark
+        spec = get_benchmark("helmholtz")
+        program, _ = spec.compile()
+        program.execute = TestFiguresAreNeverSilent.failing_first(
+            program.execute, error)
+        result = SimpleNamespace(
+            bins=(1.0,), unmet_bins=(),
+            best_per_bin={1.0: SimpleNamespace(
+                config=program.default_config())})
+        monkeypatch.setattr(figure8, "tune_benchmark",
+                            lambda name, settings: (spec, program, result))
+        return figure8
+
+    def test_figure8_records_a_failed_execution(self, monkeypatch):
+        from repro.runtime.timing import CostLimitExceeded
+        figure8 = self.stub_helmholtz_tune(
+            monkeypatch, CostLimitExceeded("budget exceeded"))
+        result = figure8.run_figure8(tiny_settings(), sizes=(3.0, 7.0))
+        assert result.failures == {
+            (3.0, 1.0): "CostLimitExceeded: budget exceeded"}
+        assert set(result.shapes) == {(7.0, 1.0)}
+        assert "(10^1 failed at n=3: CostLimitExceeded" in result.render()
+
+    def test_figure8_propagates_other_errors(self, monkeypatch):
+        figure8 = self.stub_helmholtz_tune(monkeypatch,
+                                           RuntimeError("a bug"))
+        with pytest.raises(RuntimeError, match="a bug"):
+            figure8.run_figure8(tiny_settings(), sizes=(3.0,))

@@ -1,5 +1,7 @@
 """Tests for the automatically generated mutator pool."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,6 @@ from repro.autotuner.mutators import (
     CompoundMutator,
     MutationFailed,
     MutatorPool,
-    ScalarScaleMutator,
-    SwitchMutator,
     TreeAddLevelMutator,
     TreeChangeLeafMutator,
     TreeRemoveLevelMutator,
@@ -19,21 +19,20 @@ from repro.autotuner.mutators import (
 from repro.config.parameters import (
     ChoiceSiteParam,
     ParameterSpace,
-    ScalarParam,
     SizeValueParam,
-    SwitchParam,
 )
+from repro.lang.tunables import cutoff, switch
 
 
 def space() -> ParameterSpace:
     return ParameterSpace([
-        ChoiceSiteParam("choice", 4),
+        ChoiceSiteParam("choice", range(4)),
         SizeValueParam("accvar", 1, 1000, 10, is_accuracy_variable=True,
                        accuracy_direction=+1),
         SizeValueParam("uniformvar", 0.0, 1.0, 0.5, integer=False,
                        scaling="uniform"),
-        ScalarParam("cut", 1, 512, 16),
-        SwitchParam("mode", ("a", "b", "c")),
+        cutoff("cut", 1, 512, 16),
+        switch("mode", ("a", "b", "c")),
     ])
 
 
@@ -49,19 +48,19 @@ class TestTreeChangeLeaf:
         mutator = TreeChangeLeafMutator(space()["choice"])
         candidate = fresh_candidate()
         config = mutator.mutate(candidate, 16, RNG())
-        assert config.tree("choice").lookup(16) != \
-            candidate.config.tree("choice").lookup(16)
+        assert config["choice"].lookup(16) != \
+            candidate.config["choice"].lookup(16)
 
     def test_respects_domain(self):
         mutator = TreeChangeLeafMutator(space()["accvar"])
         candidate = fresh_candidate()
         for seed in range(30):
             config = mutator.mutate(candidate, 16, RNG(seed))
-            value = config.tree("accvar").lookup(16)
+            value = config["accvar"].lookup(16)
             assert 1 <= value <= 1000
 
     def test_single_choice_fails(self):
-        param = ChoiceSiteParam("solo", 1)
+        param = ChoiceSiteParam("solo", range(1))
         sp = ParameterSpace([param])
         candidate = Candidate(sp.default_config())
         with pytest.raises(MutationFailed):
@@ -71,7 +70,7 @@ class TestTreeChangeLeaf:
         mutator = TreeChangeLeafMutator(space()["uniformvar"])
         candidate = fresh_candidate()
         config = mutator.mutate(candidate, 16, RNG())
-        assert config.tree("uniformvar").lookup(16) != 0.5
+        assert config["uniformvar"].lookup(16) != 0.5
 
 
 class TestTreeAddLevel:
@@ -79,14 +78,14 @@ class TestTreeAddLevel:
         mutator = TreeAddLevelMutator(space()["choice"])
         candidate = fresh_candidate()
         config = mutator.mutate(candidate, 16, RNG())
-        assert config.tree("choice").cutoffs == (12.0,)
+        assert config["choice"].cutoffs == (12.0,)
 
     def test_behaviour_below_preserved(self):
         mutator = TreeAddLevelMutator(space()["accvar"])
         candidate = fresh_candidate()
         config = mutator.mutate(candidate, 16, RNG())
-        old = candidate.config.tree("accvar")
-        new = config.tree("accvar")
+        old = candidate.config["accvar"]
+        new = config["accvar"]
         for n in (1, 5, 11):
             assert new.lookup(n) == old.lookup(n)
 
@@ -115,7 +114,7 @@ class TestTreeRemoveLevel:
         child = Candidate(config)
         assert remove.applies(child, 16)
         config2 = remove.mutate(child, 16, RNG())
-        assert config2.tree("choice").num_levels == 0
+        assert config2["choice"].num_levels == 0
 
 
 class TestTreeScaleCutoff:
@@ -129,25 +128,67 @@ class TestTreeScaleCutoff:
         child = Candidate(config)
         mutator = TreeScaleCutoffMutator(space()["choice"])
         new_config = mutator.mutate(child, 16, RNG(3))
-        assert new_config.tree("choice").cutoffs != \
-            config.tree("choice").cutoffs
+        assert new_config["choice"].cutoffs != \
+            config["choice"].cutoffs
 
 
-class TestScalarAndSwitch:
-    def test_scalar_scale_in_domain(self):
-        mutator = ScalarScaleMutator(space()["cut"])
+class TestFlatTunables:
+    """``cutoff()`` and ``switch()`` trees keep no levels; their one
+    mutator, change-leaf, scales a cutoff log-normally and draws a
+    switch value uniformly from the other choices."""
+
+    def test_cutoff_change_leaf_in_domain(self):
+        mutator = TreeChangeLeafMutator(space()["cut"])
         candidate = fresh_candidate()
         for seed in range(30):
             config = mutator.mutate(candidate, 16, RNG(seed))
-            assert 1 <= config["cut"] <= 512
+            assert config["cut"].num_levels == 0
+            assert 1 <= config.lookup("cut", 16) <= 512
             assert config["cut"] != candidate.config["cut"]
 
+    def test_cutoff_draws_as_lognormal_scaling(self):
+        """exp(Normal(0, 1)) times the value, rounded, nudged by one
+        when rounding swallowed the step."""
+        param = space()["cut"]
+        mutator = TreeChangeLeafMutator(param)
+        candidate = fresh_candidate()
+        for seed in range(50):
+            rng, expected = RNG(seed), RNG(seed)
+            config = mutator.mutate(candidate, 16, rng)
+            factor = math.exp(expected.normal(0.0, 1.0))
+            value = param.coerce(16.0 * factor)
+            if value == 16.0:
+                value = param.coerce(17.0 if factor > 1.0 else 15.0)
+            assert config.lookup("cut", 16) == value
+            assert rng.bit_generator.state == expected.bit_generator.state
+
     def test_switch_changes_value(self):
-        mutator = SwitchMutator(space()["mode"])
+        mutator = TreeChangeLeafMutator(space()["mode"])
         candidate = fresh_candidate()
         config = mutator.mutate(candidate, 16, RNG())
         assert config["mode"] != candidate.config["mode"]
-        assert config["mode"] in ("a", "b", "c")
+        assert config["mode"].num_levels == 0
+        assert config.lookup("mode", 16) in ("a", "b", "c")
+
+    @pytest.mark.parametrize("name", ["choice", "mode"])
+    def test_choice_draws_as_integers_and_as_choice(self, name):
+        """One sampler for choice sites and switches: an index from
+        ``integers(0, k)`` into the other choices, which is the draw
+        ``rng.choice`` makes over them too."""
+        param = space()[name]
+        mutator = TreeChangeLeafMutator(param)
+        candidate = fresh_candidate()
+        others = [c for c in param.choices if c != param.default]
+        for seed in range(50):
+            rng, by_index, by_choice = RNG(seed), RNG(seed), RNG(seed)
+            config = mutator.mutate(candidate, 16, rng)
+            expected = others[int(by_index.integers(0, len(others)))]
+            assert config.lookup(name, 16) == expected
+            assert expected == others[int(by_choice.choice(
+                len(others)))]
+            assert rng.bit_generator.state == \
+                by_index.bit_generator.state == \
+                by_choice.bit_generator.state
 
 
 class TestMetaMutators:
@@ -165,15 +206,30 @@ class TestMetaMutators:
         assert not UndoMutator().applies(fresh_candidate(), 16)
 
     def test_compound_applies_multiple_changes(self):
-        base = [ScalarScaleMutator(space()["cut"]),
-                SwitchMutator(space()["mode"])]
+        base = [TreeChangeLeafMutator(space()["cut"]),
+                TreeChangeLeafMutator(space()["mode"])]
         compound = CompoundMutator(base, min_applications=2,
                                    max_applications=2)
         config = compound.mutate(fresh_candidate(), 16, RNG(1))
         assert config != fresh_candidate().config
 
+    def test_compound_builds_no_candidates(self):
+        """Sub-mutations chain on the configuration alone."""
+        base = [TreeChangeLeafMutator(space()["cut"]),
+                TreeChangeLeafMutator(space()["mode"]),
+                TreeAddLevelMutator(space()["choice"])]
+        compound = CompoundMutator(base, min_applications=3,
+                                   max_applications=3)
+        parent = fresh_candidate()
+        before = Candidate._next_id
+        config = compound.mutate(parent, 16, RNG(4))
+        assert Candidate._next_id == before
+        changed = [name for name in config
+                   if config[name] != parent.config[name]]
+        assert len(changed) >= 2
+
     def test_undo_after_compound_restores_parent_config(self):
-        base = [ScalarScaleMutator(space()["cut"])]
+        base = [TreeChangeLeafMutator(space()["cut"])]
         compound = CompoundMutator(base, min_applications=2,
                                    max_applications=3)
         parent = fresh_candidate()
@@ -189,10 +245,20 @@ class TestPool:
         names = {m.name for m in pool}
         assert "tree.change:choice" in names
         assert "tree.addlevel:accvar" in names
-        assert "scalar.scale:cut" in names
-        assert "switch:mode" in names
+        assert "tree.change:cut" in names
+        assert "tree.change:mode" in names
         assert "meta.compound" in names
         assert "meta.undo" in names
+
+    def test_flat_tunables_get_change_leaf_only_in_place(self):
+        pool = MutatorPool.from_space(space())
+        assert [m.name for m in pool] == [
+            *(f"tree.{kind}:{name}"
+              for name in ("choice", "accvar", "uniformvar")
+              for kind in ("change", "addlevel", "removelevel",
+                           "scalecutoff")),
+            "tree.change:cut", "tree.change:mode",
+            "meta.compound", "meta.undo"]
 
     def test_no_meta_option(self):
         pool = MutatorPool.from_space(space(), include_meta=False)
@@ -203,6 +269,9 @@ class TestPool:
         change = next(m for m in pool
                       if m.name == "tree.change:accvar")
         assert change.param.scaling == "uniform"
+        # Cutoffs are numeric leaves too: the ablation resamples them.
+        cut = next(m for m in pool if m.name == "tree.change:cut")
+        assert cut.param.scaling == "uniform"
 
     def test_random_selection_applicable_only(self):
         pool = MutatorPool.from_space(space())
@@ -222,9 +291,9 @@ class TestPool:
         if prefix is not None:
             pool.prefer(prefix, weight)
         parent = fresh_candidate()
-        config = next(m for m in pool if m.name == "switch:mode") \
+        config = next(m for m in pool if m.name == "tree.change:mode") \
             .mutate(parent, 16, RNG(0))
-        child = Candidate(config, parent=parent, step="switch:mode")
+        child = Candidate(config, parent=parent, step="tree.change:mode")
         for candidate in (parent, child):
             for n in (1, 16, 1000):
                 options = pool.applicable(candidate, n)
@@ -244,9 +313,9 @@ class TestPool:
     def test_fixed_parameters_produce_empty_pool(self):
         fixed = ParameterSpace([
             SizeValueParam("v", 5, 5, 5),
-            ScalarParam("c", 2, 2, 2),
-            SwitchParam("s", ("only",)),
-            ChoiceSiteParam("ch", 1),
+            cutoff("c", 2, 2, 2),
+            switch("s", ("only",)),
+            ChoiceSiteParam("ch", range(1)),
         ])
         pool = MutatorPool.from_space(fixed)
         assert len(pool) == 0

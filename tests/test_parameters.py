@@ -7,38 +7,43 @@ from repro.config.decision_tree import SizeDecisionTree
 from repro.config.parameters import (
     ChoiceSiteParam,
     ParameterSpace,
-    ScalarParam,
     SizeValueParam,
-    SwitchParam,
 )
 from repro.errors import ConfigError
+from repro.lang.tunables import cutoff, switch
 
 
 class TestChoiceSiteParam:
     def test_default_entry_is_single_leaf_tree(self):
-        param = ChoiceSiteParam("site", num_choices=3, default=1)
+        param = ChoiceSiteParam("site", choices=range(3), default=1)
         tree = param.default_entry()
         assert isinstance(tree, SizeDecisionTree)
         assert tree.lookup(1) == 1
 
     def test_needs_at_least_one_choice(self):
         with pytest.raises(ConfigError):
-            ChoiceSiteParam("site", num_choices=0)
+            ChoiceSiteParam("site", choices=())
 
     def test_default_in_range(self):
         with pytest.raises(ConfigError):
-            ChoiceSiteParam("site", num_choices=2, default=5)
+            ChoiceSiteParam("site", choices=range(2), default=5)
 
     def test_label_lookup(self):
-        param = ChoiceSiteParam("s", 2, choice_labels=("a", "b"))
+        param = ChoiceSiteParam("s", range(2), choice_labels=("a", "b"))
         assert param.label(1) == "b"
 
     def test_label_count_checked(self):
         with pytest.raises(ConfigError):
-            ChoiceSiteParam("s", 3, choice_labels=("a",))
+            ChoiceSiteParam("s", range(3), choice_labels=("a",))
+
+    def test_index_choices_are_ints(self):
+        param = ChoiceSiteParam("s", range(3))
+        assert param.choices == (0, 1, 2)
+        assert param.num_choices == 3
+        assert param.default == 0 and not param.flat
 
     def test_clamp(self):
-        param = ChoiceSiteParam("s", 3)
+        param = ChoiceSiteParam("s", range(3))
         assert param.clamp(-1) == 0
         assert param.clamp(9) == 2
 
@@ -66,47 +71,56 @@ class TestSizeValueParam:
             SizeValueParam("v", lo=1, hi=5, default=2, scaling="magic")
 
 
-class TestScalarParam:
+class TestCutoff:
     def test_default_entry(self):
-        assert ScalarParam("c", 1, 9, 4).default_entry() == 4
+        param = cutoff("c", 1, 9, 4)
+        assert isinstance(param, SizeValueParam)
+        assert param.flat and not param.is_accuracy_variable
+        assert param.default_entry() == SizeDecisionTree([4.0])
 
     def test_coerce(self):
-        param = ScalarParam("c", 1.0, 2.0, 1.5, integer=False)
+        param = cutoff("c", 1.0, 2.0, 1.5, integer=False)
         assert param.coerce(5.0) == 2.0
 
+    def test_affects_accuracy_is_carried(self):
+        assert not cutoff("c", 1, 9, 4).affects_accuracy
+        assert cutoff("c", 1, 9, 4, affects_accuracy=True).affects_accuracy
 
-class TestSwitchParam:
+
+class TestSwitch:
     def test_default_entry_first_choice(self):
-        assert SwitchParam("s", ("x", "y")).default_entry() == "x"
+        param = switch("s", ("x", "y"))
+        assert isinstance(param, ChoiceSiteParam) and param.flat
+        assert param.default_entry() == SizeDecisionTree(["x"])
 
     def test_explicit_default(self):
-        assert SwitchParam("s", ("x", "y"), default="y").default_entry() \
-            == "y"
+        assert switch("s", ("x", "y"), default="y").default_entry() \
+            == SizeDecisionTree(["y"])
 
     def test_default_must_be_choice(self):
         with pytest.raises(ConfigError):
-            SwitchParam("s", ("x",), default="z")
+            ChoiceSiteParam("s", ("x",), default="z", flat=True)
 
     def test_needs_choices(self):
         with pytest.raises(ConfigError):
-            SwitchParam("s", ())
+            ChoiceSiteParam("s", (), flat=True)
 
 
 class TestParameterSpace:
     def space(self) -> ParameterSpace:
         return ParameterSpace([
-            ChoiceSiteParam("choice", 3),
+            ChoiceSiteParam("choice", range(3)),
             SizeValueParam("accvar", 1, 100, 5,
                            is_accuracy_variable=True,
                            accuracy_direction=+1),
-            ScalarParam("cut", 1, 64, 8),
-            SwitchParam("mode", ("a", "b")),
+            cutoff("cut", 1, 64, 8),
+            switch("mode", ("a", "b")),
         ])
 
     def test_duplicate_rejected(self):
         space = self.space()
         with pytest.raises(ConfigError):
-            space.add(SwitchParam("mode", ("a",)))
+            space.add(switch("mode", ("a",)))
 
     def test_lookup_unknown(self):
         with pytest.raises(ConfigError):
@@ -114,16 +128,30 @@ class TestParameterSpace:
 
     def test_kind_queries(self):
         space = self.space()
-        assert len(space.choice_sites()) == 1
-        assert len(space.size_values()) == 1
+        assert len(space.choice_sites()) == 2
+        assert len(space.size_values()) == 2
         assert len(space.accuracy_variables()) == 1
-        assert len(space.scalars()) == 1
-        assert len(space.switches()) == 1
+        assert [p.name for p in space if p.flat] == ["cut", "mode"]
         assert len(space) == 4
 
     def test_default_config_valid(self):
         space = self.space()
         space.validate(space.default_config())
+
+    def test_random_config_draws_one_value_per_parameter(self):
+        """A choice draws ``integers(0, k)``, a value ``uniform(lo, hi)``,
+        in space order; every entry is a tree with no levels."""
+        space = self.space()
+        rng, expected = np.random.default_rng(3), np.random.default_rng(3)
+        config = space.random_config(rng)
+        for param in space:
+            if isinstance(param, ChoiceSiteParam):
+                value = param.choices[int(expected.integers(
+                    0, param.num_choices))]
+            else:
+                value = param.coerce(expected.uniform(param.lo, param.hi))
+            assert config[param.name] == SizeDecisionTree([value])
+        assert rng.bit_generator.state == expected.bit_generator.state
 
     def test_random_config_valid(self):
         space = self.space()
@@ -157,16 +185,16 @@ class TestParameterSpace:
         with pytest.raises(ConfigError):
             space.validate(config)
 
-    def test_validate_rejects_scalar_where_tree_expected(self):
+    def test_bare_value_validates_as_a_tree(self):
         space = self.space()
         config = space.default_config().with_entry("choice", 1)
-        with pytest.raises(ConfigError):
-            space.validate(config)
+        assert config["choice"] == SizeDecisionTree([1])
+        space.validate(config)
 
     def test_merged_with(self):
         space = self.space()
-        other = ParameterSpace([SwitchParam("extra", ("q",)),
-                                SwitchParam("mode", ("a", "b"))])
+        other = ParameterSpace([switch("extra", ("q",)),
+                                switch("mode", ("a", "b"))])
         merged = space.merged_with(other)
         assert "extra" in merged
         assert len(merged) == 5

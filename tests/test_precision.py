@@ -22,9 +22,9 @@ from repro.config.configuration import Configuration
 from repro.config.decision_tree import SizeDecisionTree
 from repro.config.parameters import (
     PRECISION_DTYPES,
+    ChoiceSiteParam,
     ParameterSpace,
     PrecisionParam,
-    SwitchParam,
     precision_dtype,
 )
 from repro.errors import ConfigError, LanguageError
@@ -82,8 +82,8 @@ class TestPrecisionParam:
         """Promoting a switch to a precision changes the space digest
         even with identical name/choices/default."""
         kwargs = dict(name="p", choices=("float64", "float32"),
-                      default="float64", affects_accuracy=True)
-        plain = ParameterSpace([SwitchParam(**kwargs)])
+                      default="float64", affects_accuracy=True, flat=True)
+        plain = ParameterSpace([ChoiceSiteParam(**kwargs)])
         precise = ParameterSpace([PrecisionParam(**kwargs)])
         assert plain.digest() != precise.digest()
 
@@ -254,16 +254,19 @@ class TestPrecisionMutation:
     def test_pool_generates_a_precision_mutator(self, poisson_program):
         pool = MutatorPool.from_space(poisson_program.space)
         names = {m.name for m in pool.mutators}
-        assert "switch:poisson@main.precision" in names
+        assert "tree.change:poisson@main.precision" in names
+        # A flat tunable: its leaf changes, its tree gains no level.
+        assert "tree.addlevel:poisson@main.precision" not in names
 
     def test_mutation_flips_the_dtype(self, poisson_program):
         pool = MutatorPool.from_space(poisson_program.space)
         mutator = next(m for m in pool.mutators
-                       if m.name == "switch:poisson@main.precision")
+                       if m.name == "tree.change:poisson@main.precision")
         candidate = Candidate(poisson_program.default_config())
         config = mutator.mutate(
             candidate, 15.0, np.random.default_rng(0))
-        assert config["poisson@main.precision"] == "float32"
+        assert config["poisson@main.precision"] == \
+            SizeDecisionTree(["float32"])
 
     def test_single_choice_space_gets_no_precision_mutator(self):
         program, _ = compile_program(
@@ -290,7 +293,8 @@ class TestArtifactRoundTrip:
         restored = TunedArtifact.from_json(payload)
         for target in bins:
             entry = restored.bin(target).config
-            assert entry["poisson@main.precision"] == "float32"
+            assert entry["poisson@main.precision"] == \
+                SizeDecisionTree(["float32"])
             assert poisson_program.configured_dtype(entry, 15.0) == \
                 np.dtype(np.float32)
         # And the restored artifact still attaches and validates.

@@ -118,8 +118,9 @@ class TestGuidedMutation:
         _, harness, _ = setup
 
         # A space with no accuracy variables.
-        from repro.config.parameters import ParameterSpace, SwitchParam
-        space = ParameterSpace([SwitchParam("s", ("a", "b"))])
+        from repro.config.parameters import ParameterSpace
+        from repro.lang.tunables import switch
+        space = ParameterSpace([switch("s", ("a", "b"))])
         population = [Candidate(space.default_config())]
         added = guided_mutation(population, harness, space, (0.9,), 4,
                                 harness.metric)

@@ -273,6 +273,44 @@ class TestArtifactRoundTrip:
         assert metadata["trials_run"] == result.trials_run
 
 
+class TestPinnedArtifactFormat:
+    """The committed Poisson artifact stores omega and precision as
+    legacy ``{"kind": "value"}`` entries; it loads as trees."""
+
+    PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "artifact", "poisson", "default.json")
+
+    @pytest.fixture(scope="class")
+    def raw(self):
+        with open(self.PATH, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    def test_legacy_entries_load_as_trees_with_no_levels(self, raw):
+        artifact = TunedArtifact.load(self.PATH)
+        program, _ = get_benchmark("poisson").compile()
+        legacy = 0
+        for entry in artifact.bins:
+            stored = raw["bins"][repr(entry.target)]["config"]
+            for name, item in stored.items():
+                if name.endswith((".omega", ".precision")):
+                    assert item["kind"] == "value"
+                    assert entry.config[name] == \
+                        SizeDecisionTree([item["value"]])
+                    legacy += 1
+            program.space.validate(entry.config)
+        assert legacy > 0
+
+    def test_reserialised_json_holds_only_trees(self):
+        artifact = TunedArtifact.load(self.PATH)
+        payload = json.loads(json.dumps(artifact.to_json()))
+        kinds = {item["kind"] for bin_ in payload["bins"].values()
+                 for item in bin_["config"].values()}
+        assert kinds == {"tree"}
+        clone = TunedArtifact.from_json(payload)
+        for mine, theirs in zip(artifact.bins, clone.bins):
+            assert mine.config.identical(theirs.config)
+
+
 class TestArtifactAttachValidation:
     """An artifact whose bin configs leave the program's parameter
     space is refused when it attaches, naming the bin and the entry,

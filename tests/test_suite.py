@@ -164,6 +164,25 @@ class TestClusteringBenchmark:
         assert iterations["once"] <= iterations["threshold"] <= \
             iterations["fixpoint"]
 
+    def test_once_mode_replays_across_lloyd_iters(self):
+        """``"once"`` never reads ``lloyd_iters``, so a config that
+        differs only there replays the first one's trial."""
+        from repro.autotuner import ProgramTestHarness
+        from repro.autotuner.candidate import Candidate
+        spec = get_benchmark("clustering")
+        program, _ = spec.compile()
+        harness = ProgramTestHarness(program, spec.generate, base_seed=4)
+        once = program.default_config().with_entry(
+            "kmeans@main.iter_mode", "once")
+        first = Candidate(once)
+        second = Candidate(once.with_entry("kmeans@main.lloyd_iters", 50.0))
+        assert first.config.digest != second.config.digest
+        harness.ensure_trials(first, 64.0, 1)
+        assert harness.trials_executed == 1
+        harness.ensure_trials(second, 64.0, 1)
+        assert harness.trials_executed == 1
+        assert second.results.trials(64.0) == first.results.trials(64.0)
+
 
 class TestPoissonBenchmark:
     def test_direct_rule_reaches_machine_precision(self):

@@ -8,9 +8,18 @@ must not be edited: a change to the comparison heuristic, the
 statistics it reads or the stream a rule draws from moves one of them.
 ("Session ≡ legacy loop" cannot catch that, because both sides share
 the comparator.)
+
+The digests were taken when a flat tunable (``cutoff()``, ``switch()``,
+``precision()``, the synthesized loop order) was stored as a bare
+``{"kind": "value"}`` entry; :func:`pinned_digest` writes such a
+tunable's tree with no levels back in that form before hashing, so the
+recorded digests still pin every tuned value.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 from repro.autotuner import Autotuner, ProgramTestHarness, TunerSettings
 from repro.compiler.compile import compile_program
@@ -32,12 +41,24 @@ BINPACKING_SETTINGS = dict(
     root_mutator_weight=4.0, seed=5)
 
 
+def pinned_digest(config, space) -> str:
+    """:attr:`Configuration.digest` with flat tunables as bare values."""
+    payload = config.to_json()
+    for param in space:
+        if param.flat:
+            (value,) = config[param.name].leaves
+            payload[param.name] = {"kind": "value", "value": value}
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:32]
+
+
 def fingerprint(tuner: Autotuner) -> dict:
     result = tuner.tune()
     return {
         "trials_run": result.trials_run,
         "comparisons": tuner.comparator.comparisons,
-        "digests": {target: candidate.config.digest
+        "digests": {target: pinned_digest(candidate.config,
+                                          tuner.program.space)
                     for target, candidate
                     in sorted(result.best_per_bin.items())},
         "frontier": [tuple(repr(value) for value in row)

@@ -134,7 +134,7 @@ class TestTrialCacheReplacesResultCopy:
                      if isinstance(p, ChoiceSiteParam))
         config = TreeAddLevelMutator(param).mutate(
             parent, 64.0, np.random.default_rng(0))
-        assert config.tree(param.name).cutoffs == (48.0,)
+        assert config[param.name].cutoffs == (48.0,)
         child = Candidate(config, parent=parent,
                           step=f"tree.addlevel:{param.name}")
         executed = harness.trials_executed
